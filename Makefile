@@ -1,10 +1,10 @@
 # Convenience entry points; all targets assume the repo root as cwd.
 # CI (.github/workflows/ci.yml) runs exactly these targets, so a green
-# `make lint test perf-smoke` locally is a green pipeline.
+# `make lint test perf-smoke paper-claims` locally is a green pipeline.
 
 PY ?= python
 
-.PHONY: test lint checks perf-smoke bench
+.PHONY: test lint checks perf-smoke paper-claims bench
 
 # Tier-1 verification: the full unit/integration suite.
 test:
@@ -26,9 +26,9 @@ checks:
 # Reproducible engine-performance smoke: EXP-8 (chase/homomorphism/rewriting
 # throughput), EXP-12 (incremental vs naive trigger enumeration), EXP-13
 # (parallel engine vs sequential delta), EXP-14 (persistent delta-fed
-# workers vs per-round context pickling), EXP-15 (delta-driven restricted
-# satisfaction + sharded restricted firing vs the interleaved reference)
-# EXP-16 (worker-resident satisfaction for mixed restricted rounds +
+# workers vs per-round context pickling), EXP-15 (pruned restricted
+# enumeration + split firing vs the interleaved reference), EXP-16
+# (the same for mixed restricted rounds, on the persistent pool +
 # adaptive shard routing), EXP-17 (goal-directed answer() serving vs
 # full saturation) and EXP-18 (columnar replicas + shared-memory
 # transport vs the pipe-only persistent engine), with GC disabled during
@@ -53,6 +53,25 @@ perf-smoke:
 	    -q --benchmark-disable-gc
 	$(PY) tools/check_transport_budget.py
 	$(PY) tools/check_bench_telemetry.py
+
+# The paper-claim experiments: EXP-1..7 (Example 1, property (p) of
+# Theorem 1, preservation by the surgeries, regality, valleys, Ramsey,
+# extensions) and EXP-9..11 (design ablations, rule-set families,
+# treewidth).  Each check asserts its claim; tables land in
+# benchmarks/results/.
+paper-claims:
+	PYTHONPATH=src $(PY) -m pytest \
+	    benchmarks/bench_exp1_example1.py \
+	    benchmarks/bench_exp2_property_p.py \
+	    benchmarks/bench_exp3_surgeries.py \
+	    benchmarks/bench_exp4_regality.py \
+	    benchmarks/bench_exp5_valley.py \
+	    benchmarks/bench_exp6_ramsey.py \
+	    benchmarks/bench_exp7_extensions.py \
+	    benchmarks/bench_exp9_ablations.py \
+	    benchmarks/bench_exp10_families.py \
+	    benchmarks/bench_exp11_treewidth.py \
+	    -q --benchmark-disable-gc
 
 # The full experiment battery (slow).
 bench:

@@ -1,34 +1,35 @@
-"""EXP-16 — worker-resident satisfaction for mixed restricted rounds.
+"""EXP-16 — mixed restricted rounds: pruned enumeration + split firing.
 
-PR 4 made *pure* existential-free restricted rounds delta-gated and
-shardable (EXP-15); mixed rounds — existential and existential-free
-triggers in the same round — still interleaved everything parent-side.
-The split-round path changes that: the round's existential-free triggers
-are instantiated and satisfaction-probed up front (on the persistent
-backend: worker-side, against long-lived replicas, via the ``probe``
-protocol command), and the round then records in one canonical-order
-lazy pass that interleaves only the small existential remainder.  Shard
-→ worker placement is round-robin by default; ``adaptive_routing``
-switches to largest-first bin packing on shard byte weights.
+Mixed rounds — existential and existential-free triggers in the same
+round — run the restricted chase's *split* path.  The enumeration drops
+every existential-free match whose ground head is already in the
+round-start instance or repeats the head of a smaller image (on the
+persistent backend inside the ``enumerate_unsatisfied`` command, against
+each worker's replica), and the round then records in one
+canonical-order lazy pass that interleaves only the small existential
+remainder.  Shard → worker placement is round-robin by default;
+``adaptive_routing`` switches to largest-first bin packing on shard byte
+weights.
 
 The workload makes every round genuinely mixed: a successor rule keeps
 extending a path with fresh nulls (one unsatisfied existential trigger
 per round — the interleaved remainder) while transitive closure over the
-same ``E`` predicate floods each round with existential-free triggers
-(the sharded sub-round).
+same ``E`` predicate floods each round with existential-free matches
+(the pruned part).
 
-Acceptance on this 1-CPU GIL harness:
+Acceptance:
 
 * every configuration produces a bit-identical ``ChaseResult`` (atoms,
   provenance records, rounds) — the split decomposition of a mixed round
   is invisible in the results,
-* the inline split path does not regress vs the seed interleaved loop
-  (amortized recording + single head instantiation are the single-core
-  win), and
+* the inline split path does not regress vs the interleaved loop
+  (amortized recording is the single-core win), and
 * the persistent backends (hash-uniform and adaptive routing) agree
-  exactly while probing worker-side (``TRANSPORT_STATS.probes`` > 0);
-  their wall-clock win needs multicore — transport payload and
-  equivalence are the hardware-independent claims here.
+  exactly, send no ``probe`` command (split rounds record parent-side
+  from the parked heads), and their ``enumerate_unsatisfied`` replies
+  carry only pruned images: each configuration enumerates exactly the
+  candidates of the inline pruned enumeration, far fewer than the
+  unpruned ``naive`` reference.
 """
 
 import statistics
@@ -39,6 +40,7 @@ from repro.chase import restricted_chase
 from repro.corpus import path_instance
 from repro.engine import EngineConfig, TRANSPORT_STATS
 from repro.io import format_table
+from repro.obs import RunTrace
 from repro.rules.parser import parse_rules
 
 PATH_N = 60
@@ -80,9 +82,24 @@ def _assert_bit_identical(a, b):
     assert a.records() == b.records()
 
 
+def _candidates(engine, gate, rules) -> int:
+    """Triggers the enumeration handed to the firing path, all rounds."""
+    trace = RunTrace()
+    restricted_chase(
+        path_instance(PATH_N),
+        rules,
+        max_rounds=MAX_ROUNDS,
+        max_atoms=MAX_ATOMS,
+        engine=engine,
+        delta_satisfaction=gate,
+        trace=trace,
+    )
+    return sum(record["triggers"] for record in trace.rounds)
+
+
 def test_exp16_mixed_rounds():
     rules = parse_rules(MIXED_RULES, name="succ_tc")
-    rows, results, times, probes, transports = [], {}, {}, {}, {}
+    rows, results, times, candidates, transports = [], {}, {}, {}, {}
     for label, engine, gate in CONFIGS:
         TRANSPORT_STATS.reset()
         result, median_s = _measure(
@@ -97,29 +114,31 @@ def test_exp16_mixed_rounds():
         )
         results[label] = result
         times[label] = median_s
-        probes[label] = TRANSPORT_STATS.probes
         transports[label] = TRANSPORT_STATS.snapshot()
+        candidates[label] = _candidates(engine, gate, rules)
         rows.append(
             (
                 label,
                 len(result.instance),
                 result.levels_completed,
-                TRANSPORT_STATS.probes // TRIALS,
+                candidates[label],
                 f"{median_s:.3f}",
             )
         )
+    unpruned = _candidates("naive", True, rules)
     reference = results["interleaved (seed path)"]
     for result in results.values():
         _assert_bit_identical(result, reference)
     emit(
         "exp16_mixed",
         format_table(
-            ["configuration", "atoms", "rounds", "probe rounds", "median s"],
+            ["configuration", "atoms", "rounds", "candidates", "median s"],
             rows,
             title=(
-                f"EXP-16: worker-resident satisfaction for mixed restricted "
-                f"rounds, successor + transitive closure on a {PATH_N}-path "
-                f"({MAX_ROUNDS} rounds)"
+                f"EXP-16: pruned enumeration + split firing for mixed "
+                f"restricted rounds, successor + transitive closure on a "
+                f"{PATH_N}-path ({MAX_ROUNDS} rounds; unpruned naive "
+                f"reference: {unpruned} candidates)"
             ),
         ),
     )
@@ -135,6 +154,7 @@ def test_exp16_mixed_rounds():
                 "max_atoms": MAX_ATOMS,
                 "trials": TRIALS,
             },
+            "unpruned_candidates": unpruned,
             # Transport counters accumulate over the TRIALS runs of each
             # configuration (the per-config reset is before the measure
             # loop); byte counters are deterministic, wall-clocks noisy.
@@ -144,7 +164,7 @@ def test_exp16_mixed_rounds():
                     "delta_satisfaction": gate,
                     "atoms": len(results[label].instance),
                     "rounds": results[label].levels_completed,
-                    "probe_rounds": probes[label] // TRIALS,
+                    "candidates": candidates[label],
                     "median_s": times[label],
                     "transport": transports[label],
                 }
@@ -154,12 +174,20 @@ def test_exp16_mixed_rounds():
     )
     # The single-core claim: the inline split path must not lose to the
     # per-trigger interleaved loop it replaces (noise-bounded guard; the
-    # expected direction is a win from amortized recording and
-    # single-instantiation claims).
+    # expected direction is a win from amortized recording).
     assert times["split inline (delta)"] <= times[
         "interleaved (seed path)"
     ] * 1.5, times
-    # The worker-resident gate actually ran on the persistent backends.
-    assert probes["persistent split (w=2, hash)"] > 0
-    assert probes["persistent split (w=2, adaptive)"] > 0
-    assert probes["split inline (delta)"] == 0
+    # Every configuration enumerates the same pruned candidates — on the
+    # persistent backends that is what the replicas' replies carried —
+    # and pruning removes most of the unpruned reference's triggers.
+    assert len(set(candidates.values())) == 1, candidates
+    assert candidates["split inline (delta)"] * 5 < unpruned
+    for label in (
+        "persistent split (w=2, hash)",
+        "persistent split (w=2, adaptive)",
+    ):
+        commands = transports[label]["commands"]
+        assert "probe" not in commands, label
+        assert "enumerate" not in commands, label
+        assert commands["enumerate_unsatisfied"]["messages"] > 0, label

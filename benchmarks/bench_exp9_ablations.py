@@ -1,4 +1,4 @@
-"""EXP-9 — ablations of the library's own design choices (DESIGN.md §4).
+"""EXP-9 — ablations of the library's own design choices.
 
 Not paper claims; these quantify the engineering decisions:
 

@@ -1,8 +1,9 @@
 """Shared helpers for the experiment benchmarks.
 
-Each ``bench_expN_*.py`` regenerates one paper artifact (see DESIGN.md §5)
-and both prints its table and records it under ``benchmarks/results/`` so
-EXPERIMENTS.md can reference the measured output.  Experiments with
+Each ``bench_expN_*.py`` regenerates one experiment's artifact — the
+paper claims under ``make paper-claims``, the engine measurements under
+``make perf-smoke`` — and both prints its table and records it under
+``benchmarks/results/``.  Experiments with
 machine-readable consumers (the transport-budget guard in
 ``tools/check_transport_budget.py``, the ROADMAP manifest migration)
 additionally write a ``BENCH_<name>.json`` next to the table via

@@ -22,7 +22,8 @@ Quickstart::
     report = check_property_p(rules, parse_instance("E(a,b)"), max_levels=4)
     assert report.loop_entailed  # tournaments grow, so the loop appears
 
-See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
+See ``src/repro/engine/README.md`` for the execution engine, and
+``benchmarks/results/`` (regenerated by ``make paper-claims``) for the
 paper-claim-by-claim reproduction record.
 """
 

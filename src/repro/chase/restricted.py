@@ -13,25 +13,27 @@ the triggers that are new with respect to the previous round's additions
 head is not already satisfied, with round accounting (a round that applies
 nothing is a fixpoint) and no post-budget probe.
 
-Satisfaction gating is *delta-driven* where possible.  Any round
-containing existential-free triggers — pure or **mixed** with an
-existential remainder — is a *split* round: the existential-free
-triggers' outputs are fully determined by their body homomorphisms, so
-their ground heads are instantiated up front (on a persistent backend,
-sharded across the worker replicas via the ``probe`` protocol command,
-which also pre-resolves each head's round-start witnesses), and the
-round then records through one canonical-order lazy pass that gates each
-probed trigger by witness membership and interleaves only the
-existential remainder's satisfaction checks — through the index-seeded
-fast path (:meth:`~repro.chase.trigger.Trigger.is_satisfied_using_index`)
-against the instance as it grows.  Rounds whose triggers are all
-existential keep the fully interleaved loop.  Every path is
-bit-identical to the interleaved reference.  ``engine="delta"``
-(default) enumerates new triggers semi-naively, ``engine="naive"``
-re-matches everything and subtracts the seen set, and
-``engine="parallel"`` / ``engine="persistent"`` fan the enumeration (and,
-for split rounds, the probing/firing) over the sharded scheduler — all
-fire identically.
+Satisfaction gating starts inside the enumeration.  An existential-free
+trigger's output is fully determined by its body homomorphism, so the
+delta-family engines (``prune_ground_heads``) never build the triggers
+that could not add an atom: a match whose ground head is already in the
+round-start instance, or whose head a smaller image of the same rule
+grounds too, is dropped where it is found — inline, or on the shard /
+worker replica that enumerated it — and each survivor arrives with its
+head parked (:func:`~repro.chase.trigger.restricted_new_triggers_of`).
+Any round containing existential-free triggers — pure or **mixed** with
+an existential remainder — is then a *split* round: it records through
+one canonical-order lazy pass that gates each existential-free trigger
+by membership of its parked head and interleaves only the existential
+remainder's satisfaction checks — through the index-seeded fast path
+(:meth:`~repro.chase.trigger.Trigger.is_satisfied_using_index`) against
+the instance as it grows.  Rounds whose triggers are all existential
+keep the fully interleaved loop.  Every path is bit-identical to the
+interleaved reference.  ``engine="delta"`` (default) enumerates new
+triggers semi-naively, ``engine="naive"`` re-matches everything, subtracts
+the seen set and prunes nothing (the reference), and
+``engine="parallel"`` / ``engine="persistent"`` fan the pruned
+enumeration over the sharded scheduler — all fire identically.
 """
 
 from __future__ import annotations
@@ -58,9 +60,11 @@ class RestrictedPolicy(VariantPolicy):
     Round accounting: the fixpoint is a round that applies nothing (atoms
     produced mid-round feed the *next* round's delta), there is no
     post-budget probe, and the naive engine's seen set is full trigger
-    identity.  ``delta_satisfaction=False`` forces every round onto the
-    interleaved reference path (the pre-runner behavior, kept for the
-    equivalence suite and the EXP-15 ablation).
+    identity.  Enumeration prunes existential-free triggers that cannot
+    add an atom (``prune_ground_heads``).  ``delta_satisfaction=False``
+    forces every round onto the interleaved reference firing path (the
+    pre-runner behavior, kept for the equivalence suite and the EXP-15
+    ablation).
     """
 
     variant = "restricted chase"
@@ -69,6 +73,7 @@ class RestrictedPolicy(VariantPolicy):
     stop_on_idle_round = True
     probe_fixpoint = False
     step_noun = "rounds"
+    prune_ground_heads = True
 
     def __init__(self, delta_satisfaction: bool = True):
         self._seen: set[Trigger] = set()
@@ -85,12 +90,11 @@ class RestrictedPolicy(VariantPolicy):
             not t.rule.existential_order() for t in triggers
         ):
             # Split round: the existential-free triggers' ground heads
-            # are their own satisfaction witnesses, so they instantiate
-            # up front (sharded across worker replicas on a persistent
-            # backend) while the claims — witness membership for them,
-            # the satisfaction check for the existential remainder —
-            # resolve lazily inside one canonical-order recording pass
-            # (see repro.engine.batch and RoundScheduler.fire_split_round).
+            # (parked by the enumeration) are their own satisfaction
+            # witnesses, so the claims — head membership for them, the
+            # satisfaction check for the existential remainder — resolve
+            # lazily inside one canonical-order recording pass (see
+            # repro.engine.batch).
             return RoundPlan(claim=None, interleaved=False, split=True)
 
         def unsatisfied(trigger: Trigger) -> bool:
@@ -120,12 +124,11 @@ def restricted_chase(
 
     ``delta_satisfaction`` (default True) lets rounds containing
     existential-free triggers — pure or mixed with an existential
-    remainder — run as *split* rounds: ground heads instantiated up
-    front (worker-side, sharded, on a persistent backend) and claims
-    resolved lazily in one amortized recording pass; ``False`` forces
-    the always-interleaved reference loop.  Both produce bit-identical
-    results — the flag exists for the equivalence suite and the
-    EXP-15/EXP-16 ablations.
+    remainder — run as *split* rounds: claims resolved lazily against
+    the ground heads the enumeration parked, in one amortized recording
+    pass; ``False`` forces the always-interleaved reference loop.  Both
+    produce bit-identical results — the flag exists for the equivalence
+    suite and the EXP-15/EXP-16 ablations.
     """
     runner = ChaseRunner(
         RestrictedPolicy(delta_satisfaction=delta_satisfaction),

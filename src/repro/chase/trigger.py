@@ -17,7 +17,11 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from repro.engine.core import as_delta_instance, rule_delta_images
+from repro.engine.core import (
+    as_delta_instance,
+    rule_delta_images,
+    rule_unsatisfied_images,
+)
 from repro.logic.atoms import Atom
 from repro.logic.homomorphisms import (
     MATCHER_STATS,
@@ -49,11 +53,12 @@ class Trigger:
         self.mapping = mapping.restrict(rule.body_variables())
         self._image: tuple[Term, ...] | None = None
         # For existential-free rules the output is fully determined by the
-        # mapping; a claim gate that already instantiated the head (a
-        # custom policy's pre-computing gate) may park it here, and both
-        # :meth:`output` and the sharded firing path reuse the parked
-        # atoms instead of instantiating a second time.
-        self._ground_output: set[Atom] | None = None
+        # mapping; the restricted chase's enumeration
+        # (restricted_new_triggers_of) or a custom policy's pre-computing
+        # claim gate may park the instantiated head here, and the claim
+        # gate, :meth:`output` and the sharded firing path reuse the
+        # parked atoms instead of instantiating a second time.
+        self._ground_output: frozenset[Atom] | set[Atom] | None = None
 
     def image(self) -> tuple[Term, ...]:
         """``h(x̄)`` along the rule's canonical body-variable order.
@@ -91,7 +96,7 @@ class Trigger:
 
     def output(
         self, supply: FreshSupply
-    ) -> tuple[set[Atom], dict[Term, Null]]:
+    ) -> tuple[frozenset[Atom] | set[Atom], dict[Term, Null]]:
         """Instantiate the head with fresh nulls for existential variables.
 
         Returns the produced atoms and the existential-variable-to-null
@@ -126,13 +131,13 @@ class Trigger:
         The restricted chase runs this once per new existential trigger —
         on its all-existential interleaved rounds and for the existential
         remainder of its split rounds (whose existential-free triggers
-        are instead instantiated and probed up front, worker-side on a
-        replica backend — see :mod:`repro.chase.restricted`), so the
-        generic matcher's per-call setup dominated; the fast paths cut
-        it:
+        arrive with their ground heads parked by the enumeration — see
+        :mod:`repro.chase.restricted`), so the generic matcher's per-call
+        setup dominated; the fast paths cut it:
 
         * Datalog rule — the body homomorphism grounds the whole head, so
-          satisfaction is plain set membership per head atom.
+          satisfaction is plain set membership per head atom (of the
+          parked head, when the enumeration parked one).
         * single-atom head — candidates come straight from the most
           selective positional-index bucket of the frontier image and are
           pattern-checked in place (exactly the matcher's ``_match_atom``,
@@ -142,7 +147,10 @@ class Trigger:
         rule = self.rule
         mapping = self.mapping
         if not rule.existential_order():
-            return all(a in instance for a in mapping.apply_atoms(rule.head))
+            head = self._ground_output
+            if head is None:
+                head = mapping.apply_atoms(rule.head)
+            return all(a in instance for a in head)
         head = rule.head
         if len(head) == 1:
             (head_atom,) = head
@@ -233,6 +241,63 @@ def parallel_new_triggers_of(
         triggers.extend(
             _trigger_with_image(rule, hom, image) for image, hom in pairs
         )
+    return triggers
+
+
+def restricted_new_triggers_of(
+    instance: Instance,
+    rules: RuleSet | list[Rule],
+    delta: Iterable[Atom] | Instance,
+    scheduler=None,
+) -> list[Trigger]:
+    """The restricted chase's :func:`new_triggers_of`: only triggers that
+    can still add an atom, in the same canonical order.
+
+    Existential-free rules enumerate through
+    :func:`~repro.engine.core.rule_unsatisfied_images` — inline, or on
+    every shard of ``scheduler`` against its round-start instance or
+    replica — so a match whose ground head is already present, or whose
+    head a smaller image of the same rule grounds too, never becomes a
+    :class:`Trigger`.  The merge keeps one trigger per distinct head, the
+    smallest image (shards may each keep their own), and parks the head
+    on ``_ground_output`` for the claim gate and for firing.  Existential
+    rules enumerate unpruned.
+
+    Every dropped trigger is one the restricted chase would have found
+    satisfied at its turn, so firing the survivors in canonical order
+    yields the same result, provenance and budget stops as firing all
+    of :func:`new_triggers_of`.
+    """
+    rule_list = list(rules)
+    if scheduler is not None:
+        delta_atoms = delta.atoms() if isinstance(delta, Instance) else delta
+        per_rule = scheduler.unsatisfied_images(
+            instance, rule_list, delta_atoms
+        )
+    else:
+        delta_inst = as_delta_instance(delta)
+        if not len(delta_inst):
+            return []
+        per_rule = [
+            sorted(rule_unsatisfied_images(rule, instance, delta_inst).items())
+            for rule in rule_list
+        ]
+    triggers: list[Trigger] = []
+    for rule, pairs in zip(rule_list, per_rule):
+        if rule.existential_order():
+            triggers.extend(
+                _trigger_with_image(rule, hom, image) for image, hom in pairs
+            )
+            continue
+        heads: set[frozenset[Atom]] = set()
+        for image, hom in pairs:
+            head = frozenset(rule.instantiate_head(hom))
+            if head in heads:
+                continue
+            heads.add(head)
+            trigger = _trigger_with_image(rule, hom, image)
+            trigger._ground_output = head
+            triggers.append(trigger)
     return triggers
 
 

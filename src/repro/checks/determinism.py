@@ -85,7 +85,6 @@ SINK_CALLS = {
     "record_application",
     "encode_atoms",
     "encode_fire_tasks",
-    "encode_probe_tasks",
     "write_atom",
     "write_term",
     "write_predicate",

@@ -27,9 +27,10 @@ explicit :class:`EngineConfig`:
 ``engine="persistent"`` The parallel engine on persistent delta-fed
                         process workers (:class:`WorkerPool`): replicas
                         seeded once, per-round delta sync instead of
-                        per-round full-context pickles, sharded firing
-                        and worker-resident satisfaction probes across
-                        the pool.  ``adaptive_routing=True`` swaps the
+                        per-round full-context pickles, sharded firing,
+                        and the restricted chase's head-satisfaction
+                        pruning run on the replicas.
+                        ``adaptive_routing=True`` swaps the
                         hash-uniform shard placement for size-balanced
                         bin packing.  Replicas are id-native
                         :class:`ColumnarInstance` columns by default

@@ -11,16 +11,15 @@ A claim that must observe mid-round growth cannot batch blindly:
 ``interleaved=True`` falls back to per-trigger recording while keeping
 the budget/claim plumbing shared with the batched rounds.  Between the
 two sits the restricted chase's *split* round (``split=True``): the
-round's existential-free triggers have fully determined ground outputs,
-so they are instantiated up front (worker-side on a replica backend, via
-the ``probe`` protocol command — one packed task buffer and one packed
-reply per worker slice, see :mod:`repro.engine.wire`) while the claims
-themselves — membership
-of the ground head for existential-free triggers, the satisfaction
-check for the existential remainder — still resolve lazily inside one
-canonical-order :meth:`~repro.chase.result.ChaseResult.record_round`
-pass, observing mid-round growth exactly like the interleaved reference
-(see :mod:`repro.chase.restricted`).
+round's existential-free triggers arrive from the enumeration with their
+ground heads parked and their round-start satisfaction already settled
+(see :func:`~repro.chase.trigger.restricted_new_triggers_of`), so the
+claims — membership of the parked head for existential-free triggers,
+the satisfaction check for the existential remainder — resolve lazily
+inside one canonical-order
+:meth:`~repro.chase.result.ChaseResult.record_round` pass, observing
+mid-round growth exactly like the interleaved reference (see
+:mod:`repro.chase.restricted`).
 """
 
 from __future__ import annotations
@@ -80,17 +79,18 @@ def _split_round_stream(
     supply: "FreshSupply",
     recorder: "RoundRecorder | None" = None,
 ):
-    """The inline split-round stream: lazy per-trigger restricted claims.
+    """The split-round stream: lazy per-trigger restricted claims.
 
     Yields ``(trigger, (output_atoms, existential_map))`` pairs in
     canonical order for :meth:`~repro.chase.result.ChaseResult.record_round`
     to pull; each pair is recorded before the next claim runs, so both
     claim flavors observe mid-round growth exactly like the interleaved
     reference — the difference is purely the amortized recording (and
-    that an existential-free trigger's head is instantiated once, as
-    both the claim probe and the output).  With a ``recorder`` the
-    satisfaction checks — the split round's claim gate — are timed into
-    the ``gate`` phase.
+    that an existential-free trigger's head, parked by the enumeration,
+    is both the claim witness and the output; the unpruned ``naive``
+    engine's triggers instantiate it here, once).  With a ``recorder``
+    the satisfaction checks — the split round's claim gate — are timed
+    into the ``gate`` phase.
     """
     instance = result.instance
     if recorder is None:
@@ -100,10 +100,10 @@ def _split_round_stream(
                     continue
                 yield trigger, trigger.output(supply)
             else:
-                head = trigger.rule.instantiate_head(trigger.mapping)
-                if all(a in instance for a in head):
+                output = trigger.output(supply)
+                if all(a in instance for a in output[0]):
                     continue
-                yield trigger, (head, {})
+                yield trigger, output
         return
     perf = time.perf_counter
     add_phase = recorder.add_phase
@@ -116,13 +116,13 @@ def _split_round_stream(
                 continue
             yield trigger, trigger.output(supply)
         else:
-            head = trigger.rule.instantiate_head(trigger.mapping)
+            output = trigger.output(supply)
             start = perf()
-            satisfied = all(a in instance for a in head)
+            satisfied = all(a in instance for a in output[0])
             add_phase("gate", perf() - start)
             if satisfied:
                 continue
-            yield trigger, (head, {})
+            yield trigger, output
 
 
 def fire_round(
@@ -160,22 +160,21 @@ def fire_round(
         The restricted chase's mixed/existential-free rounds: claims are
         the satisfaction gate itself, resolved lazily per trigger inside
         one ``record_round`` pass (``_split_round_stream``), with the
-        existential remainder interleaved in place.  On a replica backend
-        the existential-free triggers' instantiation and round-start
-        satisfaction probes fan out across the pool first
-        (:meth:`RoundScheduler.fire_split_round
-        <repro.engine.scheduler.RoundScheduler.fire_split_round>`).
+        existential remainder interleaved in place — on every backend,
+        since the enumeration already settled each existential-free
+        trigger's round-start satisfaction and parked its head.
         ``claim`` is ignored — the split gate owns claiming.
     scheduler:
         An optional :class:`~repro.engine.scheduler.RoundScheduler`.  When
         its backend shards firing (persistent workers, or a legacy process
-        pool) and the round is not interleaved, head instantiation fans
+        pool) and the round is batched, head instantiation fans
         out across the pool via :meth:`RoundScheduler.fire_round
         <repro.engine.scheduler.RoundScheduler.fire_round>` — same claims
         (in budget-safe chunks, so stateful claims stay lazy and
         exactly-once), same null names, same provenance order, same
-        budget-stop position.  Interleaved rounds ignore it: their claims
-        read the instance as it grows, which is inherently sequential.
+        budget-stop position.  Interleaved and split rounds ignore it:
+        their claims read the instance as it grows, which is inherently
+        sequential.
 
     The caller owns ``levels_completed`` and the strict-mode raise; this
     function only reports the outcome.
@@ -183,22 +182,6 @@ def fire_round(
     recorder = active_round()
     if recorder is not None and claim is not None and not interleaved:
         claim = _timed_gate(claim, recorder)
-    if scheduler is not None and not interleaved:
-        if split:
-            outcome = scheduler.fire_split_round(
-                result, triggers, supply, level=level, max_atoms=max_atoms
-            )
-        else:
-            outcome = scheduler.fire_round(
-                result,
-                triggers,
-                supply,
-                level=level,
-                max_atoms=max_atoms,
-                claim=claim,
-            )
-        if outcome is not None:
-            return outcome
     if split and not interleaved:
         applied, exceeded = result.record_round(
             _split_round_stream(triggers, result, supply, recorder),
@@ -206,6 +189,17 @@ def fire_round(
             max_atoms=max_atoms,
         )
         return RoundOutcome(applied, exceeded)
+    if scheduler is not None and not interleaved:
+        outcome = scheduler.fire_round(
+            result,
+            triggers,
+            supply,
+            level=level,
+            max_atoms=max_atoms,
+            claim=claim,
+        )
+        if outcome is not None:
+            return outcome
     applied = 0
     if interleaved:
         if recorder is not None:

@@ -17,8 +17,8 @@ term/predicate objects and back.  Per predicate id the store keeps
 
 * a flat ``array('q')`` *column* of term ids, row-major (``arity`` ids
   per row) — the same ``(pred_id, term_ids...)`` stream the wire packs,
-* a row set of id tuples for O(1) membership (``probe`` runs on ids, no
-  ``Atom`` is built),
+* a row set of id tuples for O(1) membership (``__contains__`` runs on
+  ids, no ``Atom`` is built),
 * an id-level positional index ``(pred_id, position, term_id) -> rows``
   mirroring the object instance's most-selective candidate seeding.
 

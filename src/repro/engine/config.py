@@ -102,8 +102,8 @@ class EngineConfig:
         :class:`~repro.engine.columnar.ColumnarInstance` replicas
         instead of object-level instances: packed sync buffers fold
         straight into flat id columns (no per-round ``decode_atoms``),
-        probes run on id tuples, and atoms materialize lazily only
-        where the matcher touches them.  An ablation knob — results are
+        membership checks run on id tuples, and atoms materialize
+        lazily only where the matcher touches them.  An ablation knob — results are
         bit-identical either way; ignored by the non-persistent
         engines.
     shared_memory:

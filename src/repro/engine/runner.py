@@ -23,24 +23,26 @@ Datalog closure (:mod:`repro.rewriting.datalog`) are thin policy
 declarations over this runner; engine features — new backends, sharded
 firing, adaptive routing — land here once instead of once per variant.
 
-Delta-driven satisfaction and sharded restricted firing
--------------------------------------------------------
+Restricted satisfaction: pruned enumeration and split rounds
+------------------------------------------------------------
 The restricted chase historically forced *interleaved* firing: its claim
 (the head-satisfaction check) reads the instance as it grows within the
 round, so triggers had to be claimed, instantiated and recorded one at a
-time.  The runner's :class:`RoundPlan` lets the restricted policy mark
-any round containing existential-free triggers as a *split* round
-instead: those triggers' outputs are fully determined by their body
-homomorphisms, so their heads are instantiated up front — sharded across
-the persistent pool's worker replicas via the ``probe`` protocol
-command, which also pre-resolves each head's round-start satisfaction
-witnesses — while the claims themselves still run lazily, in canonical
-order, inside one amortized recording pass that interleaves the (small)
+time.  Two policy hooks change that.  ``prune_ground_heads`` makes every
+delta-family engine enumerate through
+:func:`~repro.chase.trigger.restricted_new_triggers_of`: an
+existential-free trigger's output is fully determined by its body
+homomorphism, so the matches whose ground head is already present at
+round start, or repeats the head of a smaller image, are dropped inside
+the enumeration (on the shards or worker replicas that ran it) and each
+survivor arrives with its head parked.  The runner's :class:`RoundPlan`
+then lets the policy mark any round containing existential-free
+triggers as a *split* round: the claims run lazily, in canonical order,
+inside one amortized recording pass that interleaves the (small)
 existential remainder's satisfaction checks in place.  Mixed rounds
-therefore no longer interleave everything: only the existential triggers
-do, and the rest fans out — bit-identically to the interleaved reference
-(same claims, same canonical firing order, same provenance records,
-null names and budget-stop positions).
+therefore no longer interleave everything — bit-identically to the
+interleaved reference (same claims, same canonical firing order, same
+provenance records, null names and budget-stop positions).
 
 Import layering
 ---------------
@@ -85,13 +87,12 @@ class RoundPlan(NamedTuple):
 
     ``split=True`` marks a restricted *split* round — one containing
     existential-free triggers whose ground outputs double as their own
-    satisfaction witnesses.  Such a round ignores ``claim``: the
-    existential-free triggers are instantiated up front (sharded across
-    worker replicas via the ``probe`` protocol on a persistent backend)
-    and the round records in one canonical-order lazy pass that gates
-    each probed trigger by witness membership and interleaves the
-    existential remainder's satisfaction checks in place — bit-identical
-    to the fully interleaved reference, mixed rounds included.
+    satisfaction witnesses.  Such a round ignores ``claim``: it records
+    in one canonical-order lazy pass that gates each existential-free
+    trigger by membership of its (parked) ground head and interleaves
+    the existential remainder's satisfaction checks in place —
+    bit-identical to the fully interleaved reference, mixed rounds
+    included.
     """
 
     claim: Callable[["Trigger"], bool] | None
@@ -131,6 +132,13 @@ class VariantPolicy:
     probe_fixpoint = True
     #: What a step is called in budget messages (``levels`` or ``rounds``).
     step_noun = "levels"
+    #: Enumerate through :func:`~repro.chase.trigger.restricted_new_triggers_of`
+    #: on the delta-family engines: existential-free triggers whose
+    #: ground head is present at round start, or repeats a smaller
+    #: image's head, are never built.  Only sound for a claim gate that
+    #: skips satisfied triggers (the restricted chase); ``naive`` stays
+    #: unpruned.
+    prune_ground_heads = False
 
     # -- enumeration ---------------------------------------------------
 
@@ -497,7 +505,11 @@ class ChaseRunner:
         self, instance: "Instance", rules: "RuleSet"
     ) -> list["Trigger"]:
         """Enumerate one round's candidate triggers on the run's engine."""
-        from repro.chase.trigger import new_triggers_of, parallel_new_triggers_of
+        from repro.chase.trigger import (
+            new_triggers_of,
+            parallel_new_triggers_of,
+            restricted_new_triggers_of,
+        )
 
         policy = self.policy
         if self.config.is_naive:
@@ -507,8 +519,12 @@ class ChaseRunner:
         recorder = active_round()
         if recorder is not None:
             recorder.delta_atoms = len(delta)
-        if self._scheduler is not None:
-            enumerated: Iterable["Trigger"] = parallel_new_triggers_of(
+        if policy.prune_ground_heads:
+            enumerated: Iterable["Trigger"] = restricted_new_triggers_of(
+                instance, rules, delta, self._scheduler
+            )
+        elif self._scheduler is not None:
+            enumerated = parallel_new_triggers_of(
                 instance, rules, delta, self._scheduler
             )
         else:

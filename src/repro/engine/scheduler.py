@@ -30,18 +30,18 @@ margin.  ``persistent_workers=True`` replaces the executor with a
 :class:`~repro.engine.workers.WorkerPool`: workers keep long-lived
 instance replicas seeded once and synced with per-round deltas, and the
 *firing* path is sharded across the pool too (:meth:`RoundScheduler.fire_round`)
-— for every non-interleaved round the :class:`~repro.engine.runner.ChaseRunner`
-policies produce.  All pool payloads — sync deltas, pivots, fire/probe
-task slices and their replies — travel in the interned-term columnar
+— for every batched round the :class:`~repro.engine.runner.ChaseRunner`
+policies produce.  All pool payloads — sync deltas, pivots, fire task
+slices and their replies — travel in the interned-term columnar
 encoding of :mod:`repro.engine.wire` (flat id buffers over a shared
 append-only symbol table), batched per worker: the scheduler hands the
 pool one task list per worker and gets one merged reply per worker
-back, never per-trigger messages.  The restricted chase's *split*
-rounds (any round with existential-free triggers, mixed rounds
-included) additionally shard their satisfaction gate: the ``probe``
-protocol command instantiates and pre-resolves each ground head against
-the worker replicas, and the parent finalizes the claims lazily while
-recording (:meth:`RoundScheduler.fire_split_round`).
+back, never per-trigger messages.  The restricted chase enumerates
+through :meth:`RoundScheduler.unsatisfied_images`: every shard — a
+worker replica on the persistent backend — drops the existential-free
+matches whose ground head is already present or repeated before
+replying, so its round-start satisfaction check rides the enumeration
+itself.
 
 Shard → worker placement on the persistent pool is hash-uniform
 round-robin by default; ``EngineConfig.adaptive_routing`` switches to
@@ -56,14 +56,17 @@ affects results.
 from __future__ import annotations
 
 import pickle
-import time
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.engine.batch import RoundOutcome
 from repro.obs.trace import active_round
 from repro.engine.config import EngineConfig
-from repro.engine.core import derive_delta_atoms, rule_delta_images
+from repro.engine.core import (
+    derive_delta_atoms,
+    rule_delta_images,
+    rule_unsatisfied_images,
+)
 from repro.engine.shards import ShardedIndex, atom_weight
 from repro.engine.workers import TRANSPORT_STATS, WorkerPool, _fire_payload
 from repro.logic.atoms import Atom
@@ -76,8 +79,10 @@ if TYPE_CHECKING:  # annotation-only: keeps engine importable below chase
     from repro.chase.trigger import Trigger
     from repro.logic.terms import FreshSupply
 
-#: Task modes shipped to shard workers.
+#: Task modes shipped to shard workers (the persistent pool's command
+#: names).
 _ENUMERATE = "enumerate"
+_UNSATISFIED = "enumerate_unsatisfied"
 _DERIVE = "derive"
 
 
@@ -89,16 +94,21 @@ def _run_shard(
 ):
     """Enumerate one shard's delta view against the full instance.
 
-    Returns per-rule ``{image: homomorphism}`` dicts in ``enumerate`` mode
-    or the derived head-atom set in ``derive`` mode.  Top-level so process
-    pools can pickle it by reference.
+    Returns per-rule ``{image: homomorphism}`` dicts in the enumeration
+    modes — all matches (``enumerate``) or the restricted chase's pruned
+    ones (``enumerate_unsatisfied``, checked against ``instance``, the
+    round-start state) — or the derived head-atom set in ``derive`` mode.
+    Top-level so process pools can pickle it by reference.
     """
     if mode == _DERIVE:
         derived: set[Atom] = set()
         for rule in rules:
             derived.update(derive_delta_atoms(rule, instance, view))
         return derived
-    return [rule_delta_images(rule, instance, view) for rule in rules]
+    images = (
+        rule_unsatisfied_images if mode == _UNSATISFIED else rule_delta_images
+    )
+    return [images(rule, instance, view) for rule in rules]
 
 
 def _run_shard_payload(payload):
@@ -113,6 +123,23 @@ def _run_shard_payload(payload):
     rules, instance = pickle.loads(context_blob)
     view = Instance(atoms, add_top=False)
     return _run_shard(mode, rules, instance, view)
+
+
+def _merge_images(
+    rules: Sequence[Rule], shard_results: Iterable[list[dict]]
+) -> list[list[tuple[tuple, Substitution]]]:
+    """Keyed union of per-shard ``{image: hom}`` dicts, sorted per rule.
+
+    Equal images imply equal restricted homomorphisms, so a body
+    touching delta atoms in two shards merges to one match.
+    """
+    merged: list[dict[tuple, Substitution]] = [{} for _ in rules]
+    for per_rule in shard_results:
+        for target, found in zip(merged, per_rule):
+            for image, hom in found.items():
+                if image not in target:
+                    target[image] = hom
+    return [sorted(found.items()) for found in merged]
 
 
 class RoundScheduler:
@@ -299,14 +326,29 @@ class RoundScheduler:
         engine fires in.  Duplicate images across shards (a body touching
         delta atoms in two shards) merge by keyed union.
         """
-        shard_results = self._run_round(_ENUMERATE, instance, rules, delta)
-        merged: list[dict[tuple, Substitution]] = [{} for _ in rules]
-        for per_rule in shard_results:
-            for target, found in zip(merged, per_rule):
-                for image, hom in found.items():
-                    if image not in target:
-                        target[image] = hom
-        return [sorted(found.items()) for found in merged]
+        return _merge_images(
+            rules, self._run_round(_ENUMERATE, instance, rules, delta)
+        )
+
+    def unsatisfied_images(
+        self,
+        instance: Instance,
+        rules: Sequence[Rule],
+        delta: Iterable[Atom],
+    ) -> list[list[tuple[tuple, Substitution]]]:
+        """:meth:`enumerate_images` for the restricted chase.
+
+        Each shard runs :func:`~repro.engine.core.rule_unsatisfied_images`
+        against the round-start instance (a worker's synced replica on
+        the persistent backend), so existential-free matches whose ground
+        head is present or repeated never leave the shard.  Two shards
+        may still each keep an image for one head;
+        :func:`~repro.chase.trigger.restricted_new_triggers_of` keeps the
+        smallest.
+        """
+        return _merge_images(
+            rules, self._run_round(_UNSATISFIED, instance, rules, delta)
+        )
 
     def derive_atoms(
         self,
@@ -337,16 +379,6 @@ class RoundScheduler:
         return self.config.workers > 1 and (
             self.config.is_persistent or self.config.use_processes
         )
-
-    @property
-    def can_probe_rounds(self) -> bool:
-        """True when this scheduler shards satisfaction probes.
-
-        Probes run against worker-resident instance replicas, so only the
-        persistent pool qualifies; the legacy process backend has no
-        replicas and falls back to the inline split path.
-        """
-        return self.config.workers > 1 and self.config.is_persistent
 
     def fire_round(
         self,
@@ -505,112 +537,6 @@ class RoundScheduler:
         )
         if exceeded:
             supply.rewind(positions[applied - 1])
-        return RoundOutcome(applied, exceeded)
-
-    def fire_split_round(
-        self,
-        result: "ChaseResult",
-        triggers: Sequence["Trigger"],
-        supply: "FreshSupply",
-        *,
-        level: int,
-        max_atoms: int,
-    ) -> RoundOutcome | None:
-        """Fire a restricted *split* round: sharded probes, lazy claims.
-
-        The round's existential-free triggers fan out over the persistent
-        pool as ``probe`` tasks — each worker instantiates its slice's
-        ground heads exactly once and splits them against its replica
-        (the chase instance at round start) into present/missing atoms.
-        The parent then records the round in one canonical-order pass
-        that interleaves the (typically small) existential remainder:
-
-        * a probed trigger claims iff one of its ``missing`` witnesses is
-          still absent — ``missing`` was computed against the round-start
-          instance, so only those few atoms are re-checked against what
-          the round has recorded so far (the witness overlay the probe
-          reply ships back);
-        * an existential trigger claims via the same
-          :meth:`~repro.chase.trigger.Trigger.is_satisfied_using_index`
-          check as the interleaved reference, observing every earlier
-          application of the round, and draws its nulls in place.
-
-        The stream is pulled lazily by
-        :meth:`~repro.chase.result.ChaseResult.record_round`, so claims,
-        null draws and budget stops are bit-identical to the interleaved
-        reference; only the probes run (speculatively but invisibly)
-        ahead of it, worker-side.  Returns ``None`` when the round should
-        run on the inline split path instead (no replica backend, or too
-        few probe-eligible triggers).
-        """
-        if not self.can_probe_rounds:
-            return None
-        workers = self.config.workers
-        rule_indexes: dict[Rule, int] = {}
-        probe_rules: list[Rule] = []
-        tasks_per_worker: list[list[tuple]] = [[] for _ in range(workers)]
-        ground_count = 0
-        for index, trigger in enumerate(triggers):
-            if trigger.rule.existential_order():
-                continue
-            rule_index = rule_indexes.get(trigger.rule)
-            if rule_index is None:
-                rule_index = len(probe_rules)
-                rule_indexes[trigger.rule] = rule_index
-                probe_rules.append(trigger.rule)
-            tasks_per_worker[index % workers].append(
-                (index, rule_index, trigger.mapping)
-            )
-            ground_count += 1
-        if ground_count < 2:
-            return None
-        instance = result.instance
-        recorder = active_round()
-        if recorder is not None:
-            with recorder.outer_phase("probe"):
-                probe_results = self._persistent_pool().probe_round(
-                    probe_rules, instance, tasks_per_worker
-                )
-        else:
-            probe_results = self._persistent_pool().probe_round(
-                probe_rules, instance, tasks_per_worker
-            )
-        probed = {
-            index: (present, missing)
-            for index, present, missing in probe_results
-        }
-
-        def applications():
-            perf = time.perf_counter
-            for index, trigger in enumerate(triggers):
-                probe = probed.get(index)
-                if probe is None:
-                    if recorder is None:
-                        satisfied = trigger.is_satisfied_using_index(instance)
-                    else:
-                        gate_start = perf()
-                        satisfied = trigger.is_satisfied_using_index(instance)
-                        recorder.add_phase("gate", perf() - gate_start)
-                    if satisfied:
-                        continue
-                    yield trigger, trigger.output(supply)
-                else:
-                    present, missing = probe
-                    if recorder is None:
-                        satisfied = all(a in instance for a in missing)
-                    else:
-                        gate_start = perf()
-                        satisfied = all(a in instance for a in missing)
-                        recorder.add_phase("gate", perf() - gate_start)
-                    if satisfied:
-                        continue
-                    output = set(present)
-                    output.update(missing)
-                    yield trigger, (output, {})
-
-        applied, exceeded = result.record_round(
-            applications(), level=level, max_atoms=max_atoms
-        )
         return RoundOutcome(applied, exceeded)
 
     # ------------------------------------------------------------------

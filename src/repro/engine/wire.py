@@ -1,7 +1,7 @@
 """Interned-term columnar wire codec for the persistent worker protocol.
 
 The persistent pool used to pickle ``Atom`` lists on every round: each
-sync, pivot, probe and fire payload re-shipped full predicate and term
+sync, pivot and fire payload re-shipped full predicate and term
 objects (their class names, their string names) for every occurrence.
 This module replaces those payloads with an *interned* encoding:
 
@@ -25,11 +25,11 @@ Flat buffers
     (:func:`pack_ids`/:func:`unpack_ids` — table ids are dense and
     small, so most ids cost one byte instead of a fixed four): atoms are
     ``(pred_id, term_ids...)`` streams (self-delimiting — the
-    predicate's arity says how many term ids follow); fire/probe tasks
+    predicate's arity says how many term ids follow); fire tasks
     pack a trigger as its *body-variable image* along the rule's
-    canonical :meth:`~repro.rules.rule.Rule.body_variable_order` (plus
-    drawn null ids along :meth:`~repro.rules.rule.Rule.existential_order`
-    for fire), exploiting that a trigger's mapping is exactly
+    canonical :meth:`~repro.rules.rule.Rule.body_variable_order` plus
+    drawn null ids along :meth:`~repro.rules.rule.Rule.existential_order`,
+    exploiting that a trigger's mapping is exactly
     reconstructible from its image: ``Trigger.__init__`` restricts the
     mapping to the body variables and ``Substitution`` drops identity
     pairs.  Decoded atoms rebuild through the cached-hash fast path
@@ -60,7 +60,7 @@ Reply envelope
 
 What still pickles: the message envelope itself (a small tuple of
 command name, segment, and buffer bytes), the round's ``Rule`` objects
-(a few hundred bytes, shipped only on seed/probe/fire), and error
+(a few hundred bytes, shipped only on seed/fire), and error
 tracebacks.  See ``engine/README.md`` for the protocol walk-through.
 """
 
@@ -288,8 +288,8 @@ class WireEncoder:
     def intern_rules(self, rules: Iterable[Rule]) -> None:
         """Pre-intern every non-variable head symbol of ``rules``.
 
-        A worker reply over these rules (derived atoms, fire outputs,
-        probe splits) mentions head predicates, body-image terms (which
+        A worker reply over these rules (derived atoms, fire outputs)
+        mentions head predicates, body-image terms (which
         task/sync encoding interns) and head constants — after this, all
         of them resolve as table refs and replies need no literals.
         """
@@ -336,26 +336,6 @@ class WireEncoder:
                 append(intern(apply_term(variable)))
             for variable in rule.existential_order():
                 append(intern(existential_map[variable]))
-        return pack_ids(ids)
-
-    def encode_probe_tasks(
-        self, rules: Sequence[Rule], tasks: Iterable[tuple]
-    ) -> bytes:
-        """Pack probe tasks ``(index, rule_index, mapping)``.
-
-        Same layout as fire tasks minus the null ids — probe tasks are
-        existential-free by construction.
-        """
-        self.intern_rules(rules)
-        intern = self.terms.intern
-        ids: list[int] = []
-        append = ids.append
-        for index, rule_index, mapping in tasks:
-            append(index)
-            append(rule_index)
-            apply_term = mapping.apply_term
-            for variable in rules[rule_index].body_variable_order():
-                append(intern(apply_term(variable)))
         return pack_ids(ids)
 
 
@@ -439,27 +419,6 @@ class WireDecoder:
                     existential_map,
                 )
             )
-        return tasks
-
-    def decode_probe_tasks(
-        self, data: bytes, rules: Sequence[Rule]
-    ) -> list[tuple]:
-        """Unpack probe tasks back to ``(index, rule_index, mapping)``."""
-        buf = unpack_ids(data)
-        terms = self.terms
-        tasks: list[tuple] = []
-        position, end = 0, len(buf)
-        while position < end:
-            index = buf[position]
-            rule_index = buf[position + 1]
-            position += 2
-            mapping: dict = {}
-            for variable in rules[rule_index].body_variable_order():
-                term = terms[buf[position]]
-                position += 1
-                if term != variable:
-                    mapping[variable] = term
-            tasks.append((index, rule_index, Substitution._from_clean(mapping)))
         return tasks
 
 
@@ -633,35 +592,6 @@ def decode_enumerate_reply(
             }
             found[image] = Substitution._from_clean(mapping)
         results.append(found)
-    return results
-
-
-def encode_probe_reply(decoder: WireDecoder, results: Iterable[tuple]) -> tuple:
-    """Pack probe splits: per trigger ``index, |present|, |missing|, atoms``."""
-    writer = ReplyWriter(decoder)
-    for index, present, missing in results:
-        writer.write_int(index)
-        writer.write_int(len(present))
-        writer.write_int(len(missing))
-        for atom in present:
-            writer.write_atom(atom)
-        for atom in missing:
-            writer.write_atom(atom)
-    return writer.finish()
-
-
-def decode_probe_reply(
-    encoder: WireEncoder, reply: tuple
-) -> list[tuple[int, tuple[Atom, ...], tuple[Atom, ...]]]:
-    reader = ReplyReader(encoder, reply)
-    results: list[tuple[int, tuple[Atom, ...], tuple[Atom, ...]]] = []
-    while not reader.exhausted:
-        index = reader.read_int()
-        present_count = reader.read_int()
-        missing_count = reader.read_int()
-        present = tuple(reader.read_atom() for _ in range(present_count))
-        missing = tuple(reader.read_atom() for _ in range(missing_count))
-        results.append((index, present, missing))
     return results
 
 

@@ -30,30 +30,19 @@ pickled — that is also how the pool accounts transport in
     Fold the packed per-round delta into the replica and acknowledge.
     Sent to workers that have no pivots/tasks in a round where others
     do — replicas always mirror the parent instance at round start.
-``("enumerate"|"derive", segment, sync_buf, pivot_buf)``
+``("enumerate"|"enumerate_unsatisfied"|"derive", segment, sync_buf, pivot_buf)``
     One enumeration round: fold the packed ``sync_buf`` delta into the
     replica, then run the shared delta core with the decoded
     ``pivot_buf`` atoms (this worker's hash shards of the delta) as the
     pivot source against the full replica.  Replies with one packed
-    buffer: per-rule image streams (``enumerate`` — the parent rebuilds
-    the ``{image: hom}`` dicts from the images alone) or a derived atom
-    stream (``derive``).
-``("probe", segment, sync_buf, rules, tasks_buf)``
-    The worker-resident half of the restricted chase's satisfaction
-    claim (the *probe/claim* gate): fold the sync delta into the
-    replica, then, for each packed ``(index, rule_index, image)`` task —
-    one existential-free trigger of the round — instantiate the ground
-    head *once* and split it against the replica.  The reply packs the
-    whole slice into **one** buffer pairing each index with its
-    ``(present, missing)`` split: the head atoms already in the replica
-    and the would-be witnesses it lacks.  The parent resolves the final
-    claims lazily from the ``missing`` sets while it records the round
-    in canonical order (:meth:`RoundScheduler.fire_split_round
-    <repro.engine.scheduler.RoundScheduler.fire_split_round>`), and the
-    claimed triggers' outputs are exactly ``present ∪ missing`` — no
-    second instantiation, parent- or worker-side.  The round's distinct
-    rules ride along so probing works even before the first enumeration
-    seeds the worker.
+    buffer: per-rule image streams (the enumeration commands — the
+    parent rebuilds the ``{image: hom}`` dicts from the images alone) or
+    a derived atom stream (``derive``).  ``enumerate_unsatisfied`` is the
+    restricted chase's: the replica mirrors the chase instance at round
+    start, so each existential-free match's ground head is checked
+    against it right where the match is found, and only the images that
+    can still add an atom — the smallest per distinct head — are sent
+    back (:func:`~repro.engine.core.rule_unsatisfied_images`).
 ``("fire", segment, rules, tasks_buf)``
     Instantiate head atoms for a slice of a round's triggers.  Each
     packed task is ``(index, rule_index, image, null_ids)`` — the
@@ -70,11 +59,9 @@ parent draws every null from the run's :class:`~repro.logic.terms.FreshSupply`
 in canonical trigger order and ships the assignments, which is what keeps
 sharded firing bit-identical to the sequential engines (see
 :meth:`repro.engine.scheduler.RoundScheduler.fire_round`).  Every
-non-interleaved round the :class:`~repro.engine.runner.ChaseRunner`
-policies produce fires this way — and the restricted chase's rounds with
-existential-free triggers (pure *or* mixed with an existential remainder)
-resolve their satisfaction probes worker-side through ``probe`` before
-the parent's canonical-order recording walk finalizes the claims.
+batched round the :class:`~repro.engine.runner.ChaseRunner` policies
+produce fires this way; the restricted chase's split rounds record
+parent-side from the heads its pruned enumeration parked.
 
 Failure handling: a failed or dead worker surfaces as
 :class:`~repro.errors.ChaseError`, but only after every outstanding reply
@@ -124,10 +111,11 @@ class TransportStats:
     Beyond the totals, :attr:`commands` keys per-command counters —
     ``{"messages", "bytes_sent", "bytes_received", "shm_bytes",
     "atoms_sent", "atoms_received"}`` for each of ``seed``/``sync``/
-    ``enumerate``/``derive``/``probe``/``fire``/``stop`` — so tests and
-    benchmarks can pin exactly where transport goes.  Sync deltas riding
-    an enumerate/derive/probe message are counted under ``sync`` (atoms)
-    while the envelope bytes land on the carrying command.
+    ``enumerate``/``enumerate_unsatisfied``/``derive``/``fire``/``stop``
+    — so tests and benchmarks can pin exactly where transport goes.
+    Sync deltas riding an enumeration or derive message are counted
+    under ``sync`` (atoms) while the envelope bytes land on the carrying
+    command.
 
     The byte accounting is split by *channel*: ``bytes_sent``/
     ``bytes_received`` are **pipe** bytes (the pickled envelopes — with
@@ -157,7 +145,6 @@ class TransportStats:
         "shm_segments",
         "messages",
         "seeds",
-        "probes",
         "context_bytes",
         "context_pickles",
         "commands",
@@ -175,7 +162,6 @@ class TransportStats:
         self.shm_segments = 0
         self.messages = 0
         self.seeds = 0
-        self.probes = 0
         self.context_bytes = 0
         self.context_pickles = 0
         self.commands: dict[str, dict[str, int]] = {}
@@ -296,34 +282,6 @@ def _fire_payload(payload: tuple) -> list[tuple[int, set[Atom]]]:
     return fire_tasks(rules, tasks)
 
 
-def probe_tasks(
-    rules: Sequence[Rule], instance: Instance, tasks: Iterable[tuple]
-) -> list[tuple[int, tuple[Atom, ...], tuple[Atom, ...]]]:
-    """Instantiate and satisfaction-probe a slice of ground-head triggers.
-
-    Each task is ``(index, rule_index, mapping)`` for an existential-free
-    trigger: the body homomorphism grounds the whole head, so the head is
-    instantiated exactly once and split against ``instance`` (the worker's
-    replica, mirroring the chase instance at round start) into the atoms
-    already ``present`` and the witnesses ``missing``.  The trigger is
-    unsatisfied at round start iff ``missing`` is non-empty; the parent
-    finalizes the claim against the atoms the round has recorded *before*
-    the trigger (only the ``missing`` atoms need re-checking — ``present``
-    atoms can never leave an append-only chase instance), and a claimed
-    trigger's output is ``present ∪ missing``.  Atoms are sorted so the
-    reply bytes are deterministic.
-    """
-    results: list[tuple[int, tuple[Atom, ...], tuple[Atom, ...]]] = []
-    for index, rule_index, mapping in tasks:
-        head = rules[rule_index].instantiate_head(mapping)
-        present: list[Atom] = []
-        missing: list[Atom] = []
-        for head_atom in head:
-            (present if head_atom in instance else missing).append(head_atom)
-        results.append((index, tuple(sorted(present)), tuple(sorted(missing))))
-    return results
-
-
 def _worker_main(conn, columnar: bool = False) -> None:
     """The long-lived worker loop: one replica, one rule list, one wire
     table; per-round packed deltas in, one packed reply per round out.
@@ -331,9 +289,9 @@ def _worker_main(conn, columnar: bool = False) -> None:
     With ``columnar=True`` the replica is an id-native
     :class:`~repro.engine.columnar.ColumnarInstance` over the decoder's
     table replica: packed seed/sync buffers fold straight into flat id
-    columns (``decode_atoms`` leaves the per-round hot path), probes run
-    on id tuples, and atoms materialize lazily only where the matcher
-    touches them.  Payload fields may arrive as
+    columns (``decode_atoms`` leaves the per-round hot path), head
+    membership checks run on id tuples, and atoms materialize lazily
+    only where the matcher touches them.  Payload fields may arrive as
     :class:`~repro.engine.shm.SegmentRef`\\ s instead of bytes; they are
     resolved against a per-worker :class:`~repro.engine.shm.SegmentReader`
     (attach once per segment, memcpy per read) before decoding.
@@ -409,7 +367,7 @@ def _worker_main(conn, columnar: bool = False) -> None:
                     replica.update(sync_atoms)
                     value = len(sync_atoms)
                 executed = perf()
-            elif command in ("enumerate", "derive"):
+            elif command in ("enumerate", "enumerate_unsatisfied", "derive"):
                 _, segment, sync_buf, pivot_buf = message
                 decoder.apply_segment(segment)
                 sync_buf = resolve(reader, sync_buf)
@@ -433,22 +391,6 @@ def _worker_main(conn, columnar: bool = False) -> None:
                     value = wire.encode_enumerate_reply(
                         decoder, rules, result
                     )
-            elif command == "probe":
-                _, segment, sync_buf, probe_rules, tasks_buf = message
-                decoder.apply_segment(segment)
-                sync_buf = resolve(reader, sync_buf)
-                tasks_buf = resolve(reader, tasks_buf)
-                tasks = decoder.decode_probe_tasks(tasks_buf, probe_rules)
-                if columnar:
-                    decoded = perf()
-                    replica.ingest_packed(sync_buf)
-                else:
-                    sync_atoms = decoder.decode_atoms(sync_buf)
-                    decoded = perf()
-                    replica.update(sync_atoms)
-                results = probe_tasks(probe_rules, replica, tasks)
-                executed = perf()
-                value = wire.encode_probe_reply(decoder, results)
             elif command == "fire":
                 _, segment, fire_rules, tasks_buf = message
                 decoder.apply_segment(segment)
@@ -877,8 +819,8 @@ class WorkerPool:
         sync payload — everything the replicas have not seen yet — is
         computed here and shipped to *every* worker, so replicas always
         mirror the parent instance at round start.  Returns the non-empty
-        workers' results in worker order (per-rule image dicts for
-        ``enumerate``, derived atom sets for ``derive``).
+        workers' results in worker order (per-rule image dicts for the
+        enumeration modes, derived atom sets for ``derive``).
         """
         self._start()
         rules = tuple(rules)
@@ -959,92 +901,6 @@ class WorkerPool:
                         encoder, rules, replies[worker]
                     )
                 )
-        return results
-
-    def probe_round(
-        self,
-        rules: Sequence[Rule],
-        instance: Instance,
-        tasks_per_worker: Sequence[list[tuple]],
-    ) -> list[tuple[int, tuple[Atom, ...], tuple[Atom, ...]]]:
-        """Fan one round's satisfaction probes across the pool.
-
-        ``rules`` are the round's distinct rules (shipped per message,
-        like ``fire`` — the probe never reseeds the pool's resident rule
-        list), ``tasks_per_worker`` assigns each worker its slice of the
-        round's existential-free triggers as ``(index, rule_index,
-        mapping)`` tasks, packed into one flat buffer per worker.  The
-        sync payload — everything the replicas have not seen yet — is
-        computed here and shipped to *every* worker, so each probe runs
-        against a replica mirroring the chase instance at round start.
-        Each worker answers its whole slice in **one** packed reply; the
-        round counts once in ``TRANSPORT_STATS.probes``.  Returns the
-        concatenated ``(index, present, missing)`` triples; the caller
-        re-orders by index, so reply order is irrelevant.
-        """
-        self._start()
-        TRANSPORT_STATS.probes += 1
-        rules = tuple(rules)
-        recorder = active_round()
-        sync_start = time.perf_counter() if recorder is not None else 0.0
-        sync_atoms = instance.delta_since(self._replica_revision)
-        self._replica_revision = instance.revision
-        encoder = self._encoder
-        sync_buf = encoder.encode_atoms(sync_atoms) if sync_atoms else b""
-        if recorder is not None:
-            recorder.add_phase("sync", time.perf_counter() - sync_start)
-        task_lists = [
-            self._slice(tasks_per_worker, worker)
-            for worker in range(self.size)
-        ]
-        task_bufs = [
-            encoder.encode_probe_tasks(rules, tasks) if tasks else b""
-            for tasks in task_lists
-        ]
-        sync_payload = self._ship("sync", sync_buf) if sync_buf else b""
-        task_payloads = [
-            self._ship("probe", buf) if buf else b"" for buf in task_bufs
-        ]
-        sync_cache: dict[tuple[int, int], tuple] = {}
-        messages: list[tuple | None] = []
-        probe_workers: list[int] = []
-        for worker in range(self.size):
-            if task_lists[worker]:
-                messages.append(
-                    (
-                        "probe",
-                        self._segment(worker),
-                        sync_payload,
-                        rules,
-                        task_payloads[worker],
-                    )
-                )
-                probe_workers.append(worker)
-                TRANSPORT_STATS.count_atoms_sent("sync", len(sync_atoms))
-            elif sync_atoms:
-                key = self._marks[worker]
-                message = sync_cache.get(key)
-                if message is None:
-                    message = ("sync", self._segment(worker), sync_payload)
-                    sync_cache[key] = message
-                else:
-                    self._marks[worker] = encoder.marks()
-                messages.append(message)
-                TRANSPORT_STATS.count_atoms_sent("sync", len(sync_atoms))
-            else:
-                messages.append(None)
-        try:
-            replies = dict(self._broadcast_and_gather(messages))
-        finally:
-            self._collect_segments()
-        results: list[tuple[int, tuple[Atom, ...], tuple[Atom, ...]]] = []
-        for worker in probe_workers:
-            decoded = wire.decode_probe_reply(encoder, replies[worker])
-            TRANSPORT_STATS.count_atoms_received(
-                "probe",
-                sum(len(p) + len(m) for _, p, m in decoded),
-            )
-            results.extend(decoded)
         return results
 
     def fire(

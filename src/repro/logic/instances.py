@@ -121,15 +121,33 @@ class Instance:
             return False
         self._atoms.add(atom)
         predicate = atom.predicate
-        self._by_predicate.setdefault(predicate, set()).add(atom)
+        # Buckets are created only on a miss: setdefault(key, set()) would
+        # allocate a throwaway set per index entry on every add.
+        bucket = self._by_predicate.get(predicate)
+        if bucket is None:
+            self._by_predicate[predicate] = {atom}
+        else:
+            bucket.add(atom)
         self._frozen_predicate.pop(predicate, None)
         self._sorted_predicate.pop(predicate, None)
+        by_term = self._by_term
+        by_position = self._by_position
+        frozen_term = self._frozen_term
+        sorted_position = self._sorted_position
         for position, term in enumerate(atom.args):
-            self._by_term.setdefault(term, set()).add(atom)
-            self._frozen_term.pop(term, None)
+            bucket = by_term.get(term)
+            if bucket is None:
+                by_term[term] = {atom}
+            else:
+                bucket.add(atom)
+            frozen_term.pop(term, None)
             key = (predicate, position, term)
-            self._by_position.setdefault(key, set()).add(atom)
-            self._sorted_position.pop(key, None)
+            bucket = by_position.get(key)
+            if bucket is None:
+                by_position[key] = {atom}
+            else:
+                bucket.add(atom)
+            sorted_position.pop(key, None)
         self._revision += 1
         self._log_revisions.append(self._revision)
         self._log_atoms.append(atom)

@@ -32,13 +32,21 @@ Each round record carries six wall-clock phases (``time.perf_counter``):
     Replica synchronization payload preparation in the persistent pool
     (per-round ``delta_since`` + wire encoding, seed included).
 ``probe``
-    The restricted chase's sharded satisfaction probes
-    (``WorkerPool.probe_round``), minus the sync time nested inside.
+    The post-round goal probe (the policy's ``round_complete`` hook —
+    the serving layer's goal-directed entailment check).
 
 The *outer* phases (``enumerate``, ``fire``, ``probe``) are measured
 disjointly by :meth:`RoundRecorder.outer_phase`: elapsed wall-clock minus
 whatever inner phase time accumulated during the block, clamped at zero —
 so the six phases of a record never double-count one second of work.
+
+A round's ``triggers`` count is what the enumeration handed to the
+firing path.  For the restricted chase that is the candidates *after*
+ground-head pruning (existential-free triggers whose head was present at
+round start, or repeated a smaller image's head, are never built — see
+:func:`repro.chase.trigger.restricted_new_triggers_of`), so on a pure
+Datalog round ``triggers == applied``; the unpruned ``naive`` engine
+counts every new trigger.
 
 Trace records deliberately separate deterministic fields (counts, plan,
 shard weights, byte deltas — bit-stable for a given engine
@@ -108,8 +116,8 @@ class RoundRecorder:
 
         ``enumerate`` wraps the enumeration (which nests ``sync``),
         ``fire`` wraps the whole firing path (which nests ``gate``,
-        ``record``, ``sync`` and ``probe``), ``probe`` wraps the worker
-        probe fan-out (which nests ``sync``).  The attributed time is
+        ``record`` and ``sync``), ``probe`` wraps the post-round goal
+        probe.  The attributed time is
         ``elapsed - inner_delta``, clamped at zero, so the six phases
         stay disjoint.
         """

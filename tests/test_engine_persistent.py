@@ -279,61 +279,69 @@ class TestWorkerPool:
                 pool._receive(0)
         # The pool is still closeable after a failed round.
 
-    def test_probe_round_splits_present_and_missing(self):
-        rules = tuple(parse_rules("E(x,y), E(y,z) -> E(x,z)\nE(x,y) -> E(x,x)"))
-        from repro.chase.trigger import triggers_of
-
-        instance = Instance(
-            [atom("E", "a", "b"), atom("E", "b", "c"), atom("E", "a", "a")]
-        )
-        triggers = list(triggers_of(instance, rules))
-        tasks = [
-            [
-                (index, 0 if len(t.rule.body) == 2 else 1, t.mapping)
-                for index, t in enumerate(triggers)
-            ],
-            [],
-        ]
-        with WorkerPool(2) as pool:
-            replies = pool.probe_round(rules, instance, tasks)
-        assert len(replies) == len(triggers)
-        for index, present, missing in replies:
-            head = triggers[index].rule.instantiate_head(triggers[index].mapping)
-            assert set(present) | set(missing) == head
-            assert all(a in instance for a in present)
-            assert all(a not in instance for a in missing)
-        # E(a,b),E(b,c) -> E(a,c) is missing; E(a,b) -> E(a,a) is present.
-        by_index = {i: (p, m) for i, p, m in replies}
-        statuses = {
-            (triggers[i].rule.head, triggers[i].image()): bool(m)
-            for i, (p, m) in by_index.items()
-        }
-        assert True in statuses.values() and False in statuses.values()
-
-    def test_probe_round_syncs_replicas_like_run_round(self):
+    def test_unsatisfied_round_prunes_against_the_replica(self):
+        # The restricted chase's enumeration command: matches whose ground
+        # head the replica already holds, or whose head a smaller image
+        # repeats, never leave the worker.
         rules = tuple(parse_rules("E(x,y), E(y,z) -> E(x,z)"))
-        from repro.chase.trigger import triggers_of
+        instance = Instance(
+            [
+                atom("E", "a", "b"),
+                atom("E", "b", "c"),
+                atom("E", "c", "d"),
+                atom("E", "a", "c"),
+                atom("E", "a", "e"),
+                atom("E", "e", "d"),
+            ]
+        )
+        pivots = [instance.sorted_atoms(), []]
+        with WorkerPool(2) as pool:
+            (full,) = pool.run_round("enumerate", rules, instance, pivots)
+            (pruned,) = pool.run_round(
+                "enumerate_unsatisfied", rules, instance, pivots
+            )
+        (rule,) = rules
+        heads = {
+            image: rule.instantiate_head(hom)
+            for image, hom in full[0].items()
+        }
+        # Four 2-paths: a-b-c grounds the present E(a,c); a-c-d and
+        # a-e-d both ground E(a,d); b-c-d grounds E(b,d).
+        assert len(heads) == 4
+        expected = {}
+        for image in sorted(heads):
+            head = frozenset(heads[image])
+            if all(a in instance for a in head) or head in expected:
+                continue
+            expected[head] = image
+        assert sorted(pruned[0]) == sorted(expected.values())
+        assert len(pruned[0]) == 2
 
+    def test_unsatisfied_round_checks_the_synced_replica(self):
+        # A head that became present since the last round is pruned: the
+        # replica folds the sync delta before the enumeration runs.
+        rules = tuple(parse_rules("E(x,y), E(y,z) -> E(x,z)"))
         instance = Instance([atom("E", "a", "b"), atom("E", "b", "c")])
         with WorkerPool(2) as pool:
-            pool.run_round(
-                "enumerate", rules, instance, [instance.sorted_atoms(), []]
+            (first,) = pool.run_round(
+                "enumerate_unsatisfied",
+                rules,
+                instance,
+                [instance.sorted_atoms(), []],
             )
-            # Grow the instance: the probe must see the new atom (its
-            # head is now present) without a reseed.
+            assert len(first[0]) == 1  # E(a,b), E(b,c) -> E(a,c) missing
             instance.add(atom("E", "a", "c"))
+            instance.add(atom("E", "c", "c"))
             TRANSPORT_STATS.reset()
-            (trigger,) = [
-                t for t in triggers_of(instance, rules)
-                if t.rule.instantiate_head(t.mapping) == {atom("E", "a", "c")}
-            ]
-            replies = pool.probe_round(
-                rules, instance, [[(0, 0, trigger.mapping)], []]
+            (second,) = pool.run_round(
+                "enumerate_unsatisfied",
+                rules,
+                instance,
+                [[atom("E", "a", "c")], []],
             )
             assert TRANSPORT_STATS.seeds == 0
-            ((index, present, missing),) = replies
-            assert index == 0
-            assert set(present) == {atom("E", "a", "c")} and missing == ()
+        # E(a,c), E(c,c) -> E(a,c) is present on the synced replica.
+        assert second[0] == {}
 
     def test_fire_without_prior_seed(self):
         # Firing ships the round's distinct rules, so it works on a

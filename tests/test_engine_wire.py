@@ -6,7 +6,7 @@ Two halves:
   exact objects (nulls, constants, repeated terms, empty deltas, literal
   escapes), symbols intern once, and segments replay strictly in order;
 * :data:`TRANSPORT_STATS` accounting — exact per-command byte/atom/
-  message counters for seed, sync, enumerate, fire, probe and stop on a
+  message counters for seed, sync, enumerate, fire and stop on a
   small workload at ``workers=1``, monotonicity at ``workers=3``.
 """
 
@@ -198,20 +198,6 @@ class TestTaskCodec:
         decoded = _synced_decoder(encoder).decode_fire_tasks(buf, rules)
         assert decoded == tasks
 
-    def test_probe_tasks_round_trip(self):
-        # Two symmetric triggers; take both mappings via enumeration.
-        rules = tuple(parse_rules("E(x,y), E(y,x) -> F(x,y)"))
-        instance = Instance([atom("E", "A", "B"), atom("E", "B", "A")])
-        tasks = [
-            (i, 0, t.mapping)
-            for i, t in enumerate(triggers_of(instance, list(rules)))
-        ]
-        assert len(tasks) == 2
-        encoder = WireEncoder()
-        buf = encoder.encode_probe_tasks(rules, tasks)
-        decoded = _synced_decoder(encoder).decode_probe_tasks(buf, rules)
-        assert decoded == tasks
-
     def test_identity_mappings_survive(self):
         # A mapping sending a body variable to itself packs as the
         # variable's own id and reconstructs to an *absent* binding —
@@ -241,17 +227,6 @@ class TestReplyCodec:
         ]
         reply = wire.encode_fire_reply(decoder, pairs)
         assert wire.decode_fire_reply(encoder, reply) == pairs
-
-    def test_probe_reply_round_trip(self):
-        encoder = WireEncoder()
-        encoder.encode_atoms([atom("F", "A", "B"), atom("G", "A")])
-        decoder = _synced_decoder(encoder)
-        results = [
-            (2, (atom("F", "A", "B"),), (atom("G", "A"),)),
-            (4, (), (atom("F", "A", "B"), atom("G", "A"))),
-        ]
-        reply = wire.encode_probe_reply(decoder, results)
-        assert wire.decode_probe_reply(encoder, reply) == results
 
     def test_derive_reply_round_trip(self):
         encoder = WireEncoder()
@@ -328,9 +303,9 @@ def _mapping(facts):
 
 
 def _run_sequence(workers: int) -> dict:
-    """One seed + two enumerate rounds + fire + probe + stop; all pivots
-    and tasks go to worker 0, so extra workers only add sync/seed
-    traffic.  Returns the TRANSPORT_STATS snapshot."""
+    """One seed + two enumerate rounds + fire + stop; all pivots and
+    tasks go to worker 0, so extra workers only add sync/seed traffic.
+    Returns the TRANSPORT_STATS snapshot."""
     facts = [atom("E", "A", "B")]
     instance = Instance(facts)
     mapping = _mapping(facts)
@@ -343,7 +318,6 @@ def _run_sequence(workers: int) -> dict:
             "enumerate", RULES, instance, [instance.delta_since(0)[-2:]]
         )
         pool.fire(RULES, [[(0, 0, mapping, {})]])
-        pool.probe_round(RULES, instance, [[(0, 0, mapping)]])
     return TRANSPORT_STATS.snapshot()
 
 
@@ -353,7 +327,6 @@ class TestTransportAccounting:
         commands = snap["commands"]
         seeded_atoms = 2  # E(A,B) + the top atom
         assert snap["seeds"] == 1
-        assert snap["probes"] == 1
         assert commands["seed"]["messages"] == 1
         assert commands["seed"]["atoms_sent"] == seeded_atoms
         # Both enumerate rounds carried pivots; the second also carried
@@ -365,8 +338,6 @@ class TestTransportAccounting:
         assert commands["sync"]["messages"] == 0
         assert commands["fire"]["messages"] == 1
         assert commands["fire"]["atoms_received"] == 1  # F(A,B)
-        assert commands["probe"]["messages"] == 1
-        assert commands["probe"]["atoms_received"] == 1  # missing F(A,B)
         assert commands["stop"]["messages"] == 1
         assert commands["stop"]["bytes_received"] > 0
         # Per-command counters tile the totals exactly.
@@ -388,8 +359,8 @@ class TestTransportAccounting:
         snap = _run_sequence(3)
         commands = snap["commands"]
         # Pivotless workers 1..2 received standalone sync messages on the
-        # second enumerate round and on the probe round's catch-up is not
-        # needed (no new delta), so exactly one sync round × 2 workers.
+        # second enumerate round only, so exactly one sync round × 2
+        # workers.
         assert commands["sync"]["messages"] == 2
         assert commands["seed"]["messages"] == 3
         assert commands["seed"]["atoms_sent"] == 3 * 2

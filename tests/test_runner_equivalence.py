@@ -282,9 +282,10 @@ class TestDeltaDrivenRestrictedFiring:
     @pytest.mark.parametrize("ename,engine", ENGINES, ids=ENGINE_IDS)
     def test_genuinely_mixed_rounds_split_and_agree(self, ename, engine):
         # Mixed rounds (existential + existential-free triggers) run the
-        # split plan — sharded probe + interleaved existential remainder
-        # on the persistent backends — and stay bit-identical to the
-        # fully interleaved reference on every engine.
+        # split plan — pruned enumeration (on the worker replicas, on the
+        # persistent backends) + interleaved existential remainder — and
+        # stay bit-identical to the fully interleaved reference on every
+        # engine.
         make = lambda: tournament_instance(6, seed=0)
         reference = self._interleaved_reference(make, self.GENUINELY_MIXED)
         result, plans = self._spy_plans(
@@ -297,34 +298,6 @@ class TestDeltaDrivenRestrictedFiring:
         assert plans and all(
             p.split and not p.interleaved for p in plans
         )
-
-    def test_mixed_split_rounds_probe_worker_side(self):
-        # On the persistent backend the split rounds' existential-free
-        # triggers are instantiated and satisfaction-probed in the
-        # workers: the probe protocol runs and the parent instantiates
-        # heads only for the claimed existential remainder.
-        from repro.engine import TRANSPORT_STATS
-        from repro.rules.rule import INSTANTIATION_STATS
-
-        make = lambda: tournament_instance(6, seed=0)
-        reference = self._interleaved_reference(make, self.GENUINELY_MIXED)
-        TRANSPORT_STATS.reset()
-        INSTANTIATION_STATS.reset()
-        result = restricted_chase(
-            make(),
-            self.GENUINELY_MIXED,
-            max_rounds=8,
-            engine=EngineConfig("persistent", workers=3),
-        )
-        assert_bit_identical(result, reference)
-        assert TRANSPORT_STATS.probes > 0
-        # Parent-side head instantiations: exactly one per claimed
-        # existential trigger (its recorded output); every ground head
-        # was instantiated worker-side, once.
-        claimed_existential = sum(
-            1 for record in result.records() if record.created_nulls
-        )
-        assert INSTANTIATION_STATS.heads == claimed_existential
 
     @pytest.mark.parametrize(
         "config",
