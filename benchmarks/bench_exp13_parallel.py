@@ -6,8 +6,8 @@ atoms over ~24 semi-naive rounds) at 1, 2 and 4 workers, plus the
 cross-engine equality guarantee.
 
 On a single-core GIL build (this harness) the speedup comes from the
-batched derivation path — one amortized head-instantiation pass per round
-straight from the matcher's raw bindings, no trigger identity, no
+batched derivation path — heads collected per round as id rows by the
+delta core's join kernel, no trigger identity, no
 canonical sort — while thread fan-out is a structural win reserved for
 free-threaded/multicore builds.  The acceptance bar is ≥1.5x wall-clock
 at 4 workers over ``engine="delta"``; medians of three runs keep the

@@ -15,12 +15,14 @@ One :class:`Vocabulary` (a view over the parent's
 :class:`~repro.engine.wire.WireDecoder` replica of them) maps ids to
 term/predicate objects and back.  Per predicate id the store keeps
 
-* a flat ``array('q')`` *column* of term ids, row-major (``arity`` ids
-  per row) — the same ``(pred_id, term_ids...)`` stream the wire packs,
-* a row set of id tuples for O(1) membership (``__contains__`` runs on
-  ids, no ``Atom`` is built),
+* its *rows* — term-id tuples, in append order (a row's index is its
+  position there; the wire packs each as ``(pred_id, term_ids...)``),
+* a row set of the same tuples for O(1) membership (``__contains__``
+  runs on ids, no ``Atom`` is built),
 * an id-level positional index ``(pred_id, position, term_id) -> rows``
   mirroring the object instance's most-selective candidate seeding.
+
+The three share one tuple object per row.
 
 Revision log and the wire
 -------------------------
@@ -35,25 +37,35 @@ format without touching a single id.  Ingest is symmetric:
 straight into the wire log — packed bytes in, packed bytes out, encoded
 exactly once in the row's lifetime.
 
-Lazy materialization
---------------------
-The homomorphism matcher still speaks ``Atom``: the store implements the
-matcher-facing slice of the :class:`~repro.logic.instances.Instance` API
-(``count`` / ``position_count`` / ``sorted_with_predicate`` /
-``matching_position`` / ``__contains__``) by materializing atoms lazily,
-bucket by bucket, through the cached-hash
-:func:`~repro.logic.atoms.build_atom` fast path — one ``Atom`` per row
-ever, built only when the matcher first touches its bucket.  Sync
-ingest, membership probes, delta extraction and candidate *counting*
-never build objects, which is what takes ``decode_atoms`` out of the
-persistent worker's per-round hot path.
+Id joins and lazy materialization
+---------------------------------
+Existential-free rules never see an ``Atom`` here: the delta core's
+join kernel (:mod:`repro.engine.core`) walks the rows through
+:meth:`ColumnarInstance.rows`, the positional index and
+:meth:`ColumnarInstance.row_set` directly, comparing integers.  The
+same store is the kernel's *id view* of an object
+:class:`~repro.logic.instances.Instance` (over a private
+:meth:`Vocabulary.private`), so one layout serves replicas and views.
+
+The object matcher — existential rules on a worker replica — still
+speaks ``Atom``: the store implements the matcher-facing slice of the
+:class:`~repro.logic.instances.Instance` API (``count`` /
+``position_count`` / ``sorted_with_predicate`` / ``matching_position``
+/ ``__contains__``) by materializing atoms lazily, bucket by bucket,
+through the cached-hash :func:`~repro.logic.atoms.build_atom` fast path
+— one ``Atom`` per row ever, built only when the object matcher first
+touches its bucket.  Sync ingest, membership probes, delta extraction,
+candidate *counting* and the id joins never build objects, which is
+what takes ``decode_atoms`` out of the persistent worker's per-round
+hot path.
 
 Ordering is inherited, not re-invented: materialized buckets are sorted
-with the library's ``Atom`` order, so every enumeration the matcher
-seeds from a columnar replica is bit-identical to one seeded from an
-object instance — the equivalence matrix in
+with the library's ``Atom`` order, so every enumeration the object
+matcher seeds from a columnar replica is bit-identical to one seeded
+from an object instance — the equivalence matrix in
 ``tests/test_runner_equivalence.py`` runs the persistent engine on
-columnar replicas throughout.
+columnar replicas throughout.  Row order is interning order and carries
+no meaning: nothing may be sorted or tie-broken on ids.
 
 Columnar instances are append-only (the chase never retracts);
 ``discard`` has no columnar counterpart by design.
@@ -61,7 +73,6 @@ Columnar instances are append-only (the chase never retracts);
 
 from __future__ import annotations
 
-from array import array
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.engine import wire
@@ -74,6 +85,7 @@ if TYPE_CHECKING:  # annotation-only
     from repro.engine.wire import WireDecoder, WireEncoder
 
 _EMPTY_ATOMS: tuple[Atom, ...] = ()
+_EMPTY_ROWS: frozenset[tuple[int, ...]] = frozenset()
 
 
 class Vocabulary:
@@ -123,6 +135,33 @@ class Vocabulary:
             decoder.predicate_ids,
         )
 
+    @classmethod
+    def private(cls) -> "Vocabulary":
+        """Fresh tables owned by one store alone (an id view's)."""
+        return cls([], {}, [], {})
+
+    def intern_atom(self, atom: Atom) -> tuple[int, tuple[int, ...]]:
+        """``atom`` as ``(pred_id, term_ids)``, interning new symbols.
+
+        Only for :meth:`private` vocabularies: a wire-table view grows
+        through its encoder or decoder, never from here.
+        """
+        predicate = atom.predicate
+        pred_id = self.predicate_ids.get(predicate)
+        if pred_id is None:
+            pred_id = self.predicate_ids[predicate] = len(self.predicates)
+            self.predicates.append(predicate)
+        term_ids = self.term_ids
+        terms = self.terms
+        ids = []
+        for term in atom.args:
+            term_id = term_ids.get(term)
+            if term_id is None:
+                term_id = term_ids[term] = len(terms)
+                terms.append(term)
+            ids.append(term_id)
+        return pred_id, tuple(ids)
+
 
 class ColumnarInstance:
     """An append-only id-native atom store over a shared vocabulary.
@@ -130,32 +169,35 @@ class ColumnarInstance:
     See the module docstring for the layout.  The matcher-facing methods
     mirror :class:`~repro.logic.instances.Instance` exactly (same names,
     same deterministic orders); the id-native methods (``add_row``,
-    ``contains_row``, ``ingest_packed``, ``packed_delta_since``) are the
-    hot path the persistent protocol runs on.
+    ``ingest_packed``, ``packed_delta_since``) are the hot path the
+    persistent protocol runs on, and ``rows`` / ``row_set`` /
+    ``positional_index`` are what the join kernel reads.
     """
 
     __slots__ = (
         "_vocabulary",
-        "_columns",
+        "_rows",
         "_row_sets",
         "_by_position",
         "_ranges",
         "_revision",
         "_wire",
         "_wire_marks",
-        "_atom_rows",
+        "_atoms",
         "_sorted_predicate",
         "_sorted_position",
     )
 
     def __init__(self, vocabulary: Vocabulary):
         self._vocabulary = vocabulary
-        # pred_id -> flat row-major term-id column (arity ids per row).
-        self._columns: dict[int, array] = {}
-        # pred_id -> set of term-id row tuples (membership + dedup).
+        # pred_id -> term-id row tuples in append order.
+        self._rows: dict[int, list[tuple[int, ...]]] = {}
+        # pred_id -> the same rows as a set (membership + dedup).
         self._row_sets: dict[int, set[tuple[int, ...]]] = {}
-        # (pred_id, position, term_id) -> row indexes into the column.
-        self._by_position: dict[tuple[int, int, int], list[int]] = {}
+        # (pred_id, position, term_id) -> the rows with term_id there.
+        self._by_position: dict[
+            tuple[int, int, int], list[tuple[int, ...]]
+        ] = {}
         # Revision log over row ranges: (pred_id, first_row, stop_row),
         # contiguous appends to one predicate coalesce into one entry.
         self._ranges: list[list[int]] = []
@@ -166,7 +208,7 @@ class ColumnarInstance:
         self._wire_marks: list[int] = [0]
         # Lazy per-row Atom cache and the sorted bucket caches the
         # matcher reads (invalidated per key on append, like Instance).
-        self._atom_rows: dict[int, list[Atom | None]] = {}
+        self._atoms: dict[int, dict[tuple[int, ...], Atom]] = {}
         self._sorted_predicate: dict[int, tuple[Atom, ...]] = {}
         self._sorted_position: dict[
             tuple[int, int, int], tuple[Atom, ...]
@@ -189,9 +231,20 @@ class ColumnarInstance:
         rows = self._row_sets.get(pred_id)
         return len(rows) if rows else 0
 
-    def contains_row(self, pred_id: int, term_ids: tuple[int, ...]) -> bool:
-        rows = self._row_sets.get(pred_id)
-        return rows is not None and term_ids in rows
+    def rows(self, pred_id: int) -> Sequence[tuple[int, ...]]:
+        """The rows over ``pred_id`` in append order (live; read-only)."""
+        return self._rows.get(pred_id, ())
+
+    def row_set(self, pred_id: int) -> "set[tuple[int, ...]] | frozenset":
+        """The rows over ``pred_id`` as a set (live; read-only)."""
+        return self._row_sets.get(pred_id, _EMPTY_ROWS)
+
+    @property
+    def positional_index(
+        self,
+    ) -> dict[tuple[int, int, int], list[tuple[int, ...]]]:
+        """``(pred_id, position, term_id) -> rows`` (live; read-only)."""
+        return self._by_position
 
     def add_row(
         self,
@@ -209,24 +262,23 @@ class ColumnarInstance:
         rows = self._row_sets.get(pred_id)
         if rows is None:
             rows = self._row_sets[pred_id] = set()
-            self._columns[pred_id] = array("q")
-            self._atom_rows[pred_id] = []
+            self._rows[pred_id] = []
+            self._atoms[pred_id] = {}
         if term_ids in rows:
             return False
-        column = self._columns[pred_id]
-        arity = len(term_ids)
-        row = len(column) // arity if arity else len(rows)
+        row_list = self._rows[pred_id]
+        row = len(row_list)
         rows.add(term_ids)
-        column.extend(term_ids)
-        self._atom_rows[pred_id].append(None)
+        row_list.append(term_ids)
         self._sorted_predicate.pop(pred_id, None)
+        by_position = self._by_position
         for position, term_id in enumerate(term_ids):
             key = (pred_id, position, term_id)
-            bucket = self._by_position.get(key)
+            bucket = by_position.get(key)
             if bucket is None:
-                self._by_position[key] = [row]
+                by_position[key] = [term_ids]
             else:
-                bucket.append(row)
+                bucket.append(term_ids)
             self._sorted_position.pop(key, None)
         if wire_bytes is None:
             wire_bytes = wire.pack_ids((pred_id, *term_ids))
@@ -299,7 +351,8 @@ class ColumnarInstance:
         if remaining <= 0:
             return
         for pred_id, first, stop in self._suffix_ranges(remaining):
-            yield from self._rows_of(pred_id, first, stop)
+            for row in self._rows[pred_id][first:stop]:
+                yield pred_id, row
 
     def _suffix_ranges(
         self, remaining: int
@@ -327,33 +380,22 @@ class ColumnarInstance:
             return []
         atoms: list[Atom] = []
         for pred_id, first, stop in self._suffix_ranges(remaining):
-            for row in range(first, stop):
+            for row in self._rows[pred_id][first:stop]:
                 atoms.append(self._atom_at(pred_id, row))
         return atoms
-
-    def _rows_of(self, pred_id: int, first: int, stop: int):
-        column = self._columns[pred_id]
-        arity = self._vocabulary.predicates[pred_id].arity
-        for row in range(first, stop):
-            base = row * arity
-            yield pred_id, tuple(column[base:base + arity])
 
     # ------------------------------------------------------------------
     # Materialization
     # ------------------------------------------------------------------
 
-    def _atom_at(self, pred_id: int, row: int) -> Atom:
-        cache = self._atom_rows[pred_id]
-        atom = cache[row]
+    def _atom_at(self, pred_id: int, row: tuple[int, ...]) -> Atom:
+        cache = self._atoms[pred_id]
+        atom = cache.get(row)
         if atom is None:
             vocabulary = self._vocabulary
-            predicate = vocabulary.predicates[pred_id]
             terms = vocabulary.terms
-            arity = predicate.arity
-            base = row * arity
-            column = self._columns[pred_id]
             atom = build_atom(
-                predicate, tuple(terms[i] for i in column[base:base + arity])
+                vocabulary.predicates[pred_id], tuple([terms[i] for i in row])
             )
             cache[row] = atom
         return atom
@@ -366,8 +408,8 @@ class ColumnarInstance:
         return sum(len(rows) for rows in self._row_sets.values())
 
     def __iter__(self) -> Iterator[Atom]:
-        for pred_id, rows in self._row_sets.items():
-            for row in range(len(self._atom_rows[pred_id])):
+        for pred_id, rows in self._rows.items():
+            for row in rows:
                 yield self._atom_at(pred_id, row)
 
     def __contains__(self, atom: Atom) -> bool:
@@ -410,14 +452,10 @@ class ColumnarInstance:
             return _EMPTY_ATOMS
         cached = self._sorted_predicate.get(pred_id)
         if cached is None:
-            rows = self._row_sets.get(pred_id)
+            rows = self._rows.get(pred_id)
             if not rows:
                 return _EMPTY_ATOMS
-            cached = tuple(
-                sorted(
-                    self._atom_at(pred_id, row) for row in range(len(rows))
-                )
-            )
+            cached = tuple(sorted(self._atom_at(pred_id, row) for row in rows))
             self._sorted_predicate[pred_id] = cached
         return cached
 

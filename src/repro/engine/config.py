@@ -101,11 +101,12 @@ class EngineConfig:
         When True (the default), persistent workers hold id-native
         :class:`~repro.engine.columnar.ColumnarInstance` replicas
         instead of object-level instances: packed sync buffers fold
-        straight into flat id columns (no per-round ``decode_atoms``),
-        membership checks run on id tuples, and atoms materialize
-        lazily only where the matcher touches them.  An ablation knob — results are
-        bit-identical either way; ignored by the non-persistent
-        engines.
+        straight into id rows (no per-round ``decode_atoms``), and the
+        join kernel reads those rows directly, where an object replica
+        first builds a private id view of itself.  Atoms materialize
+        only for existential rules, which the object matcher runs.  An
+        ablation knob — results are bit-identical either way; ignored
+        by the non-persistent engines.
     shared_memory:
         When True, the persistent pool routes payloads of at least
         ``shm_threshold`` bytes (seed rows, sync deltas, pivot/task

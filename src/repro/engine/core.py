@@ -1,12 +1,10 @@
-"""The unified semi-naive delta core.
+"""The unified semi-naive delta core and its id-native join kernel.
 
 One pivot-atom decomposition serves every delta-driven round in the
 library: trigger enumeration for the chase variants
 (:func:`repro.chase.trigger.new_triggers_of`), sharded enumeration in the
 parallel scheduler, and head derivation for the Datalog closure
-(:func:`repro.rewriting.datalog.semi_naive_closure`).  Before this module
-existed ``rewriting/datalog.py`` carried its own copy of the decomposition
-without the positional index; now both layers share this code.
+(:func:`repro.rewriting.datalog.semi_naive_closure`).
 
 The decomposition: a homomorphism of a rule body into the instance uses at
 least one delta atom exactly when some body atom maps into the delta.  For
@@ -16,23 +14,45 @@ positional index.  A homomorphism whose body image touches ``k`` delta
 atoms is found by ``k`` pivots; callers deduplicate on their own identity
 (trigger image for the chase, the derived atom set for the closure).
 
-The restricted chase enumerates through :func:`rule_unsatisfied_images`,
-which additionally drops every existential-free match that could not add
-an atom — before any :class:`~repro.chase.trigger.Trigger` exists.
+Two matchers run it.  :func:`delta_homomorphisms` is the object matcher
+(:mod:`repro.logic.homomorphisms`); it serves existential rules and the
+oblivious and semi-oblivious chases.  The restricted chase's
+:func:`rule_unsatisfied_images` and the closure's
+:func:`derive_delta_atoms` run existential-free rules on the *join
+kernel* instead, on every backend that calls them (inline, scheduler
+shards, worker replicas).  The kernel compiles a rule into one slot
+program per pivot — the same pivots, the same ``_order_atoms`` atom
+order and the same most-selective positional bucket as the object
+matcher, so ``MATCHER_STATS`` counts the same searches and candidates —
+and walks the integer rows of a
+:class:`~repro.engine.columnar.ColumnarInstance` through its id-level
+positional index.  Ground heads are id tuples tested against the
+store's row sets; ``Substitution`` and ``Atom`` objects are built only
+for the results.
+
+An object :class:`~repro.logic.instances.Instance` is joined through its
+*id view* (:func:`id_view`): a ``ColumnarInstance`` over a private
+vocabulary, attached to the instance and brought up to date from
+``delta_since`` at most once per round.  Ids follow interning order,
+which follows set iteration and ``PYTHONHASHSEED``: the kernel compares
+ids for equality only and orders images by their ``Term`` values.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Iterable, Iterator
+from operator import itemgetter
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
+from repro.engine.columnar import ColumnarInstance, Vocabulary
 from repro.logic.atoms import Atom, build_atom
 from repro.logic.homomorphisms import (
+    MATCHER_STATS,
+    _order_atoms,
     homomorphisms,
     homomorphisms_with_pivot,
-    pivot_bindings,
 )
 from repro.logic.instances import Instance
+from repro.logic.predicates import Predicate
 from repro.logic.substitutions import Substitution
 from repro.logic.terms import Term
 from repro.rules.rule import INSTANTIATION_STATS, Rule
@@ -51,12 +71,13 @@ def delta_homomorphisms(
 ) -> Iterator[Substitution]:
     """Homomorphisms of ``rule.body`` into ``instance`` using ≥ 1 delta atom.
 
-    A homomorphism touching ``k`` delta atoms is yielded up to ``k`` times
-    (once per pivot); the caller owns deduplication.  When ``delta_inst``
-    *is* the instance every homomorphism qualifies and pivoting would
-    rediscover each one per body atom, so the plain per-rule enumeration
-    (body-size times cheaper) runs instead — in that case each homomorphism
-    is yielded exactly once.
+    The object matcher's enumeration.  A homomorphism touching ``k``
+    delta atoms is yielded up to ``k`` times (once per pivot); the
+    caller owns deduplication.  When ``delta_inst`` *is* the instance
+    every homomorphism qualifies and pivoting would rediscover each one
+    per body atom, so the plain per-rule enumeration (body-size times
+    cheaper) runs instead — in that case each homomorphism is yielded
+    exactly once.
     """
     if delta_inst is instance:
         yield from homomorphisms(rule.body, instance)
@@ -67,26 +88,6 @@ def delta_homomorphisms(
         if not candidates:
             continue
         yield from homomorphisms_with_pivot(body, instance, pivot, candidates)
-
-
-def _delta_bindings(
-    rule: Rule, instance: Instance, delta_inst: Instance
-) -> Iterator[dict[Term, Term]]:
-    """Raw-binding twin of :func:`delta_homomorphisms`.
-
-    Iterates the matcher's live binding dict per match (the ``raw`` mode
-    of :func:`~repro.logic.homomorphisms.homomorphisms_with_pivot`): it
-    must be used before the iterator advances and may contain identity
-    pairs.  Chained in C, so no extra generator frame runs per match.
-    """
-    if delta_inst is instance:
-        return (hom.as_dict() for hom in homomorphisms(rule.body, instance))
-    body = rule.body
-    return chain.from_iterable(
-        homomorphisms_with_pivot(body, instance, pivot, candidates, raw=True)
-        for pivot in rule.sorted_body()
-        if (candidates := delta_inst.sorted_with_predicate(pivot.predicate))
-    )
 
 
 def rule_delta_images(
@@ -110,7 +111,9 @@ def rule_delta_images(
 
 
 def rule_unsatisfied_images(
-    rule: Rule, instance: Instance, delta_inst: Instance
+    rule: Rule,
+    instance: Instance | ColumnarInstance,
+    delta_inst: Instance | ColumnarInstance,
 ) -> dict[tuple, Substitution]:
     """:func:`rule_delta_images` minus the matches that cannot add an atom.
 
@@ -124,72 +127,438 @@ def rule_unsatisfied_images(
       smaller canonical image: it comes first in firing order, and once
       it has fired (or was found satisfied) the head is present.
 
-    Both are dropped here, walking the matcher's raw bindings — one head
+    Both are dropped inside the join kernel, on id tuples — one head
     instantiation per match (counted in
     :data:`~repro.rules.rule.INSTANTIATION_STATS`), no
     :class:`Substitution` built for a dropped match.  Per shard this keeps
-    the smallest image per head; merging shards must keep the smallest
-    again.  Existential rules are returned unpruned.
+    the smallest image per head, compared in ``Term`` order; merging
+    shards must keep the smallest again.  The dict's order is
+    unspecified (callers sort by image).  Existential rules are returned
+    unpruned, from the object matcher.
     """
     if rule.existential_order():
         return rule_delta_images(rule, instance, delta_inst)
-    order = rule.body_variable_order()
-    head = [(atom.predicate, atom.args) for atom in rule.head]
-    predicate, args = head[0]
-    single = len(head) == 1
-    present = instance.__contains__
-    kept: dict = {}  # ground head (atom or frozenset) -> (image, binding)
-    matches = 0
-    for binding in _delta_bindings(rule, instance, delta_inst):
-        matches += 1
-        get = binding.get
-        if single:
-            key = build_atom(predicate, tuple([get(t, t) for t in args]))
-            if present(key):
-                continue
-        else:
-            key = frozenset(
-                [build_atom(p, tuple([get(t, t) for t in a])) for p, a in head]
-            )
-            if all(map(present, key)):
-                continue
-        image = tuple([get(v, v) for v in order])
-        previous = kept.get(key)
-        if previous is None or image < previous[0]:
-            kept[key] = (image, {v: t for v, t in binding.items() if v != t})
-    INSTANTIATION_STATS.heads += matches
-    return {
-        image: Substitution._from_clean(mapping)
-        for image, mapping in kept.values()
-    }
+    return _RuleJoin(rule, instance, delta_inst).unsatisfied()
 
 
 def derive_delta_atoms(
-    rule: Rule, instance: Instance, delta_inst: Instance
+    rule: Rule,
+    instance: Instance | ColumnarInstance,
+    delta_inst: Instance | ColumnarInstance,
 ) -> set[Atom]:
     """Head instantiations of ``rule`` whose body uses ≥ 1 delta atom.
 
     Derivation mode of the core, used by the Datalog closure: no trigger
     identity, no canonical ordering — duplicate matches collapse in the
-    returned set, which is all a saturation needs.  This is the batched
-    hot path: heads are instantiated straight from the matcher's raw
-    bindings (:func:`~repro.logic.homomorphisms.pivot_bindings`) — no
-    :class:`~repro.chase.trigger.Trigger` objects, no substitution copies,
-    no sorting.
+    returned set, which is all a saturation needs.  The join kernel
+    collects the heads as id tuples and builds one :class:`Atom` per
+    distinct head.  ``delta_inst is instance`` (the ``naive`` engine's
+    full re-derivation) stays on the object matcher, the reference.
     """
-    derived: set[Atom] = set()
-    head = rule.head
     if delta_inst is instance:
+        derived: set[Atom] = set()
+        head = rule.head
         for hom in homomorphisms(rule.body, instance):
             derived.update(hom.apply_atoms(head))
         return derived
-    add = derived.add
-    body = rule.body
-    for pivot in rule.sorted_body():
-        candidates = delta_inst.sorted_with_predicate(pivot.predicate)
-        if not candidates:
-            continue
-        for binding in pivot_bindings(body, instance, pivot, candidates):
-            for atom in head:
-                add(atom.apply(binding))
-    return derived
+    return _RuleJoin(rule, instance, delta_inst).derive()
+
+
+# ----------------------------------------------------------------------
+# The join kernel
+# ----------------------------------------------------------------------
+
+
+def id_view(instance: Instance | ColumnarInstance) -> ColumnarInstance:
+    """The id-level store the join kernel reads for ``instance``.
+
+    A columnar store is its own view.  An object instance's view is a
+    :class:`ColumnarInstance` over a private vocabulary, created on first
+    use and brought up to date from ``instance.delta_since`` whenever the
+    instance's revision moved — so at most once per round.  The
+    scheduler calls this before fanning a round out over threads, which
+    then only read it.  The view lives in the instance's ``_id_view``
+    slot: it is never pickled and ``discard`` drops it.
+    """
+    if isinstance(instance, ColumnarInstance):
+        return instance
+    revision = instance.revision
+    attached = instance._id_view
+    if attached is None:
+        view, synced = ColumnarInstance(Vocabulary.private()), 0
+    else:
+        view, synced = attached
+        if synced == revision:
+            return view
+    intern = view.vocabulary.intern_atom
+    add_row = view.add_row
+    for atom in instance.delta_since(synced):
+        pred_id, term_ids = intern(atom)
+        add_row(pred_id, term_ids)
+    instance._id_view = (view, revision)
+    return view
+
+
+class _Ids:
+    """Symbol ↔ id for one join over one vocabulary.
+
+    A symbol the vocabulary has never seen (a rule constant or head
+    predicate no row mentions yet, a delta term outside the instance)
+    gets a distinct negative placeholder id.  It occurs in no row, so it
+    matches nothing, and it is never written into the vocabulary — wire
+    tables and thread-shared views stay read-only — so a later round
+    that interns the symbol resolves it afresh.
+    """
+
+    __slots__ = ("terms", "predicates", "_term_ids", "_predicate_ids",
+                 "_placeholder_ids", "_placeholders")
+
+    def __init__(self, vocabulary: Vocabulary):
+        self.terms = vocabulary.terms
+        self.predicates = vocabulary.predicates
+        self._term_ids = vocabulary.term_ids
+        self._predicate_ids = vocabulary.predicate_ids
+        # Symbol -> placeholder id, and the symbols by ``-1 - id``.
+        self._placeholder_ids: dict = {}
+        self._placeholders: list = []
+
+    def _placeholder(self, symbol) -> int:
+        found = self._placeholder_ids.get(symbol)
+        if found is None:
+            self._placeholders.append(symbol)
+            found = self._placeholder_ids[symbol] = -len(self._placeholders)
+        return found
+
+    def term(self, term: Term) -> int:
+        found = self._term_ids.get(term)
+        return found if found is not None else self._placeholder(term)
+
+    def predicate(self, predicate: Predicate) -> int:
+        found = self._predicate_ids.get(predicate)
+        return found if found is not None else self._placeholder(predicate)
+
+    def term_of(self, term_id: int) -> Term:
+        if term_id >= 0:
+            return self.terms[term_id]
+        return self._placeholders[-1 - term_id]
+
+    def predicate_of(self, pred_id: int) -> Predicate:
+        if pred_id >= 0:
+            return self.predicates[pred_id]
+        return self._placeholders[-1 - pred_id]
+
+
+def _row_getter(slots: Sequence[int]) -> Callable[[list], tuple]:
+    """``slots`` picked out of a slot list as one tuple (C-level when
+    it can be)."""
+    if len(slots) > 1:
+        return itemgetter(*slots)
+    if slots:
+        (slot,) = slots
+        return lambda values: (values[slot],)
+    return lambda values: ()
+
+
+# checks: hot
+def _agrees(row: tuple, pairs: Sequence[tuple[int, int]], slots: list) -> bool:
+    """Whether ``row[position] == slots[slot]`` for every pair."""
+    for position, slot in pairs:
+        if row[position] != slots[slot]:
+            return False
+    return True
+
+
+# checks: hot
+def _select(index_get, pred_id: int, bound, slots: list):
+    """The object matcher's ``_candidates`` on ids: the smallest
+    positional bucket over the bound positions (first in position order
+    on ties, empty as soon as one is), plus the bound pairs left to
+    check on each of its rows."""
+    best = None
+    chosen = -1
+    for position, slot in bound:
+        bucket = index_get((pred_id, position, slots[slot]))
+        if bucket is None:
+            return (), ()
+        if best is None or len(bucket) < len(best):
+            best = bucket
+            chosen = position
+    return best, [pair for pair in bound if pair[0] != chosen]
+
+
+class _OrderKeys(dict):
+    """id -> the ``Term`` order key of its term, filled on first use.
+
+    The key is ``(rank, name)``, the order ``Term.__lt__`` defines (and
+    ``Atom.sort_key`` spells the same way), so comparing two keys is a
+    C-level tuple comparison instead of a ``Term.__lt__`` call.
+    """
+
+    __slots__ = ("_term_of",)
+
+    def __init__(self, term_of: Callable[[int], Term]):
+        super().__init__()
+        self._term_of = term_of
+
+    def __missing__(self, term_id: int) -> tuple[int, str]:
+        term = self._term_of(term_id)
+        key = self[term_id] = (term._rank, term.name)
+        return key
+
+
+# checks: hot
+def _precedes(candidate: list, kept: list, size: int, keys: _OrderKeys) -> bool:
+    """Whether ``candidate[:size]`` is below ``kept[:size]`` in ``Term``
+    order (ids only decide equality)."""
+    for index in range(size):
+        left = candidate[index]
+        right = kept[index]
+        if left != right:
+            return keys[left] < keys[right]
+    return False
+
+
+def _level(view: ColumnarInstance, program, inner, tally: list, fixed):
+    """The loop of one body atom: candidates, filters, then ``inner``.
+
+    ``program`` is ``(pred_id, bound, binds, repeats)`` of ``(position,
+    slot)`` pairs: positions holding a constant or an earlier atom's
+    variable, first occurrences of new variables, and their repeats.
+    ``fixed`` (the pivot's delta rows) replaces the bucket choice.
+    """
+    pred_id, bound, binds, repeats = program
+    index_get = view.positional_index.get
+    all_rows = view.rows(pred_id)
+    single = bound[0] if len(bound) == 1 else None
+
+    # checks: hot
+    def run(slots: list) -> None:
+        if fixed is not None:
+            candidates, checks = fixed, bound
+        elif single is not None:
+            position, slot = single
+            candidates = index_get((pred_id, position, slots[slot]), ())
+            checks = ()
+        elif bound:
+            candidates, checks = _select(index_get, pred_id, bound, slots)
+        else:
+            candidates, checks = all_rows, ()
+        tally[0] += len(candidates)
+        for row in candidates:
+            if checks and not _agrees(row, checks, slots):
+                continue
+            for position, slot in binds:
+                slots[slot] = row[position]
+            if repeats and not _agrees(row, repeats, slots):
+                continue
+            inner(slots)
+
+    return run
+
+
+class _RuleJoin:
+    """One existential-free rule joined once against an id view.
+
+    Slot layout, shared by every pivot's program: the body variables in
+    canonical order (so a match's image is a slot prefix), then the
+    body's other non-constant terms, then one slot per constant (and
+    per head term the body does not bind) holding its id.
+    """
+
+    def __init__(
+        self,
+        rule: Rule,
+        instance: Instance | ColumnarInstance,
+        delta_inst: Instance | ColumnarInstance,
+    ):
+        self.view = view = id_view(instance)
+        self.ids = ids = _Ids(view.vocabulary)
+        order = rule.body_variable_order()
+        slot_of: dict[Term, int] = {v: i for i, v in enumerate(order)}
+        body = rule.sorted_body()
+        for atom in body:
+            for term in atom.args:
+                if not term.is_constant and term not in slot_of:
+                    slot_of[term] = len(slot_of)
+        self.variables = tuple(slot_of)
+        self.image_size = len(order)
+        self.slots: list = [None] * len(slot_of)
+        head = sorted(rule.head)
+        for atom in (*body, *head):
+            for term in atom.args:
+                if term not in slot_of:
+                    slot_of[term] = len(self.slots)
+                    self.slots.append(ids.term(term))
+        self.slot_of = slot_of
+        self.heads = [
+            (
+                ids.predicate(atom.predicate),
+                _row_getter([slot_of[t] for t in atom.args]),
+            )
+            for atom in head
+        ]
+        self.searches = self._searches(rule, instance, delta_inst)
+
+    def _searches(self, rule, instance, delta_inst) -> list[tuple]:
+        """``(atom order, pivot rows or None)`` per search the object
+        matcher would run: one per pivot with delta rows, or a single
+        unpivoted search when the delta is the instance."""
+        if delta_inst is instance:
+            return [(_order_atoms(list(rule.body), instance), None)]
+        searches = []
+        pivot_rows: dict[Predicate, Collection[tuple]] = {}
+        for pivot in rule.sorted_body():
+            rows = pivot_rows.get(pivot.predicate)
+            if rows is None:
+                rows = pivot_rows[pivot.predicate] = self._pivot_rows(
+                    delta_inst, pivot.predicate
+                )
+            if not rows:
+                continue
+            rest = list(rule.body)
+            rest.remove(pivot)
+            pinned = {t for t in pivot.args if not t.is_constant}
+            searches.append(
+                ([pivot] + _order_atoms(rest, instance, bound=pinned), rows)
+            )
+        return searches
+
+    def _pivot_rows(self, delta, predicate: Predicate) -> Collection[tuple]:
+        """The delta's rows over ``predicate``, in the view's ids (in no
+        particular order: the join's results do not depend on it)."""
+        if (
+            isinstance(delta, ColumnarInstance)
+            and delta.vocabulary is self.view.vocabulary
+        ):
+            return delta.rows(self.ids.predicate(predicate))
+        atoms = (
+            delta.with_predicate(predicate)
+            if isinstance(delta, Instance)
+            else delta.sorted_with_predicate(predicate)
+        )
+        term = self.ids.term
+        return {tuple([term(t) for t in atom.args]) for atom in atoms}
+
+    def _program(self, atom: Atom, bound_terms: set) -> tuple:
+        bound, binds, repeats = [], [], []
+        new: set[Term] = set()
+        for position, term in enumerate(atom.args):
+            pair = (position, self.slot_of[term])
+            if term.is_constant or term in bound_terms:
+                bound.append(pair)
+            elif term in new:
+                repeats.append(pair)
+            else:
+                new.add(term)
+                binds.append(pair)
+        bound_terms |= new
+        return (self.ids.predicate(atom.predicate), bound, binds, repeats)
+
+    def _run(self, emit: Callable[[list], None]) -> None:
+        """Every match of every search, handed to ``emit`` as the live
+        slot list (use it before returning)."""
+        tally = [0]
+        slots = list(self.slots)
+        for ordered, pivot_rows in self.searches:
+            bound_terms: set[Term] = set()
+            programs = [self._program(atom, bound_terms) for atom in ordered]
+            inner = emit
+            for depth in range(len(programs) - 1, -1, -1):
+                inner = _level(
+                    self.view,
+                    programs[depth],
+                    inner,
+                    tally,
+                    pivot_rows if depth == 0 else None,
+                )
+            inner(slots)
+        MATCHER_STATS.searches += len(self.searches)
+        MATCHER_STATS.candidates += tally[0]
+
+    def unsatisfied(self) -> dict[tuple, Substitution]:
+        view = self.view
+        term_of = self.ids.term_of
+        keys = _OrderKeys(term_of)
+        image_size = self.image_size
+        size = len(self.variables)
+        kept: dict = {}  # ground head (row or frozenset) -> slot values
+        matches = 0
+        if len(self.heads) == 1:
+            ((pred_id, head_row),) = self.heads
+            present = view.row_set(pred_id)
+
+            def emit(slots: list) -> None:
+                nonlocal matches
+                matches += 1
+                key = head_row(slots)
+                if key in present:
+                    return
+                previous = kept.get(key)
+                if previous is None or _precedes(
+                    slots, previous, image_size, keys
+                ):
+                    kept[key] = slots[:size]
+
+        else:
+            heads = [
+                (pred_id, head_row, view.row_set(pred_id))
+                for pred_id, head_row in self.heads
+            ]
+
+            # checks: hot
+            def emit(slots: list) -> None:
+                nonlocal matches
+                matches += 1
+                ground = []
+                present = True
+                for pred_id, head_row, rows in heads:
+                    row = head_row(slots)
+                    ground.append((pred_id, row))
+                    present = present and row in rows
+                if present:
+                    return
+                key = frozenset(ground)
+                previous = kept.get(key)
+                if previous is None or _precedes(
+                    slots, previous, image_size, keys
+                ):
+                    kept[key] = slots[:size]
+
+        self._run(emit)
+        INSTANTIATION_STATS.heads += matches
+        variables = self.variables
+        found: dict[tuple, Substitution] = {}
+        for values in kept.values():
+            terms = [term_of(value) for value in values]
+            found[tuple(terms[:image_size])] = Substitution._from_clean(
+                {v: t for v, t in zip(variables, terms) if v != t}
+            )
+        return found
+
+    def derive(self) -> set[Atom]:
+        heads = [(pred_id, head_row, set()) for pred_id, head_row in self.heads]
+        if len(heads) == 1:
+            ((_, head_row, rows),) = heads
+            add = rows.add
+
+            def emit(slots: list) -> None:
+                add(head_row(slots))
+
+        else:
+
+            # checks: hot
+            def emit(slots: list) -> None:
+                for _, head_row, rows in heads:
+                    rows.add(head_row(slots))
+
+        self._run(emit)
+        ids = self.ids
+        term_of = ids.term_of
+        derived: set[Atom] = set()
+        for pred_id, _, rows in heads:
+            predicate = ids.predicate_of(pred_id)
+            for row in rows:
+                derived.add(
+                    build_atom(predicate, tuple([term_of(i) for i in row]))
+                )
+        return derived

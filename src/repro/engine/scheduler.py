@@ -18,7 +18,8 @@ therefore purely a throughput knob.
 Threads, processes, persistent workers
 --------------------------------------
 The default pool is threads: enumeration only *reads* the shared instance
-(index-cache fills are idempotent), so no locking is needed, and thread
+(index-cache fills are idempotent, and the join kernel's id view is
+brought up to date before the fan-out), so no locking is needed, and thread
 fan-out composes with free-threaded builds and with matchers that release
 the GIL.  On a GIL build the wall-clock win of ``engine="parallel"`` comes
 from the batched firing path (:mod:`repro.engine.batch`) rather than from
@@ -64,6 +65,7 @@ from repro.obs.trace import active_round
 from repro.engine.config import EngineConfig
 from repro.engine.core import (
     derive_delta_atoms,
+    id_view,
     rule_delta_images,
     rule_unsatisfied_images,
 )
@@ -274,6 +276,12 @@ class RoundScheduler:
                 (context_blob, mode, tuple(v.sorted_atoms())) for v in tasks
             ]
             return list(self._pool().map(_run_shard_payload, payloads))
+        if mode != _ENUMERATE and any(
+            not rule.existential_order() for rule in rules
+        ):
+            # The join kernel reads the instance's id view: sync it once
+            # here so the shard threads only read it.
+            id_view(instance)
         return list(
             self._pool().map(
                 lambda v: _run_shard(mode, rules, instance, v), tasks

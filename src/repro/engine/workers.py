@@ -288,10 +288,11 @@ def _worker_main(conn, columnar: bool = False) -> None:
 
     With ``columnar=True`` the replica is an id-native
     :class:`~repro.engine.columnar.ColumnarInstance` over the decoder's
-    table replica: packed seed/sync buffers fold straight into flat id
-    columns (``decode_atoms`` leaves the per-round hot path), head
-    membership checks run on id tuples, and atoms materialize lazily
-    only where the matcher touches them.  Payload fields may arrive as
+    table replica: packed seed/sync buffers fold straight into id rows
+    (``decode_atoms`` leaves the per-round hot path), and the delta
+    core's join kernel runs existential-free rules on those rows
+    directly; atoms materialize only for the object matcher
+    (existential rules).  Payload fields may arrive as
     :class:`~repro.engine.shm.SegmentRef`\\ s instead of bytes; they are
     resolved against a per-worker :class:`~repro.engine.shm.SegmentReader`
     (attach once per segment, memcpy per read) before decoding.

@@ -193,31 +193,24 @@ def _search(
     binding: dict[Term, Term],
     used_targets: set[Term] | None,
     first_candidates: Sequence[Atom] | None = None,
-    raw: bool = False,
 ) -> Iterator[Substitution]:
     """Enumerate extensions of ``binding`` matching ``ordered`` into ``target``.
 
     Explicit-stack DFS over one frame per source atom; each frame holds its
     candidate iterator and the undo list of its current choice.  When
     ``first_candidates`` is given it replaces the index lookup for the
-    first atom (the pivot of delta-driven trigger enumeration).
-
-    With ``raw=True`` each solution is yielded as the *live* binding dict
-    instead of a cleaned :class:`Substitution` copy: the consumer must use
-    it before advancing the iterator (it may still contain identity pairs
-    and is mutated by backtracking).  The batched derivation mode of the
-    engine subsystem uses this to instantiate heads without one dict copy
-    per match.
+    first atom (the pivot of delta-driven trigger enumeration).  Each
+    solution is yielded as a cleaned :class:`Substitution` copy of the
+    binding.  Existential-free rules in the restricted chase and the
+    closure do not come through here: the engine's join kernel
+    (:mod:`repro.engine.core`) runs the same search order on integer ids.
     """
     MATCHER_STATS.searches += 1
     n = len(ordered)
     if n == 0:
-        if raw:
-            yield binding
-        else:
-            yield Substitution._from_clean(
-                {k: v for k, v in binding.items() if k != v}
-            )
+        yield Substitution._from_clean(
+            {k: v for k, v in binding.items() if k != v}
+        )
         return
     stats = MATCHER_STATS
     initial = (
@@ -245,15 +238,12 @@ def _search(
             if newly is None:
                 continue
             if depth + 1 == n:
-                if raw:
-                    yield binding
-                else:
-                    # checks: allow[H401] -- per-solution, not per-candidate:
-                    # this dict IS the yielded output (raw=True is the
-                    # allocation-free path for consumers that can share).
-                    yield Substitution._from_clean(
-                        {k: v for k, v in binding.items() if k != v}
-                    )
+                # checks: allow[H401] -- per-solution, not per-candidate:
+                # this dict IS the yielded output (the engine's id kernel
+                # is the allocation-free path for existential-free rules).
+                yield Substitution._from_clean(
+                    {k: v for k, v in binding.items() if k != v}
+                )
                 for t in newly:
                     if used_targets is not None:
                         used_targets.discard(binding[t])
@@ -307,7 +297,6 @@ def homomorphisms_with_pivot(
     pivot: Atom,
     pivot_candidates: Sequence[Atom],
     seed: dict[Term, Term] | None = None,
-    raw: bool = False,
 ) -> Iterator[Substitution]:
     """Homomorphisms of ``source`` into ``target`` mapping ``pivot`` into
     ``pivot_candidates``.
@@ -315,9 +304,10 @@ def homomorphisms_with_pivot(
     The pivot atom (which must occur in ``source``) is matched first,
     against the supplied candidates only — typically the delta of a chase
     level; the remaining atoms are matched against the full target via the
-    positional index.  This is the building block of semi-naive trigger
-    enumeration.  ``raw`` is passed through to :func:`_search` (live
-    binding dicts instead of substitutions).
+    positional index, in :func:`_order_atoms` order.  This is the building
+    block of the object matcher's semi-naive trigger enumeration and of
+    the serving layer's goal probe; the engine's id join kernel mirrors
+    its pivots, atom order and bucket choice.
     """
     source_atoms = list(source)
     rest = list(source_atoms)
@@ -327,27 +317,7 @@ def homomorphisms_with_pivot(
     pinned.update(t for t in pivot.args if not t.is_constant)
     ordered = [pivot] + _order_atoms(rest, target, bound=pinned)
     yield from _search(
-        ordered, target, binding, None,
-        first_candidates=pivot_candidates, raw=raw,
-    )
-
-
-def pivot_bindings(
-    source: Iterable[Atom],
-    target: Instance,
-    pivot: Atom,
-    pivot_candidates: Sequence[Atom],
-) -> Iterator[dict[Term, Term]]:
-    """Raw-binding variant of :func:`homomorphisms_with_pivot`.
-
-    Yields the matcher's live binding dict once per homomorphism mapping
-    ``pivot`` into ``pivot_candidates`` — no :class:`Substitution` is
-    built, so consumers that only instantiate atoms (the engine's batched
-    derivation mode) skip one dict copy per match.  The dict must be used
-    before the iterator advances and may contain identity pairs.
-    """
-    yield from homomorphisms_with_pivot(
-        source, target, pivot, pivot_candidates, raw=True
+        ordered, target, binding, None, first_candidates=pivot_candidates
     )
 
 

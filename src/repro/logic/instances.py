@@ -17,6 +17,13 @@ the triggers that became possible at the latest level.
 
 Following the paper, every instance is assumed to contain the nullary fact
 ``⊤``; the constructor adds it unless ``add_top=False``.
+
+The engine's join kernel (:mod:`repro.engine.core`) matches an instance
+through an *id view* it attaches to the ``_id_view`` slot and brings up
+to date from :meth:`Instance.delta_since`.  The view belongs to the
+engine and to this process: it is never pickled (an instance pickles to
+exactly the bytes it would without it), ``discard`` drops it, and
+``add`` never touches it.
 """
 
 from __future__ import annotations
@@ -57,7 +64,11 @@ class Instance:
         "_sorted_predicate",
         "_sorted_position",
         "_discarded",
+        "_id_view",
     )
+
+    #: The slots that pickle: everything but the engine's id view.
+    _PICKLED = __slots__[:-1]
 
     def __init__(self, atoms: Iterable[Atom] = (), add_top: bool = True):
         self._atoms: set[Atom] = set()
@@ -82,10 +93,23 @@ class Instance:
         self._sorted_position: dict[
             tuple[Predicate, int, Term], tuple[Atom, ...]
         ] = {}
+        # (id view, revision it is synced to), owned by repro.engine.core.
+        self._id_view: tuple | None = None
         for a in atoms:
             self.add(a)
         if add_top:
             self.add(TOP_ATOM)
+
+    def __getstate__(self):
+        # The default slot state minus the id view, so an instance's
+        # pickle is the same bytes whether or not the kernel ran on it.
+        return None, {name: getattr(self, name) for name in self._PICKLED}
+
+    def __setstate__(self, state) -> None:
+        _, slots = state
+        for name, value in slots.items():
+            setattr(self, name, value)
+        self._id_view = None
 
     # ------------------------------------------------------------------
     # Basic container protocol
@@ -185,6 +209,8 @@ class Instance:
         # through membership, so a removed atom simply drops out.
         self._revision += 1
         self._discarded = True
+        # Id views are append-only; the next join rebuilds one.
+        self._id_view = None
         return True
 
     # ------------------------------------------------------------------

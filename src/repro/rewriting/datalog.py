@@ -15,8 +15,8 @@ through the engine registry:
 
 * ``"parallel"`` (the default runs it inline at one worker, see
   :data:`DEFAULT_CLOSURE_ENGINE`): the sharded round scheduler's batched
-  *derivation mode* — heads of a whole round are instantiated in one
-  amortized pass straight from the delta homomorphisms, with no trigger
+  *derivation mode* — heads of a whole round are collected as id rows
+  by the delta core's join kernel, one atom per distinct head, with no trigger
   identity or canonical ordering.
 * ``"delta"``: the sequential trigger-mode inner loop shared with the
   chase — canonical per-rule trigger streams, one head instantiation per

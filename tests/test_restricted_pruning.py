@@ -111,6 +111,7 @@ ENGINES = [
     ("delta", "delta", True),
     ("delta_interleaved", "delta", False),
     ("parallel_w2", EngineConfig("parallel", workers=2), True),
+    ("parallel_w3", EngineConfig("parallel", workers=3), True),
     ("persistent_w2", EngineConfig("persistent", workers=2), True),
 ]
 ENGINE_IDS = [e[0] for e in ENGINES]
