@@ -25,15 +25,14 @@ checks:
 
 # Reproducible engine-performance smoke: EXP-8 (chase/homomorphism/rewriting
 # throughput), EXP-12 (incremental vs naive trigger enumeration), EXP-13
-# (parallel engine vs sequential delta), EXP-14 (persistent delta-fed
-# workers vs per-round context pickling), EXP-15 (pruned restricted
-# enumeration + split firing vs the interleaved reference), EXP-16
-# (the same for mixed restricted rounds, on the persistent pool +
-# adaptive shard routing), EXP-17 (goal-directed answer() serving vs
-# full saturation) and EXP-18 (columnar replicas + shared-memory
-# transport vs the pipe-only persistent engine), with GC disabled during
-# timing so numbers are comparable across runs.  Tables land in
-# benchmarks/results/.  The budget check then gates the freshly written
+# (semi-naive vs naive Datalog closure, inline and on the worker pool),
+# EXP-14 (persistent delta-fed workers: wall-clock and pipe payload),
+# EXP-15 (pruned restricted enumeration + split firing vs the
+# interleaved reference), EXP-16 (the same for mixed restricted rounds,
+# inline and on the worker pool), EXP-17 (goal-directed answer() serving
+# vs full saturation) and EXP-18 (shared-memory transport vs the pipe on
+# columnar replicas), with GC disabled during timing so numbers are
+# comparable across runs.  Tables land in benchmarks/results/.  The budget check then gates the freshly written
 # BENCH_exp14.json / BENCH_exp18.json byte channels against
 # benchmarks/transport_budget.json — transport bytes are deterministic,
 # so exceeding a budget is a real protocol regression.

@@ -30,6 +30,10 @@ Acceptance:
   parity with the inline engines, not ahead: the per-round sync and
   enumeration round trips cost about what spreading the pruned
   matching across workers saves.
+
+Times are medians of five trials, and the configurations alternate
+trial by trial, so a swing in host speed lands on all of them alike
+instead of on whichever configuration happened to run during it.
 """
 
 import statistics
@@ -46,7 +50,7 @@ from repro.rules.parser import parse_rules
 PATH_N = 80
 TOURNAMENT_N = 13
 MAX_ROUNDS = 30
-TRIALS = 3
+TRIALS = 5
 
 TRANSITIVITY = "E(x,y), E(y,z) -> E(x,z)"
 
@@ -59,15 +63,6 @@ CONFIGS = [
 ]
 
 
-def _measure(run):
-    times, result = [], None
-    for _ in range(TRIALS):
-        start = time.perf_counter()
-        result = run()
-        times.append(time.perf_counter() - start)
-    return result, statistics.median(times)
-
-
 def _assert_bit_identical(a, b):
     assert a.instance == b.instance
     assert a.levels_completed == b.levels_completed
@@ -76,27 +71,30 @@ def _assert_bit_identical(a, b):
 
 
 def _sweep(make_instance, rules):
-    rows, results, times = [], {}, {}
-    for label, engine, gate in CONFIGS:
-        result, median_s = _measure(
-            lambda: restricted_chase(
+    """Median time of every configuration, alternating them per trial."""
+    samples = {label: [] for label, _, _ in CONFIGS}
+    results = {}
+    for _ in range(TRIALS):
+        for label, engine, gate in CONFIGS:
+            start = time.perf_counter()
+            results[label] = restricted_chase(
                 make_instance(),
                 rules,
                 max_rounds=MAX_ROUNDS,
                 engine=engine,
                 delta_satisfaction=gate,
             )
+            samples[label].append(time.perf_counter() - start)
+    times = {label: statistics.median(runs) for label, runs in samples.items()}
+    rows = [
+        (
+            label,
+            len(results[label].instance),
+            results[label].levels_completed,
+            f"{times[label]:.3f}",
         )
-        results[label] = result
-        times[label] = median_s
-        rows.append(
-            (
-                label,
-                len(result.instance),
-                result.levels_completed,
-                f"{median_s:.3f}",
-            )
-        )
+        for label, _, _ in CONFIGS
+    ]
     reference = results["interleaved (seed path)"]
     assert reference.terminated
     for result in results.values():

@@ -7,9 +7,7 @@ round-start instance or repeats the head of a smaller image (on the
 persistent backend inside the ``enumerate_unsatisfied`` command, against
 each worker's replica), and the round then records in one
 canonical-order lazy pass that interleaves only the small existential
-remainder.  Shard → worker placement is round-robin by default;
-``adaptive_routing`` switches to largest-first bin packing on shard byte
-weights.
+remainder.
 
 The workload makes every round genuinely mixed: a successor rule keeps
 extending a path with fresh nulls (one unsatisfied existential trigger
@@ -24,12 +22,11 @@ Acceptance:
   is invisible in the results,
 * the inline split path does not regress vs the interleaved loop
   (amortized recording is the single-core win), and
-* the persistent backends (hash-uniform and adaptive routing) agree
-  exactly, send no ``probe`` command (split rounds record parent-side
-  from the parked heads), and their ``enumerate_unsatisfied`` replies
-  carry only pruned images: each configuration enumerates exactly the
-  candidates of the inline pruned enumeration, far fewer than the
-  unpruned ``naive`` reference.
+* the persistent backend agrees exactly, sends no ``probe`` command
+  (split rounds record parent-side from the parked heads), and its
+  ``enumerate_unsatisfied`` replies carry only pruned images: each
+  configuration enumerates exactly the candidates of the inline pruned
+  enumeration, far fewer than the unpruned ``naive`` reference.
 """
 
 import statistics
@@ -58,11 +55,6 @@ CONFIGS = [
     ("interleaved (seed path)", "delta", False),
     ("split inline (delta)", "delta", True),
     ("persistent split (w=2, hash)", EngineConfig("persistent", workers=2), True),
-    (
-        "persistent split (w=2, adaptive)",
-        EngineConfig("persistent", workers=2, shards=8, adaptive_routing=True),
-        True,
-    ),
 ]
 
 
@@ -179,15 +171,11 @@ def test_exp16_mixed_rounds():
         "interleaved (seed path)"
     ] * 1.5, times
     # Every configuration enumerates the same pruned candidates — on the
-    # persistent backends that is what the replicas' replies carried —
+    # persistent backend that is what the replicas' replies carried —
     # and pruning removes most of the unpruned reference's triggers.
     assert len(set(candidates.values())) == 1, candidates
     assert candidates["split inline (delta)"] * 5 < unpruned
-    for label in (
-        "persistent split (w=2, hash)",
-        "persistent split (w=2, adaptive)",
-    ):
-        commands = transports[label]["commands"]
-        assert "probe" not in commands, label
-        assert "enumerate" not in commands, label
-        assert commands["enumerate_unsatisfied"]["messages"] > 0, label
+    commands = transports["persistent split (w=2, hash)"]["commands"]
+    assert "probe" not in commands
+    assert "enumerate" not in commands
+    assert commands["enumerate_unsatisfied"]["messages"] > 0

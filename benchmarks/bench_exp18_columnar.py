@@ -1,19 +1,14 @@
-"""EXP-18 — columnar replicas + shared-memory transport vs the pipe.
+"""EXP-18 — shared-memory transport vs the pipe, on columnar replicas.
 
-PR 6's interned-term varint transport got the persistent pool's EXP-14
-pipe payload down to ~18.8 KB; this experiment measures the next two
-rungs on the same 60-path closure workload so the numbers are directly
-comparable:
-
-* **columnar replicas** (`EngineConfig(columnar=True)`, the default):
-  workers keep id-native :class:`~repro.engine.columnar.ColumnarInstance`
-  stores fed by ``ingest_packed`` — the per-round ``decode_atoms``
-  object materialization leaves the hot path.  Same bytes on the wire,
-  less work at both ends.
-* **shared-memory transport** (``shared_memory=True``): payloads at or
-  above the threshold ride :class:`~repro.engine.shm.SegmentPool`
-  segments and the pipes carry only refs, splitting the transport into
-  a pipe channel and an shm channel.
+The interned-term varint transport got the persistent pool's EXP-14
+pipe payload down to ~18.8 KB; this experiment measures the next rung
+on the same 60-path closure workload so the numbers are directly
+comparable.  Workers keep id-native
+:class:`~repro.engine.columnar.ColumnarInstance` replicas fed by
+``ingest_packed`` in both rows; with **shared-memory transport**
+(``shared_memory=True``) payloads at or above the threshold ride
+:class:`~repro.engine.shm.SegmentPool` segments and the pipes carry only
+refs, splitting the transport into a pipe channel and an shm channel.
 
 Acceptance (deterministic byte counters, hard-gated by
 ``tools/check_transport_budget.py`` against
@@ -55,8 +50,6 @@ SUCC_OVERLAY = "E(x,y) -> exists z. E(y,z)\nE(x,y), E(y,z) -> F(x,z)"
 EXP14_PIPE_BYTES = 18_809
 
 ENGINES = [
-    ("persistent (pipe, object)",
-     EngineConfig("persistent", workers=2, columnar=False)),
     ("persistent (pipe, columnar)",
      EngineConfig("persistent", workers=2)),
 ]
@@ -76,7 +69,7 @@ def _measure(run):
         result = run()
         times.append(time.perf_counter() - start)
         transport = TRANSPORT_STATS.snapshot()
-    pipe = transport["context_bytes"] + transport["bytes_sent"]
+    pipe = transport["bytes_sent"]
     shm = transport["shm_bytes"]
     return result, statistics.median(times), pipe, shm, transport
 
@@ -129,7 +122,7 @@ def test_exp18_columnar_shm_closure(benchmark):
             ["engine", "atoms", "median s", "pipe B", "shm B"],
             rows,
             title=(
-                f"EXP-18: columnar replicas + shared-memory transport, "
+                f"EXP-18: shared-memory transport on columnar replicas, "
                 f"{N}-path Datalog closure"
             ),
         ),
@@ -160,11 +153,6 @@ def test_exp18_columnar_shm_closure(benchmark):
         },
     )
 
-    # Columnar replicas change the store, not the wire: the pipe-only
-    # configurations ship identical bytes.
-    assert pipes["persistent (pipe, columnar)"] == pipes[
-        "persistent (pipe, object)"
-    ]
     if shm_available():
         pipe = pipes["persistent (shm, columnar)"]
         shm = shms["persistent (shm, columnar)"]
@@ -179,7 +167,7 @@ def test_exp18_columnar_shm_closure(benchmark):
 
 
 def test_exp18_sharded_firing_fanout():
-    """Wide fan-out: an existential chase fired through both replicas."""
+    """Wide fan-out: an existential chase fired through both transports."""
     rules = parse_rules(SUCC_OVERLAY)
     make = lambda: tournament_instance(10, seed=0)
 

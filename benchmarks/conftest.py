@@ -73,9 +73,5 @@ def engine_provenance(engine) -> dict:
         "mode": config.mode,
         "workers": config.workers,
         "shards": config.shard_count,
-        "use_processes": config.use_processes,
-        "persistent_workers": config.persistent_workers,
-        "adaptive_routing": config.adaptive_routing,
-        "columnar": config.columnar,
         "shared_memory": config.shared_memory,
     }

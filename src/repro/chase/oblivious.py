@@ -26,11 +26,11 @@ The ``engine`` argument selects an execution engine from the registry in
   re-match of the whole instance, and no ever-growing ``fired`` set.
 * ``"naive"`` keeps the pre-incremental full-rematch enumeration as the
   reference implementation.
-* ``"parallel"`` fans the delta enumeration out across the sharded round
-  scheduler and fires each level through the batched recording pass.
-* ``"persistent"`` is the parallel engine on persistent delta-fed process
-  workers: replicas are seeded once, each level ships only its delta, and
-  the firing pass is sharded across the pool too.
+* ``"parallel"`` runs the levels inline at one worker; with
+  ``workers > 1`` (``"persistent"`` presets four) it runs them on
+  persistent delta-fed process workers: replicas are seeded once, each
+  level ships only its delta, and the firing pass is sharded across the
+  pool too.
 
 All engines fire the same triggers in the same canonical order and
 produce bit-identical results.

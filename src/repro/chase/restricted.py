@@ -32,8 +32,8 @@ keep the fully interleaved loop.  Every path is bit-identical to the
 interleaved reference.  ``engine="delta"`` (default) enumerates new
 triggers semi-naively, ``engine="naive"`` re-matches everything, subtracts
 the seen set and prunes nothing (the reference), and
-``engine="parallel"`` / ``engine="persistent"`` fan the pruned
-enumeration over the sharded scheduler — all fire identically.
+``engine="persistent"`` (or ``"parallel"`` with ``workers > 1``) fans
+the pruned enumeration over the worker pool — all fire identically.
 """
 
 from __future__ import annotations

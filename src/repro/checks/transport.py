@@ -9,13 +9,13 @@ the tables already interned, breaks the deterministic byte accounting
 that ``tools/check_transport_budget.py`` gates, and silently reverts
 the PR 9 transport win.  Four rules, scoped to ``src/repro/engine/``:
 
-``T201`` pickle outside the protocol endpoints
-    ``pickle.dumps``/``pickle.loads`` may appear only in the two
-    envelope modules (``workers.py``, ``scheduler.py``) — everywhere
-    else in the engine the codec is the only serializer.
+``T201`` pickle outside the protocol endpoint
+    ``pickle.dumps``/``pickle.loads`` may appear only in the envelope
+    module (``workers.py``, both ends of every pipe) — everywhere else
+    in the engine the codec is the only serializer.
 
 ``T202`` raw pickle of domain objects
-    Inside the envelope modules, every ``pickle.dumps`` argument must be
+    Inside the envelope module, every ``pickle.dumps`` argument must be
     a command tuple (a literal whose first element is a string tag), a
     ``pack_reply(...)`` envelope, or a name bound to one of those; and
     no pickled expression may mention a domain object name.
@@ -37,10 +37,9 @@ import ast
 
 from repro.checks.base import CheckPass, Finding, SourceModule, call_name
 
-#: The two protocol endpoints where envelope pickling is legitimate.
+#: The protocol endpoint where envelope pickling is legitimate.
 ENVELOPE_MODULES = {
     "src/repro/engine/workers.py",
-    "src/repro/engine/scheduler.py",
 }
 
 #: Identifiers whose appearance inside a pickled expression marks a
@@ -75,7 +74,7 @@ class TransportPass(CheckPass):
         findings: list[Finding] = []
         rel = module.rel.replace("\\", "/")
         is_envelope = rel in ENVELOPE_MODULES or rel.endswith(
-            ("engine/workers.py", "engine/scheduler.py")
+            "engine/workers.py"
         )
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Call):
@@ -99,7 +98,7 @@ class TransportPass(CheckPass):
                     self.finding(
                         module, "T201", node,
                         f"pickle.{func.attr} outside the protocol "
-                        "endpoints — engine payloads go through "
+                        "endpoint — engine payloads go through "
                         "repro.engine.wire codecs",
                     )
                 )

@@ -37,11 +37,13 @@ import sys
 from repro.analysis.report import analyze
 from repro.chase.oblivious import oblivious_chase
 from repro.engine.config import (
+    EngineConfig,
     available_engines,
     registered_engines,
     resolve_engine,
 )
 from repro.core.theorem import check_property_p
+from repro.errors import ChaseError
 from repro.io.text import format_instance, format_table
 from repro.logic.instances import Instance
 from repro.logic.terms import Constant
@@ -62,6 +64,18 @@ def _load_instance(text: str) -> Instance:
     return parse_instance(text) if text else Instance()
 
 
+def _engine(command: str, args) -> EngineConfig:
+    """The ``--engine`` preset with ``--workers`` applied; a pair the
+    configuration rejects exits with its error."""
+    engine = resolve_engine(args.engine)
+    if args.workers is None:
+        return engine
+    try:
+        return engine.with_workers(args.workers)
+    except ChaseError as exc:
+        sys.exit(f"repro {command}: {exc}")
+
+
 def _format_engine_listing() -> str:
     """One line per registered engine, generated from the registry."""
     lines = []
@@ -69,7 +83,7 @@ def _format_engine_listing() -> str:
         knobs = f"mode={config.mode}"
         if config.is_parallel:
             knobs += f", workers={config.workers}"
-        if config.is_persistent:
+        if config.uses_pool:
             knobs += ", telemetry=transport"
         lines.append(f"  {config.name:<12} [{knobs}] {config.description}")
     lines.append(
@@ -106,16 +120,7 @@ def cmd_chase(args) -> int:
         sys.exit("repro chase: a rule file is required (or --list-engines)")
     rules = _load_rules(args.rules)
     instance = _load_instance(args.instance)
-    engine = resolve_engine(args.engine)
-    if args.workers is not None:
-        if not engine.is_parallel:
-            sys.exit(
-                "repro chase: --workers requires a parallel-mode engine "
-                f"(got --engine {engine.name})"
-            )
-        if args.workers < 1:
-            sys.exit("repro chase: --workers must be >= 1")
-        engine = engine.with_workers(args.workers)
+    engine = _engine("chase", args)
     trace = RunTrace() if (args.trace or args.stats) else None
     result = oblivious_chase(
         instance, rules, max_levels=args.levels, max_atoms=args.max_atoms,
@@ -158,15 +163,7 @@ def cmd_answer(args) -> int:
         if args.bindings
         else ()
     )
-    engine = resolve_engine(args.engine)
-    if args.workers is not None:
-        if not engine.is_parallel:
-            sys.exit(
-                "repro answer: --workers requires a parallel-mode engine "
-                f"(got --engine {engine.name})"
-            )
-        if args.workers < 1:
-            sys.exit("repro answer: --workers must be >= 1")
+    engine = _engine("answer", args)
     trace = RunTrace() if args.trace else None
     result = answer(
         instance,
@@ -175,7 +172,6 @@ def cmd_answer(args) -> int:
         bindings,
         strategy=args.strategy,
         engine=engine,
-        workers=args.workers,
         max_levels=args.levels,
         max_atoms=args.max_atoms,
         trace=trace,

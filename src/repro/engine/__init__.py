@@ -4,10 +4,11 @@ Every saturation in the library (the three chase variants and the
 semi-naive Datalog closure) runs on the machinery in this package: one
 strategy-driven saturation loop (:class:`ChaseRunner` +
 :class:`VariantPolicy` in :mod:`repro.engine.runner`), one shared
-pivot-decomposition core, one engine registry, one scheduler for parallel
-fan-out, and one batched firing path.  The variant modules under
-``repro.chase`` (and the closure in ``repro.rewriting.datalog``) are thin
-policy declarations over the runner.
+pivot-decomposition core, one engine registry, one fan-out backend (the
+persistent :class:`WorkerPool`, driven by the :class:`RoundScheduler`),
+and one batched firing path.  The variant modules under ``repro.chase``
+(and the closure in ``repro.rewriting.datalog``) are thin policy
+declarations over the runner.
 
 Engine selection
 ----------------
@@ -15,42 +16,36 @@ APIs that run rounds accept ``engine=`` as a registered name or an
 explicit :class:`EngineConfig`:
 
 ======================  =====================================================
-``engine="delta"``      Sequential semi-naive enumeration (chase default):
+``engine="delta"``      Sequential semi-naive enumeration (the default):
                         each round matches rule bodies pivoted on the
                         previous round's delta through the positional index.
 ``engine="naive"``      Full re-match reference engine; the ground truth
                         the others are tested against.
-``engine="parallel"``   Sharded scheduler + batched firing (closure
-                        default).  ``EngineConfig("parallel", workers=8)``
-                        tunes the pool; ``use_processes=True`` swaps the
-                        thread pool for processes.
-``engine="persistent"`` The parallel engine on persistent delta-fed
-                        process workers (:class:`WorkerPool`): replicas
-                        seeded once, per-round delta sync instead of
-                        per-round full-context pickles, sharded firing,
-                        and the restricted chase's head-satisfaction
-                        pruning run on the replicas.
-                        ``adaptive_routing=True`` swaps the
-                        hash-uniform shard placement for size-balanced
-                        bin packing.  Replicas are id-native
-                        :class:`ColumnarInstance` columns by default
-                        (``columnar=False`` restores object replicas
-                        for ablation); ``shared_memory=True`` moves
-                        payloads above ``shm_threshold`` bytes off the
-                        pipes into :class:`SegmentPool` shared-memory
-                        segments.
+``engine="parallel"``   The parallel mode at one worker: rounds run
+                        inline.  ``EngineConfig("parallel", workers=8)``
+                        runs them on an eight-process pool.
+``engine="persistent"`` The parallel mode at four workers, on persistent
+                        delta-fed process workers (:class:`WorkerPool`):
+                        id-native :class:`ColumnarInstance` replicas
+                        seeded once, per-round delta sync, sharded
+                        firing, and the restricted chase's
+                        head-satisfaction pruning run on the replicas.
+                        ``shared_memory=True`` moves payloads above
+                        ``shm_threshold`` bytes off the pipes into
+                        :class:`SegmentPool` shared-memory segments.
 ======================  =====================================================
 
+A parallel-mode round runs one of two ways: inline at ``workers=1``, or
+on the pool at ``workers > 1`` (:attr:`EngineConfig.uses_pool`).
 Unknown names raise :class:`~repro.errors.ChaseError` listing the valid
 engines; :func:`register_engine` adds presets.
 
 Sharding
 --------
-The parallel engine routes each round's delta through a
+On the pool each round's delta is routed through a
 :class:`~repro.engine.shards.ShardedIndex`: atoms are hash-partitioned
-into per-shard positional-indexed instances (with per-shard ``delta_since``
-views), one enumeration task runs per non-empty shard against the full
-instance, and the shard count defaults to the worker count.  Shard
+into per-shard views, each worker enumerates its shards' views against
+its replica, and the shard count defaults to the worker count.  Shard
 assignment is invisible in the results.
 
 Determinism guarantees
@@ -59,20 +54,20 @@ All engines fire the same triggers in the same canonical order — per rule
 in rule-set order, matches sorted by body-variable image — and therefore
 produce bit-identical :class:`~repro.chase.result.ChaseResult` instances:
 same atoms, levels, timestamps, null names and provenance records.  For
-the parallel engine this holds for *every* worker/shard count because the
-merge is a keyed union on canonical images followed by a sort; the
-equivalence suite (``tests/test_engine_parallel.py``) pins this across the
-corpus families.
+the pool this holds for *every* worker/shard count because the merge is
+a keyed union on canonical images followed by a sort; the equivalence
+suite (``tests/test_runner_equivalence.py``) pins this across the corpus
+families.
 
 Performance model
 -----------------
-The batched firing path (:mod:`repro.engine.batch`) amortizes provenance
-recording over a whole round, and the closure's derivation mode skips
-trigger identity entirely — these wins apply even single-threaded, which
-is what ``engine="parallel"`` buys on a GIL build (see
-``benchmarks/bench_exp13_parallel.py``).  Thread fan-out adds concurrency
-on free-threaded builds; ``use_processes=True`` trades per-round pickling
-for GIL-free matching on multicore machines.
+Existential-free rules join on integer rows (the join kernel in
+:mod:`repro.engine.core`), and the batched firing path
+(:mod:`repro.engine.batch`) amortizes provenance recording over a whole
+round — both inline, on every engine but ``naive``.  The pool adds
+multicore matching for closures and chases whose per-round work
+outweighs the per-round delta sync (see
+``benchmarks/bench_exp13_parallel.py`` and ``bench_exp14_persistent.py``).
 """
 
 from repro.engine.batch import RoundOutcome, fire_round

@@ -165,10 +165,10 @@ def fire_round(
         trigger's round-start satisfaction and parked its head.
         ``claim`` is ignored — the split gate owns claiming.
     scheduler:
-        An optional :class:`~repro.engine.scheduler.RoundScheduler`.  When
-        its backend shards firing (persistent workers, or a legacy process
-        pool) and the round is batched, head instantiation fans
-        out across the pool via :meth:`RoundScheduler.fire_round
+        An optional :class:`~repro.engine.scheduler.RoundScheduler` (the
+        runner passes one when rounds run on the worker pool).  When the
+        round is batched, head instantiation fans out across the pool
+        via :meth:`RoundScheduler.fire_round
         <repro.engine.scheduler.RoundScheduler.fire_round>` — same claims
         (in budget-safe chunks, so stateful claims stay lazy and
         exactly-once), same null names, same provenance order, same

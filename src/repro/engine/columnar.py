@@ -1,41 +1,26 @@
-"""Columnar id-native instances: one encoding from store to wire.
+"""Columnar id-native instances: one encoding from wire to store.
 
-The persistent pool's PR 6 wire codec interns every symbol once, but the
-*stores* on both ends of the pipe stayed object-shaped: worker replicas
-decode each packed sync buffer back into ``Atom`` objects and re-index
-them from scratch, and every ``delta_since`` re-encodes object atoms the
-encoder has already packed before.  A :class:`ColumnarInstance` removes
-that round-trip: atoms live as flat integer rows over the pool's shared
-symbol tables, in exactly the id space of :mod:`repro.engine.wire`.
+A :class:`ColumnarInstance` keeps atoms as flat integer rows over a
+shared symbol vocabulary, in exactly the id space of
+:mod:`repro.engine.wire`.  It is the worker pool's replica type — packed
+seed and sync buffers fold straight into rows, no ``Atom`` decoded — and
+the join kernel's *id view* of an object
+:class:`~repro.logic.instances.Instance`.
 
 Layout
 ------
-One :class:`Vocabulary` (a view over the parent's
-:class:`~repro.engine.wire.WireEncoder` tables or a worker's
-:class:`~repro.engine.wire.WireDecoder` replica of them) maps ids to
-term/predicate objects and back.  Per predicate id the store keeps
+One :class:`Vocabulary` (a view over a worker's
+:class:`~repro.engine.wire.WireDecoder` replica of the parent's symbol
+tables, or a store-private table set) maps ids to term/predicate objects
+and back.  Per predicate id the store keeps
 
-* its *rows* — term-id tuples, in append order (a row's index is its
-  position there; the wire packs each as ``(pred_id, term_ids...)``),
+* its *rows* — term-id tuples, in append order,
 * a row set of the same tuples for O(1) membership (``__contains__``
   runs on ids, no ``Atom`` is built),
 * an id-level positional index ``(pred_id, position, term_id) -> rows``
   mirroring the object instance's most-selective candidate seeding.
 
 The three share one tuple object per row.
-
-Revision log and the wire
--------------------------
-The revision counter is the number of rows ever appended.  Next to the
-columns the store keeps an append-only *wire log*: each accepted row's
-LEB128 encoding, concatenated, with one byte mark per revision.
-:meth:`ColumnarInstance.packed_delta_since` is therefore a byte *slice*
-— the delta a replica or a downstream worker needs is re-served in wire
-format without touching a single id.  Ingest is symmetric:
-:meth:`ColumnarInstance.ingest_packed` walks a packed buffer with
-:func:`repro.engine.wire.iter_atom_spans` and copies each new row's span
-straight into the wire log — packed bytes in, packed bytes out, encoded
-exactly once in the row's lifetime.
 
 Id joins and lazy materialization
 ---------------------------------
@@ -54,18 +39,16 @@ speaks ``Atom``: the store implements the matcher-facing slice of the
 / ``__contains__``) by materializing atoms lazily, bucket by bucket,
 through the cached-hash :func:`~repro.logic.atoms.build_atom` fast path
 — one ``Atom`` per row ever, built only when the object matcher first
-touches its bucket.  Sync ingest, membership probes, delta extraction,
-candidate *counting* and the id joins never build objects, which is
-what takes ``decode_atoms`` out of the persistent worker's per-round
-hot path.
+touches its bucket.  Sync ingest, membership probes, candidate
+*counting* and the id joins never build objects.
 
 Ordering is inherited, not re-invented: materialized buckets are sorted
 with the library's ``Atom`` order, so every enumeration the object
 matcher seeds from a columnar replica is bit-identical to one seeded
 from an object instance — the equivalence matrix in
-``tests/test_runner_equivalence.py`` runs the persistent engine on
-columnar replicas throughout.  Row order is interning order and carries
-no meaning: nothing may be sorted or tie-broken on ids.
+``tests/test_runner_equivalence.py`` runs the pool on columnar replicas
+throughout.  Row order is interning order and carries no meaning:
+nothing may be sorted or tie-broken on ids.
 
 Columnar instances are append-only (the chase never retracts);
 ``discard`` has no columnar counterpart by design.
@@ -73,7 +56,7 @@ Columnar instances are append-only (the chase never retracts);
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.engine import wire
 from repro.errors import ChaseError
@@ -82,23 +65,21 @@ from repro.logic.predicates import Predicate
 from repro.logic.terms import Term
 
 if TYPE_CHECKING:  # annotation-only
-    from repro.engine.wire import WireDecoder, WireEncoder
+    from repro.engine.wire import WireDecoder
 
 _EMPTY_ATOMS: tuple[Atom, ...] = ()
 _EMPTY_ROWS: frozenset[tuple[int, ...]] = frozenset()
 
 
 class Vocabulary:
-    """A live id ↔ object view over one side's wire symbol tables.
+    """A live id ↔ object view over one set of symbol tables.
 
-    Both ends of the pool hold the same append-only tables in different
-    shapes — the parent's :class:`~repro.engine.wire.WireEncoder` wraps
-    ``TermTable``/``PredicateTable`` objects, a worker's
-    :class:`~repro.engine.wire.WireDecoder` holds flat lists.  The
-    vocabulary binds the four live containers (terms, term ids,
-    predicates, predicate ids) by reference, so a columnar instance
-    keyed on it sees every symbol the table learns later — no copies,
-    no synchronization.
+    A worker's :class:`~repro.engine.wire.WireDecoder` holds its replica
+    of the pool's tables as flat lists plus reverse maps; an id view
+    owns private tables of the same shape.  The vocabulary binds the
+    four live containers (terms, term ids, predicates, predicate ids) by
+    reference, so a columnar instance keyed on it sees every symbol the
+    tables learn later — no copies, no synchronization.
     """
 
     __slots__ = ("terms", "term_ids", "predicates", "predicate_ids")
@@ -114,16 +95,6 @@ class Vocabulary:
         self.term_ids = term_ids
         self.predicates = predicates
         self.predicate_ids = predicate_ids
-
-    @classmethod
-    def of_encoder(cls, encoder: "WireEncoder") -> "Vocabulary":
-        """The parent-side view over an encoder's tables."""
-        return cls(
-            encoder.terms.objects,
-            encoder.terms.ids,
-            encoder.predicates.objects,
-            encoder.predicates.ids,
-        )
 
     @classmethod
     def of_decoder(cls, decoder: "WireDecoder") -> "Vocabulary":
@@ -143,8 +114,8 @@ class Vocabulary:
     def intern_atom(self, atom: Atom) -> tuple[int, tuple[int, ...]]:
         """``atom`` as ``(pred_id, term_ids)``, interning new symbols.
 
-        Only for :meth:`private` vocabularies: a wire-table view grows
-        through its encoder or decoder, never from here.
+        Only for :meth:`private` vocabularies: a decoder's view grows
+        through its table segments, never from here.
         """
         predicate = atom.predicate
         pred_id = self.predicate_ids.get(predicate)
@@ -168,10 +139,9 @@ class ColumnarInstance:
 
     See the module docstring for the layout.  The matcher-facing methods
     mirror :class:`~repro.logic.instances.Instance` exactly (same names,
-    same deterministic orders); the id-native methods (``add_row``,
-    ``ingest_packed``, ``packed_delta_since``) are the hot path the
-    persistent protocol runs on, and ``rows`` / ``row_set`` /
-    ``positional_index`` are what the join kernel reads.
+    same deterministic orders); ``add_row`` and ``ingest_packed`` are how
+    rows arrive, and ``rows`` / ``row_set`` / ``positional_index`` are
+    what the join kernel reads.
     """
 
     __slots__ = (
@@ -179,10 +149,6 @@ class ColumnarInstance:
         "_rows",
         "_row_sets",
         "_by_position",
-        "_ranges",
-        "_revision",
-        "_wire",
-        "_wire_marks",
         "_atoms",
         "_sorted_predicate",
         "_sorted_position",
@@ -198,14 +164,6 @@ class ColumnarInstance:
         self._by_position: dict[
             tuple[int, int, int], list[tuple[int, ...]]
         ] = {}
-        # Revision log over row ranges: (pred_id, first_row, stop_row),
-        # contiguous appends to one predicate coalesce into one entry.
-        self._ranges: list[list[int]] = []
-        self._revision = 0
-        # The wire log: every accepted row's LEB128 bytes, appended in
-        # revision order; _wire_marks[r] is the log length at revision r.
-        self._wire = bytearray()
-        self._wire_marks: list[int] = [0]
         # Lazy per-row Atom cache and the sorted bucket caches the
         # matcher reads (invalidated per key on append, like Instance).
         self._atoms: dict[int, dict[tuple[int, ...], Atom]] = {}
@@ -215,17 +173,12 @@ class ColumnarInstance:
         ] = {}
 
     # ------------------------------------------------------------------
-    # Id-native mutation
+    # Id-native access and mutation
     # ------------------------------------------------------------------
 
     @property
     def vocabulary(self) -> Vocabulary:
         return self._vocabulary
-
-    @property
-    def revision(self) -> int:
-        """Rows ever appended (columnar stores are append-only)."""
-        return self._revision
 
     def row_count(self, pred_id: int) -> int:
         rows = self._row_sets.get(pred_id)
@@ -246,19 +199,8 @@ class ColumnarInstance:
         """``(pred_id, position, term_id) -> rows`` (live; read-only)."""
         return self._by_position
 
-    def add_row(
-        self,
-        pred_id: int,
-        term_ids: tuple[int, ...],
-        wire_bytes: bytes | None = None,
-    ) -> bool:
-        """Append one row; return True when it was new.
-
-        ``wire_bytes`` — the row's packed encoding, when the caller
-        already holds it (a span of an ingested buffer) — is copied into
-        the wire log verbatim; otherwise the row is packed here, the
-        only time it will ever be.
-        """
+    def add_row(self, pred_id: int, term_ids: tuple[int, ...]) -> bool:
+        """Append one row; return True when it was new."""
         rows = self._row_sets.get(pred_id)
         if rows is None:
             rows = self._row_sets[pred_id] = set()
@@ -266,10 +208,8 @@ class ColumnarInstance:
             self._atoms[pred_id] = {}
         if term_ids in rows:
             return False
-        row_list = self._rows[pred_id]
-        row = len(row_list)
         rows.add(term_ids)
-        row_list.append(term_ids)
+        self._rows[pred_id].append(term_ids)
         self._sorted_predicate.pop(pred_id, None)
         by_position = self._by_position
         for position, term_id in enumerate(term_ids):
@@ -280,109 +220,31 @@ class ColumnarInstance:
             else:
                 bucket.append(term_ids)
             self._sorted_position.pop(key, None)
-        if wire_bytes is None:
-            wire_bytes = wire.pack_ids((pred_id, *term_ids))
-        self._wire += wire_bytes
-        ranges = self._ranges
-        if ranges and ranges[-1][0] == pred_id and ranges[-1][2] == row:
-            ranges[-1][2] = row + 1
-        else:
-            ranges.append([pred_id, row, row + 1])
-        self._revision += 1
-        self._wire_marks.append(len(self._wire))
         return True
-
-    def add_atom(self, atom: Atom, encoder: "WireEncoder") -> bool:
-        """Intern ``atom``'s symbols through ``encoder`` and append it.
-
-        The parent-side ingest path (columnar
-        :class:`~repro.engine.shards.ShardedIndex` shards): interning
-        here is what puts the symbols on the next table segment, so the
-        row's ids are resolvable wherever the segment has been replayed.
-        """
-        pred_id = encoder.predicates.intern(atom.predicate)
-        intern = encoder.terms.intern
-        return self.add_row(pred_id, tuple(intern(t) for t in atom.args))
 
     # checks: hot
     def ingest_packed(self, data: bytes) -> int:
         """Fold one wire-format atom buffer in; return the new-row count.
 
-        Each atom's byte span is copied into the wire log as-is when the
-        row is new — no re-encoding — and duplicate rows are dropped
-        (sync streams are deduplicated already; seed-after-resize
-        replays are not).
+        The buffer is ``(pred_id, term_ids...)`` per atom, delimited by
+        each predicate's arity; every row is a slice of the unpacked id
+        tuple, so no ``Atom`` is built.  Duplicate rows are dropped.
         """
-        if not data:
-            return 0
+        ids = tuple(wire.unpack_ids(data))
         predicates = self._vocabulary.predicates
+        add_row = self.add_row
         added = 0
-        for pred_id, term_ids, start, stop in wire.iter_atom_spans(
-            data, lambda p: predicates[p].arity
-        ):
-            if self.add_row(pred_id, term_ids, data[start:stop]):
+        position = 0
+        end = len(ids)
+        while position < end:
+            pred_id = ids[position]
+            stop = position + 1 + predicates[pred_id].arity
+            if stop > end:
+                raise ChaseError("truncated packed atom stream")
+            if add_row(pred_id, ids[position + 1:stop]):
                 added += 1
+            position = stop
         return added
-
-    # ------------------------------------------------------------------
-    # Deltas: served by slicing, not re-encoding
-    # ------------------------------------------------------------------
-
-    # checks: hot
-    def packed_delta_since(self, revision: int) -> bytes:
-        """The wire-format bytes of every row appended after ``revision``.
-
-        One slice of the append-only wire log — exactly the buffer
-        :meth:`~repro.engine.wire.WireEncoder.encode_atoms` would build
-        from the same rows, at the cost of a memcpy.
-        """
-        if revision < 0 or revision > self._revision:
-            raise ChaseError(
-                f"columnar delta revision {revision} out of range "
-                f"(store at {self._revision})"
-            )
-        return bytes(self._wire[self._wire_marks[revision]:])
-
-    def delta_rows_since(
-        self, revision: int
-    ) -> Iterator[tuple[int, tuple[int, ...]]]:
-        """``(pred_id, term_ids)`` rows appended after ``revision``."""
-        remaining = self._revision - revision
-        if remaining <= 0:
-            return
-        for pred_id, first, stop in self._suffix_ranges(remaining):
-            for row in self._rows[pred_id][first:stop]:
-                yield pred_id, row
-
-    def _suffix_ranges(
-        self, remaining: int
-    ) -> list[tuple[int, int, int]]:
-        """The trailing ``remaining`` rows as forward-order range triples.
-
-        Ranges are appended in revision order, so the suffix is found by
-        a reversed scan and flipped back before use.
-        """
-        suffix: list[tuple[int, int, int]] = []
-        for pred_id, first, stop in reversed(self._ranges):
-            width = stop - first
-            if width >= remaining:
-                suffix.append((pred_id, stop - remaining, stop))
-                break
-            suffix.append((pred_id, first, stop))
-            remaining -= width
-        suffix.reverse()
-        return suffix
-
-    def delta_atoms_since(self, revision: int) -> list[Atom]:
-        """Materialized delta atoms, in append order."""
-        remaining = self._revision - revision
-        if remaining <= 0:
-            return []
-        atoms: list[Atom] = []
-        for pred_id, first, stop in self._suffix_ranges(remaining):
-            for row in self._rows[pred_id][first:stop]:
-                atoms.append(self._atom_at(pred_id, row))
-        return atoms
 
     # ------------------------------------------------------------------
     # Materialization
@@ -493,8 +355,3 @@ class ColumnarInstance:
     def sorted_atoms(self) -> list[Atom]:
         """Every atom, materialized, in the library's deterministic order."""
         return sorted(self)
-
-    # Convenience for object-shaped callers (tests, ShardedIndex ingest
-    # fallbacks); the protocol hot paths use ingest_packed/add_row.
-    def update(self, atoms: Iterable[Atom], encoder: "WireEncoder") -> int:
-        return sum(1 for atom in atoms if self.add_atom(atom, encoder))

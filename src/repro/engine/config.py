@@ -2,34 +2,30 @@
 
 The chase variants and the Datalog closure accept an ``engine`` argument
 that is either a registered engine *name* or an :class:`EngineConfig`
-instance.  The registry replaces the ad-hoc ``engine="delta"|"naive"``
-string checks that used to live in ``chase/oblivious.py``: every entry
-point resolves its argument through :func:`resolve_engine`, which raises a
-:class:`~repro.errors.ChaseError` naming the valid engines on a typo.
+instance.  Every entry point resolves its argument through
+:func:`resolve_engine`, which raises a :class:`~repro.errors.ChaseError`
+naming the valid engines on a typo.
 
 Built-in engines
 ----------------
 ``delta``
     Sequential semi-naive enumeration (the default of every chase
-    variant): each round only matches rule bodies pivoted on the previous
-    round's delta.
+    variant and of the closure): each round only matches rule bodies
+    pivoted on the previous round's delta.
 ``naive``
     Full re-match reference implementation; kept as the ground truth the
     other engines are tested against.
 ``parallel``
-    The sharded round scheduler plus batched firing
-    (:mod:`repro.engine.scheduler`, :mod:`repro.engine.batch`): trigger
-    enumeration fans out over a worker pool (threads by default, processes
-    opt-in) and a whole round is applied with one amortized recording
-    pass.  Results are bit-identical to ``delta``.
+    The parallel mode at one worker: rounds run inline, exactly like
+    ``delta``.  Raise ``workers`` to run them on the worker pool.
 ``persistent``
-    The parallel engine backed by persistent delta-fed process workers
-    (:mod:`repro.engine.workers`): each worker holds a long-lived replica
-    of the instance seeded once at pool start and synced with only the
-    per-round delta, and both enumeration *and* firing are sharded across
-    the pool.  ``"persistent"`` is sugar for ``mode="parallel"`` with
-    ``persistent=True``; results are bit-identical to ``delta`` for every
-    worker/shard count.
+    The parallel mode at four workers: rounds run on the persistent
+    :class:`~repro.engine.workers.WorkerPool` (:mod:`repro.engine.scheduler`).
+    Each worker holds a long-lived replica of the instance, seeded once
+    and synced with only the per-round delta, and both enumeration *and*
+    firing are sharded across the pool.  ``"persistent"`` is a spelling
+    of ``mode="parallel"``; results are bit-identical to ``delta`` for
+    every worker/shard count.
 """
 
 from __future__ import annotations
@@ -38,15 +34,15 @@ from dataclasses import dataclass, replace
 
 from repro.errors import ChaseError
 
-#: Default fan-out of the ``parallel`` engine.  Chosen for laptop-scale
-#: corpora; raise it via an explicit :class:`EngineConfig` on bigger boxes.
+#: Pool size of the ``persistent`` preset.  Chosen for laptop-scale
+#: corpora; set it via an explicit :class:`EngineConfig` on bigger boxes.
 DEFAULT_PARALLEL_WORKERS = 4
 
 
 #: The execution modes the chase variants know how to dispatch on.
 #: ``"persistent"`` is accepted as a mode spelling but normalizes to
-#: ``mode="parallel"`` + ``persistent=True`` at construction — the chase
-#: variants only ever dispatch on the first three.
+#: ``mode="parallel"`` at construction — the chase variants only ever
+#: dispatch on the first three.
 MODES = ("delta", "naive", "parallel", "persistent")
 
 
@@ -62,62 +58,30 @@ class EngineConfig:
         use any name (e.g. ``"turbo"``).
     mode:
         The execution mode the chase variants dispatch on — one of
-        ``"delta"``, ``"naive"``, ``"parallel"``.  Defaults to ``name``;
-        a preset under a custom name must set it explicitly.  Validated
-        at construction, so a typo raises instead of silently running
-        the wrong engine.
+        ``"delta"``, ``"naive"``, ``"parallel"`` (``"persistent"`` is
+        accepted as a spelling of ``"parallel"``).  Defaults to
+        ``name``; a preset under a custom name must set it explicitly.
+        Validated at construction, so a typo raises instead of silently
+        running the wrong engine.
     workers:
-        Worker-pool size used by the parallel scheduler.  ``1`` runs the
-        sharded enumeration inline (useful for debugging and for the
-        determinism tests); ignored by the sequential engines.
+        Worker-pool size of the parallel mode.  ``1`` runs every round
+        inline; more runs rounds on a persistent
+        :class:`~repro.engine.workers.WorkerPool` of that many processes
+        (see :attr:`uses_pool`).  The sequential modes run in-process,
+        so they reject ``workers > 1`` instead of ignoring it.
     shards:
         Number of hash shards the per-round delta is split into.  ``0``
         (the default) means one shard per worker.  The shard count never
         affects results — only how enumeration work is distributed.
-    use_processes:
-        When True the scheduler uses a process pool instead of threads.
-        Opt-in: processes sidestep the GIL for large per-round matching
-        but pay pickling costs proportional to the instance per round.
-    persistent_workers:
-        When True the scheduler runs on the persistent
-        :class:`~repro.engine.workers.WorkerPool` instead of an executor:
-        worker processes keep long-lived instance replicas fed by
-        per-round deltas (no full-context pickle per round) and the
-        firing path is sharded across the pool too.  Implies a
-        parallel-mode engine; ``use_processes`` is irrelevant (the pool
-        is always processes).
-    adaptive_routing:
-        When True, the persistent pool's shard→worker placement is
-        size-balanced instead of hash-uniform: each round's non-empty
-        shards are binned onto workers largest-first by their estimated
-        byte weight (:func:`repro.engine.shards.atom_weight`), so one hot
-        predicate hashing into one shard no longer serializes the pool.
-        Default False — hash-uniform round-robin placement is kept as the
-        reference.  Requires ``persistent_workers`` (the executor
-        backends have no shard→worker placement: their task queues
-        load-balance dynamically); placement never affects results, only
-        load balance.
-    columnar:
-        When True (the default), persistent workers hold id-native
-        :class:`~repro.engine.columnar.ColumnarInstance` replicas
-        instead of object-level instances: packed sync buffers fold
-        straight into id rows (no per-round ``decode_atoms``), and the
-        join kernel reads those rows directly, where an object replica
-        first builds a private id view of itself.  Atoms materialize
-        only for existential rules, which the object matcher runs.  An
-        ablation knob — results are bit-identical either way; ignored
-        by the non-persistent engines.
     shared_memory:
-        When True, the persistent pool routes payloads of at least
+        When True, the worker pool routes payloads of at least
         ``shm_threshold`` bytes (seed rows, sync deltas, pivot/task
         buffers) through :class:`~repro.engine.shm.SegmentPool`
         shared-memory segments; the pipes carry only small control
         envelopes holding ``(segment, offset, length)`` refs.  Opt-in
-        (default False) and requires ``persistent_workers`` — the other
-        backends have no long-lived processes to share segments with.
-        Raises at pool start when the platform has no working
-        ``multiprocessing.shared_memory`` (see
-        :func:`repro.engine.shm.shm_available`).
+        (default False) and parallel mode only.  Raises at pool start
+        when the platform has no working ``multiprocessing.shared_memory``
+        (see :func:`repro.engine.shm.shm_available`).
     shm_threshold:
         Minimum payload size, in bytes, that rides shared memory when
         ``shared_memory`` is on.  Below it the raw bytes stay in the
@@ -133,10 +97,6 @@ class EngineConfig:
     mode: str = ""
     workers: int = 1
     shards: int = 0
-    use_processes: bool = False
-    persistent_workers: bool = False
-    adaptive_routing: bool = False
-    columnar: bool = True
     shared_memory: bool = False
     shm_threshold: int = 256
     description: str = ""
@@ -152,34 +112,27 @@ class EngineConfig:
             )
         if self.mode == "persistent":
             object.__setattr__(self, "mode", "parallel")
-            object.__setattr__(self, "persistent_workers", True)
-        if self.persistent_workers and self.mode != "parallel":
+        if self.workers < 1:
             raise ChaseError(
-                f"engine {self.name!r}: persistent_workers requires a "
-                f"parallel-mode engine (got mode {self.mode!r})"
+                f"engine {self.name!r} needs at least 1 worker, "
+                f"got {self.workers}"
             )
-        if self.adaptive_routing and not self.persistent_workers:
+        if self.workers > 1 and self.mode != "parallel":
             raise ChaseError(
-                f"engine {self.name!r}: adaptive_routing requires "
-                f"persistent workers — the executor backends have no "
-                f"shard→worker placement to balance (their task queues "
-                f"load-balance dynamically)"
+                f"engine {self.name!r} runs sequentially (mode "
+                f"{self.mode!r}); workers={self.workers} needs a "
+                f"parallel-mode engine"
             )
-        if self.shared_memory and not self.persistent_workers:
+        if self.shared_memory and self.mode != "parallel":
             raise ChaseError(
-                f"engine {self.name!r}: shared_memory requires persistent "
-                f"workers — only the long-lived pool has processes to "
-                f"share segments with"
+                f"engine {self.name!r}: shared_memory requires a "
+                f"parallel-mode engine — only the worker pool has "
+                f"processes to share segments with"
             )
         if self.shm_threshold < 1:
             raise ChaseError(
                 f"engine {self.name!r} needs a positive shm_threshold, "
                 f"got {self.shm_threshold}"
-            )
-        if self.workers < 1:
-            raise ChaseError(
-                f"engine {self.name!r} needs at least 1 worker, "
-                f"got {self.workers}"
             )
         if self.shards < 0:
             raise ChaseError(
@@ -188,7 +141,7 @@ class EngineConfig:
 
     @property
     def is_parallel(self) -> bool:
-        """True when rounds go through the sharded scheduler."""
+        """True for the parallel mode (inline or pooled)."""
         return self.mode == "parallel"
 
     @property
@@ -197,9 +150,9 @@ class EngineConfig:
         return self.mode == "naive"
 
     @property
-    def is_persistent(self) -> bool:
+    def uses_pool(self) -> bool:
         """True when rounds run on the persistent worker pool."""
-        return self.persistent_workers
+        return self.mode == "parallel" and self.workers > 1
 
     @property
     def shard_count(self) -> int:
@@ -207,7 +160,7 @@ class EngineConfig:
         return self.shards or self.workers
 
     def with_workers(self, workers: int) -> "EngineConfig":
-        """Return a copy with a different worker-pool size."""
+        """Return a copy with a different worker-pool size (validated)."""
         return replace(self, workers=workers)
 
 
@@ -230,10 +183,9 @@ _REGISTRY: dict[str, EngineConfig] = {
     ),
     "parallel": EngineConfig(
         "parallel",
-        workers=DEFAULT_PARALLEL_WORKERS,
         description=(
-            "sharded round scheduler (threads) plus batched firing; "
-            "bit-identical for every worker/shard count"
+            "parallel mode at one worker: rounds run inline; raise "
+            "--workers to run them on the worker pool"
         ),
     ),
     "persistent": EngineConfig(
@@ -266,7 +218,7 @@ def register_engine(config: EngineConfig, *, replace_existing: bool = False) -> 
 
     Third parties can add tuned presets — e.g.
     ``EngineConfig("turbo", mode="parallel", workers=8,
-    use_processes=True)`` — and select them by name everywhere an
+    shared_memory=True)`` — and select them by name everywhere an
     ``engine`` argument is accepted; the preset's ``mode`` decides how
     the chase variants dispatch it.
     """

@@ -19,8 +19,8 @@ Two matchers run it.  :func:`delta_homomorphisms` is the object matcher
 oblivious and semi-oblivious chases.  The restricted chase's
 :func:`rule_unsatisfied_images` and the closure's
 :func:`derive_delta_atoms` run existential-free rules on the *join
-kernel* instead, on every backend that calls them (inline, scheduler
-shards, worker replicas).  The kernel compiles a rule into one slot
+kernel* instead, wherever they run (inline and on the worker
+replicas).  The kernel compiles a rule into one slot
 program per pivot — the same pivots, the same ``_order_atoms`` atom
 order and the same most-selective positional bucket as the object
 matcher, so ``MATCHER_STATS`` counts the same searches and candidates —
@@ -175,10 +175,10 @@ def id_view(instance: Instance | ColumnarInstance) -> ColumnarInstance:
     A columnar store is its own view.  An object instance's view is a
     :class:`ColumnarInstance` over a private vocabulary, created on first
     use and brought up to date from ``instance.delta_since`` whenever the
-    instance's revision moved — so at most once per round.  The
-    scheduler calls this before fanning a round out over threads, which
-    then only read it.  The view lives in the instance's ``_id_view``
-    slot: it is never pickled and ``discard`` drops it.
+    instance's revision moved — so at most once per round.  The view
+    is per process: it lives in the instance's ``_id_view`` slot, is
+    never pickled (worker replicas are columnar stores already) and
+    ``discard`` drops it.
     """
     if isinstance(instance, ColumnarInstance):
         return instance
@@ -205,9 +205,9 @@ class _Ids:
     A symbol the vocabulary has never seen (a rule constant or head
     predicate no row mentions yet, a delta term outside the instance)
     gets a distinct negative placeholder id.  It occurs in no row, so it
-    matches nothing, and it is never written into the vocabulary — wire
-    tables and thread-shared views stay read-only — so a later round
-    that interns the symbol resolves it afresh.
+    matches nothing, and it is never written into the vocabulary — a
+    worker's wire tables grow only through table segments — so a later
+    round that interns the symbol resolves it afresh.
     """
 
     __slots__ = ("terms", "predicates", "_term_ids", "_predicate_ids",

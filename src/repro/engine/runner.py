@@ -20,8 +20,8 @@ owns that loop once:
 The chase variants (:mod:`repro.chase.oblivious`,
 :mod:`repro.chase.semi_oblivious`, :mod:`repro.chase.restricted`) and the
 Datalog closure (:mod:`repro.rewriting.datalog`) are thin policy
-declarations over this runner; engine features — new backends, sharded
-firing, adaptive routing — land here once instead of once per variant.
+declarations over this runner; engine features — the worker pool,
+sharded firing — land here once instead of once per variant.
 
 Restricted satisfaction: pruned enumeration and split rounds
 ------------------------------------------------------------
@@ -59,7 +59,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from repro.engine.batch import fire_round
 from repro.engine.config import EngineConfig, resolve_engine
-from repro.engine.core import derive_delta_atoms
+from repro.engine.core import as_delta_instance, derive_delta_atoms
 from repro.engine.scheduler import RoundScheduler
 from repro.engine.workers import TRANSPORT_STATS
 from repro.errors import ChaseBudgetExceeded, ChaseError
@@ -634,14 +634,13 @@ class ChaseRunner:
     def _derive(self, total: "Instance", rules: "RuleSet") -> set["Atom"]:
         """One derivation round on the run's engine.
 
-        ``naive`` re-derives from the whole instance; the sequential delta
-        path streams the canonical trigger enumeration (the chase
-        variants' inner loop — the reference the batched derivation mode
-        is benchmarked against); the parallel scheduler runs the sharded
-        batched derivation mode.
+        ``naive`` re-derives from the whole instance on the object
+        matcher; every other engine derives the heads whose body uses a
+        delta atom on the join kernel — inline, or sharded across the
+        worker pool.
         """
+        derived: set["Atom"] = set()
         if self.config.is_naive:
-            derived: set["Atom"] = set()
             for rule in rules:
                 derived.update(derive_delta_atoms(rule, total, total))
             return derived
@@ -652,11 +651,9 @@ class ChaseRunner:
             recorder.delta_atoms = len(delta)
         if self._scheduler is not None:
             return self._scheduler.derive_atoms(total, rules, delta)
-        from repro.chase.trigger import new_triggers_of
-
-        derived = set()
-        for trigger in new_triggers_of(total, rules, delta):
-            derived.update(trigger.mapping.apply_atoms(trigger.rule.head))
+        delta_inst = as_delta_instance(delta)
+        for rule in rules:
+            derived.update(derive_delta_atoms(rule, total, delta_inst))
         return derived
 
     # ------------------------------------------------------------------
@@ -766,7 +763,7 @@ class ChaseRunner:
         self._used = True
 
     def _open(self) -> None:
-        if self.config.is_parallel and self._scheduler is None:
+        if self.config.uses_pool and self._scheduler is None:
             self._scheduler = RoundScheduler(self.config)
 
     def _close(self) -> None:

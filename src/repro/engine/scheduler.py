@@ -1,10 +1,13 @@
 """The parallel round scheduler: sharded fan-out, canonical merge.
 
-One :class:`RoundScheduler` serves one chase (or closure) run.  Each round
+One :class:`RoundScheduler` serves one chase (or closure) run whose
+engine uses the worker pool (parallel mode at ``workers > 1``; at one
+worker the runner runs rounds inline and opens no scheduler).  Each round
 it routes the level's delta through a :class:`~repro.engine.shards.ShardedIndex`,
-fans the per-shard enumeration out over a worker pool, and merges the
-candidates back into the canonical order of the sequential delta engine —
-per rule in rule-set order, matches sorted by body-variable image — so the
+hands every worker its shards' slice of the delta on the persistent
+:class:`~repro.engine.workers.WorkerPool`, and merges the candidates
+back into the canonical order of the sequential delta engine — per rule
+in rule-set order, matches sorted by body-variable image — so the
 results are bit-identical no matter how many workers or shards ran.
 
 Workers and determinism
@@ -15,49 +18,29 @@ keyed by canonical image, equal keys imply equal (restricted) matches, and
 the merge is a keyed union followed by a sort.  The worker/shard count is
 therefore purely a throughput knob.
 
-Threads, processes, persistent workers
---------------------------------------
-The default pool is threads: enumeration only *reads* the shared instance
-(index-cache fills are idempotent, and the join kernel's id view is
-brought up to date before the fan-out), so no locking is needed, and thread
-fan-out composes with free-threaded builds and with matchers that release
-the GIL.  On a GIL build the wall-clock win of ``engine="parallel"`` comes
-from the batched firing path (:mod:`repro.engine.batch`) rather than from
-concurrency; ``use_processes=True`` opts into a process pool that
-sidesteps the GIL at the cost of pickling the instance per round (the
-blob is built once per (revision, rules) and reused across same-revision
-rounds), which pays off only when per-round matching dominates by a wide
-margin.  ``persistent_workers=True`` replaces the executor with a
-:class:`~repro.engine.workers.WorkerPool`: workers keep long-lived
-instance replicas seeded once and synced with per-round deltas, and the
-*firing* path is sharded across the pool too (:meth:`RoundScheduler.fire_round`)
-— for every batched round the :class:`~repro.engine.runner.ChaseRunner`
-policies produce.  All pool payloads — sync deltas, pivots, fire task
-slices and their replies — travel in the interned-term columnar
-encoding of :mod:`repro.engine.wire` (flat id buffers over a shared
-append-only symbol table), batched per worker: the scheduler hands the
-pool one task list per worker and gets one merged reply per worker
-back, never per-trigger messages.  The restricted chase enumerates
-through :meth:`RoundScheduler.unsatisfied_images`: every shard — a
-worker replica on the persistent backend — drops the existential-free
-matches whose ground head is already present or repeated before
-replying, so its round-start satisfaction check rides the enumeration
-itself.
-
-Shard → worker placement on the persistent pool is hash-uniform
-round-robin by default; ``EngineConfig.adaptive_routing`` switches to
-size-balanced placement (largest shard first onto the least-loaded
-worker, by wire byte weight — :func:`~repro.engine.shards.atom_weight`
-is exactly the packed-encoding cost, so routing balances the bytes the
-pool actually ships), which keeps a skewed delta — one hot predicate
-hashing into one shard — from serializing the pool.  Placement never
-affects results.
+The pool
+--------
+Workers keep long-lived instance replicas seeded once and synced with
+per-round deltas, and the *firing* path is sharded across the pool too
+(:meth:`RoundScheduler.fire_round`) — for every batched round the
+:class:`~repro.engine.runner.ChaseRunner` policies produce.  All pool
+payloads — sync deltas, pivots, fire task slices and their replies —
+travel in the interned-term encoding of :mod:`repro.engine.wire` (flat
+id buffers over a shared append-only symbol table), batched per worker:
+the scheduler hands the pool one task list per worker and gets one
+merged reply per worker back, never per-trigger messages.  Shard →
+worker placement is round-robin on the shard index.  A round whose delta
+lands in a single shard runs inline against the parent's instance
+instead; the pool's replicas catch up on its next round.  The restricted
+chase enumerates through :meth:`RoundScheduler.unsatisfied_images`:
+every shard — a worker replica, or the parent's instance inline — drops
+the existential-free matches whose ground head is already present or
+repeated before replying, so its round-start satisfaction check rides
+the enumeration itself.
 """
 
 from __future__ import annotations
 
-import pickle
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.engine.batch import RoundOutcome
@@ -65,12 +48,11 @@ from repro.obs.trace import active_round
 from repro.engine.config import EngineConfig
 from repro.engine.core import (
     derive_delta_atoms,
-    id_view,
     rule_delta_images,
     rule_unsatisfied_images,
 )
 from repro.engine.shards import ShardedIndex, atom_weight
-from repro.engine.workers import TRANSPORT_STATS, WorkerPool, _fire_payload
+from repro.engine.workers import WorkerPool
 from repro.logic.atoms import Atom
 from repro.logic.instances import Instance
 from repro.logic.substitutions import Substitution
@@ -81,8 +63,7 @@ if TYPE_CHECKING:  # annotation-only: keeps engine importable below chase
     from repro.chase.trigger import Trigger
     from repro.logic.terms import FreshSupply
 
-#: Task modes shipped to shard workers (the persistent pool's command
-#: names).
+#: Task modes run on shards (the worker pool's command names).
 _ENUMERATE = "enumerate"
 _UNSATISFIED = "enumerate_unsatisfied"
 _DERIVE = "derive"
@@ -100,7 +81,7 @@ def _run_shard(
     modes — all matches (``enumerate``) or the restricted chase's pruned
     ones (``enumerate_unsatisfied``, checked against ``instance``, the
     round-start state) — or the derived head-atom set in ``derive`` mode.
-    Top-level so process pools can pickle it by reference.
+    Runs inline in the parent and inside every pool worker.
     """
     if mode == _DERIVE:
         derived: set[Atom] = set()
@@ -111,20 +92,6 @@ def _run_shard(
         rule_unsatisfied_images if mode == _UNSATISFIED else rule_delta_images
     )
     return [images(rule, instance, view) for rule in rules]
-
-
-def _run_shard_payload(payload):
-    """Process-pool entry point: unpack one pickled shard task.
-
-    The shared (rules, instance) context arrives as one pre-pickled blob —
-    serialized once per round by the parent, shipped as raw bytes per task
-    — so the parent does a single object-graph pickle per round no matter
-    how many shards run.
-    """
-    context_blob, mode, atoms = payload
-    rules, instance = pickle.loads(context_blob)
-    view = Instance(atoms, add_top=False)
-    return _run_shard(mode, rules, instance, view)
 
 
 def _merge_images(
@@ -145,48 +112,26 @@ def _merge_images(
 
 
 class RoundScheduler:
-    """Fans per-round delta enumeration out across a worker pool.
+    """Fans per-round delta enumeration and firing out across the pool.
 
-    Create one per run and :meth:`close` it afterwards (the chase variants
-    do both); the pool and the sharded index persist across rounds.  With
-    ``workers == 1`` everything runs inline — same code path, no pool —
-    which the determinism tests use as the parallel baseline.
+    Create one per run and :meth:`close` it afterwards (the runner does
+    both); the pool and the sharded index persist across rounds.  The
+    pool spawns lazily, on the first round that fans out.
     """
 
     def __init__(self, config: EngineConfig):
         self.config = config
-        # Chase deltas never repeat an atom, so the index skips cumulative
-        # shard copies and only routes per-round views (half the memory).
-        self._index = ShardedIndex(config.shard_count, track_shards=False)
-        self._executor: Executor | None = None
+        self._index = ShardedIndex(config.shard_count)
         self._worker_pool: WorkerPool | None = None
-        # Legacy process-mode context cache: (instance, revision, rules)
-        # -> pickled blob, so two same-revision rounds (e.g. enumeration
-        # then firing, or repeated fixpoint probes) serialize the
-        # object graph once instead of once per call.
-        self._context: tuple[Instance, int, tuple[Rule, ...], bytes] | None = None
 
     # ------------------------------------------------------------------
     # Pool lifecycle
     # ------------------------------------------------------------------
 
-    def _pool(self) -> Executor:
-        if self._executor is None:
-            workers = self.config.workers
-            if self.config.use_processes:
-                self._executor = ProcessPoolExecutor(max_workers=workers)
-            else:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=workers,
-                    thread_name_prefix="repro-engine",
-                )
-        return self._executor
-
-    def _persistent_pool(self) -> WorkerPool:
+    def _pool(self) -> WorkerPool:
         if self._worker_pool is None:
             self._worker_pool = WorkerPool(
                 self.config.workers,
-                columnar=self.config.columnar,
                 shared_memory=self.config.shared_memory,
                 shm_threshold=self.config.shm_threshold,
             )
@@ -194,13 +139,9 @@ class RoundScheduler:
 
     def close(self) -> None:
         """Shut the worker pool down (idempotent)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
         if self._worker_pool is not None:
             self._worker_pool.close()
             self._worker_pool = None
-        self._context = None
 
     def __enter__(self) -> "RoundScheduler":
         return self
@@ -212,36 +153,6 @@ class RoundScheduler:
     # Round execution
     # ------------------------------------------------------------------
 
-    def _context_blob(
-        self, rules: Sequence[Rule], instance: Instance
-    ) -> bytes:
-        """The pickled ``(rules, instance)`` context of legacy process
-        mode, cached per (instance identity, revision, rules).
-
-        Enumeration and firing of one round, and repeated probes on an
-        unchanged instance, hit the cache; any mutation bumps the
-        revision and invalidates it.
-        """
-        rules = tuple(rules)
-        cached = self._context
-        if (
-            cached is not None
-            and cached[0] is instance
-            and cached[1] == instance.revision
-            and cached[2] == rules
-        ):
-            return cached[3]
-        # checks: allow[T202] -- the legacy process backend ships the whole
-        # context by design (it is the baseline the persistent pool is
-        # measured against); the bytes are budget-gated via context_bytes.
-        blob = pickle.dumps(
-            (rules, instance), protocol=pickle.HIGHEST_PROTOCOL
-        )
-        TRANSPORT_STATS.context_pickles += 1
-        TRANSPORT_STATS.context_bytes += len(blob)
-        self._context = (instance, instance.revision, rules, blob)
-        return blob
-
     def _run_round(
         self,
         mode: str,
@@ -250,12 +161,12 @@ class RoundScheduler:
         delta: Iterable[Atom],
     ) -> list:
         """Shard the delta, run one task per non-empty shard, return the
-        per-shard results in shard order."""
+        per-shard (per-worker on the pool) results."""
         views = self._index.ingest(delta)
         recorder = active_round()
         if recorder is not None:
-            # The adaptive router's cost model, reported per shard: the
-            # packed-encoding byte weight each shard routed this round.
+            # Per-shard routing weights: the packed-encoding ids each
+            # shard's view costs to ship this round.
             recorder.shard_weights = tuple(
                 sum(atom_weight(atom) for atom in view) if len(view) else 0
                 for view in views
@@ -263,63 +174,14 @@ class RoundScheduler:
         tasks = [view for view in views if len(view)]
         if not tasks:
             return []
-        if self.config.workers == 1 or len(tasks) == 1:
-            return [_run_shard(mode, rules, instance, v) for v in tasks]
-        if self.config.is_persistent:
-            pool = self._persistent_pool()
-            return pool.run_round(
-                mode, rules, instance, self._route_pivots(views, pool.size)
-            )
-        if self.config.use_processes:
-            context_blob = self._context_blob(rules, instance)
-            payloads = [
-                (context_blob, mode, tuple(v.sorted_atoms())) for v in tasks
-            ]
-            return list(self._pool().map(_run_shard_payload, payloads))
-        if mode != _ENUMERATE and any(
-            not rule.existential_order() for rule in rules
-        ):
-            # The join kernel reads the instance's id view: sync it once
-            # here so the shard threads only read it.
-            id_view(instance)
-        return list(
-            self._pool().map(
-                lambda v: _run_shard(mode, rules, instance, v), tasks
-            )
-        )
-
-    def _route_pivots(
-        self, views: Sequence[Instance], pool_size: int
-    ) -> list[list[Atom]]:
-        """Shard → worker placement for the persistent pool.
-
-        The reference placement is hash-uniform: round-robin on the shard
-        index.  With ``adaptive_routing`` the round's non-empty shard
-        views are binned onto workers largest-first by estimated byte
-        weight (greedy bin packing: heaviest view to the least-loaded
-        worker), so one hot predicate hashing into one shard no longer
-        pins the whole round's work on one worker.  Placement is a pure
-        function of the views, and — like shard routing itself — can
-        never affect results, only load balance: the merge is keyed by
-        canonical image.
-        """
-        pivots: list[list[Atom]] = [[] for _ in range(pool_size)]
-        if not self.config.adaptive_routing:
-            for shard, view in enumerate(views):
-                if len(view):
-                    pivots[shard % pool_size].extend(view.sorted_atoms())
-            return pivots
-        weights = {
-            shard: sum(atom_weight(a) for a in view)
-            for shard, view in enumerate(views)
-            if len(view)
-        }
-        loads = [0] * pool_size
-        for shard in sorted(weights, key=lambda s: (-weights[s], s)):
-            worker = min(range(pool_size), key=lambda w: (loads[w], w))
-            loads[worker] += weights[shard]
-            pivots[worker].extend(views[shard].sorted_atoms())
-        return pivots
+        if len(tasks) == 1:
+            return [_run_shard(mode, rules, instance, tasks[0])]
+        pool = self._pool()
+        pivots: list[list[Atom]] = [[] for _ in range(pool.size)]
+        for shard, view in enumerate(views):
+            if len(view):
+                pivots[shard % pool.size].extend(view.sorted_atoms())
+        return pool.run_round(mode, rules, instance, pivots)
 
     def enumerate_images(
         self,
@@ -347,9 +209,10 @@ class RoundScheduler:
         """:meth:`enumerate_images` for the restricted chase.
 
         Each shard runs :func:`~repro.engine.core.rule_unsatisfied_images`
-        against the round-start instance (a worker's synced replica on
-        the persistent backend), so existential-free matches whose ground
-        head is present or repeated never leave the shard.  Two shards
+        against the round-start instance (a worker's synced replica, or
+        the parent's instance for an inline round), so existential-free
+        matches whose ground head is present or repeated never leave the
+        shard.  Two shards
         may still each keep an image for one head;
         :func:`~repro.chase.trigger.restricted_new_triggers_of` keeps the
         smallest.
@@ -375,18 +238,6 @@ class RoundScheduler:
     # ------------------------------------------------------------------
     # Sharded firing
     # ------------------------------------------------------------------
-
-    @property
-    def can_fire_rounds(self) -> bool:
-        """True when this scheduler shards non-interleaved firing.
-
-        Only the process backends qualify: pure-Python head instantiation
-        under one GIL gains nothing from thread fan-out, so thread mode
-        keeps the inline batched path of :func:`repro.engine.batch.fire_round`.
-        """
-        return self.config.workers > 1 and (
-            self.config.is_persistent or self.config.use_processes
-        )
 
     def fire_round(
         self,
@@ -425,12 +276,12 @@ class RoundScheduler:
           stream stops at (the defensive rewind in :meth:`_fire_chunk`
           would restore it even if a chunk overran).
 
-        Returns ``None`` when this round should run inline instead (too
-        few triggers, or a non-sharding backend); the caller falls back
-        to :func:`repro.engine.batch.fire_round` with claim and supply
+        Returns ``None`` when this round should run inline instead (fewer
+        than two triggers); the caller falls back to
+        :func:`repro.engine.batch.fire_round` with claim and supply
         untouched.
         """
-        if not self.can_fire_rounds or len(triggers) < 2:
+        if len(triggers) < 2:
             return None
         # The chunk cap below assumes one application adds at most
         # max_head new atoms — exact, since outputs are head images.
@@ -496,10 +347,9 @@ class RoundScheduler:
             positions.append(supply.position)
         # Tasks reference rules by index into the chunk's distinct-rule
         # tuple (a few atoms per rule) instead of re-shipping the rule per
-        # trigger; the persistent pool further packs each worker's task
-        # list into one flat id buffer (repro.engine.wire).  Triggers
-        # whose claim parked a ground output produce no task: the parked
-        # atoms are the output.
+        # trigger; the pool packs each worker's task list into one flat
+        # id buffer (repro.engine.wire).  Triggers whose claim parked a
+        # ground output produce no task: the parked atoms are the output.
         rule_indexes: dict[Rule, int] = {}
         fire_rules: list[Rule] = []
         outputs: dict[int, set[Atom]] = {}
@@ -520,22 +370,7 @@ class RoundScheduler:
                 (index, rule_index, trigger.mapping, existential_maps[index])
             )
         if fire_rules:
-            if self.config.is_persistent:
-                pairs = self._persistent_pool().fire(
-                    fire_rules, tasks_per_worker
-                )
-            else:
-                payloads = [
-                    (tuple(fire_rules), tasks)
-                    for tasks in tasks_per_worker
-                    if tasks
-                ]
-                pairs = [
-                    pair
-                    for per_worker in self._pool().map(_fire_payload, payloads)
-                    for pair in per_worker
-                ]
-            outputs.update(pairs)
+            outputs.update(self._pool().fire(fire_rules, tasks_per_worker))
         applications = (
             (trigger, (outputs[index], existential_maps[index]))
             for index, trigger in enumerate(claimed)

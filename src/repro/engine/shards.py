@@ -1,32 +1,25 @@
-"""Hash-sharded positional indexing for parallel delta enumeration.
+"""Hash-sharded routing of per-round deltas for parallel enumeration.
 
-A :class:`ShardedIndex` partitions the atoms of a growing instance across
-``W`` shards by stable atom hash.  With ``track_shards=True`` each shard
-is itself an :class:`~repro.logic.instances.Instance`, so it carries the
-full positional index ``(predicate, position, term) -> atoms`` and its own
-revision log — ``delta_since`` works per shard exactly as it does on the
-parent instance.
-
-The parallel round scheduler feeds each worker the *delta view* of one
-shard (the shard's slice of the atoms added since the last round) as its
-pivot-candidate source; the union of the views is the round's delta, so
-the merged enumeration is exactly the sequential one.  Because chase
-deltas are disjoint by construction the scheduler runs with
-``track_shards=False``: atoms route straight into the per-round views and
-no second copy of the instance's indexes is kept.  Shard assignment is
-hash-based and therefore arbitrary — no result may depend on it, which
-the cross-engine equivalence tests enforce by varying worker/shard counts.
+A :class:`ShardedIndex` partitions each round's delta across ``W``
+shards by stable atom hash.  The parallel round scheduler hands every
+worker the *delta view* of its shards (the shard's slice of the atoms
+added since the last round) as its pivot-candidate source; the union of
+the views is the round's delta, so the merged enumeration is exactly the
+sequential one.  Chase deltas are disjoint by construction, so atoms
+route straight into the per-round views and the index keeps only
+per-shard counters.  Shard assignment is hash-based and therefore
+arbitrary — no result may depend on it, which the cross-engine
+equivalence tests enforce by varying worker/shard counts.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from repro.engine import wire
-from repro.engine.columnar import ColumnarInstance, Vocabulary
 from repro.errors import ChaseError
 from repro.logic.atoms import Atom
 from repro.logic.instances import Instance
+
 
 def atom_weight(atom: Atom) -> int:
     """Wire-transport cost of one atom, in ids.
@@ -34,73 +27,31 @@ def atom_weight(atom: Atom) -> int:
     Exactly what the atom occupies in a packed sync/pivot buffer of the
     interned-term transport (:mod:`repro.engine.wire`): one predicate id
     plus one term id per argument.  Each id costs 1–5 varint bytes on
-    the wire (1 for the dense common case), so weights and sync share
-    one encoding — a shard's weight is proportional, up to varint width
-    and the one-time symbol-table entries, to the bytes its atoms cost
-    to ship — and the adaptive router balances the quantity the
-    persistent pool actually pays for.  Arity-awareness is what
-    distinguishes a shard of wide atoms from a shard of narrow ones.
+    the wire (1 for the dense common case), so a shard's weight is
+    proportional, up to varint width and the one-time symbol-table
+    entries, to the bytes its atoms cost to ship.  Round traces report
+    it per shard (``shard_weights``).
     """
     return 1 + len(atom.args)
 
 
 class ShardedIndex:
-    """Atoms of an append-only instance, partitioned into hash shards.
+    """Routes a stream of atoms into hash shards, one batch at a time.
 
-    Each atom lives in exactly one shard, so the shards' union equals the
-    ingested atom set.  ``track_shards=False`` keeps only per-shard
-    counters instead of cumulative shard instances: :meth:`ingest` then
-    trusts the caller to never re-ingest an atom (true of ``delta_since``
-    streams), and the cumulative accessors raise :class:`ChaseError`.
-    The scheduler runs untracked; tracked mode (cumulative shard indexes
-    + per-shard ``delta_since``) is the state a persistent-worker backend
-    replicates per process.
-
-    Tracked mode is *columnar* when an ``encoder`` is supplied: each
-    shard is then an id-native
-    :class:`~repro.engine.columnar.ColumnarInstance` keyed on the
-    encoder's symbol tables, every ingested atom is interned exactly
-    once, and :meth:`packed_deltas_since` serves per-shard wire buffers
-    by slicing each shard's wire log instead of re-encoding atoms — the
-    shard state and the transport share one encoding.
+    :meth:`ingest` trusts the caller to never route an atom twice (true
+    of ``delta_since`` streams) and returns the batch's per-shard views;
+    the index itself keeps only per-shard atom counts.
     """
 
-    __slots__ = ("_shards", "_encoder", "_counts", "_weights", "_ingested")
+    __slots__ = ("_counts", "_ingested")
 
-    def __init__(
-        self,
-        shard_count: int,
-        track_shards: bool = True,
-        encoder: "wire.WireEncoder | None" = None,
-    ):
+    def __init__(self, shard_count: int):
         if shard_count < 1:
             raise ChaseError(
                 f"a sharded index needs at least 1 shard, got {shard_count}"
             )
-        if encoder is not None and not track_shards:
-            raise ChaseError(
-                "columnar shards require track_shards=True — untracked "
-                "mode keeps no shard state to key on the encoder"
-            )
-        self._encoder = encoder
-        if not track_shards:
-            self._shards = None
-        elif encoder is not None:
-            vocabulary = Vocabulary.of_encoder(encoder)
-            self._shards = tuple(
-                ColumnarInstance(vocabulary) for _ in range(shard_count)
-            )
-        else:
-            self._shards = tuple(
-                Instance(add_top=False) for _ in range(shard_count)
-            )
         self._counts = [0] * shard_count
-        self._weights = [0] * shard_count
         self._ingested = 0
-
-    # ------------------------------------------------------------------
-    # Routing
-    # ------------------------------------------------------------------
 
     @property
     def shard_count(self) -> int:
@@ -117,136 +68,27 @@ class ShardedIndex:
         # bit-identical across routings (pinned by the equivalence matrix).
         return hash(atom) % len(self._counts)
 
-    def _tracked(self) -> tuple[Instance, ...]:
-        if self._shards is None:
-            raise ChaseError(
-                "this sharded index was created with track_shards=False; "
-                "cumulative shard contents are not kept"
-            )
-        return self._shards
-
-    def shard(self, index: int) -> "Instance | ColumnarInstance":
-        """The cumulative contents of one shard (a positional-indexed
-        instance — columnar when the index was built with an encoder;
-        treat as read-only)."""
-        return self._tracked()[index]
-
-    def shards(self) -> "tuple[Instance | ColumnarInstance, ...]":
-        return self._tracked()
-
     def ingest(self, atoms: Iterable[Atom]) -> tuple[Instance, ...]:
         """Route ``atoms`` into their shards; return this batch's views.
 
         The views are small positional-indexed instances, one per shard,
         holding exactly the freshly routed atoms — the per-shard delta the
         scheduler hands each enumeration worker.  Empty views are returned
-        too (callers skip them) so view index == shard index.  In tracked
-        mode an already-ingested atom is dropped; untracked mode assumes
-        the caller streams each atom at most once.
+        too (callers skip them) so view index == shard index.
         """
-        shards = self._shards
-        encoder = self._encoder
         counts = self._counts
         count = len(counts)
         views = tuple(Instance(add_top=False) for _ in range(count))
         ingested = 0
-        weights = self._weights
         for atom in atoms:
             # checks: allow[D102] -- same routing-only bucketing as shard_of.
             index = hash(atom) % count
-            if shards is not None:
-                added = (
-                    shards[index].add_atom(atom, encoder)
-                    if encoder is not None
-                    else shards[index].add(atom)
-                )
-                if not added:
-                    continue
             if views[index].add(atom):
                 counts[index] += 1
-                weights[index] += atom_weight(atom)
                 ingested += 1
         self._ingested += ingested
         return views
 
-    # ------------------------------------------------------------------
-    # Per-shard deltas
-    # ------------------------------------------------------------------
-
-    def revision_marks(self) -> tuple[int, ...]:
-        """Snapshot of every shard's revision counter (tracked mode).
-
-        Pair with :meth:`deltas_since` for per-shard incremental reads
-        that are independent of :meth:`ingest` batch boundaries.
-        """
-        return tuple(s.revision for s in self._tracked())
-
-    def deltas_since(self, marks: Sequence[int]) -> list[list[Atom]]:
-        """Per-shard atoms added after the given revision marks."""
-        shards = self._tracked()
-        if len(marks) != len(shards):
-            raise ChaseError(
-                f"expected {len(shards)} revision marks, got {len(marks)}"
-            )
-        if self._encoder is not None:
-            return [
-                shard.delta_atoms_since(mark)
-                for shard, mark in zip(shards, marks)
-            ]
-        return [
-            shard.delta_since(mark) for shard, mark in zip(shards, marks)
-        ]
-
-    def packed_deltas_since(
-        self,
-        marks: Sequence[int],
-        encoder: "wire.WireEncoder | None" = None,
-    ) -> list[bytes]:
-        """Per-shard deltas, packed in the wire encoding (tracked mode).
-
-        The replica-per-shard transport path.  Columnar shards serve
-        this by *slicing* their append-only wire logs
-        (:meth:`~repro.engine.columnar.ColumnarInstance.packed_delta_since`)
-        — each atom was encoded exactly once, at ingest.  Object-level
-        shards re-encode their ``delta_since`` stream through
-        ``encoder`` (required in that mode), so the bytes a shard costs
-        to ship are exactly its :func:`atom_weight` sum (plus the
-        one-time symbol-table entries the encoder has not interned yet).
-        """
-        shards = self._tracked()
-        if self._encoder is not None:
-            if len(marks) != len(shards):
-                raise ChaseError(
-                    f"expected {len(shards)} revision marks, "
-                    f"got {len(marks)}"
-                )
-            return [
-                shard.packed_delta_since(mark)
-                for shard, mark in zip(shards, marks)
-            ]
-        if encoder is None:
-            raise ChaseError(
-                "object-level shards need an encoder to pack deltas; "
-                "build the index with encoder=... for sliced columnar "
-                "deltas"
-            )
-        return [
-            encoder.encode_atoms(delta)
-            for delta in self.deltas_since(marks)
-        ]
-
     def sizes(self) -> tuple[int, ...]:
         """Per-shard atom counts (load-balance diagnostics)."""
         return tuple(self._counts)
-
-    def weights(self) -> tuple[int, ...]:
-        """Cumulative per-shard estimated byte weights (diagnostics).
-
-        The same :func:`atom_weight` estimate the size-balanced
-        (``adaptive_routing``) scheduler placement applies to each
-        round's shard views, accumulated over the run — the companion of
-        :meth:`sizes` for judging whether a workload's shards are skewed
-        by bytes rather than by atom count.  Accounting only: neither
-        can ever affect results.
-        """
-        return tuple(self._weights)

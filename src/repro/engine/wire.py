@@ -150,49 +150,6 @@ def unpack_ids(data: bytes) -> list[int]:
     return ids
 
 
-# checks: hot
-def iter_atom_spans(data: bytes, arity_of) -> Iterable[tuple]:
-    """Walk a packed atom stream, yielding one ``(pred_id, term_ids,
-    start, stop)`` tuple per atom.
-
-    ``arity_of(pred_id)`` supplies the argument count that delimits each
-    atom; ``data[start:stop]`` is exactly the atom's own wire bytes, so a
-    consumer that stores rows *and* their encoding (the columnar store's
-    revision-sliced wire log) copies the bytes as-is instead of
-    re-packing them — ingest and re-serve share one encoding.
-    """
-    position = 0
-    end = len(data)
-    while position < end:
-        start = position
-        ids: list[int] = []
-        count = -1  # predicate id first, then `arity` term ids
-        while True:
-            current = 0
-            shift = 0
-            while True:
-                if position >= end:
-                    raise ChaseError("truncated packed atom stream")
-                byte = data[position]
-                position += 1
-                if byte & 0x80:
-                    current |= (byte & 0x7F) << shift
-                    shift += 7
-                else:
-                    current |= byte << shift
-                    break
-            ids.append(current)
-            if count < 0:
-                count = arity_of(current)
-            elif len(ids) == count + 1:
-                break
-            if count == 0:
-                break
-        # checks: allow[H402] -- per-atom output: the yielded term-id tuple
-        # IS the row consumers key their column stores by.
-        yield ids[0], tuple(ids[1:]), start, position
-
-
 class TermTable:
     """Append-only ``Term ↔ id`` table (parent side).
 

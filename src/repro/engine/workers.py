@@ -1,13 +1,12 @@
 """Persistent delta-fed process workers.
 
-The legacy process backend of the round scheduler re-pickles the whole
-``(rules, instance)`` context every round — the instance grows, so the
-payload grows with it.  A :class:`WorkerPool` inverts that: each worker
-process holds a *long-lived replica* of the instance, seeded once when the
-pool first runs, and every later round ships only the **per-round delta**
-(the atoms added since the replicas were last synced, straight from
-:meth:`~repro.logic.instances.Instance.delta_since`).  Payload size is
-proportional to what changed, not to what exists.
+The parallel engine's only fan-out backend.  Each worker process of a
+:class:`WorkerPool` holds a *long-lived replica* of the instance — an
+id-native :class:`~repro.engine.columnar.ColumnarInstance` — seeded once
+when the pool first runs; every later round ships only the **per-round
+delta** (the atoms added since the replicas were last synced, straight
+from :meth:`~repro.logic.instances.Instance.delta_since`).  Payload size
+is proportional to what changed, not to what exists.
 
 Protocol
 --------
@@ -32,9 +31,9 @@ pickled — that is also how the pool accounts transport in
     do — replicas always mirror the parent instance at round start.
 ``("enumerate"|"enumerate_unsatisfied"|"derive", segment, sync_buf, pivot_buf)``
     One enumeration round: fold the packed ``sync_buf`` delta into the
-    replica, then run the shared delta core with the decoded
-    ``pivot_buf`` atoms (this worker's hash shards of the delta) as the
-    pivot source against the full replica.  Replies with one packed
+    replica, then run the shared delta core with the ``pivot_buf`` rows
+    (this worker's hash shards of the delta) as the pivot source against
+    the full replica.  Replies with one packed
     buffer: per-rule image streams (the enumeration commands — the
     parent rebuilds the ``{image: hom}`` dicts from the images alone) or
     a derived atom stream (``derive``).  ``enumerate_unsatisfied`` is the
@@ -103,10 +102,7 @@ class TransportStats:
     """Byte/message counters for the pool's pipe traffic.
 
     Module-global (like ``MATCHER_STATS`` in the homomorphism matcher) so
-    benchmarks can quantify the persistent mode's payload win over the
-    per-round full-context pickles of the legacy process backend.
-    ``context_bytes``/``context_pickles`` are fed by the scheduler's
-    legacy blob cache for the same comparison.
+    benchmarks and the transport budgets can pin what the pool ships.
 
     Beyond the totals, :attr:`commands` keys per-command counters —
     ``{"messages", "bytes_sent", "bytes_received", "shm_bytes",
@@ -145,8 +141,6 @@ class TransportStats:
         "shm_segments",
         "messages",
         "seeds",
-        "context_bytes",
-        "context_pickles",
         "commands",
         "worker_seconds",
     )
@@ -162,8 +156,6 @@ class TransportStats:
         self.shm_segments = 0
         self.messages = 0
         self.seeds = 0
-        self.context_bytes = 0
-        self.context_pickles = 0
         self.commands: dict[str, dict[str, int]] = {}
         self.worker_seconds: dict[str, dict[str, float]] = {}
 
@@ -267,8 +259,7 @@ def fire_tasks(
     <repro.rules.rule.Rule.instantiate_head>` — the same code
     :meth:`Trigger.output <repro.chase.trigger.Trigger.output>` runs, so
     a worker returns exactly the atoms the sequential engine would have
-    produced.  Top-level so both process backends can ship it by
-    reference.
+    produced.
     """
     return [
         (index, rules[rule_index].instantiate_head(mapping, existential_map))
@@ -276,22 +267,15 @@ def fire_tasks(
     ]
 
 
-def _fire_payload(payload: tuple) -> list[tuple[int, set[Atom]]]:
-    """Legacy process-pool entry point for one firing slice."""
-    rules, tasks = payload
-    return fire_tasks(rules, tasks)
-
-
-def _worker_main(conn, columnar: bool = False) -> None:
+def _worker_main(conn) -> None:
     """The long-lived worker loop: one replica, one rule list, one wire
     table; per-round packed deltas in, one packed reply per round out.
 
-    With ``columnar=True`` the replica is an id-native
+    The replica is an id-native
     :class:`~repro.engine.columnar.ColumnarInstance` over the decoder's
-    table replica: packed seed/sync buffers fold straight into id rows
-    (``decode_atoms`` leaves the per-round hot path), and the delta
-    core's join kernel runs existential-free rules on those rows
-    directly; atoms materialize only for the object matcher
+    table replica: packed seed/sync buffers fold straight into id rows,
+    and the delta core's join kernel runs existential-free rules on
+    those rows directly; atoms materialize only for the object matcher
     (existential rules).  Payload fields may arrive as
     :class:`~repro.engine.shm.SegmentRef`\\ s instead of bytes; they are
     resolved against a per-worker :class:`~repro.engine.shm.SegmentReader`
@@ -314,11 +298,7 @@ def _worker_main(conn, columnar: bool = False) -> None:
     perf = time.perf_counter
     rules: tuple[Rule, ...] = ()
     decoder = wire.WireDecoder()
-    replica = (
-        ColumnarInstance(Vocabulary.of_decoder(decoder))
-        if columnar
-        else Instance(add_top=False)
-    )
+    replica = ColumnarInstance(Vocabulary.of_decoder(decoder))
     reader = shm_transport.SegmentReader()
     resolve = shm_transport.resolve
     while True:
@@ -345,45 +325,27 @@ def _worker_main(conn, columnar: bool = False) -> None:
                 _, segment, rules, atoms_buf = message
                 decoder.apply_segment(segment)
                 atoms_buf = resolve(reader, atoms_buf)
-                if columnar:
-                    decoded = perf()
-                    replica = ColumnarInstance(Vocabulary.of_decoder(decoder))
-                    replica.ingest_packed(atoms_buf)
-                else:
-                    atoms = decoder.decode_atoms(atoms_buf)
-                    decoded = perf()
-                    replica = Instance(atoms, add_top=False)
+                decoded = perf()
+                replica = ColumnarInstance(Vocabulary.of_decoder(decoder))
+                replica.ingest_packed(atoms_buf)
                 value = len(replica)
                 executed = perf()
             elif command == "sync":
                 _, segment, sync_buf = message
                 decoder.apply_segment(segment)
                 sync_buf = resolve(reader, sync_buf)
-                if columnar:
-                    decoded = perf()
-                    value = replica.ingest_packed(sync_buf)
-                else:
-                    sync_atoms = decoder.decode_atoms(sync_buf)
-                    decoded = perf()
-                    replica.update(sync_atoms)
-                    value = len(sync_atoms)
+                decoded = perf()
+                value = replica.ingest_packed(sync_buf)
                 executed = perf()
             elif command in ("enumerate", "enumerate_unsatisfied", "derive"):
                 _, segment, sync_buf, pivot_buf = message
                 decoder.apply_segment(segment)
                 sync_buf = resolve(reader, sync_buf)
                 pivot_buf = resolve(reader, pivot_buf)
-                if columnar:
-                    decoded = perf()
-                    replica.ingest_packed(sync_buf)
-                    view = ColumnarInstance(replica.vocabulary)
-                    view.ingest_packed(pivot_buf)
-                else:
-                    sync_atoms = decoder.decode_atoms(sync_buf)
-                    pivot_atoms = decoder.decode_atoms(pivot_buf)
-                    decoded = perf()
-                    replica.update(sync_atoms)
-                    view = Instance(pivot_atoms, add_top=False)
+                decoded = perf()
+                replica.ingest_packed(sync_buf)
+                view = ColumnarInstance(replica.vocabulary)
+                view.ingest_packed(pivot_buf)
                 result = _run_shard(command, rules, replica, view)
                 executed = perf()
                 if command == "derive":
@@ -424,8 +386,7 @@ class WorkerPool:
 
     Lifecycle: the pool spawns lazily on first use, is owned by one
     :class:`~repro.engine.scheduler.RoundScheduler` (and therefore one
-    chase/closure run), and is torn down by the scheduler's ``close()`` —
-    the same ``EngineConfig``-driven lifecycle as the legacy executors.
+    chase/closure run), and is torn down by the scheduler's ``close()``.
 
     Replica consistency: the pool tracks the revision its replicas are
     synced to and computes each round's sync payload with
@@ -445,7 +406,6 @@ class WorkerPool:
         self,
         size: int,
         *,
-        columnar: bool = False,
         shared_memory: bool = False,
         shm_threshold: int = shm_transport.DEFAULT_THRESHOLD,
     ):
@@ -459,7 +419,6 @@ class WorkerPool:
                 "is unavailable on this platform"
             )
         self.size = size
-        self.columnar = columnar
         self.shared_memory = shared_memory
         self.shm_threshold = shm_threshold
         self._connections: list = []
@@ -491,26 +450,22 @@ class WorkerPool:
             return
         if self.shared_memory and self._segment_pool is None:
             self._segment_pool = shm_transport.SegmentPool(self.shm_threshold)
-        self._spawn(self.size)
-        self._started = True
-
-    def _spawn(self, count: int) -> None:
-        """Start ``count`` fresh worker processes (appended in order)."""
         try:
             context = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX platforms
             context = multiprocessing.get_context("spawn")
-        for _ in range(count):
+        for _ in range(self.size):
             parent_conn, child_conn = context.Pipe(duplex=True)
             process = context.Process(
                 target=_worker_main,
-                args=(child_conn, self.columnar),
+                args=(child_conn,),
                 daemon=True,
             )
             process.start()
             child_conn.close()
             self._connections.append(parent_conn)
             self._processes.append(process)
+        self._started = True
 
     def close(self) -> None:
         """Stop every worker and reap the processes (idempotent).
@@ -578,67 +533,6 @@ class WorkerPool:
         if self._segment_pool is not None:
             self._segment_pool.close()
             self._segment_pool = None
-
-    def resize(self, size: int) -> None:
-        """Change the pool size mid-run, keeping symbol tables warm.
-
-        The run's :class:`WireEncoder` and every *surviving* worker's
-        table high-water mark are preserved — only the rows need
-        re-shipping, not the vocabulary.  The next round therefore
-        reseeds all workers (``_rules`` is cleared to force it): new
-        workers get a segment covering the whole table, survivors get an
-        empty-or-tiny segment plus the same shared row buffer, from
-        which every worker rebuilds its replica.
-
-        Shrinking stops the excess workers with the normal handshake —
-        the pool is in lockstep between rounds, so their pipes are
-        clean.  Raises on a broken pool (its pipes can't be trusted for
-        the stop handshake; close it instead).
-        """
-        if size < 1:
-            raise ChaseError(
-                f"a worker pool needs at least 1 worker, got {size}"
-            )
-        if self._broken:
-            raise ChaseError(
-                "cannot resize a broken worker pool; close it and "
-                "create a new one"
-            )
-        if not self._started:
-            self.size = size
-            self._marks = [(0, 0)] * size
-            return
-        if size < self.size:
-            stop_blob = pickle.dumps(("stop",), _PROTOCOL)
-            for worker in range(size, self.size):
-                conn = self._connections[worker]
-                try:
-                    conn.send_bytes(stop_blob)
-                    TRANSPORT_STATS.record_send("stop", len(stop_blob))
-                    if conn.poll(1.0):
-                        ack = conn.recv_bytes()
-                        TRANSPORT_STATS.record_receive("stop", len(ack))
-                except (BrokenPipeError, EOFError, OSError):
-                    pass
-                conn.close()
-            for process in self._processes[size:]:
-                process.join(timeout=5.0)
-                if process.is_alive():  # pragma: no cover - defensive
-                    process.terminate()
-                    process.join(timeout=1.0)
-            self._connections = self._connections[:size]
-            self._processes = self._processes[:size]
-            self._marks = self._marks[:size]
-        elif size > self.size:
-            self._spawn(size - self.size)
-            self._marks = self._marks + [(0, 0)] * (size - self.size)
-        self.size = size
-        # Force a rows-only reseed on the next round: replicas must be
-        # rebuilt on every worker (new ones are empty; survivors redo a
-        # cheap idempotent fold), but the preserved marks mean the seed
-        # segment for survivors carries no symbol they already hold.
-        self._rules = None
-        self._replica_revision = 0
 
     # ------------------------------------------------------------------
     # Messaging

@@ -40,11 +40,10 @@ class MatcherStats:
     how run-scoped deltas (``ChaseResult.telemetry``, ``repro analyze
     --json``) read it.
 
-    The counters are exact for the sequential engines (which is what the
-    benchmarks measure).  Under the parallel scheduler's thread pool the
-    unsynchronized ``+=`` updates may race and undercount, and process
-    workers don't report back at all — treat the numbers as sequential
-    diagnostics, not parallel-run accounting.
+    The counters are exact for every round that runs in-process (which
+    is what the benchmarks measure).  Worker-pool processes count in
+    their own copies and don't report back — treat the numbers as
+    in-process diagnostics, not pool-run accounting.
     """
 
     __slots__ = ("searches", "candidates")

@@ -6,28 +6,26 @@ the Datalog saturations that Section 5 performs on top of ``Ch(R_∃)``
 considers rule-body matches that use at least one atom derived in the
 previous round.
 
-The evaluator used to carry its own copy of the saturation loop (and,
-before that, of the pivot decomposition); it is now a *derivation-mode
-policy* over :class:`repro.engine.runner.ChaseRunner` — the same loop the
-chase variants run on, minus trigger identity and provenance (a
-saturation only needs the atom set) — and selects how rounds execute
-through the engine registry:
+The evaluator is a *derivation-mode policy* over
+:class:`repro.engine.runner.ChaseRunner` — the same loop the chase
+variants run on, minus trigger identity and provenance (a saturation
+only needs the atom set) — and selects how rounds execute through the
+engine registry:
 
-* ``"parallel"`` (the default runs it inline at one worker, see
-  :data:`DEFAULT_CLOSURE_ENGINE`): the sharded round scheduler's batched
-  *derivation mode* — heads of a whole round are collected as id rows
-  by the delta core's join kernel, one atom per distinct head, with no trigger
-  identity or canonical ordering.
-* ``"delta"``: the sequential trigger-mode inner loop shared with the
-  chase — canonical per-rule trigger streams, one head instantiation per
-  trigger.  The reference the parallel engine is benchmarked against
+* ``"delta"`` (the default): each round collects the heads whose body
+  uses a delta atom as id rows on the delta core's join kernel
+  (:func:`repro.engine.core.derive_delta_atoms`), one atom per distinct
+  head, with no trigger identity or canonical ordering.
+  ``"parallel"`` at one worker runs the same rounds.
+* ``"persistent"`` (or ``"parallel"`` with ``workers > 1``): the same
+  derivation sharded across persistent delta-fed process workers —
+  replicas seeded once, each round ships only the new atoms (for
+  closures whose per-round matching is heavy enough to beat the IPC on
+  multicore machines).
+* ``"naive"``: classic naive Datalog evaluation on the object matcher —
+  every round re-derives from the whole instance.  The reference the
+  others are checked and benchmarked against
   (``benchmarks/bench_exp13_parallel.py``).
-* ``"naive"``: classic naive Datalog evaluation — every round re-derives
-  from the whole instance.
-* ``"persistent"``: the parallel derivation mode on persistent delta-fed
-  process workers — replicas seeded once, each round ships only the new
-  atoms (for closures whose per-round matching is heavy enough to beat
-  the IPC on multicore builds).
 
 All engines produce the identical closure (a saturation is a set
 fixpoint); used by the analysis module and available as a public API for
@@ -42,15 +40,6 @@ from repro.obs.trace import RunTrace
 from repro.errors import NotARuleClassError
 from repro.logic.instances import Instance
 from repro.rules.ruleset import RuleSet
-
-
-#: The closure's default: the parallel engine's batched derivation mode
-#: run inline (no pool).  The measured win over ``"delta"`` comes from
-#: batching, not thread fan-out (see benchmarks/results/exp13_parallel.txt:
-#: workers=1 is the fastest configuration on a single-core GIL build), so
-#: the default skips pool spin-up; pass ``engine="parallel"`` or an
-#: explicit :class:`EngineConfig` to fan out on multicore builds.
-DEFAULT_CLOSURE_ENGINE = EngineConfig("parallel", workers=1)
 
 
 class ClosurePolicy(VariantPolicy):
@@ -79,7 +68,7 @@ def semi_naive_closure(
     rules: RuleSet,
     max_rounds: int = 100,
     max_atoms: int = 500_000,
-    engine: str | EngineConfig = DEFAULT_CLOSURE_ENGINE,
+    engine: str | EngineConfig = "delta",
     trace: RunTrace | None = None,
 ) -> Instance:
     """Compute the Datalog closure of ``instance`` under ``rules``.

@@ -118,6 +118,15 @@ class TestCLI:
             main(["chase"])
         assert "rule file is required" in str(excinfo.value.code)
 
+    def test_chase_workers_on_sequential_engine_errors(self, rule_file):
+        import pytest
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["chase", rule_file, "--engine", "delta", "--workers", "2"])
+        message = str(excinfo.value.code)
+        assert message.startswith("repro chase: ")
+        assert "runs sequentially" in message
+
     def test_chase_help_lists_registry_engines(self, capsys):
         import pytest
 

@@ -1,9 +1,9 @@
 """Fixture tests for the transport-boundary pass (T201-T204).
 
-The pass is scoped to ``src/repro/engine/``: pickling belongs to the two
-envelope modules (workers.py, scheduler.py), domain objects go through
-the wire codec, pipes carry explicit byte payloads, and replies come
-from pack_reply.
+The pass is scoped to ``src/repro/engine/``: pickling belongs to the
+envelope module (workers.py, both ends of every pipe), domain objects go
+through the wire codec, pipes carry explicit byte payloads, and replies
+come from pack_reply.
 """
 
 import textwrap

@@ -1,18 +1,17 @@
-"""The columnar id-native instance: one encoding from store to wire.
+"""The columnar id-native instance: one encoding from wire to store.
 
 Three angles:
 
 * store semantics — id-native add/dedup/membership, vocabulary sharing
-  with encoder and decoder tables, wire-log slicing
-  (``packed_delta_since`` byte-equal to a fresh ``encode_atoms`` of the
-  same rows, ``ingest_packed`` copying spans verbatim);
+  with a decoder's tables, ``ingest_packed`` folding packed buffers
+  straight into rows;
 * matcher-API parity — ``count`` / ``position_count`` /
   ``sorted_with_predicate`` / ``matching_position`` / iteration agree
   *exactly* (including order) with an object-level
   :class:`~repro.logic.instances.Instance` holding the same atoms, which
   is what makes columnar worker replicas bit-identical;
-* integration — columnar tracked :class:`ShardedIndex` shards and the
-  ``delta_since`` append-only fast path the pool's sync hot loop rides.
+* the ``delta_since`` append-only fast path the pool's sync hot loop
+  rides.
 """
 
 from __future__ import annotations
@@ -21,10 +20,8 @@ import random
 
 import pytest
 
-from repro.engine import wire
 from repro.engine.columnar import ColumnarInstance, Vocabulary
 from repro.engine.core import delta_homomorphisms
-from repro.engine.shards import ShardedIndex
 from repro.engine.wire import WireDecoder, WireEncoder
 from repro.errors import ChaseError
 from repro.logic.atoms import Atom
@@ -54,20 +51,37 @@ def _random_atoms(rng, n):
     return atoms
 
 
-def _parent_store(atoms):
-    """An encoder-vocabulary store with ``atoms`` interned through it."""
-    encoder = WireEncoder()
-    store = ColumnarInstance(Vocabulary.of_encoder(encoder))
-    for atom in atoms:
-        store.add_atom(atom, encoder)
-    return encoder, store
+class _Replica:
+    """A worker-style store: atoms arrive as packed buffers, over the
+    decoder's replica of one encoder's symbol tables."""
+
+    def __init__(self, atoms=()):
+        self.encoder = WireEncoder()
+        self.decoder = WireDecoder()
+        self.store = ColumnarInstance(Vocabulary.of_decoder(self.decoder))
+        self._marks = (0, 0)
+        self.feed(atoms)
+
+    def packed(self, atoms):
+        """``atoms`` packed, with the decoder caught up on their symbols."""
+        buf = self.encoder.encode_atoms(atoms)
+        self.decoder.apply_segment(self.encoder.segment(*self._marks))
+        self._marks = self.encoder.marks()
+        return buf
+
+    def feed(self, atoms):
+        return self.store.ingest_packed(self.packed(atoms))
 
 
 class TestStoreSemantics:
     def test_add_dedup_len_contains(self):
         a, b = _constants(2)
-        encoder, store = _parent_store([Atom(E, (a, b)), Atom(MARK, ())])
-        assert not store.add_atom(Atom(E, (a, b)), encoder)
+        replica = _Replica([Atom(E, (a, b)), Atom(MARK, ())])
+        store = replica.store
+        assert replica.feed([Atom(E, (a, b))]) == 0
+        e_id = store.vocabulary.predicate_ids[E]
+        (row,) = store.rows(e_id)
+        assert not store.add_row(e_id, row)
         assert len(store) == 2
         assert Atom(E, (a, b)) in store
         assert Atom(MARK, ()) in store
@@ -79,88 +93,35 @@ class TestStoreSemantics:
 
     def test_vocabulary_is_shared_by_reference(self):
         a, b, c = _constants(3)
-        encoder, store = _parent_store([Atom(E, (a, b))])
-        # Interning a new symbol after store creation is visible to the
+        replica = _Replica([Atom(E, (a, b))])
+        store = replica.store
+        # Replaying a table segment into the decoder is visible to the
         # store without any sync step.
-        store.add_atom(Atom(F, (b, c)), encoder)
+        buf = replica.packed([Atom(F, (b, c))])
+        assert c in store.vocabulary.term_ids
+        assert F in store.vocabulary.predicate_ids
+        store.ingest_packed(buf)
         assert Atom(F, (b, c)) in store
         assert store.count(F) == 1
-
-    def test_packed_delta_is_byte_equal_to_encoder_output(self):
-        # The store interns symbols in first-occurrence order, exactly as
-        # a fresh encoder packing the deduplicated stream would — so the
-        # sliced wire log is byte-identical to a from-scratch encode.
-        rng = random.Random(7)
-        atoms = _random_atoms(rng, 40)
-        _, store = _parent_store(atoms)
-        distinct = list(dict.fromkeys(atoms))
-        assert store.packed_delta_since(0) == WireEncoder().encode_atoms(
-            distinct
-        )
-
-    def test_packed_delta_mid_revision_is_a_suffix_slice(self):
-        a, b, c = _constants(3)
-        encoder, store = _parent_store([Atom(E, (a, b)), Atom(E, (b, c))])
-        mark = store.revision
-        whole_before = store.packed_delta_since(0)
-        store.add_atom(Atom(F, (c, a)), encoder)
-        whole = store.packed_delta_since(0)
-        suffix = store.packed_delta_since(mark)
-        assert whole == whole_before + suffix
-        assert store.packed_delta_since(store.revision) == b""
-
-    def test_packed_delta_revision_out_of_range(self):
-        _, store = _parent_store([Atom(MARK, ())])
-        with pytest.raises(ChaseError):
-            store.packed_delta_since(store.revision + 1)
-        with pytest.raises(ChaseError):
-            store.packed_delta_since(-1)
 
     def test_ingest_packed_round_trip_and_dedup(self):
         rng = random.Random(11)
         atoms = _random_atoms(rng, 30)
-        encoder, store = _parent_store(atoms)
-        buf = store.packed_delta_since(0)
-        decoder = WireDecoder()
-        decoder.apply_segment(encoder.segment(0, 0))
-        replica = ColumnarInstance(Vocabulary.of_decoder(decoder))
-        assert replica.ingest_packed(buf) == len(store)
+        distinct = list(dict.fromkeys(atoms))
+        replica = _Replica()
+        buf = replica.packed(atoms)
+        assert replica.store.ingest_packed(buf) == len(distinct)
         # Re-ingesting the same buffer adds nothing.
-        assert replica.ingest_packed(buf) == 0
-        assert sorted(replica) == sorted(store)
-        # The replica re-serves the exact bytes it ingested: one
-        # encoding per row, ever.
-        assert replica.packed_delta_since(0) == buf
+        assert replica.store.ingest_packed(buf) == 0
+        assert sorted(replica.store) == sorted(distinct)
+        assert replica.store.ingest_packed(b"") == 0
 
     def test_ingest_packed_truncated_stream_raises(self):
         a, b = _constants(2)
-        encoder, store = _parent_store([Atom(E, (a, b))])
-        buf = store.packed_delta_since(0)
-        decoder = WireDecoder()
-        decoder.apply_segment(encoder.segment(0, 0))
-        replica = ColumnarInstance(Vocabulary.of_decoder(decoder))
+        replica = _Replica()
+        buf = replica.packed([Atom(E, (a, b))])
         with pytest.raises(ChaseError):
-            replica.ingest_packed(buf[:-1])
-
-    def test_delta_atoms_and_rows_since(self):
-        a, b, c = _constants(3)
-        encoder, store = _parent_store([Atom(E, (a, b))])
-        mark = store.revision
-        store.add_atom(Atom(E, (b, c)), encoder)
-        store.add_atom(Atom(TAG, (a,)), encoder)
-        assert store.delta_atoms_since(mark) == [
-            Atom(E, (b, c)),
-            Atom(TAG, (a,)),
-        ]
-        assert store.delta_atoms_since(0) == [
-            Atom(E, (a, b)),
-            Atom(E, (b, c)),
-            Atom(TAG, (a,)),
-        ]
-        assert store.delta_atoms_since(store.revision) == []
-        rows = list(store.delta_rows_since(mark))
-        assert len(rows) == 2
-        assert all(isinstance(p, int) for p, _ in rows)
+            replica.store.ingest_packed(buf[:-1])
 
 
 class TestMatcherParity:
@@ -168,8 +129,7 @@ class TestMatcherParity:
 
     def _pair(self, seed=3, n=60):
         atoms = _random_atoms(random.Random(seed), n)
-        _, store = _parent_store(atoms)
-        return store, Instance(atoms, add_top=False)
+        return _Replica(atoms).store, Instance(atoms, add_top=False)
 
     def test_counts_and_membership(self):
         store, reference = self._pair()
@@ -209,10 +169,11 @@ class TestMatcherParity:
 
     def test_caches_invalidate_on_append(self):
         a, b, c = _constants(3)
-        encoder, store = _parent_store([Atom(E, (b, c))])
+        replica = _Replica([Atom(E, (b, c))])
+        store = replica.store
         first = store.sorted_with_predicate(E)
         assert first == (Atom(E, (b, c)),)
-        store.add_atom(Atom(E, (a, b)), encoder)
+        replica.feed([Atom(E, (a, b))])
         assert store.sorted_with_predicate(E) == (
             Atom(E, (a, b)),
             Atom(E, (b, c)),
@@ -228,8 +189,10 @@ class TestMatcherParity:
             for i in range(5)
         ]
         pivots = atoms[2:4]
-        _, store = _parent_store(atoms)
-        _, view = _parent_store(pivots)
+        replica = _Replica(atoms)
+        store = replica.store
+        view = ColumnarInstance(store.vocabulary)
+        view.ingest_packed(replica.packed(pivots))
         reference = list(
             delta_homomorphisms(
                 rule, Instance(atoms, add_top=False),
@@ -239,60 +202,6 @@ class TestMatcherParity:
         columnar = list(delta_homomorphisms(rule, store, view))
         assert columnar == reference
         assert reference  # the workload actually matched something
-
-
-class TestColumnarShardedIndex:
-    def test_columnar_shards_require_tracking(self):
-        with pytest.raises(ChaseError):
-            ShardedIndex(2, track_shards=False, encoder=WireEncoder())
-
-    def test_packed_deltas_served_by_slicing(self):
-        encoder = WireEncoder()
-        index = ShardedIndex(3, encoder=encoder)
-        rng = random.Random(5)
-        first = _random_atoms(rng, 25)
-        index.ingest(first)
-        marks = index.revision_marks()
-        second = [a for a in _random_atoms(rng, 25) if a not in set(first)]
-        index.ingest(second)
-        packed = index.packed_deltas_since(marks)
-        deltas = index.deltas_since(marks)
-        # Each shard's packed buffer decodes to exactly its delta atoms.
-        decoder = WireDecoder()
-        decoder.apply_segment(encoder.segment(0, 0))
-        for buf, delta in zip(packed, deltas):
-            assert decoder.decode_atoms(buf) == list(delta)
-        # The union of the deltas is the second batch, deduplicated.
-        merged = [a for delta in deltas for a in delta]
-        assert sorted(merged) == sorted(set(second))
-
-    def test_columnar_and_object_shards_agree(self):
-        rng = random.Random(9)
-        atoms = _random_atoms(rng, 40)
-        encoder = WireEncoder()
-        columnar = ShardedIndex(4, encoder=encoder)
-        plain = ShardedIndex(4)
-        columnar.ingest(atoms)
-        plain.ingest(atoms)
-        assert columnar.sizes() == plain.sizes()
-        assert columnar.weights() == plain.weights()
-        for i in range(4):
-            assert sorted(columnar.shard(i)) == sorted(plain.shard(i))
-
-    def test_tracked_dedup_across_batches(self):
-        a, b = _constants(2)
-        index = ShardedIndex(2, encoder=WireEncoder())
-        views = index.ingest([Atom(E, (a, b))])
-        assert sum(len(v) for v in views) == 1
-        views = index.ingest([Atom(E, (a, b)), Atom(F, (a, b))])
-        assert sum(len(v) for v in views) == 1
-        assert len(index) == 2
-
-    def test_object_shards_still_need_encoder_to_pack(self):
-        index = ShardedIndex(2)
-        index.ingest([Atom(MARK, ())])
-        with pytest.raises(ChaseError):
-            index.packed_deltas_since(index.revision_marks())
 
 
 class TestDeltaSinceFastPath:

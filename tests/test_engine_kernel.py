@@ -11,16 +11,14 @@ plain :class:`Instance`, a worker-style :class:`ColumnarInstance`
 replica, and an :class:`Instance` that has discarded an atom after its
 id view was built.  The remaining tests pin the id view's lifecycle
 (never pickled, dropped by ``discard``), the per-round counts of
-transitivity over ``path_instance(12)`` and the thread backend at three
-workers against ``naive``.
+transitivity over ``path_instance(12)``, and the kernel-backed
+closures — inline and on the worker pool — against ``naive``.
 """
 
 from __future__ import annotations
 
 import importlib
 import pickle
-import sys
-import threading
 
 import pytest
 
@@ -376,6 +374,7 @@ def test_existential_free_joins_never_reach_the_object_matcher(monkeypatch):
         rule_unsatisfied_images(rule, instance, instance)
         derive_delta_atoms(rule, instance, delta)
     restricted_chase(path_instance(6), rules)
+    semi_naive_closure(path_instance(6), rules, engine="delta")
 
 
 # ----------------------------------------------------------------------
@@ -449,10 +448,8 @@ def test_derive_round_counts_are_pinned():
 
 
 # ----------------------------------------------------------------------
-# Three thread workers against the naive reference
+# Kernel-backed closures against the naive reference
 # ----------------------------------------------------------------------
-
-THREADS = EngineConfig("parallel", workers=3)
 
 CLOSURE_CASES = [
     ("path_tc", lambda: path_instance(14), TC),
@@ -466,50 +463,17 @@ CLOSURE_CASES = [
     ),
 ]
 
+CLOSURE_ENGINES = [
+    pytest.param("delta", id="delta"),
+    pytest.param(EngineConfig("persistent", workers=2), id="persistent_w2"),
+]
 
+
+@pytest.mark.parametrize("engine", CLOSURE_ENGINES)
 @pytest.mark.parametrize(
     "make,rules", [c[1:] for c in CLOSURE_CASES], ids=[c[0] for c in CLOSURE_CASES]
 )
-def test_thread_closure_matches_naive(make, rules):
-    assert semi_naive_closure(make(), rules, engine=THREADS) == (
+def test_closure_matches_naive(make, rules, engine):
+    assert semi_naive_closure(make(), rules, engine=engine) == (
         semi_naive_closure(make(), rules, engine="naive")
     )
-
-
-def _assert_view_intact(instance):
-    """The attached view mirrors ``instance``: no row appended twice."""
-    view, synced = instance._id_view
-    assert synced == instance.revision
-    assert len(view) == len(instance)
-    for pred_id in range(len(view.vocabulary.predicates)):
-        assert len(view.rows(pred_id)) == len(view.row_set(pred_id))
-
-
-def test_shard_threads_only_read_the_shared_view(monkeypatch):
-    # Eight threads on a two-core box with a tiny switch interval.  The
-    # scheduler syncs the view before fanning out, so no shard thread
-    # may append to it: two of them syncing at once could intern one
-    # term twice or append one row twice.
-    writers = set()
-    add_row = ColumnarInstance.add_row
-
-    def recording_add_row(self, *args):
-        writers.add(threading.current_thread().name)
-        return add_row(self, *args)
-
-    monkeypatch.setattr(ColumnarInstance, "add_row", recording_add_row)
-    engine = EngineConfig("parallel", workers=8, shards=8)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        chased = restricted_chase(path_instance(24), TC, engine=engine)
-        closure = semi_naive_closure(path_instance(24), TC, engine=engine)
-    finally:
-        sys.setswitchinterval(interval)
-    assert writers == {threading.main_thread().name}
-    reference = restricted_chase(path_instance(24), TC, engine="naive")
-    assert chased.instance == reference.instance
-    assert chased.records() == reference.records()
-    assert closure == reference.instance
-    _assert_view_intact(chased.instance)
-    _assert_view_intact(closure)

@@ -4,9 +4,10 @@ The parallel engine's contract is the strongest the library makes: for
 every chase variant, every corpus workload, and *every* worker/shard
 count, ``engine="parallel"`` must produce a :class:`ChaseResult` that is
 bit-identical to the sequential delta engine — same atoms, levels,
-termination flag, timestamps, null names and provenance records.  The
-suite pins that contract, the registry's error behavior, the sharded
-index, the batched firing path, the Datalog closure engines, and the
+termination flag, timestamps, null names and provenance records — inline
+at one worker and on the worker pool above.  The suite pins that
+contract, the registry's error behavior, the sharded index, the batched
+firing path, the Datalog closure engines (against ``naive``), and the
 index-seeded satisfaction fast path of the restricted chase.
 """
 
@@ -156,8 +157,20 @@ class TestRegistry:
         with pytest.raises(ChaseError):
             EngineConfig("parallel", shards=-1)
 
+    def test_sequential_engines_reject_workers(self):
+        # A sequential engine runs in-process: a worker count above one
+        # would be reported in traces and provenance but never used.
+        for mode in ("delta", "naive"):
+            with pytest.raises(ChaseError, match="runs sequentially"):
+                EngineConfig(mode, workers=3)
+            with pytest.raises(ChaseError, match="runs sequentially"):
+                resolve_engine(mode).with_workers(2)
+            assert resolve_engine(mode).with_workers(1).workers == 1
+        assert EngineConfig("parallel", workers=3).uses_pool
+        assert not EngineConfig("parallel", workers=1).uses_pool
+
     def test_register_engine_roundtrip(self):
-        preset = EngineConfig("parallel", workers=2, use_processes=True)
+        original = resolve_engine("parallel")
         with pytest.raises(ChaseError):
             register_engine(EngineConfig("delta"))  # name taken
         register_engine(
@@ -166,10 +179,8 @@ class TestRegistry:
         try:
             assert resolve_engine("parallel").workers == 2
         finally:
-            register_engine(
-                EngineConfig("parallel", workers=4), replace_existing=True
-            )
-        assert preset.use_processes
+            register_engine(original, replace_existing=True)
+        assert resolve_engine("parallel") is original
 
     def test_custom_named_preset_dispatches_by_mode(self):
         # A preset under a new name must actually run its mode's engine.
@@ -208,69 +219,15 @@ class TestShardedIndex:
         routed = [a for view in views for a in view]
         assert sorted(routed) == sorted(atoms)
         assert sum(index.sizes()) == len(index) == len(atoms)
+        assert index.sizes() == tuple(len(view) for view in views)
         # Each atom lands in exactly the shard its hash names.
         for i, view in enumerate(views):
             for a in view:
                 assert index.shard_of(a) == i
-                assert a in index.shard(i)
-
-    def test_reingested_atoms_do_not_reappear(self):
-        index = ShardedIndex(2)
-        a = atom("P", "x0")
-        first = index.ingest([a])
-        assert sum(len(v) for v in first) == 1
-        second = index.ingest([a])
-        assert sum(len(v) for v in second) == 0
-        assert len(index) == 1
-
-    def test_per_shard_delta_since_views(self):
-        index = ShardedIndex(2)
-        batch1 = [atom("E", f"x{i}", f"x{i+1}") for i in range(4)]
-        index.ingest(batch1)
-        marks = index.revision_marks()
-        batch2 = [atom("F", f"x{i}", f"x{i+1}") for i in range(4)]
-        index.ingest(batch2)
-        deltas = index.deltas_since(marks)
-        assert sorted(a for d in deltas for a in d) == sorted(batch2)
-        with pytest.raises(ChaseError):
-            index.deltas_since((0,))  # wrong arity
 
     def test_shard_count_validated(self):
         with pytest.raises(ChaseError):
             ShardedIndex(0)
-
-    def test_weight_accounting_tracks_ingests(self):
-        from repro.engine.shards import atom_weight
-
-        index = ShardedIndex(3)
-        atoms = [atom("E", f"x{i}", f"x{i+1}") for i in range(12)]
-        atoms.append(atom("Wide", "a", "b", "c", "d", "e"))
-        index.ingest(atoms)
-        # Per-shard weights sum to the total estimate, mirror the count
-        # distribution, and a re-ingested atom adds nothing.
-        assert sum(index.weights()) == sum(atom_weight(a) for a in atoms)
-        for count, weight in zip(index.sizes(), index.weights()):
-            assert (count == 0) == (weight == 0)
-        index.ingest([atoms[0]])
-        assert sum(index.weights()) == sum(atom_weight(a) for a in atoms)
-        # Arity-aware: the wide atom weighs more than a binary one.
-        assert atom_weight(atoms[-1]) > atom_weight(atoms[0])
-
-    def test_untracked_mode_routes_views_without_cumulative_copies(self):
-        # The scheduler's configuration: views and counters only.
-        index = ShardedIndex(2, track_shards=False)
-        atoms = [atom("E", f"x{i}", f"x{i+1}") for i in range(6)]
-        views = index.ingest(atoms)
-        assert sorted(a for v in views for a in v) == sorted(atoms)
-        assert sum(index.sizes()) == len(index) == len(atoms)
-        for accessor in (
-            lambda: index.shard(0),
-            index.shards,
-            index.revision_marks,
-            lambda: index.deltas_since((0, 0)),
-        ):
-            with pytest.raises(ChaseError, match="track_shards"):
-                accessor()
 
 
 # ----------------------------------------------------------------------
@@ -289,6 +246,17 @@ class TestParallelEquivalence:
         parallel = run(instance, rules, levels, "parallel")
         assert_bit_identical(parallel, delta)
         assert_bit_identical(parallel, naive)
+
+    def test_pool_fanout_matches_delta(
+        self, variant, run, name, instance, rules, levels
+    ):
+        # The ``persistent`` preset fans every round out over a pool of
+        # four workers: sharded enumeration and sharded firing on the
+        # whole corpus, not just the slice in test_engine_persistent.py.
+        assert resolve_engine("persistent").uses_pool
+        delta = run(instance, rules, levels, "delta")
+        pooled = run(instance, rules, levels, "persistent")
+        assert_bit_identical(pooled, delta)
 
 
 class TestSchedulerDeterminism:
@@ -363,16 +331,6 @@ class TestSchedulerDeterminism:
                     cwd=pathlib.Path(__file__).parent.parent,
                 )
 
-    def test_process_pool_smoke(self):
-        # Opt-in process pool: same contract, tiny workload (fork cost).
-        rules = parse_rules("E(x,y), E(y,z) -> F(x,z)")
-        config = EngineConfig("parallel", workers=2, use_processes=True)
-        sequential = oblivious_chase(path_instance(5), rules, max_levels=2)
-        parallel = oblivious_chase(
-            path_instance(5), rules, max_levels=2, engine=config
-        )
-        assert_bit_identical(parallel, sequential)
-
     def test_scheduler_context_manager_closes_pool(self):
         config = EngineConfig("parallel", workers=2)
         with RoundScheduler(config) as scheduler:
@@ -385,7 +343,7 @@ class TestSchedulerDeterminism:
             images = [image for image, _ in per_rule[0]]
             assert images == sorted(images)
             assert sum(scheduler.shard_sizes()) == len(inst)
-        assert scheduler._executor is None
+        assert scheduler._worker_pool is None
 
 
 # ----------------------------------------------------------------------
@@ -447,12 +405,18 @@ class TestClosureEngines:
         )
         inst = parse_instance("E(a,b), E(b,c), E(c,a)")
         chased = oblivious_chase(inst, rules, max_levels=10).instance
-        for engine in ("parallel", "delta", "naive"):
-            assert semi_naive_closure(inst, rules, engine=engine) == chased
+        reference = semi_naive_closure(inst, rules, engine="naive")
+        assert reference == chased
+        for engine in (
+            "delta",
+            "parallel",
+            EngineConfig("persistent", workers=2),
+        ):
+            assert semi_naive_closure(inst, rules, engine=engine) == reference
 
     def test_worker_counts_agree_on_corpus(self):
         rules = parse_rules("E(x,y), E(y,z) -> E(x,z)")
-        reference = semi_naive_closure(path_instance(12), rules, engine="delta")
+        reference = semi_naive_closure(path_instance(12), rules, engine="naive")
         for workers in (1, 2, 4):
             config = EngineConfig("parallel", workers=workers)
             assert (

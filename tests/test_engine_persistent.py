@@ -1,20 +1,18 @@
-"""Persistent delta-fed workers and sharded firing: the process-mode suite.
+"""Persistent delta-fed workers and sharded firing: the pool suite.
 
-Extends the engine-equivalence suite over the two process backends —
-legacy ``use_processes=True`` (per-round context pickles, now cached per
-revision) and the persistent :class:`~repro.engine.workers.WorkerPool`
-(replicas seeded once, per-round delta sync, sharded firing) — asserting
-bit-identical instances, provenance order, timestamps, null names and
-budget-stop positions against the sequential ``delta`` engine.
+Extends the engine-equivalence suite over the persistent
+:class:`~repro.engine.workers.WorkerPool` (replicas seeded once,
+per-round delta sync, sharded firing) — asserting bit-identical
+instances, provenance order, timestamps, null names and budget-stop
+positions against the sequential ``delta`` engine.
 
-Process pools fork per run, so this file parametrizes over a reduced but
-structurally diverse slice of the corpus workloads; the full workload
-matrix runs thread-mode in ``test_engine_parallel.py``.
+Pools fork per run, so this file parametrizes over a reduced but
+structurally diverse slice of the corpus workloads at two pool shapes;
+the full workload matrix runs on the ``persistent`` preset in
+``test_engine_parallel.py``.
 """
 
 from __future__ import annotations
-
-import pickle
 
 import pytest
 
@@ -25,7 +23,6 @@ from repro.corpus.generators import path_instance, tournament_instance
 from repro.engine import (
     TRANSPORT_STATS,
     EngineConfig,
-    RoundScheduler,
     WorkerPool,
     resolve_engine,
 )
@@ -37,8 +34,8 @@ from repro.rewriting.datalog import semi_naive_closure
 from repro.rules.parser import parse_rules
 
 #: A structurally diverse slice of the shared workload list (existential
-#: growth, datalog closure, merges, stratified random) — process pools
-#: fork per run, so the full matrix stays in the thread-mode suite.
+#: growth, datalog closure, merges, stratified random) — pools fork per
+#: run, so the full matrix stays in the inline suite.
 PROCESS_WORKLOAD_NAMES = (
     "path_succ",
     "tournament_tc",
@@ -50,9 +47,11 @@ PROCESS_WORKLOAD_NAMES = (
 PROCESS_WORKLOADS = [w for w in WORKLOADS if w[0] in PROCESS_WORKLOAD_NAMES]
 PROCESS_IDS = [w[0] for w in PROCESS_WORKLOADS]
 
+#: Two pool shapes: shards defaulting to one per worker, and an odd
+#: worker count over more shards than workers (a worker owns several).
 PROCESS_MODES = [
-    ("legacy_processes", EngineConfig("parallel", workers=2, use_processes=True)),
     ("persistent", EngineConfig("persistent", workers=2)),
+    ("persistent_w3s7", EngineConfig("persistent", workers=3, shards=7)),
 ]
 
 
@@ -66,41 +65,29 @@ class TestPersistentConfig:
         config = resolve_engine("persistent")
         assert config.mode == "parallel"
         assert config.is_parallel
-        assert config.is_persistent
-        assert config.persistent_workers
+        assert config.uses_pool
 
     def test_explicit_knob_on_parallel_mode(self):
-        config = EngineConfig("parallel", workers=3, persistent_workers=True)
-        assert config.is_persistent
-        assert config.with_workers(2).is_persistent
+        # Pool use is derived from the worker count alone.
+        config = EngineConfig("parallel", workers=3)
+        assert config.uses_pool
+        assert config.with_workers(2).uses_pool
+        assert not config.with_workers(1).uses_pool
 
     def test_persistent_requires_parallel_mode(self):
         with pytest.raises(ChaseError, match="parallel-mode"):
-            EngineConfig("delta", persistent_workers=True)
+            EngineConfig("delta", workers=2)
+        with pytest.raises(ChaseError, match="parallel-mode"):
+            EngineConfig("delta", shared_memory=True)
 
     def test_persistent_spelled_as_mode(self):
         config = EngineConfig("custom", mode="persistent", workers=2)
         assert config.mode == "parallel"
-        assert config.is_persistent
-
-    def test_adaptive_routing_requires_persistent_workers(self):
-        config = EngineConfig("persistent", workers=2, adaptive_routing=True)
-        assert config.adaptive_routing
-        # The executor backends have no shard→worker placement to
-        # balance, so the knob is rejected rather than silently ignored.
-        with pytest.raises(ChaseError, match="adaptive_routing"):
-            EngineConfig("parallel", workers=2, adaptive_routing=True)
-        with pytest.raises(ChaseError, match="adaptive_routing"):
-            EngineConfig(
-                "parallel", workers=2, use_processes=True,
-                adaptive_routing=True,
-            )
-        with pytest.raises(ChaseError, match="adaptive_routing"):
-            EngineConfig("delta", adaptive_routing=True)
+        assert config.uses_pool
 
 
 # ----------------------------------------------------------------------
-# Cross-engine equivalence over the process backends
+# Cross-engine equivalence over the pool
 # ----------------------------------------------------------------------
 
 
@@ -136,7 +123,7 @@ class TestPersistentDeterminism:
 
     def test_closure_on_persistent_pool(self):
         rules = parse_rules("E(x,y), E(y,z) -> E(x,z)")
-        reference = semi_naive_closure(path_instance(12), rules, engine="delta")
+        reference = semi_naive_closure(path_instance(12), rules, engine="naive")
         config = EngineConfig("persistent", workers=2)
         assert semi_naive_closure(path_instance(12), rules, engine=config) == reference
 
@@ -465,46 +452,3 @@ class TestWorkerPoolFailureTeardown:
         # A closed broken pool still refuses reuse.
         with pytest.raises(ChaseError, match="broken"):
             pool._start()
-
-
-# ----------------------------------------------------------------------
-# Legacy process mode: context blob reuse
-# ----------------------------------------------------------------------
-
-
-class TestContextBlobReuse:
-    def test_same_revision_rounds_share_one_pickle(self):
-        config = EngineConfig("parallel", workers=2, use_processes=True)
-        rules = list(parse_rules("E(x,y), E(y,z) -> F(x,z)"))
-        instance = Instance(
-            [atom("E", f"x{i}", f"x{i + 1}") for i in range(8)]
-        )
-        delta = instance.sorted_atoms()
-        with RoundScheduler(config) as scheduler:
-            TRANSPORT_STATS.reset()
-            first = scheduler.enumerate_images(instance, rules, delta)
-            assert TRANSPORT_STATS.context_pickles == 1
-            # Unchanged instance + rules: the blob is reused verbatim.
-            second = scheduler.enumerate_images(instance, rules, delta)
-            assert TRANSPORT_STATS.context_pickles == 1
-            assert first == second
-            # A mutation bumps the revision and invalidates the cache
-            # (queried directly: a 1-atom delta round would run inline
-            # without pickling at all).
-            instance.add(atom("E", "y0", "y1"))
-            scheduler._context_blob(rules, instance)
-            assert TRANSPORT_STATS.context_pickles == 2
-
-    def test_blob_content_roundtrips(self):
-        config = EngineConfig("parallel", workers=2, use_processes=True)
-        rules = tuple(parse_rules("E(x,y) -> F(x,y)"))
-        instance = Instance([atom("E", "a", "b")])
-        scheduler = RoundScheduler(config)
-        try:
-            blob = scheduler._context_blob(rules, instance)
-            assert scheduler._context_blob(rules, instance) is blob
-            loaded_rules, loaded_instance = pickle.loads(blob)
-            assert loaded_rules == rules
-            assert loaded_instance == instance
-        finally:
-            scheduler.close()

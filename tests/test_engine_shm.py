@@ -263,47 +263,3 @@ class TestWorkerPoolSharedMemory:
         # The broken-pool path closed the segment pool: nothing strands
         # in /dev/shm even though a ref may have been in flight.
         assert active_segments() == frozenset()
-
-    def test_resize_keeps_symbol_tables_warm(self):
-        instance = _chain(20)
-        delta = instance.sorted_atoms()
-        with WorkerPool(2, shared_memory=True, shm_threshold=64) as pool:
-            first = pool.run_round("enumerate", RULES, instance, [delta, []])
-            marks_before = list(pool._marks)
-            assert marks_before[0] != (0, 0)  # symbols were shipped
-
-            pool.resize(3)
-            # Survivors keep their table high-water marks; the new
-            # worker starts empty.
-            assert pool._marks[:2] == marks_before
-            assert pool._marks[2] == (0, 0)
-
-            TRANSPORT_STATS.reset()
-            again = pool.run_round(
-                "enumerate", RULES, instance, [delta, [], []]
-            )
-            # The reseed after resize ships rows to everyone but full
-            # symbol tables only to the fresh worker: the survivors'
-            # seed envelopes carry no segment worth of symbols, so the
-            # seed happened exactly once post-resize.
-            assert TRANSPORT_STATS.seeds == 1
-            assert _round_images(again) == _round_images(first)
-
-            pool.resize(1)
-            assert pool._marks == marks_before[:1]
-            shrunk = pool.run_round("enumerate", RULES, instance, [delta])
-            assert _round_images(shrunk) == _round_images(first)
-        assert active_segments() == frozenset()
-
-    def test_shared_memory_with_object_replicas(self):
-        # shm is a transport concern: it composes with columnar=False
-        # (object replicas decode the same buffers off the segments).
-        instance = _chain(15)
-        delta = instance.sorted_atoms()
-        with WorkerPool(2, columnar=False, shared_memory=True,
-                        shm_threshold=64) as pool:
-            obj = pool.run_round("enumerate", RULES, instance, [delta, []])
-        with WorkerPool(2) as pool:
-            col = pool.run_round("enumerate", RULES, instance, [delta, []])
-        assert _round_images(obj) == _round_images(col)
-        assert active_segments() == frozenset()

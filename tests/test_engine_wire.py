@@ -18,7 +18,7 @@ import pytest
 
 from repro.chase.trigger import triggers_of
 from repro.engine import wire
-from repro.engine.shards import ShardedIndex, atom_weight
+from repro.engine.shards import atom_weight
 from repro.engine.wire import WireDecoder, WireEncoder
 from repro.engine.workers import TRANSPORT_STATS, WorkerPool
 from repro.errors import ChaseError
@@ -99,7 +99,7 @@ class TestAtomCodec:
         assert _synced_decoder(encoder).decode_atoms(b"") == []
 
     def test_buffer_bytes_equal_atom_weights(self):
-        # The adaptive router's cost model *is* the wire encoding: an
+        # The traced shard weights *are* the wire encoding: an
         # already-interned atom costs atom_weight ids to ship — one
         # varint byte each while the tables stay below 128 entries, as
         # here, so the byte length matches the weight exactly.
@@ -262,31 +262,6 @@ class TestReplyCodec:
         literal_terms, literal_predicates, _ = reply
         assert literal_terms and literal_predicates
         assert wire.decode_fire_reply(encoder, reply) == [(0, {stranger})]
-
-
-# ----------------------------------------------------------------------
-# Packed per-shard deltas (weights and sync share one encoding)
-# ----------------------------------------------------------------------
-
-
-class TestPackedShardDeltas:
-    def test_packed_deltas_match_plain_deltas(self):
-        index = ShardedIndex(3, track_shards=True)
-        index.ingest([atom("E", f"A{i}", f"A{i + 1}") for i in range(6)])
-        marks = index.revision_marks()
-        fresh = [atom("F", f"A{i}", f"A{i + 1}") for i in range(4)]
-        index.ingest(fresh)
-        encoder = WireEncoder()
-        packed = index.packed_deltas_since(marks, encoder)
-        decoder = _synced_decoder(encoder)
-        plain = index.deltas_since(marks)
-        assert [decoder.decode_atoms(buf) for buf in packed] == plain
-        # Once the symbols are interned (and while ids fit one varint
-        # byte, as in this small table), a shard's packed size is exactly
-        # its atom_weight sum — the quantity the adaptive router balances.
-        repacked = index.packed_deltas_since(marks, encoder)
-        for buf, delta in zip(repacked, plain):
-            assert len(buf) == sum(atom_weight(a) for a in delta)
 
 
 # ----------------------------------------------------------------------

@@ -16,9 +16,9 @@ the batched/sharded path — compared here against the always-interleaved
 reference (``delta_satisfaction=False``, the pre-runner behavior) for
 every engine, worker and shard count.
 
-Thread-mode engine internals stay in ``test_engine_parallel.py`` and the
-process-backend internals in ``test_engine_persistent.py``; this file is
-the variant × engine matrix.
+Inline-engine internals stay in ``test_engine_parallel.py`` and the
+worker-pool internals in ``test_engine_persistent.py``; this file is the
+variant × engine matrix.
 """
 
 from __future__ import annotations
@@ -109,10 +109,10 @@ VARIANTS = [
 VARIANT_IDS = [v[0] for v in VARIANTS]
 
 #: The engine axis: sequential engines at their single configuration,
-#: parallel/persistent at workers ∈ {1, 3}.  Shards default to the worker
-#: count; `test_engine_parallel.py` varies shards independently.  The
-#: persistent entries run columnar worker replicas (the default); the
-#: ``_obj`` entry pins the object-replica ablation and the ``_shm``
+#: parallel/persistent at workers ∈ {1, 3} — inline at one worker, on
+#: the worker pool at three.  Shards default to the worker count; the
+#: ``_s5`` entry gives two workers more shards than workers, and
+#: `test_engine_parallel.py` varies shards further.  The ``_shm``
 #: entry (present only where shared memory works) routes bulk payloads
 #: through segments — all bit-identical by construction.
 ENGINES = [
@@ -122,10 +122,7 @@ ENGINES = [
     ("parallel_w3", EngineConfig("parallel", workers=3)),
     ("persistent_w1", EngineConfig("persistent", workers=1)),
     ("persistent_w3", EngineConfig("persistent", workers=3)),
-    (
-        "persistent_w3_obj",
-        EngineConfig("persistent", workers=3, columnar=False),
-    ),
+    ("persistent_w2_s5", EngineConfig("persistent", workers=2, shards=5)),
 ]
 if shm_available():
     ENGINES.append(
@@ -303,19 +300,17 @@ class TestDeltaDrivenRestrictedFiring:
         "config",
         [
             EngineConfig("persistent", workers=3, shards=8),
-            EngineConfig("persistent", workers=3, adaptive_routing=True),
-            EngineConfig(
-                "persistent", workers=2, shards=5, adaptive_routing=True
-            ),
-            EngineConfig("parallel", workers=3, use_processes=True),
+            EngineConfig("persistent", workers=2, shards=5),
+            EngineConfig("persistent", workers=3),
+            EngineConfig("persistent", workers=4, shards=2),
         ],
-        ids=["w3s8", "w3_adaptive", "w2s5_adaptive", "legacy_processes"],
+        ids=["w3s8", "w2s5", "w3", "w4s2"],
     )
     def test_mixed_budget_stop_matches_reference(self, config):
         # A tight budget stops a *mixed* round mid-way (after real null
         # draws: the path's tail successor trigger is unsatisfied every
         # round): the split path must stop at the same application, with
-        # the same supply position, for every worker/shard/routing
+        # the same supply position, for every worker/shard
         # combination.
         make = lambda: path_instance(8)
         reference_supply = FreshSupply("_r")
@@ -460,7 +455,7 @@ class TestStatefulClaimBudgetStopMatrix:
     path historically claimed the whole round eagerly before recording.
     This matrix pins the *claim-call sequence*, the post-stop claim state
     (the fired frontier classes) and the supply position of every
-    process backend — strict and partial — against the sequential lazy
+    pool configuration — strict and partial — against the sequential lazy
     reference.
     """
 
@@ -475,14 +470,6 @@ class TestStatefulClaimBudgetStopMatrix:
         ("persistent_w1", EngineConfig("persistent", workers=1)),
         ("persistent_w3", EngineConfig("persistent", workers=3)),
         ("persistent_w3_s8", EngineConfig("persistent", workers=3, shards=8)),
-        (
-            "persistent_w3_adaptive",
-            EngineConfig("persistent", workers=3, adaptive_routing=True),
-        ),
-        (
-            "processes_w3",
-            EngineConfig("parallel", workers=3, use_processes=True),
-        ),
     ]
 
     def _run(self, engine, *, strict):

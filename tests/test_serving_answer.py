@@ -16,6 +16,7 @@ import pytest
 from repro.chase.oblivious import oblivious_chase
 from repro.corpus.examples import bdd_corpus, full_corpus
 from repro.engine.config import EngineConfig
+from repro.errors import ChaseError
 from repro.logic.instances import Instance
 from repro.logic.terms import Constant
 from repro.queries.entailment import certain_answer, entails_cq
@@ -341,6 +342,19 @@ class TestUniformSurface:
                 entry.rules,
                 parse_query("E(x,y)"),
                 strategy="magic",
+            )
+
+    def test_sequential_engine_rejects_workers(self):
+        # A worker count the engine would never use must not reach the
+        # provenance record: the configuration rejects the pair.
+        entry = ENTRIES["infinite_path"]
+        with pytest.raises(ChaseError, match="runs sequentially"):
+            answer(
+                entry.instance,
+                entry.rules,
+                parse_query("E(x,y)"),
+                engine="delta",
+                workers=3,
             )
 
     def test_binding_arity_mismatch_is_rejected(self):
