@@ -9,7 +9,7 @@ atoms over ~24 rounds), plus the cross-engine equality guarantee:
 * ``delta`` (the closure default) derives only the heads whose body uses
   a delta atom, collected as id rows by the delta core's join kernel;
 * ``parallel`` at one worker runs those same rounds inline;
-* ``persistent`` at two workers shards them across the worker pool
+* ``persistent`` at two workers splits them across the worker pool
   (replicas seeded once, per-round delta sync).
 
 The acceptance bar is ≥1.5x wall-clock for ``delta`` over ``naive``;

@@ -5,8 +5,8 @@ ships only per-round deltas, so its transport cost grows with the
 *change*, not with the instance.  This experiment measures it on the
 EXP-13 workload (transitive closure of a 60-path: ~24 semi-naive rounds
 over a growing instance with shrinking deltas) next to the inline
-engines, plus an existential chase that exercises the sharded firing
-path.
+engines, plus an existential chase whose levels enumerate on the pool
+and fire in the parent.
 
 Acceptance:
 
@@ -138,8 +138,8 @@ def test_exp14_persistent_closure(benchmark):
     assert atoms == len(reference)
 
 
-def test_exp14_sharded_firing_chase():
-    """The firing path: an existential chase fired through the pool."""
+def test_exp14_pool_chase():
+    """An existential chase enumerated on the pool, fired in the parent."""
     rules = parse_rules(SUCC_OVERLAY)
     make = lambda: tournament_instance(10, seed=0)
 
@@ -160,8 +160,8 @@ def test_exp14_sharded_firing_chase():
             ["engine", "atoms", "median s"],
             rows,
             title=(
-                "EXP-14: sharded firing, oblivious chase "
-                "(tournament n=10, 4 levels)"
+                "EXP-14: pool enumeration, parent-side firing, oblivious "
+                "chase (tournament n=10, 4 levels)"
             ),
         ),
     )

@@ -59,7 +59,7 @@ CONFIGS = [
     ("interleaved (seed path)", "delta", False),
     ("delta-gated batched", "delta", True),
     ("parallel inline (w=1)", EngineConfig("parallel", workers=1), True),
-    ("persistent sharded (w=2)", EngineConfig("persistent", workers=2), True),
+    ("persistent (w=2)", EngineConfig("persistent", workers=2), True),
 ]
 
 

@@ -23,7 +23,8 @@ Acceptance (deterministic byte counters, hard-gated by
   payload off the pipe must not inflate it.
 
 Wall-clock columns are report-only on shared runners; the existential
-fan-out test pins result equality on the sharded firing path.
+fan-out test pins result equality for a chase whose levels enumerate on
+the columnar replicas and fire in the parent.
 """
 
 import statistics
@@ -166,8 +167,8 @@ def test_exp18_columnar_shm_closure(benchmark):
         )
 
 
-def test_exp18_sharded_firing_fanout():
-    """Wide fan-out: an existential chase fired through both transports."""
+def test_exp18_pool_chase_fanout():
+    """Wide fan-out: an existential chase enumerated over both transports."""
     rules = parse_rules(SUCC_OVERLAY)
     make = lambda: tournament_instance(10, seed=0)
 
@@ -188,8 +189,8 @@ def test_exp18_sharded_firing_fanout():
             ["engine", "atoms", "median s"],
             rows,
             title=(
-                "EXP-18: sharded firing on columnar replicas, oblivious "
-                "chase (tournament n=10, 4 levels)"
+                "EXP-18: enumeration on columnar replicas, parent-side "
+                "firing, oblivious chase (tournament n=10, 4 levels)"
             ),
         ),
     )

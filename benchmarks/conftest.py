@@ -64,7 +64,7 @@ def emit_json(name: str, payload: dict) -> None:
 
 
 def engine_provenance(engine) -> dict:
-    """The engine/workers/shards provenance block of one configuration."""
+    """The engine/workers provenance block of one configuration."""
     from repro.engine import resolve_engine
 
     config = resolve_engine(engine) if isinstance(engine, str) else engine
@@ -72,6 +72,5 @@ def engine_provenance(engine) -> dict:
         "engine": config.name,
         "mode": config.mode,
         "workers": config.workers,
-        "shards": config.shard_count,
         "shared_memory": config.shared_memory,
     }

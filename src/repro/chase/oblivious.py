@@ -10,8 +10,8 @@ The loop itself — enumerate the level's new triggers, fire them, record
 provenance, check budgets and the fixpoint — lives in
 :class:`repro.engine.runner.ChaseRunner`; this module only declares the
 oblivious strategy: delta enumeration with no claim gate (every new
-trigger fires), batched/shardable firing, level accounting with a
-post-budget fixpoint probe.
+trigger fires), batched firing, level accounting with a post-budget
+fixpoint probe.
 
 Engines
 -------
@@ -29,8 +29,8 @@ The ``engine`` argument selects an execution engine from the registry in
 * ``"parallel"`` runs the levels inline at one worker; with
   ``workers > 1`` (``"persistent"`` presets four) it runs them on
   persistent delta-fed process workers: replicas are seeded once, each
-  level ships only its delta, and the firing pass is sharded across the
-  pool too.
+  level ships only its delta to be enumerated there, and the level
+  fires in the parent.
 
 All engines fire the same triggers in the same canonical order and
 produce bit-identical results.
@@ -60,7 +60,7 @@ from repro.chase.trigger import Trigger, naive_new_triggers_of
 class ObliviousPolicy(VariantPolicy):
     """Fire every new trigger exactly once, level by level.
 
-    No claim gate, batched/shardable firing, level accounting.  The naive
+    No claim gate, batched firing, level accounting.  The naive
     engine's seen set is full trigger identity; registered before firing
     so each trigger fires at the first level its body matches.
     """

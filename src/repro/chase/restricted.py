@@ -18,8 +18,8 @@ trigger's output is fully determined by its body homomorphism, so the
 delta-family engines (``prune_ground_heads``) never build the triggers
 that could not add an atom: a match whose ground head is already in the
 round-start instance, or whose head a smaller image of the same rule
-grounds too, is dropped where it is found — inline, or on the shard /
-worker replica that enumerated it — and each survivor arrives with its
+grounds too, is dropped where it is found — inline, or on the worker
+replica that enumerated it — and each survivor arrives with its
 head parked (:func:`~repro.chase.trigger.restricted_new_triggers_of`).
 Any round containing existential-free triggers — pure or **mixed** with
 an existential remainder — is then a *split* round: it records through

@@ -127,10 +127,9 @@ class ChaseResult:
         ``applications`` yields
         ``(trigger, (output_atoms, existential_map))`` pairs in canonical
         firing order, as produced by :func:`repro.engine.batch.fire_round`
-        and the sharded :meth:`RoundScheduler.fire_round
-        <repro.engine.scheduler.RoundScheduler.fire_round>` — the two
-        recording paths of every :class:`~repro.engine.runner.ChaseRunner`
-        round that is not interleaved.
+        — the recording path of every
+        :class:`~repro.engine.runner.ChaseRunner` round that is not
+        interleaved.
         Equivalent to calling :meth:`record_application` per pair with a
         budget check after each one — the provenance structures are simply
         bound once per round instead of once per application.  Returns

@@ -11,11 +11,11 @@ experiments quantify the gap.
 The saturation loop lives in :class:`repro.engine.runner.ChaseRunner`;
 this module only declares the semi-oblivious strategy: delta enumeration
 post-filtered by fired frontier classes, a stateful frontier-class claim
-gate (first trigger of a class in canonical order claims it), batched and
-shardable firing — the gate is independent of the growing instance, so
-levels fire through the batched recording pass and fan out across sharding
-backends.  All engines (``delta``/``naive``/``parallel``/``persistent``)
-fire in the same canonical order and produce bit-identical results.
+gate (first trigger of a class in canonical order claims it), batched
+firing — the gate is independent of the growing instance, so levels fire
+through the batched recording pass.  All engines
+(``delta``/``naive``/``parallel``/``persistent``) fire in the same
+canonical order and produce bit-identical results.
 """
 
 from __future__ import annotations
@@ -46,8 +46,7 @@ class SemiObliviousPolicy(VariantPolicy):
     The fired-classes set gates twice: enumeration drops triggers of
     classes fired at *earlier* levels, and the claim dedups *within* a
     level (triggers arrive sorted, so the first of a class claims it).
-    The claim never reads the instance, which keeps firing batched and
-    shardable.
+    The claim never reads the instance, which keeps firing batched.
     """
 
     variant = "semi-oblivious chase"

@@ -56,8 +56,8 @@ class Trigger:
         # mapping; the restricted chase's enumeration
         # (restricted_new_triggers_of) or a custom policy's pre-computing
         # claim gate may park the instantiated head here, and the claim
-        # gate, :meth:`output` and the sharded firing path reuse the
-        # parked atoms instead of instantiating a second time.
+        # gate and :meth:`output` reuse the parked atoms instead of
+        # instantiating a second time.
         self._ground_output: frozenset[Atom] | set[Atom] | None = None
 
     def image(self) -> tuple[Term, ...]:
@@ -223,13 +223,13 @@ def parallel_new_triggers_of(
     delta: Iterable[Atom] | Instance,
     scheduler,
 ) -> list[Trigger]:
-    """Sharded-parallel :func:`new_triggers_of` — same triggers, same order.
+    """Pool-parallel :func:`new_triggers_of` — same triggers, same order.
 
     ``scheduler`` is a :class:`repro.engine.scheduler.RoundScheduler`; it
-    hash-shards the delta, enumerates every shard against the full
-    instance on its worker pool, and merges the candidates back keyed by
-    canonical image, so the returned list is identical to the sequential
-    enumeration for every worker/shard count.
+    hash-routes the delta, enumerates every worker's slice against the
+    full instance on its worker pool, and merges the candidates back keyed
+    by canonical image, so the returned list is identical to the
+    sequential enumeration for every worker count.
     """
     rule_list = list(rules)
     delta_atoms = (
@@ -255,11 +255,11 @@ def restricted_new_triggers_of(
 
     Existential-free rules enumerate through
     :func:`~repro.engine.core.rule_unsatisfied_images` — inline, or on
-    every shard of ``scheduler`` against its round-start instance or
-    replica — so a match whose ground head is already present, or whose
-    head a smaller image of the same rule grounds too, never becomes a
+    every worker of ``scheduler`` against its round-start replica — so a
+    match whose ground head is already present, or whose head a smaller
+    image of the same rule grounds too, never becomes a
     :class:`Trigger`.  The merge keeps one trigger per distinct head, the
-    smallest image (shards may each keep their own), and parks the head
+    smallest image (workers may each keep their own), and parks the head
     on ``_ground_output`` for the claim gate and for firing.  Existential
     rules enumerate unpruned.
 

@@ -15,7 +15,7 @@ ordered* iteration, never from raw ``set``/``frozenset`` traversal
     ``zip``/``str.join`` calls, list comprehensions and generator
     expressions, ``next(iter(...))`` picks, appends inside a ``for``
     loop over the value, and direct arguments to the ordered sinks
-    (``record_round``, the wire encoders, ``ReplyWriter.write_*``).
+    (``record_round``, the wire encoders, the worker reply encoders).
     Wrapping in ``sorted(...)`` — or any order-insensitive consumer
     (``len``/``sum``/``min``/``max``/``any``/``all``/``set``/
     ``frozenset``) — neutralizes the taint.  A collector list that is
@@ -84,10 +84,8 @@ SINK_CALLS = {
     "record_round",
     "record_application",
     "encode_atoms",
-    "encode_fire_tasks",
-    "write_atom",
-    "write_term",
-    "write_predicate",
+    "encode_derive_reply",
+    "encode_enumerate_reply",
     "pack_ids",
 }
 

@@ -20,7 +20,7 @@ Observability
         --trace /tmp/run.jsonl --stats
 
 ``--trace PATH`` writes one JSON line per round (disjoint phase timers,
-trigger/atom counts, round plan, shard routing weights, transport byte
+trigger/atom counts, round plan, worker routing weights, transport byte
 and worker decode/execute/encode deltas) plus a run header and summary;
 render it later with ``python tools/trace_summary.py PATH``.  ``--stats``
 prints the per-round phase table and the run's registry counter deltas

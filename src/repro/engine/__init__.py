@@ -5,8 +5,9 @@ semi-naive Datalog closure) runs on the machinery in this package: one
 strategy-driven saturation loop (:class:`ChaseRunner` +
 :class:`VariantPolicy` in :mod:`repro.engine.runner`), one shared
 pivot-decomposition core, one engine registry, one fan-out backend (the
-persistent :class:`WorkerPool`, driven by the :class:`RoundScheduler`),
-and one batched firing path.  The variant modules under ``repro.chase``
+persistent :class:`WorkerPool`, driven by the :class:`RoundScheduler`,
+which matches) and one firing path (:func:`fire_round`, which always runs
+in the parent).  The variant modules under ``repro.chase``
 (and the closure in ``repro.rewriting.datalog``) are thin policy
 declarations over the runner.
 
@@ -27,9 +28,10 @@ explicit :class:`EngineConfig`:
 ``engine="persistent"`` The parallel mode at four workers, on persistent
                         delta-fed process workers (:class:`WorkerPool`):
                         id-native :class:`ColumnarInstance` replicas
-                        seeded once, per-round delta sync, sharded
-                        firing, and the restricted chase's
-                        head-satisfaction pruning run on the replicas.
+                        seeded once, per-round delta sync, and
+                        enumeration — the restricted chase's
+                        head-satisfaction pruning included — run on the
+                        replicas; rounds fire in the parent.
                         ``shared_memory=True`` moves payloads above
                         ``shm_threshold`` bytes off the pipes into
                         :class:`SegmentPool` shared-memory segments.
@@ -40,13 +42,12 @@ on the pool at ``workers > 1`` (:attr:`EngineConfig.uses_pool`).
 Unknown names raise :class:`~repro.errors.ChaseError` listing the valid
 engines; :func:`register_engine` adds presets.
 
-Sharding
---------
-On the pool each round's delta is routed through a
-:class:`~repro.engine.shards.ShardedIndex`: atoms are hash-partitioned
-into per-shard views, each worker enumerates its shards' views against
-its replica, and the shard count defaults to the worker count.  Shard
-assignment is invisible in the results.
+Routing
+-------
+On the pool each round's delta is hash-partitioned by the
+:class:`RoundScheduler`, one slice per worker, and each worker
+enumerates its slice against its replica.  The routing is invisible in
+the results.
 
 Determinism guarantees
 ----------------------
@@ -54,8 +55,9 @@ All engines fire the same triggers in the same canonical order — per rule
 in rule-set order, matches sorted by body-variable image — and therefore
 produce bit-identical :class:`~repro.chase.result.ChaseResult` instances:
 same atoms, levels, timestamps, null names and provenance records.  For
-the pool this holds for *every* worker/shard count because the merge is
-a keyed union on canonical images followed by a sort; the equivalence
+the pool this holds for *every* worker count because the merge is a
+keyed union on canonical images followed by a sort, and firing always
+runs in the parent; the equivalence
 suite (``tests/test_runner_equivalence.py``) pins this across the corpus
 families.
 
@@ -88,7 +90,6 @@ from repro.engine.core import (
 )
 from repro.engine.runner import ChaseRunner, RoundPlan, VariantPolicy
 from repro.engine.scheduler import RoundScheduler
-from repro.engine.shards import ShardedIndex
 from repro.engine.shm import SegmentPool, SegmentReader, SegmentRef, shm_available
 from repro.engine.wire import WireDecoder, WireEncoder
 from repro.engine.workers import TRANSPORT_STATS, WorkerPool
@@ -105,7 +106,6 @@ __all__ = [
     "SegmentReader",
     "SegmentRef",
     "VariantPolicy",
-    "ShardedIndex",
     "TRANSPORT_STATS",
     "Vocabulary",
     "WireDecoder",

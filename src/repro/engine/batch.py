@@ -56,9 +56,8 @@ def _timed_gate(
     """Wrap a claim gate so each call's wall-clock lands on ``gate``.
 
     Only installed while a round is traced; the wrapped claim flows
-    through every non-interleaved path unchanged (inline stream and
-    sharded chunks alike), so gate time is attributed once no matter
-    which backend fires the round.
+    through the batched stream unchanged, so gate time is attributed
+    once per claim.
     """
     perf = time.perf_counter
     add_phase = recorder.add_phase
@@ -135,9 +134,11 @@ def fire_round(
     claim: Callable[["Trigger"], bool] | None = None,
     interleaved: bool = False,
     split: bool = False,
-    scheduler=None,
 ) -> RoundOutcome:
     """Fire ``triggers`` in canonical order into ``result``.
+
+    Every round fires here, in the parent, whichever backend enumerated
+    it — the worker pool matches, it never fires.
 
     Parameters
     ----------
@@ -145,7 +146,7 @@ def fire_round(
         Per-trigger gate evaluated in firing order; return False to skip.
         May be stateful (the semi-oblivious frontier-class dedup) — it is
         called exactly once per trigger, in order, and never past a
-        mid-round budget stop, on every firing path.
+        mid-round budget stop.
     interleaved:
         When True each application is recorded before the next trigger's
         claim runs, so claims observe mid-round growth (the restricted
@@ -164,17 +165,6 @@ def fire_round(
         since the enumeration already settled each existential-free
         trigger's round-start satisfaction and parked its head.
         ``claim`` is ignored — the split gate owns claiming.
-    scheduler:
-        An optional :class:`~repro.engine.scheduler.RoundScheduler` (the
-        runner passes one when rounds run on the worker pool).  When the
-        round is batched, head instantiation fans out across the pool
-        via :meth:`RoundScheduler.fire_round
-        <repro.engine.scheduler.RoundScheduler.fire_round>` — same claims
-        (in budget-safe chunks, so stateful claims stay lazy and
-        exactly-once), same null names, same provenance order, same
-        budget-stop position.  Interleaved and split rounds ignore it:
-        their claims read the instance as it grows, which is inherently
-        sequential.
 
     The caller owns ``levels_completed`` and the strict-mode raise; this
     function only reports the outcome.
@@ -189,17 +179,6 @@ def fire_round(
             max_atoms=max_atoms,
         )
         return RoundOutcome(applied, exceeded)
-    if scheduler is not None and not interleaved:
-        outcome = scheduler.fire_round(
-            result,
-            triggers,
-            supply,
-            level=level,
-            max_atoms=max_atoms,
-            claim=claim,
-        )
-        if outcome is not None:
-            return outcome
     applied = 0
     if interleaved:
         if recorder is not None:

@@ -19,13 +19,12 @@ Built-in engines
     The parallel mode at one worker: rounds run inline, exactly like
     ``delta``.  Raise ``workers`` to run them on the worker pool.
 ``persistent``
-    The parallel mode at four workers: rounds run on the persistent
-    :class:`~repro.engine.workers.WorkerPool` (:mod:`repro.engine.scheduler`).
-    Each worker holds a long-lived replica of the instance, seeded once
-    and synced with only the per-round delta, and both enumeration *and*
-    firing are sharded across the pool.  ``"persistent"`` is a spelling
-    of ``mode="parallel"``; results are bit-identical to ``delta`` for
-    every worker/shard count.
+    The parallel mode at four workers: rounds enumerate on the persistent
+    :class:`~repro.engine.workers.WorkerPool` (:mod:`repro.engine.scheduler`)
+    and fire in the parent.  Each worker holds a long-lived replica of the
+    instance, seeded once and synced with only the per-round delta.
+    ``"persistent"`` is a spelling of ``mode="parallel"``; results are
+    bit-identical to ``delta`` for every worker count.
 """
 
 from __future__ import annotations
@@ -68,14 +67,12 @@ class EngineConfig:
         inline; more runs rounds on a persistent
         :class:`~repro.engine.workers.WorkerPool` of that many processes
         (see :attr:`uses_pool`).  The sequential modes run in-process,
-        so they reject ``workers > 1`` instead of ignoring it.
-    shards:
-        Number of hash shards the per-round delta is split into.  ``0``
-        (the default) means one shard per worker.  The shard count never
-        affects results — only how enumeration work is distributed.
+        so they reject ``workers > 1`` instead of ignoring it.  The
+        per-round delta is routed to the workers by atom hash; the worker
+        count never affects results.
     shared_memory:
         When True, the worker pool routes payloads of at least
-        ``shm_threshold`` bytes (seed rows, sync deltas, pivot/task
+        ``shm_threshold`` bytes (seed rows, sync deltas, pivot
         buffers) through :class:`~repro.engine.shm.SegmentPool`
         shared-memory segments; the pipes carry only small control
         envelopes holding ``(segment, offset, length)`` refs.  Opt-in
@@ -96,7 +93,6 @@ class EngineConfig:
     name: str
     mode: str = ""
     workers: int = 1
-    shards: int = 0
     shared_memory: bool = False
     shm_threshold: int = 256
     description: str = ""
@@ -134,10 +130,6 @@ class EngineConfig:
                 f"engine {self.name!r} needs a positive shm_threshold, "
                 f"got {self.shm_threshold}"
             )
-        if self.shards < 0:
-            raise ChaseError(
-                f"engine {self.name!r} cannot use a negative shard count"
-            )
 
     @property
     def is_parallel(self) -> bool:
@@ -153,11 +145,6 @@ class EngineConfig:
     def uses_pool(self) -> bool:
         """True when rounds run on the persistent worker pool."""
         return self.mode == "parallel" and self.workers > 1
-
-    @property
-    def shard_count(self) -> int:
-        """The effective number of delta shards (defaults to ``workers``)."""
-        return self.shards or self.workers
 
     def with_workers(self, workers: int) -> "EngineConfig":
         """Return a copy with a different worker-pool size (validated)."""
@@ -192,8 +179,8 @@ _REGISTRY: dict[str, EngineConfig] = {
         "persistent",
         workers=DEFAULT_PARALLEL_WORKERS,
         description=(
-            "persistent delta-fed process workers with sharded firing; "
-            "replicas seeded once, rounds ship only the delta"
+            "persistent delta-fed process workers match on replicas "
+            "seeded once, rounds ship only the delta and fire in the parent"
         ),
     ),
 }
@@ -236,7 +223,7 @@ def resolve_engine(engine: str | EngineConfig) -> EngineConfig:
     Raises :class:`~repro.errors.ChaseError` with the list of valid names
     when ``engine`` is an unknown string.  Explicit :class:`EngineConfig`
     instances pass through untouched (mode and pool fields were validated
-    on construction), so callers can tune workers/shards per run.
+    on construction), so callers can tune the pool per run.
     """
     if isinstance(engine, EngineConfig):
         return engine

@@ -2,9 +2,9 @@
 
 One pivot-atom decomposition serves every delta-driven round in the
 library: trigger enumeration for the chase variants
-(:func:`repro.chase.trigger.new_triggers_of`), sharded enumeration in the
-parallel scheduler, and head derivation for the Datalog closure
-(:func:`repro.rewriting.datalog.semi_naive_closure`).
+(:func:`repro.chase.trigger.new_triggers_of`), the worker pool's
+enumeration in the parallel scheduler, and head derivation for the
+Datalog closure (:func:`repro.rewriting.datalog.semi_naive_closure`).
 
 The decomposition: a homomorphism of a rule body into the instance uses at
 least one delta atom exactly when some body atom maps into the delta.  For
@@ -97,7 +97,7 @@ def rule_delta_images(
 
     The key is ``h(x̄)`` along ``rule.body_variable_order()`` — the same
     identity :class:`~repro.chase.trigger.Trigger` uses — so merging the
-    dicts produced by different delta shards (or different pivots) is a
+    dicts produced by different delta slices (or different pivots) is a
     plain dict union: equal keys imply equal restricted homomorphisms.
     """
     order = rule.body_variable_order()
@@ -130,9 +130,9 @@ def rule_unsatisfied_images(
     Both are dropped inside the join kernel, on id tuples — one head
     instantiation per match (counted in
     :data:`~repro.rules.rule.INSTANTIATION_STATS`), no
-    :class:`Substitution` built for a dropped match.  Per shard this keeps
-    the smallest image per head, compared in ``Term`` order; merging
-    shards must keep the smallest again.  The dict's order is
+    :class:`Substitution` built for a dropped match.  Per delta slice this
+    keeps the smallest image per head, compared in ``Term`` order; merging
+    slices must keep the smallest again.  The dict's order is
     unspecified (callers sort by image).  Existential rules are returned
     unpruned, from the object matcher.
     """

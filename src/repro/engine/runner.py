@@ -8,20 +8,19 @@ owns that loop once:
 
 * :class:`ChaseRunner` — engine resolution, scheduler/worker-pool
   lifecycle, the per-round enumerate → gate → fire → record cycle, budget
-  handling with strict/partial semantics, fixpoint detection, and the
-  supply rewind on a mid-round budget stop.
+  handling with strict/partial semantics, and fixpoint detection.
 * :class:`VariantPolicy` — the small strategy surface that actually
   differs per variant: how triggers are enumerated (delta-filtered or by
   naive re-match against a seen set), the claim gate (none, frontier-class
   dedup, or the restricted chase's satisfaction check), the firing mode of
-  each round (batched-shardable vs interleaved), and the budget-exceeded
+  each round (batched vs interleaved), and the budget-exceeded
   wording of round-vs-level accounting.
 
 The chase variants (:mod:`repro.chase.oblivious`,
 :mod:`repro.chase.semi_oblivious`, :mod:`repro.chase.restricted`) and the
 Datalog closure (:mod:`repro.rewriting.datalog`) are thin policy
 declarations over this runner; engine features — the worker pool,
-sharded firing — land here once instead of once per variant.
+batched firing — land here once instead of once per variant.
 
 Restricted satisfaction: pruned enumeration and split rounds
 ------------------------------------------------------------
@@ -34,7 +33,7 @@ delta-family engine enumerate through
 existential-free trigger's output is fully determined by its body
 homomorphism, so the matches whose ground head is already present at
 round start, or repeats the head of a smaller image, are dropped inside
-the enumeration (on the shards or worker replicas that ran it) and each
+the enumeration (inline, or on the worker replicas that ran it) and each
 survivor arrives with its head parked.  The runner's :class:`RoundPlan`
 then lets the policy mark any round containing existential-free
 triggers as a *split* round: the claims run lazily, in canonical order,
@@ -81,9 +80,8 @@ class RoundPlan(NamedTuple):
     ``claim`` is evaluated in canonical firing order, exactly once per
     trigger (it may be stateful); ``None`` fires everything.  With
     ``interleaved=False`` the round goes through the batched recording
-    pass — and through sharded firing when the engine backend supports it;
-    ``interleaved=True`` records each application before the next claim
-    runs, for gates that must observe mid-round growth.
+    pass; ``interleaved=True`` records each application before the next
+    claim runs, for gates that must observe mid-round growth.
 
     ``split=True`` marks a restricted *split* round — one containing
     existential-free triggers whose ground outputs double as their own
@@ -299,7 +297,7 @@ class ChaseRunner:
         An optional :class:`~repro.obs.trace.RunTrace`.  When given, the
         runner emits one structured record per round — disjoint phase
         timers (enumerate/gate/fire/record/sync/probe), trigger and
-        new-atom counts, the round plan, per-shard routing weights, and
+        new-atom counts, the round plan, per-worker routing weights, and
         transport byte / worker-time deltas — plus a run header and a
         final summary.  Tracing never changes results: the engine hooks
         are no-ops while no round is active.
@@ -334,7 +332,6 @@ class ChaseRunner:
                 engine=self.config.name,
                 mode=mode,
                 workers=self.config.workers,
-                shards=self.config.shard_count,
                 max_steps=self.max_steps,
                 max_atoms=self.max_atoms,
             )
@@ -349,7 +346,7 @@ class ChaseRunner:
         Returns the :class:`~repro.chase.result.ChaseResult` with full
         timestamps and provenance; all engines produce bit-identical
         results (same atoms, levels, null names, provenance records and
-        budget-stop supply positions) for every worker/shard count.
+        budget-stop supply positions) for every worker count.
 
         The run executes inside a :meth:`MetricsRegistry.collect
         <repro.obs.registry.MetricsRegistry.collect>` scope of the
@@ -429,7 +426,6 @@ class ChaseRunner:
                                 claim=plan.claim,
                                 interleaved=plan.interleaved,
                                 split=plan.split,
-                                scheduler=self._scheduler,
                             )
                     else:
                         outcome = fire_round(
@@ -441,7 +437,6 @@ class ChaseRunner:
                             claim=plan.claim,
                             interleaved=plan.interleaved,
                             split=plan.split,
-                            scheduler=self._scheduler,
                         )
                     applied = outcome.applied
                     if outcome.budget_exceeded:
@@ -636,7 +631,7 @@ class ChaseRunner:
 
         ``naive`` re-derives from the whole instance on the object
         matcher; every other engine derives the heads whose body uses a
-        delta atom on the join kernel — inline, or sharded across the
+        delta atom on the join kernel — inline, or split across the
         worker pool.
         """
         derived: set["Atom"] = set()
@@ -675,7 +670,7 @@ class ChaseRunner:
         ``expand``, which wins).
 
         No scheduler is opened: expansion is pure frontier computation,
-        so the engine backends have nothing to shard.  Round tracing and
+        so the engine backends have nothing to fan out.  Round tracing and
         the telemetry collect scope work exactly as in the other modes;
         the expansion sweep lands on the ``enumerate`` phase with
         ``plan="expand"`` and ``delta_atoms`` carrying the frontier size.

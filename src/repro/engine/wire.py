@@ -1,9 +1,9 @@
 """Interned-term columnar wire codec for the persistent worker protocol.
 
 The persistent pool used to pickle ``Atom`` lists on every round: each
-sync, pivot and fire payload re-shipped full predicate and term
-objects (their class names, their string names) for every occurrence.
-This module replaces those payloads with an *interned* encoding:
+sync and pivot payload re-shipped full predicate and term objects (their
+class names, their string names) for every occurrence.  This module
+replaces those payloads with an *interned* encoding:
 
 Symbol tables
     A :class:`WireEncoder` (parent-owned, one per pool) holds an
@@ -25,25 +25,18 @@ Flat buffers
     (:func:`pack_ids`/:func:`unpack_ids` — table ids are dense and
     small, so most ids cost one byte instead of a fixed four): atoms are
     ``(pred_id, term_ids...)`` streams (self-delimiting — the
-    predicate's arity says how many term ids follow); fire tasks
-    pack a trigger as its *body-variable image* along the rule's
-    canonical :meth:`~repro.rules.rule.Rule.body_variable_order` plus
-    drawn null ids along :meth:`~repro.rules.rule.Rule.existential_order`,
-    exploiting that a trigger's mapping is exactly
-    reconstructible from its image: ``Trigger.__init__`` restricts the
-    mapping to the body variables and ``Substitution`` drops identity
-    pairs.  Decoded atoms rebuild through the cached-hash fast path
+    predicate's arity says how many term ids follow).  Decoded atoms
+    rebuild through the cached-hash fast path
     :func:`repro.logic.atoms.build_atom`.
 
 Replies
     Workers answer with one packed buffer per message (one reply per
-    worker slice, not per trigger).  A reply references symbols as
-    ``2 * table_id`` when the shared table holds them, or as
-    ``2 * literal_index + 1`` for message-local literals shipped
-    alongside the buffer — the escape hatch for symbols the parent never
-    shipped (in practice :meth:`WireEncoder.intern_rules` pre-interns
-    every head symbol a reply can mention, so the literal lists stay
-    empty).
+    worker slice): derived atoms in the same ``(pred_id, term_ids...)``
+    layout, or per-rule match images as term ids.  Every symbol a reply
+    mentions is already in the shared table — :meth:`WireEncoder.intern_rules`
+    pre-interns every head symbol at seed, and body images come from the
+    replica — so replies carry table ids only; a symbol missing from the
+    worker's table raises :class:`~repro.errors.ChaseError`.
 
 Reply envelope
     Every worker reply is ``(status, value, timings)`` built by
@@ -52,16 +45,14 @@ Reply envelope
     packed as one fixed-size 24-byte struct (:data:`REPLY_TIMINGS`), or
     ``None`` on error replies.  Fixed-size means the reply byte counters
     stay deterministic — a float's value never changes the envelope
-    length.  ``unpack_reply`` tolerates the legacy 2-tuple shape
-    (timings ``None``), so mixed-version pipes degrade instead of
-    desyncing.  The parent aggregates the triples per command into
+    length.  The parent aggregates the triples per command into
     ``TRANSPORT_STATS.worker_seconds``, which is what finally separates
     parent-blocked-on-pipe time from worker compute.
 
 What still pickles: the message envelope itself (a small tuple of
 command name, segment, and buffer bytes), the round's ``Rule`` objects
-(a few hundred bytes, shipped only on seed/fire), and error
-tracebacks.  See ``engine/README.md`` for the protocol walk-through.
+(a few hundred bytes, shipped only on seed), and error tracebacks.  See
+``engine/README.md`` for the protocol walk-through.
 """
 
 from __future__ import annotations
@@ -97,15 +88,7 @@ def pack_reply(
 
 
 def unpack_reply(message: tuple) -> tuple[str, object, tuple | None]:
-    """Open a reply envelope; returns ``(status, value, timings)``.
-
-    Tolerates the legacy 2-tuple ``(status, value)`` shape (no timings)
-    so a mixed-version pipe degrades to untimed replies instead of
-    desyncing.
-    """
-    if len(message) == 2:
-        status, value = message
-        return status, value, None
+    """Open a reply envelope; returns ``(status, value, timings)``."""
     status, value, packed = message
     timings = REPLY_TIMINGS.unpack(packed) if packed else None
     return status, value, timings
@@ -116,7 +99,7 @@ def pack_ids(ids: Iterable[int]) -> bytes:
     """Pack non-negative ids as an LEB128 varint stream.
 
     Seven id bits per byte, high bit = continuation.  Table ids are
-    dense (interning order) and task indexes are small, so the common
+    dense (interning order) and reply counts are small, so the common
     id costs one byte — the packed stream undercuts both a fixed-width
     array and a pickled object graph by a wide margin.
     """
@@ -148,6 +131,19 @@ def unpack_ids(data: bytes) -> list[int]:
     if shift:
         raise ChaseError("truncated varint id stream")
     return ids
+
+
+def atom_weight(atom: Atom) -> int:
+    """Wire-transport cost of one atom, in ids.
+
+    Exactly what the atom occupies in a packed sync/pivot buffer: one
+    predicate id plus one term id per argument.  Each id costs 1–5
+    varint bytes on the wire (1 for the dense common case), so a
+    worker's weight is proportional, up to varint width and the
+    one-time symbol-table entries, to the bytes its atoms cost to ship.
+    Round traces report it per worker (``shard_weights``).
+    """
+    return 1 + len(atom.args)
 
 
 class TermTable:
@@ -271,36 +267,12 @@ class WireEncoder:
                 append(intern_term(term))
         return pack_ids(ids)
 
-    def encode_fire_tasks(
-        self, rules: Sequence[Rule], tasks: Iterable[tuple]
-    ) -> bytes:
-        """Pack firing tasks ``(index, rule_index, mapping, nulls)``.
-
-        Layout per task: ``index, rule_index``, the mapping's image along
-        the rule's canonical body-variable order, then the parent-drawn
-        null ids along the existential order.
-        """
-        self.intern_rules(rules)
-        intern = self.terms.intern
-        ids: list[int] = []
-        append = ids.append
-        for index, rule_index, mapping, existential_map in tasks:
-            rule = rules[rule_index]
-            append(index)
-            append(rule_index)
-            apply_term = mapping.apply_term
-            for variable in rule.body_variable_order():
-                append(intern(apply_term(variable)))
-            for variable in rule.existential_order():
-                append(intern(existential_map[variable]))
-        return pack_ids(ids)
-
 
 class WireDecoder:
     """Worker-side replica of the parent's symbol tables.
 
     Grown strictly by :meth:`apply_segment` in message order; holds the
-    reverse maps so :class:`ReplyWriter` can emit table refs.
+    reverse maps the reply encoders look table ids up in.
     """
 
     __slots__ = ("terms", "term_ids", "predicates", "predicate_ids")
@@ -330,218 +302,99 @@ class WireDecoder:
             self.predicate_ids[predicate] = len(self.predicates)
             self.predicates.append(predicate)
 
-    def decode_atoms(self, data: bytes) -> list[Atom]:
-        buf = unpack_ids(data)
-        terms = self.terms
-        predicates = self.predicates
-        atoms: list[Atom] = []
-        position, end = 0, len(buf)
-        while position < end:
-            predicate = predicates[buf[position]]
-            position += 1
-            stop = position + predicate.arity
-            args = tuple(terms[i] for i in buf[position:stop])
-            position = stop
-            atoms.append(build_atom(predicate, args))
-        return atoms
-
-    def decode_fire_tasks(
-        self, data: bytes, rules: Sequence[Rule]
-    ) -> list[tuple]:
-        """Unpack fire tasks back to ``(index, rule_index, mapping, nulls)``."""
-        buf = unpack_ids(data)
-        terms = self.terms
-        tasks: list[tuple] = []
-        position, end = 0, len(buf)
-        while position < end:
-            index = buf[position]
-            rule_index = buf[position + 1]
-            position += 2
-            rule = rules[rule_index]
-            mapping: dict = {}
-            for variable in rule.body_variable_order():
-                term = terms[buf[position]]
-                position += 1
-                if term != variable:
-                    mapping[variable] = term
-            existential_map: dict = {}
-            for variable in rule.existential_order():
-                existential_map[variable] = terms[buf[position]]
-                position += 1
-            tasks.append(
-                (
-                    index,
-                    rule_index,
-                    Substitution._from_clean(mapping),
-                    existential_map,
-                )
-            )
-        return tasks
-
-
-class ReplyWriter:
-    """Worker-side encoder of one packed reply buffer.
-
-    Symbol refs are ``2 * table_id`` for symbols the shared table holds,
-    ``2 * literal_index + 1`` for message-local literals shipped beside
-    the buffer — the escape hatch for symbols the parent never interned
-    (kept for robustness; ``intern_rules`` makes it a cold path).
-    """
-
-    __slots__ = (
-        "_decoder",
-        "_ids",
-        "_literal_terms",
-        "_literal_term_ids",
-        "_literal_predicates",
-        "_literal_predicate_ids",
-    )
-
-    def __init__(self, decoder: WireDecoder):
-        self._decoder = decoder
-        self._ids: list[int] = []
-        self._literal_terms: list[tuple[int, str]] = []
-        self._literal_term_ids: dict[Term, int] = {}
-        self._literal_predicates: list[tuple[str, int]] = []
-        self._literal_predicate_ids: dict[Predicate, int] = {}
-
-    def write_int(self, value: int) -> None:
-        self._ids.append(value)
-
-    def write_term(self, term: Term) -> None:
-        index = self._decoder.term_ids.get(term)
-        if index is not None:
-            self._ids.append(index << 1)
-            return
-        literal = self._literal_term_ids.get(term)
-        if literal is None:
-            literal = len(self._literal_terms)
-            self._literal_term_ids[term] = literal
-            self._literal_terms.append((type(term)._rank, term.name))
-        self._ids.append((literal << 1) | 1)
-
-    def write_predicate(self, predicate: Predicate) -> None:
-        index = self._decoder.predicate_ids.get(predicate)
-        if index is not None:
-            self._ids.append(index << 1)
-            return
-        literal = self._literal_predicate_ids.get(predicate)
-        if literal is None:
-            literal = len(self._literal_predicates)
-            self._literal_predicate_ids[predicate] = literal
-            self._literal_predicates.append((predicate.name, predicate.arity))
-        self._ids.append((literal << 1) | 1)
-
-    def write_atom(self, atom: Atom) -> None:
-        self.write_predicate(atom.predicate)
-        for term in atom.args:
-            self.write_term(term)
-
-    def finish(self) -> tuple:
-        """The reply payload: ``(literal_terms, literal_preds, buffer)``."""
-        return (
-            tuple(self._literal_terms),
-            tuple(self._literal_predicates),
-            pack_ids(self._ids),
-        )
-
-
-class ReplyReader:
-    """Parent-side decoder of one packed worker reply."""
-
-    __slots__ = ("_terms", "_predicates", "_literal_terms",
-                 "_literal_predicates", "_buf", "_position")
-
-    def __init__(self, encoder: WireEncoder, reply: tuple):
-        literal_terms, literal_predicates, payload = reply
-        self._terms = encoder.terms.objects
-        self._predicates = encoder.predicates.objects
-        self._literal_terms = [
-            term_from_wire(rank, name) for rank, name in literal_terms
-        ]
-        self._literal_predicates = [
-            Predicate(name, arity) for name, arity in literal_predicates
-        ]
-        self._buf = unpack_ids(payload)
-        self._position = 0
-
-    @property
-    def exhausted(self) -> bool:
-        return self._position >= len(self._buf)
-
-    def read_int(self) -> int:
-        value = self._buf[self._position]
-        self._position += 1
-        return value
-
-    def read_term(self) -> Term:
-        ref = self.read_int()
-        if ref & 1:
-            return self._literal_terms[ref >> 1]
-        return self._terms[ref >> 1]
-
-    def read_predicate(self) -> Predicate:
-        ref = self.read_int()
-        if ref & 1:
-            return self._literal_predicates[ref >> 1]
-        return self._predicates[ref >> 1]
-
-    def read_atom(self) -> Atom:
-        predicate = self.read_predicate()
-        args = tuple(self.read_term() for _ in range(predicate.arity))
-        return build_atom(predicate, args)
-
 
 # ----------------------------------------------------------------------
 # Reply payloads, one packed buffer per worker message
 # ----------------------------------------------------------------------
 
 
-def encode_derive_reply(decoder: WireDecoder, atoms: Iterable[Atom]) -> tuple:
-    """Pack a derived atom set: atoms until end of buffer."""
-    writer = ReplyWriter(decoder)
-    for atom in atoms:
-        writer.write_atom(atom)
-    return writer.finish()
+def _missing_symbol(error: KeyError) -> ChaseError:
+    return ChaseError(
+        f"worker reply mentions {error.args[0]!r}, which is not in the "
+        f"wire table"
+    )
 
 
-def decode_derive_reply(encoder: WireEncoder, reply: tuple) -> set[Atom]:
-    reader = ReplyReader(encoder, reply)
+def encode_derive_reply(decoder: WireDecoder, atoms: Iterable[Atom]) -> bytes:
+    """Pack derived atoms in :meth:`WireEncoder.encode_atoms`' layout.
+
+    Ids come from the worker's table replica; a symbol it does not hold
+    raises :class:`~repro.errors.ChaseError`.
+    """
+    predicate_ids = decoder.predicate_ids
+    term_ids = decoder.term_ids
+    ids: list[int] = []
+    append = ids.append
+    try:
+        for atom in atoms:
+            append(predicate_ids[atom.predicate])
+            for term in atom.args:
+                append(term_ids[term])
+    except KeyError as error:
+        raise _missing_symbol(error) from None
+    return pack_ids(ids)
+
+
+def decode_derive_reply(encoder: WireEncoder, reply: bytes) -> set[Atom]:
+    ids = unpack_ids(reply)
+    terms = encoder.terms.objects
+    predicates = encoder.predicates.objects
     derived: set[Atom] = set()
-    while not reader.exhausted:
-        derived.add(reader.read_atom())
+    position, end = 0, len(ids)
+    while position < end:
+        predicate = predicates[ids[position]]
+        stop = position + 1 + predicate.arity
+        if stop > end:
+            raise ChaseError("truncated packed atom stream")
+        args = tuple([terms[i] for i in ids[position + 1:stop]])
+        derived.add(build_atom(predicate, args))
+        position = stop
     return derived
 
 
 def encode_enumerate_reply(
-    decoder: WireDecoder, rules: Sequence[Rule], per_rule: Sequence[dict]
-) -> tuple:
+    decoder: WireDecoder, per_rule: Sequence[dict]
+) -> bytes:
     """Pack per-rule image dicts: per rule a count, then flat images.
 
     Only the images cross the wire — a trigger's homomorphism is exactly
     reconstructible from its image along the rule's canonical
-    body-variable order (see module docstring), so the parent rebuilds
-    the ``{image: hom}`` dicts without shipping ``Substitution`` graphs.
+    body-variable order (``Trigger`` restricts its mapping to the body
+    variables and ``Substitution`` drops identity pairs), so the parent
+    rebuilds the ``{image: hom}`` dicts without shipping
+    ``Substitution`` graphs.  A term missing from the worker's table
+    replica raises :class:`~repro.errors.ChaseError`.
     """
-    writer = ReplyWriter(decoder)
-    for found in per_rule:
-        writer.write_int(len(found))
-        for image in found:
-            for term in image:
-                writer.write_term(term)
-    return writer.finish()
+    term_ids = decoder.term_ids
+    ids: list[int] = []
+    append = ids.append
+    try:
+        for found in per_rule:
+            append(len(found))
+            for image in found:
+                for term in image:
+                    append(term_ids[term])
+    except KeyError as error:
+        raise _missing_symbol(error) from None
+    return pack_ids(ids)
 
 
 def decode_enumerate_reply(
-    encoder: WireEncoder, rules: Sequence[Rule], reply: tuple
+    encoder: WireEncoder, rules: Sequence[Rule], reply: bytes
 ) -> list[dict]:
-    reader = ReplyReader(encoder, reply)
+    ids = unpack_ids(reply)
+    terms = encoder.terms.objects
     results: list[dict] = []
+    position = 0
     for rule in rules:
         order = rule.body_variable_order()
+        width = len(order)
         found: dict = {}
-        for _ in range(reader.read_int()):
-            image = tuple(reader.read_term() for _ in order)
+        count = ids[position]
+        position += 1
+        for _ in range(count):
+            image = tuple([terms[i] for i in ids[position:position + width]])
+            position += width
             mapping = {
                 variable: term
                 for variable, term in zip(order, image)
@@ -550,26 +403,3 @@ def decode_enumerate_reply(
             found[image] = Substitution._from_clean(mapping)
         results.append(found)
     return results
-
-
-def encode_fire_reply(decoder: WireDecoder, pairs: Iterable[tuple]) -> tuple:
-    """Pack fire outputs: per trigger ``index, |atoms|, atoms``."""
-    writer = ReplyWriter(decoder)
-    for index, atoms in pairs:
-        writer.write_int(index)
-        writer.write_int(len(atoms))
-        for atom in atoms:
-            writer.write_atom(atom)
-    return writer.finish()
-
-
-def decode_fire_reply(
-    encoder: WireEncoder, reply: tuple
-) -> list[tuple[int, set[Atom]]]:
-    reader = ReplyReader(encoder, reply)
-    pairs: list[tuple[int, set[Atom]]] = []
-    while not reader.exhausted:
-        index = reader.read_int()
-        count = reader.read_int()
-        pairs.append((index, {reader.read_atom() for _ in range(count)}))
-    return pairs

@@ -10,13 +10,13 @@ is proportional to what changed, not to what exists.
 
 Protocol
 --------
-One duplex pipe per worker.  Atom and task payloads travel in the
+One duplex pipe per worker.  Atom payloads travel in the
 interned-term columnar encoding of :mod:`repro.engine.wire`: the pool
 owns a :class:`~repro.engine.wire.WireEncoder` whose append-only
 term/predicate tables are the shared vocabulary, each message carries
 the *table segment* its worker has not seen yet (tracked by a per-worker
 high-water mark, so a symbol crosses a pipe once per worker, ever), and
-the payloads themselves are flat ``array('I')`` id buffers.  Only the
+the payloads themselves are flat varint id buffers.  Only the
 message envelope below, the ``Rule`` objects and error tracebacks are
 pickled — that is also how the pool accounts transport in
 :data:`TRANSPORT_STATS`, which keeps per-command byte/atom counters.
@@ -27,12 +27,12 @@ pickled — that is also how the pool accounts transport in
     or if a caller reuses the pool under different rules.
 ``("sync", segment, sync_buf)``
     Fold the packed per-round delta into the replica and acknowledge.
-    Sent to workers that have no pivots/tasks in a round where others
-    do — replicas always mirror the parent instance at round start.
+    Sent to workers that have no pivots in a round where others do —
+    replicas always mirror the parent instance at round start.
 ``("enumerate"|"enumerate_unsatisfied"|"derive", segment, sync_buf, pivot_buf)``
     One enumeration round: fold the packed ``sync_buf`` delta into the
     replica, then run the shared delta core with the ``pivot_buf`` rows
-    (this worker's hash shards of the delta) as the pivot source against
+    (this worker's hash-routed slice of the delta) as the pivot source against
     the full replica.  Replies with one packed
     buffer: per-rule image streams (the enumeration commands — the
     parent rebuilds the ``{image: hom}`` dicts from the images alone) or
@@ -42,25 +42,15 @@ pickled — that is also how the pool accounts transport in
     against it right where the match is found, and only the images that
     can still add an atom — the smallest per distinct head — are sent
     back (:func:`~repro.engine.core.rule_unsatisfied_images`).
-``("fire", segment, rules, tasks_buf)``
-    Instantiate head atoms for a slice of a round's triggers.  Each
-    packed task is ``(index, rule_index, image, null_ids)`` — the
-    trigger's homomorphism is reconstructed from its image along the
-    rule's canonical body-variable order.  The reply packs each index
-    with its instantiated output atoms into one buffer.  The distinct
-    rules of the round ride along (a few hundred bytes) so firing works
-    even before the first enumeration seeds the worker.
 ``("stop",)``
     Acknowledge and exit.
 
-Workers never talk to each other and never allocate null names — the
-parent draws every null from the run's :class:`~repro.logic.terms.FreshSupply`
-in canonical trigger order and ships the assignments, which is what keeps
-sharded firing bit-identical to the sequential engines (see
-:meth:`repro.engine.scheduler.RoundScheduler.fire_round`).  Every
-batched round the :class:`~repro.engine.runner.ChaseRunner` policies
-produce fires this way; the restricted chase's split rounds record
-parent-side from the heads its pruned enumeration parked.
+Workers match; they never fire.  Workers never talk to each other and
+never allocate null names: every round the
+:class:`~repro.engine.runner.ChaseRunner` enumerates on the pool fires
+in the parent, through the inline lazy stream of
+:func:`repro.engine.batch.fire_round`, which draws every null from the
+run's :class:`~repro.logic.terms.FreshSupply` in canonical trigger order.
 
 Failure handling: a failed or dead worker surfaces as
 :class:`~repro.errors.ChaseError`, but only after every outstanding reply
@@ -68,7 +58,9 @@ of the round has been drained, and the pool is marked *broken* — its
 replicas may have half-applied the round's sync and an undrained pipe
 could hand a stale round reply to the next reader, so ``close()`` skips
 the stop handshake on a broken pool and tears the processes down by
-closing the pipes instead.
+closing the pipes instead.  A worker that fails to spawn surfaces as
+:class:`~repro.errors.ChaseError` too, after the workers already spawned
+are stopped.
 
 Decoded terms and atoms rebuild through their constructors on arrival
 (:func:`repro.logic.terms.term_from_wire`,
@@ -83,7 +75,7 @@ import multiprocessing
 import pickle
 import time
 import traceback
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.engine import shm as shm_transport
 from repro.engine import wire
@@ -107,8 +99,8 @@ class TransportStats:
     Beyond the totals, :attr:`commands` keys per-command counters —
     ``{"messages", "bytes_sent", "bytes_received", "shm_bytes",
     "atoms_sent", "atoms_received"}`` for each of ``seed``/``sync``/
-    ``enumerate``/``enumerate_unsatisfied``/``derive``/``fire``/``stop``
-    — so tests and benchmarks can pin exactly where transport goes.
+    ``enumerate``/``enumerate_unsatisfied``/``derive``/``stop`` — so
+    tests and benchmarks can pin exactly where transport goes.
     Sync deltas riding an enumeration or derive message are counted
     under ``sync`` (atoms) while the envelope bytes land on the carrying
     command.
@@ -249,24 +241,6 @@ class TransportStats:
 TRANSPORT_STATS = TransportStats()
 
 
-def fire_tasks(
-    rules: Sequence[Rule], tasks: Iterable[tuple]
-) -> list[tuple[int, set[Atom]]]:
-    """Instantiate the head atoms of a slice of firing tasks.
-
-    Each task is ``(index, rule_index, mapping, existential_map)``.  The
-    instantiation is :meth:`Rule.instantiate_head
-    <repro.rules.rule.Rule.instantiate_head>` — the same code
-    :meth:`Trigger.output <repro.chase.trigger.Trigger.output>` runs, so
-    a worker returns exactly the atoms the sequential engine would have
-    produced.
-    """
-    return [
-        (index, rules[rule_index].instantiate_head(mapping, existential_map))
-        for index, rule_index, mapping, existential_map in tasks
-    ]
-
-
 def _worker_main(conn) -> None:
     """The long-lived worker loop: one replica, one rule list, one wire
     table; per-round packed deltas in, one packed reply per round out.
@@ -286,7 +260,7 @@ def _worker_main(conn) -> None:
     (:func:`repro.engine.wire.pack_reply`): *decode* covers unpickling
     the envelope, resolving shm refs, replaying the table segment and
     unpacking the id buffers; *execute* the replica update and the
-    actual shard work; *encode* packing the reply buffer.  The blocking
+    actual enumeration work; *encode* packing the reply buffer.  The blocking
     ``recv`` (waiting for the parent) and the envelope's own final
     pickle are excluded — the triple measures worker compute, not pipe
     idleness.
@@ -351,18 +325,7 @@ def _worker_main(conn) -> None:
                 if command == "derive":
                     value = wire.encode_derive_reply(decoder, result)
                 else:
-                    value = wire.encode_enumerate_reply(
-                        decoder, rules, result
-                    )
-            elif command == "fire":
-                _, segment, fire_rules, tasks_buf = message
-                decoder.apply_segment(segment)
-                tasks_buf = resolve(reader, tasks_buf)
-                tasks = decoder.decode_fire_tasks(tasks_buf, fire_rules)
-                decoded = perf()
-                pairs = fire_tasks(fire_rules, tasks)
-                executed = perf()
-                value = wire.encode_fire_reply(decoder, pairs)
+                    value = wire.encode_enumerate_reply(decoder, result)
             else:
                 raise ChaseError(f"unknown worker command {command!r}")
             reply = wire.pack_reply(
@@ -391,8 +354,8 @@ class WorkerPool:
     Replica consistency: the pool tracks the revision its replicas are
     synced to and computes each round's sync payload with
     ``instance.delta_since`` — so rounds the scheduler chose to run inline
-    (single non-empty shard) are transparently caught up on the next
-    fanned-out round.
+    (a delta routed to a single worker) are transparently caught up on
+    the next fanned-out round.
 
     Wire tables: the pool owns the run's :class:`WireEncoder` and a
     per-worker ``(term, predicate)`` high-water mark into its tables.
@@ -454,33 +417,44 @@ class WorkerPool:
             context = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX platforms
             context = multiprocessing.get_context("spawn")
-        for _ in range(self.size):
-            parent_conn, child_conn = context.Pipe(duplex=True)
-            process = context.Process(
-                target=_worker_main,
-                args=(child_conn,),
-                daemon=True,
-            )
-            process.start()
-            child_conn.close()
-            self._connections.append(parent_conn)
-            self._processes.append(process)
+        try:
+            for _ in range(self.size):
+                parent_conn, child_conn = context.Pipe(duplex=True)
+                self._connections.append(parent_conn)
+                process = context.Process(
+                    target=_worker_main,
+                    args=(child_conn,),
+                    daemon=True,
+                )
+                try:
+                    process.start()
+                finally:
+                    child_conn.close()
+                self._processes.append(process)
+        except OSError as exc:
+            spawned = len(self._processes)
+            self.close()
+            raise ChaseError(
+                f"could not spawn persistent worker {spawned} of "
+                f"{self.size}: {exc!r}"
+            ) from exc
         self._started = True
 
     def close(self) -> None:
         """Stop every worker and reap the processes (idempotent).
 
-        On a healthy pool this is the stop handshake: every pipe is in
-        lockstep (each sent message has had its reply read), so a ``stop``
-        is acknowledged and the workers exit.  A *broken* pool never
-        reuses its desynced pipes — a stale round reply could be misread
-        as the stop ack — so the handshake is skipped and the processes
-        are terminated outright (their replicas are scratch state; under
-        the fork start method siblings hold inherited copies of each
-        other's pipe ends, so closing the parent ends alone would not
-        even unblock them).
+        On a healthy pool — a partly spawned one included — this is the
+        stop handshake: every pipe is in lockstep (each sent message has
+        had its reply read), so a ``stop`` is acknowledged and the
+        workers exit; a pipe whose worker never started reports EOF at
+        once.  A *broken* pool never reuses its desynced pipes — a stale
+        round reply could be misread as the stop ack — so the handshake
+        is skipped and the processes are terminated outright (their
+        replicas are scratch state; under the fork start method siblings
+        hold inherited copies of each other's pipe ends, so closing the
+        parent ends alone would not even unblock them).
         """
-        if not self._started:
+        if not self._connections:
             if self._segment_pool is not None:  # pragma: no cover - defensive
                 self._segment_pool.close()
                 self._segment_pool = None
@@ -595,12 +569,7 @@ class WorkerPool:
         TRANSPORT_STATS.record_send(command, len(blob))
         self._connections[worker].send_bytes(blob)
 
-    def _send(self, worker: int, message: tuple) -> None:
-        # checks: allow[T202] -- envelope choke point: every message reaching
-        # here is a command tuple built by the round methods below.
-        self._send_bytes(worker, pickle.dumps(message, _PROTOCOL), message[0])
-
-    def _receive(self, worker: int, command: str = "reply"):
+    def _receive(self, worker: int, command: str):
         try:
             blob = self._connections[worker].recv_bytes()
         except (EOFError, OSError) as exc:
@@ -710,7 +679,7 @@ class WorkerPool:
         """Run one enumeration (or derivation) round across the pool.
 
         ``pivots_per_worker`` assigns each worker its slice of the round's
-        delta as pivot source (the scheduler's hash-shard routing); the
+        delta as pivot source (the scheduler's hash routing); the
         sync payload — everything the replicas have not seen yet — is
         computed here and shipped to *every* worker, so replicas always
         mirror the parent instance at round start.  Returns the non-empty
@@ -796,52 +765,6 @@ class WorkerPool:
                         encoder, rules, replies[worker]
                     )
                 )
-        return results
-
-    def fire(
-        self,
-        rules: Sequence[Rule],
-        tasks_per_worker: Sequence[list[tuple]],
-    ) -> list[tuple[int, set[Atom]]]:
-        """Fan one round's firing tasks across the pool.
-
-        Tasks are packed into one flat buffer per worker and each worker
-        answers its whole slice in one packed reply.  Returns the
-        concatenated ``(index, output_atoms)`` pairs; the caller
-        re-orders by index, so reply order is irrelevant.
-        """
-        self._start()
-        rules = tuple(rules)
-        encoder = self._encoder
-        task_lists = [
-            self._slice(tasks_per_worker, worker)
-            for worker in range(self.size)
-        ]
-        task_bufs = [
-            encoder.encode_fire_tasks(rules, tasks) if tasks else None
-            for tasks in task_lists
-        ]
-        task_payloads = [
-            self._ship("fire", buf) if buf is not None else None
-            for buf in task_bufs
-        ]
-        messages: list[tuple | None] = [
-            ("fire", self._segment(worker), rules, task_payloads[worker])
-            if task_payloads[worker] is not None
-            else None
-            for worker in range(self.size)
-        ]
-        try:
-            replies = self._broadcast_and_gather(messages)
-        finally:
-            self._collect_segments()
-        results: list[tuple[int, set[Atom]]] = []
-        for _, reply in replies:
-            decoded = wire.decode_fire_reply(encoder, reply)
-            TRANSPORT_STATS.count_atoms_received(
-                "fire", sum(len(atoms) for _, atoms in decoded)
-            )
-            results.extend(decoded)
         return results
 
     def __enter__(self) -> "WorkerPool":

@@ -128,11 +128,9 @@ class FreshSupply:
     chase run or per rewriting run for reproducible names.
 
     The supply exposes its :attr:`position` (how many names were handed
-    out) and can :meth:`rewind` to an earlier position.  The sharded
-    firing path uses this to keep the supply bit-identical to the
-    sequential engines on a mid-round budget stop: it draws names for a
-    whole round speculatively and rewinds to the stop position when the
-    atom budget cuts the round short.
+    out).  Names are drawn lazily, one trigger at a time, so on a
+    mid-round budget stop every engine leaves the supply at the same
+    position.
     """
 
     def __init__(self, prefix: str = "_n"):
@@ -143,20 +141,6 @@ class FreshSupply:
     def position(self) -> int:
         """How many names this supply has handed out so far."""
         return self._counter
-
-    def rewind(self, position: int) -> None:
-        """Move the supply back to an earlier :attr:`position`.
-
-        Names drawn after ``position`` will be handed out again, so the
-        caller must guarantee none of them escaped (the sharded firing
-        path discards every atom instantiated past a budget stop).
-        """
-        if position < 0 or position > self._counter:
-            raise ValueError(
-                f"cannot rewind supply to position {position} "
-                f"(current position: {self._counter})"
-            )
-        self._counter = position
 
     def null(self) -> Null:
         """Return a fresh labelled null."""

@@ -20,9 +20,9 @@ Each round record carries six wall-clock phases (``time.perf_counter``):
 ``gate``
     Claim-gate evaluation: frontier-class dedup, satisfaction checks.
 ``fire``
-    Head instantiation and firing-path machinery (task packing, worker
-    fan-out, output merging), minus the inner gate/record/sync/probe
-    time recorded during it.
+    Head instantiation and the firing stream's own work — always in the
+    parent, whichever backend enumerated the round — minus the inner
+    gate/record time recorded during it.
 ``record``
     Provenance recording — the body of
     :meth:`~repro.chase.result.ChaseResult.record_round` /
@@ -49,9 +49,9 @@ Datalog round ``triggers == applied``; the unpruned ``naive`` engine
 counts every new trigger.
 
 Trace records deliberately separate deterministic fields (counts, plan,
-shard weights, byte deltas — bit-stable for a given engine
-configuration, and counts/plan across the whole engine × workers ×
-shards equivalence matrix) from wall-clock fields (the phase timers),
+routing weights, byte deltas — bit-stable for a given engine
+configuration, and counts/plan across the whole engine × workers
+equivalence matrix) from wall-clock fields (the phase timers),
 mirroring the byte-vs-wall-clock split of the ``BENCH_*.json`` artifacts.
 
 JSONL layout (``RunTrace.to_jsonl``): one ``{"type": "run"}`` header
@@ -102,7 +102,7 @@ class RoundRecorder:
         self.plan: str | None = None
         #: Size of the round's enumeration delta (None on the naive engine).
         self.delta_atoms: int | None = None
-        #: Per-shard wire byte weights routed this round (parallel engines).
+        #: Per-worker wire id weights routed this round (the worker pool).
         self.shard_weights: tuple[int, ...] | None = None
 
     def add_phase(self, name: str, seconds: float) -> None:
@@ -115,8 +115,8 @@ class RoundRecorder:
         """Time a block, excluding inner phase time recorded during it.
 
         ``enumerate`` wraps the enumeration (which nests ``sync``),
-        ``fire`` wraps the whole firing path (which nests ``gate``,
-        ``record`` and ``sync``), ``probe`` wraps the post-round goal
+        ``fire`` wraps the whole firing path (which nests ``gate`` and
+        ``record``), ``probe`` wraps the post-round goal
         probe.  The attributed time is
         ``elapsed - inner_delta``, clamped at zero, so the six phases
         stay disjoint.

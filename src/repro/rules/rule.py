@@ -231,10 +231,10 @@ class Rule:
     ) -> set[Atom]:
         """The head atoms under ``mapping`` + an existential assignment.
 
-        The single definition of what firing a trigger produces: both the
-        sequential :meth:`~repro.chase.trigger.Trigger.output` and the
-        sharded firing workers (:func:`repro.engine.workers.fire_tasks`)
-        call this, so the engines cannot drift apart.  For Datalog rules
+        The single definition of what firing a trigger produces:
+        :meth:`~repro.chase.trigger.Trigger.output` (every engine fires
+        through it, in the parent) and the restricted chase's ground-head
+        parking call this, so the two cannot drift apart.  For Datalog rules
         (``existential_map`` empty) the body homomorphism already grounds
         the head — no merged substitution is built.
         """

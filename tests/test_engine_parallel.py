@@ -1,14 +1,15 @@
-"""The engine subsystem: registry, sharding, parallel equivalence.
+"""The engine subsystem: registry, routing, parallel equivalence.
 
 The parallel engine's contract is the strongest the library makes: for
-every chase variant, every corpus workload, and *every* worker/shard
-count, ``engine="parallel"`` must produce a :class:`ChaseResult` that is
+every chase variant, every corpus workload, and *every* worker count,
+``engine="parallel"`` must produce a :class:`ChaseResult` that is
 bit-identical to the sequential delta engine — same atoms, levels,
 termination flag, timestamps, null names and provenance records — inline
 at one worker and on the worker pool above.  The suite pins that
-contract, the registry's error behavior, the sharded index, the batched
-firing path, the Datalog closure engines (against ``naive``), and the
-index-seeded satisfaction fast path of the restricted chase.
+contract, the registry's error behavior, the scheduler's hash routing,
+the batched firing path, the Datalog closure engines (against
+``naive``), and the index-seeded satisfaction fast path of the
+restricted chase.
 """
 
 from __future__ import annotations
@@ -36,13 +37,14 @@ from repro.corpus.generators import (
 from repro.engine import (
     EngineConfig,
     RoundScheduler,
-    ShardedIndex,
+    WorkerPool,
     available_engines,
     register_engine,
     resolve_engine,
 )
 from repro.errors import ChaseError
 from repro.logic.atoms import atom
+from repro.logic.instances import Instance
 from repro.rewriting.datalog import semi_naive_closure
 from repro.rules.parser import parse_instance, parse_rules
 
@@ -146,16 +148,16 @@ class TestRegistry:
                 runner()
 
     def test_explicit_config_passes_through(self):
-        config = EngineConfig("parallel", workers=2, shards=8)
+        config = EngineConfig("parallel", workers=2)
         assert resolve_engine(config) is config
-        assert config.shard_count == 8
-        assert EngineConfig("parallel", workers=3).shard_count == 3
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ChaseError):
             EngineConfig("parallel", workers=0)
-        with pytest.raises(ChaseError):
-            EngineConfig("parallel", shards=-1)
+        # The delta always routes one slice per worker: there is no
+        # separate shard count to set.
+        with pytest.raises(TypeError):
+            EngineConfig("parallel", workers=2, shards=4)
 
     def test_sequential_engines_reject_workers(self):
         # A sequential engine runs in-process: a worker count above one
@@ -206,28 +208,31 @@ class TestRegistry:
 
 
 # ----------------------------------------------------------------------
-# Sharded index
+# Hash routing
 # ----------------------------------------------------------------------
 
 
-class TestShardedIndex:
-    def test_partition_is_exact(self):
-        index = ShardedIndex(3)
+class TestSchedulerRouting:
+    def test_partition_is_exact(self, monkeypatch):
+        # The pivots the scheduler hands the pool: one sorted slice per
+        # worker, each atom in the slice its hash names, nothing lost.
         atoms = [atom("E", f"x{i}", f"x{i+1}") for i in range(20)]
-        views = index.ingest(atoms)
-        assert len(views) == 3
-        routed = [a for view in views for a in view]
-        assert sorted(routed) == sorted(atoms)
-        assert sum(index.sizes()) == len(index) == len(atoms)
-        assert index.sizes() == tuple(len(view) for view in views)
-        # Each atom lands in exactly the shard its hash names.
-        for i, view in enumerate(views):
-            for a in view:
-                assert index.shard_of(a) == i
+        shipped = []
 
-    def test_shard_count_validated(self):
-        with pytest.raises(ChaseError):
-            ShardedIndex(0)
+        def capture(pool, mode, rules, instance, pivots_per_worker):
+            shipped.append(pivots_per_worker)
+            return []
+
+        monkeypatch.setattr(WorkerPool, "run_round", capture)
+        with RoundScheduler(EngineConfig("parallel", workers=3)) as scheduler:
+            scheduler.derive_atoms(Instance(atoms), [], atoms)
+        (pivots,) = shipped
+        assert len(pivots) == 3
+        assert sorted(a for piece in pivots for a in piece) == sorted(atoms)
+        for worker, piece in enumerate(pivots):
+            assert piece == sorted(piece)
+            for a in piece:
+                assert hash(a) % 3 == worker
 
 
 # ----------------------------------------------------------------------
@@ -251,7 +256,7 @@ class TestParallelEquivalence:
         self, variant, run, name, instance, rules, levels
     ):
         # The ``persistent`` preset fans every round out over a pool of
-        # four workers: sharded enumeration and sharded firing on the
+        # four workers: pool enumeration and parent-side firing on the
         # whole corpus, not just the slice in test_engine_persistent.py.
         assert resolve_engine("persistent").uses_pool
         delta = run(instance, rules, levels, "delta")
@@ -260,14 +265,14 @@ class TestParallelEquivalence:
 
 
 class TestSchedulerDeterminism:
-    def test_worker_and_shard_counts_do_not_matter(self):
+    def test_worker_counts_do_not_matter(self):
         rules = parse_rules(
             "E(x,y) -> exists z. E(y,z)\nE(x,y), E(y,z) -> F(x,z)"
         )
         make = lambda: tournament_instance(6, seed=1)
         reference = oblivious_chase(make(), rules, max_levels=3)
-        for workers, shards in [(1, 1), (2, 2), (3, 5), (4, 1), (4, 16)]:
-            config = EngineConfig("parallel", workers=workers, shards=shards)
+        for workers in (1, 2, 3, 4):
+            config = EngineConfig("parallel", workers=workers)
             run = oblivious_chase(
                 make(), rules, max_levels=3, engine=config
             )
@@ -342,7 +347,6 @@ class TestSchedulerDeterminism:
             assert len(per_rule) == 1
             images = [image for image, _ in per_rule[0]]
             assert images == sorted(images)
-            assert sum(scheduler.shard_sizes()) == len(inst)
         assert scheduler._worker_pool is None
 
 

@@ -1,10 +1,10 @@
-"""Persistent delta-fed workers and sharded firing: the pool suite.
+"""Persistent delta-fed workers: the pool suite.
 
 Extends the engine-equivalence suite over the persistent
 :class:`~repro.engine.workers.WorkerPool` (replicas seeded once,
-per-round delta sync, sharded firing) — asserting bit-identical
-instances, provenance order, timestamps, null names and budget-stop
-positions against the sequential ``delta`` engine.
+per-round delta sync, enumeration on the pool, firing in the parent) —
+asserting bit-identical instances, provenance order, timestamps, null
+names and budget-stop positions against the sequential ``delta`` engine.
 
 Pools fork per run, so this file parametrizes over a reduced but
 structurally diverse slice of the corpus workloads at two pool shapes;
@@ -14,18 +14,26 @@ the full workload matrix runs on the ``persistent`` preset in
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from test_engine_parallel import VARIANTS, WORKLOADS, assert_bit_identical
 
-from repro.chase import oblivious_chase, semi_oblivious_chase
+from repro.chase import (
+    oblivious_chase,
+    restricted_chase,
+    semi_oblivious_chase,
+)
 from repro.corpus.generators import path_instance, tournament_instance
 from repro.engine import (
     TRANSPORT_STATS,
     EngineConfig,
     WorkerPool,
     resolve_engine,
+    shm_available,
 )
+from repro.engine import shm
 from repro.errors import ChaseError
 from repro.logic.atoms import atom
 from repro.logic.instances import Instance
@@ -47,11 +55,10 @@ PROCESS_WORKLOAD_NAMES = (
 PROCESS_WORKLOADS = [w for w in WORKLOADS if w[0] in PROCESS_WORKLOAD_NAMES]
 PROCESS_IDS = [w[0] for w in PROCESS_WORKLOADS]
 
-#: Two pool shapes: shards defaulting to one per worker, and an odd
-#: worker count over more shards than workers (a worker owns several).
+#: Two pool shapes: an even and an odd worker count.
 PROCESS_MODES = [
     ("persistent", EngineConfig("persistent", workers=2)),
-    ("persistent_w3s7", EngineConfig("persistent", workers=3, shards=7)),
+    ("persistent_w3", EngineConfig("persistent", workers=3)),
 ]
 
 
@@ -108,16 +115,14 @@ class TestProcessModeEquivalence:
 
 
 class TestPersistentDeterminism:
-    def test_worker_and_shard_counts_do_not_matter(self):
+    def test_worker_counts_do_not_matter(self):
         rules = parse_rules(
             "E(x,y) -> exists z. E(y,z)\nE(x,y), E(y,z) -> F(x,z)"
         )
         make = lambda: tournament_instance(6, seed=1)
         reference = oblivious_chase(make(), rules, max_levels=3)
-        for workers, shards in [(2, 2), (2, 8), (3, 5)]:
-            config = EngineConfig(
-                "persistent", workers=workers, shards=shards
-            )
+        for workers in (2, 3, 5):
+            config = EngineConfig("persistent", workers=workers)
             run = oblivious_chase(make(), rules, max_levels=3, engine=config)
             assert_bit_identical(run, reference)
 
@@ -128,12 +133,57 @@ class TestPersistentDeterminism:
         assert semi_naive_closure(path_instance(12), rules, engine=config) == reference
 
 
+class TestPoolMatchesParentFires:
+    """The pool enumerates and derives; no round fires on it."""
+
+    TC = "E(x,y), E(y,z) -> E(x,z)"
+    POOL = EngineConfig("persistent", workers=2)
+
+    @pytest.mark.parametrize(
+        "chase,command",
+        [
+            (oblivious_chase, "enumerate"),
+            (restricted_chase, "enumerate_unsatisfied"),
+        ],
+        ids=["oblivious", "restricted"],
+    )
+    def test_chase_rounds_enumerate_on_the_pool(self, chase, command):
+        # A 25-atom first delta reaches both workers, so the first round
+        # runs on the pool; its triggers still fire in the parent.
+        rules = parse_rules(self.TC)
+        reference = chase(path_instance(24), rules, engine="delta")
+        TRANSPORT_STATS.reset()
+        result = chase(path_instance(24), rules, engine=self.POOL)
+        assert_bit_identical(result, reference)
+        commands = TRANSPORT_STATS.commands
+        assert commands[command]["messages"] >= 2
+        assert set(commands) <= {"seed", "sync", command, "stop"}
+
+    def test_unknown_reply_symbol_fails_the_round(self, monkeypatch):
+        # Replies carry table ids only.  A head symbol the parent never
+        # interned (here: intern_rules skipped at seed) cannot be encoded
+        # worker-side, and the round fails with a typed error.
+        from repro.engine.wire import WireEncoder
+
+        monkeypatch.setattr(
+            WireEncoder, "intern_rules", lambda self, rules: None
+        )
+        rules = tuple(parse_rules("E(x,y) -> G(y,x)"))
+        instance = Instance([atom("E", "a", "b"), atom("E", "b", "c")])
+        with WorkerPool(1) as pool:
+            with pytest.raises(ChaseError, match="not in the wire table"):
+                pool.run_round(
+                    "derive", rules, instance, [instance.sorted_atoms()]
+                )
+            assert pool.broken
+
+
 # ----------------------------------------------------------------------
 # Budget stops: same partial result, same supply position
 # ----------------------------------------------------------------------
 
 
-class TestShardedFiringBudgetStop:
+class TestPoolEnumerationBudgetStop:
     RULES = "E(x,y) -> exists z. E(y,z)"
 
     def _run(self, engine, supply):
@@ -151,17 +201,17 @@ class TestShardedFiringBudgetStop:
     )
     def test_partial_result_and_supply_position_match(self, mode, config):
         sequential_supply = FreshSupply("_n")
-        sharded_supply = FreshSupply("_n")
+        pool_supply = FreshSupply("_n")
         reference = self._run("delta", sequential_supply)
-        result = self._run(config, sharded_supply)
+        result = self._run(config, pool_supply)
         assert not reference.terminated
         assert_bit_identical(result, reference)
-        # The sharded round drew nulls speculatively and rewound: the next
-        # name either supply hands out is the same.
-        assert sharded_supply.position == sequential_supply.position
-        assert sharded_supply.null() == sequential_supply.null()
+        # The round enumerated on the pool fires lazily in the parent: the
+        # next name either supply hands out is the same.
+        assert pool_supply.position == sequential_supply.position
+        assert pool_supply.null() == sequential_supply.null()
 
-    def test_semi_oblivious_claim_gate_with_sharded_firing(self):
+    def test_semi_oblivious_claim_gate_on_the_pool(self):
         rules = parse_rules(
             "E(x,y) -> exists z. E(y,z)\nE(x,y), E(y,z) -> F(x,z)"
         )
@@ -182,28 +232,13 @@ class TestShardedFiringBudgetStop:
 # ----------------------------------------------------------------------
 
 
-class TestFreshSupplyRewind:
+class TestFreshSupplyPosition:
     def test_position_tracks_draws(self):
         supply = FreshSupply("_t")
         assert supply.position == 0
         names = [supply.null().name for _ in range(3)]
         assert names == ["_t0", "_t1", "_t2"]
         assert supply.position == 3
-
-    def test_rewind_replays_names(self):
-        supply = FreshSupply("_t")
-        supply.nulls(4)
-        supply.rewind(2)
-        assert supply.position == 2
-        assert supply.null().name == "_t2"
-
-    def test_rewind_bounds_checked(self):
-        supply = FreshSupply("_t")
-        supply.nulls(2)
-        with pytest.raises(ValueError):
-            supply.rewind(3)
-        with pytest.raises(ValueError):
-            supply.rewind(-1)
 
 
 # ----------------------------------------------------------------------
@@ -261,9 +296,10 @@ class TestWorkerPool:
     def test_worker_errors_surface_as_chase_error(self):
         with WorkerPool(1) as pool:
             pool._start()
-            pool._send(0, ("enumerate", [], "not-an-atom-list"))
             with pytest.raises(ChaseError, match="worker 0 failed"):
-                pool._receive(0)
+                pool._broadcast_and_gather(
+                    [("enumerate", None, b"", "not-an-id-buffer")]
+                )
         # The pool is still closeable after a failed round.
 
     def test_unsatisfied_round_prunes_against_the_replica(self):
@@ -330,27 +366,6 @@ class TestWorkerPool:
         # E(a,c), E(c,c) -> E(a,c) is present on the synced replica.
         assert second[0] == {}
 
-    def test_fire_without_prior_seed(self):
-        # Firing ships the round's distinct rules, so it works on a
-        # fresh pool (enumeration may have run inline all along).
-        rules = list(parse_rules("E(x,y) -> exists z. E(y,z)"))
-        from repro.chase.trigger import triggers_of
-
-        instance = Instance([atom("E", "a", "b")])
-        (trigger,) = list(triggers_of(instance, rules))
-        supply = FreshSupply("_w")
-        existential_map = {
-            v: supply.null() for v in trigger.rule.existential_order()
-        }
-        with WorkerPool(2) as pool:
-            pairs = pool.fire(
-                [trigger.rule],
-                [[(0, 0, trigger.mapping, existential_map)], []],
-            )
-        ((index, atoms),) = pairs
-        expected, _ = trigger.output(FreshSupply("_w"))
-        assert index == 0 and atoms == expected
-
 
 # ----------------------------------------------------------------------
 # Failing workers: reply drain, broken-pool teardown
@@ -360,33 +375,28 @@ class TestWorkerPool:
 class TestWorkerPoolFailureTeardown:
     RULES = tuple(parse_rules("E(x,y) -> F(x,y)"))
 
-    def _mapping(self):
-        from repro.chase.trigger import triggers_of
-
+    def _derive_message(self, pool):
+        # A valid wire-format derive message for a fresh pool: a seed
+        # first (workers derive over their replica and rule list), then
+        # the pivot buffer, with the segment cut from the pool's current
+        # marks so it covers every symbol the buffer references.
         instance = Instance([atom("E", "a", "b")])
-        (trigger,) = list(triggers_of(instance, list(self.RULES)))
-        return trigger.mapping
-
-    def _fire_message(self, pool, tasks):
-        # A valid wire-format fire message for a fresh pool: encode the
-        # tasks first, then cut the segment from mark (0, 0) so it covers
-        # every symbol the buffer references.
-        tasks_buf = pool._encoder.encode_fire_tasks(self.RULES, tasks)
-        segment = pool._encoder.segment(0, 0)
-        return ("fire", segment, self.RULES, tasks_buf)
+        pool._seed(self.RULES, instance)
+        pivot_buf = pool._encoder.encode_atoms(instance.sorted_atoms())
+        segment = pool._encoder.segment(*pool._marks[0])
+        return ("derive", segment, b"", pivot_buf)
 
     def test_failed_reply_drains_survivors_and_marks_broken(self):
-        # Worker 1 errors mid-round (its task buffer is not a valid id
+        # Worker 1 errors mid-round (its pivot buffer is not a valid id
         # stream); workers 0 and 2 reply normally.  The gather must drain
         # *all* outstanding replies before raising, so no pipe is left
         # holding a stale round reply, and the pool must be marked broken.
-        mapping = self._mapping()
         pool = WorkerPool(3)
         pool._start()
-        healthy = self._fire_message(pool, [(0, 0, mapping, {})])
+        healthy = self._derive_message(pool)
         messages = [
             healthy,
-            ("fire", None, self.RULES, b"bad"),
+            ("derive", None, b"", b"\x80"),
             healthy,
         ]
         with pytest.raises(ChaseError, match="worker 1 failed"):
@@ -405,7 +415,7 @@ class TestWorkerPoolFailureTeardown:
         pool._start()
         with pytest.raises(ChaseError, match="worker 0 failed"):
             pool._broadcast_and_gather(
-                [("fire", self.RULES, ["bad-task"]), None]
+                [("enumerate", None, b"", "bad-pivots"), None]
             )
         assert pool.broken
         with pytest.raises(ChaseError, match="broken"):
@@ -418,12 +428,11 @@ class TestWorkerPoolFailureTeardown:
         # Worker 1's process dies before the round; the send fails, the
         # already-sent worker 0 is still drained, and the failure
         # surfaces as a ChaseError with the pool marked broken.
-        mapping = self._mapping()
         pool = WorkerPool(2)
         pool._start()
+        healthy = self._derive_message(pool)
         pool._processes[1].terminate()
         pool._processes[1].join(timeout=5.0)
-        healthy = self._fire_message(pool, [(0, 0, mapping, {})])
         with pytest.raises(ChaseError, match="died mid-round"):
             pool._broadcast_and_gather([healthy, healthy])
         assert pool.broken
@@ -441,7 +450,7 @@ class TestWorkerPoolFailureTeardown:
         pool._start()
         with pytest.raises(ChaseError):
             pool._broadcast_and_gather(
-                [("fire", self.RULES, ["bad"]), ("fire", self.RULES, ["bad"])]
+                [("derive", None, b"", "bad"), ("derive", None, b"", "bad")]
             )
         import time
 
@@ -452,3 +461,45 @@ class TestWorkerPoolFailureTeardown:
         # A closed broken pool still refuses reuse.
         with pytest.raises(ChaseError, match="broken"):
             pool._start()
+
+    @pytest.mark.parametrize(
+        "shared_memory",
+        [
+            False,
+            pytest.param(
+                True,
+                marks=pytest.mark.skipif(
+                    not shm_available(), reason="no working shared memory"
+                ),
+            ),
+        ],
+        ids=["pipe", "shm"],
+    )
+    def test_spawn_failure_tears_down_spawned_workers(
+        self, monkeypatch, shared_memory
+    ):
+        # The second worker fails to spawn: the first, already running,
+        # is stopped and the failure surfaces as a typed error.
+        import errno
+
+        process_class = multiprocessing.get_context("fork").Process
+        original_start = process_class.start
+        started = []
+
+        def start_once(process):
+            if started:
+                raise OSError(errno.EAGAIN, "fork refused")
+            started.append(process)
+            original_start(process)
+
+        monkeypatch.setattr(process_class, "start", start_once)
+        pool = WorkerPool(3, shared_memory=shared_memory)
+        with pytest.raises(ChaseError, match="worker 1 of 3") as excinfo:
+            pool._start()
+        monkeypatch.undo()
+        assert isinstance(excinfo.value.__cause__, OSError)
+        pool.close()
+        assert multiprocessing.active_children() == []
+        assert shm.active_segments() == frozenset()
+        assert pool._connections == [] and pool._processes == []
+        assert not pool.broken

@@ -2,11 +2,12 @@
 
 Two halves:
 
-* codec round-trip tests — packed atom/task/reply buffers rebuild the
-  exact objects (nulls, constants, repeated terms, empty deltas, literal
-  escapes), symbols intern once, and segments replay strictly in order;
+* codec round-trip tests — packed atom and reply buffers rebuild the
+  exact objects (nulls, constants, repeated terms, empty deltas),
+  symbols intern once, segments replay strictly in order, and a reply
+  symbol missing from the worker's table is an error;
 * :data:`TRANSPORT_STATS` accounting — exact per-command byte/atom/
-  message counters for seed, sync, enumerate, fire and stop on a
+  message counters for seed, sync, enumerate, derive and stop on a
   small workload at ``workers=1``, monotonicity at ``workers=3``.
 """
 
@@ -16,15 +17,15 @@ import random
 
 import pytest
 
-from repro.chase.trigger import triggers_of
 from repro.engine import wire
-from repro.engine.shards import atom_weight
-from repro.engine.wire import WireDecoder, WireEncoder
+from repro.engine.columnar import ColumnarInstance, Vocabulary
+from repro.engine.wire import WireDecoder, WireEncoder, atom_weight
 from repro.engine.workers import TRANSPORT_STATS, WorkerPool
 from repro.errors import ChaseError
 from repro.logic.atoms import Atom, atom, build_atom
 from repro.logic.instances import Instance
 from repro.logic.predicates import Predicate
+from repro.logic.substitutions import Substitution
 from repro.logic.terms import (
     TERM_KINDS,
     Constant,
@@ -40,6 +41,14 @@ def _synced_decoder(encoder: WireEncoder) -> WireDecoder:
     decoder = WireDecoder()
     decoder.apply_segment(encoder.segment(0, 0))
     return decoder
+
+
+def _ingest(decoder: WireDecoder, buf: bytes) -> list[Atom]:
+    """Fold a packed atom buffer into a fresh replica, as a worker does;
+    returns its atoms in the library's sorted order."""
+    replica = ColumnarInstance(Vocabulary.of_decoder(decoder))
+    replica.ingest_packed(buf)
+    return replica.sorted_atoms()
 
 
 # ----------------------------------------------------------------------
@@ -84,10 +93,9 @@ class TestAtomCodec:
         ]
         encoder = WireEncoder()
         buf = encoder.encode_atoms(atoms)
-        decoder = _synced_decoder(encoder)
-        decoded = decoder.decode_atoms(buf)
-        assert decoded == atoms
-        assert [hash(a) for a in decoded] == [hash(a) for a in atoms]
+        decoded = _ingest(_synced_decoder(encoder), buf)
+        assert decoded == sorted(atoms)
+        assert [hash(a) for a in decoded] == [hash(a) for a in sorted(atoms)]
         # Repeated symbols interned once: A, B, _n0 and the variable-free
         # predicate set E/2, F/2, unary/1, top/0.
         assert len(encoder.terms) == 3
@@ -96,10 +104,10 @@ class TestAtomCodec:
     def test_empty_delta_is_empty_buffer(self):
         encoder = WireEncoder()
         assert encoder.encode_atoms([]) == b""
-        assert _synced_decoder(encoder).decode_atoms(b"") == []
+        assert _ingest(_synced_decoder(encoder), b"") == []
 
     def test_buffer_bytes_equal_atom_weights(self):
-        # The traced shard weights *are* the wire encoding: an
+        # The traced routing weights *are* the wire encoding: an
         # already-interned atom costs atom_weight ids to ship — one
         # varint byte each while the tables stay below 128 entries, as
         # here, so the byte length matches the weight exactly.
@@ -138,9 +146,9 @@ class TestAtomCodec:
         assert term_specs == ((Constant._rank, "C"),)
         assert pred_specs == ()
         decoder.apply_segment(segment)
-        assert decoder.decode_atoms(buf1) == first
-        assert decoder.decode_atoms(buf2) == [atom("E", "B", "A")]
-        assert decoder.decode_atoms(buf3) == [atom("E", "A", "C")]
+        assert _ingest(decoder, buf1) == first
+        assert _ingest(decoder, buf2) == [atom("E", "B", "A")]
+        assert _ingest(decoder, buf3) == [atom("E", "A", "C")]
 
     def test_out_of_sequence_segment_rejected(self):
         encoder = WireEncoder()
@@ -174,60 +182,10 @@ class TestAtomCodec:
             marks = encoder.marks()
             buf = encoder.encode_atoms(atoms)
             decoder.apply_segment(encoder.segment(*marks))
-            assert decoder.decode_atoms(buf) == atoms
-
-
-class TestTaskCodec:
-    def _trigger(self, rule_text, facts):
-        rules = tuple(parse_rules(rule_text))
-        instance = Instance(facts)
-        (trigger,) = list(triggers_of(instance, list(rules)))
-        return rules, trigger
-
-    def test_fire_tasks_round_trip_mapping_and_nulls(self):
-        rules, trigger = self._trigger(
-            "E(x,y) -> exists z. F(y,z)", [atom("E", "A", "B")]
-        )
-        existential_map = {
-            v: Null(f"_n{i}")
-            for i, v in enumerate(rules[0].existential_order())
-        }
-        tasks = [(0, 0, trigger.mapping, existential_map)]
-        encoder = WireEncoder()
-        buf = encoder.encode_fire_tasks(rules, tasks)
-        decoded = _synced_decoder(encoder).decode_fire_tasks(buf, rules)
-        assert decoded == tasks
-
-    def test_identity_mappings_survive(self):
-        # A mapping sending a body variable to itself packs as the
-        # variable's own id and reconstructs to an *absent* binding —
-        # exactly how Substitution normalizes identity pairs.
-        rules = tuple(parse_rules("E(x,y) -> F(x,y)"))
-        from repro.logic.substitutions import Substitution
-
-        x, y = rules[0].body_variable_order()
-        mapping = Substitution({x: x, y: Constant("B")})
-        tasks = [(0, 0, mapping, {})]
-        encoder = WireEncoder()
-        buf = encoder.encode_fire_tasks(rules, tasks)
-        decoded = _synced_decoder(encoder).decode_fire_tasks(buf, rules)
-        assert decoded == tasks
-        assert x not in decoded[0][2]
+            assert _ingest(decoder, buf) == sorted(set(atoms))
 
 
 class TestReplyCodec:
-    def test_fire_reply_round_trip(self):
-        encoder = WireEncoder()
-        encoder.encode_atoms([atom("F", "A", "B"), atom("F", "B", "C")])
-        decoder = _synced_decoder(encoder)
-        pairs = [
-            (0, {atom("F", "A", "B")}),
-            (3, {atom("F", "B", "C"), atom("F", "A", "B")}),
-            (5, set()),
-        ]
-        reply = wire.encode_fire_reply(decoder, pairs)
-        assert wire.decode_fire_reply(encoder, reply) == pairs
-
     def test_derive_reply_round_trip(self):
         encoder = WireEncoder()
         atoms = {atom("F", "A", "B"), atom("F", "B", "C")}
@@ -235,6 +193,17 @@ class TestReplyCodec:
         decoder = _synced_decoder(encoder)
         reply = wire.encode_derive_reply(decoder, atoms)
         assert wire.decode_derive_reply(encoder, reply) == atoms
+
+    def test_derive_reply_is_the_atom_layout(self):
+        # A derive reply is a plain table-id stream: byte for byte what
+        # the parent's encode_atoms packs for the same atoms.
+        encoder = WireEncoder()
+        atoms = [atom("F", "A", "B"), atom("G", "B")]
+        buf = encoder.encode_atoms(atoms)
+        decoder = _synced_decoder(encoder)
+        assert wire.encode_derive_reply(decoder, atoms) == buf
+        with pytest.raises(ChaseError, match="truncated"):
+            wire.decode_derive_reply(encoder, buf[:-1])
 
     def test_enumerate_reply_rebuilds_homs_from_images(self):
         from repro.engine.core import rule_delta_images
@@ -248,20 +217,41 @@ class TestReplyCodec:
         encoder = WireEncoder()
         encoder.encode_atoms(instance.sorted_atoms())
         decoder = _synced_decoder(encoder)
-        reply = wire.encode_enumerate_reply(decoder, rules, per_rule)
+        reply = wire.encode_enumerate_reply(decoder, per_rule)
         decoded = wire.decode_enumerate_reply(encoder, rules, reply)
         assert decoded == per_rule
 
-    def test_literal_escape_for_unknown_symbols(self):
-        # A reply can mention a symbol the parent never shipped: it rides
-        # as a message-local literal instead of a table ref.
+    def test_identity_images_rebuild_absent_bindings(self):
+        # An image that sends a body variable to itself packs as the
+        # variable's own id and rebuilds to an *absent* binding — exactly
+        # how Substitution normalizes identity pairs.
+        rules = tuple(parse_rules("E(x,y) -> F(x,y)"))
+        x, y = rules[0].body_variable_order()
+        mapping = Substitution({x: x, y: Constant("B")})
+        per_rule = [{(x, Constant("B")): mapping}]
         encoder = WireEncoder()
-        decoder = _synced_decoder(encoder)  # both tables empty
-        stranger = Atom(Predicate("S", 2), (Constant("Q"), Null("_n9")))
-        reply = wire.encode_fire_reply(decoder, [(0, {stranger})])
-        literal_terms, literal_predicates, _ = reply
-        assert literal_terms and literal_predicates
-        assert wire.decode_fire_reply(encoder, reply) == [(0, {stranger})]
+        encoder.encode_atoms([Atom(Predicate("E", 2), (x, Constant("B")))])
+        decoder = _synced_decoder(encoder)
+        reply = wire.encode_enumerate_reply(decoder, per_rule)
+        decoded = wire.decode_enumerate_reply(encoder, rules, reply)
+        assert decoded == per_rule
+        (hom,) = decoded[0].values()
+        assert x not in hom
+
+    @pytest.mark.parametrize("reply_kind", ["derive", "enumerate"])
+    def test_unknown_symbol_raises_chase_error(self, reply_kind):
+        # Every symbol a reply mentions must already be in the worker's
+        # table replica; one the parent never shipped is an error, not a
+        # message-local literal.
+        encoder = WireEncoder()
+        encoder.encode_atoms([atom("F", "A", "B")])
+        decoder = _synced_decoder(encoder)
+        stranger = Atom(Predicate("F", 2), (Constant("A"), Null("_n9")))
+        with pytest.raises(ChaseError, match="not in the wire table"):
+            if reply_kind == "derive":
+                wire.encode_derive_reply(decoder, [stranger])
+            else:
+                wire.encode_enumerate_reply(decoder, [{stranger.args: None}])
 
 
 # ----------------------------------------------------------------------
@@ -272,18 +262,12 @@ class TestReplyCodec:
 RULES = tuple(parse_rules("E(x,y) -> F(x,y)"))
 
 
-def _mapping(facts):
-    (trigger,) = list(triggers_of(Instance(facts), list(RULES)))
-    return trigger.mapping
-
-
 def _run_sequence(workers: int) -> dict:
-    """One seed + two enumerate rounds + fire + stop; all pivots and
-    tasks go to worker 0, so extra workers only add sync/seed traffic.
+    """One seed + two enumerate rounds + one derive round + stop; all
+    pivots go to worker 0, so extra workers only add sync/seed traffic.
     Returns the TRANSPORT_STATS snapshot."""
     facts = [atom("E", "A", "B")]
     instance = Instance(facts)
-    mapping = _mapping(facts)
     TRANSPORT_STATS.reset()
     with WorkerPool(workers) as pool:
         pool.run_round("enumerate", RULES, instance, [facts])
@@ -292,7 +276,7 @@ def _run_sequence(workers: int) -> dict:
         pool.run_round(
             "enumerate", RULES, instance, [instance.delta_since(0)[-2:]]
         )
-        pool.fire(RULES, [[(0, 0, mapping, {})]])
+        pool.run_round("derive", RULES, instance, [facts])
     return TRANSPORT_STATS.snapshot()
 
 
@@ -311,8 +295,8 @@ class TestTransportAccounting:
         assert commands["enumerate"]["atoms_sent"] == 1 + 2
         assert commands["sync"]["atoms_sent"] == 2
         assert commands["sync"]["messages"] == 0
-        assert commands["fire"]["messages"] == 1
-        assert commands["fire"]["atoms_received"] == 1  # F(A,B)
+        assert commands["derive"]["messages"] == 1
+        assert commands["derive"]["atoms_received"] == 1  # F(A,B)
         assert commands["stop"]["messages"] == 1
         assert commands["stop"]["bytes_received"] > 0
         # Per-command counters tile the totals exactly.

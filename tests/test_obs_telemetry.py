@@ -8,6 +8,7 @@ import pytest
 
 from repro.chase.oblivious import oblivious_chase
 from repro.chase.restricted import restricted_chase
+from repro.corpus.generators import path_instance
 from repro.engine.config import EngineConfig
 from repro.engine.wire import REPLY_TIMINGS, pack_reply, unpack_reply
 from repro.engine.workers import TRANSPORT_STATS
@@ -51,6 +52,23 @@ def run_traced(engine, **kwargs):
     trace = RunTrace()
     result = oblivious_chase(
         instance, rules, max_levels=4, engine=engine, trace=trace, **kwargs
+    )
+    return result, trace
+
+
+def run_pooled(workers: int = 2):
+    """The mixed rules over a 24-edge path on the worker pool.
+
+    A round whose delta routes to a single worker runs inline; the first
+    round's 25-atom delta reaches every worker, so the pool always runs.
+    """
+    trace = RunTrace()
+    result = oblivious_chase(
+        path_instance(24),
+        parse_rules(MIXED_RULES),
+        max_levels=3,
+        engine=EngineConfig("persistent", workers=workers),
+        trace=trace,
     )
     return result, trace
 
@@ -176,9 +194,7 @@ ENGINE_MATRIX = [
     pytest.param("delta", id="delta"),
     pytest.param("naive", id="naive"),
     pytest.param(EngineConfig("parallel", workers=2), id="parallel-w2"),
-    pytest.param(
-        EngineConfig("persistent", workers=2, shards=4), id="persistent-w2-s4"
-    ),
+    pytest.param(EngineConfig("persistent", workers=3), id="persistent-w3"),
 ]
 
 
@@ -238,13 +254,20 @@ class TestRunTrace:
         assert all(r["delta_atoms"] is None for r in naive_trace.rounds)
 
     def test_persistent_rounds_carry_transport_and_routing(self):
-        _, trace = run_traced(EngineConfig("persistent", workers=2, shards=4))
-        assert trace.meta["shards"] == 4
+        _, trace = run_pooled(workers=2)
+        assert trace.meta["workers"] == 2
+        assert "shards" not in trace.meta
         for record in trace.rounds:
-            assert record["transport"]["bytes_sent"] > 0
-            assert len(record["shard_weights"]) == 4
+            weights = record["shard_weights"]
+            assert len(weights) == 2
+            # Only a round whose delta reaches both workers crosses the
+            # wire: the pool enumerates, and every round fires in the
+            # parent.
+            fanned_out = sum(1 for weight in weights if weight) > 1
+            assert (record["transport"]["bytes_sent"] > 0) == fanned_out
             for value in record["worker"].values():
                 assert value >= 0.0
+        assert trace.rounds[0]["transport"]["bytes_sent"] > 0
         # Worker execute time was actually measured somewhere in the run.
         assert sum(r["worker"]["execute_s"] for r in trace.rounds) > 0.0
 
@@ -308,13 +331,12 @@ class TestResultTelemetry:
         assert result.telemetry["schema_version"] == TRACE_SCHEMA_VERSION
 
     def test_persistent_telemetry_includes_worker_seconds(self):
-        result, _ = run_traced(
-            EngineConfig("persistent", workers=2, shards=4)
-        )
+        result, _ = run_pooled(workers=2)
         transport = result.telemetry["registry"]["transport"]
         assert transport["bytes_sent"] > 0
         worker_seconds = transport["worker_seconds"]
         assert "seed" in worker_seconds
+        assert "fire" not in transport["commands"]
         for timing in worker_seconds.values():
             assert timing["replies"] > 0
             assert timing["decode_s"] >= 0.0
@@ -380,24 +402,23 @@ class TestWireReplyEnvelope:
             REPLY_TIMINGS.size
         )
 
-    def test_untimed_and_legacy_replies_tolerated(self):
+    def test_untimed_replies_tolerated(self):
         assert unpack_reply(pack_reply("error", "boom")) == (
             "error",
             "boom",
             None,
         )
-        assert unpack_reply(("ok", 42)) == ("ok", 42, None)
 
     def test_worker_timings_aggregate_per_command(self):
         TRANSPORT_STATS.reset()
-        TRANSPORT_STATS.record_worker_timings("fire", (0.1, 0.2, 0.3))
-        TRANSPORT_STATS.record_worker_timings("fire", (0.1, 0.2, 0.3))
-        timing = TRANSPORT_STATS.worker_timing("fire")
+        TRANSPORT_STATS.record_worker_timings("derive", (0.1, 0.2, 0.3))
+        TRANSPORT_STATS.record_worker_timings("derive", (0.1, 0.2, 0.3))
+        timing = TRANSPORT_STATS.worker_timing("derive")
         assert timing["replies"] == 2
         assert timing["decode_s"] == pytest.approx(0.2)
         totals = TRANSPORT_STATS.worker_totals()
         assert totals["execute_s"] == pytest.approx(0.4)
-        assert TRANSPORT_STATS.snapshot()["worker_seconds"]["fire"][
+        assert TRANSPORT_STATS.snapshot()["worker_seconds"]["derive"][
             "encode_s"
         ] == pytest.approx(0.6)
 

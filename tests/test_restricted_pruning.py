@@ -174,13 +174,13 @@ class TestPrunedCandidates:
     @pytest.mark.parametrize(
         "engine",
         [
-            EngineConfig("parallel", workers=2, shards=5),
-            EngineConfig("persistent", workers=2, shards=5),
+            EngineConfig("parallel", workers=3),
+            EngineConfig("persistent", workers=5),
         ],
-        ids=["parallel_w2_s5", "persistent_w2_s5"],
+        ids=["parallel_w3", "persistent_w5"],
     )
-    def test_shard_merge_keeps_one_trigger_per_head(self, engine):
-        # Shards each keep their own smallest image per head; the merge
+    def test_worker_merge_keeps_one_trigger_per_head(self, engine):
+        # Workers each keep their own smallest image per head; the merge
         # must leave exactly the inline enumeration's candidates.
         counts = []
         for eng in ("delta", engine):

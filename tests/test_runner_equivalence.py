@@ -9,12 +9,11 @@ every registered engine (``naive``/``delta``/``parallel``/``persistent``)
 null names, levels/rounds, termination flags, timestamps, and the exact
 supply position after a mid-round ``max_atoms`` budget stop.
 
-It also pins the new **delta-driven restricted firing** path: for rounds
-whose triggers all have existential-free rule heads, the restricted chase
-gates satisfaction against a per-round witness overlay and fires through
-the batched/sharded path — compared here against the always-interleaved
-reference (``delta_satisfaction=False``, the pre-runner behavior) for
-every engine, worker and shard count.
+It also pins the **delta-driven restricted firing** path: rounds with
+existential-free triggers enumerate pruned (inline or on the worker
+replicas) and fire as split rounds — compared here against the
+always-interleaved reference (``delta_satisfaction=False``, the
+pre-runner behavior) for every engine and worker count.
 
 Inline-engine internals stay in ``test_engine_parallel.py`` and the
 worker-pool internals in ``test_engine_persistent.py``; this file is the
@@ -67,7 +66,7 @@ def assert_bit_identical(a, b):
 # ----------------------------------------------------------------------
 
 #: Corpus-generator workloads: a datalog saturation (exercises the
-#: delta-driven restricted gate and sharded restricted firing), an
+#: delta-driven restricted gate and split restricted firing), an
 #: existential successor overlay (exercises null drawing and supply
 #: positions), and a mixed ruleset (rounds alternate between gate modes).
 WORKLOADS = [
@@ -110,9 +109,7 @@ VARIANT_IDS = [v[0] for v in VARIANTS]
 
 #: The engine axis: sequential engines at their single configuration,
 #: parallel/persistent at workers ∈ {1, 3} — inline at one worker, on
-#: the worker pool at three.  Shards default to the worker count; the
-#: ``_s5`` entry gives two workers more shards than workers, and
-#: `test_engine_parallel.py` varies shards further.  The ``_shm``
+#: the worker pool at three — plus an even pool of two.  The ``_shm``
 #: entry (present only where shared memory works) routes bulk payloads
 #: through segments — all bit-identical by construction.
 ENGINES = [
@@ -122,7 +119,7 @@ ENGINES = [
     ("parallel_w3", EngineConfig("parallel", workers=3)),
     ("persistent_w1", EngineConfig("persistent", workers=1)),
     ("persistent_w3", EngineConfig("persistent", workers=3)),
-    ("persistent_w2_s5", EngineConfig("persistent", workers=2, shards=5)),
+    ("persistent_w2", EngineConfig("persistent", workers=2)),
 ]
 if shm_available():
     ENGINES.append(
@@ -197,7 +194,7 @@ class TestDeltaDrivenRestrictedFiring:
         )
 
     @pytest.mark.parametrize("ename,engine", ENGINES, ids=ENGINE_IDS)
-    def test_sharded_path_matches_interleaved_reference(self, ename, engine):
+    def test_split_path_matches_interleaved_reference(self, ename, engine):
         make = lambda: path_instance(8)
         reference = self._interleaved_reference(make, self.TC)
         result = restricted_chase(
@@ -205,12 +202,12 @@ class TestDeltaDrivenRestrictedFiring:
         )
         assert_bit_identical(result, reference)
 
-    def test_worker_and_shard_counts_do_not_matter(self):
+    def test_worker_counts_do_not_matter(self):
         make = lambda: tournament_instance(6, seed=2)
         reference = self._interleaved_reference(make, self.TC)
-        for workers, shards in [(1, 1), (2, 5), (3, 3), (3, 8)]:
+        for workers in (1, 2, 3, 4):
             for name in ("parallel", "persistent"):
-                config = EngineConfig(name, workers=workers, shards=shards)
+                config = EngineConfig(name, workers=workers)
                 result = restricted_chase(
                     make(), self.TC, max_rounds=8, engine=config
                 )
@@ -299,22 +296,21 @@ class TestDeltaDrivenRestrictedFiring:
     @pytest.mark.parametrize(
         "config",
         [
-            EngineConfig("persistent", workers=3, shards=8),
-            EngineConfig("persistent", workers=2, shards=5),
+            EngineConfig("persistent", workers=2),
             EngineConfig("persistent", workers=3),
-            EngineConfig("persistent", workers=4, shards=2),
+            EngineConfig("persistent", workers=4),
+            EngineConfig("persistent", workers=5),
         ],
-        ids=["w3s8", "w2s5", "w3", "w4s2"],
+        ids=["w2", "w3", "w4", "w5"],
     )
     def test_mixed_budget_stop_matches_reference(self, config):
         # A tight budget stops a *mixed* round mid-way (after real null
         # draws: the path's tail successor trigger is unsatisfied every
         # round): the split path must stop at the same application, with
-        # the same supply position, for every worker/shard
-        # combination.
+        # the same supply position, for every worker count.
         make = lambda: path_instance(8)
         reference_supply = FreshSupply("_r")
-        sharded_supply = FreshSupply("_r")
+        pool_supply = FreshSupply("_r")
         reference = restricted_chase(
             make(), self.GENUINELY_MIXED, max_rounds=6, max_atoms=20,
             supply=reference_supply, delta_satisfaction=False,
@@ -323,10 +319,10 @@ class TestDeltaDrivenRestrictedFiring:
         assert reference_supply.position > 0
         result = restricted_chase(
             make(), self.GENUINELY_MIXED, max_rounds=6, max_atoms=20,
-            supply=sharded_supply, engine=config,
+            supply=pool_supply, engine=config,
         )
         assert_bit_identical(result, reference)
-        assert sharded_supply.position == reference_supply.position
+        assert pool_supply.position == reference_supply.position
 
     def test_existential_rounds_stay_interleaved(self):
         succ = parse_rules("E(x,y) -> exists z. E(y,z)", name="succ")
@@ -350,23 +346,24 @@ class TestDeltaDrivenRestrictedFiring:
         assert not result.terminated
         assert plans and all(plans)
 
-    def test_supply_position_parity_on_sharded_budget_stop(self):
+    def test_supply_position_parity_on_pool_budget_stop(self):
         # Existential-free rounds draw no nulls either way; the supply
-        # position after a sharded budget stop must equal the reference's.
+        # position after a budget stop in a round enumerated on the pool
+        # must equal the reference's.
         make = lambda: path_instance(20)
         reference_supply = FreshSupply("_r")
-        sharded_supply = FreshSupply("_r")
+        pool_supply = FreshSupply("_r")
         reference = restricted_chase(
             make(), self.TC, max_rounds=8, max_atoms=60,
             supply=reference_supply, delta_satisfaction=False,
         )
         result = restricted_chase(
             make(), self.TC, max_rounds=8, max_atoms=60,
-            supply=sharded_supply,
+            supply=pool_supply,
             engine=EngineConfig("persistent", workers=3),
         )
         assert_bit_identical(result, reference)
-        assert sharded_supply.position == reference_supply.position
+        assert pool_supply.position == reference_supply.position
 
 
 # ----------------------------------------------------------------------
@@ -430,7 +427,7 @@ class TestRunnerStrictSemantics:
 
 # ----------------------------------------------------------------------
 # Stateful claims on a mid-round budget stop: the lazy/exactly-once
-# contract across the sharded firing backends
+# contract on rounds enumerated inline and on the pool
 # ----------------------------------------------------------------------
 
 
@@ -448,12 +445,12 @@ class RecordingSemiOblivious(SemiObliviousPolicy):
 
 
 class TestStatefulClaimBudgetStopMatrix:
-    """The sharded path must claim lazily, exactly once, in order.
+    """Every backend must claim lazily, exactly once, in order.
 
-    The inline batched stream stops claiming at a mid-round budget hit
-    (``engine/batch.py``: "no further trigger is claimed"); the sharded
-    path historically claimed the whole round eagerly before recording.
-    This matrix pins the *claim-call sequence*, the post-stop claim state
+    The batched stream stops claiming at a mid-round budget hit
+    (``engine/batch.py``: "no further trigger is claimed").  Rounds the
+    pool enumerates fire through the same stream in the parent; this
+    matrix pins the *claim-call sequence*, the post-stop claim state
     (the fired frontier classes) and the supply position of every
     pool configuration — strict and partial — against the sequential lazy
     reference.
@@ -469,17 +466,17 @@ class TestStatefulClaimBudgetStopMatrix:
         ("delta", "delta"),
         ("persistent_w1", EngineConfig("persistent", workers=1)),
         ("persistent_w3", EngineConfig("persistent", workers=3)),
-        ("persistent_w3_s8", EngineConfig("persistent", workers=3, shards=8)),
+        ("persistent_w2", EngineConfig("persistent", workers=2)),
     ]
 
-    def _run(self, engine, *, strict):
+    def _run(self, engine, *, strict, max_atoms=MAX_ATOMS):
         policy = RecordingSemiOblivious()
         supply = FreshSupply("_so")
         runner = ChaseRunner(
             policy,
             engine,
             max_steps=5,
-            max_atoms=self.MAX_ATOMS,
+            max_atoms=max_atoms,
             strict=strict,
             supply=supply,
         )
@@ -507,6 +504,30 @@ class TestStatefulClaimBudgetStopMatrix:
             # Identical supply position (no speculative draws survive).
             assert supply.position == ref_supply.position, ename
 
+    @pytest.mark.parametrize("strict", [False, True], ids=["partial", "strict"])
+    def test_mid_round_stop_claims_nothing_past_the_stop(self, strict):
+        # At 30 atoms the budget stops the first round part-way through
+        # its triggers.  Every engine fires through the same lazy stream:
+        # each claimed trigger is recorded, no trigger after the one that
+        # hit the budget is claimed, and every null drawn is in the
+        # partial result.
+        from repro.logic.terms import Null
+
+        for ename, engine in self.ENGINES:
+            result, policy, supply = self._run(
+                engine, strict=strict, max_atoms=30
+            )
+            assert result.levels_completed == 0, ename
+            claimed = [call for call in policy.calls if call[2]]
+            assert len(claimed) == len(result.records()), ename
+            assert policy.calls[-1][2], ename
+            nulls = [
+                term
+                for term in result.instance.active_domain()
+                if isinstance(term, Null)
+            ]
+            assert supply.position == len(nulls), ename
+
 
 # ----------------------------------------------------------------------
 # Parked ground outputs are reused, not re-instantiated
@@ -516,12 +537,16 @@ class TestStatefulClaimBudgetStopMatrix:
 class TestParkedGroundOutputReuse:
     TC = parse_rules("E(x,y), E(y,z) -> E(x,z)", name="tc")
 
-    def test_fire_tasks_skip_parked_triggers(self):
+    @pytest.mark.parametrize(
+        "engine",
+        ["delta", EngineConfig("persistent", workers=2)],
+        ids=["delta", "persistent_w2"],
+    )
+    def test_parked_outputs_are_not_reinstantiated(self, engine):
         # A claim gate that instantiates and parks every ground head:
-        # the sharded firing path must reuse the parked atoms instead of
-        # shipping fire tasks that instantiate a second time worker-side.
+        # firing must reuse the parked atoms instead of instantiating a
+        # second time, whichever backend enumerated the round.
         from repro.chase.oblivious import ObliviousPolicy
-        from repro.engine import WorkerPool
 
         class ParkingPolicy(ObliviousPolicy):
             def plan_round(self, result, triggers):
@@ -533,33 +558,17 @@ class TestParkedGroundOutputReuse:
 
                 return RoundPlan(claim=claim, interleaved=False)
 
-        shipped: list[list] = []
-        original_fire = WorkerPool.fire
-
-        def spying_fire(self, rules, tasks_per_worker):
-            shipped.extend(
-                task for tasks in tasks_per_worker for task in tasks
-            )
-            return original_fire(self, rules, tasks_per_worker)
-
         reference = oblivious_chase(
             path_instance(6), self.TC, max_levels=4
         )
-        WorkerPool.fire = spying_fire
-        try:
-            runner = ChaseRunner(
-                ParkingPolicy(),
-                EngineConfig("persistent", workers=2),
-                max_steps=4,
-                max_atoms=20_000,
-            )
-            result = runner.run(path_instance(6), self.TC)
-        finally:
-            WorkerPool.fire = original_fire
+        runner = ChaseRunner(
+            ParkingPolicy(), engine, max_steps=4, max_atoms=20_000
+        )
+        result = runner.run(path_instance(6), self.TC)
         assert_bit_identical(result, reference)
-        # Every trigger of this Datalog workload parked its output, so
-        # no fire task was shipped at all.
-        assert shipped == []
+        # One instantiation per claimed trigger — the claim's own.
+        heads = result.telemetry["registry"]["instantiation"]["heads"]
+        assert heads == len(result.records())
 
 
 # ----------------------------------------------------------------------
