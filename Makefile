@@ -29,13 +29,12 @@ checks:
 # EXP-14 (persistent delta-fed workers: wall-clock and pipe payload),
 # EXP-15 (pruned restricted enumeration + split firing vs the
 # interleaved reference), EXP-16 (the same for mixed restricted rounds,
-# inline and on the worker pool), EXP-17 (goal-directed answer() serving
-# vs full saturation) and EXP-18 (shared-memory transport vs the pipe on
-# columnar replicas), with GC disabled during timing so numbers are
-# comparable across runs.  Tables land in benchmarks/results/.  The budget check then gates the freshly written
-# BENCH_exp14.json / BENCH_exp18.json byte channels against
-# benchmarks/transport_budget.json — transport bytes are deterministic,
-# so exceeding a budget is a real protocol regression.
+# inline and on the worker pool) and EXP-17 (goal-directed answer()
+# serving vs full saturation), with GC disabled during timing so numbers
+# are comparable across runs.  Tables land in benchmarks/results/.  The
+# budget check then gates the freshly written BENCH_exp14.json pipe
+# bytes against benchmarks/transport_budget.json — transport bytes are
+# deterministic, so exceeding a budget is a real protocol regression.
 # The telemetry check then asserts every BENCH_*.json embeds a
 # schema-versioned metrics-registry snapshot (benchmarks/conftest.emit_json
 # stamps it) and that the perf-smoke artifact set is complete.
@@ -48,7 +47,6 @@ perf-smoke:
 	    benchmarks/bench_exp15_restricted.py \
 	    benchmarks/bench_exp16_mixed.py \
 	    benchmarks/bench_exp17_serving.py \
-	    benchmarks/bench_exp18_columnar.py \
 	    -q --benchmark-disable-gc
 	$(PY) tools/check_transport_budget.py
 	$(PY) tools/check_bench_telemetry.py

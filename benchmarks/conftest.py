@@ -72,5 +72,4 @@ def engine_provenance(engine) -> dict:
         "engine": config.name,
         "mode": config.mode,
         "workers": config.workers,
-        "shared_memory": config.shared_memory,
     }

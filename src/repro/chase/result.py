@@ -145,10 +145,7 @@ class ChaseResult:
         the producer attributes (``gate``) or the outer ``fire`` phase.
         """
         recorder = active_round()
-        if recorder is not None:
-            return self._record_round_traced(
-                applications, level, max_atoms, recorder
-            )
+        perf = time.perf_counter
         records = self._records
         creation = self._creation
         timestamps = self._term_timestamp
@@ -157,58 +154,8 @@ class ChaseResult:
         add = instance.add
         applied = 0
         for trigger, (output_atoms, existential_map) in applications:
-            atoms = frozenset(output_atoms)
-            record = CreationRecord(
-                trigger=trigger,
-                level=level,
-                created_nulls=tuple(sorted(existential_map.values())),
-                output_atoms=atoms,
-            )
-            records.append(record)
-            for null in record.created_nulls:
-                creation[null] = record
-                timestamps.setdefault(null, level)
-            for atom in atoms:
-                if add(atom):
-                    atom_level[atom] = level
-                    for term in atom.args:
-                        timestamps.setdefault(term, level)
-            applied += 1
-            if len(instance) > max_atoms:
-                return applied, True
-        return applied, False
-
-    def _record_round_traced(
-        self,
-        applications: Iterable[tuple],
-        level: int,
-        max_atoms: int,
-        recorder,
-    ) -> tuple[int, bool]:
-        """:meth:`record_round` with the recording body timed per pair.
-
-        Semantically identical — same canonical order, same lazy pulls,
-        same budget stop — but each pair's provenance/instance update is
-        measured into the ``record`` phase.  The ``next()`` pull itself
-        (claim + instantiation work in the generator) is deliberately
-        left untimed here.
-        """
-        perf = time.perf_counter
-        add_phase = recorder.add_phase
-        records = self._records
-        creation = self._creation
-        timestamps = self._term_timestamp
-        atom_level = self._atom_level
-        instance = self.instance
-        add = instance.add
-        applied = 0
-        stream = iter(applications)
-        while True:
-            try:
-                trigger, (output_atoms, existential_map) = next(stream)
-            except StopIteration:
-                return applied, False
-            start = perf()
+            if recorder is not None:
+                start = perf()
             atoms = frozenset(output_atoms)
             record = CreationRecord(
                 trigger=trigger,
@@ -227,9 +174,11 @@ class ChaseResult:
                         timestamps.setdefault(term, level)
             applied += 1
             exceeded = len(instance) > max_atoms
-            add_phase("record", perf() - start)
+            if recorder is not None:
+                recorder.add_phase("record", perf() - start)
             if exceeded:
                 return applied, True
+        return applied, False
 
     # ------------------------------------------------------------------
     # Timestamps (Definition 34)

@@ -1,11 +1,11 @@
 """Resource-lifecycle pass: every acquire has an exception-safe release.
 
-PR 9's leak oracle (``repro.engine.shm.active_segments``) catches leaked
-shared-memory segments at test time; this pass catches the *shape* of a
-leak at lint time.  Tracked acquisitions — ``SharedMemory(...)``,
-``SegmentPool(...)``, ``WorkerPool(...)``, ``Pipe()`` — must reach a
-release (``close``/``unlink``/``shutdown``/``terminate``/``join``/…)
-on **all** paths, including exception edges.  Three rules:
+The tests catch a leaked worker process at run time
+(``multiprocessing.active_children()``); this pass catches the *shape*
+of a leak at lint time.  Tracked acquisitions — ``SharedMemory(...)``,
+``WorkerPool(...)``, ``Pipe()`` — must reach a release
+(``close``/``unlink``/``shutdown``/``terminate``/``join``/…) on **all**
+paths, including exception edges.  Three rules:
 
 ``L301`` unreleased resource
     The acquired value stays in a local and no release call on it exists
@@ -41,7 +41,7 @@ from repro.checks.base import (
 )
 
 #: Constructor names whose result owns an OS-level resource.
-ACQUIRE_CALLS = {"SharedMemory", "SegmentPool", "WorkerPool", "Pipe"}
+ACQUIRE_CALLS = {"SharedMemory", "WorkerPool", "Pipe"}
 
 #: Method names that count as releasing a resource.
 RELEASE_METHODS = {
@@ -62,8 +62,8 @@ TEARDOWN_METHODS = {"close", "shutdown", "stop", "teardown", "__exit__", "__del_
 class LifecyclePass(CheckPass):
     name = "lifecycle"
     description = (
-        "shm segments, segment pools, worker pools and pipes must be "
-        "released on every path"
+        "shm segments, worker pools and pipes must be released on every "
+        "path"
     )
 
     def run(self, module: SourceModule) -> list[Finding]:

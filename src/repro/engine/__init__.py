@@ -32,9 +32,6 @@ explicit :class:`EngineConfig`:
                         enumeration — the restricted chase's
                         head-satisfaction pruning included — run on the
                         replicas; rounds fire in the parent.
-                        ``shared_memory=True`` moves payloads above
-                        ``shm_threshold`` bytes off the pipes into
-                        :class:`SegmentPool` shared-memory segments.
 ======================  =====================================================
 
 A parallel-mode round runs one of two ways: inline at ``workers=1``, or
@@ -90,7 +87,6 @@ from repro.engine.core import (
 )
 from repro.engine.runner import ChaseRunner, RoundPlan, VariantPolicy
 from repro.engine.scheduler import RoundScheduler
-from repro.engine.shm import SegmentPool, SegmentReader, SegmentRef, shm_available
 from repro.engine.wire import WireDecoder, WireEncoder
 from repro.engine.workers import TRANSPORT_STATS, WorkerPool
 
@@ -102,9 +98,6 @@ __all__ = [
     "RoundOutcome",
     "RoundPlan",
     "RoundScheduler",
-    "SegmentPool",
-    "SegmentReader",
-    "SegmentRef",
     "VariantPolicy",
     "TRANSPORT_STATS",
     "Vocabulary",
@@ -120,5 +113,4 @@ __all__ = [
     "registered_engines",
     "resolve_engine",
     "rule_delta_images",
-    "shm_available",
 ]

@@ -56,8 +56,8 @@ def _timed_gate(
     """Wrap a claim gate so each call's wall-clock lands on ``gate``.
 
     Only installed while a round is traced; the wrapped claim flows
-    through the batched stream unchanged, so gate time is attributed
-    once per claim.
+    through the batched stream or the interleaved loop unchanged, so
+    gate time is attributed once per claim.
     """
     perf = time.perf_counter
     add_phase = recorder.add_phase
@@ -92,36 +92,22 @@ def _split_round_stream(
     into the ``gate`` phase.
     """
     instance = result.instance
-    if recorder is None:
-        for trigger in triggers:
-            if trigger.rule.existential_order():
-                if trigger.is_satisfied_using_index(instance):
-                    continue
-                yield trigger, trigger.output(supply)
-            else:
-                output = trigger.output(supply)
-                if all(a in instance for a in output[0]):
-                    continue
-                yield trigger, output
-        return
     perf = time.perf_counter
-    add_phase = recorder.add_phase
     for trigger in triggers:
-        if trigger.rule.existential_order():
+        existential = bool(trigger.rule.existential_order())
+        # An existential trigger draws nulls, so it instantiates only
+        # once its check says it must fire.
+        output = None if existential else trigger.output(supply)
+        if recorder is not None:
             start = perf()
+        if existential:
             satisfied = trigger.is_satisfied_using_index(instance)
-            add_phase("gate", perf() - start)
-            if satisfied:
-                continue
-            yield trigger, trigger.output(supply)
         else:
-            output = trigger.output(supply)
-            start = perf()
             satisfied = all(a in instance for a in output[0])
-            add_phase("gate", perf() - start)
-            if satisfied:
-                continue
-            yield trigger, output
+        if recorder is not None:
+            recorder.add_phase("gate", perf() - start)
+        if not satisfied:
+            yield trigger, trigger.output(supply) if existential else output
 
 
 def fire_round(
@@ -170,7 +156,7 @@ def fire_round(
     function only reports the outcome.
     """
     recorder = active_round()
-    if recorder is not None and claim is not None and not interleaved:
+    if recorder is not None and claim is not None:
         claim = _timed_gate(claim, recorder)
     if split and not interleaved:
         applied, exceeded = result.record_round(
@@ -179,24 +165,25 @@ def fire_round(
             max_atoms=max_atoms,
         )
         return RoundOutcome(applied, exceeded)
-    applied = 0
     if interleaved:
-        if recorder is not None:
-            return _interleaved_traced(
-                result, triggers, supply,
-                level=level, max_atoms=max_atoms, claim=claim,
-                recorder=recorder,
-            )
+        # Head instantiation stays unattributed and lands in the round's
+        # outer ``fire`` phase.
+        perf = time.perf_counter
+        applied = 0
         for trigger in triggers:
             if claim is not None and not claim(trigger):
                 continue
             output_atoms, existential_map = trigger.output(supply)
+            if recorder is not None:
+                start = perf()
             result.record_application(
                 trigger,
                 level=level,
                 created_nulls=existential_map.values(),
                 output_atoms=output_atoms,
             )
+            if recorder is not None:
+                recorder.add_phase("record", perf() - start)
             applied += 1
             if len(result.instance) > max_atoms:
                 return RoundOutcome(applied, True)
@@ -212,44 +199,3 @@ def fire_round(
         applications, level=level, max_atoms=max_atoms
     )
     return RoundOutcome(applied, exceeded)
-
-
-def _interleaved_traced(
-    result: "ChaseResult",
-    triggers: Sequence["Trigger"],
-    supply: "FreshSupply",
-    *,
-    level: int,
-    max_atoms: int,
-    claim: Callable[["Trigger"], bool] | None,
-    recorder: "RoundRecorder",
-) -> RoundOutcome:
-    """The interleaved loop with per-trigger gate/record attribution.
-
-    Identical semantics to the untraced loop (same claim sequence, same
-    recording, same budget stop); head instantiation stays unattributed
-    and lands in the round's outer ``fire`` phase.
-    """
-    perf = time.perf_counter
-    add_phase = recorder.add_phase
-    applied = 0
-    for trigger in triggers:
-        if claim is not None:
-            start = perf()
-            keep = claim(trigger)
-            add_phase("gate", perf() - start)
-            if not keep:
-                continue
-        output_atoms, existential_map = trigger.output(supply)
-        start = perf()
-        result.record_application(
-            trigger,
-            level=level,
-            created_nulls=existential_map.values(),
-            output_atoms=output_atoms,
-        )
-        add_phase("record", perf() - start)
-        applied += 1
-        if len(result.instance) > max_atoms:
-            return RoundOutcome(applied, True)
-    return RoundOutcome(applied, False)

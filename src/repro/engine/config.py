@@ -70,20 +70,6 @@ class EngineConfig:
         so they reject ``workers > 1`` instead of ignoring it.  The
         per-round delta is routed to the workers by atom hash; the worker
         count never affects results.
-    shared_memory:
-        When True, the worker pool routes payloads of at least
-        ``shm_threshold`` bytes (seed rows, sync deltas, pivot
-        buffers) through :class:`~repro.engine.shm.SegmentPool`
-        shared-memory segments; the pipes carry only small control
-        envelopes holding ``(segment, offset, length)`` refs.  Opt-in
-        (default False) and parallel mode only.  Raises at pool start
-        when the platform has no working ``multiprocessing.shared_memory``
-        (see :func:`repro.engine.shm.shm_available`).
-    shm_threshold:
-        Minimum payload size, in bytes, that rides shared memory when
-        ``shared_memory`` is on.  Below it the raw bytes stay in the
-        pipe envelope (a pickled segment ref costs ~90 bytes, so tiny
-        payloads would lose).
     description:
         One-line human description, shown by ``repro chase
         --list-engines`` and usable by third-party presets.  Presentation
@@ -93,8 +79,6 @@ class EngineConfig:
     name: str
     mode: str = ""
     workers: int = 1
-    shared_memory: bool = False
-    shm_threshold: int = 256
     description: str = ""
 
     def __post_init__(self):
@@ -118,17 +102,6 @@ class EngineConfig:
                 f"engine {self.name!r} runs sequentially (mode "
                 f"{self.mode!r}); workers={self.workers} needs a "
                 f"parallel-mode engine"
-            )
-        if self.shared_memory and self.mode != "parallel":
-            raise ChaseError(
-                f"engine {self.name!r}: shared_memory requires a "
-                f"parallel-mode engine — only the worker pool has "
-                f"processes to share segments with"
-            )
-        if self.shm_threshold < 1:
-            raise ChaseError(
-                f"engine {self.name!r} needs a positive shm_threshold, "
-                f"got {self.shm_threshold}"
             )
 
     @property
@@ -204,10 +177,9 @@ def register_engine(config: EngineConfig, *, replace_existing: bool = False) -> 
     """Register ``config`` as the default for its name.
 
     Third parties can add tuned presets — e.g.
-    ``EngineConfig("turbo", mode="parallel", workers=8,
-    shared_memory=True)`` — and select them by name everywhere an
-    ``engine`` argument is accepted; the preset's ``mode`` decides how
-    the chase variants dispatch it.
+    ``EngineConfig("turbo", mode="parallel", workers=8)`` — and select
+    them by name everywhere an ``engine`` argument is accepted; the
+    preset's ``mode`` decides how the chase variants dispatch it.
     """
     if config.name in _REGISTRY and not replace_existing:
         raise ChaseError(

@@ -53,7 +53,6 @@ direction without cycles.
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from repro.engine.batch import fire_round
@@ -64,7 +63,13 @@ from repro.engine.workers import TRANSPORT_STATS
 from repro.errors import ChaseBudgetExceeded, ChaseError
 from repro.logic.terms import FreshSupply
 from repro.obs import default_registry
-from repro.obs.trace import TRACE_SCHEMA_VERSION, RunTrace, active_round
+from repro.obs.trace import (
+    TRACE_SCHEMA_VERSION,
+    RoundRecorder,
+    RunTrace,
+    active_round,
+    timed,
+)
 
 if TYPE_CHECKING:  # annotation-only: keeps engine importable below chase
     from repro.chase.result import ChaseResult
@@ -96,6 +101,13 @@ class RoundPlan(NamedTuple):
     claim: Callable[["Trigger"], bool] | None
     interleaved: bool
     split: bool = False
+
+    @property
+    def kind(self) -> str:
+        """The plan's name in round traces."""
+        if self.split:
+            return "split"
+        return "interleaved" if self.interleaved else "batched"
 
 
 #: The plan of an ungated batched round (the oblivious chase's only plan).
@@ -324,6 +336,7 @@ class ChaseRunner:
         self._seen_revision = 0
         self._scheduler: RoundScheduler | None = None
         self._used = False
+        self._wire_mark: tuple | None = None
 
     def _begin_trace(self, mode: str) -> None:
         if self.trace is not None:
@@ -335,6 +348,44 @@ class ChaseRunner:
                 max_steps=self.max_steps,
                 max_atoms=self.max_atoms,
             )
+
+    def _begin_round(
+        self, number: int, plan: str | None = None
+    ) -> RoundRecorder | None:
+        """Open round ``number``'s trace record, if the run is traced.
+
+        Marks the transport counters too, so :meth:`_end_round` can
+        report the round's byte and worker-time deltas.
+        """
+        if self.trace is None:
+            return None
+        self._wire_mark = (
+            TRANSPORT_STATS.bytes_sent,
+            TRANSPORT_STATS.bytes_received,
+            TRANSPORT_STATS.worker_totals(),
+        )
+        recorder = self.trace.begin_round(number)
+        recorder.plan = plan
+        return recorder
+
+    def _end_round(self, recorder: RoundRecorder | None, **counts) -> None:
+        """Close a traced round with ``counts`` and its transport deltas."""
+        if recorder is None:
+            return
+        sent, received, worker_before = self._wire_mark
+        worker_after = TRANSPORT_STATS.worker_totals()
+        self.trace.end_round(
+            recorder,
+            **counts,
+            transport={
+                "bytes_sent": TRANSPORT_STATS.bytes_sent - sent,
+                "bytes_received": TRANSPORT_STATS.bytes_received - received,
+            },
+            worker={
+                key: worker_after[key] - worker_before[key]
+                for key in worker_after
+            },
+        )
 
     # ------------------------------------------------------------------
     # Trigger-mode runs (the three chase variants)
@@ -381,26 +432,15 @@ class ChaseRunner:
         consistent for the :meth:`run` wrapper to finalize.
         """
         policy = self.policy
-        trace = self.trace
         self._open()
         try:
             for step in range(self.max_steps):
-                recorder = None
-                if trace is not None:
-                    recorder = trace.begin_round(step + 1)
-                    atoms_before = len(result.instance)
-                    sent_before = TRANSPORT_STATS.bytes_sent
-                    received_before = TRANSPORT_STATS.bytes_received
-                    worker_before = TRANSPORT_STATS.worker_totals()
+                recorder = self._begin_round(step + 1)
+                atoms_before = len(result.instance)
                 triggers_count = 0
                 applied = 0
                 try:
-                    if recorder is not None:
-                        with recorder.outer_phase("enumerate"):
-                            triggers = self._new_triggers(
-                                result.instance, rules
-                            )
-                    else:
+                    with timed(recorder, "enumerate"):
                         triggers = self._new_triggers(result.instance, rules)
                     triggers_count = len(triggers)
                     if policy.stop_on_empty_round and not triggers:
@@ -409,25 +449,8 @@ class ChaseRunner:
                         return
                     plan = policy.plan_round(result, triggers)
                     if recorder is not None:
-                        recorder.plan = (
-                            "split"
-                            if plan.split
-                            else "interleaved"
-                            if plan.interleaved
-                            else "batched"
-                        )
-                        with recorder.outer_phase("fire"):
-                            outcome = fire_round(
-                                result,
-                                triggers,
-                                self.supply,
-                                level=step + 1,
-                                max_atoms=self.max_atoms,
-                                claim=plan.claim,
-                                interleaved=plan.interleaved,
-                                split=plan.split,
-                            )
-                    else:
+                        recorder.plan = plan.kind
+                    with timed(recorder, "fire"):
                         outcome = fire_round(
                             result,
                             triggers,
@@ -453,36 +476,18 @@ class ChaseRunner:
                     if policy.stop_on_idle_round and not outcome.applied:
                         result.terminated = True
                         return
-                    if recorder is not None:
-                        with recorder.outer_phase("probe"):
-                            goal_stop = policy.round_complete(result)
-                    else:
+                    with timed(recorder, "probe"):
                         goal_stop = policy.round_complete(result)
                     if goal_stop:
                         result.stopped_on_goal = True
                         return
                 finally:
-                    if recorder is not None:
-                        worker_after = TRANSPORT_STATS.worker_totals()
-                        trace.end_round(
-                            recorder,
-                            triggers=triggers_count,
-                            applied=applied,
-                            new_atoms=len(result.instance) - atoms_before,
-                            transport={
-                                "bytes_sent": (
-                                    TRANSPORT_STATS.bytes_sent - sent_before
-                                ),
-                                "bytes_received": (
-                                    TRANSPORT_STATS.bytes_received
-                                    - received_before
-                                ),
-                            },
-                            worker={
-                                key: worker_after[key] - worker_before[key]
-                                for key in worker_after
-                            },
-                        )
+                    self._end_round(
+                        recorder,
+                        triggers=triggers_count,
+                        applied=applied,
+                        new_atoms=len(result.instance) - atoms_before,
+                    )
         finally:
             self._close()
 
@@ -554,77 +559,50 @@ class ChaseRunner:
         self._claim_run()
         policy = self.policy
         total = instance.copy()
-        trace = self.trace
         self._begin_trace("derivation")
+        # Rounds that ran, and whether the last one reached the fixpoint:
+        # the trace summary written on every stop path below.
+        rounds = 0
+        terminated = False
         self._open()
         try:
             for step in range(self.max_steps):
-                recorder = None
-                if trace is not None:
-                    recorder = trace.begin_round(step + 1)
-                    recorder.plan = "derive"
-                    sent_before = TRANSPORT_STATS.bytes_sent
-                    received_before = TRANSPORT_STATS.bytes_received
-                    worker_before = TRANSPORT_STATS.worker_totals()
-                derived_count = 0
-                new_count = 0
+                recorder = self._begin_round(step + 1, plan="derive")
+                rounds = step + 1
+                derived = new_atoms = ()
                 try:
-                    if recorder is not None:
-                        with recorder.outer_phase("enumerate"):
-                            derived = self._derive(total, rules)
-                        start = time.perf_counter()
-                        new_atoms = {a for a in derived if a not in total}
-                        if new_atoms:
-                            total.update(new_atoms)
-                        recorder.add_phase(
-                            "record", time.perf_counter() - start
-                        )
-                    else:
+                    with timed(recorder, "enumerate"):
                         derived = self._derive(total, rules)
+                    with timed(recorder, "record"):
                         new_atoms = {a for a in derived if a not in total}
                         if new_atoms:
                             total.update(new_atoms)
-                    derived_count = len(derived)
-                    new_count = len(new_atoms)
                 finally:
-                    if recorder is not None:
-                        worker_after = TRANSPORT_STATS.worker_totals()
-                        trace.end_round(
-                            recorder,
-                            triggers=derived_count,
-                            applied=new_count,
-                            new_atoms=new_count,
-                            transport={
-                                "bytes_sent": (
-                                    TRANSPORT_STATS.bytes_sent - sent_before
-                                ),
-                                "bytes_received": (
-                                    TRANSPORT_STATS.bytes_received
-                                    - received_before
-                                ),
-                            },
-                            worker={
-                                key: worker_after[key] - worker_before[key]
-                                for key in worker_after
-                            },
-                        )
+                    self._end_round(
+                        recorder,
+                        triggers=len(derived),
+                        applied=len(new_atoms),
+                        new_atoms=len(new_atoms),
+                    )
                 if not new_atoms:
-                    if trace is not None:
-                        trace.finish_run(
-                            terminated=True, atoms=len(total), rounds=step
-                        )
+                    # The empty round only confirmed the fixpoint.
+                    rounds, terminated = step, True
                     return total
                 if len(total) > self.max_atoms:
                     raise ChaseBudgetExceeded(
                         policy.atom_budget_message(self.max_atoms, 0),
                         partial_result=total,
                     )
+            raise ChaseBudgetExceeded(
+                policy.step_budget_message(self.max_steps),
+                partial_result=total,
+            )
         finally:
             self._close()
-        raise ChaseBudgetExceeded(
-            policy.step_budget_message(self.max_steps),
-            partial_result=total,
-        )
+            if self.trace is not None:
+                self.trace.finish_run(
+                    terminated=terminated, atoms=len(total), rounds=rounds
+                )
 
     def _derive(self, total: "Instance", rules: "RuleSet") -> set["Atom"]:
         """One derivation round on the run's engine.
@@ -676,15 +654,9 @@ class ChaseRunner:
         ``plan="expand"`` and ``delta_atoms`` carrying the frontier size.
         """
         self._claim_run()
-        trace = self.trace
         self._begin_trace("fixpoint")
-        current = list(frontier)
-        try:
-            with default_registry().collect() as scope:
-                outcome = self._fixpoint_rounds(current)
-        finally:
-            if trace is not None and trace.summary is None:
-                trace.finish_run(terminated=False, rounds=self.max_steps)
+        with default_registry().collect() as scope:
+            outcome = self._fixpoint_rounds(list(frontier))
         return outcome._replace(
             telemetry={
                 "schema_version": TRACE_SCHEMA_VERSION,
@@ -695,48 +667,49 @@ class ChaseRunner:
     def _fixpoint_rounds(self, current: list) -> FixpointOutcome:
         policy = self.policy
         trace = self.trace
-        for step in range(self.max_steps):
-            recorder = None
-            if trace is not None:
-                recorder = trace.begin_round(step + 1)
-                recorder.plan = "expand"
-                recorder.delta_atoms = len(current)
-            new_count = 0
-            try:
-                if recorder is not None:
-                    with recorder.outer_phase("enumerate"):
+        # Rounds that ran, and whether the last one reached the fixpoint:
+        # the trace summary written on every stop path below.
+        rounds = 0
+        terminated = False
+        try:
+            for step in range(self.max_steps):
+                rounds = step + 1
+                recorder = None
+                if trace is not None:
+                    recorder = trace.begin_round(rounds)
+                    recorder.plan = "expand"
+                    recorder.delta_atoms = len(current)
+                new = ()
+                try:
+                    with timed(recorder, "enumerate"):
                         new = policy.expand(current)
-                else:
-                    new = policy.expand(current)
-                new_count = len(new)
-            finally:
-                if recorder is not None:
-                    trace.end_round(
-                        recorder,
-                        triggers=len(current),
-                        applied=new_count,
-                        new_atoms=new_count,
-                    )
-            if policy.exhausted():
-                if self.strict:
-                    raise ChaseBudgetExceeded(
-                        policy.atom_budget_message(self.max_atoms, step + 1)
-                    )
-                if trace is not None:
-                    trace.finish_run(terminated=False, rounds=step + 1)
-                return FixpointOutcome(False, step + 1)
-            if not new:
-                if trace is not None:
-                    trace.finish_run(terminated=True, rounds=step)
-                return FixpointOutcome(True, step)
-            current = new
-        if self.strict:
-            raise ChaseBudgetExceeded(
-                policy.step_budget_message(self.max_steps)
-            )
-        if trace is not None:
-            trace.finish_run(terminated=False, rounds=self.max_steps)
-        return FixpointOutcome(False, self.max_steps)
+                finally:
+                    if recorder is not None:
+                        trace.end_round(
+                            recorder,
+                            triggers=len(current),
+                            applied=len(new),
+                            new_atoms=len(new),
+                        )
+                if policy.exhausted():
+                    if self.strict:
+                        raise ChaseBudgetExceeded(
+                            policy.atom_budget_message(self.max_atoms, rounds)
+                        )
+                    return FixpointOutcome(False, rounds)
+                if not new:
+                    # The empty round only confirmed the fixpoint.
+                    rounds, terminated = step, True
+                    return FixpointOutcome(True, step)
+                current = new
+            if self.strict:
+                raise ChaseBudgetExceeded(
+                    policy.step_budget_message(self.max_steps)
+                )
+            return FixpointOutcome(False, self.max_steps)
+        finally:
+            if trace is not None:
+                trace.finish_run(terminated=terminated, rounds=rounds)
 
     # ------------------------------------------------------------------
     # Scheduler lifecycle

@@ -121,11 +121,7 @@ class RoundScheduler:
 
     def _pool(self) -> WorkerPool:
         if self._worker_pool is None:
-            self._worker_pool = WorkerPool(
-                self.config.workers,
-                shared_memory=self.config.shared_memory,
-                shm_threshold=self.config.shm_threshold,
-            )
+            self._worker_pool = WorkerPool(self.config.workers)
         return self._worker_pool
 
     def close(self) -> None:

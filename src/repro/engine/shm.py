@@ -1,336 +1,14 @@
-"""Shared-memory transport for the persistent pool's large payloads.
+"""A leftover of the worker pool's removed shared-memory transport.
 
-The pool's pipes carry two very different kinds of traffic: small
-control envelopes (command tags, marks, rule indexes — tens of bytes)
-and the packed atom streams that dominate ``TRANSPORT_STATS`` (seed
-rows, per-round sync deltas, pivot buffers — kilobytes).  This module
-moves the second kind off the pipe: payloads at or above a size
-threshold are written into a :mod:`multiprocessing.shared_memory`
-segment owned by a parent-side :class:`SegmentPool`, and the pickle
-envelope carries only a :class:`SegmentRef` — ``(name, generation,
-offset, length)`` — that the worker resolves with a
-:class:`SegmentReader` against its attach cache.  One memcpy in, one
-memcpy out, zero pipe bytes for the bulk data.
-
-Release handshake
------------------
-The pool's protocol is lockstep — the parent broadcasts a command, then
-gathers exactly one reply per worker before the next command.  A reply
-therefore *is* the release: once every worker has answered, no live
-reference to the segments published for that command can exist, and
-:meth:`SegmentPool.collect` returns them to the free list for reuse.
-There is no per-segment refcount to get wrong.
-
-Generation tokens
------------------
-Reuse makes stale refs a hazard (a worker resolving a ref after the
-parent recycled the segment would read the *next* command's bytes).
-Every segment carries a monotonically increasing generation, bumped on
-each reuse, written into the segment's 8-byte header and embedded in
-every ref; :meth:`SegmentReader.read` verifies the header still matches
-the ref and raises :class:`~repro.errors.ChaseError` otherwise.  Under
-the lockstep handshake the check never fires — it exists to turn a
-protocol violation into a loud error instead of silent corruption.
-
-Teardown
---------
-``SegmentPool.close()`` closes *and unlinks* every segment it ever
-created — free, pending, or mid-flight — and is called from both the
-pool's normal close and the broken-pool teardown path, so a crashed
-worker never strands ``/dev/shm`` blocks.  A module-level registry of
-live segment names (:func:`active_segments`) lets tests assert the
-invariant directly.
-
-Availability
-------------
-Constrained runners (no ``/dev/shm``, locked-down sandboxes) may lack
-working shared memory; :func:`shm_available` probes once with a real
-create/attach round-trip and callers (``EngineConfig`` validation, the
-shm test suite) degrade to pipe-only transport when it fails.
+The engine creates no shared-memory segments: the pool's pipes are its
+only channel.  :func:`active_segments` stays only for the repo
+benchmark's leak check, which still imports it, and goes with that
+import.
 """
 
 from __future__ import annotations
 
-import struct
-from typing import NamedTuple
-
-from repro.errors import ChaseError
-
-try:  # pragma: no cover - import guard exercised only on exotic builds
-    from multiprocessing import resource_tracker, shared_memory
-except ImportError:  # pragma: no cover
-    resource_tracker = None  # type: ignore[assignment]
-    shared_memory = None  # type: ignore[assignment]
-
-#: Payloads >= this many bytes ride shared memory; smaller ones stay on
-#: the pipe (a ref costs ~90 pickled bytes, so tiny payloads would lose).
-DEFAULT_THRESHOLD = 256
-
-#: Segment layout: an 8-byte little-endian generation header, then data.
-_HEADER = struct.Struct("<Q")
-_HEADER_SIZE = _HEADER.size
-
-#: Smallest segment we bother allocating (allocation granularity is a
-#: page anyway; round-tripping lots of tiny segments just churns fds).
-_MIN_SEGMENT = 4096
-
-#: Names of every currently-linked segment created by this process's
-#: pools — the test suite's leak oracle.
-_LIVE_SEGMENTS: set[str] = set()
-
-_availability: bool | None = None
-
-
-def shm_available() -> bool:
-    """Probe (once) whether shared-memory segments actually work here."""
-    global _availability
-    if _availability is None:
-        if shared_memory is None:
-            _availability = False
-        else:
-            try:
-                probe = shared_memory.SharedMemory(create=True, size=16)
-            except (OSError, ValueError):  # pragma: no cover - env specific
-                _availability = False
-            else:
-                # Release in a finally: a failed write must not strand
-                # the probe segment in /dev/shm.
-                try:
-                    probe.buf[0] = 1
-                    _availability = True
-                except (OSError, ValueError):  # pragma: no cover - env specific
-                    _availability = False
-                finally:
-                    probe.close()
-                    probe.unlink()
-    return _availability
-
 
 def active_segments() -> frozenset[str]:
-    """Names of segments currently linked by this process's pools."""
-    return frozenset(_LIVE_SEGMENTS)
-
-
-def _untrack(name: str) -> None:
-    """Detach a segment from the resource tracker's leak bookkeeping.
-
-    Ownership is explicit here — the creating :class:`SegmentPool`
-    always unlinks in ``close()`` — but every created ``SharedMemory``
-    handle registers itself with
-    :mod:`multiprocessing.resource_tracker`, which then prints spurious
-    "leaked shared_memory objects" warnings at interpreter exit for
-    segments the pool reaped itself.  Python 3.13 grew ``track=False``
-    for exactly this; this is the documented equivalent for 3.11/3.12.
-    Unregister exactly once per registration: attaches on <=3.12 never
-    register (and :class:`SegmentReader` passes ``track=False`` on
-    3.13+), so only the create path calls this.
-    """
-    if resource_tracker is not None:
-        try:
-            resource_tracker.unregister("/" + name, "shared_memory")
-        except (KeyError, ValueError):  # pragma: no cover - best effort
-            pass
-
-
-class SegmentRef(NamedTuple):
-    """A picklable pointer into a shared-memory segment.
-
-    Travels on the pipe in place of the payload it names; resolved
-    worker-side by :meth:`SegmentReader.read`.
-    """
-
-    name: str
-    generation: int
-    offset: int
-    length: int
-
-
-class _Segment:
-    """Parent-side bookkeeping for one owned shared-memory block."""
-
-    __slots__ = ("shm", "capacity", "generation")
-
-    def __init__(self, shm, capacity: int):
-        self.shm = shm
-        self.capacity = capacity
-        self.generation = 0
-
-
-class SegmentPool:
-    """Parent-owned pool of reusable shared-memory segments.
-
-    Usage follows the pool's lockstep protocol::
-
-        ref = pool.publish(big_payload)     # before broadcasting
-        ... send envelopes carrying ``ref`` instead of the bytes ...
-        ... gather one reply per worker ...
-        pool.collect()                      # segments back on the free list
-
-    ``publish`` is also safe for fan-out: one published ref may appear
-    in every worker's envelope (they all read the same block).
-    """
-
-    def __init__(self, threshold: int = DEFAULT_THRESHOLD):
-        if shared_memory is None:  # pragma: no cover - exotic builds
-            raise ChaseError("shared memory is not available on this platform")
-        self.threshold = threshold
-        self._free: list[_Segment] = []
-        self._pending: list[_Segment] = []
-        self._closed = False
-        #: Lifetime counters, read into ``TransportStats``.
-        self.segments_created = 0
-        self.publishes = 0
-        self.bytes_published = 0
-
-    # -- allocation ----------------------------------------------------
-
-    def _allocate(self, needed: int) -> _Segment:
-        capacity = _MIN_SEGMENT
-        while capacity < needed:
-            capacity *= 2
-        shm = shared_memory.SharedMemory(create=True, size=capacity)
-        _untrack(shm.name)
-        _LIVE_SEGMENTS.add(shm.name)
-        self.segments_created += 1
-        return _Segment(shm, capacity)
-
-    def _acquire(self, needed: int) -> _Segment:
-        best = None
-        best_index = -1
-        for index, segment in enumerate(self._free):
-            if segment.capacity >= needed and (
-                best is None or segment.capacity < best.capacity
-            ):
-                best, best_index = segment, index
-        if best is None:
-            return self._allocate(needed)
-        self._free.pop(best_index)
-        return best
-
-    # -- protocol ------------------------------------------------------
-
-    def publish(self, data: bytes) -> SegmentRef:
-        """Write ``data`` into a segment and return its ref.
-
-        The segment stays pending (unavailable for reuse) until the
-        next :meth:`collect`.
-        """
-        if self._closed:
-            raise ChaseError("publish on a closed SegmentPool")
-        segment = self._acquire(_HEADER_SIZE + len(data))
-        segment.generation += 1
-        buf = segment.shm.buf
-        _HEADER.pack_into(buf, 0, segment.generation)
-        end = _HEADER_SIZE + len(data)
-        buf[_HEADER_SIZE:end] = data
-        self._pending.append(segment)
-        self.publishes += 1
-        self.bytes_published += len(data)
-        return SegmentRef(
-            segment.shm.name, segment.generation, _HEADER_SIZE, len(data)
-        )
-
-    def collect(self) -> None:
-        """Recycle every pending segment (call after the reply gather)."""
-        self._free.extend(self._pending)
-        self._pending.clear()
-
-    # -- teardown ------------------------------------------------------
-
-    def close(self) -> None:
-        """Close and unlink every owned segment; idempotent, never raises.
-
-        Pending segments are torn down too: this is the broken-pool
-        path's guarantee that a crashed worker leaks nothing.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        for segment in self._free + self._pending:
-            name = segment.shm.name
-            try:
-                segment.shm.close()
-            except (OSError, BufferError):  # pragma: no cover - best effort
-                pass
-            try:
-                segment.shm.unlink()
-            except (OSError, FileNotFoundError):  # pragma: no cover
-                pass
-            _LIVE_SEGMENTS.discard(name)
-        self._free.clear()
-        self._pending.clear()
-
-    def __del__(self):  # pragma: no cover - safety net
-        try:
-            self.close()
-        except Exception:
-            pass
-
-
-class SegmentReader:
-    """Worker-side resolver for :class:`SegmentRef`\\ s.
-
-    Keeps an attach cache so each segment is mapped once per worker no
-    matter how many refs land in it across the run, and validates the
-    generation header on every read.
-    """
-
-    def __init__(self):
-        self._attached: dict[str, object] = {}
-
-    def read(self, ref: SegmentRef) -> bytes:
-        if shared_memory is None:  # pragma: no cover - exotic builds
-            raise ChaseError("shared memory is not available on this platform")
-        shm = self._attached.get(ref.name)
-        if shm is None:
-            try:
-                try:
-                    # 3.13+: attaches are tracked by default; opt out —
-                    # the creating pool owns the unlink.
-                    shm = shared_memory.SharedMemory(name=ref.name, track=False)
-                except TypeError:
-                    # <=3.12: no ``track`` parameter, attaches untracked.
-                    shm = shared_memory.SharedMemory(name=ref.name)
-            except FileNotFoundError:
-                raise ChaseError(
-                    f"shm segment {ref.name} vanished (pool torn down "
-                    f"while a ref was in flight)"
-                ) from None
-            self._attached[ref.name] = shm
-        (generation,) = _HEADER.unpack_from(shm.buf, 0)
-        if generation != ref.generation:
-            raise ChaseError(
-                f"stale shm ref into {ref.name}: segment at generation "
-                f"{generation}, ref at {ref.generation}"
-            )
-        return bytes(shm.buf[ref.offset:ref.offset + ref.length])
-
-    def close(self) -> None:
-        """Unmap every attached segment (workers call this on stop)."""
-        for shm in self._attached.values():
-            try:
-                shm.close()
-            except (OSError, BufferError):  # pragma: no cover - best effort
-                pass
-        self._attached.clear()
-
-
-def maybe_publish(pool: "SegmentPool | None", data: bytes):
-    """Route one payload: a :class:`SegmentRef` via ``pool`` when it is
-    large enough, the raw bytes otherwise (or when shm is off).
-
-    The single choke point both sides agree on: anything the parent may
-    publish, the worker resolves with :func:`resolve`.
-    """
-    if pool is not None and len(data) >= pool.threshold:
-        return pool.publish(data)
-    return data
-
-
-def resolve(reader: "SegmentReader | None", payload) -> bytes:
-    """Inverse of :func:`maybe_publish` on the worker side."""
-    if isinstance(payload, SegmentRef):
-        if reader is None:
-            raise ChaseError("shm ref received by a worker without a reader")
-        return reader.read(payload)
-    return payload
+    """Names of live shared-memory segments: always empty."""
+    return frozenset()

@@ -77,7 +77,6 @@ import time
 import traceback
 from typing import Sequence
 
-from repro.engine import shm as shm_transport
 from repro.engine import wire
 from repro.obs.trace import active_round
 from repro.engine.columnar import ColumnarInstance, Vocabulary
@@ -96,26 +95,15 @@ class TransportStats:
     Module-global (like ``MATCHER_STATS`` in the homomorphism matcher) so
     benchmarks and the transport budgets can pin what the pool ships.
 
-    Beyond the totals, :attr:`commands` keys per-command counters —
-    ``{"messages", "bytes_sent", "bytes_received", "shm_bytes",
-    "atoms_sent", "atoms_received"}`` for each of ``seed``/``sync``/
-    ``enumerate``/``enumerate_unsatisfied``/``derive``/``stop`` — so
-    tests and benchmarks can pin exactly where transport goes.
-    Sync deltas riding an enumeration or derive message are counted
-    under ``sync`` (atoms) while the envelope bytes land on the carrying
-    command.
-
-    The byte accounting is split by *channel*: ``bytes_sent``/
-    ``bytes_received`` are **pipe** bytes (the pickled envelopes — with
-    shared memory on, that is refs and small payloads only), and
-    ``shm_bytes`` counts the payload bytes that traveled through
-    :class:`~repro.engine.shm.SegmentPool` segments instead.  A
-    payload's bytes land on exactly one channel, so the two gates in
-    ``tools/check_transport_budget.py`` partition the transport.  Shm
-    bytes for a shared sync buffer are attributed to ``sync`` (the
-    buffer leaves the carrying envelope entirely) and counted once per
-    publish, not per worker — segments are read in place, fan-out is
-    free.
+    ``bytes_sent``/``bytes_received`` count the pickled envelopes each
+    way — every payload byte rides the pipe.  Beyond the totals,
+    :attr:`commands` keys per-command counters — ``{"messages",
+    "bytes_sent", "bytes_received", "atoms_sent", "atoms_received"}``
+    for each of ``seed``/``sync``/``enumerate``/
+    ``enumerate_unsatisfied``/``derive``/``stop`` — so tests and
+    benchmarks can pin exactly where transport goes.  Sync deltas riding
+    an enumeration or derive message are counted under ``sync`` (atoms)
+    while the envelope bytes land on the carrying command.
 
     :attr:`worker_seconds` aggregates the worker-side
     ``(decode_s, execute_s, encode_s)`` wall-clock triples stamped into
@@ -128,9 +116,6 @@ class TransportStats:
     __slots__ = (
         "bytes_sent",
         "bytes_received",
-        "shm_bytes",
-        "shm_publishes",
-        "shm_segments",
         "messages",
         "seeds",
         "commands",
@@ -143,9 +128,6 @@ class TransportStats:
     def reset(self) -> None:
         self.bytes_sent = 0
         self.bytes_received = 0
-        self.shm_bytes = 0
-        self.shm_publishes = 0
-        self.shm_segments = 0
         self.messages = 0
         self.seeds = 0
         self.commands: dict[str, dict[str, int]] = {}
@@ -159,7 +141,6 @@ class TransportStats:
                 "messages": 0,
                 "bytes_sent": 0,
                 "bytes_received": 0,
-                "shm_bytes": 0,
                 "atoms_sent": 0,
                 "atoms_received": 0,
             }
@@ -175,12 +156,6 @@ class TransportStats:
     def record_receive(self, name: str, nbytes: int) -> None:
         self.bytes_received += nbytes
         self.command(name)["bytes_received"] += nbytes
-
-    def record_shm(self, name: str, nbytes: int) -> None:
-        """Account one payload routed through a shared-memory segment."""
-        self.shm_bytes += nbytes
-        self.shm_publishes += 1
-        self.command(name)["shm_bytes"] += nbytes
 
     def count_atoms_sent(self, name: str, count: int) -> None:
         if count:
@@ -250,20 +225,16 @@ def _worker_main(conn) -> None:
     table replica: packed seed/sync buffers fold straight into id rows,
     and the delta core's join kernel runs existential-free rules on
     those rows directly; atoms materialize only for the object matcher
-    (existential rules).  Payload fields may arrive as
-    :class:`~repro.engine.shm.SegmentRef`\\ s instead of bytes; they are
-    resolved against a per-worker :class:`~repro.engine.shm.SegmentReader`
-    (attach once per segment, memcpy per read) before decoding.
+    (existential rules).
 
     Every reply envelope carries the worker's
     ``(decode_s, execute_s, encode_s)`` wall-clock split
     (:func:`repro.engine.wire.pack_reply`): *decode* covers unpickling
-    the envelope, resolving shm refs, replaying the table segment and
-    unpacking the id buffers; *execute* the replica update and the
-    actual enumeration work; *encode* packing the reply buffer.  The blocking
-    ``recv`` (waiting for the parent) and the envelope's own final
-    pickle are excluded — the triple measures worker compute, not pipe
-    idleness.
+    the envelope, replaying the table segment and unpacking the id
+    buffers; *execute* the replica update and the actual enumeration
+    work; *encode* packing the reply buffer.  The blocking ``recv``
+    (waiting for the parent) and the envelope's own final pickle are
+    excluded — the triple measures worker compute, not pipe idleness.
     """
     # Imported here (not at module top) to keep the spawn path lean: the
     # scheduler module pulls in the whole engine package.
@@ -273,8 +244,6 @@ def _worker_main(conn) -> None:
     rules: tuple[Rule, ...] = ()
     decoder = wire.WireDecoder()
     replica = ColumnarInstance(Vocabulary.of_decoder(decoder))
-    reader = shm_transport.SegmentReader()
-    resolve = shm_transport.resolve
     while True:
         try:
             blob = conn.recv_bytes()
@@ -298,7 +267,6 @@ def _worker_main(conn) -> None:
             if command == "seed":
                 _, segment, rules, atoms_buf = message
                 decoder.apply_segment(segment)
-                atoms_buf = resolve(reader, atoms_buf)
                 decoded = perf()
                 replica = ColumnarInstance(Vocabulary.of_decoder(decoder))
                 replica.ingest_packed(atoms_buf)
@@ -307,15 +275,12 @@ def _worker_main(conn) -> None:
             elif command == "sync":
                 _, segment, sync_buf = message
                 decoder.apply_segment(segment)
-                sync_buf = resolve(reader, sync_buf)
                 decoded = perf()
                 value = replica.ingest_packed(sync_buf)
                 executed = perf()
             elif command in ("enumerate", "enumerate_unsatisfied", "derive"):
                 _, segment, sync_buf, pivot_buf = message
                 decoder.apply_segment(segment)
-                sync_buf = resolve(reader, sync_buf)
-                pivot_buf = resolve(reader, pivot_buf)
                 decoded = perf()
                 replica.ingest_packed(sync_buf)
                 view = ColumnarInstance(replica.vocabulary)
@@ -340,7 +305,6 @@ def _worker_main(conn) -> None:
         except Exception:
             reply = wire.pack_reply("error", traceback.format_exc())
         conn.send_bytes(pickle.dumps(reply, _PROTOCOL))
-    reader.close()
     conn.close()
 
 
@@ -365,25 +329,12 @@ class WorkerPool:
     simply stays behind until their next message catches them up).
     """
 
-    def __init__(
-        self,
-        size: int,
-        *,
-        shared_memory: bool = False,
-        shm_threshold: int = shm_transport.DEFAULT_THRESHOLD,
-    ):
+    def __init__(self, size: int):
         if size < 1:
             raise ChaseError(
                 f"a worker pool needs at least 1 worker, got {size}"
             )
-        if shared_memory and not shm_transport.shm_available():
-            raise ChaseError(
-                "shared_memory requested but multiprocessing.shared_memory "
-                "is unavailable on this platform"
-            )
         self.size = size
-        self.shared_memory = shared_memory
-        self.shm_threshold = shm_threshold
         self._connections: list = []
         self._processes: list = []
         self._started = False
@@ -392,7 +343,6 @@ class WorkerPool:
         self._replica_revision = 0
         self._encoder = WireEncoder()
         self._marks: list[tuple[int, int]] = [(0, 0)] * size
-        self._segment_pool: shm_transport.SegmentPool | None = None
 
     @property
     def broken(self) -> bool:
@@ -411,8 +361,6 @@ class WorkerPool:
             )
         if self._started:
             return
-        if self.shared_memory and self._segment_pool is None:
-            self._segment_pool = shm_transport.SegmentPool(self.shm_threshold)
         try:
             context = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX platforms
@@ -455,9 +403,6 @@ class WorkerPool:
         parent ends alone would not even unblock them).
         """
         if not self._connections:
-            if self._segment_pool is not None:  # pragma: no cover - defensive
-                self._segment_pool.close()
-                self._segment_pool = None
             return
         if self._broken:
             for conn in self._connections:
@@ -504,9 +449,6 @@ class WorkerPool:
         # vocabulary so a reused pool re-ships symbols from scratch.
         self._encoder = WireEncoder()
         self._marks = [(0, 0)] * self.size
-        if self._segment_pool is not None:
-            self._segment_pool.close()
-            self._segment_pool = None
 
     # ------------------------------------------------------------------
     # Messaging
@@ -518,32 +460,6 @@ class WorkerPool:
         segment = self._encoder.segment(term_mark, pred_mark)
         self._marks[worker] = self._encoder.marks()
         return segment
-
-    def _ship(self, command: str, buf: bytes):
-        """Route one payload: an shm ref above the threshold, raw bytes
-        below (or always, with shared memory off).
-
-        Published payloads are accounted under ``command``'s
-        ``shm_bytes``; whatever rides the pickle envelope lands in the
-        pipe counters at send time as before.  The returned object is
-        safe to share across every worker's message — segments are read
-        in place, so fan-out costs nothing.
-        """
-        pool = self._segment_pool
-        if pool is None or len(buf) < pool.threshold:
-            return buf
-        ref = pool.publish(buf)
-        TRANSPORT_STATS.record_shm(command, len(buf))
-        TRANSPORT_STATS.shm_segments = max(
-            TRANSPORT_STATS.shm_segments, pool.segments_created
-        )
-        return ref
-
-    def _collect_segments(self) -> None:
-        """Recycle the broadcast's segments (every reply is gathered, so
-        no live worker can still hold a ref into them)."""
-        if self._segment_pool is not None:
-            self._segment_pool.collect()
 
     def _shared_messages(self, build) -> list[tuple]:
         """One message per worker, shared by equal table marks.
@@ -601,43 +517,52 @@ class WorkerPool:
         left holding a stale round reply that a later reader (the stop
         handshake, a retried round) would misread as its own.  Only then
         is the first failure raised — and the pool marked broken, because
-        the failed worker's replica state is unknown.
+        the failed worker's replica state is unknown.  Any other exception
+        once a send began (an interrupt between the sends and the last
+        receive) also marks the pool broken: replies may still sit on the
+        pipes, so ``close()`` must not run the stop handshake over them.
         """
         blobs: dict[int, bytes] = {}
         sent = []
         failure: ChaseError | None = None
-        for worker, message in enumerate(messages):
-            if message is None:
-                continue
-            blob = blobs.get(id(message))
-            if blob is None:
-                # checks: allow[T202] -- envelope choke point: broadcast
-                # messages are command tuples built by the round methods.
-                blob = pickle.dumps(message, _PROTOCOL)
-                blobs[id(message)] = blob
-            try:
-                self._send_bytes(worker, blob, message[0])
-            except (BrokenPipeError, OSError) as exc:
-                # A dead worker at send time: stop broadcasting (the
-                # round is lost either way) but still drain the workers
-                # already sent to, below.
-                failure = ChaseError(
-                    f"persistent worker {worker} died mid-round: {exc!r}"
-                )
-                break
-            sent.append(worker)
-        replies: list[tuple[int, object]] = []
-        for worker in sent:
-            try:
-                replies.append(
-                    (worker, self._receive(worker, messages[worker][0]))
-                )
-            except ChaseError as exc:
-                if failure is None:
-                    failure = exc
-        if failure is not None:
-            self._broken = True
-            raise failure
+        sending = False
+        try:
+            for worker, message in enumerate(messages):
+                if message is None:
+                    continue
+                blob = blobs.get(id(message))
+                if blob is None:
+                    # checks: allow[T202] -- envelope choke point: broadcast
+                    # messages are command tuples built by the round methods.
+                    blob = pickle.dumps(message, _PROTOCOL)
+                    blobs[id(message)] = blob
+                sending = True
+                try:
+                    self._send_bytes(worker, blob, message[0])
+                except (BrokenPipeError, OSError) as exc:
+                    # A dead worker at send time: stop broadcasting (the
+                    # round is lost either way) but still drain the
+                    # workers already sent to, below.
+                    failure = ChaseError(
+                        f"persistent worker {worker} died mid-round: {exc!r}"
+                    )
+                    break
+                sent.append(worker)
+            replies: list[tuple[int, object]] = []
+            for worker in sent:
+                try:
+                    replies.append(
+                        (worker, self._receive(worker, messages[worker][0]))
+                    )
+                except ChaseError as exc:
+                    if failure is None:
+                        failure = exc
+            if failure is not None:
+                raise failure
+        except BaseException:
+            if sending:
+                self._broken = True
+            raise
         return replies
 
     # ------------------------------------------------------------------
@@ -657,15 +582,11 @@ class WorkerPool:
         atoms_buf = encoder.encode_atoms(atoms)
         if recorder is not None:
             recorder.add_phase("sync", time.perf_counter() - sync_start)
-        atoms_payload = self._ship("seed", atoms_buf)
         messages = self._shared_messages(
-            lambda segment: ("seed", segment, rules, atoms_payload)
+            lambda segment: ("seed", segment, rules, atoms_buf)
         )
         TRANSPORT_STATS.count_atoms_sent("seed", len(atoms) * self.size)
-        try:
-            self._broadcast_and_gather(messages)
-        finally:
-            self._collect_segments()
+        self._broadcast_and_gather(messages)
         self._rules = rules
         self._replica_revision = instance.revision
 
@@ -709,12 +630,6 @@ class WorkerPool:
             encoder.encode_atoms(pivots) if pivots else b""
             for pivots in pivot_lists
         ]
-        # Route the bulk payloads: the sync delta is published once and
-        # the same ref rides every worker's envelope.
-        sync_payload = self._ship("sync", sync_buf) if sync_buf else b""
-        pivot_payloads = [
-            self._ship(mode, buf) if buf else b"" for buf in pivot_bufs
-        ]
         # One shared sync-only message per table mark for pivotless
         # workers: the broadcast pickles each distinct object once.
         sync_cache: dict[tuple[int, int], tuple] = {}
@@ -726,8 +641,8 @@ class WorkerPool:
                     (
                         mode,
                         self._segment(worker),
-                        sync_payload,
-                        pivot_payloads[worker],
+                        sync_buf,
+                        pivot_bufs[worker],
                     )
                 )
                 gathered_workers.append(worker)
@@ -739,7 +654,7 @@ class WorkerPool:
                 key = self._marks[worker]
                 message = sync_cache.get(key)
                 if message is None:
-                    message = ("sync", self._segment(worker), sync_payload)
+                    message = ("sync", self._segment(worker), sync_buf)
                     sync_cache[key] = message
                 else:
                     self._marks[worker] = encoder.marks()
@@ -747,10 +662,7 @@ class WorkerPool:
                 TRANSPORT_STATS.count_atoms_sent("sync", len(sync_atoms))
             else:
                 messages.append(None)
-        try:
-            replies = dict(self._broadcast_and_gather(messages))
-        finally:
-            self._collect_segments()
+        replies = dict(self._broadcast_and_gather(messages))
         # Sync-only workers just acknowledge; keep the shape (non-empty
         # pivot slices only) the scheduler's merge expects.
         results = []

@@ -5,10 +5,11 @@ run as a header (``meta``), one structured record per round, and a final
 summary.  The runner owns the lifecycle — it opens a
 :class:`RoundRecorder` per round, the engine layers feed it through the
 module-level *active-recorder stack* (:func:`active_round`), and the
-runner closes the round with its counts and byte deltas.  When no trace
-is attached the stack is empty and every instrumentation site reduces to
-one ``active_round() is None`` check per round (or per claim, on traced
-paths only), so untraced runs keep their exact fast paths.
+runner closes the round with its counts and byte deltas.  Each
+instrumented loop has one body for traced and untraced rounds: it times
+only while a recorder is active (:func:`timed` for whole blocks), so
+with no trace attached every instrumentation site reduces to an
+``is None`` check and makes no ``perf_counter`` call.
 
 Phase attribution
 -----------------
@@ -66,8 +67,8 @@ from __future__ import annotations
 import json
 import pathlib
 import time
-from contextlib import contextmanager
-from typing import Iterator
+from contextlib import contextmanager, nullcontext
+from typing import ContextManager, Iterator
 
 #: Bumped when the shape of run/round/summary records changes.
 TRACE_SCHEMA_VERSION = 1
@@ -88,6 +89,19 @@ def active_round() -> "RoundRecorder | None":
     costs a truthiness check on an empty list.
     """
     return _ACTIVE[-1] if _ACTIVE else None
+
+
+#: What :func:`timed` hands out while no round is traced (reusable).
+_UNTIMED = nullcontext()
+
+
+def timed(recorder: "RoundRecorder | None", name: str) -> ContextManager:
+    """``recorder.outer_phase(name)``, or a no-op context without one.
+
+    Lets one loop body serve traced and untraced rounds alike: an
+    untraced round makes no ``perf_counter`` call.
+    """
+    return _UNTIMED if recorder is None else recorder.outer_phase(name)
 
 
 class RoundRecorder:

@@ -2,22 +2,7 @@
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
-
-# multiprocessing.resource_tracker warns about "leaked" shared_memory
-# segments it saw registered but not unregistered at interpreter exit.
-# The engine's SegmentPool owns and unlinks every segment it creates
-# (tests assert /dev/shm is clean via repro.engine.shm.active_segments),
-# and creates are explicitly deregistered from the tracker — this filter
-# only mutes the tracker's exit-time heuristic on interpreters that
-# re-register behind our back (it cannot hide a real leak from the
-# registry-based assertions).
-warnings.filterwarnings(
-    "ignore",
-    message=r"resource_tracker: There appear to be .* leaked shared_memory",
-)
 
 from repro.chase import oblivious_chase
 from repro.corpus import (

@@ -1,6 +1,6 @@
 """Fixture tests for the resource-lifecycle pass (L301-L303).
 
-Acquires (SharedMemory/SegmentPool/WorkerPool/Pipe) must reach a release
+Acquires (SharedMemory/WorkerPool/Pipe) must reach a release
 on all paths including exception edges; ownership transfer (with blocks,
 returns, call arguments, attribute stores into a class with a teardown
 method) is respected.

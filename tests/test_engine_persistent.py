@@ -15,6 +15,8 @@ the full workload matrix runs on the ``persistent`` preset in
 from __future__ import annotations
 
 import multiprocessing
+import os
+import time
 
 import pytest
 
@@ -31,13 +33,12 @@ from repro.engine import (
     EngineConfig,
     WorkerPool,
     resolve_engine,
-    shm_available,
 )
-from repro.engine import shm
 from repro.errors import ChaseError
 from repro.logic.atoms import atom
 from repro.logic.instances import Instance
 from repro.logic.terms import FreshSupply
+from repro.obs import RunTrace
 from repro.rewriting.datalog import semi_naive_closure
 from repro.rules.parser import parse_rules
 
@@ -84,8 +85,6 @@ class TestPersistentConfig:
     def test_persistent_requires_parallel_mode(self):
         with pytest.raises(ChaseError, match="parallel-mode"):
             EngineConfig("delta", workers=2)
-        with pytest.raises(ChaseError, match="parallel-mode"):
-            EngineConfig("delta", shared_memory=True)
 
     def test_persistent_spelled_as_mode(self):
         config = EngineConfig("custom", mode="persistent", workers=2)
@@ -462,22 +461,7 @@ class TestWorkerPoolFailureTeardown:
         with pytest.raises(ChaseError, match="broken"):
             pool._start()
 
-    @pytest.mark.parametrize(
-        "shared_memory",
-        [
-            False,
-            pytest.param(
-                True,
-                marks=pytest.mark.skipif(
-                    not shm_available(), reason="no working shared memory"
-                ),
-            ),
-        ],
-        ids=["pipe", "shm"],
-    )
-    def test_spawn_failure_tears_down_spawned_workers(
-        self, monkeypatch, shared_memory
-    ):
+    def test_spawn_failure_tears_down_spawned_workers(self, monkeypatch):
         # The second worker fails to spawn: the first, already running,
         # is stopped and the failure surfaces as a typed error.
         import errno
@@ -493,13 +477,153 @@ class TestWorkerPoolFailureTeardown:
             original_start(process)
 
         monkeypatch.setattr(process_class, "start", start_once)
-        pool = WorkerPool(3, shared_memory=shared_memory)
+        pool = WorkerPool(3)
         with pytest.raises(ChaseError, match="worker 1 of 3") as excinfo:
             pool._start()
         monkeypatch.undo()
         assert isinstance(excinfo.value.__cause__, OSError)
         pool.close()
         assert multiprocessing.active_children() == []
-        assert shm.active_segments() == frozenset()
         assert pool._connections == [] and pool._processes == []
         assert not pool.broken
+
+    def test_interrupted_gather_marks_the_pool_broken(self, monkeypatch):
+        # An interrupt after the sends leaves both round replies on the
+        # pipes.  The stop handshake would read them as its acks, so the
+        # pool must be broken and torn down without one.
+        pool = WorkerPool(2)
+        pool._start()
+        healthy = self._derive_message(pool)
+
+        def interrupted(worker, command):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(pool, "_receive", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            pool._broadcast_and_gather([healthy, healthy])
+        assert pool.broken
+        start = time.perf_counter()
+        pool.close()
+        assert time.perf_counter() - start < 5.0
+        assert multiprocessing.active_children() == []
+
+
+# ----------------------------------------------------------------------
+# Fault injection through the public API
+# ----------------------------------------------------------------------
+
+
+class TestWorkerKilledMidCommand:
+    """A worker process that dies inside a round's command surfaces as
+    ``ChaseError`` from the public entry points and leaves no process
+    behind."""
+
+    TC = "E(x,y), E(y,z) -> E(x,z)"
+    POOL = EngineConfig("persistent", workers=2)
+
+    @pytest.fixture(autouse=True)
+    def workers_die_mid_command(self, monkeypatch):
+        # Workers fork from this process and look ``_run_shard`` up when
+        # they start, so they inherit the patch; the parent keeps the
+        # real function for the rounds it runs inline.
+        from repro.engine import scheduler
+
+        parent = os.getpid()
+        run_shard = scheduler._run_shard
+
+        def die_in_worker(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            return run_shard(*args)
+
+        monkeypatch.setattr(scheduler, "_run_shard", die_in_worker)
+
+    def test_closure(self):
+        with pytest.raises(ChaseError, match="died mid-round"):
+            semi_naive_closure(
+                path_instance(24), parse_rules(self.TC), engine=self.POOL
+            )
+        assert multiprocessing.active_children() == []
+
+    def test_restricted_chase(self):
+        with pytest.raises(ChaseError, match="died mid-round"):
+            restricted_chase(
+                path_instance(24), parse_rules(self.TC), engine=self.POOL
+            )
+        assert multiprocessing.active_children() == []
+
+    def test_traced_closure_summarizes_the_failed_round(self):
+        trace = RunTrace()
+        with pytest.raises(ChaseError, match="died mid-round"):
+            semi_naive_closure(
+                path_instance(24),
+                parse_rules(self.TC),
+                engine=self.POOL,
+                trace=trace,
+            )
+        assert len(trace.rounds) == 1
+        assert trace.summary == {
+            "type": "summary",
+            "terminated": False,
+            "atoms": len(path_instance(24)),
+            "rounds": 1,
+        }
+        assert multiprocessing.active_children() == []
+
+    def test_traced_chase_summarizes_the_failed_round(self):
+        trace = RunTrace()
+        with pytest.raises(ChaseError, match="died mid-round"):
+            restricted_chase(
+                path_instance(24),
+                parse_rules(self.TC),
+                engine=self.POOL,
+                trace=trace,
+            )
+        assert len(trace.rounds) == 1
+        assert trace.summary["terminated"] is False
+        assert trace.summary["levels"] == 0
+        assert trace.summary["trigger_applications"] == 0
+        assert multiprocessing.active_children() == []
+
+
+class TestPipeAccounting:
+    """Every payload byte rides the pipe, and the transport counters see
+    each one: what the parent writes to and reads from its connections
+    equals ``bytes_sent``/``bytes_received``, stop handshake included."""
+
+    TC = "E(x,y), E(y,z) -> E(x,z)"
+    POOL = EngineConfig("persistent", workers=2)
+
+    @pytest.mark.parametrize(
+        "run",
+        [semi_naive_closure, restricted_chase],
+        ids=["closure", "restricted_chase"],
+    )
+    def test_counters_match_the_connection_traffic(self, monkeypatch, run):
+        from multiprocessing.connection import Connection
+
+        parent = os.getpid()
+        wire = {"sent": 0, "received": 0}
+        send_bytes, recv_bytes = Connection.send_bytes, Connection.recv_bytes
+
+        def counted_send(self, buf, *args):
+            if os.getpid() == parent:
+                wire["sent"] += len(buf)
+            return send_bytes(self, buf, *args)
+
+        def counted_recv(self, *args):
+            blob = recv_bytes(self, *args)
+            if os.getpid() == parent:
+                wire["received"] += len(blob)
+            return blob
+
+        monkeypatch.setattr(Connection, "send_bytes", counted_send)
+        monkeypatch.setattr(Connection, "recv_bytes", counted_recv)
+        sent = TRANSPORT_STATS.bytes_sent
+        received = TRANSPORT_STATS.bytes_received
+        run(path_instance(24), parse_rules(self.TC), engine=self.POOL)
+        assert wire["sent"] == TRANSPORT_STATS.bytes_sent - sent > 0
+        assert (
+            wire["received"] == TRANSPORT_STATS.bytes_received - received > 0
+        )
+        assert multiprocessing.active_children() == []

@@ -3,16 +3,20 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
 from repro.chase.oblivious import oblivious_chase
 from repro.chase.restricted import restricted_chase
-from repro.corpus.generators import path_instance
+from repro.chase.semi_oblivious import semi_oblivious_chase
+from repro.corpus.generators import path_instance, tournament_instance
 from repro.engine.config import EngineConfig
 from repro.engine.wire import REPLY_TIMINGS, pack_reply, unpack_reply
 from repro.engine.workers import TRANSPORT_STATS
+from repro.errors import ChaseBudgetExceeded, RewritingBudgetExceeded
 from repro.logic.homomorphisms import MATCHER_STATS
+from repro.logic.terms import FreshSupply
 from repro.obs import (
     PHASES,
     TRACE_SCHEMA_VERSION,
@@ -23,8 +27,10 @@ from repro.obs import (
     diff_snapshots,
     reset_all,
 )
+from repro.obs.trace import timed
 from repro.rewriting.datalog import semi_naive_closure
-from repro.rules.parser import parse_instance, parse_rules
+from repro.rewriting.rewriter import rewrite
+from repro.rules.parser import parse_instance, parse_query, parse_rules
 from repro.rules.rule import INSTANTIATION_STATS
 
 
@@ -188,6 +194,18 @@ class TestRoundRecorder:
             recorder.add_phase("record", 100.0)  # dwarfs the real elapsed
         assert recorder.phases["record"] == 100.0
         assert recorder.phases["fire"] == 0.0  # clamped: elapsed << inner
+
+    def test_timed_without_a_recorder_is_one_shared_noop(self):
+        assert timed(None, "fire") is timed(None, "probe")
+        with timed(None, "fire"):
+            pass
+
+    def test_timed_with_a_recorder_lands_on_its_phase(self):
+        recorder = RoundRecorder(1)
+        with timed(recorder, "probe"):
+            time.sleep(0.001)
+        assert recorder.phases["probe"] > 0.0
+        assert sum(recorder.phases.values()) == recorder.phases["probe"]
 
 
 ENGINE_MATRIX = [
@@ -389,6 +407,238 @@ class TestVariantPlans:
         assert trace.summary["terminated"] is True
         last = trace.rounds[-1]
         assert last["new_atoms"] == 0  # the fixpoint round
+
+
+class TestTracedRunsMatchUntraced:
+    """A trace only times the loops it runs through: each plan's traced
+    run stops on a mid-round atom budget exactly where the untraced one
+    does."""
+
+    CASES = [
+        (
+            "batched",
+            lambda i, r, **kw: oblivious_chase(i, r, max_levels=5, **kw),
+            lambda: tournament_instance(6, seed=0),
+            "E(x,y) -> exists z. E(y,z)",
+        ),
+        (
+            "claim_gated",
+            lambda i, r, **kw: semi_oblivious_chase(i, r, max_levels=5, **kw),
+            lambda: tournament_instance(6, seed=0),
+            "E(x,y) -> exists z. E(y,z), F(x,z)",
+        ),
+        (
+            "split",
+            lambda i, r, **kw: restricted_chase(i, r, max_rounds=8, **kw),
+            lambda: path_instance(8),
+            "E(x,y), E(y,z) -> E(x,z)\nE(x,y) -> exists z. F(y,z)",
+        ),
+        (
+            "interleaved",
+            lambda i, r, **kw: restricted_chase(i, r, max_rounds=8, **kw),
+            lambda: path_instance(4),
+            "E(x,y) -> exists z. E(x,z), E(z,y)",
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "plan,chase,make,rules", CASES, ids=[case[0] for case in CASES]
+    )
+    def test_budget_stop_matches_untraced(self, plan, chase, make, rules):
+        runs = []
+        for trace in (None, RunTrace()):
+            supply = FreshSupply()
+            result = chase(
+                make(), parse_rules(rules), max_atoms=40, supply=supply,
+                trace=trace,
+            )
+            runs.append((result, supply.position, trace))
+        (plain, plain_position, _), (traced, position, trace) = runs
+        assert not plain.terminated
+        assert len(plain.instance) > 40
+        assert traced.records() == plain.records()
+        assert traced.levels_completed == plain.levels_completed
+        for at in plain.instance:
+            assert traced.atom_level(at) == plain.atom_level(at)
+        assert position == plain_position > 0
+        kind = "batched" if plan == "claim_gated" else plan
+        assert {r["plan"] for r in trace.rounds} == {kind}
+        assert sum(r["phases"]["record"] for r in trace.rounds) > 0.0
+
+
+def _budgeted(chase, make, rules):
+    return lambda trace: chase(
+        make(), parse_rules(rules), max_atoms=40, trace=trace
+    )
+
+
+class TestUntracedRunsReadNoClock:
+    """Only a traced round reads the clock, on every loop the runner
+    drives — the four firing plans, the closure, the rewriter's breadth
+    loop and the pool's sync — so tracing off costs what it did before
+    the loops were merged."""
+
+    RUNS = [
+        (plan, _budgeted(chase, make, rules))
+        for plan, chase, make, rules in TestTracedRunsMatchUntraced.CASES
+    ] + [
+        (
+            "derive",
+            lambda trace: semi_naive_closure(
+                path_instance(12),
+                parse_rules("E(x,y), E(y,z) -> E(x,z)"),
+                trace=trace,
+            ),
+        ),
+        (
+            "expand",
+            lambda trace: rewrite(
+                parse_query("E(u,v)", answers=("u", "v")),
+                parse_rules("E(x,y), E(y,z) -> E(x,z)"),
+                max_depth=3,
+                trace=trace,
+            ),
+        ),
+        (
+            "pool",
+            lambda trace: oblivious_chase(
+                path_instance(24),
+                parse_rules(MIXED_RULES),
+                max_levels=3,
+                engine=EngineConfig("persistent", workers=2),
+                trace=trace,
+            ),
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "run", [r[1] for r in RUNS], ids=[r[0] for r in RUNS]
+    )
+    def test_only_traced_rounds_read_the_clock(self, monkeypatch, run):
+        calls = []
+        clock = time.perf_counter
+
+        def counted():
+            calls.append(None)
+            return clock()
+
+        monkeypatch.setattr(time, "perf_counter", counted)
+        run(None)
+        assert calls == []
+        run(RunTrace())
+        assert calls  # the patched clock is the one the loops read
+
+
+class TestRoundTransportDeltas:
+    """The per-round transport deltas account for every pipe byte of a
+    pooled run except the stop handshake, which runs after the last
+    round closes."""
+
+    @staticmethod
+    def _wire():
+        stop = TRANSPORT_STATS.command("stop")
+        return (
+            TRANSPORT_STATS.bytes_sent - stop["bytes_sent"],
+            TRANSPORT_STATS.bytes_received - stop["bytes_received"],
+            TRANSPORT_STATS.worker_totals()["execute_s"]
+            - TRANSPORT_STATS.worker_timing("stop")["execute_s"],
+        )
+
+    def _assert_rounds_cover(self, trace, before, after):
+        sent, received, execute = (b - a for a, b in zip(before, after))
+        rounds = trace.rounds
+        assert sent > 0 and received > 0
+        assert sum(r["transport"]["bytes_sent"] for r in rounds) == sent
+        assert (
+            sum(r["transport"]["bytes_received"] for r in rounds) == received
+        )
+        assert sum(r["worker"]["execute_s"] for r in rounds) == (
+            pytest.approx(execute)
+        )
+
+    def test_chase_rounds(self):
+        before = self._wire()
+        _, trace = run_pooled(workers=2)
+        self._assert_rounds_cover(trace, before, self._wire())
+
+    def test_closure_rounds(self):
+        trace = RunTrace()
+        before = self._wire()
+        semi_naive_closure(
+            path_instance(24),
+            parse_rules("E(x,y), E(y,z) -> E(x,z)"),
+            engine=EngineConfig("persistent", workers=2),
+            trace=trace,
+        )
+        self._assert_rounds_cover(trace, before, self._wire())
+        assert trace.summary["terminated"] is True
+
+
+class TestTraceSummaries:
+    """Every stop path writes a summary with the rounds that ran."""
+
+    TC = "E(x,y), E(y,z) -> E(x,z)"
+
+    def test_closure_step_budget(self):
+        trace = RunTrace()
+        with pytest.raises(ChaseBudgetExceeded) as excinfo:
+            semi_naive_closure(
+                path_instance(20), parse_rules(self.TC), max_rounds=2,
+                trace=trace,
+            )
+        assert len(trace.rounds) == 2
+        assert trace.summary == {
+            "type": "summary",
+            "terminated": False,
+            "atoms": len(excinfo.value.partial_result),
+            "rounds": 2,
+        }
+
+    def test_closure_atom_budget(self):
+        trace = RunTrace()
+        with pytest.raises(ChaseBudgetExceeded):
+            semi_naive_closure(
+                path_instance(20), parse_rules(self.TC), max_atoms=40,
+                trace=trace,
+            )
+        # 21 atoms + 19 in round 1 sits at the budget; round 2 crosses it.
+        assert len(trace.rounds) == 2
+        assert trace.summary["terminated"] is False
+        assert trace.summary["rounds"] == 2
+
+    def test_rewrite_raising_mid_expansion(self):
+        trace = RunTrace()
+        with pytest.raises(RewritingBudgetExceeded):
+            rewrite(
+                parse_query("E(u,v)", answers=("u", "v")),
+                parse_rules(self.TC),
+                max_depth=50,
+                max_disjuncts=3,
+                strict=True,
+                trace=trace,
+            )
+        assert len(trace.rounds) == 3
+        assert trace.summary == {
+            "type": "summary",
+            "terminated": False,
+            "rounds": 3,
+        }
+
+    def test_rewrite_depth_stop(self):
+        trace = RunTrace()
+        result = rewrite(
+            parse_query("E(u,v)", answers=("u", "v")),
+            parse_rules(self.TC),
+            max_depth=2,
+            trace=trace,
+        )
+        assert not result.complete
+        assert len(trace.rounds) == 2
+        assert trace.summary == {
+            "type": "summary",
+            "terminated": False,
+            "rounds": 2,
+        }
 
 
 class TestWireReplyEnvelope:

@@ -41,7 +41,6 @@ from repro.engine import (
     EngineConfig,
     RoundPlan,
     VariantPolicy,
-    shm_available,
 )
 from repro.errors import ChaseBudgetExceeded
 from repro.logic.terms import FreshSupply
@@ -109,9 +108,8 @@ VARIANT_IDS = [v[0] for v in VARIANTS]
 
 #: The engine axis: sequential engines at their single configuration,
 #: parallel/persistent at workers ∈ {1, 3} — inline at one worker, on
-#: the worker pool at three — plus an even pool of two.  The ``_shm``
-#: entry (present only where shared memory works) routes bulk payloads
-#: through segments — all bit-identical by construction.
+#: the worker pool at three — plus an even pool of two — all
+#: bit-identical by construction.
 ENGINES = [
     ("delta", "delta"),
     ("naive", "naive"),
@@ -121,15 +119,6 @@ ENGINES = [
     ("persistent_w3", EngineConfig("persistent", workers=3)),
     ("persistent_w2", EngineConfig("persistent", workers=2)),
 ]
-if shm_available():
-    ENGINES.append(
-        (
-            "persistent_w3_shm",
-            EngineConfig(
-                "persistent", workers=3, shared_memory=True, shm_threshold=64
-            ),
-        )
-    )
 ENGINE_IDS = [e[0] for e in ENGINES]
 
 

@@ -29,7 +29,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 RESULTS_DIR = ROOT / "benchmarks" / "results"
 
 #: Artifacts `make perf-smoke` regenerates — must exist after the run.
-REQUIRED = {"BENCH_exp14.json", "BENCH_exp17.json", "BENCH_exp18.json"}
+REQUIRED = {"BENCH_exp14.json", "BENCH_exp17.json"}
 
 sys.path.insert(0, str(ROOT / "src"))
 

@@ -8,15 +8,12 @@ exceeds its budget.  Byte counters are deterministic — unlike the
 wall-clocks in the same artifacts — so these are hard gates, not noisy
 ones: if one trips, the wire protocol really did get chattier (a symbol
 re-shipped per round, a payload falling back to pickle, a widened id
-stream, a sub-threshold payload pushed onto the pipe), and either the
-protocol or, deliberately, the budget must change.
+stream), and either the protocol or, deliberately, the budget must
+change.
 
 Each gate names an artifact, an engine label inside it, and a byte
-*channel*: ``payload_bytes``/``pipe_bytes`` are pickled-envelope pipe
-traffic, ``shm_bytes`` is payload riding shared-memory segments,
-``total_bytes`` their sum.  The channel split means a regression cannot
-hide by moving bytes between transports — the EXP-18 pipe gate pins the
-shared-memory win, its total gate pins the combined traffic.
+*channel* of that engine's entry: ``payload_bytes`` is the pickled
+envelopes sent down the pool's pipes, which carry every payload.
 
 Exit status: 0 when every gate holds, 1 on any over-budget channel or a
 missing/stale artifact (run ``make perf-smoke`` first).
