@@ -27,9 +27,9 @@ checks:
 # throughput), EXP-12 (incremental vs naive trigger enumeration), EXP-13
 # (semi-naive vs naive Datalog closure, inline and on the worker pool),
 # EXP-14 (persistent delta-fed workers: wall-clock and pipe payload),
-# EXP-15 (pruned restricted enumeration + split firing vs the
-# interleaved reference), EXP-16 (the same for mixed restricted rounds,
-# inline and on the worker pool) and EXP-17 (goal-directed answer()
+# EXP-15 (the restricted chase's pruned enumeration, inline and on the
+# worker pool, checked against the path's transitive closure), EXP-16
+# (the same for mixed restricted rounds) and EXP-17 (goal-directed answer()
 # serving vs full saturation), with GC disabled during timing so numbers
 # are comparable across runs.  Tables land in benchmarks/results/.  The
 # budget check then gates the freshly written BENCH_exp14.json pipe

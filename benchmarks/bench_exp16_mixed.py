@@ -1,32 +1,28 @@
-"""EXP-16 — mixed restricted rounds: pruned enumeration + split firing.
+"""EXP-16 — mixed restricted rounds: pruned enumeration, one firing stream.
 
 Mixed rounds — existential and existential-free triggers in the same
-round — run the restricted chase's *split* path.  The enumeration drops
-every existential-free match whose ground head is already in the
-round-start instance or repeats the head of a smaller image (on the
-persistent backend inside the ``enumerate_unsatisfied`` command, against
-each worker's replica), and the round then records in one
-canonical-order lazy pass that interleaves only the small existential
-remainder.
+round — fire through the runner's one lazy stream like every other
+round.  The enumeration drops every existential-free match whose ground
+head is already in the round-start instance or repeats the head of a
+smaller image (on the persistent backend inside the
+``enumerate_unsatisfied`` command, against each worker's replica), so
+the stream's satisfaction claims are mostly membership tests of parked
+heads, plus the small existential remainder's index-seeded checks.
 
 The workload makes every round genuinely mixed: a successor rule keeps
 extending a path with fresh nulls (one unsatisfied existential trigger
-per round — the interleaved remainder) while transitive closure over the
-same ``E`` predicate floods each round with existential-free matches
-(the pruned part).
+per round) while transitive closure over the same ``E`` predicate
+floods each round with existential-free matches (the pruned part).
 
 Acceptance:
 
 * every configuration produces a bit-identical ``ChaseResult`` (atoms,
-  provenance records, rounds) — the split decomposition of a mixed round
-  is invisible in the results,
-* the inline split path does not regress vs the interleaved loop
-  (amortized recording is the single-core win), and
-* the persistent backend agrees exactly, sends no ``probe`` command
-  (split rounds record parent-side from the parked heads), and its
-  ``enumerate_unsatisfied`` replies carry only pruned images: each
-  configuration enumerates exactly the candidates of the inline pruned
-  enumeration, far fewer than the unpruned ``naive`` reference.
+  provenance records, rounds), and
+* the persistent backend sends no ``probe`` or unpruned ``enumerate``
+  command, and its ``enumerate_unsatisfied`` replies carry only pruned
+  images: each configuration enumerates exactly the candidates of the
+  inline pruned enumeration, far fewer than the unpruned ``naive``
+  reference.
 """
 
 import statistics
@@ -50,11 +46,10 @@ MIXED_RULES = (
     "E(x,y), E(y,z) -> E(x,z)"
 )
 
-#: (label, engine, delta_satisfaction) — the seed interleaved path first.
+#: (label, engine) — the inline reference first.
 CONFIGS = [
-    ("interleaved (seed path)", "delta", False),
-    ("split inline (delta)", "delta", True),
-    ("persistent split (w=2, hash)", EngineConfig("persistent", workers=2), True),
+    ("inline (delta)", "delta"),
+    ("persistent (w=2, hash)", EngineConfig("persistent", workers=2)),
 ]
 
 
@@ -74,7 +69,7 @@ def _assert_bit_identical(a, b):
     assert a.records() == b.records()
 
 
-def _candidates(engine, gate, rules) -> int:
+def _candidates(engine, rules) -> int:
     """Triggers the enumeration handed to the firing path, all rounds."""
     trace = RunTrace()
     restricted_chase(
@@ -83,7 +78,6 @@ def _candidates(engine, gate, rules) -> int:
         max_rounds=MAX_ROUNDS,
         max_atoms=MAX_ATOMS,
         engine=engine,
-        delta_satisfaction=gate,
         trace=trace,
     )
     return sum(record["triggers"] for record in trace.rounds)
@@ -92,7 +86,7 @@ def _candidates(engine, gate, rules) -> int:
 def test_exp16_mixed_rounds():
     rules = parse_rules(MIXED_RULES, name="succ_tc")
     rows, results, times, candidates, transports = [], {}, {}, {}, {}
-    for label, engine, gate in CONFIGS:
+    for label, engine in CONFIGS:
         TRANSPORT_STATS.reset()
         result, median_s = _measure(
             lambda: restricted_chase(
@@ -101,13 +95,12 @@ def test_exp16_mixed_rounds():
                 max_rounds=MAX_ROUNDS,
                 max_atoms=MAX_ATOMS,
                 engine=engine,
-                delta_satisfaction=gate,
             )
         )
         results[label] = result
         times[label] = median_s
         transports[label] = TRANSPORT_STATS.snapshot()
-        candidates[label] = _candidates(engine, gate, rules)
+        candidates[label] = _candidates(engine, rules)
         rows.append(
             (
                 label,
@@ -117,8 +110,8 @@ def test_exp16_mixed_rounds():
                 f"{median_s:.3f}",
             )
         )
-    unpruned = _candidates("naive", True, rules)
-    reference = results["interleaved (seed path)"]
+    unpruned = _candidates("naive", rules)
+    reference = results["inline (delta)"]
     for result in results.values():
         _assert_bit_identical(result, reference)
     emit(
@@ -127,8 +120,8 @@ def test_exp16_mixed_rounds():
             ["configuration", "atoms", "rounds", "candidates", "median s"],
             rows,
             title=(
-                f"EXP-16: pruned enumeration + split firing for mixed "
-                f"restricted rounds, successor + transitive closure on a "
+                f"EXP-16: pruned enumeration for mixed restricted "
+                f"rounds, successor + transitive closure on a "
                 f"{PATH_N}-path ({MAX_ROUNDS} rounds; unpruned naive "
                 f"reference: {unpruned} candidates)"
             ),
@@ -153,29 +146,22 @@ def test_exp16_mixed_rounds():
             "configurations": {
                 label: {
                     "provenance": engine_provenance(engine),
-                    "delta_satisfaction": gate,
                     "atoms": len(results[label].instance),
                     "rounds": results[label].levels_completed,
                     "candidates": candidates[label],
                     "median_s": times[label],
                     "transport": transports[label],
                 }
-                for label, engine, gate in CONFIGS
+                for label, engine in CONFIGS
             },
         },
     )
-    # The single-core claim: the inline split path must not lose to the
-    # per-trigger interleaved loop it replaces (noise-bounded guard; the
-    # expected direction is a win from amortized recording).
-    assert times["split inline (delta)"] <= times[
-        "interleaved (seed path)"
-    ] * 1.5, times
     # Every configuration enumerates the same pruned candidates — on the
     # persistent backend that is what the replicas' replies carried —
     # and pruning removes most of the unpruned reference's triggers.
     assert len(set(candidates.values())) == 1, candidates
-    assert candidates["split inline (delta)"] * 5 < unpruned
-    commands = transports["persistent split (w=2, hash)"]["commands"]
+    assert candidates["inline (delta)"] * 5 < unpruned
+    commands = transports["persistent (w=2, hash)"]["commands"]
     assert "probe" not in commands
     assert "enumerate" not in commands
     assert commands["enumerate_unsatisfied"]["messages"] > 0

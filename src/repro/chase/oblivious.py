@@ -10,8 +10,7 @@ The loop itself — enumerate the level's new triggers, fire them, record
 provenance, check budgets and the fixpoint — lives in
 :class:`repro.engine.runner.ChaseRunner`; this module only declares the
 oblivious strategy: delta enumeration with no claim gate (every new
-trigger fires), batched firing, level accounting with a post-budget
-fixpoint probe.
+trigger fires), level accounting with a post-budget fixpoint probe.
 
 Engines
 -------
@@ -60,7 +59,7 @@ from repro.chase.trigger import Trigger, naive_new_triggers_of
 class ObliviousPolicy(VariantPolicy):
     """Fire every new trigger exactly once, level by level.
 
-    No claim gate, batched firing, level accounting.  The naive
+    No claim gate, level accounting.  The naive
     engine's seen set is full trigger identity; registered before firing
     so each trigger fires at the first level its body matches.
     """

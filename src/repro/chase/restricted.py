@@ -19,27 +19,24 @@ delta-family engines (``prune_ground_heads``) never build the triggers
 that could not add an atom: a match whose ground head is already in the
 round-start instance, or whose head a smaller image of the same rule
 grounds too, is dropped where it is found — inline, or on the worker
-replica that enumerated it — and each survivor arrives with its
-head parked (:func:`~repro.chase.trigger.restricted_new_triggers_of`).
-Any round containing existential-free triggers — pure or **mixed** with
-an existential remainder — is then a *split* round: it records through
-one canonical-order lazy pass that gates each existential-free trigger
-by membership of its parked head and interleaves only the existential
-remainder's satisfaction checks — through the index-seeded fast path
-(:meth:`~repro.chase.trigger.Trigger.is_satisfied_using_index`) against
-the instance as it grows.  Rounds whose triggers are all existential
-keep the fully interleaved loop.  Every path is bit-identical to the
-interleaved reference.  ``engine="delta"`` (default) enumerates new
-triggers semi-naively, ``engine="naive"`` re-matches everything, subtracts
-the seen set and prunes nothing (the reference), and
-``engine="persistent"`` (or ``"parallel"`` with ``workers > 1``) fans
-the pruned enumeration over the worker pool — all fire identically.
+replica that enumerated it — and each survivor arrives with its head
+parked (:func:`~repro.chase.trigger.restricted_new_triggers_of`).  The
+round then fires through the runner's one lazy stream with the
+satisfaction check
+(:meth:`~repro.chase.trigger.Trigger.is_satisfied_using_index`) as its
+claim: each trigger is checked against the instance as the round has
+grown it so far, just before it would fire.  ``engine="delta"``
+(default) enumerates new triggers semi-naively, ``engine="naive"``
+re-matches everything, subtracts the seen set and prunes nothing (the
+reference), and ``engine="persistent"`` (or ``"parallel"`` with
+``workers > 1``) fans the pruned enumeration over the worker pool — all
+fire identically.
 """
 
 from __future__ import annotations
 
 from repro.engine.config import EngineConfig
-from repro.engine.runner import ChaseRunner, RoundPlan, VariantPolicy
+from repro.engine.runner import ChaseRunner, VariantPolicy
 from repro.obs.trace import RunTrace
 from repro.logic.instances import Instance
 from repro.logic.terms import FreshSupply
@@ -61,10 +58,7 @@ class RestrictedPolicy(VariantPolicy):
     produced mid-round feed the *next* round's delta), there is no
     post-budget probe, and the naive engine's seen set is full trigger
     identity.  Enumeration prunes existential-free triggers that cannot
-    add an atom (``prune_ground_heads``).  ``delta_satisfaction=False``
-    forces every round onto the interleaved reference firing path (the
-    pre-runner behavior, kept for the equivalence suite and the EXP-15
-    ablation).
+    add an atom (``prune_ground_heads``).
     """
 
     variant = "restricted chase"
@@ -75,35 +69,21 @@ class RestrictedPolicy(VariantPolicy):
     step_noun = "rounds"
     prune_ground_heads = True
 
-    def __init__(self, delta_satisfaction: bool = True):
+    def __init__(self):
         self._seen: set[Trigger] = set()
-        self.delta_satisfaction = delta_satisfaction
 
     def naive_new_triggers(self, instance, rules):
         new_triggers = naive_new_triggers_of(instance, rules, self._seen)
         self._seen.update(new_triggers)
         return new_triggers
 
-    def plan_round(self, result, triggers):
+    def round_claim(self, result, triggers):
         instance = result.instance
-        if self.delta_satisfaction and any(
-            not t.rule.existential_order() for t in triggers
-        ):
-            # Split round: the existential-free triggers' ground heads
-            # (parked by the enumeration) are their own satisfaction
-            # witnesses, so the claims — head membership for them, the
-            # satisfaction check for the existential remainder — resolve
-            # lazily inside one canonical-order recording pass (see
-            # repro.engine.batch).
-            return RoundPlan(claim=None, interleaved=False, split=True)
 
         def unsatisfied(trigger: Trigger) -> bool:
-            # Satisfaction reads the instance as it grows mid-round, so
-            # an all-existential round's firing stays interleaved (see
-            # engine.batch).
             return not trigger.is_satisfied_using_index(instance)
 
-        return RoundPlan(claim=unsatisfied, interleaved=True)
+        return unsatisfied
 
 
 def restricted_chase(
@@ -114,24 +94,15 @@ def restricted_chase(
     strict: bool = False,
     supply: FreshSupply | None = None,
     engine: str | EngineConfig = "delta",
-    delta_satisfaction: bool = True,
     trace: RunTrace | None = None,
 ) -> ChaseResult:
     """Run the restricted chase: apply unsatisfied triggers round by round.
 
     A round that applies nothing is a fixpoint (no atoms were added, so no
     trigger can become applicable later).
-
-    ``delta_satisfaction`` (default True) lets rounds containing
-    existential-free triggers — pure or mixed with an existential
-    remainder — run as *split* rounds: claims resolved lazily against
-    the ground heads the enumeration parked, in one amortized recording
-    pass; ``False`` forces the always-interleaved reference loop.  Both
-    produce bit-identical results — the flag exists for the equivalence
-    suite and the EXP-15/EXP-16 ablations.
     """
     runner = ChaseRunner(
-        RestrictedPolicy(delta_satisfaction=delta_satisfaction),
+        RestrictedPolicy(),
         engine,
         max_steps=max_rounds,
         max_atoms=max_atoms,

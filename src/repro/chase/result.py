@@ -88,61 +88,30 @@ class ChaseResult:
     # Recording (used by the chase engines)
     # ------------------------------------------------------------------
 
-    def record_application(
-        self,
-        trigger: Trigger,
-        level: int,
-        created_nulls: Iterable[Null],
-        output_atoms: Iterable[Atom],
-    ) -> int:
-        """Record one trigger application; return the number of new atoms."""
-        atoms = frozenset(output_atoms)
-        record = CreationRecord(
-            trigger=trigger,
-            level=level,
-            created_nulls=tuple(sorted(created_nulls)),
-            output_atoms=atoms,
-        )
-        self._records.append(record)
-        new_count = 0
-        for null in record.created_nulls:
-            self._creation[null] = record
-            self._term_timestamp.setdefault(null, level)
-        for atom in atoms:
-            if self.instance.add(atom):
-                new_count += 1
-                self._atom_level[atom] = level
-                for term in atom.args:
-                    self._term_timestamp.setdefault(term, level)
-        return new_count
-
     def record_round(
         self,
         applications: Iterable[tuple],
         level: int,
         max_atoms: int,
     ) -> tuple[int, bool]:
-        """Record a whole round of applications in one amortized pass.
+        """Record a round's applications, pulling them one at a time.
 
         ``applications`` yields
         ``(trigger, (output_atoms, existential_map))`` pairs in canonical
-        firing order, as produced by :func:`repro.engine.batch.fire_round`
-        — the recording path of every
-        :class:`~repro.engine.runner.ChaseRunner` round that is not
-        interleaved.
-        Equivalent to calling :meth:`record_application` per pair with a
-        budget check after each one — the provenance structures are simply
-        bound once per round instead of once per application.  Returns
+        firing order — the lazy claim/output stream every
+        :class:`~repro.engine.runner.ChaseRunner` round fires through.
+        Each pair is recorded, and the atom budget checked, before the
+        next one is pulled, so a claim evaluated by the stream sees every
+        earlier application of the round.  Returns
         ``(applications_recorded, budget_exceeded)``; on a budget hit the
-        iterable is not pulled further, so lazily instantiated outputs
-        (and their fresh nulls) stop exactly where the sequential engines
-        stop.
+        iterable is not pulled further, so no later trigger is claimed or
+        instantiated and no further null is drawn.
 
         While a round is traced (:func:`repro.obs.trace.active_round`),
         the recording body of each pair is timed into the round's
         ``record`` phase; pulling the lazy stream — claims and head
-        instantiation — stays outside the timer and lands on the phases
-        the producer attributes (``gate``) or the outer ``fire`` phase.
+        instantiation — stays outside the timer and lands on ``gate``
+        (the runner times claims) or the outer ``fire`` phase.
         """
         recorder = active_round()
         perf = time.perf_counter

@@ -10,10 +10,8 @@ experiments quantify the gap.
 
 The saturation loop lives in :class:`repro.engine.runner.ChaseRunner`;
 this module only declares the semi-oblivious strategy: delta enumeration
-post-filtered by fired frontier classes, a stateful frontier-class claim
-gate (first trigger of a class in canonical order claims it), batched
-firing — the gate is independent of the growing instance, so levels fire
-through the batched recording pass.  All engines
+post-filtered by fired frontier classes and a stateful frontier-class claim
+gate (first trigger of a class in canonical order claims it).  All engines
 (``delta``/``naive``/``parallel``/``persistent``) fire in the same
 canonical order and produce bit-identical results.
 """
@@ -21,7 +19,7 @@ canonical order and produce bit-identical results.
 from __future__ import annotations
 
 from repro.engine.config import EngineConfig
-from repro.engine.runner import ChaseRunner, RoundPlan, VariantPolicy
+from repro.engine.runner import ChaseRunner, VariantPolicy
 from repro.obs.trace import RunTrace
 from repro.logic.instances import Instance
 from repro.logic.terms import FreshSupply
@@ -46,7 +44,6 @@ class SemiObliviousPolicy(VariantPolicy):
     The fired-classes set gates twice: enumeration drops triggers of
     classes fired at *earlier* levels, and the claim dedups *within* a
     level (triggers arrive sorted, so the first of a class claims it).
-    The claim never reads the instance, which keeps firing batched.
     """
 
     variant = "semi-oblivious chase"
@@ -89,8 +86,8 @@ class SemiObliviousPolicy(VariantPolicy):
             for t in new_triggers_of(instance, rules, delta)
         )
 
-    def plan_round(self, result, triggers):
-        return RoundPlan(claim=self._claim, interleaved=False)
+    def round_claim(self, result, triggers):
+        return self._claim
 
     def _claim(self, trigger: Trigger) -> bool:
         # First trigger of a frontier class this level claims it; later

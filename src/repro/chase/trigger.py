@@ -54,10 +54,10 @@ class Trigger:
         self._image: tuple[Term, ...] | None = None
         # For existential-free rules the output is fully determined by the
         # mapping; the restricted chase's enumeration
-        # (restricted_new_triggers_of) or a custom policy's pre-computing
-        # claim gate may park the instantiated head here, and the claim
-        # gate and :meth:`output` reuse the parked atoms instead of
-        # instantiating a second time.
+        # (restricted_new_triggers_of), its satisfaction check or a custom
+        # policy's claim gate may park the instantiated head here, and
+        # :meth:`output` reuses the parked atoms instead of instantiating
+        # a second time.
         self._ground_output: frozenset[Atom] | set[Atom] | None = None
 
     def image(self) -> tuple[Term, ...]:
@@ -128,16 +128,15 @@ class Trigger:
     def is_satisfied_using_index(self, instance: Instance) -> bool:
         """Index-seeded variant of :meth:`is_satisfied_in` (same boolean).
 
-        The restricted chase runs this once per new existential trigger —
-        on its all-existential interleaved rounds and for the existential
-        remainder of its split rounds (whose existential-free triggers
-        arrive with their ground heads parked by the enumeration — see
-        :mod:`repro.chase.restricted`), so the generic matcher's per-call
-        setup dominated; the fast paths cut it:
+        The restricted chase's claim: it runs once per trigger the round
+        considers, so the generic matcher's per-call setup dominated; the
+        fast paths cut it:
 
         * Datalog rule — the body homomorphism grounds the whole head, so
-          satisfaction is plain set membership per head atom (of the
-          parked head, when the enumeration parked one).
+          satisfaction is plain set membership per head atom.  The head
+          the enumeration parked is reused; an unparked head (the
+          ``naive`` engine's) is instantiated and parked here, so a
+          trigger that fires is still instantiated once.
         * single-atom head — candidates come straight from the most
           selective positional-index bucket of the frontier image and are
           pattern-checked in place (exactly the matcher's ``_match_atom``,
@@ -149,7 +148,7 @@ class Trigger:
         if not rule.existential_order():
             head = self._ground_output
             if head is None:
-                head = mapping.apply_atoms(rule.head)
+                head = self._ground_output = rule.instantiate_head(mapping)
             return all(a in instance for a in head)
         head = rule.head
         if len(head) == 1:

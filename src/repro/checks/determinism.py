@@ -82,7 +82,6 @@ ORDERED_CALLS = {"list", "tuple", "enumerate", "zip", "join", "extend"}
 #: Project sinks whose argument order is semantically load-bearing.
 SINK_CALLS = {
     "record_round",
-    "record_application",
     "encode_atoms",
     "encode_derive_reply",
     "encode_enumerate_reply",

@@ -152,6 +152,68 @@ def random_nonrecursive_ruleset(
     return RuleSet(rules, name=f"random_nr_{seed}")
 
 
+#: The mixed-arity signature of :func:`random_chase_ruleset`.
+FUZZ_SIGNATURE = (
+    Predicate("A", 1),
+    Predicate("E", 2),
+    Predicate("F", 2),
+    Predicate("R", 3),
+)
+
+
+def random_chase_ruleset(
+    n_rules: int = 4,
+    existential_probability: float = 0.5,
+    constant_probability: float = 0.0,
+    n_constants: int = 3,
+    seed: int = 0,
+) -> RuleSet:
+    """A random rule set for differential testing of the chase engines.
+
+    Every rule ranges over :data:`FUZZ_SIGNATURE`, heads included, so
+    rule sets are typically recursive and their chases need budgets.
+    Bodies have one to three atoms over the variables ``x, y, z, w``, so
+    variables repeat inside and across atoms (``E(x,x)``).  Heads have
+    one or two atoms over the body's variables; with
+    ``existential_probability`` a rule also gets the existential
+    variables ``u, v``, and its first head atom ends in ``u``.  With
+    ``constant_probability`` any argument is instead one of the
+    constants ``C0 .. C{n_constants - 1}``, the names
+    :func:`random_instance` uses, so rule constants join with instance
+    terms.
+    """
+    rng = random.Random(seed)
+    constants = [Constant(f"C{i}") for i in range(n_constants)]
+    pool = [Variable(name) for name in "xyzw"]
+    existentials = [Variable("u"), Variable("v")]
+
+    def atom_over(terms: list) -> Atom:
+        predicate = rng.choice(FUZZ_SIGNATURE)
+        args = [
+            rng.choice(constants)
+            if rng.random() < constant_probability
+            else rng.choice(terms)
+            for _ in range(predicate.arity)
+        ]
+        return Atom(predicate, tuple(args))
+
+    rules: list[Rule] = []
+    for _ in range(n_rules):
+        body = [atom_over(pool) for _ in range(rng.randint(1, 3))]
+        terms = list(
+            dict.fromkeys(t for a in body for t in a.args if t in pool)
+        ) or constants
+        existential = rng.random() < existential_probability
+        if existential:
+            terms = terms + existentials
+        head = [atom_over(terms) for _ in range(rng.randint(1, 2))]
+        if existential:
+            first = head[0]
+            head[0] = Atom(first.predicate, first.args[:-1] + (existentials[0],))
+        rules.append(Rule(body, head))
+    return RuleSet(rules, name=f"random_chase_{seed}")
+
+
 def growing_tournament_ruleset(merge_rules: int = 1) -> RuleSet:
     """Variants of the bdd tournament builder with extra merge rules.
 

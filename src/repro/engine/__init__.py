@@ -6,8 +6,9 @@ strategy-driven saturation loop (:class:`ChaseRunner` +
 :class:`VariantPolicy` in :mod:`repro.engine.runner`), one shared
 pivot-decomposition core, one engine registry, one fan-out backend (the
 persistent :class:`WorkerPool`, driven by the :class:`RoundScheduler`,
-which matches) and one firing path (:func:`fire_round`, which always runs
-in the parent).  The variant modules under ``repro.chase``
+which matches) and one firing path (the runner's lazy claim/output
+stream into :meth:`~repro.chase.result.ChaseResult.record_round`, which
+always runs in the parent).  The variant modules under ``repro.chase``
 (and the closure in ``repro.rewriting.datalog``) are thin policy
 declarations over the runner.
 
@@ -61,15 +62,14 @@ families.
 Performance model
 -----------------
 Existential-free rules join on integer rows (the join kernel in
-:mod:`repro.engine.core`), and the batched firing path
-(:mod:`repro.engine.batch`) amortizes provenance recording over a whole
-round — both inline, on every engine but ``naive``.  The pool adds
+:mod:`repro.engine.core`) inline, on every engine but ``naive``, and
+every round records its provenance in one
+:meth:`~repro.chase.result.ChaseResult.record_round` pass.  The pool adds
 multicore matching for closures and chases whose per-round work
 outweighs the per-round delta sync (see
 ``benchmarks/bench_exp13_parallel.py`` and ``bench_exp14_persistent.py``).
 """
 
-from repro.engine.batch import RoundOutcome, fire_round
 from repro.engine.columnar import ColumnarInstance, Vocabulary
 from repro.engine.config import (
     DEFAULT_PARALLEL_WORKERS,
@@ -85,7 +85,7 @@ from repro.engine.core import (
     derive_delta_atoms,
     rule_delta_images,
 )
-from repro.engine.runner import ChaseRunner, RoundPlan, VariantPolicy
+from repro.engine.runner import ChaseRunner, VariantPolicy
 from repro.engine.scheduler import RoundScheduler
 from repro.engine.wire import WireDecoder, WireEncoder
 from repro.engine.workers import TRANSPORT_STATS, WorkerPool
@@ -95,8 +95,6 @@ __all__ = [
     "ColumnarInstance",
     "DEFAULT_PARALLEL_WORKERS",
     "EngineConfig",
-    "RoundOutcome",
-    "RoundPlan",
     "RoundScheduler",
     "VariantPolicy",
     "TRANSPORT_STATS",
@@ -108,7 +106,6 @@ __all__ = [
     "available_engines",
     "delta_homomorphisms",
     "derive_delta_atoms",
-    "fire_round",
     "register_engine",
     "registered_engines",
     "resolve_engine",

@@ -63,7 +63,8 @@ class EngineConfig:
         Validated at construction, so a typo raises instead of silently
         running the wrong engine.
     workers:
-        Worker-pool size of the parallel mode.  ``1`` runs every round
+        Worker-pool size of the parallel mode, an ``int`` (a ``bool``,
+        float or string raises).  ``1`` runs every round
         inline; more runs rounds on a persistent
         :class:`~repro.engine.workers.WorkerPool` of that many processes
         (see :attr:`uses_pool`).  The sequential modes run in-process,
@@ -92,6 +93,11 @@ class EngineConfig:
             )
         if self.mode == "persistent":
             object.__setattr__(self, "mode", "parallel")
+        if isinstance(self.workers, bool) or not isinstance(self.workers, int):
+            raise ChaseError(
+                f"engine {self.name!r} needs an integer worker count, "
+                f"got {self.workers!r}"
+            )
         if self.workers < 1:
             raise ChaseError(
                 f"engine {self.name!r} needs at least 1 worker, "

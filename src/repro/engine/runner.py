@@ -12,36 +12,29 @@ owns that loop once:
 * :class:`VariantPolicy` — the small strategy surface that actually
   differs per variant: how triggers are enumerated (delta-filtered or by
   naive re-match against a seen set), the claim gate (none, frontier-class
-  dedup, or the restricted chase's satisfaction check), the firing mode of
-  each round (batched vs interleaved), and the budget-exceeded
-  wording of round-vs-level accounting.
+  dedup, or the restricted chase's satisfaction check), and the
+  budget-exceeded wording of round-vs-level accounting.
 
 The chase variants (:mod:`repro.chase.oblivious`,
 :mod:`repro.chase.semi_oblivious`, :mod:`repro.chase.restricted`) and the
 Datalog closure (:mod:`repro.rewriting.datalog`) are thin policy
-declarations over this runner; engine features — the worker pool,
-batched firing — land here once instead of once per variant.
+declarations over this runner; engine features — the worker pool, the
+firing stream — land here once instead of once per variant.
 
-Restricted satisfaction: pruned enumeration and split rounds
-------------------------------------------------------------
-The restricted chase historically forced *interleaved* firing: its claim
-(the head-satisfaction check) reads the instance as it grows within the
-round, so triggers had to be claimed, instantiated and recorded one at a
-time.  Two policy hooks change that.  ``prune_ground_heads`` makes every
-delta-family engine enumerate through
-:func:`~repro.chase.trigger.restricted_new_triggers_of`: an
-existential-free trigger's output is fully determined by its body
-homomorphism, so the matches whose ground head is already present at
-round start, or repeats the head of a smaller image, are dropped inside
-the enumeration (inline, or on the worker replicas that ran it) and each
-survivor arrives with its head parked.  The runner's :class:`RoundPlan`
-then lets the policy mark any round containing existential-free
-triggers as a *split* round: the claims run lazily, in canonical order,
-inside one amortized recording pass that interleaves the (small)
-existential remainder's satisfaction checks in place.  Mixed rounds
-therefore no longer interleave everything — bit-identically to the
-interleaved reference (same claims, same canonical firing order, same
-provenance records, null names and budget-stop positions).
+One firing path
+---------------
+Every round of every variant fires through one lazy stream,
+``((t, t.output(supply)) for t in triggers if claim(t))``, handed to
+:meth:`~repro.chase.result.ChaseResult.record_round`.  The recorder pulls
+the stream one application at a time and records it before it pulls the
+next, so each claim runs exactly once per trigger, in canonical order,
+and sees every atom the round has added so far — which is what the
+restricted chase's satisfaction check needs — and a mid-round budget
+stop claims, instantiates and draws nothing further.  The restricted
+chase's enumeration (``prune_ground_heads``) already drops the
+existential-free triggers that could not add an atom and parks the
+survivors' heads, so most of its claims are a membership test of a
+parked head.
 
 Import layering
 ---------------
@@ -53,9 +46,9 @@ direction without cycles.
 
 from __future__ import annotations
 
+import time
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
-from repro.engine.batch import fire_round
 from repro.engine.config import EngineConfig, resolve_engine
 from repro.engine.core import as_delta_instance, derive_delta_atoms
 from repro.engine.scheduler import RoundScheduler
@@ -79,39 +72,27 @@ if TYPE_CHECKING:  # annotation-only: keeps engine importable below chase
     from repro.rules.ruleset import RuleSet
 
 
-class RoundPlan(NamedTuple):
-    """How one round fires: the claim gate and the firing mode.
+#: A claim gate: called once per trigger, in canonical firing order,
+#: while the round fires; False skips the trigger.
+Claim = Callable[["Trigger"], bool]
 
-    ``claim`` is evaluated in canonical firing order, exactly once per
-    trigger (it may be stateful); ``None`` fires everything.  With
-    ``interleaved=False`` the round goes through the batched recording
-    pass; ``interleaved=True`` records each application before the next
-    claim runs, for gates that must observe mid-round growth.
 
-    ``split=True`` marks a restricted *split* round — one containing
-    existential-free triggers whose ground outputs double as their own
-    satisfaction witnesses.  Such a round ignores ``claim``: it records
-    in one canonical-order lazy pass that gates each existential-free
-    trigger by membership of its (parked) ground head and interleaves
-    the existential remainder's satisfaction checks in place —
-    bit-identical to the fully interleaved reference, mixed rounds
-    included.
+def _timed_claim(claim: Claim, recorder: RoundRecorder) -> Claim:
+    """Wrap ``claim`` so each call's wall-clock lands on ``gate``.
+
+    Installed only while a round is traced.
     """
+    perf = time.perf_counter
+    add_phase = recorder.add_phase
 
-    claim: Callable[["Trigger"], bool] | None
-    interleaved: bool
-    split: bool = False
+    def gated(trigger: "Trigger") -> bool:
+        start = perf()
+        try:
+            return claim(trigger)
+        finally:
+            add_phase("gate", perf() - start)
 
-    @property
-    def kind(self) -> str:
-        """The plan's name in round traces."""
-        if self.split:
-            return "split"
-        return "interleaved" if self.interleaved else "batched"
-
-
-#: The plan of an ungated batched round (the oblivious chase's only plan).
-FIRE_ALL = RoundPlan(claim=None, interleaved=False)
+    return gated
 
 
 class VariantPolicy:
@@ -121,7 +102,7 @@ class VariantPolicy:
     as the naive engine's seen set or the semi-oblivious frontier classes)
     and handed to :class:`ChaseRunner`, which owns everything else.  The
     base class implements the common case — unfiltered delta enumeration,
-    ungated batched firing, level accounting — so concrete policies only
+    no claim gate, level accounting — so concrete policies only
     override what genuinely differs.
     """
 
@@ -129,9 +110,6 @@ class VariantPolicy:
     variant = "chase"
     #: Prefix of the run's default :class:`~repro.logic.terms.FreshSupply`.
     supply_prefix = "_n"
-    #: True for saturation policies without trigger identity (the Datalog
-    #: closure): rounds derive atom sets instead of firing triggers.
-    derivation = False
     #: Stop (fixpoint) as soon as a round enumerates no new triggers.
     stop_on_empty_round = True
     #: Stop (fixpoint) when a fired round recorded no applications — the
@@ -191,11 +169,17 @@ class VariantPolicy:
 
     # -- firing --------------------------------------------------------
 
-    def plan_round(
+    def round_claim(
         self, result: "ChaseResult", triggers: Sequence["Trigger"]
-    ) -> RoundPlan:
-        """Choose the claim gate and firing mode of one round."""
-        return FIRE_ALL
+    ) -> Claim | None:
+        """The claim gate of one round; ``None`` fires every trigger.
+
+        The claim may be stateful and may read ``result.instance``: it
+        runs exactly once per trigger, in canonical order, after every
+        earlier application of the round is recorded, and never past a
+        mid-round budget stop.
+        """
+        return None
 
     # -- goal-directed stopping ----------------------------------------
 
@@ -447,22 +431,23 @@ class ChaseRunner:
                         result.terminated = True
                         result.levels_completed = step
                         return
-                    plan = policy.plan_round(result, triggers)
+                    claim = policy.round_claim(result, triggers)
                     if recorder is not None:
-                        recorder.plan = plan.kind
+                        recorder.plan = "batched"
+                        if claim is not None:
+                            claim = _timed_claim(claim, recorder)
+                    supply = self.supply
                     with timed(recorder, "fire"):
-                        outcome = fire_round(
-                            result,
-                            triggers,
-                            self.supply,
+                        applied, exceeded = result.record_round(
+                            (
+                                (t, t.output(supply))
+                                for t in triggers
+                                if claim is None or claim(t)
+                            ),
                             level=step + 1,
                             max_atoms=self.max_atoms,
-                            claim=plan.claim,
-                            interleaved=plan.interleaved,
-                            split=plan.split,
                         )
-                    applied = outcome.applied
-                    if outcome.budget_exceeded:
+                    if exceeded:
                         result.levels_completed = step
                         if self.strict:
                             raise ChaseBudgetExceeded(
@@ -473,7 +458,7 @@ class ChaseRunner:
                             )
                         return
                     result.levels_completed = step + 1
-                    if policy.stop_on_idle_round and not outcome.applied:
+                    if policy.stop_on_idle_round and not applied:
                         result.terminated = True
                         return
                     with timed(recorder, "probe"):

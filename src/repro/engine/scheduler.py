@@ -22,8 +22,8 @@ The pool matches, the parent fires
 ----------------------------------
 Workers keep long-lived instance replicas seeded once and synced with
 per-round deltas; the pool enumerates (and, for closures, derives) and
-nothing else.  Every round then fires in the parent, through the inline
-lazy stream of :func:`repro.engine.batch.fire_round`.  All pool
+nothing else.  Every round then fires in the parent, through the
+runner's lazy claim/output stream (:mod:`repro.engine.runner`).  All pool
 payloads — sync deltas, pivots and the replies — travel in the
 interned-term encoding of :mod:`repro.engine.wire` (flat id buffers over
 a shared append-only symbol table), one message per worker per round.

@@ -48,9 +48,9 @@ pickled — that is also how the pool accounts transport in
 Workers match; they never fire.  Workers never talk to each other and
 never allocate null names: every round the
 :class:`~repro.engine.runner.ChaseRunner` enumerates on the pool fires
-in the parent, through the inline lazy stream of
-:func:`repro.engine.batch.fire_round`, which draws every null from the
-run's :class:`~repro.logic.terms.FreshSupply` in canonical trigger order.
+in the parent, through the runner's lazy claim/output stream, which
+draws every null from the run's :class:`~repro.logic.terms.FreshSupply`
+in canonical trigger order.
 
 Failure handling: a failed or dead worker surfaces as
 :class:`~repro.errors.ChaseError`, but only after every outstanding reply

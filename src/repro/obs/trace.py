@@ -26,9 +26,9 @@ Each round record carries six wall-clock phases (``time.perf_counter``):
     gate/record time recorded during it.
 ``record``
     Provenance recording — the body of
-    :meth:`~repro.chase.result.ChaseResult.record_round` /
-    ``record_application``, excluding the lazy stream pulls it drives
-    (those are firing work and stay in ``fire``).
+    :meth:`~repro.chase.result.ChaseResult.record_round`, excluding the
+    lazy stream pulls it drives (those are firing work and stay in
+    ``fire``, or in ``gate`` for the claims).
 ``sync``
     Replica synchronization payload preparation in the persistent pool
     (per-round ``delta_since`` + wire encoding, seed included).
@@ -112,7 +112,8 @@ class RoundRecorder:
     def __init__(self, number: int):
         self.number = number
         self.phases: dict[str, float] = dict.fromkeys(PHASES, 0.0)
-        #: "batched" | "interleaved" | "split" | "derive" (set by the runner).
+        #: "batched" (a fired chase round) | "derive" (a closure round) |
+        #: "expand" (a rewriting round); set by the runner.
         self.plan: str | None = None
         #: Size of the round's enumeration delta (None on the naive engine).
         self.delta_atoms: int | None = None

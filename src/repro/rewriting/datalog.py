@@ -53,7 +53,6 @@ class ClosurePolicy(VariantPolicy):
     """
 
     variant = "Datalog closure"
-    derivation = True
     step_noun = "rounds"
 
     def atom_budget_message(self, max_atoms, step):

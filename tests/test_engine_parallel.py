@@ -7,7 +7,7 @@ bit-identical to the sequential delta engine — same atoms, levels,
 termination flag, timestamps, null names and provenance records — inline
 at one worker and on the worker pool above.  The suite pins that
 contract, the registry's error behavior, the scheduler's hash routing,
-the batched firing path, the Datalog closure engines (against
+the firing stream's budget stops, the Datalog closure engines (against
 ``naive``), and the index-seeded satisfaction fast path of the
 restricted chase.
 """
@@ -170,6 +170,18 @@ class TestRegistry:
             assert resolve_engine(mode).with_workers(1).workers == 1
         assert EngineConfig("parallel", workers=3).uses_pool
         assert not EngineConfig("parallel", workers=1).uses_pool
+
+    # Rejected at construction: unchecked, a float would reach the pool
+    # and fail mid-round, a string would fail the ``< 1`` comparison,
+    # both with a raw TypeError, and True would count as one worker.
+    @pytest.mark.parametrize(
+        "workers", [2.0, "2", True], ids=["float", "str", "bool"]
+    )
+    def test_non_integer_worker_counts_rejected(self, workers):
+        with pytest.raises(ChaseError, match="integer worker count"):
+            EngineConfig("persistent", workers=workers)
+        with pytest.raises(ChaseError, match="integer worker count"):
+            resolve_engine("parallel").with_workers(workers)
 
     def test_register_engine_roundtrip(self):
         original = resolve_engine("parallel")
@@ -351,7 +363,7 @@ class TestSchedulerDeterminism:
 
 
 # ----------------------------------------------------------------------
-# Budget behavior through the batched firing path
+# Budget behavior through the firing stream
 # ----------------------------------------------------------------------
 
 

@@ -361,32 +361,22 @@ class TestResultTelemetry:
 
 
 class TestVariantPlans:
-    def test_restricted_split_and_interleaved_plans(self):
+    def test_restricted_rounds_use_the_batched_plan(self):
         rules = parse_rules(MIXED_RULES)
         instance = parse_instance("E(a,b), E(b,c)")
-        split_trace = RunTrace()
-        restricted_chase(
-            instance, rules, max_rounds=4, trace=split_trace
-        )
-        assert {r["plan"] for r in split_trace.rounds} == {"split"}
-
-        interleaved_trace = RunTrace()
-        restricted_chase(
-            instance,
-            rules,
-            max_rounds=4,
-            delta_satisfaction=False,
-            trace=interleaved_trace,
-        )
-        assert {r["plan"] for r in interleaved_trace.rounds} == {
-            "interleaved"
-        }
-        # Both paths agree on the deterministic fields.
+        traces = {}
+        for engine in ("delta", "naive"):
+            traces[engine] = RunTrace()
+            restricted_chase(
+                instance, rules, max_rounds=4, engine=engine,
+                trace=traces[engine],
+            )
+            assert {r["plan"] for r in traces[engine].rounds} == {"batched"}
+        # The pruned and unpruned engines agree on what each round fired.
         pick = lambda t: [
-            (r["round"], r["triggers"], r["applied"], r["new_atoms"])
-            for r in t.rounds
+            (r["round"], r["applied"], r["new_atoms"]) for r in t.rounds
         ]
-        assert pick(split_trace) == pick(interleaved_trace)
+        assert pick(traces["delta"]) == pick(traces["naive"])
 
     def test_restricted_gate_time_lands_on_gate(self):
         rules = parse_rules(MIXED_RULES)
@@ -410,9 +400,9 @@ class TestVariantPlans:
 
 
 class TestTracedRunsMatchUntraced:
-    """A trace only times the loops it runs through: each plan's traced
-    run stops on a mid-round atom budget exactly where the untraced one
-    does."""
+    """A trace only times the loops it runs through: each variant's
+    traced run stops on a mid-round atom budget exactly where the
+    untraced one does."""
 
     CASES = [
         (
@@ -428,23 +418,17 @@ class TestTracedRunsMatchUntraced:
             "E(x,y) -> exists z. E(y,z), F(x,z)",
         ),
         (
-            "split",
+            "restricted",
             lambda i, r, **kw: restricted_chase(i, r, max_rounds=8, **kw),
             lambda: path_instance(8),
             "E(x,y), E(y,z) -> E(x,z)\nE(x,y) -> exists z. F(y,z)",
         ),
-        (
-            "interleaved",
-            lambda i, r, **kw: restricted_chase(i, r, max_rounds=8, **kw),
-            lambda: path_instance(4),
-            "E(x,y) -> exists z. E(x,z), E(z,y)",
-        ),
     ]
 
     @pytest.mark.parametrize(
-        "plan,chase,make,rules", CASES, ids=[case[0] for case in CASES]
+        "name,chase,make,rules", CASES, ids=[case[0] for case in CASES]
     )
-    def test_budget_stop_matches_untraced(self, plan, chase, make, rules):
+    def test_budget_stop_matches_untraced(self, name, chase, make, rules):
         runs = []
         for trace in (None, RunTrace()):
             supply = FreshSupply()
@@ -461,8 +445,7 @@ class TestTracedRunsMatchUntraced:
         for at in plain.instance:
             assert traced.atom_level(at) == plain.atom_level(at)
         assert position == plain_position > 0
-        kind = "batched" if plan == "claim_gated" else plan
-        assert {r["plan"] for r in trace.rounds} == {kind}
+        assert {r["plan"] for r in trace.rounds} == {"batched"}
         assert sum(r["phases"]["record"] for r in trace.rounds) > 0.0
 
 
@@ -474,13 +457,13 @@ def _budgeted(chase, make, rules):
 
 class TestUntracedRunsReadNoClock:
     """Only a traced round reads the clock, on every loop the runner
-    drives — the four firing plans, the closure, the rewriter's breadth
-    loop and the pool's sync — so tracing off costs what it did before
-    the loops were merged."""
+    drives — the firing stream with and without a claim, the closure,
+    the rewriter's breadth loop and the pool's sync — so tracing off
+    costs what it did before the loops were merged."""
 
     RUNS = [
-        (plan, _budgeted(chase, make, rules))
-        for plan, chase, make, rules in TestTracedRunsMatchUntraced.CASES
+        (name, _budgeted(chase, make, rules))
+        for name, chase, make, rules in TestTracedRunsMatchUntraced.CASES
     ] + [
         (
             "derive",

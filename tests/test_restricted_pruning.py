@@ -5,20 +5,31 @@ The delta-family engines enumerate restricted rounds through
 existential-free match whose ground head is already in the round-start
 instance, or whose head a smaller image of the same rule grounds too,
 never becomes a trigger.  The ``naive`` engine prunes nothing, so it is
-the reference here: every pruned engine — inline ``delta``, thread
-``parallel`` and ``persistent`` workers (pruning on their replicas), and
-the interleaved firing path — must produce a bit-identical
+the reference here: every pruned engine — inline ``delta``, and
+``parallel`` and ``persistent`` on the worker pool (pruning on their
+replicas) — must produce a bit-identical
 :class:`~repro.chase.result.ChaseResult` (records, timestamps, levels)
 and leave the fresh-null supply at the same position, with and without a
 budget stop mid-round.
+
+Every engine, ``naive`` included, fires through the same lazy stream, so
+an oracle that does not share it checks the firing itself
+(:class:`TestRestrictedFiringOracle`): replayed in order, each recorded
+trigger fails the object matcher's satisfaction test just before its
+output is added, and a terminated result is a model that is
+homomorphically equivalent to the terminated oblivious chase.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.chase import restricted_chase
-from repro.chase.trigger import new_triggers_of, restricted_new_triggers_of
+from repro.chase import oblivious_chase, restricted_chase
+from repro.chase.trigger import (
+    new_triggers_of,
+    restricted_new_triggers_of,
+    triggers_of,
+)
 from repro.corpus.generators import (
     path_instance,
     random_digraph_instance,
@@ -27,6 +38,7 @@ from repro.corpus.generators import (
     tournament_instance,
 )
 from repro.engine import EngineConfig
+from repro.logic.homomorphisms import homomorphically_equivalent
 from repro.logic.instances import Instance
 from repro.logic.terms import FreshSupply
 from repro.obs import RunTrace
@@ -106,18 +118,17 @@ CASES = [
 ] + [_random_case(seed) for seed in range(6)]
 CASE_IDS = [case[0] for case in CASES]
 
-#: (id, engine, delta_satisfaction) — every pruning configuration.
+#: (id, engine) — every pruning configuration.
 ENGINES = [
-    ("delta", "delta", True),
-    ("delta_interleaved", "delta", False),
-    ("parallel_w2", EngineConfig("parallel", workers=2), True),
-    ("parallel_w3", EngineConfig("parallel", workers=3), True),
-    ("persistent_w2", EngineConfig("persistent", workers=2), True),
+    ("delta", "delta"),
+    ("parallel_w2", EngineConfig("parallel", workers=2)),
+    ("parallel_w3", EngineConfig("parallel", workers=3)),
+    ("persistent_w2", EngineConfig("persistent", workers=2)),
 ]
 ENGINE_IDS = [e[0] for e in ENGINES]
 
 
-def _run(make, rules, engine, max_atoms, delta_satisfaction=True):
+def _run(make, rules, engine, max_atoms):
     supply = FreshSupply("_r")
     result = restricted_chase(
         make(),
@@ -126,7 +137,6 @@ def _run(make, rules, engine, max_atoms, delta_satisfaction=True):
         max_atoms=max_atoms,
         supply=supply,
         engine=engine,
-        delta_satisfaction=delta_satisfaction,
     )
     return result, supply.position
 
@@ -140,20 +150,20 @@ def _tight_budget(make, rules) -> int:
     return start + added // 2
 
 
-@pytest.mark.parametrize("ename,engine,gate", ENGINES, ids=ENGINE_IDS)
+@pytest.mark.parametrize("ename,engine", ENGINES, ids=ENGINE_IDS)
 @pytest.mark.parametrize("cname,make,rules", CASES, ids=CASE_IDS)
 class TestPrunedEnumerationMatchesNaive:
-    def test_unbounded(self, cname, make, rules, ename, engine, gate):
+    def test_unbounded(self, cname, make, rules, ename, engine):
         reference, ref_position = _run(make, rules, "naive", 20_000)
-        result, position = _run(make, rules, engine, 20_000, gate)
+        result, position = _run(make, rules, engine, 20_000)
         assert_bit_identical(result, reference)
         assert position == ref_position
 
-    def test_budget_stop(self, cname, make, rules, ename, engine, gate):
+    def test_budget_stop(self, cname, make, rules, ename, engine):
         budget = _tight_budget(make, rules)
         reference, ref_position = _run(make, rules, "naive", budget)
         assert not reference.terminated
-        result, position = _run(make, rules, engine, budget, gate)
+        result, position = _run(make, rules, engine, budget)
         assert_bit_identical(result, reference)
         assert position == ref_position
 
@@ -198,6 +208,17 @@ class TestPrunedCandidates:
         count = lambda t: sum(r["triggers"] for r in t.rounds)
         assert count(pruned) < count(naive)
 
+    def test_naive_heads_are_instantiated_once(self):
+        # The satisfaction check parks each unpruned ground head it
+        # instantiates, so a trigger that then fires reuses it.
+        trace = RunTrace()
+        result = restricted_chase(
+            path_instance(12), self.TC, engine="naive", trace=trace
+        )
+        heads = result.telemetry["registry"]["instantiation"]["heads"]
+        assert heads == sum(r["triggers"] for r in trace.rounds)
+        assert len(result.records()) < heads
+
     def test_survivors_are_the_smallest_image_per_missing_head(self):
         # E(a,c) and E(b,d) are present; E(a,d) is reached from the three
         # images a-b-d, a-c-d and a-e-d.
@@ -228,3 +249,56 @@ class TestPrunedCandidates:
         assert restricted_new_triggers_of(instance, rules, delta) == list(
             new_triggers_of(instance, rules, delta)
         )
+
+
+def assert_fired_only_unsatisfied(result, initial):
+    """Replay ``result``'s records into ``initial``, checking each one.
+
+    Every recorded trigger must be active (its body image present) and
+    unsatisfied (:meth:`Trigger.is_satisfied_in`, the seeded object
+    matcher) in the instance as it stood just before its output was
+    added; the replay must rebuild the result's instance exactly.
+    """
+    replay = initial.copy()
+    for record in result.records():
+        trigger = record.trigger
+        body = trigger.mapping.apply_atoms(trigger.rule.body)
+        assert all(a in replay for a in body), record
+        assert not trigger.is_satisfied_in(replay), record
+        replay.update(record.output_atoms)
+    assert replay == result.instance
+
+
+#: The engines the oracle runs: the inline pruned engine, the unpruned
+#: reference and the worker pool.
+ORACLE_ENGINES = [
+    ("delta", "delta"),
+    ("naive", "naive"),
+    ("persistent_w2", EngineConfig("persistent", workers=2)),
+]
+
+
+def assert_universal_model(result, initial, rules):
+    """A terminated restricted chase is a model of ``rules`` that is
+    homomorphically equivalent to the terminated oblivious chase."""
+    for trigger in triggers_of(result.instance, rules):
+        assert trigger.is_satisfied_in(result.instance), trigger
+    oblivious = oblivious_chase(initial, rules, max_atoms=20_000)
+    assert oblivious.terminated
+    assert homomorphically_equivalent(result.instance, oblivious.instance)
+
+
+@pytest.mark.parametrize(
+    "ename,engine", ORACLE_ENGINES, ids=[e[0] for e in ORACLE_ENGINES]
+)
+@pytest.mark.parametrize("cname,make,rules", CASES, ids=CASE_IDS)
+class TestRestrictedFiringOracle:
+    def test_fired_triggers_and_model(self, cname, make, rules, ename, engine):
+        stopped, _ = _run(make, rules, engine, _tight_budget(make, rules))
+        assert_fired_only_unsatisfied(stopped, make())
+        result, _ = _run(make, rules, engine, 20_000)
+        assert_fired_only_unsatisfied(result, make())
+        # The two hand-built existential cases never terminate; every
+        # other case does within MAX_ROUNDS.
+        if result.terminated:
+            assert_universal_model(result, make(), rules)

@@ -9,11 +9,10 @@ every registered engine (``naive``/``delta``/``parallel``/``persistent``)
 null names, levels/rounds, termination flags, timestamps, and the exact
 supply position after a mid-round ``max_atoms`` budget stop.
 
-It also pins the **delta-driven restricted firing** path: rounds with
+It also pins the **pruned restricted chase**: rounds with
 existential-free triggers enumerate pruned (inline or on the worker
-replicas) and fire as split rounds — compared here against the
-always-interleaved reference (``delta_satisfaction=False``, the
-pre-runner behavior) for every engine and worker count.
+replicas) — compared here against the unpruned ``naive`` reference for
+every engine and worker count.
 
 Inline-engine internals stay in ``test_engine_parallel.py`` and the
 worker-pool internals in ``test_engine_persistent.py``; this file is the
@@ -29,21 +28,17 @@ from repro.chase import (
     restricted_chase,
     semi_oblivious_chase,
 )
-from repro.chase.restricted import RestrictedPolicy
 from repro.chase.semi_oblivious import SemiObliviousPolicy
+from repro.chase.trigger import restricted_new_triggers_of
 from repro.corpus.generators import (
     path_instance,
     random_digraph_instance,
     tournament_instance,
 )
-from repro.engine import (
-    ChaseRunner,
-    EngineConfig,
-    RoundPlan,
-    VariantPolicy,
-)
+from repro.engine import ChaseRunner, EngineConfig, VariantPolicy
 from repro.errors import ChaseBudgetExceeded
 from repro.logic.terms import FreshSupply
+from repro.obs import RunTrace
 from repro.rewriting.datalog import semi_naive_closure
 from repro.rules.parser import parse_rules
 
@@ -65,9 +60,10 @@ def assert_bit_identical(a, b):
 # ----------------------------------------------------------------------
 
 #: Corpus-generator workloads: a datalog saturation (exercises the
-#: delta-driven restricted gate and split restricted firing), an
+#: restricted chase's pruned enumeration and parked heads), an
 #: existential successor overlay (exercises null drawing and supply
-#: positions), and a mixed ruleset (rounds alternate between gate modes).
+#: positions), and a mixed ruleset (rounds alternate between existential
+#: and existential-free triggers).
 WORKLOADS = [
     (
         "path_tc",
@@ -166,26 +162,26 @@ class TestClosureCrossProduct:
 
 
 # ----------------------------------------------------------------------
-# Delta-driven restricted firing vs the interleaved reference
+# The pruned restricted chase vs the unpruned naive reference
 # ----------------------------------------------------------------------
 
 
-class TestDeltaDrivenRestrictedFiring:
+class TestPrunedRestrictedFiring:
     TC = parse_rules("E(x,y), E(y,z) -> E(x,z)", name="tc")
     MIXED = parse_rules(
         "E(x,y) -> exists z. F(y,z)\nF(x,y), E(y,z) -> E(x,z)", name="mixed"
     )
 
-    def _interleaved_reference(self, make, rules, max_atoms=20_000):
+    def _naive_reference(self, make, rules, max_atoms=20_000, supply=None):
         return restricted_chase(
             make(), rules, max_rounds=8, max_atoms=max_atoms,
-            delta_satisfaction=False,
+            supply=supply, engine="naive",
         )
 
     @pytest.mark.parametrize("ename,engine", ENGINES, ids=ENGINE_IDS)
-    def test_split_path_matches_interleaved_reference(self, ename, engine):
+    def test_pruned_engines_match_naive_reference(self, ename, engine):
         make = lambda: path_instance(8)
-        reference = self._interleaved_reference(make, self.TC)
+        reference = self._naive_reference(make, self.TC)
         result = restricted_chase(
             make(), self.TC, max_rounds=8, engine=engine
         )
@@ -193,7 +189,7 @@ class TestDeltaDrivenRestrictedFiring:
 
     def test_worker_counts_do_not_matter(self):
         make = lambda: tournament_instance(6, seed=2)
-        reference = self._interleaved_reference(make, self.TC)
+        reference = self._naive_reference(make, self.TC)
         for workers in (1, 2, 3, 4):
             for name in ("parallel", "persistent"):
                 config = EngineConfig(name, workers=workers)
@@ -202,9 +198,9 @@ class TestDeltaDrivenRestrictedFiring:
                 )
                 assert_bit_identical(result, reference)
 
-    def test_budget_stop_matches_interleaved_reference(self):
+    def test_budget_stop_matches_naive_reference(self):
         make = lambda: path_instance(20)
-        reference = self._interleaved_reference(make, self.TC, max_atoms=60)
+        reference = self._naive_reference(make, self.TC, max_atoms=60)
         assert not reference.terminated
         for ename, engine in ENGINES:
             result = restricted_chase(
@@ -212,29 +208,19 @@ class TestDeltaDrivenRestrictedFiring:
             )
             assert_bit_identical(result, reference)
 
-    def test_mixed_rounds_choose_per_round_and_agree(self):
-        # A ruleset whose rounds alternate between all-existential
-        # (interleaved) and split plans; the plan choice is per round and
-        # the results still match the reference exactly.
-        plans = self._spy_plans(
-            lambda: restricted_chase(
-                tournament_instance(5, seed=1), self.MIXED, max_rounds=8
-            )
-        )[1]
-        reference = self._interleaved_reference(
-            lambda: tournament_instance(5, seed=1), self.MIXED
-        )
+    def test_existential_then_datalog_rounds_agree(self):
+        # Round 1 has existential triggers only; later rounds never
+        # produce an existential-free trigger in this ruleset (rule 2's
+        # join variable is always a fresh null).  Every fired round
+        # records the one plan.
+        make = lambda: tournament_instance(5, seed=1)
+        reference = self._naive_reference(make, self.MIXED)
+        trace = RunTrace()
         result = restricted_chase(
-            tournament_instance(5, seed=1), self.MIXED, max_rounds=8
+            make(), self.MIXED, max_rounds=8, trace=trace
         )
         assert_bit_identical(result, reference)
-        # Round 1 (existential triggers only) interleaves; later rounds
-        # never produce an existential-free trigger in this ruleset
-        # (rule 2's join variable is always a fresh null), so no split
-        # plan appears.
-        assert plans and plans[0].interleaved and not any(
-            p.split for p in plans
-        )
+        assert {r["plan"] for r in trace.rounds} == {"batched"}
 
     #: A workload with *genuinely mixed* rounds: every round's delta is a
     #: set of E atoms, which pivots both the existential successor rule
@@ -244,43 +230,25 @@ class TestDeltaDrivenRestrictedFiring:
         name="succ_overlay",
     )
 
-    @staticmethod
-    def _spy_plans(run):
-        plans: list[RoundPlan] = []
-        original = RestrictedPolicy.plan_round
-
-        def spying_plan(self, result, triggers):
-            plan = original(self, result, triggers)
-            if triggers:
-                plans.append(plan)
-            return plan
-
-        RestrictedPolicy.plan_round = spying_plan
-        try:
-            result = run()
-        finally:
-            RestrictedPolicy.plan_round = original
-        return result, plans
-
     @pytest.mark.parametrize("ename,engine", ENGINES, ids=ENGINE_IDS)
-    def test_genuinely_mixed_rounds_split_and_agree(self, ename, engine):
-        # Mixed rounds (existential + existential-free triggers) run the
-        # split plan — pruned enumeration (on the worker replicas, on the
-        # persistent backends) + interleaved existential remainder — and
-        # stay bit-identical to the fully interleaved reference on every
-        # engine.
+    def test_genuinely_mixed_rounds_agree(self, ename, engine):
+        # Mixed rounds (existential + existential-free triggers) fire
+        # pruned (on the worker replicas, on the persistent backends) and
+        # stay bit-identical to the unpruned reference on every engine.
         make = lambda: tournament_instance(6, seed=0)
-        reference = self._interleaved_reference(make, self.GENUINELY_MIXED)
-        result, plans = self._spy_plans(
-            lambda: restricted_chase(
-                make(), self.GENUINELY_MIXED, max_rounds=8, engine=engine
-            )
+        reference = self._naive_reference(make, self.GENUINELY_MIXED)
+        result = restricted_chase(
+            make(), self.GENUINELY_MIXED, max_rounds=8, engine=engine
         )
         assert_bit_identical(result, reference)
-        # Every non-empty round of this workload is mixed, hence split.
-        assert plans and all(
-            p.split and not p.interleaved for p in plans
+        # The first round's candidates include both kinds of trigger.
+        instance = make()
+        candidates = restricted_new_triggers_of(
+            instance, self.GENUINELY_MIXED, instance.atoms()
         )
+        assert {bool(t.rule.existential_order()) for t in candidates} == {
+            True, False
+        }
 
     @pytest.mark.parametrize(
         "config",
@@ -295,14 +263,14 @@ class TestDeltaDrivenRestrictedFiring:
     def test_mixed_budget_stop_matches_reference(self, config):
         # A tight budget stops a *mixed* round mid-way (after real null
         # draws: the path's tail successor trigger is unsatisfied every
-        # round): the split path must stop at the same application, with
-        # the same supply position, for every worker count.
+        # round): the pool must stop at the same application, with the
+        # same supply position, for every worker count.
         make = lambda: path_instance(8)
         reference_supply = FreshSupply("_r")
         pool_supply = FreshSupply("_r")
         reference = restricted_chase(
             make(), self.GENUINELY_MIXED, max_rounds=6, max_atoms=20,
-            supply=reference_supply, delta_satisfaction=False,
+            supply=reference_supply, engine="naive",
         )
         assert not reference.terminated
         assert reference_supply.position > 0
@@ -313,27 +281,16 @@ class TestDeltaDrivenRestrictedFiring:
         assert_bit_identical(result, reference)
         assert pool_supply.position == reference_supply.position
 
-    def test_existential_rounds_stay_interleaved(self):
-        succ = parse_rules("E(x,y) -> exists z. E(y,z)", name="succ")
-        plans: list[bool] = []
-        original = RestrictedPolicy.plan_round
-
-        def spying_plan(self, result, triggers):
-            plan = original(self, result, triggers)
-            plans.append(plan.interleaved)
-            return plan
-
-        RestrictedPolicy.plan_round = spying_plan
-        try:
-            result = restricted_chase(
-                path_instance(4), succ, max_rounds=4
-            )
-        finally:
-            RestrictedPolicy.plan_round = original
+    def test_existential_rounds_match_naive_reference(self):
         # The successor rule keeps spawning an unsatisfied tail trigger,
-        # so the chase never terminates — every round must interleave.
+        # so the chase never terminates and every round is existential.
+        succ = parse_rules("E(x,y) -> exists z. E(y,z)", name="succ")
+        result = restricted_chase(path_instance(4), succ, max_rounds=4)
+        reference = restricted_chase(
+            path_instance(4), succ, max_rounds=4, engine="naive"
+        )
         assert not result.terminated
-        assert plans and all(plans)
+        assert_bit_identical(result, reference)
 
     def test_supply_position_parity_on_pool_budget_stop(self):
         # Existential-free rounds draw no nulls either way; the supply
@@ -342,9 +299,8 @@ class TestDeltaDrivenRestrictedFiring:
         make = lambda: path_instance(20)
         reference_supply = FreshSupply("_r")
         pool_supply = FreshSupply("_r")
-        reference = restricted_chase(
-            make(), self.TC, max_rounds=8, max_atoms=60,
-            supply=reference_supply, delta_satisfaction=False,
+        reference = self._naive_reference(
+            make, self.TC, max_atoms=60, supply=reference_supply
         )
         result = restricted_chase(
             make(), self.TC, max_rounds=8, max_atoms=60,
@@ -436,8 +392,8 @@ class RecordingSemiOblivious(SemiObliviousPolicy):
 class TestStatefulClaimBudgetStopMatrix:
     """Every backend must claim lazily, exactly once, in order.
 
-    The batched stream stops claiming at a mid-round budget hit
-    (``engine/batch.py``: "no further trigger is claimed").  Rounds the
+    The firing stream stops claiming at a mid-round budget hit
+    (``ChaseResult.record_round`` pulls it lazily).  Rounds the
     pool enumerates fire through the same stream in the parent; this
     matrix pins the *claim-call sequence*, the post-stop claim state
     (the fired frontier classes) and the supply position of every
@@ -538,14 +494,14 @@ class TestParkedGroundOutputReuse:
         from repro.chase.oblivious import ObliviousPolicy
 
         class ParkingPolicy(ObliviousPolicy):
-            def plan_round(self, result, triggers):
+            def round_claim(self, result, triggers):
                 def claim(trigger):
                     trigger._ground_output = (
                         trigger.rule.instantiate_head(trigger.mapping)
                     )
                     return True
 
-                return RoundPlan(claim=claim, interleaved=False)
+                return claim
 
         reference = oblivious_chase(
             path_instance(6), self.TC, max_levels=4
@@ -568,7 +524,7 @@ class TestParkedGroundOutputReuse:
 class TestVariantPolicySurface:
     def test_default_policy_hooks(self):
         policy = VariantPolicy()
-        assert policy.plan_round(None, []) == RoundPlan(None, False)
+        assert policy.round_claim(None, []) is None
         assert policy.filter_new(iter([])) == []
         with pytest.raises(NotImplementedError):
             policy.naive_new_triggers(None, None)
@@ -602,13 +558,9 @@ class TestVariantPolicySurface:
         from repro.chase.oblivious import ObliviousPolicy
 
         class NoFPolicy(ObliviousPolicy):
-            def plan_round(self, result, triggers):
-                return RoundPlan(
-                    claim=lambda t: all(
-                        a.predicate.name != "F"
-                        for a in t.rule.head
-                    ),
-                    interleaved=False,
+            def round_claim(self, result, triggers):
+                return lambda t: all(
+                    a.predicate.name != "F" for a in t.rule.head
                 )
 
         rules = parse_rules("E(x,y), E(y,z) -> F(x,z)\nE(x,y) -> G(y,x)")
