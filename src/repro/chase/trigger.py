@@ -11,6 +11,13 @@ uses at least one atom of the delta ``Δ`` — exactly the triggers that are
 produced (the paper's ``Ch_{n+1}`` is built from triggers new at level
 ``n``, so this is the definition computed literally instead of by
 re-matching everything and discarding the already-fired majority).
+
+Every delta enumeration here — oblivious, semi-oblivious and restricted,
+inline or on the worker pool — joins on the delta core's id kernel
+(:mod:`repro.engine.core`), which builds one ``Substitution`` per
+distinct body image.  The object matcher keeps the full enumerations
+(:func:`triggers_of`, :func:`naive_new_triggers_of`, the ``naive``
+engine's reference) and the satisfaction checks.
 """
 
 from __future__ import annotations
@@ -195,11 +202,12 @@ def new_triggers_of(
 ) -> Iterator[Trigger]:
     """Enumerate the triggers using at least one atom of ``delta``.
 
-    Pivot-atom decomposition via the shared delta core
-    (:mod:`repro.engine.core`): for each rule and each body atom, that
-    atom is matched against the delta only while the remaining atoms match
-    the full instance; a homomorphism touching ``k`` delta atoms is found
-    by ``k`` pivots, so duplicates are keyed out on the trigger image.
+    Pivot-atom decomposition on the delta core's join kernel
+    (:func:`repro.engine.core.rule_delta_images`): for each rule and each
+    body atom, that atom is matched against the delta only while the
+    remaining atoms match the full instance; a homomorphism touching
+    ``k`` delta atoms is found by ``k`` pivots, so duplicates are keyed
+    out on the trigger image.
 
     Deterministic: rules in rule-set order, then triggers of each rule
     sorted by their body-variable image.  The chase engines rely on this

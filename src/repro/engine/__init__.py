@@ -19,8 +19,8 @@ explicit :class:`EngineConfig`:
 
 ======================  =====================================================
 ``engine="delta"``      Sequential semi-naive enumeration (the default):
-                        each round matches rule bodies pivoted on the
-                        previous round's delta through the positional index.
+                        each round joins rule bodies pivoted on the
+                        previous round's delta on the id join kernel.
 ``engine="naive"``      Full re-match reference engine; the ground truth
                         the others are tested against.
 ``engine="parallel"``   The parallel mode at one worker: rounds run
@@ -61,10 +61,11 @@ families.
 
 Performance model
 -----------------
-Existential-free rules join on integer rows (the join kernel in
-:mod:`repro.engine.core`) inline, on every engine but ``naive``, and
-every round records its provenance in one
-:meth:`~repro.chase.result.ChaseResult.record_round` pass.  The pool adds
+Every delta round joins on integer rows (the join kernel in
+:mod:`repro.engine.core`), inline and on the pool's columnar replicas,
+on every engine but ``naive``, and every round records its provenance
+in one :meth:`~repro.chase.result.ChaseResult.record_round` pass.  The
+pool adds
 multicore matching for closures and chases whose per-round work
 outweighs the per-round delta sync (see
 ``benchmarks/bench_exp13_parallel.py`` and ``bench_exp14_persistent.py``).
@@ -87,7 +88,7 @@ from repro.engine.core import (
 )
 from repro.engine.runner import ChaseRunner, VariantPolicy
 from repro.engine.scheduler import RoundScheduler
-from repro.engine.wire import WireDecoder, WireEncoder
+from repro.engine.wire import WireEncoder
 from repro.engine.workers import TRANSPORT_STATS, WorkerPool
 
 __all__ = [
@@ -99,7 +100,6 @@ __all__ = [
     "VariantPolicy",
     "TRANSPORT_STATS",
     "Vocabulary",
-    "WireDecoder",
     "WireEncoder",
     "WorkerPool",
     "as_delta_instance",

@@ -9,46 +9,27 @@ the join kernel's *id view* of an object
 
 Layout
 ------
-One :class:`Vocabulary` (a view over a worker's
-:class:`~repro.engine.wire.WireDecoder` replica of the parent's symbol
-tables, or a store-private table set) maps ids to term/predicate objects
-and back.  Per predicate id the store keeps
+One :class:`Vocabulary` maps ids to term/predicate objects and back: a
+worker's replica of the pool's symbol tables, grown only through the
+table segments the parent ships (:meth:`Vocabulary.apply_segment`), or
+an id view's own tables.  Per predicate id the store keeps
 
 * its *rows* — term-id tuples, in append order,
-* a row set of the same tuples for O(1) membership (``__contains__``
-  runs on ids, no ``Atom`` is built),
+* a row set of the same tuples for O(1) membership,
 * an id-level positional index ``(pred_id, position, term_id) -> rows``
   mirroring the object instance's most-selective candidate seeding.
 
 The three share one tuple object per row.
 
-Id joins and lazy materialization
----------------------------------
-Existential-free rules never see an ``Atom`` here: the delta core's
-join kernel (:mod:`repro.engine.core`) walks the rows through
-:meth:`ColumnarInstance.rows`, the positional index and
+Id joins only
+-------------
+The store has no ``Atom``-facing API: every delta round's matcher, the
+delta core's join kernel (:mod:`repro.engine.core`), walks the rows
+through :meth:`ColumnarInstance.rows`, the positional index and
 :meth:`ColumnarInstance.row_set` directly, comparing integers.  The
-same store is the kernel's *id view* of an object
-:class:`~repro.logic.instances.Instance` (over a private
-:meth:`Vocabulary.private`), so one layout serves replicas and views.
-
-The object matcher — existential rules on a worker replica — still
-speaks ``Atom``: the store implements the matcher-facing slice of the
-:class:`~repro.logic.instances.Instance` API (``count`` /
-``position_count`` / ``sorted_with_predicate`` / ``matching_position``
-/ ``__contains__``) by materializing atoms lazily, bucket by bucket,
-through the cached-hash :func:`~repro.logic.atoms.build_atom` fast path
-— one ``Atom`` per row ever, built only when the object matcher first
-touches its bucket.  Sync ingest, membership probes, candidate
-*counting* and the id joins never build objects.
-
-Ordering is inherited, not re-invented: materialized buckets are sorted
-with the library's ``Atom`` order, so every enumeration the object
-matcher seeds from a columnar replica is bit-identical to one seeded
-from an object instance — the equivalence matrix in
-``tests/test_runner_equivalence.py`` runs the pool on columnar replicas
-throughout.  Row order is interning order and carries no meaning:
-nothing may be sorted or tie-broken on ids.
+object matcher's atom ordering (``_order_atoms``) reads only
+:meth:`ColumnarInstance.count`.  Row order is interning order and
+carries no meaning: nothing may be sorted or tie-broken on ids.
 
 Columnar instances are append-only (the chase never retracts);
 ``discard`` has no columnar counterpart by design.
@@ -56,66 +37,66 @@ Columnar instances are append-only (the chase never retracts);
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import Sequence
 
 from repro.engine import wire
 from repro.errors import ChaseError
-from repro.logic.atoms import Atom, build_atom
+from repro.logic.atoms import Atom
 from repro.logic.predicates import Predicate
-from repro.logic.terms import Term
+from repro.logic.terms import Term, term_from_wire
 
-if TYPE_CHECKING:  # annotation-only
-    from repro.engine.wire import WireDecoder
-
-_EMPTY_ATOMS: tuple[Atom, ...] = ()
 _EMPTY_ROWS: frozenset[tuple[int, ...]] = frozenset()
 
 
 class Vocabulary:
     """A live id ↔ object view over one set of symbol tables.
 
-    A worker's :class:`~repro.engine.wire.WireDecoder` holds its replica
-    of the pool's tables as flat lists plus reverse maps; an id view
-    owns private tables of the same shape.  The vocabulary binds the
-    four live containers (terms, term ids, predicates, predicate ids) by
-    reference, so a columnar instance keyed on it sees every symbol the
-    tables learn later — no copies, no synchronization.
+    Four containers — terms, term ids, predicates, predicate ids —
+    starting empty and held by reference, so a columnar instance keyed
+    on the vocabulary sees every symbol the tables learn later, with no
+    copies and no synchronization.  A worker's vocabulary grows only
+    through :meth:`apply_segment`; an id view's through
+    :meth:`intern_atom`.
     """
 
     __slots__ = ("terms", "term_ids", "predicates", "predicate_ids")
 
-    def __init__(
-        self,
-        terms: Sequence[Term],
-        term_ids: dict,
-        predicates: Sequence[Predicate],
-        predicate_ids: dict,
-    ):
-        self.terms = terms
-        self.term_ids = term_ids
-        self.predicates = predicates
-        self.predicate_ids = predicate_ids
+    def __init__(self):
+        self.terms: list[Term] = []
+        self.term_ids: dict[Term, int] = {}
+        self.predicates: list[Predicate] = []
+        self.predicate_ids: dict[Predicate, int] = {}
 
-    @classmethod
-    def of_decoder(cls, decoder: "WireDecoder") -> "Vocabulary":
-        """The worker-side view over a decoder's table replica."""
-        return cls(
-            decoder.terms,
-            decoder.term_ids,
-            decoder.predicates,
-            decoder.predicate_ids,
-        )
+    def apply_segment(self, segment) -> None:
+        """Replay one wire table segment (``None``: nothing new).
 
-    @classmethod
-    def private(cls) -> "Vocabulary":
-        """Fresh tables owned by one store alone (an id view's)."""
-        return cls([], {}, [], {})
+        Segments must arrive in message order; one that does not start
+        at the current table sizes raises
+        :class:`~repro.errors.ChaseError`.
+        """
+        if segment is None:
+            return
+        term_start, term_specs, pred_start, pred_specs = segment
+        if term_start != len(self.terms) or pred_start != len(self.predicates):
+            raise ChaseError(
+                "wire table segment out of sequence: worker at "
+                f"({len(self.terms)}, {len(self.predicates)}), segment "
+                f"starts at ({term_start}, {pred_start})"
+            )
+        for rank, name in term_specs:
+            term = term_from_wire(rank, name)
+            self.term_ids[term] = len(self.terms)
+            self.terms.append(term)
+        for name, arity in pred_specs:
+            predicate = Predicate(name, arity)
+            self.predicate_ids[predicate] = len(self.predicates)
+            self.predicates.append(predicate)
 
     def intern_atom(self, atom: Atom) -> tuple[int, tuple[int, ...]]:
         """``atom`` as ``(pred_id, term_ids)``, interning new symbols.
 
-        Only for :meth:`private` vocabularies: a decoder's view grows
-        through its table segments, never from here.
+        Only for an id view's tables: a worker's vocabulary grows through
+        its table segments, never from here.
         """
         predicate = atom.predicate
         pred_id = self.predicate_ids.get(predicate)
@@ -137,22 +118,13 @@ class Vocabulary:
 class ColumnarInstance:
     """An append-only id-native atom store over a shared vocabulary.
 
-    See the module docstring for the layout.  The matcher-facing methods
-    mirror :class:`~repro.logic.instances.Instance` exactly (same names,
-    same deterministic orders); ``add_row`` and ``ingest_packed`` are how
-    rows arrive, and ``rows`` / ``row_set`` / ``positional_index`` are
-    what the join kernel reads.
+    See the module docstring for the layout.  ``add_row`` and
+    ``ingest_packed`` are how rows arrive; ``rows`` / ``row_set`` /
+    ``positional_index`` are what the join kernel reads, and ``count``
+    what the kernel's atom ordering reads.
     """
 
-    __slots__ = (
-        "_vocabulary",
-        "_rows",
-        "_row_sets",
-        "_by_position",
-        "_atoms",
-        "_sorted_predicate",
-        "_sorted_position",
-    )
+    __slots__ = ("_vocabulary", "_rows", "_row_sets", "_by_position")
 
     def __init__(self, vocabulary: Vocabulary):
         self._vocabulary = vocabulary
@@ -163,13 +135,6 @@ class ColumnarInstance:
         # (pred_id, position, term_id) -> the rows with term_id there.
         self._by_position: dict[
             tuple[int, int, int], list[tuple[int, ...]]
-        ] = {}
-        # Lazy per-row Atom cache and the sorted bucket caches the
-        # matcher reads (invalidated per key on append, like Instance).
-        self._atoms: dict[int, dict[tuple[int, ...], Atom]] = {}
-        self._sorted_predicate: dict[int, tuple[Atom, ...]] = {}
-        self._sorted_position: dict[
-            tuple[int, int, int], tuple[Atom, ...]
         ] = {}
 
     # ------------------------------------------------------------------
@@ -205,12 +170,10 @@ class ColumnarInstance:
         if rows is None:
             rows = self._row_sets[pred_id] = set()
             self._rows[pred_id] = []
-            self._atoms[pred_id] = {}
         if term_ids in rows:
             return False
         rows.add(term_ids)
         self._rows[pred_id].append(term_ids)
-        self._sorted_predicate.pop(pred_id, None)
         by_position = self._by_position
         for position, term_id in enumerate(term_ids):
             key = (pred_id, position, term_id)
@@ -219,7 +182,6 @@ class ColumnarInstance:
                 by_position[key] = [term_ids]
             else:
                 bucket.append(term_ids)
-            self._sorted_position.pop(key, None)
         return True
 
     # checks: hot
@@ -246,112 +208,9 @@ class ColumnarInstance:
             position = stop
         return added
 
-    # ------------------------------------------------------------------
-    # Materialization
-    # ------------------------------------------------------------------
-
-    def _atom_at(self, pred_id: int, row: tuple[int, ...]) -> Atom:
-        cache = self._atoms[pred_id]
-        atom = cache.get(row)
-        if atom is None:
-            vocabulary = self._vocabulary
-            terms = vocabulary.terms
-            atom = build_atom(
-                vocabulary.predicates[pred_id], tuple([terms[i] for i in row])
-            )
-            cache[row] = atom
-        return atom
-
-    # ------------------------------------------------------------------
-    # The matcher-facing Instance API slice
-    # ------------------------------------------------------------------
-
     def __len__(self) -> int:
         return sum(len(rows) for rows in self._row_sets.values())
-
-    def __iter__(self) -> Iterator[Atom]:
-        for pred_id, rows in self._rows.items():
-            for row in rows:
-                yield self._atom_at(pred_id, row)
-
-    def __contains__(self, atom: Atom) -> bool:
-        vocabulary = self._vocabulary
-        pred_id = vocabulary.predicate_ids.get(atom.predicate)
-        if pred_id is None:
-            return False
-        rows = self._row_sets.get(pred_id)
-        if not rows:
-            return False
-        term_ids = vocabulary.term_ids
-        ids = []
-        for term in atom.args:
-            term_id = term_ids.get(term)
-            if term_id is None:
-                return False
-            ids.append(term_id)
-        return tuple(ids) in rows
 
     def count(self, predicate: Predicate) -> int:
         pred_id = self._vocabulary.predicate_ids.get(predicate)
         return self.row_count(pred_id) if pred_id is not None else 0
-
-    def position_count(
-        self, predicate: Predicate, position: int, term: Term
-    ) -> int:
-        vocabulary = self._vocabulary
-        pred_id = vocabulary.predicate_ids.get(predicate)
-        if pred_id is None:
-            return 0
-        term_id = vocabulary.term_ids.get(term)
-        if term_id is None:
-            return 0
-        bucket = self._by_position.get((pred_id, position, term_id))
-        return len(bucket) if bucket else 0
-
-    def sorted_with_predicate(self, predicate: Predicate) -> tuple[Atom, ...]:
-        pred_id = self._vocabulary.predicate_ids.get(predicate)
-        if pred_id is None:
-            return _EMPTY_ATOMS
-        cached = self._sorted_predicate.get(pred_id)
-        if cached is None:
-            rows = self._rows.get(pred_id)
-            if not rows:
-                return _EMPTY_ATOMS
-            cached = tuple(sorted(self._atom_at(pred_id, row) for row in rows))
-            self._sorted_predicate[pred_id] = cached
-        return cached
-
-    def matching_position(
-        self, predicate: Predicate, position: int, term: Term
-    ) -> tuple[Atom, ...]:
-        vocabulary = self._vocabulary
-        pred_id = vocabulary.predicate_ids.get(predicate)
-        if pred_id is None:
-            return _EMPTY_ATOMS
-        term_id = vocabulary.term_ids.get(term)
-        if term_id is None:
-            return _EMPTY_ATOMS
-        key = (pred_id, position, term_id)
-        cached = self._sorted_position.get(key)
-        if cached is None:
-            bucket = self._by_position.get(key)
-            if bucket is None:
-                return _EMPTY_ATOMS
-            cached = tuple(
-                sorted(self._atom_at(pred_id, row) for row in bucket)
-            )
-            self._sorted_position[key] = cached
-        return cached
-
-    def signature(self) -> list[Predicate]:
-        """The predicates with at least one row (materialized view)."""
-        predicates = self._vocabulary.predicates
-        return [
-            predicates[pred_id]
-            for pred_id, rows in self._row_sets.items()
-            if rows
-        ]
-
-    def sorted_atoms(self) -> list[Atom]:
-        """Every atom, materialized, in the library's deterministic order."""
-        return sorted(self)

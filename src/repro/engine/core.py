@@ -14,21 +14,23 @@ positional index.  A homomorphism whose body image touches ``k`` delta
 atoms is found by ``k`` pivots; callers deduplicate on their own identity
 (trigger image for the chase, the derived atom set for the closure).
 
-Two matchers run it.  :func:`delta_homomorphisms` is the object matcher
-(:mod:`repro.logic.homomorphisms`); it serves existential rules and the
-oblivious and semi-oblivious chases.  The restricted chase's
-:func:`rule_unsatisfied_images` and the closure's
-:func:`derive_delta_atoms` run existential-free rules on the *join
-kernel* instead, wherever they run (inline and on the worker
-replicas).  The kernel compiles a rule into one slot
-program per pivot — the same pivots, the same ``_order_atoms`` atom
-order and the same most-selective positional bucket as the object
-matcher, so ``MATCHER_STATS`` counts the same searches and candidates —
-and walks the integer rows of a
+Every delta round runs it on one matcher, the *join kernel*, inline and
+on the worker replicas alike: :func:`rule_delta_images` (every oblivious
+and semi-oblivious round, and every existential rule),
+:func:`rule_unsatisfied_images` (the restricted chase) and
+:func:`derive_delta_atoms` (the closure).  The kernel compiles a rule's
+body into one slot program per pivot — the same pivots, the same
+``_order_atoms`` atom order and the same most-selective positional
+bucket as the object matcher, so ``MATCHER_STATS`` counts the same
+searches and candidates — and walks the integer rows of a
 :class:`~repro.engine.columnar.ColumnarInstance` through its id-level
-positional index.  Ground heads are id tuples tested against the
-store's row sets; ``Substitution`` and ``Atom`` objects are built only
-for the results.
+positional index.  Existential variables change only the head, so one
+body program serves every rule; ground heads (existential-free rules)
+are id tuples tested against the store's row sets.  ``Substitution`` and
+``Atom`` objects are built only for the results.
+:func:`delta_homomorphisms`, the object matcher's
+(:mod:`repro.logic.homomorphisms`) run of the decomposition, is the
+reference the kernel is tested against; no engine path calls it.
 
 An object :class:`~repro.logic.instances.Instance` is joined through its
 *id view* (:func:`id_view`): a ``ColumnarInstance`` over a private
@@ -71,13 +73,11 @@ def delta_homomorphisms(
 ) -> Iterator[Substitution]:
     """Homomorphisms of ``rule.body`` into ``instance`` using ≥ 1 delta atom.
 
-    The object matcher's enumeration.  A homomorphism touching ``k``
-    delta atoms is yielded up to ``k`` times (once per pivot); the
-    caller owns deduplication.  When ``delta_inst`` *is* the instance
-    every homomorphism qualifies and pivoting would rediscover each one
-    per body atom, so the plain per-rule enumeration (body-size times
-    cheaper) runs instead — in that case each homomorphism is yielded
-    exactly once.
+    The object matcher's enumeration, kept as the reference the join
+    kernel is tested against.  A homomorphism touching ``k`` delta atoms
+    is yielded up to ``k`` times (once per pivot).  When ``delta_inst``
+    *is* the instance every homomorphism qualifies, so the plain
+    per-rule enumeration runs instead and yields each one once.
     """
     if delta_inst is instance:
         yield from homomorphisms(rule.body, instance)
@@ -90,8 +90,19 @@ def delta_homomorphisms(
         yield from homomorphisms_with_pivot(body, instance, pivot, candidates)
 
 
+def _idle(rule: Rule, instance, delta_inst) -> bool:
+    """Whether the delta has no row over any body predicate: no pivot
+    search would run, so the rule is not worth compiling."""
+    if delta_inst is instance:
+        return False
+    count = delta_inst.count
+    return not any(count(atom.predicate) for atom in rule.body)
+
+
 def rule_delta_images(
-    rule: Rule, instance: Instance, delta_inst: Instance
+    rule: Rule,
+    instance: Instance | ColumnarInstance,
+    delta_inst: Instance | ColumnarInstance,
 ) -> dict[tuple, Substitution]:
     """Deduplicated body matches of one rule, keyed by canonical image.
 
@@ -99,15 +110,12 @@ def rule_delta_images(
     identity :class:`~repro.chase.trigger.Trigger` uses — so merging the
     dicts produced by different delta slices (or different pivots) is a
     plain dict union: equal keys imply equal restricted homomorphisms.
+    The join kernel keeps one ``Substitution`` per distinct image; the
+    dict's order is unspecified (callers sort by image).
     """
-    order = rule.body_variable_order()
-    found: dict[tuple, Substitution] = {}
-    for hom in delta_homomorphisms(rule, instance, delta_inst):
-        apply = hom.apply_term
-        image = tuple(apply(v) for v in order)
-        if image not in found:
-            found[image] = hom
-    return found
+    if _idle(rule, instance, delta_inst):
+        return {}
+    return _RuleJoin(rule, instance, delta_inst).images()
 
 
 def rule_unsatisfied_images(
@@ -134,10 +142,12 @@ def rule_unsatisfied_images(
     keeps the smallest image per head, compared in ``Term`` order; merging
     slices must keep the smallest again.  The dict's order is
     unspecified (callers sort by image).  Existential rules are returned
-    unpruned, from the object matcher.
+    unpruned.
     """
     if rule.existential_order():
         return rule_delta_images(rule, instance, delta_inst)
+    if _idle(rule, instance, delta_inst):
+        return {}
     return _RuleJoin(rule, instance, delta_inst).unsatisfied()
 
 
@@ -161,6 +171,8 @@ def derive_delta_atoms(
         for hom in homomorphisms(rule.body, instance):
             derived.update(hom.apply_atoms(head))
         return derived
+    if _idle(rule, instance, delta_inst):
+        return set()
     return _RuleJoin(rule, instance, delta_inst).derive()
 
 
@@ -185,7 +197,7 @@ def id_view(instance: Instance | ColumnarInstance) -> ColumnarInstance:
     revision = instance.revision
     attached = instance._id_view
     if attached is None:
-        view, synced = ColumnarInstance(Vocabulary.private()), 0
+        view, synced = ColumnarInstance(Vocabulary()), 0
     else:
         view, synced = attached
         if synced == revision:
@@ -357,12 +369,13 @@ def _level(view: ColumnarInstance, program, inner, tally: list, fixed):
 
 
 class _RuleJoin:
-    """One existential-free rule joined once against an id view.
+    """One rule's body joined once against an id view.
 
     Slot layout, shared by every pivot's program: the body variables in
     canonical order (so a match's image is a slot prefix), then the
-    body's other non-constant terms, then one slot per constant (and
-    per head term the body does not bind) holding its id.
+    body's other non-constant terms, then one slot per constant (and,
+    once :meth:`_heads` compiled them, per head term the body does not
+    bind) holding its id.
     """
 
     def __init__(
@@ -371,8 +384,9 @@ class _RuleJoin:
         instance: Instance | ColumnarInstance,
         delta_inst: Instance | ColumnarInstance,
     ):
+        self.rule = rule
         self.view = view = id_view(instance)
-        self.ids = ids = _Ids(view.vocabulary)
+        self.ids = _Ids(view.vocabulary)
         order = rule.body_variable_order()
         slot_of: dict[Term, int] = {v: i for i, v in enumerate(order)}
         body = rule.sorted_body()
@@ -383,21 +397,31 @@ class _RuleJoin:
         self.variables = tuple(slot_of)
         self.image_size = len(order)
         self.slots: list = [None] * len(slot_of)
-        head = sorted(rule.head)
-        for atom in (*body, *head):
+        self.slot_of = slot_of
+        self._bind(body)
+        self.searches = self._searches(rule, instance, delta_inst)
+
+    def _bind(self, atoms: Iterable[Atom]) -> None:
+        """Give every term of ``atoms`` without a slot one holding its id."""
+        slot_of = self.slot_of
+        for atom in atoms:
             for term in atom.args:
                 if term not in slot_of:
                     slot_of[term] = len(self.slots)
-                    self.slots.append(ids.term(term))
-        self.slot_of = slot_of
-        self.heads = [
+                    self.slots.append(self.ids.term(term))
+
+    def _heads(self) -> list[tuple]:
+        """``(pred_id, ground-row getter)`` per head atom, in atom order."""
+        head = sorted(self.rule.head)
+        self._bind(head)
+        slot_of = self.slot_of
+        return [
             (
-                ids.predicate(atom.predicate),
+                self.ids.predicate(atom.predicate),
                 _row_getter([slot_of[t] for t in atom.args]),
             )
             for atom in head
         ]
-        self.searches = self._searches(rule, instance, delta_inst)
 
     def _searches(self, rule, instance, delta_inst) -> list[tuple]:
         """``(atom order, pivot rows or None)`` per search the object
@@ -425,19 +449,20 @@ class _RuleJoin:
 
     def _pivot_rows(self, delta, predicate: Predicate) -> Collection[tuple]:
         """The delta's rows over ``predicate``, in the view's ids (in no
-        particular order: the join's results do not depend on it)."""
-        if (
-            isinstance(delta, ColumnarInstance)
-            and delta.vocabulary is self.view.vocabulary
-        ):
+        particular order: the join's results do not depend on it).  A
+        columnar delta is a worker's pivot slice, over its replica's
+        vocabulary."""
+        if isinstance(delta, ColumnarInstance):
+            if delta.vocabulary is not self.view.vocabulary:
+                raise ValueError(
+                    "a columnar delta must share its instance's vocabulary"
+                )
             return delta.rows(self.ids.predicate(predicate))
-        atoms = (
-            delta.with_predicate(predicate)
-            if isinstance(delta, Instance)
-            else delta.sorted_with_predicate(predicate)
-        )
         term = self.ids.term
-        return {tuple([term(t) for t in atom.args]) for atom in atoms}
+        return {
+            tuple([term(t) for t in atom.args])
+            for atom in delta.with_predicate(predicate)
+        }
 
     def _program(self, atom: Atom, bound_terms: set) -> tuple:
         bound, binds, repeats = [], [], []
@@ -475,16 +500,44 @@ class _RuleJoin:
         MATCHER_STATS.searches += len(self.searches)
         MATCHER_STATS.candidates += tally[0]
 
-    def unsatisfied(self) -> dict[tuple, Substitution]:
-        view = self.view
+    def _substitutions(
+        self, kept: Iterable[list]
+    ) -> dict[tuple, Substitution]:
+        """``{image: Substitution}`` for kept slot values (body terms)."""
         term_of = self.ids.term_of
-        keys = _OrderKeys(term_of)
+        variables = self.variables
+        image_size = self.image_size
+        found: dict[tuple, Substitution] = {}
+        for values in kept:
+            terms = [term_of(value) for value in values]
+            found[tuple(terms[:image_size])] = Substitution._from_clean(
+                {v: t for v, t in zip(variables, terms) if v != t}
+            )
+        return found
+
+    def images(self) -> dict[tuple, Substitution]:
+        image_of = _row_getter(range(self.image_size))
+        size = len(self.variables)
+        kept: dict = {}  # image ids -> slot values of its first match
+
+        def emit(slots: list) -> None:
+            image = image_of(slots)
+            if image not in kept:
+                kept[image] = slots[:size]
+
+        self._run(emit)
+        return self._substitutions(kept.values())
+
+    def unsatisfied(self) -> dict[tuple, Substitution]:
+        heads = self._heads()
+        view = self.view
+        keys = _OrderKeys(self.ids.term_of)
         image_size = self.image_size
         size = len(self.variables)
         kept: dict = {}  # ground head (row or frozenset) -> slot values
         matches = 0
-        if len(self.heads) == 1:
-            ((pred_id, head_row),) = self.heads
+        if len(heads) == 1:
+            ((pred_id, head_row),) = heads
             present = view.row_set(pred_id)
 
             def emit(slots: list) -> None:
@@ -502,7 +555,7 @@ class _RuleJoin:
         else:
             heads = [
                 (pred_id, head_row, view.row_set(pred_id))
-                for pred_id, head_row in self.heads
+                for pred_id, head_row in heads
             ]
 
             # checks: hot
@@ -526,17 +579,12 @@ class _RuleJoin:
 
         self._run(emit)
         INSTANTIATION_STATS.heads += matches
-        variables = self.variables
-        found: dict[tuple, Substitution] = {}
-        for values in kept.values():
-            terms = [term_of(value) for value in values]
-            found[tuple(terms[:image_size])] = Substitution._from_clean(
-                {v: t for v, t in zip(variables, terms) if v != t}
-            )
-        return found
+        return self._substitutions(kept.values())
 
     def derive(self) -> set[Atom]:
-        heads = [(pred_id, head_row, set()) for pred_id, head_row in self.heads]
+        heads = [
+            (pred_id, head_row, set()) for pred_id, head_row in self._heads()
+        ]
         if len(heads) == 1:
             ((_, head_row, rows),) = heads
             add = rows.add

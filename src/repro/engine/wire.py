@@ -12,10 +12,11 @@ Symbol tables
     integer id.  Each message carries a *table segment* — only the
     entries appended since that worker's last message — so a symbol
     crosses a pipe **once** per worker, ever.  Worker-side, a
-    :class:`WireDecoder` replays the segments into id-indexed lists plus
-    the reverse maps it needs to encode replies.  Table entries are
-    rebuilt through the term/predicate constructors
-    (:func:`repro.logic.terms.term_from_wire`,
+    :class:`~repro.engine.columnar.Vocabulary` replays the segments
+    (:meth:`~repro.engine.columnar.Vocabulary.apply_segment`) into
+    id-indexed lists plus the reverse maps the reply encoders look ids
+    up in.  Table entries are rebuilt through the term/predicate
+    constructors (:func:`repro.logic.terms.term_from_wire`,
     :class:`~repro.logic.predicates.Predicate`), so cached hashes are
     recomputed under the receiving interpreter's own ``PYTHONHASHSEED``
     — the same property ``Term.__reduce__`` gave the pickled protocol.
@@ -25,9 +26,9 @@ Flat buffers
     (:func:`pack_ids`/:func:`unpack_ids` — table ids are dense and
     small, so most ids cost one byte instead of a fixed four): atoms are
     ``(pred_id, term_ids...)`` streams (self-delimiting — the
-    predicate's arity says how many term ids follow).  Decoded atoms
-    rebuild through the cached-hash fast path
-    :func:`repro.logic.atoms.build_atom`.
+    predicate's arity says how many term ids follow).  Workers fold them
+    straight into id rows; the parent's decoded reply atoms rebuild
+    through the cached-hash fast path :func:`repro.logic.atoms.build_atom`.
 
 Replies
     Workers answer with one packed buffer per message (one reply per
@@ -36,7 +37,9 @@ Replies
     mentions is already in the shared table — :meth:`WireEncoder.intern_rules`
     pre-interns every head symbol at seed, and body images come from the
     replica — so replies carry table ids only; a symbol missing from the
-    worker's table raises :class:`~repro.errors.ChaseError`.
+    worker's table raises :class:`~repro.errors.ChaseError`, and so does
+    a malformed reply on the parent's side (a truncated atom stream, a
+    missing image count, a short image or leftover ids).
 
 Reply envelope
     Every worker reply is ``(status, value, timings)`` built by
@@ -58,14 +61,17 @@ command name, segment, and buffer bytes), the round's ``Rule`` objects
 from __future__ import annotations
 
 import struct
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.errors import ChaseError
 from repro.logic.atoms import Atom, build_atom
 from repro.logic.predicates import Predicate
 from repro.logic.substitutions import Substitution
-from repro.logic.terms import Term, term_from_wire
+from repro.logic.terms import Term
 from repro.rules.rule import Rule
+
+if TYPE_CHECKING:  # annotation-only: columnar imports this module
+    from repro.engine.columnar import Vocabulary
 
 
 #: The reply envelope's fixed-size worker-timing triple:
@@ -268,41 +274,6 @@ class WireEncoder:
         return pack_ids(ids)
 
 
-class WireDecoder:
-    """Worker-side replica of the parent's symbol tables.
-
-    Grown strictly by :meth:`apply_segment` in message order; holds the
-    reverse maps the reply encoders look table ids up in.
-    """
-
-    __slots__ = ("terms", "term_ids", "predicates", "predicate_ids")
-
-    def __init__(self):
-        self.terms: list[Term] = []
-        self.term_ids: dict[Term, int] = {}
-        self.predicates: list[Predicate] = []
-        self.predicate_ids: dict[Predicate, int] = {}
-
-    def apply_segment(self, segment) -> None:
-        if segment is None:
-            return
-        term_start, term_specs, pred_start, pred_specs = segment
-        if term_start != len(self.terms) or pred_start != len(self.predicates):
-            raise ChaseError(
-                "wire table segment out of sequence: worker at "
-                f"({len(self.terms)}, {len(self.predicates)}), segment "
-                f"starts at ({term_start}, {pred_start})"
-            )
-        for rank, name in term_specs:
-            term = term_from_wire(rank, name)
-            self.term_ids[term] = len(self.terms)
-            self.terms.append(term)
-        for name, arity in pred_specs:
-            predicate = Predicate(name, arity)
-            self.predicate_ids[predicate] = len(self.predicates)
-            self.predicates.append(predicate)
-
-
 # ----------------------------------------------------------------------
 # Reply payloads, one packed buffer per worker message
 # ----------------------------------------------------------------------
@@ -315,14 +286,16 @@ def _missing_symbol(error: KeyError) -> ChaseError:
     )
 
 
-def encode_derive_reply(decoder: WireDecoder, atoms: Iterable[Atom]) -> bytes:
+def encode_derive_reply(
+    vocabulary: "Vocabulary", atoms: Iterable[Atom]
+) -> bytes:
     """Pack derived atoms in :meth:`WireEncoder.encode_atoms`' layout.
 
     Ids come from the worker's table replica; a symbol it does not hold
     raises :class:`~repro.errors.ChaseError`.
     """
-    predicate_ids = decoder.predicate_ids
-    term_ids = decoder.term_ids
+    predicate_ids = vocabulary.predicate_ids
+    term_ids = vocabulary.term_ids
     ids: list[int] = []
     append = ids.append
     try:
@@ -353,7 +326,7 @@ def decode_derive_reply(encoder: WireEncoder, reply: bytes) -> set[Atom]:
 
 
 def encode_enumerate_reply(
-    decoder: WireDecoder, per_rule: Sequence[dict]
+    vocabulary: "Vocabulary", per_rule: Sequence[dict]
 ) -> bytes:
     """Pack per-rule image dicts: per rule a count, then flat images.
 
@@ -365,7 +338,7 @@ def encode_enumerate_reply(
     ``Substitution`` graphs.  A term missing from the worker's table
     replica raises :class:`~repro.errors.ChaseError`.
     """
-    term_ids = decoder.term_ids
+    term_ids = vocabulary.term_ids
     ids: list[int] = []
     append = ids.append
     try:
@@ -382,16 +355,26 @@ def encode_enumerate_reply(
 def decode_enumerate_reply(
     encoder: WireEncoder, rules: Sequence[Rule], reply: bytes
 ) -> list[dict]:
+    """Rebuild the per-rule ``{image: hom}`` dicts of one reply.
+
+    A reply must hold exactly one count per rule and ``count`` images of
+    the rule's width after it; a missing count, a short image or
+    leftover ids raise :class:`~repro.errors.ChaseError`.
+    """
     ids = unpack_ids(reply)
     terms = encoder.terms.objects
     results: list[dict] = []
-    position = 0
+    position, end = 0, len(ids)
     for rule in rules:
+        if position == end:
+            raise ChaseError("enumerate reply is missing an image count")
         order = rule.body_variable_order()
         width = len(order)
-        found: dict = {}
         count = ids[position]
         position += 1
+        if position + count * width > end:
+            raise ChaseError("truncated enumerate reply: short image")
+        found: dict = {}
         for _ in range(count):
             image = tuple([terms[i] for i in ids[position:position + width]])
             position += width
@@ -402,4 +385,8 @@ def decode_enumerate_reply(
             }
             found[image] = Substitution._from_clean(mapping)
         results.append(found)
+    if position != end:
+        raise ChaseError(
+            f"enumerate reply has {end - position} leftover ids"
+        )
     return results

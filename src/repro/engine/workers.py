@@ -62,11 +62,10 @@ closing the pipes instead.  A worker that fails to spawn surfaces as
 :class:`~repro.errors.ChaseError` too, after the workers already spawned
 are stopped.
 
-Decoded terms and atoms rebuild through their constructors on arrival
-(:func:`repro.logic.terms.term_from_wire`,
-:func:`repro.logic.atoms.build_atom` — and ``Term.__reduce__`` for the
-still-pickled rules), so cached hashes are recomputed under the worker's
-own ``PYTHONHASHSEED`` and replica indexes stay consistent.
+Decoded terms rebuild through their constructors on arrival
+(:func:`repro.logic.terms.term_from_wire`, and ``Term.__reduce__`` for
+the still-pickled rules), so cached hashes are recomputed under the
+worker's own ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
@@ -220,12 +219,14 @@ def _worker_main(conn) -> None:
     """The long-lived worker loop: one replica, one rule list, one wire
     table; per-round packed deltas in, one packed reply per round out.
 
-    The replica is an id-native
-    :class:`~repro.engine.columnar.ColumnarInstance` over the decoder's
-    table replica: packed seed/sync buffers fold straight into id rows,
-    and the delta core's join kernel runs existential-free rules on
-    those rows directly; atoms materialize only for the object matcher
-    (existential rules).
+    The wire table is a fresh :class:`~repro.engine.columnar.Vocabulary`
+    that grows only through the table segments the parent ships; the
+    replica is an id-native
+    :class:`~repro.engine.columnar.ColumnarInstance` over it.  Packed
+    seed/sync buffers fold straight into id rows, the delta core's join
+    kernel runs every rule on those rows, and the reply encoders look
+    ids up in the same vocabulary.  No row ever becomes an ``Atom``;
+    only derived heads do, until ``encode_derive_reply`` packs them.
 
     Every reply envelope carries the worker's
     ``(decode_s, execute_s, encode_s)`` wall-clock split
@@ -242,8 +243,8 @@ def _worker_main(conn) -> None:
 
     perf = time.perf_counter
     rules: tuple[Rule, ...] = ()
-    decoder = wire.WireDecoder()
-    replica = ColumnarInstance(Vocabulary.of_decoder(decoder))
+    vocabulary = Vocabulary()
+    replica = ColumnarInstance(vocabulary)
     while True:
         try:
             blob = conn.recv_bytes()
@@ -266,31 +267,31 @@ def _worker_main(conn) -> None:
         try:
             if command == "seed":
                 _, segment, rules, atoms_buf = message
-                decoder.apply_segment(segment)
+                vocabulary.apply_segment(segment)
                 decoded = perf()
-                replica = ColumnarInstance(Vocabulary.of_decoder(decoder))
+                replica = ColumnarInstance(vocabulary)
                 replica.ingest_packed(atoms_buf)
                 value = len(replica)
                 executed = perf()
             elif command == "sync":
                 _, segment, sync_buf = message
-                decoder.apply_segment(segment)
+                vocabulary.apply_segment(segment)
                 decoded = perf()
                 value = replica.ingest_packed(sync_buf)
                 executed = perf()
             elif command in ("enumerate", "enumerate_unsatisfied", "derive"):
                 _, segment, sync_buf, pivot_buf = message
-                decoder.apply_segment(segment)
+                vocabulary.apply_segment(segment)
                 decoded = perf()
                 replica.ingest_packed(sync_buf)
-                view = ColumnarInstance(replica.vocabulary)
+                view = ColumnarInstance(vocabulary)
                 view.ingest_packed(pivot_buf)
                 result = _run_shard(command, rules, replica, view)
                 executed = perf()
                 if command == "derive":
-                    value = wire.encode_derive_reply(decoder, result)
+                    value = wire.encode_derive_reply(vocabulary, result)
                 else:
-                    value = wire.encode_enumerate_reply(decoder, result)
+                    value = wire.encode_enumerate_reply(vocabulary, result)
             else:
                 raise ChaseError(f"unknown worker command {command!r}")
             reply = wire.pack_reply(

@@ -8,9 +8,21 @@ runs mid-round, and at a loose one that few runs reach; every result
 must equal the ``naive`` engine's bit for bit and leave the fresh-null
 supply at the same position.  Existential-free draws check the Datalog
 closure the same way.
+
+``answer()`` is fuzzed on the same generator: every strategy (``chase``,
+``rewrite``, ``hybrid``, ``auto``) against saturate-then-probe — the
+oblivious chase at the same level and atom budgets, then one
+entailment probe — with the assertions of
+``tests/test_serving_answer.py::TestDifferentialMatrix``.  Only draws
+whose reference chase terminated are compared, so the reference is the
+ground truth; queries carry rule-set constants often enough that at
+least a quarter of them are not entailed.
 """
 
 from __future__ import annotations
+
+import random
+from functools import lru_cache
 
 import pytest
 
@@ -21,8 +33,12 @@ from repro.corpus.generators import (
     random_instance,
 )
 from repro.engine import EngineConfig
-from repro.logic.terms import FreshSupply
+from repro.logic.atoms import Atom
+from repro.logic.terms import Constant, FreshSupply, Variable
+from repro.queries.cq import ConjunctiveQuery
+from repro.queries.entailment import entails_cq
 from repro.rewriting.datalog import semi_naive_closure
+from repro.serving import answer
 
 SEEDS = range(16)
 CLOSURE_SEEDS = range(8)
@@ -83,3 +99,84 @@ def test_closure_engines_match_naive(seed):
     reference = semi_naive_closure(make(), rules, engine="naive")
     for ename, engine in ENGINES:
         assert semi_naive_closure(make(), rules, engine=engine) == reference
+
+
+# ----------------------------------------------------------------------
+# answer() against saturate-then-probe
+# ----------------------------------------------------------------------
+
+ANSWER_SEEDS = range(40)
+STRATEGIES = ("chase", "rewrite", "hybrid", "auto")
+ANSWER_LEVELS = 4
+ANSWER_ATOMS = 200
+#: Small rewriting budgets keep the subsumption checks cheap; a budget
+#: stop downgrades a verdict to "sound", which the assertions allow.
+REWRITE_BUDGETS = dict(max_rewrite_depth=3, max_disjuncts=16, max_cq_size=6)
+QUERY_VARIABLES = [Variable(name) for name in ("q0", "q1", "q2")]
+QUERY_CONSTANTS = [Constant(f"C{i}") for i in range(4)]
+
+
+def _query(rng: random.Random) -> ConjunctiveQuery:
+    """One to three atoms over three variables; each argument is one of
+    the instance's constants with probability 0.3."""
+    atoms = []
+    for _ in range(rng.randint(1, 3)):
+        predicate = rng.choice(FUZZ_SIGNATURE)
+        atoms.append(Atom(predicate, tuple(
+            rng.choice(QUERY_CONSTANTS)
+            if rng.random() < 0.3
+            else rng.choice(QUERY_VARIABLES)
+            for _ in range(predicate.arity)
+        )))
+    return ConjunctiveQuery(atoms)
+
+
+@lru_cache(maxsize=None)
+def _answer_case(seed: int):
+    """The first draw of ``seed``'s stream whose reference chase
+    terminates: ``(rules, instance, query, expected)``."""
+    rng = random.Random(seed)
+    while True:
+        draw = rng.randrange(2**31)
+        rules = random_chase_ruleset(
+            existential_probability=0.3,
+            constant_probability=0.25 if seed % 2 else 0.0,
+            seed=draw,
+        )
+        instance = random_instance(FUZZ_SIGNATURE, 4, 10, seed=draw)
+        query = _query(rng)
+        reference = oblivious_chase(
+            instance, rules, max_levels=ANSWER_LEVELS, max_atoms=ANSWER_ATOMS
+        )
+        if reference.terminated:
+            return rules, instance, query, entails_cq(reference.instance, query)
+
+
+@pytest.mark.parametrize("seed", ANSWER_SEEDS)
+def test_answer_strategies_match_saturate_then_probe(seed):
+    rules, instance, query, expected = _answer_case(seed)
+    for strategy in STRATEGIES:
+        result = answer(
+            instance, rules, query, strategy=strategy,
+            max_levels=ANSWER_LEVELS, max_atoms=ANSWER_ATOMS,
+            **REWRITE_BUDGETS,
+        )
+        label = (strategy, str(query))
+        # A positive is always certain, whatever the strategy.
+        if result.entailed:
+            assert expected and result.verdict == "exact", label
+        # An exact verdict is conclusive: it equals the ground truth.
+        if result.verdict == "exact":
+            assert result.entailed == expected, label
+        # Only a budget stop excuses a False on an entailed query.
+        if expected and not result.entailed:
+            assert result.verdict == "sound", label
+        # The goal-directed chase is depth-equal to the reference.
+        if strategy == "chase":
+            assert result.entailed == expected, label
+
+
+def test_answer_queries_are_often_not_entailed():
+    verdicts = [_answer_case(seed)[3] for seed in ANSWER_SEEDS]
+    assert 4 * verdicts.count(False) >= len(verdicts)
+    assert verdicts.count(True) >= len(verdicts) // 4

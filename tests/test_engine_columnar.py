@@ -2,14 +2,12 @@
 
 Three angles:
 
-* store semantics — id-native add/dedup/membership, vocabulary sharing
-  with a decoder's tables, ``ingest_packed`` folding packed buffers
-  straight into rows;
-* matcher-API parity — ``count`` / ``position_count`` /
-  ``sorted_with_predicate`` / ``matching_position`` / iteration agree
-  *exactly* (including order) with an object-level
-  :class:`~repro.logic.instances.Instance` holding the same atoms, which
-  is what makes columnar worker replicas bit-identical;
+* store semantics — id-native add/dedup/membership, a worker
+  vocabulary's tables shared by reference, ``ingest_packed`` folding
+  packed buffers straight into rows; rows are read back as atoms through
+  the vocabulary (the store itself has no ``Atom``-facing API);
+* matcher parity — ``count`` and ``len`` agree with an object-level
+  :class:`~repro.logic.instances.Instance` holding the same atoms;
 * the ``delta_since`` append-only fast path the pool's sync hot loop
   rides.
 """
@@ -21,14 +19,12 @@ import random
 import pytest
 
 from repro.engine.columnar import ColumnarInstance, Vocabulary
-from repro.engine.core import delta_homomorphisms
-from repro.engine.wire import WireDecoder, WireEncoder
+from repro.engine.wire import WireEncoder
 from repro.errors import ChaseError
 from repro.logic.atoms import Atom
 from repro.logic.instances import Instance
 from repro.logic.predicates import Predicate
 from repro.logic.terms import Constant, Null
-from repro.rules.parser import parse_rules
 
 E = Predicate("E", 2)
 F = Predicate("F", 2)
@@ -51,21 +47,48 @@ def _random_atoms(rng, n):
     return atoms
 
 
+def _row_of(store, atom):
+    """``atom`` as ``(pred_id, term_ids)`` in the store's vocabulary, or
+    None when a symbol is not in it."""
+    vocabulary = store.vocabulary
+    pred_id = vocabulary.predicate_ids.get(atom.predicate)
+    ids = tuple(vocabulary.term_ids.get(term) for term in atom.args)
+    if pred_id is None or None in ids:
+        return None
+    return pred_id, ids
+
+
+def _has(store, atom):
+    """Membership through the vocabulary and the row sets."""
+    row = _row_of(store, atom)
+    return row is not None and row[1] in store.row_set(row[0])
+
+
+def _atoms_of(store):
+    """Every row of ``store`` as an atom, read through its vocabulary."""
+    vocabulary = store.vocabulary
+    return sorted(
+        Atom(predicate, tuple(vocabulary.terms[i] for i in row))
+        for pred_id, predicate in enumerate(vocabulary.predicates)
+        for row in store.rows(pred_id)
+    )
+
+
 class _Replica:
-    """A worker-style store: atoms arrive as packed buffers, over the
-    decoder's replica of one encoder's symbol tables."""
+    """A worker-style store: atoms arrive as packed buffers, over a
+    vocabulary that replays one encoder's table segments."""
 
     def __init__(self, atoms=()):
         self.encoder = WireEncoder()
-        self.decoder = WireDecoder()
-        self.store = ColumnarInstance(Vocabulary.of_decoder(self.decoder))
+        self.vocabulary = Vocabulary()
+        self.store = ColumnarInstance(self.vocabulary)
         self._marks = (0, 0)
         self.feed(atoms)
 
     def packed(self, atoms):
-        """``atoms`` packed, with the decoder caught up on their symbols."""
+        """``atoms`` packed, with the vocabulary caught up on their symbols."""
         buf = self.encoder.encode_atoms(atoms)
-        self.decoder.apply_segment(self.encoder.segment(*self._marks))
+        self.vocabulary.apply_segment(self.encoder.segment(*self._marks))
         self._marks = self.encoder.marks()
         return buf
 
@@ -83,25 +106,27 @@ class TestStoreSemantics:
         (row,) = store.rows(e_id)
         assert not store.add_row(e_id, row)
         assert len(store) == 2
-        assert Atom(E, (a, b)) in store
-        assert Atom(MARK, ()) in store
-        assert Atom(E, (b, a)) not in store
-        # Unknown symbols can never be in the store: no interning happens
-        # on the read path.
-        assert Atom(E, (a, Constant("unseen"))) not in store
-        assert Atom(F, (a, b)) not in store
+        assert _has(store, Atom(E, (a, b)))
+        assert _has(store, Atom(MARK, ()))
+        assert not _has(store, Atom(E, (b, a)))
+        # Unknown symbols can never be in the store: reading rows never
+        # interns into a worker's vocabulary.
+        assert _row_of(store, Atom(E, (a, Constant("unseen")))) is None
+        assert _row_of(store, Atom(F, (a, b))) is None
+        assert Constant("unseen") not in store.vocabulary.term_ids
 
     def test_vocabulary_is_shared_by_reference(self):
         a, b, c = _constants(3)
         replica = _Replica([Atom(E, (a, b))])
         store = replica.store
-        # Replaying a table segment into the decoder is visible to the
+        # Replaying a table segment into the vocabulary is visible to the
         # store without any sync step.
         buf = replica.packed([Atom(F, (b, c))])
+        assert store.vocabulary is replica.vocabulary
         assert c in store.vocabulary.term_ids
         assert F in store.vocabulary.predicate_ids
         store.ingest_packed(buf)
-        assert Atom(F, (b, c)) in store
+        assert _has(store, Atom(F, (b, c)))
         assert store.count(F) == 1
 
     def test_ingest_packed_round_trip_and_dedup(self):
@@ -113,7 +138,7 @@ class TestStoreSemantics:
         assert replica.store.ingest_packed(buf) == len(distinct)
         # Re-ingesting the same buffer adds nothing.
         assert replica.store.ingest_packed(buf) == 0
-        assert sorted(replica.store) == sorted(distinct)
+        assert _atoms_of(replica.store) == sorted(distinct)
         assert replica.store.ingest_packed(b"") == 0
 
     def test_ingest_packed_truncated_stream_raises(self):
@@ -125,83 +150,20 @@ class TestStoreSemantics:
 
 
 class TestMatcherParity:
-    """The matcher-facing API slice agrees with Instance, order included."""
-
-    def _pair(self, seed=3, n=60):
-        atoms = _random_atoms(random.Random(seed), n)
-        return _Replica(atoms).store, Instance(atoms, add_top=False)
+    """``count`` and ``len`` — what the kernel's atom ordering reads —
+    agree with an :class:`Instance` holding the same atoms."""
 
     def test_counts_and_membership(self):
-        store, reference = self._pair()
+        atoms = _random_atoms(random.Random(3), 60)
+        store = _Replica(atoms).store
+        reference = Instance(atoms, add_top=False)
         for pred in (E, F, TAG, MARK):
             assert store.count(pred) == reference.count(pred)
         for atom in reference:
-            assert atom in store
+            assert _has(store, atom)
         assert len(store) == len(reference)
+        assert _atoms_of(store) == reference.sorted_atoms()
         assert store.count(Predicate("Absent", 1)) == 0
-
-    def test_sorted_with_predicate_matches(self):
-        store, reference = self._pair()
-        for pred in (E, F, TAG, MARK):
-            assert store.sorted_with_predicate(
-                pred
-            ) == reference.sorted_with_predicate(pred)
-        assert store.sorted_with_predicate(Predicate("Absent", 1)) == ()
-
-    def test_positional_index_matches(self):
-        store, reference = self._pair()
-        terms = _constants(6) + [Null(f"_n{i}") for i in range(3)]
-        for pred in (E, F, TAG):
-            for position in range(pred.arity):
-                for term in terms:
-                    assert store.position_count(
-                        pred, position, term
-                    ) == reference.position_count(pred, position, term)
-                    assert store.matching_position(
-                        pred, position, term
-                    ) == reference.matching_position(pred, position, term)
-
-    def test_sorted_atoms_signature_iteration(self):
-        store, reference = self._pair()
-        assert store.sorted_atoms() == reference.sorted_atoms()
-        assert set(store.signature()) == set(reference.signature())
-        assert sorted(store) == sorted(reference)
-
-    def test_caches_invalidate_on_append(self):
-        a, b, c = _constants(3)
-        replica = _Replica([Atom(E, (b, c))])
-        store = replica.store
-        first = store.sorted_with_predicate(E)
-        assert first == (Atom(E, (b, c)),)
-        replica.feed([Atom(E, (a, b))])
-        assert store.sorted_with_predicate(E) == (
-            Atom(E, (a, b)),
-            Atom(E, (b, c)),
-        )
-        assert store.matching_position(E, 1, b) == (Atom(E, (a, b)),)
-
-    def test_delta_homomorphisms_agree_with_object_instances(self):
-        """The shared delta core runs unchanged on columnar stores."""
-        rules = parse_rules("E(x,y), E(y,z) -> E(x,z)")
-        rule = list(rules)[0]
-        atoms = [
-            Atom(E, (Constant(f"c{i}"), Constant(f"c{i + 1}")))
-            for i in range(5)
-        ]
-        pivots = atoms[2:4]
-        replica = _Replica(atoms)
-        store = replica.store
-        view = ColumnarInstance(store.vocabulary)
-        view.ingest_packed(replica.packed(pivots))
-        reference = list(
-            delta_homomorphisms(
-                rule, Instance(atoms, add_top=False),
-                Instance(pivots, add_top=False),
-            )
-        )
-        columnar = list(delta_homomorphisms(rule, store, view))
-        assert columnar == reference
-        assert reference  # the workload actually matched something
 
 
 class TestDeltaSinceFastPath:

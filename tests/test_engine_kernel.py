@@ -1,18 +1,24 @@
 """The id-native join kernel of the delta core.
 
+:func:`~repro.engine.core.rule_delta_images`,
 :func:`~repro.engine.core.rule_unsatisfied_images` and
-:func:`~repro.engine.core.derive_delta_atoms` join existential-free
-rules on integer rows.  Here they are checked against an oracle built
-from :func:`~repro.engine.core.delta_homomorphisms` (the object
-matcher): the same survivors (the ``Term``-smallest image per missing
-ground head) and derived atoms, and the same ``MATCHER_STATS`` and
+:func:`~repro.engine.core.derive_delta_atoms` join rules on integer
+rows.  Here they are checked against an oracle built from
+:func:`~repro.engine.core.delta_homomorphisms` (the object matcher): the
+same images and ``Substitution``s (one per distinct image), the same
+survivors (the ``Term``-smallest image per missing ground head) and
+derived atoms, and the same ``MATCHER_STATS`` and
 ``INSTANTIATION_STATS`` counts, round after round, on three stores — a
 plain :class:`Instance`, a worker-style :class:`ColumnarInstance`
 replica, and an :class:`Instance` that has discarded an atom after its
-id view was built.  The remaining tests pin the id view's lifecycle
-(never pickled, dropped by ``discard``), the per-round counts of
-transitivity over ``path_instance(12)``, and the kernel-backed
-closures — inline and on the worker pool — against ``naive``.
+id view was built.  The cases include draws of
+:func:`~repro.corpus.generators.random_chase_ruleset` (existential
+rules, rule constants, repeated variables, multi-atom heads).  The
+remaining tests pin the id view's lifecycle (never pickled, dropped by
+``discard``), that delta rounds never reach the object matcher, the
+per-round counts of transitivity over ``path_instance(12)``, and the
+kernel-backed closures — inline and on the worker pool — against
+``naive``.
 """
 
 from __future__ import annotations
@@ -22,10 +28,12 @@ import pickle
 
 import pytest
 
-from repro.chase import restricted_chase
+from repro.chase import oblivious_chase, restricted_chase, semi_oblivious_chase
 from repro.chase.restricted import RestrictedPolicy
 from repro.corpus.generators import (
+    FUZZ_SIGNATURE,
     path_instance,
+    random_chase_ruleset,
     random_digraph_instance,
     random_instance,
     random_nonrecursive_ruleset,
@@ -37,9 +45,10 @@ from repro.engine.core import (
     delta_homomorphisms,
     derive_delta_atoms,
     id_view,
+    rule_delta_images,
     rule_unsatisfied_images,
 )
-from repro.engine.wire import WireDecoder, WireEncoder
+from repro.engine.wire import WireEncoder
 from repro.logic import MATCHER_STATS
 from repro.logic.atoms import TOP_ATOM, Atom
 from repro.logic.instances import Instance
@@ -53,15 +62,21 @@ from repro.rules.rule import INSTANTIATION_STATS
 # ----------------------------------------------------------------------
 
 
+def _oracle_images(rule, instance, delta):
+    """Every match, deduplicated by image: the first one found kept."""
+    order = rule.body_variable_order()
+    images = {}
+    for hom in delta_homomorphisms(rule, instance, delta):
+        images.setdefault(tuple(hom.apply_term(v) for v in order), hom)
+    return images
+
+
 def _oracle_unsatisfied(rule, instance, delta):
     """The smallest image per ground head not wholly in ``instance``
     (existential rules: every image, unpruned)."""
-    order = rule.body_variable_order()
     if rule.existential_order():
-        images = {}
-        for hom in delta_homomorphisms(rule, instance, delta):
-            images.setdefault(tuple(hom.apply_term(v) for v in order), hom)
-        return images
+        return _oracle_images(rule, instance, delta)
+    order = rule.body_variable_order()
     kept = {}
     for hom in delta_homomorphisms(rule, instance, delta):
         INSTANTIATION_STATS.heads += 1
@@ -130,18 +145,19 @@ class DiscardedStore(PlainStore):
 
 
 class ReplicaStore:
-    """A worker-style replica: a columnar store over a decoder's tables,
-    fed packed buffers, with the delta in the same vocabulary."""
+    """A worker-style replica: a columnar store over a vocabulary grown
+    by table segments, fed packed buffers, with the delta in the same
+    vocabulary."""
 
     def __init__(self):
         self.encoder = WireEncoder()
-        self.decoder = WireDecoder()
-        self.instance = ColumnarInstance(Vocabulary.of_decoder(self.decoder))
+        self.vocabulary = Vocabulary()
+        self.instance = ColumnarInstance(self.vocabulary)
         self._marks = (0, 0)
 
     def _packed(self, atoms):
         buf = self.encoder.encode_atoms(atoms)
-        self.decoder.apply_segment(self.encoder.segment(*self._marks))
+        self.vocabulary.apply_segment(self.encoder.segment(*self._marks))
         self._marks = self.encoder.marks()
         return buf
 
@@ -192,6 +208,16 @@ def _random_case(seed):
     return (f"random_{seed}", rules, [atoms[:6], atoms[6:11], atoms[11:]])
 
 
+def _fuzz_case(seed):
+    """A :func:`random_chase_ruleset` draw (rule constants on odd seeds)
+    over the differential fuzz's instances."""
+    rules = random_chase_ruleset(
+        constant_probability=0.25 if seed % 2 else 0.0, seed=seed
+    )
+    atoms = sorted(random_instance(FUZZ_SIGNATURE, 4, 16, seed=seed))
+    return (f"fuzz_{seed}", rules, [atoms[:6], atoms[6:11], atoms[11:]])
+
+
 CASES = [
     _case(
         "constants_body_and_head",
@@ -236,7 +262,9 @@ CASES = [
         "E(a,m2), E(m2,b), E(a,m1), E(m1,b)",
         "E(b,m0), E(m0,c), E(m2,c)",
     ),
-] + [_random_case(seed) for seed in range(5)]
+] + [_random_case(seed) for seed in range(5)] + [
+    _fuzz_case(seed) for seed in range(6)
+]
 CASE_IDS = [case[0] for case in CASES]
 
 
@@ -255,6 +283,22 @@ def _oracle_rounds(rules, rounds, oracle):
 @pytest.mark.parametrize("kind", STORES)
 @pytest.mark.parametrize("name,rules,rounds", CASES, ids=CASE_IDS)
 class TestKernelMatchesObjectMatcher:
+    def test_delta_images(self, name, rules, rounds, kind):
+        # Pivoted on each round's delta, then unpivoted on the whole
+        # instance: one search per rule, over every match.
+        expected = _oracle_rounds(rules, rounds, _oracle_images)
+        store = _store(kind, rules, rounds)
+        for atoms, per_rule in zip(rounds, expected):
+            instance, delta = store.advance(atoms)
+            for rule, want in zip(rules, per_rule):
+                got = _counted(lambda: rule_delta_images(rule, instance, delta))
+                assert got == want, (name, str(rule))
+        reference = Instance([a for r in rounds for a in r], add_top=False)
+        for rule in rules:
+            want = _counted(lambda: _oracle_images(rule, reference, reference))
+            got = _counted(lambda: rule_delta_images(rule, instance, instance))
+            assert got == want, (name, str(rule))
+
     def test_unsatisfied_images(self, name, rules, rounds, kind):
         expected = _oracle_rounds(rules, rounds, _oracle_unsatisfied)
         store = _store(kind, rules, rounds)
@@ -337,8 +381,11 @@ class TestIdView:
         atom = instance.sorted_atoms()[0]
         instance.discard(atom)
         assert instance._id_view is None
-        assert atom not in id_view(instance)
-        assert len(id_view(instance)) == len(instance)
+        view = id_view(instance)
+        vocabulary = view.vocabulary
+        rows = view.row_set(vocabulary.predicate_ids[atom.predicate])
+        assert tuple(vocabulary.term_ids.get(t) for t in atom.args) not in rows
+        assert len(view) == len(instance)
 
     def test_pickle_is_unchanged_by_the_kernel(self):
         instance = path_instance(12)
@@ -375,6 +422,30 @@ def test_existential_free_joins_never_reach_the_object_matcher(monkeypatch):
         derive_delta_atoms(rule, instance, delta)
     restricted_chase(path_instance(6), rules)
     semi_naive_closure(path_instance(6), rules, engine="delta")
+
+
+@pytest.mark.parametrize(
+    "engine",
+    [
+        pytest.param("delta", id="delta"),
+        pytest.param(EngineConfig("persistent", workers=2), id="persistent_w2"),
+    ],
+)
+def test_delta_rounds_never_reach_the_object_matcher(monkeypatch, engine):
+    # Existential rules and every oblivious and semi-oblivious round
+    # enumerate on the kernel too, inline and on the pool.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the object matcher ran")
+
+    rules = parse_rules(
+        "E(x,y) -> exists z. E(y,z), F(z,x)\nE(x,y), F(y,x) -> G(x)",
+        name="existential",
+    )
+    matcher = importlib.import_module("repro.logic.homomorphisms")
+    monkeypatch.setattr(matcher, "_search", forbidden)
+    for chase in (oblivious_chase, semi_oblivious_chase):
+        result = chase(path_instance(4), rules, max_levels=3, engine=engine)
+        assert result.records()
 
 
 # ----------------------------------------------------------------------

@@ -4,8 +4,10 @@ Two halves:
 
 * codec round-trip tests — packed atom and reply buffers rebuild the
   exact objects (nulls, constants, repeated terms, empty deltas),
-  symbols intern once, segments replay strictly in order, and a reply
-  symbol missing from the worker's table is an error;
+  symbols intern once, segments replay strictly in order into a
+  worker's :class:`~repro.engine.columnar.Vocabulary`, and a reply
+  symbol missing from the worker's table, or a malformed reply, is an
+  error;
 * :data:`TRANSPORT_STATS` accounting — exact per-command byte/atom/
   message counters for seed, sync, enumerate, derive and stop on a
   small workload at ``workers=1``, monotonicity at ``workers=3``.
@@ -19,7 +21,7 @@ import pytest
 
 from repro.engine import wire
 from repro.engine.columnar import ColumnarInstance, Vocabulary
-from repro.engine.wire import WireDecoder, WireEncoder, atom_weight
+from repro.engine.wire import WireEncoder, atom_weight
 from repro.engine.workers import TRANSPORT_STATS, WorkerPool
 from repro.errors import ChaseError
 from repro.logic.atoms import Atom, atom, build_atom
@@ -36,19 +38,25 @@ from repro.logic.terms import (
 from repro.rules.parser import parse_rules
 
 
-def _synced_decoder(encoder: WireEncoder) -> WireDecoder:
-    """A worker-side decoder caught up to the encoder's current tables."""
-    decoder = WireDecoder()
-    decoder.apply_segment(encoder.segment(0, 0))
-    return decoder
+def _synced_vocabulary(encoder: WireEncoder) -> Vocabulary:
+    """A worker-side vocabulary caught up to the encoder's current tables."""
+    vocabulary = Vocabulary()
+    vocabulary.apply_segment(encoder.segment(0, 0))
+    return vocabulary
 
 
-def _ingest(decoder: WireDecoder, buf: bytes) -> list[Atom]:
+def _ingest(vocabulary: Vocabulary, buf: bytes) -> list[Atom]:
     """Fold a packed atom buffer into a fresh replica, as a worker does;
-    returns its atoms in the library's sorted order."""
-    replica = ColumnarInstance(Vocabulary.of_decoder(decoder))
+    returns its rows, read as atoms through the vocabulary, in the
+    library's sorted order."""
+    replica = ColumnarInstance(vocabulary)
     replica.ingest_packed(buf)
-    return replica.sorted_atoms()
+    terms = vocabulary.terms
+    return sorted(
+        build_atom(predicate, tuple([terms[i] for i in row]))
+        for pred_id, predicate in enumerate(vocabulary.predicates)
+        for row in replica.rows(pred_id)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -93,7 +101,7 @@ class TestAtomCodec:
         ]
         encoder = WireEncoder()
         buf = encoder.encode_atoms(atoms)
-        decoded = _ingest(_synced_decoder(encoder), buf)
+        decoded = _ingest(_synced_vocabulary(encoder), buf)
         assert decoded == sorted(atoms)
         assert [hash(a) for a in decoded] == [hash(a) for a in sorted(atoms)]
         # Repeated symbols interned once: A, B, _n0 and the variable-free
@@ -104,7 +112,7 @@ class TestAtomCodec:
     def test_empty_delta_is_empty_buffer(self):
         encoder = WireEncoder()
         assert encoder.encode_atoms([]) == b""
-        assert _ingest(_synced_decoder(encoder), b"") == []
+        assert _ingest(_synced_vocabulary(encoder), b"") == []
 
     def test_buffer_bytes_equal_atom_weights(self):
         # The traced routing weights *are* the wire encoding: an
@@ -131,10 +139,10 @@ class TestAtomCodec:
 
     def test_symbols_cross_the_wire_once(self):
         encoder = WireEncoder()
-        decoder = WireDecoder()
+        vocabulary = Vocabulary()
         first = [atom("E", "A", "B")]
         buf1 = encoder.encode_atoms(first)
-        decoder.apply_segment(encoder.segment(0, 0))
+        vocabulary.apply_segment(encoder.segment(0, 0))
         marks = encoder.marks()
         # Same symbols again: nothing new to ship.
         buf2 = encoder.encode_atoms([atom("E", "B", "A")])
@@ -145,10 +153,10 @@ class TestAtomCodec:
         term_start, term_specs, pred_start, pred_specs = segment
         assert term_specs == ((Constant._rank, "C"),)
         assert pred_specs == ()
-        decoder.apply_segment(segment)
-        assert _ingest(decoder, buf1) == first
-        assert _ingest(decoder, buf2) == [atom("E", "B", "A")]
-        assert _ingest(decoder, buf3) == [atom("E", "A", "C")]
+        vocabulary.apply_segment(segment)
+        assert _ingest(vocabulary, buf1) == first
+        assert _ingest(vocabulary, buf2) == [atom("E", "B", "A")]
+        assert _ingest(vocabulary, buf3) == [atom("E", "A", "C")]
 
     def test_out_of_sequence_segment_rejected(self):
         encoder = WireEncoder()
@@ -156,9 +164,9 @@ class TestAtomCodec:
         marks = encoder.marks()
         encoder.encode_atoms([atom("E", "A", "C")])
         late = encoder.segment(*marks)
-        decoder = WireDecoder()  # never saw the first segment
+        vocabulary = Vocabulary()  # never saw the first segment
         with pytest.raises(ChaseError, match="out of sequence"):
-            decoder.apply_segment(late)
+            vocabulary.apply_segment(late)
 
     def test_property_random_atom_streams_round_trip(self):
         rng = random.Random(20260808)
@@ -168,7 +176,7 @@ class TestAtomCodec:
             lambda name: Null(f"_n{name}"),
         )
         encoder = WireEncoder()
-        decoder = WireDecoder()
+        vocabulary = Vocabulary()
         for _ in range(50):
             atoms = []
             for _ in range(rng.randrange(0, 8)):
@@ -181,8 +189,8 @@ class TestAtomCodec:
                 atoms.append(Atom(predicate, args))
             marks = encoder.marks()
             buf = encoder.encode_atoms(atoms)
-            decoder.apply_segment(encoder.segment(*marks))
-            assert _ingest(decoder, buf) == sorted(set(atoms))
+            vocabulary.apply_segment(encoder.segment(*marks))
+            assert _ingest(vocabulary, buf) == sorted(set(atoms))
 
 
 class TestReplyCodec:
@@ -190,8 +198,8 @@ class TestReplyCodec:
         encoder = WireEncoder()
         atoms = {atom("F", "A", "B"), atom("F", "B", "C")}
         encoder.encode_atoms(sorted(atoms))
-        decoder = _synced_decoder(encoder)
-        reply = wire.encode_derive_reply(decoder, atoms)
+        vocabulary = _synced_vocabulary(encoder)
+        reply = wire.encode_derive_reply(vocabulary, atoms)
         assert wire.decode_derive_reply(encoder, reply) == atoms
 
     def test_derive_reply_is_the_atom_layout(self):
@@ -200,8 +208,8 @@ class TestReplyCodec:
         encoder = WireEncoder()
         atoms = [atom("F", "A", "B"), atom("G", "B")]
         buf = encoder.encode_atoms(atoms)
-        decoder = _synced_decoder(encoder)
-        assert wire.encode_derive_reply(decoder, atoms) == buf
+        vocabulary = _synced_vocabulary(encoder)
+        assert wire.encode_derive_reply(vocabulary, atoms) == buf
         with pytest.raises(ChaseError, match="truncated"):
             wire.decode_derive_reply(encoder, buf[:-1])
 
@@ -216,8 +224,8 @@ class TestReplyCodec:
         assert per_rule[0]  # non-trivial
         encoder = WireEncoder()
         encoder.encode_atoms(instance.sorted_atoms())
-        decoder = _synced_decoder(encoder)
-        reply = wire.encode_enumerate_reply(decoder, per_rule)
+        vocabulary = _synced_vocabulary(encoder)
+        reply = wire.encode_enumerate_reply(vocabulary, per_rule)
         decoded = wire.decode_enumerate_reply(encoder, rules, reply)
         assert decoded == per_rule
 
@@ -231,12 +239,39 @@ class TestReplyCodec:
         per_rule = [{(x, Constant("B")): mapping}]
         encoder = WireEncoder()
         encoder.encode_atoms([Atom(Predicate("E", 2), (x, Constant("B")))])
-        decoder = _synced_decoder(encoder)
-        reply = wire.encode_enumerate_reply(decoder, per_rule)
+        vocabulary = _synced_vocabulary(encoder)
+        reply = wire.encode_enumerate_reply(vocabulary, per_rule)
         decoded = wire.decode_enumerate_reply(encoder, rules, reply)
         assert decoded == per_rule
         (hom,) = decoded[0].values()
         assert x not in hom
+
+    @pytest.mark.parametrize(
+        "ids,message",
+        [
+            ([], "missing an image count"),
+            ([1, 0, 1], "short image"),
+            ([1, 0, 1, 2, 7], "1 leftover ids"),
+        ],
+        ids=["missing_count", "short_image", "leftover_ids"],
+    )
+    def test_malformed_enumerate_reply_raises(self, ids, message):
+        # Transitivity's images have width 3 (x, y, z): a reply must hold
+        # one count and then count * 3 ids, and nothing after them.
+        rules = tuple(parse_rules("E(x,y), E(y,z) -> E(x,z)"))
+        encoder = WireEncoder()
+        encoder.encode_atoms([atom("E", "A", "B"), atom("E", "B", "C")])
+        assert wire.decode_enumerate_reply(
+            encoder, rules, wire.pack_ids([1, 0, 1, 2])
+        ) == [{
+            (Constant("A"), Constant("B"), Constant("C")): Substitution({
+                Variable("x"): Constant("A"),
+                Variable("y"): Constant("B"),
+                Variable("z"): Constant("C"),
+            })
+        }]
+        with pytest.raises(ChaseError, match=message):
+            wire.decode_enumerate_reply(encoder, rules, wire.pack_ids(ids))
 
     @pytest.mark.parametrize("reply_kind", ["derive", "enumerate"])
     def test_unknown_symbol_raises_chase_error(self, reply_kind):
@@ -245,13 +280,13 @@ class TestReplyCodec:
         # message-local literal.
         encoder = WireEncoder()
         encoder.encode_atoms([atom("F", "A", "B")])
-        decoder = _synced_decoder(encoder)
+        vocabulary = _synced_vocabulary(encoder)
         stranger = Atom(Predicate("F", 2), (Constant("A"), Null("_n9")))
         with pytest.raises(ChaseError, match="not in the wire table"):
             if reply_kind == "derive":
-                wire.encode_derive_reply(decoder, [stranger])
+                wire.encode_derive_reply(vocabulary, [stranger])
             else:
-                wire.encode_enumerate_reply(decoder, [{stranger.args: None}])
+                wire.encode_enumerate_reply(vocabulary, [{stranger.args: None}])
 
 
 # ----------------------------------------------------------------------
