@@ -18,17 +18,19 @@ Every delta round runs it on one matcher, the *join kernel*, inline and
 on the worker replicas alike: :func:`rule_delta_images` (every oblivious
 and semi-oblivious round, and every existential rule),
 :func:`rule_unsatisfied_images` (the restricted chase) and
-:func:`derive_delta_atoms` (the closure).  The kernel compiles a rule's
-body into one slot program per pivot — the same pivots, the same
-``_order_atoms`` atom order and the same most-selective positional
-bucket as the object matcher, so ``MATCHER_STATS`` counts the same
-searches and candidates — and walks the integer rows of a
-:class:`~repro.engine.columnar.ColumnarInstance` through its id-level
-positional index.  Existential variables change only the head, so one
-body program serves every rule; ground heads (existential-free rules)
-are id tuples tested against the store's row sets.  ``Substitution`` and
-``Atom`` objects are built only for the results.
-:func:`delta_homomorphisms`, the object matcher's
+:func:`derive_delta_atoms` (the closure).  So does the serving layer's
+goal probe, through :func:`rule_delta_match`, which stops at the first
+match and may pin body variables to terms (a *seed*).  The kernel
+compiles a rule's body into one slot program per pivot — the same
+pivots, the same ``_order_atoms`` atom order and the same
+most-selective positional bucket as the object matcher, so
+``MATCHER_STATS`` counts the same searches and candidates — and walks
+the integer rows of a :class:`~repro.engine.columnar.ColumnarInstance`
+through its id-level positional index.  Existential variables change
+only the head, so one body program serves every rule; ground heads
+(existential-free rules) are id tuples tested against the store's row
+sets.  ``Substitution`` and ``Atom`` objects are built only for the
+results.  :func:`delta_homomorphisms`, the object matcher's
 (:mod:`repro.logic.homomorphisms`) run of the decomposition, is the
 reference the kernel is tested against; no engine path calls it.
 
@@ -149,6 +151,28 @@ def rule_unsatisfied_images(
     if _idle(rule, instance, delta_inst):
         return {}
     return _RuleJoin(rule, instance, delta_inst).unsatisfied()
+
+
+def rule_delta_match(
+    rule: Rule,
+    instance: Instance | ColumnarInstance,
+    delta_inst: Instance | ColumnarInstance,
+    seed: dict[Term, Term] | None = None,
+) -> tuple[bool, int]:
+    """Whether some match of ``rule.body`` that extends ``seed`` uses a
+    delta atom, and how many pivot searches ran to decide it.
+
+    Existence mode of the core, used by the serving layer's goal probe
+    (each goal is the rule ``body → ⊤``).  The join stops at its first
+    match, so the searches run are every pivot's with delta rows when
+    nothing matches, and those up to the witnessing pivot otherwise —
+    the searches the object matcher's pivot loop would run, counted in
+    ``MATCHER_STATS`` as each starts.  ``seed`` pins body variables to
+    terms; a term the instance lacks matches nothing.
+    """
+    if _idle(rule, instance, delta_inst):
+        return False, 0
+    return _RuleJoin(rule, instance, delta_inst, seed).exists()
 
 
 def derive_delta_atoms(
@@ -368,6 +392,10 @@ def _level(view: ColumnarInstance, program, inner, tally: list, fixed):
     return run
 
 
+class _Stop(Exception):
+    """Raised by an ``emit`` to end the join at the current match."""
+
+
 class _RuleJoin:
     """One rule's body joined once against an id view.
 
@@ -375,14 +403,20 @@ class _RuleJoin:
     canonical order (so a match's image is a slot prefix), then the
     body's other non-constant terms, then one slot per constant (and,
     once :meth:`_heads` compiled them, per head term the body does not
-    bind) holding its id.
+    bind) holding its id.  A seeded variable's slot holds its term's id
+    from the start.
     """
+
+    #: The seeded body variables: bound in every program, and pinned for
+    #: ``_order_atoms`` as ``homomorphisms_with_pivot`` pins its seed.
+    pinned: frozenset[Term] = frozenset()
 
     def __init__(
         self,
         rule: Rule,
         instance: Instance | ColumnarInstance,
         delta_inst: Instance | ColumnarInstance,
+        seed: dict[Term, Term] | None = None,
     ):
         self.rule = rule
         self.view = view = id_view(instance)
@@ -399,7 +433,21 @@ class _RuleJoin:
         self.slots: list = [None] * len(slot_of)
         self.slot_of = slot_of
         self._bind(body)
+        if seed:
+            self._seed(seed)
         self.searches = self._searches(rule, instance, delta_inst)
+
+    def _seed(self, seed: dict[Term, Term]) -> None:
+        """Pre-bind the seeded body variables to their terms' ids (a
+        placeholder, matching nothing, for a term the view lacks)."""
+        slot_of = self.slot_of
+        term = self.ids.term
+        pinned = []
+        for variable, value in seed.items():
+            if not variable.is_constant and variable in slot_of:
+                self.slots[slot_of[variable]] = term(value)
+                pinned.append(variable)
+        self.pinned = frozenset(pinned)
 
     def _bind(self, atoms: Iterable[Atom]) -> None:
         """Give every term of ``atoms`` without a slot one holding its id."""
@@ -428,7 +476,9 @@ class _RuleJoin:
         matcher would run: one per pivot with delta rows, or a single
         unpivoted search when the delta is the instance."""
         if delta_inst is instance:
-            return [(_order_atoms(list(rule.body), instance), None)]
+            return [
+                (_order_atoms(list(rule.body), instance, self.pinned), None)
+            ]
         searches = []
         pivot_rows: dict[Predicate, Collection[tuple]] = {}
         for pivot in rule.sorted_body():
@@ -442,6 +492,7 @@ class _RuleJoin:
             rest = list(rule.body)
             rest.remove(pivot)
             pinned = {t for t in pivot.args if not t.is_constant}
+            pinned |= self.pinned
             searches.append(
                 ([pivot] + _order_atoms(rest, instance, bound=pinned), rows)
             )
@@ -479,26 +530,41 @@ class _RuleJoin:
         bound_terms |= new
         return (self.ids.predicate(atom.predicate), bound, binds, repeats)
 
-    def _run(self, emit: Callable[[list], None]) -> None:
-        """Every match of every search, handed to ``emit`` as the live
-        slot list (use it before returning)."""
+    def _run(self, emit: Callable[[list], None]) -> int:
+        """Hand every match of every search to ``emit`` as the live slot
+        list (use it before returning); return how many searches ran.
+
+        ``emit`` may raise :class:`_Stop` to end the join at a match.
+        Each search counts in ``MATCHER_STATS.searches`` as it starts, so
+        a stopped join has counted the searches the object matcher would
+        have run by then.
+        """
         tally = [0]
         slots = list(self.slots)
-        for ordered, pivot_rows in self.searches:
-            bound_terms: set[Term] = set()
-            programs = [self._program(atom, bound_terms) for atom in ordered]
-            inner = emit
-            for depth in range(len(programs) - 1, -1, -1):
-                inner = _level(
-                    self.view,
-                    programs[depth],
-                    inner,
-                    tally,
-                    pivot_rows if depth == 0 else None,
-                )
-            inner(slots)
-        MATCHER_STATS.searches += len(self.searches)
-        MATCHER_STATS.candidates += tally[0]
+        started = 0
+        try:
+            for ordered, pivot_rows in self.searches:
+                started += 1
+                MATCHER_STATS.searches += 1
+                bound_terms: set[Term] = set(self.pinned)
+                programs = [
+                    self._program(atom, bound_terms) for atom in ordered
+                ]
+                inner = emit
+                for depth in range(len(programs) - 1, -1, -1):
+                    inner = _level(
+                        self.view,
+                        programs[depth],
+                        inner,
+                        tally,
+                        pivot_rows if depth == 0 else None,
+                    )
+                inner(slots)
+        except _Stop:
+            pass
+        finally:
+            MATCHER_STATS.candidates += tally[0]
+        return started
 
     def _substitutions(
         self, kept: Iterable[list]
@@ -527,6 +593,19 @@ class _RuleJoin:
 
         self._run(emit)
         return self._substitutions(kept.values())
+
+    def exists(self) -> tuple[bool, int]:
+        """Stop at the first match: whether there is one, and how many
+        searches ran."""
+        found = False
+
+        def emit(slots: list) -> None:
+            nonlocal found
+            found = True
+            raise _Stop
+
+        started = self._run(emit)
+        return found, started
 
     def unsatisfied(self) -> dict[tuple, Substitution]:
         heads = self._heads()

@@ -200,9 +200,9 @@ def _search(
     ``first_candidates`` is given it replaces the index lookup for the
     first atom (the pivot of delta-driven trigger enumeration).  Each
     solution is yielded as a cleaned :class:`Substitution` copy of the
-    binding.  Existential-free rules in the restricted chase and the
-    closure do not come through here: the engine's join kernel
-    (:mod:`repro.engine.core`) runs the same search order on integer ids.
+    binding.  Delta rounds and the goal probe's per-round checks do not
+    come through here: the engine's join kernel (:mod:`repro.engine.core`)
+    runs the same search order on integer ids.
     """
     MATCHER_STATS.searches += 1
     n = len(ordered)
@@ -303,10 +303,12 @@ def homomorphisms_with_pivot(
     The pivot atom (which must occur in ``source``) is matched first,
     against the supplied candidates only — typically the delta of a chase
     level; the remaining atoms are matched against the full target via the
-    positional index, in :func:`_order_atoms` order.  This is the building
-    block of the object matcher's semi-naive trigger enumeration and of
-    the serving layer's goal probe; the engine's id join kernel mirrors
-    its pivots, atom order and bucket choice.
+    positional index, in :func:`_order_atoms` order, with the pivot's
+    and the seed's variables pinned.  No engine or serving path calls it:
+    it is the building block of the references the engine's id join
+    kernel is tested against — :func:`repro.engine.core.delta_homomorphisms`
+    and the goal probe's reference in ``tests/test_serving_goal.py`` — and
+    the kernel mirrors its pivots, atom order and bucket choice.
     """
     source_atoms = list(source)
     rest = list(source_atoms)

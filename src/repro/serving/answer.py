@@ -442,11 +442,17 @@ def _decide_by_chase(
         trace=trace,
     )
     chased = runner.run(instance, used)
-    if chased.stopped_on_goal or probe.witnessed:
+    level = chased.levels_completed
+    if chased.stopped_on_goal:
         SERVING_STATS.goal_stops += 1
         verdict, kind, entailed = "exact", "chase_witness", True
     elif chased.terminated:
         verdict, kind, entailed = "exact", "chase_fixpoint", False
+    elif probe.check_delta(chased.instance):
+        # An atom budget stops a run mid-round, before the policy's
+        # post-round probe: the partial round's atoms may hold a witness.
+        verdict, kind, entailed = "exact", "chase_witness", True
+        level += 1
     else:
         verdict, kind, entailed = "sound", "chase_budget", False
     return AnswerResult(
@@ -455,7 +461,7 @@ def _decide_by_chase(
         verdict=verdict,
         evidence={
             "kind": kind,
-            "level": chased.levels_completed,
+            "level": level,
             "atoms": len(chased.instance),
         },
         strategy=provenance["resolved"],

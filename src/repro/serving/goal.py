@@ -5,15 +5,21 @@ in hybrid mode the piece-rewriter's disjuncts) against a growing
 instance.  Instead of re-evaluating each goal on the whole instance
 after every round, the probe is *incremental*: a full check anchors a
 revision watermark, and each subsequent check only looks for matches
-that use at least one atom of the ``delta_since`` slice — every goal
-atom takes a turn as the pivot of
-:func:`~repro.logic.homomorphisms.homomorphisms_with_pivot` with the
-delta's same-predicate atoms as its only candidates, while the rest of
-the goal matches against the full instance through the positional
-index.  A homomorphism confined to pre-watermark atoms was already
-searched by an earlier check, so nothing is missed; a hit is a chase
-witness, and :class:`GoalDirectedPolicy` turns it into the runner's
-goal stop (:meth:`~repro.engine.runner.VariantPolicy.round_complete`).
+that use at least one atom of the ``delta_since`` slice.  That is the
+delta core's pivot decomposition, so each goal — as the rule ``body →
+⊤``, seeded with its answer-variable binding — joins on the instance's
+id view through :func:`~repro.engine.core.rule_delta_match`: every goal
+atom takes a turn as the pivot, matched against the delta's rows only,
+while the rest of the goal matches the whole instance, and the join
+stops at its first match.  A homomorphism confined to pre-watermark
+atoms was already searched by an earlier check, so nothing is missed; a
+hit is a chase witness, and :class:`GoalDirectedPolicy` turns it into
+the runner's goal stop
+(:meth:`~repro.engine.runner.VariantPolicy.round_complete`).
+
+The round-0 full check stays on the object matcher
+(:func:`~repro.logic.homomorphisms.find_homomorphism`): it reads the
+caller's instance, which must not get an id view attached.
 """
 
 from __future__ import annotations
@@ -21,12 +27,11 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.chase.oblivious import ObliviousPolicy
-from repro.logic.atoms import Atom
-from repro.logic.homomorphisms import (
-    find_homomorphism,
-    homomorphisms_with_pivot,
-)
+from repro.engine.core import as_delta_instance, rule_delta_match
+from repro.logic.atoms import TOP_ATOM, Atom
+from repro.logic.homomorphisms import find_homomorphism
 from repro.logic.instances import Instance
+from repro.rules.rule import Rule
 from repro.serving.stats import SERVING_STATS
 
 
@@ -43,7 +48,9 @@ class GoalProbe:
     """
 
     def __init__(self, goals: Sequence[tuple[Sequence[Atom], dict]]):
-        self._goals = [(sorted(atoms), dict(seed)) for atoms, seed in goals]
+        self._goals = [
+            (Rule(atoms, (TOP_ATOM,)), dict(seed)) for atoms, seed in goals
+        ]
         self.witnessed = False
         self._watermark = 0
 
@@ -54,8 +61,9 @@ class GoalProbe:
         matches using atoms added after this point.
         """
         self._watermark = instance.revision
-        for atoms, seed in self._goals:
-            if find_homomorphism(atoms, instance, seed=seed) is not None:
+        for goal, seed in self._goals:
+            match = find_homomorphism(goal.sorted_body(), instance, seed=seed)
+            if match is not None:
                 self.witnessed = True
                 return True
         return False
@@ -71,31 +79,26 @@ class GoalProbe:
         self._watermark = instance.revision
 
     def check_delta(self, instance: Instance) -> bool:
-        """Probe only for matches using an atom added since the watermark."""
+        """Probe only for matches using an atom added since the watermark.
+
+        Goals are tried in order; the first witness ends the check.
+        ``SERVING_STATS.delta_probes`` counts the pivot searches run.
+        """
         if self.witnessed:
             return True
         delta = instance.delta_since(self._watermark)
         self._watermark = instance.revision
         if not delta:
             return False
-        by_predicate: dict = {}
-        for atom in delta:
-            by_predicate.setdefault(atom.predicate, []).append(atom)
-        for atoms, seed in self._goals:
-            for pivot in atoms:
-                candidates = by_predicate.get(pivot.predicate)
-                if not candidates:
-                    continue
-                SERVING_STATS.delta_probes += 1
-                match = next(
-                    homomorphisms_with_pivot(
-                        atoms, instance, pivot, candidates, seed=seed
-                    ),
-                    None,
-                )
-                if match is not None:
-                    self.witnessed = True
-                    return True
+        delta_inst = as_delta_instance(delta)
+        for goal, seed in self._goals:
+            found, searches = rule_delta_match(
+                goal, instance, delta_inst, seed
+            )
+            SERVING_STATS.delta_probes += searches
+            if found:
+                self.witnessed = True
+                return True
         return False
 
 

@@ -206,6 +206,49 @@ class TestBudgetStops:
         assert ample.verdict == "exact"
         assert ample.evidence["kind"] == "chase_witness"
 
+    @pytest.mark.parametrize("max_atoms", range(3, 8))
+    def test_atom_budget_stop_probes_the_partial_round(self, max_atoms):
+        # Round 1 fires E(a,b) -> Q(b) first.  An atom budget stops it
+        # mid-round, before the post-round probe; the partial round's
+        # atoms still witness the query, one level above the last
+        # completed round.
+        result = answer(
+            parse_instance("E(a,b), E(c,d), E(e,f)"),
+            parse_rules("E(x,y) -> Q(y)"),
+            parse_query("Q(b)"),
+            strategy="chase",
+            max_atoms=max_atoms,
+        )
+        assert entails_cq(result.chase.instance, parse_query("Q(b)"))
+        assert result.entailed
+        assert result.verdict == "exact"
+        assert result.evidence["kind"] == "chase_witness"
+        assert result.evidence["level"] == 1
+        stopped_mid_round = not result.chase.stopped_on_goal
+        assert stopped_mid_round == (max_atoms < 7)
+        assert result.chase.levels_completed == (0 if stopped_mid_round else 1)
+
+    @pytest.mark.parametrize("value,entailed", [("b", True), ("f", False)])
+    def test_atom_budget_stop_probes_with_the_seed(self, value, entailed):
+        # Q(f) is derived last in round 1, after the budget stop.
+        result = answer(
+            parse_instance("E(a,b), E(c,d), E(e,f)"),
+            parse_rules("E(x,y) -> Q(y)"),
+            parse_query("Q(y)", answers=("y",)),
+            (Constant(value),),
+            strategy="chase",
+            max_atoms=5,
+        )
+        assert result.entailed == entailed
+        if entailed:
+            assert result.verdict == "exact"
+            assert result.evidence["kind"] == "chase_witness"
+        else:
+            assert result.verdict == "sound"
+            assert result.evidence == {
+                "kind": "chase_budget", "level": 0, "atoms": 6,
+            }
+
     def test_hybrid_rewriting_beats_the_chase_budget(self):
         # The complete rewriting folds the six-chain down to the base
         # edge, answering exactly where the chase budget gave up.
