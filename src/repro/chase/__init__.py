@@ -1,5 +1,9 @@
 """The chase: triggers, oblivious/restricted engines, results with
-timestamps (Def 34) and provenance."""
+timestamps (Def 34) and provenance.
+
+:func:`new_triggers_of` is the public lazy enumerator of the triggers new
+against a delta; the engines build every round's triggers through
+:func:`repro.chase.trigger.round_triggers`."""
 
 from repro.chase.bounds import (
     DEFAULT_MAX_ATOMS,
@@ -22,7 +26,6 @@ from repro.chase.trigger import (
     Trigger,
     naive_new_triggers_of,
     new_triggers_of,
-    parallel_new_triggers_of,
     triggers_of,
 )
 
@@ -41,7 +44,6 @@ __all__ = [
     "naive_new_triggers_of",
     "new_triggers_of",
     "oblivious_chase",
-    "parallel_new_triggers_of",
     "restricted_chase",
     "semi_oblivious_chase",
     "suggested_level_budget",

@@ -20,7 +20,7 @@ that could not add an atom: a match whose ground head is already in the
 round-start instance, or whose head a smaller image of the same rule
 grounds too, is dropped where it is found — inline, or on the worker
 replica that enumerated it — and each survivor arrives with its head
-parked (:func:`~repro.chase.trigger.restricted_new_triggers_of`).  The
+parked (:func:`~repro.chase.trigger.round_triggers`).  The
 round then fires through the runner's one lazy stream with the
 satisfaction check
 (:meth:`~repro.chase.trigger.Trigger.is_satisfied_using_index`) as its

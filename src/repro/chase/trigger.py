@@ -12,10 +12,12 @@ produced (the paper's ``Ch_{n+1}`` is built from triggers new at level
 ``n``, so this is the definition computed literally instead of by
 re-matching everything and discarding the already-fired majority).
 
-Every delta enumeration here — oblivious, semi-oblivious and restricted,
+Every delta enumeration — oblivious, semi-oblivious and restricted,
 inline or on the worker pool — joins on the delta core's id kernel
-(:mod:`repro.engine.core`), which builds one ``Substitution`` per
-distinct body image.  The object matcher keeps the full enumerations
+(:func:`repro.engine.core.round_matches`), which builds one
+``Substitution`` per distinct body image, and :func:`round_triggers`
+turns any round's per-rule matches into its triggers in canonical
+order.  The object matcher keeps the full enumerations
 (:func:`triggers_of`, :func:`naive_new_triggers_of`, the ``naive``
 engine's reference) and the satisfaction checks.
 """
@@ -26,8 +28,8 @@ from typing import Iterable, Iterator
 
 from repro.engine.core import (
     as_delta_instance,
+    round_matches,
     rule_delta_images,
-    rule_unsatisfied_images,
 )
 from repro.logic.atoms import Atom
 from repro.logic.homomorphisms import (
@@ -61,7 +63,7 @@ class Trigger:
         self._image: tuple[Term, ...] | None = None
         # For existential-free rules the output is fully determined by the
         # mapping; the restricted chase's enumeration
-        # (restricted_new_triggers_of), its satisfaction check or a custom
+        # (round_triggers), its satisfaction check or a custom
         # policy's claim gate may park the instantiated head here, and
         # :meth:`output` reuses the parked atoms instead of instantiating
         # a second time.
@@ -195,6 +197,51 @@ def _trigger_with_image(
     return trigger
 
 
+def round_triggers(
+    rules: RuleSet | list[Rule],
+    per_rule: Iterable[dict],
+    *,
+    prune_ground_heads: bool = False,
+) -> list[Trigger]:
+    """The triggers of one delta round, in canonical order.
+
+    ``per_rule`` holds one ``{image: hom}`` dict per rule, as
+    :func:`~repro.engine.core.round_matches` returns them, inline or
+    merged across the worker pool.  Triggers come per rule in rule-set
+    order, each rule's sorted by image — the order every engine fires
+    in, whichever way the matches were found.
+
+    ``prune_ground_heads`` is for the dicts of an
+    ``enumerate_unsatisfied`` round (the restricted chase): an
+    existential-free rule keeps one trigger per distinct ground head,
+    the smallest image (two pool workers may each keep one), and parks
+    the head on ``_ground_output`` for the claim gate and for firing.
+    Every dropped trigger is one the restricted chase would have found
+    satisfied at its turn, so firing the survivors in canonical order
+    yields the same result, provenance and budget stops as firing all
+    of the round's matches.
+    """
+    triggers: list[Trigger] = []
+    for rule, found in zip(rules, per_rule):
+        if not prune_ground_heads or rule.existential_order():
+            triggers.extend(
+                _trigger_with_image(rule, found[image], image)
+                for image in sorted(found)
+            )
+            continue
+        heads: set[frozenset[Atom]] = set()
+        for image in sorted(found):
+            hom = found[image]
+            head = frozenset(rule.instantiate_head(hom))
+            if head in heads:
+                continue
+            heads.add(head)
+            trigger = _trigger_with_image(rule, hom, image)
+            trigger._ground_output = head
+            triggers.append(trigger)
+    return triggers
+
+
 def new_triggers_of(
     instance: Instance,
     rules: RuleSet | list[Rule],
@@ -207,105 +254,42 @@ def new_triggers_of(
     body atom, that atom is matched against the delta only while the
     remaining atoms match the full instance; a homomorphism touching
     ``k`` delta atoms is found by ``k`` pivots, so duplicates are keyed
-    out on the trigger image.
+    out on the trigger image.  Lazy, one rule at a time.
 
     Deterministic: rules in rule-set order, then triggers of each rule
-    sorted by their body-variable image.  The chase engines rely on this
-    canonical order being *independent of how the triggers were found*, so
-    the delta, naive and parallel engines fire in the same order and
-    produce bit-identical results.
+    sorted by their body-variable image (:func:`round_triggers`).  The
+    chase engines rely on this canonical order being *independent of how
+    the triggers were found*, so the delta, naive and parallel engines
+    fire in the same order and produce bit-identical results.
     """
     delta_inst = as_delta_instance(delta)
     if not len(delta_inst):
         return
     for rule in rules:
         found = rule_delta_images(rule, instance, delta_inst)
-        for image in sorted(found):
-            yield _trigger_with_image(rule, found[image], image)
-
-
-def parallel_new_triggers_of(
-    instance: Instance,
-    rules: RuleSet | list[Rule],
-    delta: Iterable[Atom] | Instance,
-    scheduler,
-) -> list[Trigger]:
-    """Pool-parallel :func:`new_triggers_of` — same triggers, same order.
-
-    ``scheduler`` is a :class:`repro.engine.scheduler.RoundScheduler`; it
-    hash-routes the delta, enumerates every worker's slice against the
-    full instance on its worker pool, and merges the candidates back keyed
-    by canonical image, so the returned list is identical to the
-    sequential enumeration for every worker count.
-    """
-    rule_list = list(rules)
-    delta_atoms = (
-        delta.atoms() if isinstance(delta, Instance) else delta
-    )
-    per_rule = scheduler.enumerate_images(instance, rule_list, delta_atoms)
-    triggers: list[Trigger] = []
-    for rule, pairs in zip(rule_list, per_rule):
-        triggers.extend(
-            _trigger_with_image(rule, hom, image) for image, hom in pairs
-        )
-    return triggers
+        yield from round_triggers((rule,), (found,))
 
 
 def restricted_new_triggers_of(
     instance: Instance,
     rules: RuleSet | list[Rule],
     delta: Iterable[Atom] | Instance,
-    scheduler=None,
 ) -> list[Trigger]:
     """The restricted chase's :func:`new_triggers_of`: only triggers that
     can still add an atom, in the same canonical order.
 
-    Existential-free rules enumerate through
-    :func:`~repro.engine.core.rule_unsatisfied_images` — inline, or on
-    every worker of ``scheduler`` against its round-start replica — so a
-    match whose ground head is already present, or whose head a smaller
-    image of the same rule grounds too, never becomes a
-    :class:`Trigger`.  The merge keeps one trigger per distinct head, the
-    smallest image (workers may each keep their own), and parks the head
-    on ``_ground_output`` for the claim gate and for firing.  Existential
-    rules enumerate unpruned.
-
-    Every dropped trigger is one the restricted chase would have found
-    satisfied at its turn, so firing the survivors in canonical order
-    yields the same result, provenance and budget stops as firing all
-    of :func:`new_triggers_of`.
+    One inline ``enumerate_unsatisfied`` round
+    (:func:`~repro.engine.core.rule_unsatisfied_images` per rule) through
+    :func:`round_triggers` with ``prune_ground_heads``: a match of an
+    existential-free rule whose ground head is already present, or whose
+    head a smaller image of the same rule grounds too, never becomes a
+    :class:`Trigger`.  Existential rules enumerate unpruned.
     """
-    rule_list = list(rules)
-    if scheduler is not None:
-        delta_atoms = delta.atoms() if isinstance(delta, Instance) else delta
-        per_rule = scheduler.unsatisfied_images(
-            instance, rule_list, delta_atoms
-        )
-    else:
-        delta_inst = as_delta_instance(delta)
-        if not len(delta_inst):
-            return []
-        per_rule = [
-            sorted(rule_unsatisfied_images(rule, instance, delta_inst).items())
-            for rule in rule_list
-        ]
-    triggers: list[Trigger] = []
-    for rule, pairs in zip(rule_list, per_rule):
-        if rule.existential_order():
-            triggers.extend(
-                _trigger_with_image(rule, hom, image) for image, hom in pairs
-            )
-            continue
-        heads: set[frozenset[Atom]] = set()
-        for image, hom in pairs:
-            head = frozenset(rule.instantiate_head(hom))
-            if head in heads:
-                continue
-            heads.add(head)
-            trigger = _trigger_with_image(rule, hom, image)
-            trigger._ground_output = head
-            triggers.append(trigger)
-    return triggers
+    rules = list(rules)
+    per_rule = round_matches(
+        "enumerate_unsatisfied", rules, instance, as_delta_instance(delta)
+    )
+    return round_triggers(rules, per_rule, prune_ground_heads=True)
 
 
 def naive_new_triggers_of(

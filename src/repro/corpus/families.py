@@ -10,7 +10,6 @@ from __future__ import annotations
 from repro.corpus.examples import CorpusEntry
 from repro.logic.instances import Instance
 from repro.rules.parser import parse_instance, parse_rules
-from repro.rules.ruleset import RuleSet
 
 
 def inclusion_chain(length: int) -> CorpusEntry:

@@ -4,11 +4,12 @@ Every saturation in the library (the three chase variants and the
 semi-naive Datalog closure) runs on the machinery in this package: one
 strategy-driven saturation loop (:class:`ChaseRunner` +
 :class:`VariantPolicy` in :mod:`repro.engine.runner`), one shared
-pivot-decomposition core, one engine registry, one fan-out backend (the
-persistent :class:`WorkerPool`, driven by the :class:`RoundScheduler`,
-which matches) and one firing path (the runner's lazy claim/output
-stream into :meth:`~repro.chase.result.ChaseResult.record_round`, which
-always runs in the parent).  The variant modules under ``repro.chase``
+pivot-decomposition core whose one per-slice function every delta round
+runs, one engine registry, one fan-out backend (the persistent
+:class:`WorkerPool`, which routes, matches and merges) and one firing
+path (the runner's lazy claim/output stream into
+:meth:`~repro.chase.result.ChaseResult.record_round`, which always runs
+in the parent).  The variant modules under ``repro.chase``
 (and the closure in ``repro.rewriting.datalog``) are thin policy
 declarations over the runner.
 
@@ -42,10 +43,10 @@ engines; :func:`register_engine` adds presets.
 
 Routing
 -------
-On the pool each round's delta is hash-partitioned by the
-:class:`RoundScheduler`, one slice per worker, and each worker
-enumerates its slice against its replica.  The routing is invisible in
-the results.
+On the pool each round's delta is hash-partitioned by
+:meth:`WorkerPool.round_matches`, one slice per worker, and each worker
+enumerates its slice against its replica; a round whose delta lands on
+one worker runs inline.  The routing is invisible in the results.
 
 Determinism guarantees
 ----------------------
@@ -65,10 +66,11 @@ Every delta round joins on integer rows (the join kernel in
 :mod:`repro.engine.core`), inline and on the pool's columnar replicas,
 on every engine but ``naive``, and every round records its provenance
 in one :meth:`~repro.chase.result.ChaseResult.record_round` pass.  The
-pool adds
-multicore matching for closures and chases whose per-round work
-outweighs the per-round delta sync (see
-``benchmarks/bench_exp13_parallel.py`` and ``bench_exp14_persistent.py``).
+pool has won nothing it was measured on: on a 2-CPU host it is slower
+than inline ``delta`` on closures of 60- to 200-edge paths and on
+restricted chases of 80- and 140-edge paths (EXP-13..16 in
+``benchmarks/``), because encoding, decoding and merging in the parent
+cost more than the matching it moves to the workers.
 """
 
 from repro.engine.columnar import ColumnarInstance, Vocabulary
@@ -87,8 +89,6 @@ from repro.engine.core import (
     rule_delta_images,
 )
 from repro.engine.runner import ChaseRunner, VariantPolicy
-from repro.engine.scheduler import RoundScheduler
-from repro.engine.wire import WireEncoder
 from repro.engine.workers import TRANSPORT_STATS, WorkerPool
 
 __all__ = [
@@ -96,11 +96,9 @@ __all__ = [
     "ColumnarInstance",
     "DEFAULT_PARALLEL_WORKERS",
     "EngineConfig",
-    "RoundScheduler",
     "VariantPolicy",
     "TRANSPORT_STATS",
     "Vocabulary",
-    "WireEncoder",
     "WorkerPool",
     "as_delta_instance",
     "available_engines",

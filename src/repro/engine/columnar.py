@@ -9,10 +9,13 @@ the join kernel's *id view* of an object
 
 Layout
 ------
-One :class:`Vocabulary` maps ids to term/predicate objects and back: a
-worker's replica of the pool's symbol tables, grown only through the
-table segments the parent ships (:meth:`Vocabulary.apply_segment`), or
-an id view's own tables.  Per predicate id the store keeps
+One :class:`Vocabulary` maps ids to term/predicate objects and back.
+It is the only symbol table in the engine, in three roles: the pool's
+wire tables in the parent (grown by interning what the pool ships, cut
+into per-worker table segments by :meth:`Vocabulary.segment`), a
+worker's replica of them (grown only through the segments the parent
+ships, :meth:`Vocabulary.apply_segment`), and an id view's own tables.
+Per predicate id the store keeps
 
 * its *rows* — term-id tuples, in append order,
 * a row set of the same tuples for O(1) membership,
@@ -49,14 +52,16 @@ _EMPTY_ROWS: frozenset[tuple[int, ...]] = frozenset()
 
 
 class Vocabulary:
-    """A live id ↔ object view over one set of symbol tables.
+    """A live, append-only id ↔ object table of terms and predicates.
 
     Four containers — terms, term ids, predicates, predicate ids —
     starting empty and held by reference, so a columnar instance keyed
     on the vocabulary sees every symbol the tables learn later, with no
-    copies and no synchronization.  A worker's vocabulary grows only
-    through :meth:`apply_segment`; an id view's through
-    :meth:`intern_atom`.
+    copies and no synchronization.  The pool's parent-side tables grow
+    through :meth:`intern_term`, :meth:`intern_predicate` and
+    :meth:`intern_atom` (:func:`repro.engine.wire.encode_atoms`) and ship
+    as :meth:`segment` cuts; a worker's vocabulary grows only through
+    :meth:`apply_segment`; an id view's through :meth:`intern_atom`.
     """
 
     __slots__ = ("terms", "term_ids", "predicates", "predicate_ids")
@@ -66,6 +71,27 @@ class Vocabulary:
         self.term_ids: dict[Term, int] = {}
         self.predicates: list[Predicate] = []
         self.predicate_ids: dict[Predicate, int] = {}
+
+    def marks(self) -> tuple[int, int]:
+        """The current table sizes ``(terms, predicates)``: a worker's
+        high-water mark once it has replayed everything up to here."""
+        return (len(self.terms), len(self.predicates))
+
+    def segment(self, term_mark: int, pred_mark: int):
+        """The entries appended since the marks, as a table segment for
+        :meth:`apply_segment`: terms as ``(rank, name)`` (the rank
+        indexes :data:`repro.logic.terms.TERM_KINDS`), predicates as
+        ``(name, arity)``.  ``None`` when the marks are current."""
+        terms = self.terms
+        predicates = self.predicates
+        if term_mark == len(terms) and pred_mark == len(predicates):
+            return None
+        return (
+            term_mark,
+            tuple([(term._rank, term.name) for term in terms[term_mark:]]),
+            pred_mark,
+            tuple([(p.name, p.arity) for p in predicates[pred_mark:]]),
+        )
 
     def apply_segment(self, segment) -> None:
         """Replay one wire table segment (``None``: nothing new).
@@ -84,19 +110,32 @@ class Vocabulary:
                 f"starts at ({term_start}, {pred_start})"
             )
         for rank, name in term_specs:
-            term = term_from_wire(rank, name)
-            self.term_ids[term] = len(self.terms)
-            self.terms.append(term)
+            self.intern_term(term_from_wire(rank, name))
         for name, arity in pred_specs:
-            predicate = Predicate(name, arity)
-            self.predicate_ids[predicate] = len(self.predicates)
+            self.intern_predicate(Predicate(name, arity))
+
+    def intern_term(self, term: Term) -> int:
+        """``term``'s id, appending it when new."""
+        term_id = self.term_ids.get(term)
+        if term_id is None:
+            term_id = self.term_ids[term] = len(self.terms)
+            self.terms.append(term)
+        return term_id
+
+    def intern_predicate(self, predicate: Predicate) -> int:
+        """``predicate``'s id, appending it when new."""
+        pred_id = self.predicate_ids.get(predicate)
+        if pred_id is None:
+            pred_id = self.predicate_ids[predicate] = len(self.predicates)
             self.predicates.append(predicate)
+        return pred_id
 
     def intern_atom(self, atom: Atom) -> tuple[int, tuple[int, ...]]:
         """``atom`` as ``(pred_id, term_ids)``, interning new symbols.
 
-        Only for an id view's tables: a worker's vocabulary grows through
-        its table segments, never from here.
+        :meth:`intern_predicate`, then :meth:`intern_term` per argument,
+        inlined: every atom the chase adds reaches an id view here.
+        Never on a worker's vocabulary, which grows only by segments.
         """
         predicate = atom.predicate
         pred_id = self.predicate_ids.get(predicate)

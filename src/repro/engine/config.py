@@ -20,11 +20,11 @@ Built-in engines
     ``delta``.  Raise ``workers`` to run them on the worker pool.
 ``persistent``
     The parallel mode at four workers: rounds enumerate on the persistent
-    :class:`~repro.engine.workers.WorkerPool` (:mod:`repro.engine.scheduler`)
-    and fire in the parent.  Each worker holds a long-lived replica of the
-    instance, seeded once and synced with only the per-round delta.
-    ``"persistent"`` is a spelling of ``mode="parallel"``; results are
-    bit-identical to ``delta`` for every worker count.
+    :class:`~repro.engine.workers.WorkerPool` and fire in the parent.
+    Each worker holds a long-lived replica of the instance, seeded once
+    and synced with only the per-round delta.  ``"persistent"`` is a
+    spelling of ``mode="parallel"``; results are bit-identical to
+    ``delta`` for every worker count.
 """
 
 from __future__ import annotations

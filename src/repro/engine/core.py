@@ -1,10 +1,10 @@
 """The unified semi-naive delta core and its id-native join kernel.
 
 One pivot-atom decomposition serves every delta-driven round in the
-library: trigger enumeration for the chase variants
-(:func:`repro.chase.trigger.new_triggers_of`), the worker pool's
-enumeration in the parallel scheduler, and head derivation for the
-Datalog closure (:func:`repro.rewriting.datalog.semi_naive_closure`).
+library: trigger enumeration for the chase variants and head derivation
+for the Datalog closure (:func:`repro.rewriting.datalog.semi_naive_closure`).
+Every such round runs :func:`round_matches` — in the parent on the whole
+delta, or on each worker of the pool on its slice of it.
 
 The decomposition: a homomorphism of a rule body into the instance uses at
 least one delta atom exactly when some body atom maps into the delta.  For
@@ -198,6 +198,33 @@ def derive_delta_atoms(
     if _idle(rule, instance, delta_inst):
         return set()
     return _RuleJoin(rule, instance, delta_inst).derive()
+
+
+def round_matches(
+    mode: str,
+    rules: Sequence[Rule],
+    instance: Instance | ColumnarInstance,
+    delta_inst: Instance | ColumnarInstance,
+):
+    """One delta round over ``rules``: the per-slice function every round
+    runs, inline on the whole delta or in a pool worker on its slice.
+
+    ``mode`` is the pool's command name: per rule, a
+    :func:`rule_delta_images` dict (``"enumerate"``) or a
+    :func:`rule_unsatisfied_images` dict (``"enumerate_unsatisfied"``),
+    or the :func:`derive_delta_atoms` heads of all rules (``"derive"``).
+    """
+    if mode == "derive":
+        derived: set[Atom] = set()
+        for rule in rules:
+            derived.update(derive_delta_atoms(rule, instance, delta_inst))
+        return derived
+    images = (
+        rule_unsatisfied_images
+        if mode == "enumerate_unsatisfied"
+        else rule_delta_images
+    )
+    return [images(rule, instance, delta_inst) for rule in rules]
 
 
 # ----------------------------------------------------------------------

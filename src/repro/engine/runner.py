@@ -6,7 +6,7 @@ new against the last delta, gate them, fire, record, check budgets and the
 fixpoint — differing only in a handful of strategy decisions.  This module
 owns that loop once:
 
-* :class:`ChaseRunner` — engine resolution, scheduler/worker-pool
+* :class:`ChaseRunner` — engine resolution, the worker pool's
   lifecycle, the per-round enumerate → gate → fire → record cycle, budget
   handling with strict/partial semantics, and fixpoint detection.
 * :class:`VariantPolicy` — the small strategy surface that actually
@@ -20,6 +20,16 @@ The chase variants (:mod:`repro.chase.oblivious`,
 Datalog closure (:mod:`repro.rewriting.datalog`) are thin policy
 declarations over this runner; engine features — the worker pool, the
 firing stream — land here once instead of once per variant.
+
+One round path
+--------------
+Every delta round of every engine but ``naive`` — trigger enumeration
+and closure derivation alike — is one call of
+:func:`~repro.engine.core.round_matches` on the round's delta: inline,
+or handed to the run's :class:`~repro.engine.workers.WorkerPool`, which
+splits the delta across its workers and merges their replies into the
+same result.  :func:`~repro.chase.trigger.round_triggers` turns the
+per-rule matches into the round's triggers in canonical order.
 
 One firing path
 ---------------
@@ -50,9 +60,8 @@ import time
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from repro.engine.config import EngineConfig, resolve_engine
-from repro.engine.core import as_delta_instance, derive_delta_atoms
-from repro.engine.scheduler import RoundScheduler
-from repro.engine.workers import TRANSPORT_STATS
+from repro.engine.core import as_delta_instance, round_matches
+from repro.engine.workers import TRANSPORT_STATS, WorkerPool
 from repro.errors import ChaseBudgetExceeded, ChaseError
 from repro.logic.terms import FreshSupply
 from repro.obs import default_registry
@@ -120,12 +129,13 @@ class VariantPolicy:
     probe_fixpoint = True
     #: What a step is called in budget messages (``levels`` or ``rounds``).
     step_noun = "levels"
-    #: Enumerate through :func:`~repro.chase.trigger.restricted_new_triggers_of`
-    #: on the delta-family engines: existential-free triggers whose
-    #: ground head is present at round start, or repeats a smaller
-    #: image's head, are never built.  Only sound for a claim gate that
-    #: skips satisfied triggers (the restricted chase); ``naive`` stays
-    #: unpruned.
+    #: Enumerate in ``enumerate_unsatisfied`` mode on the delta-family
+    #: engines (:func:`~repro.engine.core.rule_unsatisfied_images`, then
+    #: :func:`~repro.chase.trigger.round_triggers`' head dedup):
+    #: existential-free triggers whose ground head is present at round
+    #: start, or repeats a smaller image's head, are never built.  Only
+    #: sound for a claim gate that skips satisfied triggers (the
+    #: restricted chase); ``naive`` stays unpruned.
     prune_ground_heads = False
 
     # -- enumeration ---------------------------------------------------
@@ -160,7 +170,7 @@ class VariantPolicy:
         """Existence probe after the step budget, delta engines.
 
         Existence-only, so the sequential enumeration serves every engine
-        (the parallel scheduler is already closed when this runs).
+        (the worker pool is already closed when this runs).
         """
         from repro.chase.trigger import new_triggers_of
 
@@ -264,8 +274,9 @@ class FixpointPolicy(VariantPolicy):
 class ChaseRunner:
     """The saturation loop every chase variant and closure runs through.
 
-    One runner serves one run: it resolves the engine, owns the parallel
-    scheduler's lifecycle (and through it the worker pool's), executes the
+    One runner serves one run: it resolves the engine, owns the worker
+    pool of a pooled engine (spawned on the first round that fans out,
+    released by :meth:`close` when the run ends), executes the
     per-round enumerate → gate → fire → record cycle, enforces the atom
     and step budgets with strict/partial semantics, and detects the
     fixpoint.  Everything variant-specific is delegated to the
@@ -318,7 +329,9 @@ class ChaseRunner:
         self.supply = supply or FreshSupply(prefix=policy.supply_prefix)
         self.trace = trace
         self._seen_revision = 0
-        self._scheduler: RoundScheduler | None = None
+        self._pool: WorkerPool | None = (
+            WorkerPool(self.config.workers) if self.config.uses_pool else None
+        )
         self._used = False
         self._wire_mark: tuple | None = None
 
@@ -416,7 +429,6 @@ class ChaseRunner:
         consistent for the :meth:`run` wrapper to finalize.
         """
         policy = self.policy
-        self._open()
         try:
             for step in range(self.max_steps):
                 recorder = self._begin_round(step + 1)
@@ -474,7 +486,7 @@ class ChaseRunner:
                         new_atoms=len(result.instance) - atoms_before,
                     )
         finally:
-            self._close()
+            self.close()
 
         if policy.probe_fixpoint and not self._has_remaining(
             result.instance, rules
@@ -490,31 +502,34 @@ class ChaseRunner:
         self, instance: "Instance", rules: "RuleSet"
     ) -> list["Trigger"]:
         """Enumerate one round's candidate triggers on the run's engine."""
-        from repro.chase.trigger import (
-            new_triggers_of,
-            parallel_new_triggers_of,
-            restricted_new_triggers_of,
-        )
+        from repro.chase.trigger import round_triggers
 
         policy = self.policy
         if self.config.is_naive:
             return policy.naive_new_triggers(instance, rules)
+        prune = policy.prune_ground_heads
+        mode = "enumerate_unsatisfied" if prune else "enumerate"
+        per_rule = self._round_matches(mode, instance, rules)
+        return policy.filter_new(
+            round_triggers(rules, per_rule, prune_ground_heads=prune)
+        )
+
+    def _round_matches(
+        self, mode: str, instance: "Instance", rules: "RuleSet"
+    ):
+        """:func:`~repro.engine.core.round_matches` of what the instance
+        gained since the last round, on the run's pool if it has one;
+        ``naive`` (only derivation rounds reach it) re-matches it all."""
+        if self.config.is_naive:
+            return round_matches(mode, rules, instance, instance)
         delta = instance.delta_since(self._seen_revision)
         self._seen_revision = instance.revision
         recorder = active_round()
         if recorder is not None:
             recorder.delta_atoms = len(delta)
-        if policy.prune_ground_heads:
-            enumerated: Iterable["Trigger"] = restricted_new_triggers_of(
-                instance, rules, delta, self._scheduler
-            )
-        elif self._scheduler is not None:
-            enumerated = parallel_new_triggers_of(
-                instance, rules, delta, self._scheduler
-            )
-        else:
-            enumerated = new_triggers_of(instance, rules, delta)
-        return policy.filter_new(enumerated)
+        if self._pool is not None:
+            return self._pool.round_matches(mode, rules, instance, delta)
+        return round_matches(mode, rules, instance, as_delta_instance(delta))
 
     def _has_remaining(self, instance: "Instance", rules: "RuleSet") -> bool:
         """The post-budget fixpoint probe."""
@@ -549,7 +564,6 @@ class ChaseRunner:
         # the trace summary written on every stop path below.
         rounds = 0
         terminated = False
-        self._open()
         try:
             for step in range(self.max_steps):
                 recorder = self._begin_round(step + 1, plan="derive")
@@ -557,7 +571,7 @@ class ChaseRunner:
                 derived = new_atoms = ()
                 try:
                     with timed(recorder, "enumerate"):
-                        derived = self._derive(total, rules)
+                        derived = self._round_matches("derive", total, rules)
                     with timed(recorder, "record"):
                         new_atoms = {a for a in derived if a not in total}
                         if new_atoms:
@@ -583,36 +597,11 @@ class ChaseRunner:
                 partial_result=total,
             )
         finally:
-            self._close()
+            self.close()
             if self.trace is not None:
                 self.trace.finish_run(
                     terminated=terminated, atoms=len(total), rounds=rounds
                 )
-
-    def _derive(self, total: "Instance", rules: "RuleSet") -> set["Atom"]:
-        """One derivation round on the run's engine.
-
-        ``naive`` re-derives from the whole instance on the object
-        matcher; every other engine derives the heads whose body uses a
-        delta atom on the join kernel — inline, or split across the
-        worker pool.
-        """
-        derived: set["Atom"] = set()
-        if self.config.is_naive:
-            for rule in rules:
-                derived.update(derive_delta_atoms(rule, total, total))
-            return derived
-        delta = total.delta_since(self._seen_revision)
-        self._seen_revision = total.revision
-        recorder = active_round()
-        if recorder is not None:
-            recorder.delta_atoms = len(delta)
-        if self._scheduler is not None:
-            return self._scheduler.derive_atoms(total, rules, delta)
-        delta_inst = as_delta_instance(delta)
-        for rule in rules:
-            derived.update(derive_delta_atoms(rule, total, delta_inst))
-        return derived
 
     # ------------------------------------------------------------------
     # Fixpoint-mode runs (non-instance breadth loops)
@@ -632,8 +621,8 @@ class ChaseRunner:
         (unless the policy already raised a more specific error inside
         ``expand``, which wins).
 
-        No scheduler is opened: expansion is pure frontier computation,
-        so the engine backends have nothing to fan out.  Round tracing and
+        No pool round runs: expansion is pure frontier computation, so
+        the engine backends have nothing to fan out.  Round tracing and
         the telemetry collect scope work exactly as in the other modes;
         the expansion sweep lands on the ``enumerate`` phase with
         ``plan="expand"`` and ``delta_atoms`` carrying the frontier size.
@@ -697,7 +686,7 @@ class ChaseRunner:
                 trace.finish_run(terminated=terminated, rounds=rounds)
 
     # ------------------------------------------------------------------
-    # Scheduler lifecycle
+    # Lifecycle
     # ------------------------------------------------------------------
 
     def _claim_run(self) -> None:
@@ -715,11 +704,9 @@ class ChaseRunner:
             )
         self._used = True
 
-    def _open(self) -> None:
-        if self.config.uses_pool and self._scheduler is None:
-            self._scheduler = RoundScheduler(self.config)
-
-    def _close(self) -> None:
-        if self._scheduler is not None:
-            self._scheduler.close()
-            self._scheduler = None
+    def close(self) -> None:
+        """Shut the run's worker pool down (idempotent); every trigger and
+        derivation run calls it on each of its stop paths."""
+        if self._pool is not None:
+            self._pool.close()
+            self._pool = None

@@ -1,25 +1,26 @@
 """Interned-term columnar wire codec for the persistent worker protocol.
 
-The persistent pool used to pickle ``Atom`` lists on every round: each
-sync and pivot payload re-shipped full predicate and term objects (their
-class names, their string names) for every occurrence.  This module
-replaces those payloads with an *interned* encoding:
+The pool's payloads are not pickled ``Atom`` lists — which would
+re-ship full predicate and term objects (their class names, their
+string names) for every occurrence — but an *interned* encoding:
 
 Symbol tables
-    A :class:`WireEncoder` (parent-owned, one per pool) holds an
-    append-only :class:`TermTable` and :class:`PredicateTable` mapping
-    every distinct term/predicate the pool has ever shipped to a dense
-    integer id.  Each message carries a *table segment* — only the
-    entries appended since that worker's last message — so a symbol
-    crosses a pipe **once** per worker, ever.  Worker-side, a
-    :class:`~repro.engine.columnar.Vocabulary` replays the segments
+    The pool owns one :class:`~repro.engine.columnar.Vocabulary`, the
+    append-only table set that also backs worker replicas and the join
+    kernel's id views, mapping every distinct term/predicate the pool
+    has ever shipped to a dense integer id.  :func:`encode_atoms` and
+    :func:`intern_rules` grow it.  Each message carries a *table
+    segment* (:meth:`~repro.engine.columnar.Vocabulary.segment`) — only
+    the entries appended since that worker's last message — so a symbol
+    crosses a pipe **once** per worker, ever.  Worker-side, a second
+    ``Vocabulary`` replays the segments
     (:meth:`~repro.engine.columnar.Vocabulary.apply_segment`) into
     id-indexed lists plus the reverse maps the reply encoders look ids
     up in.  Table entries are rebuilt through the term/predicate
     constructors (:func:`repro.logic.terms.term_from_wire`,
     :class:`~repro.logic.predicates.Predicate`), so cached hashes are
     recomputed under the receiving interpreter's own ``PYTHONHASHSEED``
-    — the same property ``Term.__reduce__`` gave the pickled protocol.
+    — the same property ``Term.__reduce__`` gives pickles.
 
 Flat buffers
     Every payload is one flat id stream, packed as LEB128 varints
@@ -34,12 +35,13 @@ Replies
     Workers answer with one packed buffer per message (one reply per
     worker slice): derived atoms in the same ``(pred_id, term_ids...)``
     layout, or per-rule match images as term ids.  Every symbol a reply
-    mentions is already in the shared table — :meth:`WireEncoder.intern_rules`
+    mentions is already in the shared table — :func:`intern_rules`
     pre-interns every head symbol at seed, and body images come from the
     replica — so replies carry table ids only; a symbol missing from the
     worker's table raises :class:`~repro.errors.ChaseError`, and so does
     a malformed reply on the parent's side (a truncated atom stream, a
-    missing image count, a short image or leftover ids).
+    missing image count, a short image, leftover ids or an id past the
+    end of a table).
 
 Reply envelope
     Every worker reply is ``(status, value, timings)`` built by
@@ -65,9 +67,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.errors import ChaseError
 from repro.logic.atoms import Atom, build_atom
-from repro.logic.predicates import Predicate
 from repro.logic.substitutions import Substitution
-from repro.logic.terms import Term
 from repro.rules.rule import Rule
 
 if TYPE_CHECKING:  # annotation-only: columnar imports this module
@@ -152,126 +152,36 @@ def atom_weight(atom: Atom) -> int:
     return 1 + len(atom.args)
 
 
-class TermTable:
-    """Append-only ``Term ↔ id`` table (parent side).
+def intern_rules(vocabulary: "Vocabulary", rules: Iterable[Rule]) -> None:
+    """Pre-intern every non-variable head symbol of ``rules``.
 
-    ``specs[i]`` is the wire spec ``(rank, name)`` of ``objects[i]`` —
-    the rank indexes :data:`repro.logic.terms.TERM_KINDS`, so a worker
-    rebuilds the term through its class constructor.
+    A worker reply over these rules (derived atoms, match images)
+    mentions head predicates, body-image terms (which seed, sync and
+    pivot encoding interns) and head constants — after this, all of
+    them resolve as table ids and replies need no literals.
     """
-
-    __slots__ = ("ids", "objects", "specs")
-
-    def __init__(self):
-        self.ids: dict[Term, int] = {}
-        self.objects: list[Term] = []
-        self.specs: list[tuple[int, str]] = []
-
-    def __len__(self) -> int:
-        return len(self.objects)
-
-    def intern(self, term: Term) -> int:
-        index = self.ids.get(term)
-        if index is None:
-            index = len(self.objects)
-            self.ids[term] = index
-            self.objects.append(term)
-            self.specs.append((type(term)._rank, term.name))
-        return index
-
-
-class PredicateTable:
-    """Append-only ``Predicate ↔ id`` table (parent side).
-
-    ``specs[i]`` is the wire spec ``(name, arity)`` of ``objects[i]``.
-    """
-
-    __slots__ = ("ids", "objects", "specs")
-
-    def __init__(self):
-        self.ids: dict[Predicate, int] = {}
-        self.objects: list[Predicate] = []
-        self.specs: list[tuple[str, int]] = []
-
-    def __len__(self) -> int:
-        return len(self.objects)
-
-    def intern(self, predicate: Predicate) -> int:
-        index = self.ids.get(predicate)
-        if index is None:
-            index = len(self.objects)
-            self.ids[predicate] = index
-            self.objects.append(predicate)
-            self.specs.append((predicate.name, predicate.arity))
-        return index
-
-
-class WireEncoder:
-    """Parent-side codec: interns symbols, packs payloads, reads replies.
-
-    One encoder per :class:`~repro.engine.workers.WorkerPool`; its tables
-    are the pool's shared vocabulary.  The pool tracks a per-worker
-    high-water mark into the tables and ships each worker only the
-    :meth:`segment` it has not seen — taken *after* every payload of a
-    broadcast has been encoded, so a segment always covers everything
-    the message references.
-    """
-
-    __slots__ = ("terms", "predicates")
-
-    def __init__(self):
-        self.terms = TermTable()
-        self.predicates = PredicateTable()
-
-    def marks(self) -> tuple[int, int]:
-        """The current table high-water marks ``(terms, predicates)``."""
-        return (len(self.terms), len(self.predicates))
-
-    def segment(self, term_mark: int, pred_mark: int):
-        """The table entries appended since ``(term_mark, pred_mark)``.
-
-        Returns ``None`` when the worker is already current — the
-        pickled envelope then carries a single byte for the slot.
-        """
-        term_specs = self.terms.specs
-        pred_specs = self.predicates.specs
-        if term_mark == len(term_specs) and pred_mark == len(pred_specs):
-            return None
-        return (
-            term_mark,
-            tuple(term_specs[term_mark:]),
-            pred_mark,
-            tuple(pred_specs[pred_mark:]),
-        )
-
-    def intern_rules(self, rules: Iterable[Rule]) -> None:
-        """Pre-intern every non-variable head symbol of ``rules``.
-
-        A worker reply over these rules (derived atoms, fire outputs)
-        mentions head predicates, body-image terms (which
-        task/sync encoding interns) and head constants — after this, all
-        of them resolve as table refs and replies need no literals.
-        """
-        intern_pred = self.predicates.intern
-        intern_term = self.terms.intern
-        for rule in rules:
-            for atom in rule.head:
-                intern_pred(atom.predicate)
-                for term in atom.args:
-                    if not term.is_variable:
-                        intern_term(term)
-
-    def encode_atoms(self, atoms: Iterable[Atom]) -> bytes:
-        """Pack atoms as one flat ``(pred_id, term_ids...)`` stream."""
-        intern_pred = self.predicates.intern
-        intern_term = self.terms.intern
-        ids: list[int] = []
-        append = ids.append
-        for atom in atoms:
-            append(intern_pred(atom.predicate))
+    intern_predicate = vocabulary.intern_predicate
+    intern_term = vocabulary.intern_term
+    for rule in rules:
+        for atom in rule.head:
+            intern_predicate(atom.predicate)
             for term in atom.args:
-                append(intern_term(term))
-        return pack_ids(ids)
+                if not term.is_variable:
+                    intern_term(term)
+
+
+def encode_atoms(vocabulary: "Vocabulary", atoms: Iterable[Atom]) -> bytes:
+    """Pack atoms as one flat ``(pred_id, term_ids...)`` stream,
+    interning new symbols into the pool's ``vocabulary``."""
+    intern = vocabulary.intern_atom
+    ids: list[int] = []
+    append = ids.append
+    extend = ids.extend
+    for atom in atoms:
+        pred_id, term_ids = intern(atom)
+        append(pred_id)
+        extend(term_ids)
+    return pack_ids(ids)
 
 
 # ----------------------------------------------------------------------
@@ -286,10 +196,14 @@ def _missing_symbol(error: KeyError) -> ChaseError:
     )
 
 
+def _unknown_id() -> ChaseError:
+    return ChaseError("worker reply mentions an id past the wire table")
+
+
 def encode_derive_reply(
     vocabulary: "Vocabulary", atoms: Iterable[Atom]
 ) -> bytes:
-    """Pack derived atoms in :meth:`WireEncoder.encode_atoms`' layout.
+    """Pack derived atoms in :func:`encode_atoms`' layout.
 
     Ids come from the worker's table replica; a symbol it does not hold
     raises :class:`~repro.errors.ChaseError`.
@@ -308,20 +222,28 @@ def encode_derive_reply(
     return pack_ids(ids)
 
 
-def decode_derive_reply(encoder: WireEncoder, reply: bytes) -> set[Atom]:
+def decode_derive_reply(vocabulary: "Vocabulary", reply: bytes) -> set[Atom]:
+    """Rebuild the derived atoms of one reply over the pool's tables.
+
+    A truncated atom stream, or an id past the end of the predicate or
+    term table, raises :class:`~repro.errors.ChaseError`.
+    """
     ids = unpack_ids(reply)
-    terms = encoder.terms.objects
-    predicates = encoder.predicates.objects
+    terms = vocabulary.terms
+    predicates = vocabulary.predicates
     derived: set[Atom] = set()
     position, end = 0, len(ids)
-    while position < end:
-        predicate = predicates[ids[position]]
-        stop = position + 1 + predicate.arity
-        if stop > end:
-            raise ChaseError("truncated packed atom stream")
-        args = tuple([terms[i] for i in ids[position + 1:stop]])
-        derived.add(build_atom(predicate, args))
-        position = stop
+    try:
+        while position < end:
+            predicate = predicates[ids[position]]
+            stop = position + 1 + predicate.arity
+            if stop > end:
+                raise ChaseError("truncated packed atom stream")
+            args = tuple([terms[i] for i in ids[position + 1:stop]])
+            derived.add(build_atom(predicate, args))
+            position = stop
+    except IndexError:
+        raise _unknown_id() from None
     return derived
 
 
@@ -353,38 +275,44 @@ def encode_enumerate_reply(
 
 
 def decode_enumerate_reply(
-    encoder: WireEncoder, rules: Sequence[Rule], reply: bytes
+    vocabulary: "Vocabulary", rules: Sequence[Rule], reply: bytes
 ) -> list[dict]:
     """Rebuild the per-rule ``{image: hom}`` dicts of one reply.
 
     A reply must hold exactly one count per rule and ``count`` images of
-    the rule's width after it; a missing count, a short image or
-    leftover ids raise :class:`~repro.errors.ChaseError`.
+    the rule's width after it, over ids in the term table; a missing
+    count, a short image, leftover ids or an id past the table raise
+    :class:`~repro.errors.ChaseError`.
     """
     ids = unpack_ids(reply)
-    terms = encoder.terms.objects
+    terms = vocabulary.terms
     results: list[dict] = []
     position, end = 0, len(ids)
-    for rule in rules:
-        if position == end:
-            raise ChaseError("enumerate reply is missing an image count")
-        order = rule.body_variable_order()
-        width = len(order)
-        count = ids[position]
-        position += 1
-        if position + count * width > end:
-            raise ChaseError("truncated enumerate reply: short image")
-        found: dict = {}
-        for _ in range(count):
-            image = tuple([terms[i] for i in ids[position:position + width]])
-            position += width
-            mapping = {
-                variable: term
-                for variable, term in zip(order, image)
-                if variable != term
-            }
-            found[image] = Substitution._from_clean(mapping)
-        results.append(found)
+    try:
+        for rule in rules:
+            if position == end:
+                raise ChaseError("enumerate reply is missing an image count")
+            order = rule.body_variable_order()
+            width = len(order)
+            count = ids[position]
+            position += 1
+            if position + count * width > end:
+                raise ChaseError("truncated enumerate reply: short image")
+            found: dict = {}
+            for _ in range(count):
+                image = tuple(
+                    [terms[i] for i in ids[position:position + width]]
+                )
+                position += width
+                mapping = {
+                    variable: term
+                    for variable, term in zip(order, image)
+                    if variable != term
+                }
+                found[image] = Substitution._from_clean(mapping)
+            results.append(found)
+    except IndexError:
+        raise _unknown_id() from None
     if position != end:
         raise ChaseError(
             f"enumerate reply has {end - position} leftover ids"

@@ -8,12 +8,25 @@ delta** (the atoms added since the replicas were last synced, straight
 from :meth:`~repro.logic.instances.Instance.delta_since`).  Payload size
 is proportional to what changed, not to what exists.
 
+Rounds
+------
+:meth:`WorkerPool.round_matches` is the pool's whole round: it routes
+the delta by ``hash(atom) % size``, one sorted slice per worker, runs
+:func:`repro.engine.core.round_matches` on every worker's slice against
+its replica, and merges the replies into what one inline call on the
+whole delta returns — per rule, a keyed union of the ``{image: hom}``
+dicts (equal images imply equal matches, so a body touching delta atoms
+routed to two workers merges to one), or the union of the derived atom
+sets.  A round whose delta lands on a single worker runs inline against
+the parent's instance instead, with no message sent; the replicas catch
+up through the next pooled round's sync.
+
 Protocol
 --------
 One duplex pipe per worker.  Atom payloads travel in the
 interned-term columnar encoding of :mod:`repro.engine.wire`: the pool
-owns a :class:`~repro.engine.wire.WireEncoder` whose append-only
-term/predicate tables are the shared vocabulary, each message carries
+owns a :class:`~repro.engine.columnar.Vocabulary` whose append-only
+term/predicate tables are the shared symbol table, each message carries
 the *table segment* its worker has not seen yet (tracked by a per-worker
 high-water mark, so a symbol crosses a pipe once per worker, ever), and
 the payloads themselves are flat varint id buffers.  Only the
@@ -23,20 +36,22 @@ pickled — that is also how the pool accounts transport in
 
 ``("seed", segment, rules, atoms_buf)``
     Replace the worker's rule list and rebuild its replica from the
-    packed atom buffer.  Sent once per (pool, rule set) — at pool start,
-    or if a caller reuses the pool under different rules.
+    packed atom buffer.  Sent at pool start, and again whenever the
+    replicas cannot be synced by a delta: the rules changed, the round
+    runs on another instance, or the instance discarded an atom since
+    the last sync (replicas are append-only).
 ``("sync", segment, sync_buf)``
     Fold the packed per-round delta into the replica and acknowledge.
     Sent to workers that have no pivots in a round where others do —
     replicas always mirror the parent instance at round start.
 ``("enumerate"|"enumerate_unsatisfied"|"derive", segment, sync_buf, pivot_buf)``
-    One enumeration round: fold the packed ``sync_buf`` delta into the
-    replica, then run the shared delta core with the ``pivot_buf`` rows
-    (this worker's hash-routed slice of the delta) as the pivot source against
-    the full replica.  Replies with one packed
-    buffer: per-rule image streams (the enumeration commands — the
-    parent rebuilds the ``{image: hom}`` dicts from the images alone) or
-    a derived atom stream (``derive``).  ``enumerate_unsatisfied`` is the
+    One round: fold the packed ``sync_buf`` delta into the replica,
+    then run :func:`~repro.engine.core.round_matches` with the
+    ``pivot_buf`` rows (this worker's slice of the delta) as the pivot
+    source against the full replica.  Replies with one packed buffer:
+    per-rule image streams (the enumeration commands — the parent
+    rebuilds the ``{image: hom}`` dicts from the images alone) or a
+    derived atom stream (``derive``).  ``enumerate_unsatisfied`` is the
     restricted chase's: the replica mirrors the chase instance at round
     start, so each existential-free match's ground head is checked
     against it right where the match is found, and only the images that
@@ -76,10 +91,9 @@ import time
 import traceback
 from typing import Sequence
 
-from repro.engine import wire
+from repro.engine import core, wire
 from repro.obs.trace import active_round
 from repro.engine.columnar import ColumnarInstance, Vocabulary
-from repro.engine.wire import WireEncoder
 from repro.errors import ChaseError
 from repro.logic.atoms import Atom
 from repro.logic.instances import Instance
@@ -237,10 +251,6 @@ def _worker_main(conn) -> None:
     (waiting for the parent) and the envelope's own final pickle are
     excluded — the triple measures worker compute, not pipe idleness.
     """
-    # Imported here (not at module top) to keep the spawn path lean: the
-    # scheduler module pulls in the whole engine package.
-    from repro.engine.scheduler import _run_shard
-
     perf = time.perf_counter
     rules: tuple[Rule, ...] = ()
     vocabulary = Vocabulary()
@@ -286,7 +296,7 @@ def _worker_main(conn) -> None:
                 replica.ingest_packed(sync_buf)
                 view = ColumnarInstance(vocabulary)
                 view.ingest_packed(pivot_buf)
-                result = _run_shard(command, rules, replica, view)
+                result = core.round_matches(command, rules, replica, view)
                 executed = perf()
                 if command == "derive":
                     value = wire.encode_derive_reply(vocabulary, result)
@@ -312,22 +322,23 @@ def _worker_main(conn) -> None:
 class WorkerPool:
     """A fixed-size pool of persistent, delta-fed worker processes.
 
-    Lifecycle: the pool spawns lazily on first use, is owned by one
-    :class:`~repro.engine.scheduler.RoundScheduler` (and therefore one
-    chase/closure run), and is torn down by the scheduler's ``close()``.
+    Lifecycle: the pool spawns lazily, on the first round that fans
+    out; one :class:`~repro.engine.runner.ChaseRunner` (and therefore
+    one chase/closure run) owns it and tears it down in its ``close()``.
 
-    Replica consistency: the pool tracks the revision its replicas are
-    synced to and computes each round's sync payload with
-    ``instance.delta_since`` — so rounds the scheduler chose to run inline
-    (a delta routed to a single worker) are transparently caught up on
-    the next fanned-out round.
+    Replica consistency: the pool tracks the instance and revision its
+    replicas are synced to and computes each round's sync payload with
+    ``instance.delta_since`` — so rounds :meth:`round_matches` ran
+    inline are transparently caught up on the next pooled round.  A
+    round on another instance, or on one that discarded an atom since
+    the last sync, reseeds the replicas instead.
 
-    Wire tables: the pool owns the run's :class:`WireEncoder` and a
-    per-worker ``(term, predicate)`` high-water mark into its tables.
-    Segments are cut per worker **after** all of a broadcast's payloads
-    are encoded, so each worker's segment covers every symbol its
-    message references — including workers that skip a round (their mark
-    simply stays behind until their next message catches them up).
+    Wire tables: the pool owns a :class:`Vocabulary` and a per-worker
+    ``(term, predicate)`` high-water mark into it.  Segments are cut per
+    worker **after** all of a broadcast's payloads are encoded, so each
+    worker's segment covers every symbol its message references —
+    including workers that skip a round (their mark simply stays behind
+    until their next message catches them up).
     """
 
     def __init__(self, size: int):
@@ -341,8 +352,9 @@ class WorkerPool:
         self._started = False
         self._broken = False
         self._rules: tuple[Rule, ...] | None = None
+        self._instance: Instance | None = None
         self._replica_revision = 0
-        self._encoder = WireEncoder()
+        self._vocabulary = Vocabulary()
         self._marks: list[tuple[int, int]] = [(0, 0)] * size
 
     @property
@@ -445,10 +457,11 @@ class WorkerPool:
         self._processes = []
         self._started = False
         self._rules = None
+        self._instance = None
         self._replica_revision = 0
         # The workers' table replicas died with them: start a fresh
         # vocabulary so a reused pool re-ships symbols from scratch.
-        self._encoder = WireEncoder()
+        self._vocabulary = Vocabulary()
         self._marks = [(0, 0)] * self.size
 
     # ------------------------------------------------------------------
@@ -457,29 +470,27 @@ class WorkerPool:
 
     def _segment(self, worker: int):
         """Cut ``worker``'s table segment and advance its high-water mark."""
-        term_mark, pred_mark = self._marks[worker]
-        segment = self._encoder.segment(term_mark, pred_mark)
-        self._marks[worker] = self._encoder.marks()
+        segment = self._vocabulary.segment(*self._marks[worker])
+        self._marks[worker] = self._vocabulary.marks()
         return segment
 
-    def _shared_messages(self, build) -> list[tuple]:
-        """One message per worker, shared by equal table marks.
+    def _shared_messages(self, build, workers) -> list[tuple | None]:
+        """One message per worker of ``workers`` (``None`` for the rest),
+        shared by equal table marks.
 
         ``build(segment)`` constructs the message; workers whose marks
         coincide receive the *same object*, which the broadcast pickles
-        once.  Every worker's mark is advanced to current.
+        once.  Their marks are advanced to current.
         """
         cache: dict[tuple[int, int], tuple] = {}
-        messages: list[tuple] = []
-        for worker in range(self.size):
+        messages: list[tuple | None] = [None] * self.size
+        for worker in workers:
             key = self._marks[worker]
-            message = cache.get(key)
-            if message is None:
-                message = build(self._segment(worker))
-                cache[key] = message
+            if key not in cache:
+                cache[key] = build(self._segment(worker))
             else:
-                self._marks[worker] = self._encoder.marks()
-            messages.append(message)
+                self._marks[worker] = self._vocabulary.marks()
+            messages[worker] = cache[key]
         return messages
 
     def _send_bytes(self, worker: int, blob: bytes, command: str) -> None:
@@ -570,26 +581,68 @@ class WorkerPool:
     # Rounds
     # ------------------------------------------------------------------
 
-    def _slice(self, per_worker: Sequence[list], worker: int) -> list:
-        return per_worker[worker] if worker < len(per_worker) else []
-
     def _seed(self, rules: tuple[Rule, ...], instance: Instance) -> None:
         TRANSPORT_STATS.seeds += 1
-        encoder = self._encoder
+        vocabulary = self._vocabulary
         recorder = active_round()
         sync_start = time.perf_counter() if recorder is not None else 0.0
-        encoder.intern_rules(rules)
+        wire.intern_rules(vocabulary, rules)
         atoms = instance.sorted_atoms()
-        atoms_buf = encoder.encode_atoms(atoms)
+        atoms_buf = wire.encode_atoms(vocabulary, atoms)
         if recorder is not None:
             recorder.add_phase("sync", time.perf_counter() - sync_start)
         messages = self._shared_messages(
-            lambda segment: ("seed", segment, rules, atoms_buf)
+            lambda segment: ("seed", segment, rules, atoms_buf),
+            range(self.size),
         )
         TRANSPORT_STATS.count_atoms_sent("seed", len(atoms) * self.size)
         self._broadcast_and_gather(messages)
         self._rules = rules
+        self._instance = instance
         self._replica_revision = instance.revision
+
+    def round_matches(
+        self,
+        mode: str,
+        rules: Sequence[Rule],
+        instance: Instance,
+        delta: Sequence[Atom],
+    ):
+        """:func:`repro.engine.core.round_matches` of the whole ``delta``,
+        computed across the pool: hash routing, the inline fallback for
+        a single busy slice, and the merge of the replies (see the
+        module docstring).  The merged dicts are unordered;
+        :func:`~repro.chase.trigger.round_triggers` sorts them.
+        """
+        rules = tuple(rules)
+        size = self.size
+        routed: list[list[Atom]] = [[] for _ in range(size)]
+        for atom in delta:
+            # checks: allow[D102] -- routing only decides *which worker*
+            # computes; the merge is a keyed union that callers sort by
+            # canonical image, so results are bit-identical across
+            # routings (pinned by the equivalence matrix).
+            routed[hash(atom) % size].append(atom)
+        recorder = active_round()
+        if recorder is not None:
+            # Per-worker routing weights: the packed-encoding ids each
+            # worker's slice costs to ship this round.
+            recorder.shard_weights = tuple(
+                sum(wire.atom_weight(atom) for atom in atoms)
+                for atoms in routed
+            )
+        pivots = [sorted(atoms) for atoms in routed]
+        busy = [atoms for atoms in pivots if atoms]
+        if len(busy) < 2:
+            slice_inst = core.as_delta_instance(busy[0] if busy else ())
+            return core.round_matches(mode, rules, instance, slice_inst)
+        results = self.run_round(mode, rules, instance, pivots)
+        if mode == "derive":
+            return set().union(*results)
+        return [
+            {image: hom for found in per_rule for image, hom in found.items()}
+            for per_rule in zip(*results)
+        ]
 
     def run_round(
         self,
@@ -601,81 +654,70 @@ class WorkerPool:
         """Run one enumeration (or derivation) round across the pool.
 
         ``pivots_per_worker`` assigns each worker its slice of the round's
-        delta as pivot source (the scheduler's hash routing); the
-        sync payload — everything the replicas have not seen yet — is
+        delta as pivot source (:meth:`round_matches` routes it by hash);
+        the sync payload — everything the replicas have not seen yet — is
         computed here and shipped to *every* worker, so replicas always
-        mirror the parent instance at round start.  Returns the non-empty
-        workers' results in worker order (per-rule image dicts for the
-        enumeration modes, derived atom sets for ``derive``).
+        mirror the parent instance at round start.  Returns the workers'
+        results in worker order, for the workers with pivots only
+        (per-rule image dicts for the enumeration modes, derived atom
+        sets for ``derive``).
         """
         self._start()
         rules = tuple(rules)
-        if self._rules is None or rules != self._rules:
+        if (
+            rules != self._rules
+            or instance is not self._instance
+            or instance.discarded_since(self._replica_revision)
+        ):
             self._seed(rules, instance)
         recorder = active_round()
         sync_start = time.perf_counter() if recorder is not None else 0.0
         sync_atoms = instance.delta_since(self._replica_revision)
         self._replica_revision = instance.revision
-        encoder = self._encoder
-        sync_buf = encoder.encode_atoms(sync_atoms) if sync_atoms else b""
+        vocabulary = self._vocabulary
+        sync_buf = (
+            wire.encode_atoms(vocabulary, sync_atoms) if sync_atoms else b""
+        )
         if recorder is not None:
             recorder.add_phase("sync", time.perf_counter() - sync_start)
-        pivot_lists = [
-            self._slice(pivots_per_worker, worker)
-            for worker in range(self.size)
-        ]
+        pivot_lists = list(pivots_per_worker)
+        pivot_lists += [[]] * (self.size - len(pivot_lists))
         # Encode every payload of the broadcast *before* cutting any
         # worker's segment — a pivot atom for worker N may intern a
         # symbol that worker 0's segment must already carry.
         pivot_bufs = [
-            encoder.encode_atoms(pivots) if pivots else b""
+            wire.encode_atoms(vocabulary, pivots) if pivots else b""
             for pivots in pivot_lists
         ]
-        # One shared sync-only message per table mark for pivotless
-        # workers: the broadcast pickles each distinct object once.
-        sync_cache: dict[tuple[int, int], tuple] = {}
-        messages: list[tuple | None] = []
-        gathered_workers: list[int] = []
-        for worker in range(self.size):
-            if pivot_lists[worker]:
-                messages.append(
-                    (
-                        mode,
-                        self._segment(worker),
-                        sync_buf,
-                        pivot_bufs[worker],
-                    )
-                )
-                gathered_workers.append(worker)
-                TRANSPORT_STATS.count_atoms_sent("sync", len(sync_atoms))
-                TRANSPORT_STATS.count_atoms_sent(
-                    mode, len(pivot_lists[worker])
-                )
-            elif sync_atoms:
-                key = self._marks[worker]
-                message = sync_cache.get(key)
-                if message is None:
-                    message = ("sync", self._segment(worker), sync_buf)
-                    sync_cache[key] = message
-                else:
-                    self._marks[worker] = encoder.marks()
-                messages.append(message)
-                TRANSPORT_STATS.count_atoms_sent("sync", len(sync_atoms))
-            else:
-                messages.append(None)
+        # Workers with pivots get their own message; the others get a
+        # sync-only one when there is a delta, shared per table mark.
+        busy = [w for w in range(self.size) if pivot_lists[w]]
+        idle = [w for w in range(self.size) if sync_atoms and w not in busy]
+        messages = self._shared_messages(
+            lambda segment: ("sync", segment, sync_buf), idle
+        )
+        TRANSPORT_STATS.count_atoms_sent(
+            "sync", len(sync_atoms) * (len(busy) + len(idle))
+        )
+        for worker in busy:
+            messages[worker] = (
+                mode, self._segment(worker), sync_buf, pivot_bufs[worker]
+            )
+            TRANSPORT_STATS.count_atoms_sent(mode, len(pivot_lists[worker]))
         replies = dict(self._broadcast_and_gather(messages))
-        # Sync-only workers just acknowledge; keep the shape (non-empty
-        # pivot slices only) the scheduler's merge expects.
+        # Sync-only workers just acknowledge.
         results = []
-        for worker in gathered_workers:
+        for worker in busy:
             if mode == "derive":
-                derived = wire.decode_derive_reply(encoder, replies[worker])
+                derived = wire.decode_derive_reply(
+                    vocabulary, replies[worker]
+                )
                 TRANSPORT_STATS.count_atoms_received("derive", len(derived))
                 results.append(derived)
             else:
                 results.append(
                     wire.decode_enumerate_reply(
-                        encoder, rules, replies[worker]
+                        vocabulary, rules, replies[worker]
                     )
                 )
         return results

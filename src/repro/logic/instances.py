@@ -254,6 +254,20 @@ class Instance:
                 delta.append(a)
         return delta
 
+    def discarded_since(self, revision: int) -> bool:
+        """Whether an atom was discarded after ``revision``.
+
+        Every mutation bumps the revision and only adds are logged, so
+        the revisions since ``revision`` that the add log does not
+        account for are discards.  An append-only copy of the instance
+        taken at ``revision`` (a worker replica) is stale exactly then.
+        """
+        if not self._discarded:
+            return False
+        log = self._log_revisions
+        adds = len(log) - bisect.bisect_right(log, revision)
+        return self._revision - revision > adds
+
     # ------------------------------------------------------------------
     # Queries on the structure
     # ------------------------------------------------------------------

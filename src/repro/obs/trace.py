@@ -45,7 +45,7 @@ A round's ``triggers`` count is what the enumeration handed to the
 firing path.  For the restricted chase that is the candidates *after*
 ground-head pruning (existential-free triggers whose head was present at
 round start, or repeated a smaller image's head, are never built — see
-:func:`repro.chase.trigger.restricted_new_triggers_of`), so on a pure
+:func:`repro.chase.trigger.round_triggers`), so on a pure
 Datalog round ``triggers == applied``; the unpruned ``naive`` engine
 counts every new trigger.
 

@@ -18,8 +18,8 @@ import random
 
 import pytest
 
+from repro.engine import wire
 from repro.engine.columnar import ColumnarInstance, Vocabulary
-from repro.engine.wire import WireEncoder
 from repro.errors import ChaseError
 from repro.logic.atoms import Atom
 from repro.logic.instances import Instance
@@ -76,10 +76,10 @@ def _atoms_of(store):
 
 class _Replica:
     """A worker-style store: atoms arrive as packed buffers, over a
-    vocabulary that replays one encoder's table segments."""
+    vocabulary that replays one parent table's segments."""
 
     def __init__(self, atoms=()):
-        self.encoder = WireEncoder()
+        self.tables = Vocabulary()
         self.vocabulary = Vocabulary()
         self.store = ColumnarInstance(self.vocabulary)
         self._marks = (0, 0)
@@ -87,9 +87,9 @@ class _Replica:
 
     def packed(self, atoms):
         """``atoms`` packed, with the vocabulary caught up on their symbols."""
-        buf = self.encoder.encode_atoms(atoms)
-        self.vocabulary.apply_segment(self.encoder.segment(*self._marks))
-        self._marks = self.encoder.marks()
+        buf = wire.encode_atoms(self.tables, atoms)
+        self.vocabulary.apply_segment(self.tables.segment(*self._marks))
+        self._marks = self.tables.marks()
         return buf
 
     def feed(self, atoms):

@@ -38,7 +38,7 @@ from repro.corpus.generators import (
     random_instance,
     random_nonrecursive_ruleset,
 )
-from repro.engine import ChaseRunner, EngineConfig
+from repro.engine import ChaseRunner, EngineConfig, wire
 from repro.engine.columnar import ColumnarInstance, Vocabulary
 from repro.engine.core import (
     as_delta_instance,
@@ -48,7 +48,6 @@ from repro.engine.core import (
     rule_delta_images,
     rule_unsatisfied_images,
 )
-from repro.engine.wire import WireEncoder
 from repro.logic import MATCHER_STATS
 from repro.logic.atoms import TOP_ATOM, Atom
 from repro.logic.instances import Instance
@@ -150,15 +149,15 @@ class ReplicaStore:
     vocabulary."""
 
     def __init__(self):
-        self.encoder = WireEncoder()
+        self.tables = Vocabulary()
         self.vocabulary = Vocabulary()
         self.instance = ColumnarInstance(self.vocabulary)
         self._marks = (0, 0)
 
     def _packed(self, atoms):
-        buf = self.encoder.encode_atoms(atoms)
-        self.vocabulary.apply_segment(self.encoder.segment(*self._marks))
-        self._marks = self.encoder.marks()
+        buf = wire.encode_atoms(self.tables, atoms)
+        self.vocabulary.apply_segment(self.tables.segment(*self._marks))
+        self._marks = self.tables.marks()
         return buf
 
     def advance(self, atoms):

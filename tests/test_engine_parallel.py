@@ -6,7 +6,7 @@ every chase variant, every corpus workload, and *every* worker count,
 bit-identical to the sequential delta engine — same atoms, levels,
 termination flag, timestamps, null names and provenance records — inline
 at one worker and on the worker pool above.  The suite pins that
-contract, the registry's error behavior, the scheduler's hash routing,
+contract, the registry's error behavior, the pool's hash routing,
 the firing stream's budget stops, the Datalog closure engines (against
 ``naive``), and the index-seeded satisfaction fast path of the
 restricted chase.
@@ -21,7 +21,7 @@ from repro.chase import (
     restricted_chase,
     semi_oblivious_chase,
 )
-from repro.chase.trigger import triggers_of
+from repro.chase.trigger import round_triggers, triggers_of
 from repro.corpus.families import (
     branching_tree,
     datalog_grid,
@@ -36,7 +36,6 @@ from repro.corpus.generators import (
 )
 from repro.engine import (
     EngineConfig,
-    RoundScheduler,
     WorkerPool,
     available_engines,
     register_engine,
@@ -226,8 +225,8 @@ class TestRegistry:
 
 class TestSchedulerRouting:
     def test_partition_is_exact(self, monkeypatch):
-        # The pivots the scheduler hands the pool: one sorted slice per
-        # worker, each atom in the slice its hash names, nothing lost.
+        # The pivots the pool's routing hands its round: one sorted slice
+        # per worker, each atom in the slice its hash names, nothing lost.
         atoms = [atom("E", f"x{i}", f"x{i+1}") for i in range(20)]
         shipped = []
 
@@ -236,8 +235,8 @@ class TestSchedulerRouting:
             return []
 
         monkeypatch.setattr(WorkerPool, "run_round", capture)
-        with RoundScheduler(EngineConfig("parallel", workers=3)) as scheduler:
-            scheduler.derive_atoms(Instance(atoms), [], atoms)
+        with WorkerPool(3) as pool:
+            pool.round_matches("derive", [], Instance(atoms), atoms)
         (pivots,) = shipped
         assert len(pivots) == 3
         assert sorted(a for piece in pivots for a in piece) == sorted(atoms)
@@ -349,17 +348,17 @@ class TestSchedulerDeterminism:
                 )
 
     def test_scheduler_context_manager_closes_pool(self):
-        config = EngineConfig("parallel", workers=2)
-        with RoundScheduler(config) as scheduler:
+        with WorkerPool(2) as pool:
             inst = path_instance(4)
             rules = list(parse_rules("E(x,y), E(y,z) -> F(x,z)"))
-            per_rule = scheduler.enumerate_images(
-                inst, rules, list(inst)
+            per_rule = pool.round_matches(
+                "enumerate", rules, inst, list(inst)
             )
             assert len(per_rule) == 1
-            images = [image for image, _ in per_rule[0]]
+            images = [t.image() for t in round_triggers(rules, per_rule)]
             assert images == sorted(images)
-        assert scheduler._worker_pool is None
+        assert not pool._started
+        assert pool._connections == [] and pool._processes == []
 
 
 # ----------------------------------------------------------------------

@@ -33,11 +33,17 @@ from repro.engine import (
     EngineConfig,
     WorkerPool,
     resolve_engine,
+    wire,
+)
+from repro.engine.core import (
+    as_delta_instance,
+    round_matches,
+    rule_delta_images,
 )
 from repro.errors import ChaseError
 from repro.logic.atoms import atom
 from repro.logic.instances import Instance
-from repro.logic.terms import FreshSupply
+from repro.logic.terms import Constant, FreshSupply
 from repro.obs import RunTrace
 from repro.rewriting.datalog import semi_naive_closure
 from repro.rules.parser import parse_rules
@@ -162,10 +168,8 @@ class TestPoolMatchesParentFires:
         # Replies carry table ids only.  A head symbol the parent never
         # interned (here: intern_rules skipped at seed) cannot be encoded
         # worker-side, and the round fails with a typed error.
-        from repro.engine.wire import WireEncoder
-
         monkeypatch.setattr(
-            WireEncoder, "intern_rules", lambda self, rules: None
+            wire, "intern_rules", lambda vocabulary, rules: None
         )
         rules = tuple(parse_rules("E(x,y) -> G(y,x)"))
         instance = Instance([atom("E", "a", "b"), atom("E", "b", "c")])
@@ -366,6 +370,128 @@ class TestWorkerPool:
         assert second[0] == {}
 
 
+def _path(prefix: str, length: int) -> list:
+    """The edges ``E(P0,P1), ..., E(P{length-1},P{length})``."""
+    return [
+        atom("E", f"{prefix}{i}", f"{prefix}{i + 1}") for i in range(length)
+    ]
+
+
+def _terms(*names: str) -> tuple:
+    return tuple(Constant(name) for name in names)
+
+
+class TestReplicaFreshness:
+    """Replicas are append-only copies of one instance: a round on
+    another instance, or after a discard, must reseed them."""
+
+    RULES = tuple(parse_rules("E(x,y), E(y,z) -> F(x,z)"))
+
+    def _pooled(self, pool, instance, pivots):
+        (per_rule,) = pool.run_round(
+            "enumerate", self.RULES, instance, [pivots, []]
+        )
+        return per_rule[0]
+
+    def test_second_instance_under_the_same_rules_reseeds(self):
+        first = Instance(_path("A", 7))  # revision 8, counting the top atom
+        second = Instance(_path("B", 2))  # revision 3
+        with WorkerPool(2) as pool:
+            TRANSPORT_STATS.reset()
+            self._pooled(pool, first, first.sorted_atoms())
+            found = self._pooled(pool, second, second.sorted_atoms())
+            assert TRANSPORT_STATS.seeds == 2
+        assert sorted(found) == [_terms("B0", "B1", "B2")]
+
+    def test_discard_reseeds_and_later_adds_only_sync(self):
+        instance = Instance(_path("A", 7))
+        added = [
+            atom("E", "X0", "A3"),
+            atom("E", "A4", "X1"),
+            atom("E", "X1", "X2"),
+            atom("E", "X2", "A0"),
+        ]
+        with WorkerPool(2) as pool:
+            TRANSPORT_STATS.reset()
+            self._pooled(pool, instance, instance.sorted_atoms())
+            assert instance.discard(atom("E", "A3", "A4"))
+            instance.update(added)
+            found = self._pooled(pool, instance, added)
+            assert TRANSPORT_STATS.seeds == 2
+            # The replicas lost E(A3,A4) too: no image runs through it,
+            # exactly as on the parent's instance.
+            expected = rule_delta_images(
+                self.RULES[0], instance, as_delta_instance(added)
+            )
+            assert sorted(found) == sorted(expected)
+            assert _terms("X0", "A3", "A4") not in found
+            assert _terms("A3", "A4", "X1") not in found
+            # A later round that only adds syncs its delta, no reseed.
+            late = atom("E", "A7", "X0")
+            instance.add(late)
+            found = self._pooled(pool, instance, [late])
+            assert TRANSPORT_STATS.seeds == 2
+        assert sorted(found) == [
+            _terms("A6", "A7", "X0"),
+            _terms("A7", "X0", "A3"),
+        ]
+
+
+class TestInlineFallback:
+    """:meth:`WorkerPool.round_matches` runs a round whose delta routes
+    to a single worker inline; the next pooled round's sync carries it."""
+
+    RULES = tuple(parse_rules("E(x,y), E(y,z) -> F(x,z)"))
+
+    @staticmethod
+    def _routed(atoms, worker):
+        return [a for a in atoms if hash(a) % 2 == worker]
+
+    def test_one_busy_slice_runs_inline_then_syncs(self):
+        # Round 1 seeds; round 2's starts E(Ki,Li) all route to worker
+        # 0; round 3 adds their continuations E(Li,Mi) and one filler
+        # edge per worker, so it fans out.
+        seed = [atom("E", f"S{i}", f"T{i}") for i in range(100)]
+        seed = self._routed(seed, 0)[:1] + self._routed(seed, 1)[:1]
+        starts = [atom("E", f"K{i}", f"L{i}") for i in range(100)]
+        inline = self._routed(starts, 0)[:3]
+        fillers = [atom("E", f"F{i}", f"G{i}") for i in range(100)]
+        pooled = [atom("E", a.args[1], f"M{a.args[1].name}") for a in inline]
+        pooled += self._routed(fillers, 0)[:1] + self._routed(fillers, 1)[:1]
+        instance = Instance(seed)
+        with WorkerPool(2) as pool:
+            TRANSPORT_STATS.reset()
+            pool.round_matches("enumerate", self.RULES, instance, seed)
+            assert TRANSPORT_STATS.seeds == 1
+            instance.update(inline)
+            messages = TRANSPORT_STATS.messages
+            found = pool.round_matches(
+                "enumerate", self.RULES, instance, inline
+            )
+            assert TRANSPORT_STATS.messages == messages
+            assert found == round_matches(
+                "enumerate", self.RULES, instance, as_delta_instance(inline)
+            )
+            instance.update(pooled)
+            synced = TRANSPORT_STATS.command("sync")["atoms_sent"]
+            found = pool.round_matches(
+                "enumerate", self.RULES, instance, pooled
+            )
+            assert TRANSPORT_STATS.messages == messages + 2
+            assert TRANSPORT_STATS.command("sync")["atoms_sent"] == (
+                synced + 2 * (len(inline) + len(pooled))
+            )
+            assert TRANSPORT_STATS.seeds == 1
+        assert found == round_matches(
+            "enumerate", self.RULES, instance, as_delta_instance(pooled)
+        )
+        # The matches through round 2's atoms: the replicas learned those
+        # atoms only from round 3's sync.
+        for start in inline:
+            middle = start.args[1]
+            assert start.args + _terms(f"M{middle.name}") in found[0]
+
+
 # ----------------------------------------------------------------------
 # Failing workers: reply drain, broken-pool teardown
 # ----------------------------------------------------------------------
@@ -381,8 +507,10 @@ class TestWorkerPoolFailureTeardown:
         # marks so it covers every symbol the buffer references.
         instance = Instance([atom("E", "a", "b")])
         pool._seed(self.RULES, instance)
-        pivot_buf = pool._encoder.encode_atoms(instance.sorted_atoms())
-        segment = pool._encoder.segment(*pool._marks[0])
+        pivot_buf = wire.encode_atoms(
+            pool._vocabulary, instance.sorted_atoms()
+        )
+        segment = pool._vocabulary.segment(*pool._marks[0])
         return ("derive", segment, b"", pivot_buf)
 
     def test_failed_reply_drains_survivors_and_marks_broken(self):
@@ -523,20 +651,21 @@ class TestWorkerKilledMidCommand:
 
     @pytest.fixture(autouse=True)
     def workers_die_mid_command(self, monkeypatch):
-        # Workers fork from this process and look ``_run_shard`` up when
-        # they start, so they inherit the patch; the parent keeps the
-        # real function for the rounds it runs inline.
-        from repro.engine import scheduler
+        # Workers fork from this process and look ``round_matches`` up
+        # on the core module for every command, so they inherit the
+        # patch; the parent keeps the real function for the rounds it
+        # runs inline.
+        from repro.engine import core
 
         parent = os.getpid()
-        run_shard = scheduler._run_shard
+        round_matches = core.round_matches
 
         def die_in_worker(*args):
             if os.getpid() != parent:
                 os._exit(1)
-            return run_shard(*args)
+            return round_matches(*args)
 
-        monkeypatch.setattr(scheduler, "_run_shard", die_in_worker)
+        monkeypatch.setattr(core, "round_matches", die_in_worker)
 
     def test_closure(self):
         with pytest.raises(ChaseError, match="died mid-round"):

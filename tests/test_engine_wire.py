@@ -21,7 +21,7 @@ import pytest
 
 from repro.engine import wire
 from repro.engine.columnar import ColumnarInstance, Vocabulary
-from repro.engine.wire import WireEncoder, atom_weight
+from repro.engine.wire import atom_weight
 from repro.engine.workers import TRANSPORT_STATS, WorkerPool
 from repro.errors import ChaseError
 from repro.logic.atoms import Atom, atom, build_atom
@@ -38,10 +38,10 @@ from repro.logic.terms import (
 from repro.rules.parser import parse_rules
 
 
-def _synced_vocabulary(encoder: WireEncoder) -> Vocabulary:
-    """A worker-side vocabulary caught up to the encoder's current tables."""
+def _synced_vocabulary(tables: Vocabulary) -> Vocabulary:
+    """A worker-side vocabulary caught up to the parent's current tables."""
     vocabulary = Vocabulary()
-    vocabulary.apply_segment(encoder.segment(0, 0))
+    vocabulary.apply_segment(tables.segment(0, 0))
     return vocabulary
 
 
@@ -99,20 +99,20 @@ class TestAtomCodec:
             atom("unary", "A"),
             Atom(Predicate("top", 0), ()),
         ]
-        encoder = WireEncoder()
-        buf = encoder.encode_atoms(atoms)
-        decoded = _ingest(_synced_vocabulary(encoder), buf)
+        tables = Vocabulary()
+        buf = wire.encode_atoms(tables, atoms)
+        decoded = _ingest(_synced_vocabulary(tables), buf)
         assert decoded == sorted(atoms)
         assert [hash(a) for a in decoded] == [hash(a) for a in sorted(atoms)]
         # Repeated symbols interned once: A, B, _n0 and the variable-free
         # predicate set E/2, F/2, unary/1, top/0.
-        assert len(encoder.terms) == 3
-        assert len(encoder.predicates) == 4
+        assert len(tables.terms) == 3
+        assert len(tables.predicates) == 4
 
     def test_empty_delta_is_empty_buffer(self):
-        encoder = WireEncoder()
-        assert encoder.encode_atoms([]) == b""
-        assert _ingest(_synced_vocabulary(encoder), b"") == []
+        tables = Vocabulary()
+        assert wire.encode_atoms(tables, []) == b""
+        assert _ingest(_synced_vocabulary(tables), b"") == []
 
     def test_buffer_bytes_equal_atom_weights(self):
         # The traced routing weights *are* the wire encoding: an
@@ -120,10 +120,10 @@ class TestAtomCodec:
         # varint byte each while the tables stay below 128 entries, as
         # here, so the byte length matches the weight exactly.
         atoms = [atom("E", "A", "B"), atom("wide", "A", "B", "C", "D")]
-        encoder = WireEncoder()
-        encoder.encode_atoms(atoms)  # intern the symbols once
+        tables = Vocabulary()
+        wire.encode_atoms(tables, atoms)  # intern the symbols once
         for a in atoms:
-            assert len(encoder.encode_atoms([a])) == atom_weight(a)
+            assert len(wire.encode_atoms(tables, [a])) == atom_weight(a)
 
     def test_varint_packing_round_trips(self):
         # The id stream is LEB128: dense table ids cost one byte, and
@@ -138,18 +138,18 @@ class TestAtomCodec:
             wire.unpack_ids(b"\x80")  # dangling continuation byte
 
     def test_symbols_cross_the_wire_once(self):
-        encoder = WireEncoder()
+        tables = Vocabulary()
         vocabulary = Vocabulary()
         first = [atom("E", "A", "B")]
-        buf1 = encoder.encode_atoms(first)
-        vocabulary.apply_segment(encoder.segment(0, 0))
-        marks = encoder.marks()
+        buf1 = wire.encode_atoms(tables, first)
+        vocabulary.apply_segment(tables.segment(0, 0))
+        marks = tables.marks()
         # Same symbols again: nothing new to ship.
-        buf2 = encoder.encode_atoms([atom("E", "B", "A")])
-        assert encoder.segment(*marks) is None
+        buf2 = wire.encode_atoms(tables, [atom("E", "B", "A")])
+        assert tables.segment(*marks) is None
         # New symbol: the next segment carries only the new entries.
-        buf3 = encoder.encode_atoms([atom("E", "A", "C")])
-        segment = encoder.segment(*marks)
+        buf3 = wire.encode_atoms(tables, [atom("E", "A", "C")])
+        segment = tables.segment(*marks)
         term_start, term_specs, pred_start, pred_specs = segment
         assert term_specs == ((Constant._rank, "C"),)
         assert pred_specs == ()
@@ -159,11 +159,11 @@ class TestAtomCodec:
         assert _ingest(vocabulary, buf3) == [atom("E", "A", "C")]
 
     def test_out_of_sequence_segment_rejected(self):
-        encoder = WireEncoder()
-        encoder.encode_atoms([atom("E", "A", "B")])
-        marks = encoder.marks()
-        encoder.encode_atoms([atom("E", "A", "C")])
-        late = encoder.segment(*marks)
+        tables = Vocabulary()
+        wire.encode_atoms(tables, [atom("E", "A", "B")])
+        marks = tables.marks()
+        wire.encode_atoms(tables, [atom("E", "A", "C")])
+        late = tables.segment(*marks)
         vocabulary = Vocabulary()  # never saw the first segment
         with pytest.raises(ChaseError, match="out of sequence"):
             vocabulary.apply_segment(late)
@@ -175,7 +175,7 @@ class TestAtomCodec:
             lambda name: Variable(name),
             lambda name: Null(f"_n{name}"),
         )
-        encoder = WireEncoder()
+        tables = Vocabulary()
         vocabulary = Vocabulary()
         for _ in range(50):
             atoms = []
@@ -187,31 +187,31 @@ class TestAtomCodec:
                     for _ in range(arity)
                 )
                 atoms.append(Atom(predicate, args))
-            marks = encoder.marks()
-            buf = encoder.encode_atoms(atoms)
-            vocabulary.apply_segment(encoder.segment(*marks))
+            marks = tables.marks()
+            buf = wire.encode_atoms(tables, atoms)
+            vocabulary.apply_segment(tables.segment(*marks))
             assert _ingest(vocabulary, buf) == sorted(set(atoms))
 
 
 class TestReplyCodec:
     def test_derive_reply_round_trip(self):
-        encoder = WireEncoder()
+        tables = Vocabulary()
         atoms = {atom("F", "A", "B"), atom("F", "B", "C")}
-        encoder.encode_atoms(sorted(atoms))
-        vocabulary = _synced_vocabulary(encoder)
+        wire.encode_atoms(tables, sorted(atoms))
+        vocabulary = _synced_vocabulary(tables)
         reply = wire.encode_derive_reply(vocabulary, atoms)
-        assert wire.decode_derive_reply(encoder, reply) == atoms
+        assert wire.decode_derive_reply(tables, reply) == atoms
 
     def test_derive_reply_is_the_atom_layout(self):
         # A derive reply is a plain table-id stream: byte for byte what
         # the parent's encode_atoms packs for the same atoms.
-        encoder = WireEncoder()
+        tables = Vocabulary()
         atoms = [atom("F", "A", "B"), atom("G", "B")]
-        buf = encoder.encode_atoms(atoms)
-        vocabulary = _synced_vocabulary(encoder)
+        buf = wire.encode_atoms(tables, atoms)
+        vocabulary = _synced_vocabulary(tables)
         assert wire.encode_derive_reply(vocabulary, atoms) == buf
         with pytest.raises(ChaseError, match="truncated"):
-            wire.decode_derive_reply(encoder, buf[:-1])
+            wire.decode_derive_reply(tables, buf[:-1])
 
     def test_enumerate_reply_rebuilds_homs_from_images(self):
         from repro.engine.core import rule_delta_images
@@ -222,11 +222,11 @@ class TestReplyCodec:
         )
         per_rule = [rule_delta_images(rules[0], instance, instance)]
         assert per_rule[0]  # non-trivial
-        encoder = WireEncoder()
-        encoder.encode_atoms(instance.sorted_atoms())
-        vocabulary = _synced_vocabulary(encoder)
+        tables = Vocabulary()
+        wire.encode_atoms(tables, instance.sorted_atoms())
+        vocabulary = _synced_vocabulary(tables)
         reply = wire.encode_enumerate_reply(vocabulary, per_rule)
-        decoded = wire.decode_enumerate_reply(encoder, rules, reply)
+        decoded = wire.decode_enumerate_reply(tables, rules, reply)
         assert decoded == per_rule
 
     def test_identity_images_rebuild_absent_bindings(self):
@@ -237,11 +237,11 @@ class TestReplyCodec:
         x, y = rules[0].body_variable_order()
         mapping = Substitution({x: x, y: Constant("B")})
         per_rule = [{(x, Constant("B")): mapping}]
-        encoder = WireEncoder()
-        encoder.encode_atoms([Atom(Predicate("E", 2), (x, Constant("B")))])
-        vocabulary = _synced_vocabulary(encoder)
+        tables = Vocabulary()
+        wire.encode_atoms(tables, [Atom(Predicate("E", 2), (x, Constant("B")))])
+        vocabulary = _synced_vocabulary(tables)
         reply = wire.encode_enumerate_reply(vocabulary, per_rule)
-        decoded = wire.decode_enumerate_reply(encoder, rules, reply)
+        decoded = wire.decode_enumerate_reply(tables, rules, reply)
         assert decoded == per_rule
         (hom,) = decoded[0].values()
         assert x not in hom
@@ -259,10 +259,10 @@ class TestReplyCodec:
         # Transitivity's images have width 3 (x, y, z): a reply must hold
         # one count and then count * 3 ids, and nothing after them.
         rules = tuple(parse_rules("E(x,y), E(y,z) -> E(x,z)"))
-        encoder = WireEncoder()
-        encoder.encode_atoms([atom("E", "A", "B"), atom("E", "B", "C")])
+        tables = Vocabulary()
+        wire.encode_atoms(tables, [atom("E", "A", "B"), atom("E", "B", "C")])
         assert wire.decode_enumerate_reply(
-            encoder, rules, wire.pack_ids([1, 0, 1, 2])
+            tables, rules, wire.pack_ids([1, 0, 1, 2])
         ) == [{
             (Constant("A"), Constant("B"), Constant("C")): Substitution({
                 Variable("x"): Constant("A"),
@@ -271,16 +271,38 @@ class TestReplyCodec:
             })
         }]
         with pytest.raises(ChaseError, match=message):
-            wire.decode_enumerate_reply(encoder, rules, wire.pack_ids(ids))
+            wire.decode_enumerate_reply(tables, rules, wire.pack_ids(ids))
+
+    @pytest.mark.parametrize(
+        "kind,ids",
+        [
+            ("derive", [7, 0, 1]),
+            ("derive", [0, 0, 9]),
+            ("enumerate", [1, 0, 9]),
+        ],
+        ids=["derive_predicate_id", "derive_term_id", "enumerate_term_id"],
+    )
+    def test_out_of_range_id_raises(self, kind, ids):
+        # A table of one predicate (E/2) and two terms (A, B): an id past
+        # either table is a malformed reply, not a bare IndexError.
+        tables = Vocabulary()
+        wire.encode_atoms(tables, [atom("E", "A", "B")])
+        assert tables.marks() == (2, 1)
+        rules = tuple(parse_rules("E(x,y) -> F(x)"))
+        with pytest.raises(ChaseError, match="past the wire table"):
+            if kind == "derive":
+                wire.decode_derive_reply(tables, wire.pack_ids(ids))
+            else:
+                wire.decode_enumerate_reply(tables, rules, wire.pack_ids(ids))
 
     @pytest.mark.parametrize("reply_kind", ["derive", "enumerate"])
     def test_unknown_symbol_raises_chase_error(self, reply_kind):
         # Every symbol a reply mentions must already be in the worker's
         # table replica; one the parent never shipped is an error, not a
         # message-local literal.
-        encoder = WireEncoder()
-        encoder.encode_atoms([atom("F", "A", "B")])
-        vocabulary = _synced_vocabulary(encoder)
+        tables = Vocabulary()
+        wire.encode_atoms(tables, [atom("F", "A", "B")])
+        vocabulary = _synced_vocabulary(tables)
         stranger = Atom(Predicate("F", 2), (Constant("A"), Null("_n9")))
         with pytest.raises(ChaseError, match="not in the wire table"):
             if reply_kind == "derive":

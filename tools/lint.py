@@ -14,7 +14,9 @@ implemented with ``ast``.  The fallback is deliberately conservative: a
 name is *used* if it appears as an identifier anywhere outside import
 statements, including inside string literals (which covers ``__all__``
 re-export lists and string-typed annotations), so it reports no finding
-ruff would not also report.
+ruff would not also report.  Docstrings are the one kind of string that
+does not count: a name mentioned only in prose is unused, as ruff's
+F401 has it.
 
 After the style gate, ``repro.checks`` (determinism, transport-boundary,
 resource-lifecycle, hot-path and stats-registry invariants — see
@@ -35,6 +37,9 @@ import subprocess
 import sys
 
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+#: The nodes whose first statement may be a docstring.
+_DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _python_files(paths: list[str]) -> list[pathlib.Path]:
@@ -71,17 +76,38 @@ def _imported_bindings(tree: ast.AST) -> list[tuple[str, int, str]]:
     return bindings
 
 
+def _docstrings(tree: ast.AST) -> set[int]:
+    """The ``id`` of every module, class and function docstring node."""
+    found: set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, _DOCUMENTED) and node.body:
+            first = node.body[0]
+            if (
+                isinstance(first, ast.Expr)
+                and isinstance(first.value, ast.Constant)
+                and isinstance(first.value.value, str)
+            ):
+                found.add(id(first.value))
+    return found
+
+
 def _used_names(tree: ast.AST) -> set[str]:
     """Identifiers referenced outside import statements.
 
-    String literals contribute their identifier tokens so ``__all__``
-    entries and string-typed annotations count as uses.
+    String literals other than docstrings contribute their identifier
+    tokens, so ``__all__`` entries and string-typed annotations count as
+    uses.
     """
+    docstrings = _docstrings(tree)
     used: set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             used.add(node.id)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in docstrings
+        ):
             used.update(_IDENTIFIER.findall(node.value))
     return used
 
