@@ -1,10 +1,11 @@
 # Convenience entry points; all targets assume the repo root as cwd.
 # CI (.github/workflows/ci.yml) runs exactly these targets, so a green
-# `make lint test perf-smoke paper-claims` locally is a green pipeline.
+# `make lint test examples perf-smoke paper-claims` locally is a green
+# pipeline.
 
 PY ?= python
 
-.PHONY: test lint checks perf-smoke paper-claims bench
+.PHONY: test lint checks examples perf-smoke paper-claims bench
 
 # Tier-1 verification: the full unit/integration suite.
 test:
@@ -16,7 +17,16 @@ test:
 # repro.checks passes (determinism, transport-boundary, lifecycle,
 # hot-path, stats-registry), all from the one lint.py entry point.
 lint:
-	$(PY) tools/lint.py src tests benchmarks tools
+	$(PY) tools/lint.py src tests benchmarks tools examples
+
+# Run every script under examples/ end to end (about 6 s in all); the
+# first one that exits non-zero fails the target.  Their output is not
+# checked, only that they run.
+examples:
+	@set -e; for script in examples/*.py; do \
+	    echo "$$script"; \
+	    PYTHONPATH=src $(PY) $$script > /dev/null; \
+	done
 
 # The repro.checks driver alone (what the dedicated CI step runs, with
 # a JSON report artifact).

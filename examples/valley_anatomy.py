@@ -26,7 +26,6 @@ from repro.core import (
     existential_chase_is_dag,
     is_valley_query,
     timestamps_increase_along_edges,
-    valley_witnesses,
     witness_set,
 )
 from repro.queries import injective_closure

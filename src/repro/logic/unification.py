@@ -1,105 +1,79 @@
-"""Term partitions and most-general unifiers.
+"""Undoable term partitions.
 
 Piece-unifiers (the heart of the UCQ-rewriting engine, see
-:mod:`repro.rewriting.piece_unifier`) are built on *admissible term
-partitions*: equivalence classes over the terms of a query and a rule head
-such that unified positions fall in the same class.  This module provides
-the union-find based :class:`TermPartition` together with validity checks
-and representative selection.
+:mod:`repro.rewriting.piece_unifier`) are built on *term partitions*:
+equivalence classes over the terms of a query and a rule head such that
+unified positions fall in the same class.  The piece-unifier enumeration
+walks a tree of unification choices, so :class:`TermPartition` is built to
+be taken back: it links class roots without path compression, and
+:meth:`TermPartition.undo` pops the links made since a
+:meth:`TermPartition.mark`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
-from repro.datastructures.unionfind import UnionFind
 from repro.logic.atoms import Atom
-from repro.logic.substitutions import Substitution
 from repro.logic.terms import Term
 
 
 class TermPartition:
-    """A partition of terms induced by unification constraints."""
+    """A partition of terms induced by unification constraints, undoable.
+
+    Only linked terms are stored: ``_parent`` maps each term that is not
+    the root of its class to its parent, so a term absent from it is a
+    root (a singleton class when nothing links to it).  A union writes at
+    most one link and path compression never rewrites one, so undoing a
+    union deletes exactly the link it made.
+    """
+
+    __slots__ = ("_parent", "_links")
 
     def __init__(self) -> None:
-        self._uf: UnionFind[Term] = UnionFind()
+        self._parent: dict[Term, Term] = {}
+        # The linked terms, in link order: the undo stack.
+        self._links: list[Term] = []
 
-    def add(self, term: Term) -> None:
-        self._uf.add(term)
+    def find(self, term: Term) -> Term:
+        """The root of ``term``'s class."""
+        parent = self._parent
+        while term in parent:
+            term = parent[term]
+        return term
 
     def union(self, left: Term, right: Term) -> None:
-        self._uf.union(left, right)
+        left, right = self.find(left), self.find(right)
+        if left != right:
+            self._parent[right] = left
+            self._links.append(right)
 
-    def unify_atoms(self, left: Atom, right: Atom) -> bool:
-        """Add constraints equating ``left`` and ``right`` positionwise.
-
-        Returns False (leaving spurious unions in place — callers discard
-        the partition on failure) when the predicates differ.
-        """
-        if left.predicate != right.predicate:
-            return False
+    def unify_atoms(self, left: Atom, right: Atom) -> None:
+        """Equate two atoms of one predicate positionwise."""
         for l_term, r_term in zip(left.args, right.args):
             self.union(l_term, r_term)
-        return True
 
-    def together(self, left: Term, right: Term) -> bool:
-        """True when the two terms are in the same class."""
-        return self._uf.connected(left, right)
+    def mark(self) -> int:
+        """A point to :meth:`undo` back to."""
+        return len(self._links)
 
-    def classes(self) -> list[set[Term]]:
-        """Return the equivalence classes, deterministically ordered."""
-        groups = self._uf.groups()
-        return sorted(groups, key=lambda g: min((t._rank, t.name) for t in g))
+    def undo(self, mark: int) -> None:
+        """Take back every union made since ``mark`` was taken."""
+        links = self._links
+        parent = self._parent
+        while len(links) > mark:
+            del parent[links.pop()]
 
-    def class_of(self, term: Term) -> set[Term]:
-        """Return the class containing ``term`` (singleton if unseen)."""
-        self._uf.add(term)
-        return self._uf.group_of(term)
+    def classes(self) -> list[list[Term]]:
+        """The classes of two or more terms, each listing its root first.
 
-    def is_admissible(self) -> bool:
-        """True when no class contains two distinct constants."""
-        for group in self._uf.groups():
-            constants = {t for t in group if t.is_constant}
-            if len(constants) > 1:
-                return False
-        return True
-
-    def representative_substitution(
-        self, prefer: Sequence[Term] = ()
-    ) -> Substitution:
-        """Return a substitution mapping each term to its class representative.
-
-        Representatives are chosen as: the constant of the class if any,
-        otherwise the first ``prefer`` term present in the class, otherwise
-        the smallest term of the class.  The result is idempotent.
+        Singleton classes are left out: they constrain nothing.  The order
+        follows the link history, so it is deterministic.
         """
-        mapping: dict[Term, Term] = {}
-        for group in self._uf.groups():
-            constants = sorted(t for t in group if t.is_constant)
-            if constants:
-                representative = constants[0]
+        groups: dict[Term, list[Term]] = {}
+        for term in self._parent:
+            root = self.find(term)
+            group = groups.get(root)
+            if group is None:
+                groups[root] = [root, term]
             else:
-                preferred = [t for t in prefer if t in group]
-                representative = preferred[0] if preferred else min(group)
-            for term in group:
-                if term != representative:
-                    mapping[term] = representative
-        return Substitution(mapping)
-
-
-def mgu_of_atom_pairs(
-    pairs: Iterable[tuple[Atom, Atom]]
-) -> Substitution | None:
-    """Return a most-general unifier for the given atom pairs, or None.
-
-    All pairs must unify simultaneously; the unifier maps each term to a
-    canonical representative of its class.  Distinct constants in one class
-    make unification fail.
-    """
-    partition = TermPartition()
-    for left, right in pairs:
-        if not partition.unify_atoms(left, right):
-            return None
-    if not partition.is_admissible():
-        return None
-    return partition.representative_substitution()
+                group.append(term)
+        return list(groups.values())

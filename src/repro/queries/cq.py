@@ -15,14 +15,23 @@ import networkx as nx
 
 from repro.datastructures.orders import ReachabilityOrder
 from repro.logic.atoms import Atom
+from repro.logic.instances import Instance
 from repro.logic.substitutions import Substitution
 from repro.logic.terms import FreshSupply, Term, Variable
 
 
 class ConjunctiveQuery:
-    """A conjunctive query ``∃z̄ B(x̄, z̄)`` with answer tuple ``x̄``."""
+    """A conjunctive query ``∃z̄ B(x̄, z̄)`` with answer tuple ``x̄``.
 
-    __slots__ = ("atoms", "answers", "_hash")
+    A CQ indexes its body once, on first use, as an :class:`Instance`
+    without ``⊤`` (:meth:`_body_index`): the target every
+    :func:`~repro.queries.minimization.subsumes` call with this CQ on the
+    specific side matches into.  The index is private and never mutated,
+    takes no part in equality or hashing, and never reaches a pickle
+    (:meth:`__reduce__` rebuilds the CQ through ``__init__``).
+    """
+
+    __slots__ = ("atoms", "answers", "_hash", "_index")
 
     def __init__(
         self, atoms: Iterable[Atom], answers: Sequence[Variable] = ()
@@ -40,6 +49,7 @@ class ConjunctiveQuery:
         self.atoms = atom_set
         self.answers = answer_tuple
         self._hash = hash((atom_set, answer_tuple))
+        self._index: Instance | None = None
 
     # ------------------------------------------------------------------
     # Value semantics
@@ -54,6 +64,20 @@ class ConjunctiveQuery:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self):
+        # Rebuild through __init__ so the cached hash is recomputed with
+        # the unpickling interpreter's seed (see Term.__reduce__), and the
+        # body index stays out of the pickle.
+        return (type(self), (self.atoms, self.answers))
+
+    def _body_index(self) -> Instance:
+        """The body as an indexed :class:`Instance`, built once; never
+        mutate it."""
+        index = self._index
+        if index is None:
+            index = self._index = Instance(self.atoms, add_top=False)
+        return index
 
     def __lt__(self, other: "ConjunctiveQuery") -> bool:
         if not isinstance(other, ConjunctiveQuery):

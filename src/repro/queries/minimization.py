@@ -24,7 +24,9 @@ def subsumes(
 
     ``specific`` is then logically stronger: any match of ``specific``
     yields a match of ``general``, so ``specific`` is redundant in a UCQ
-    already containing ``general``.
+    already containing ``general``.  The match runs into ``specific``'s
+    body index, built on its first use as the specific side and kept on
+    the CQ, so a candidate checked against many disjuncts is indexed once.
     """
     if len(general.answers) != len(specific.answers):
         return False
@@ -34,7 +36,7 @@ def subsumes(
             return False
         seed[g_var] = s_var
     return (
-        find_homomorphism(general.atoms, specific.atoms, seed=seed)
+        find_homomorphism(general.atoms, specific._body_index(), seed=seed)
         is not None
     )
 

@@ -71,6 +71,11 @@ class UnionOfConjunctiveQueries:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # Rebuild through __init__ so the cached hash is recomputed with
+        # the unpickling interpreter's seed (see Term.__reduce__).
+        return (type(self), (self.disjuncts, self.answers))
+
     def __repr__(self) -> str:
         return f"UCQ({len(self.disjuncts)} disjuncts, answers={[v.name for v in self.answers]})"
 

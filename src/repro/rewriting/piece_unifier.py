@@ -17,6 +17,13 @@ The result of the step is ``u(B ∪ (q \\ Q'))`` where ``u`` maps each term
 to its class representative.  This is the König-et-al. [22] rewriting
 operator, enumerated exhaustively (every subset with every head-atom
 assignment), which is sound and complete for UCQ rewriting.
+
+The assignments form a tree, walked depth first on one undoable
+:class:`~repro.logic.unification.TermPartition`: a step down unions the
+terms of one query atom and its head atom, the step back undoes exactly
+those unions, and no leaf builds a partition of its own.  Each leaf is
+checked in one pass over the partition's classes, which applies the
+rules above and picks the representatives.
 """
 
 from __future__ import annotations
@@ -41,78 +48,6 @@ class PieceUnifier:
     rewritten: ConjunctiveQuery
 
 
-def _valid_classes(
-    partition: TermPartition,
-    query: ConjunctiveQuery,
-    rule: Rule,
-    unified_atoms: set[Atom],
-) -> bool:
-    """Check partition validity for the piece-unifier (see module docstring)."""
-    existential = rule.existential_variables()
-    rule_vars = rule.variables()
-    answer_set = set(query.answers)
-    outside_vars = {
-        v
-        for atom in (query.atoms - unified_atoms)
-        for v in atom.variables()
-    }
-    for group in partition.classes():
-        constants = [t for t in group if t.is_constant]
-        if len(constants) > 1:
-            return False
-        existential_members = [
-            t for t in group if isinstance(t, Variable) and t in existential
-        ]
-        if not existential_members:
-            if constants and any(t in answer_set for t in group):
-                return False
-            continue
-        if len(existential_members) > 1 or constants:
-            return False
-        for term in group:
-            if term in existential_members:
-                continue
-            if isinstance(term, Variable) and term in rule_vars:
-                return False  # existential merged with frontier/body var
-            if term in answer_set:
-                return False
-            if term in outside_vars:
-                return False
-            if not isinstance(term, Variable):
-                return False  # a null from a materialized query
-    return True
-
-
-def _representative_substitution(
-    partition: TermPartition, query: ConjunctiveQuery, rule: Rule
-) -> Substitution:
-    """Pick class representatives: constant > answer var > query var > rule var."""
-    answer_set = set(query.answers)
-    query_vars = query.variables()
-    mapping: dict[Term, Term] = {}
-    for group in partition.classes():
-        constants = sorted(t for t in group if t.is_constant)
-        answer_members = sorted(
-            (t for t in group if t in answer_set), key=lambda t: t.name
-        )
-        query_members = sorted(
-            (t for t in group if isinstance(t, Variable) and t in query_vars),
-            key=lambda t: t.name,
-        )
-        if constants:
-            representative = constants[0]
-        elif answer_members:
-            representative = answer_members[0]
-        elif query_members:
-            representative = query_members[0]
-        else:
-            representative = min(group)
-        for term in group:
-            if term != representative:
-                mapping[term] = representative
-    return Substitution(mapping)
-
-
 def piece_unifiers(
     query: ConjunctiveQuery,
     rule: Rule,
@@ -121,7 +56,14 @@ def piece_unifiers(
     """Enumerate all piece-unifiers of ``query`` with ``rule``.
 
     The rule is freshly renamed so its variables never clash with the
-    query's.  Enumeration is deterministic.
+    query's.  Enumeration is deterministic: the walk takes the query atoms
+    whose predicate occurs in the head in sorted order, first leaves each
+    one out of ``Q'``, then unifies it with each compatible head atom in
+    sorted order; every leaf that unified at least one atom is a
+    candidate.  A leaf's class pass picks as representative the class's
+    constant, else its least answer variable, else its least query
+    variable, else its least term, and collects the variables of
+    ``q \\ Q'`` only when some class holds an existential variable.
     """
     supply = supply or FreshSupply(prefix="_pu")
     renamed, _ = rule.rename_fresh(supply)
@@ -133,48 +75,88 @@ def piece_unifiers(
     if not candidates:
         return
 
-    compatible: dict[Atom, list[Atom]] = {
-        atom: [h for h in head_atoms if h.predicate == atom.predicate]
+    compatible = [
+        [h for h in head_atoms if h.predicate == atom.predicate]
         for atom in candidates
-    }
+    ]
+    existential = renamed.existential_variables()
+    rule_vars = renamed.variables()
+    answer_set = set(query.answers)
+    query_vars = query.variables()
+    body = set(renamed.body)
+    partition = TermPartition()
+    chosen: list[Atom] = []
 
-    # Enumerate partial assignments: each candidate maps to a head atom or
-    # stays out of Q'.  At least one candidate must be assigned.
-    def assignments(
-        index: int, current: list[tuple[Atom, Atom]]
-    ) -> Iterator[list[tuple[Atom, Atom]]]:
+    def unifier(unified_atoms: set[Atom]) -> dict[Term, Term] | None:
+        """The leaf's class pass: representatives, or None when invalid."""
+        mapping: dict[Term, Term] = {}
+        outside_vars = None
+        for group in partition.classes():
+            constants = [t for t in group if t.is_constant]
+            if len(constants) > 1:
+                return None
+            existentials = [t for t in group if t in existential]
+            if existentials:
+                if len(existentials) > 1 or constants:
+                    return None
+                if outside_vars is None:
+                    outside_vars = {
+                        v
+                        for atom in (query.atoms - unified_atoms)
+                        for v in atom.variables()
+                    }
+                for term in group:
+                    if term != existentials[0] and (
+                        term in rule_vars  # a frontier or body variable
+                        or term in answer_set
+                        or term in outside_vars
+                        or not isinstance(term, Variable)  # a query null
+                    ):
+                        return None
+            elif constants and any(t in answer_set for t in group):
+                return None
+            if constants:
+                representative = constants[0]
+            else:
+                representative = min(
+                    [t for t in group if t in answer_set]
+                    or [t for t in group if t in query_vars]
+                    or group
+                )
+            for term in group:
+                if term != representative:
+                    mapping[term] = representative
+        return mapping
+
+    def walk(index: int) -> Iterator[set[Atom]]:
+        """Yield each leaf's unified atoms, the partition set to match."""
         if index == len(candidates):
-            if current:
-                yield list(current)
+            if chosen:
+                yield set(chosen)
             return
+        # First leave the atom outside Q', then unify it with each
+        # compatible head atom.
+        yield from walk(index + 1)
         atom = candidates[index]
-        # Option 1: leave the atom outside Q'.
-        yield from assignments(index + 1, current)
-        # Option 2: unify with each compatible head atom.
-        for head_atom in compatible[atom]:
-            current.append((atom, head_atom))
-            yield from assignments(index + 1, current)
-            current.pop()
+        for head_atom in compatible[index]:
+            mark = partition.mark()
+            partition.unify_atoms(atom, head_atom)
+            chosen.append(atom)
+            yield from walk(index + 1)
+            chosen.pop()
+            partition.undo(mark)
 
     seen: set[tuple] = set()
-    for assignment in assignments(0, []):
-        partition = TermPartition()
-        feasible = True
-        for query_atom, head_atom in assignment:
-            if not partition.unify_atoms(query_atom, head_atom):
-                feasible = False
-                break
-        if not feasible:
+    for unified_atoms in walk(0):
+        mapping = unifier(unified_atoms)
+        if mapping is None:
             continue
-        unified_atoms = {query_atom for query_atom, _ in assignment}
-        if not _valid_classes(partition, query, renamed, unified_atoms):
-            continue
-        unifier = _representative_substitution(partition, query, renamed)
-        result_atoms = unifier.apply_atoms(
-            set(renamed.body) | (query.atoms - unified_atoms)
+        substitution = Substitution._from_clean(mapping)
+        result_atoms = substitution.apply_atoms(
+            body | (query.atoms - unified_atoms)
         )
         new_answers = tuple(
-            unifier.apply_term(v) for v in query.answers
+            substitution.apply_term(v) for v in query.answers
         )
         if any(not isinstance(v, Variable) for v in new_answers):
             continue

@@ -64,8 +64,9 @@ class RewritingResult:
         The disjuncts accumulated so far (always sound: each disjunct's
         match entails the original query under ``R``).
     complete:
-        True when a fixpoint was reached — the UCQ is then a rewriting in
-        the sense of Definition 2.
+        True when a fixpoint was reached and no candidate was dropped for
+        exceeding ``max_cq_size`` — the UCQ is then a rewriting in the
+        sense of Definition 2.
     depth:
         Number of completed breadth levels (the fixpoint depth when
         ``complete``).
@@ -94,11 +95,16 @@ class RewritePolicy(FixpointPolicy):
     """The piece-rewriter as a frontier-expansion policy.
 
     Owns the accumulated disjunct set (with cross-round subsumption
-    minimization), the per-candidate budgets (``max_cq_size`` skips or
-    strict-raises; ``max_disjuncts`` truncates the round and marks the
-    run exhausted) and the ``generated`` counter; the breadth loop,
-    depth budget, tracing and telemetry all live in
+    minimization), the per-candidate budgets and the ``generated``
+    counter; the breadth loop, depth budget, tracing and telemetry all
+    live in
     :meth:`ChaseRunner.fixpoint <repro.engine.runner.ChaseRunner.fixpoint>`.
+
+    ``max_disjuncts`` truncates the round and marks the run exhausted.
+    ``max_cq_size`` strict-raises, or skips the oversized candidate and
+    sets :attr:`dropped`: the breadth loop runs on without the candidate,
+    but an empty level reached after a drop is no fixpoint, and
+    :func:`rewrite` reports the rewriting incomplete.
     """
 
     variant = "rewriting"
@@ -122,6 +128,8 @@ class RewritePolicy(FixpointPolicy):
         self.supply = supply
         self.accepted: list[ConjunctiveQuery] = [query]
         self.generated = 0
+        #: True once a candidate was skipped for exceeding ``max_cq_size``.
+        self.dropped = False
         self._round = 0
         self._exhausted = False
 
@@ -145,6 +153,7 @@ class RewritePolicy(FixpointPolicy):
                             partial_rewriting=self.partial(),
                             depth=self._round,
                         )
+                    self.dropped = True
                     continue
                 if is_subsumed_by_any(candidate, self.accepted):
                     continue
@@ -192,7 +201,11 @@ def rewrite(
     max_depth, max_disjuncts, max_cq_size:
         Budgets; exceeding any of them either raises (``strict=True``) or
         returns an incomplete result.  Defaults come from
-        :mod:`repro.chase.bounds`.
+        :mod:`repro.chase.bounds`.  A candidate CQ with more than
+        ``max_cq_size`` atoms is dropped, and the breadth loop goes on
+        without it; ``complete`` is then False even when a level adds
+        nothing, since the dropped candidate's rewritings were never
+        explored.
     trace:
         An optional :class:`~repro.obs.trace.RunTrace`; each breadth
         level lands as one ``plan="expand"`` round record with the
@@ -229,7 +242,7 @@ def rewrite(
         ) from None
     return RewritingResult(
         ucq=policy.partial(),
-        complete=outcome.complete,
+        complete=outcome.complete and not policy.dropped,
         depth=outcome.rounds,
         generated=policy.generated,
         telemetry=outcome.telemetry,

@@ -1,11 +1,19 @@
 """Unit tests for CQs and UCQs: views, graph structure, value semantics."""
 
+import os
+import pathlib
+import pickle
+import subprocess
+import sys
+import tempfile
+
 import pytest
 
 from repro.logic.atoms import edge
 from repro.logic.substitutions import Substitution
 from repro.logic.terms import FreshSupply, Variable
 from repro.queries.cq import ConjunctiveQuery
+from repro.queries.minimization import subsumes
 from repro.queries.ucq import UCQ
 from repro.rules.parser import parse_query
 
@@ -123,3 +131,64 @@ class TestUCQ:
             UCQ([])
         empty = UCQ([], answers=())
         assert len(empty) == 0
+
+
+class TestPickling:
+    def test_pickles_rehash_across_hash_seeds(self):
+        # CQ and UCQ cache their hash; a pickle that carried it verbatim
+        # into an interpreter with another PYTHONHASHSEED would break set
+        # membership (CQ) and equality (UCQ, which compares disjunct sets).
+        writer = (
+            "import pickle, sys\n"
+            "from repro.queries.ucq import UCQ\n"
+            "from repro.rules.parser import parse_query\n"
+            "q = parse_query('E(x,y), E(y,z)', answers=('x',))\n"
+            "r = parse_query('E(x,x)', answers=('x',))\n"
+            "pickle.dump((q, UCQ([q, r])), open(sys.argv[1], 'wb'))\n"
+        )
+        reader = (
+            "import pickle, sys\n"
+            "from repro.queries.ucq import UCQ\n"
+            "from repro.rules.parser import parse_query\n"
+            "q, u = pickle.load(open(sys.argv[1], 'rb'))\n"
+            "fresh = parse_query('E(x,y), E(y,z)', answers=('x',))\n"
+            "other = parse_query('E(x,x)', answers=('x',))\n"
+            "assert q == fresh and hash(q) == hash(fresh)\n"
+            "assert q in {fresh}, 'CQ membership broke'\n"
+            "local = UCQ([fresh, other])\n"
+            "assert u == local and hash(u) == hash(local), 'UCQ broke'\n"
+            "assert u.disjuncts == local.disjuncts\n"
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            blob = pathlib.Path(tmp) / "payload.pickle"
+            for seed, script in (("1", writer), ("2", reader)):
+                env = dict(
+                    os.environ,
+                    PYTHONHASHSEED=seed,
+                    PYTHONPATH="src" + os.pathsep + os.environ.get("PYTHONPATH", ""),
+                )
+                subprocess.run(
+                    [sys.executable, "-c", script, str(blob)],
+                    check=True,
+                    env=env,
+                    cwd=pathlib.Path(__file__).parent.parent,
+                )
+
+    def test_pickle_is_unchanged_by_the_body_index(self):
+        specific = parse_query("E(x,y), E(y,z), E(z,x)", answers=("x",))
+        before = pickle.dumps(specific)
+        assert subsumes(parse_query("E(u,v)", answers=("u",)), specific)
+        assert specific._index is not None
+        after = pickle.dumps(specific)
+        assert after == before
+        restored = pickle.loads(after)
+        assert restored == specific and hash(restored) == hash(specific)
+        assert restored._index is None
+
+    def test_body_index_is_invisible_to_value_semantics(self):
+        indexed = parse_query("E(x,y), E(y,z)", answers=("x",))
+        plain = parse_query("E(x,y), E(y,z)", answers=("x",))
+        subsumes(plain, indexed)
+        assert indexed._index is not None and plain._index is None
+        assert indexed == plain and hash(indexed) == hash(plain)
+        assert set(indexed._index) == set(indexed.atoms)

@@ -43,6 +43,27 @@ class TestFixpoints:
                 strict=True,
             )
 
+    def test_size_drop_is_not_a_fixpoint(self):
+        # With max_cq_size=3 the depth-2 candidates of four atoms are
+        # dropped, so level 3 adds nothing; transitivity is not bdd, and
+        # that empty level must not read as a fixpoint.
+        rules = parse_rules("E(x,y), E(y,z) -> E(x,z)")
+        query = parse_query("E(x,y)", answers=("x", "y"))
+        result = rewrite(query, rules, max_cq_size=3)
+        assert not result.complete
+        # The breadth loop still runs to its empty level: the paths of
+        # one to three atoms are kept, the 4-atom candidates dropped.
+        assert result.depth == 2
+        assert result.generated == 11
+        assert sorted(len(d) for d in result.ucq) == [1, 2, 3]
+        with pytest.raises(RewritingBudgetExceeded):
+            rewrite(query, rules, max_cq_size=3, strict=True)
+
+    def test_size_budget_that_drops_nothing_keeps_completeness(self):
+        rules = parse_rules("E(x,y) -> exists z. E(y,z)")
+        query = parse_query("E(x,y), E(y,z)")
+        assert rewrite(query, rules, max_depth=8, max_cq_size=2).complete
+
     def test_datalog_projection_rewritten(self):
         rules = parse_rules("P(x,y) -> E(x,y)")
         result = rewrite(parse_query("E(u,v)"), rules, max_depth=4)
@@ -90,6 +111,23 @@ class TestBddCertificates:
             max_depth=4,
         )
         assert cert is None
+
+    def test_no_certificate_for_a_size_truncated_rewriting(self):
+        # Reachability is not bdd: level k adds the one (k+1)-atom path
+        # disjunct.  At level 24 the 25-atom candidate exceeds the
+        # default max_cq_size and is dropped; the empty level after it
+        # is no fixpoint, so no certificate.
+        rules = parse_rules("A(x), E(x,y) -> A(y)")
+        query = parse_query("A(u)", answers=("u",))
+        assert ucq_rewritability_certificate(query, rules, max_depth=30) is None
+        result = rewrite(query, rules, max_depth=30)
+        assert not result.complete
+        assert max(len(d) for d in result.ucq) == 24
+
+    def test_rewrite_ucq_inherits_the_size_drop(self):
+        rules = parse_rules("E(x,y), E(y,z) -> E(x,z)")
+        query = UCQ([parse_query("E(x,y)", answers=("x", "y"))])
+        assert not rewrite_ucq(query, rules, max_cq_size=3).complete
 
     def test_cross_validation_agrees(self):
         rules = parse_rules(

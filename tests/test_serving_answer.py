@@ -286,6 +286,32 @@ class TestBudgetStops:
         assert ample.verdict == "exact"
         assert ample.evidence["kind"] == "rewriting_witness"
 
+    @pytest.mark.parametrize("strategy", ["rewrite", "auto", "chase"])
+    def test_size_drop_gives_no_exact_negative(self, strategy):
+        # With max_cq_size=3 the transitivity rewriting drops its 4-atom
+        # candidates; the 4-hop witness c0 -> c4 needs one of them, so
+        # the rewriting is incomplete: "rewrite" may only say "sound",
+        # and "auto" must fall through to the goal-directed chase.
+        instance = parse_instance("E(c0,c1), E(c1,c2), E(c2,c3), E(c3,c4)")
+        result = answer(
+            instance,
+            parse_rules("E(x,y), E(y,z) -> E(x,z)"),
+            parse_query("E(x,y)", answers=("x", "y")),
+            (Constant("c0"), Constant("c4")),
+            strategy=strategy,
+            max_cq_size=3,
+        )
+        if strategy == "rewrite":
+            assert not result.entailed
+            assert result.verdict == "sound"
+            assert result.evidence["kind"] == "rewriting_budget"
+            assert not result.rewriting.complete
+        else:
+            assert result.entailed
+            assert result.verdict == "exact"
+            assert result.evidence["kind"] == "chase_witness"
+            assert result.strategy == ("hybrid" if strategy == "auto" else "chase")
+
 
 class TestGoalDirectedSavings:
     """The acceptance pin: same verdict, measurably fewer atoms."""
