@@ -14,24 +14,25 @@ re-matching everything and discarding the already-fired majority).
 
 Every delta enumeration — oblivious, semi-oblivious and restricted,
 inline or on the worker pool — joins on the delta core's id kernel
-(:func:`repro.engine.core.round_matches`), which builds one
-``Substitution`` per distinct body image, and :func:`round_triggers`
-turns any round's per-rule matches into its triggers in canonical
-order.  The object matcher keeps the full enumerations
-(:func:`triggers_of`, :func:`naive_new_triggers_of`, the ``naive``
-engine's reference) and the satisfaction checks.
+(:func:`repro.engine.core.round_matches`), which returns each rule's
+distinct body images, and :func:`round_triggers` turns any round's
+per-rule images into its triggers in canonical order.  The object
+matcher keeps the full enumerations (:func:`triggers_of`,
+:func:`naive_new_triggers_of`, the ``naive`` engine's reference) and
+the satisfaction checks.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.engine.core import (
     as_delta_instance,
     round_matches,
+    row_getter,
     rule_delta_images,
 )
-from repro.logic.atoms import Atom
+from repro.logic.atoms import Atom, build_atom
 from repro.logic.homomorphisms import (
     MATCHER_STATS,
     _candidates,
@@ -41,33 +42,76 @@ from repro.logic.homomorphisms import (
 from repro.logic.instances import Instance
 from repro.logic.substitutions import Substitution
 from repro.logic.terms import FreshSupply, Null, Term
-from repro.rules.rule import Rule
+from repro.rules.rule import INSTANTIATION_STATS, Rule
 from repro.rules.ruleset import RuleSet
 
 
 class Trigger:
     """A rule paired with a homomorphism from its body into some instance.
 
-    Two triggers are equal when they share the rule and agree on the body
-    variables — the identity used by the oblivious chase to fire each
-    trigger exactly once.  The identity key is derived lazily from the
-    rule's canonical body-variable order, so constructing a trigger does
-    not sort anything.
+    A trigger is its rule plus its *image* ``h(x̄)``, the terms its body
+    variables map to along ``rule.body_variable_order()``: two triggers
+    are equal when they share the rule and the image — the identity used
+    by the oblivious chase to fire each trigger exactly once — and
+    triggers of one rule sort by image.  Delta rounds build triggers from
+    images (:meth:`from_image`) and the mapping is derived from the
+    image the first time it is read; the object-matcher paths build them
+    from a homomorphism (``Trigger(rule, mapping)``), restricted to the
+    body variables, and the image is derived the first time it is read.
     """
 
-    __slots__ = ("rule", "mapping", "_image", "_ground_output")
+    __slots__ = (
+        "rule", "_mapping", "_image", "_ground_output", "_shared_head"
+    )
 
     def __init__(self, rule: Rule, mapping: Substitution):
         self.rule = rule
-        self.mapping = mapping.restrict(rule.body_variables())
+        self._mapping: Substitution | None = mapping.restrict(
+            rule.body_variables()
+        )
         self._image: tuple[Term, ...] | None = None
         # For existential-free rules the output is fully determined by the
-        # mapping; the restricted chase's enumeration
-        # (round_triggers), its satisfaction check or a custom
-        # policy's claim gate may park the instantiated head here, and
-        # :meth:`output` reuses the parked atoms instead of instantiating
-        # a second time.
+        # image.  The restricted chase's enumeration (round_triggers), its
+        # satisfaction check or a custom policy's claim gate may park the
+        # instantiated head here, already counted in INSTANTIATION_STATS,
+        # and :meth:`output` reuses the parked atoms instead of
+        # instantiating a second time.
         self._ground_output: frozenset[Atom] | set[Atom] | None = None
+        # The round's shared head (round_triggers): built once per
+        # distinct head in the round, counted when :meth:`output` hands
+        # it out.
+        self._shared_head: frozenset[Atom] | None = None
+
+    @classmethod
+    def from_image(
+        cls,
+        rule: Rule,
+        image: tuple[Term, ...],
+        shared_head: frozenset[Atom] | None = None,
+    ) -> "Trigger":
+        """The trigger of ``rule`` whose body variables map to ``image``
+        (along ``rule.body_variable_order()``), optionally with its
+        round's shared ground head."""
+        trigger = cls.__new__(cls)
+        trigger.rule = rule
+        trigger._mapping = None
+        trigger._image = image
+        trigger._ground_output = None
+        trigger._shared_head = shared_head
+        return trigger
+
+    @property
+    def mapping(self) -> Substitution:
+        """The body homomorphism, restricted to the body variables and
+        without identity pairs; derived from the image on first read."""
+        cached = self._mapping
+        if cached is None:
+            cached = self._mapping = Substitution._from_clean({
+                v: t
+                for v, t in zip(self.rule.body_variable_order(), self._image)
+                if v != t
+            })
+        return cached
 
     def image(self) -> tuple[Term, ...]:
         """``h(x̄)`` along the rule's canonical body-variable order.
@@ -117,7 +161,11 @@ class Trigger:
             cached = self._ground_output
             if cached is not None:
                 return cached, {}
-            return rule.instantiate_head(self.mapping), {}
+            shared = self._shared_head
+            if shared is None:
+                return rule.instantiate_head(self.mapping), {}
+            INSTANTIATION_STATS.heads += 1
+            return shared, {}
         existential_map: dict[Term, Null] = {
             v: supply.null() for v in existential
         }
@@ -188,57 +236,111 @@ def triggers_of(
             yield Trigger(rule, hom)
 
 
-def _trigger_with_image(
-    rule: Rule, hom: Substitution, image: tuple[Term, ...]
-) -> Trigger:
-    """Build a trigger whose canonical image is already known."""
-    trigger = Trigger(rule, hom)
-    trigger._image = image
-    return trigger
+def _image_key(image: tuple[Term, ...]) -> list:
+    """Sort key of an image in ``Term`` order: each term's ``(rank,
+    name)``, the order ``Term.__lt__`` defines (the rank identifies the
+    term's class), flattened so that keys compare at C level.  The images
+    of one rule have one length, so the flat keys order them as the
+    pairs would."""
+    return [part for term in image for part in (term._rank, term.name)]
+
+
+def _ground_heads(
+    rule: Rule, atoms: dict, heads: dict
+) -> Callable[[tuple[Term, ...]], frozenset[Atom]]:
+    """An existential-free rule's ground head per image.
+
+    The head depends on the image only through its frontier positions,
+    so one head is built per distinct frontier image, interned in
+    ``atoms`` (per ``(predicate, args)``) and ``heads`` (per atom set);
+    head constants stay fixed.
+    """
+    position = {v: i for i, v in enumerate(rule.body_variable_order())}
+    frontier = rule.frontier_order()
+    frontier_of = row_getter([position[v] for v in frontier])
+    head = rule.head
+    built: dict = {}
+
+    def ground(image: tuple[Term, ...]) -> frozenset[Atom]:
+        key = frontier_of(image)
+        found = built.get(key)
+        if found is None:
+            value = dict(zip(frontier, key))
+            members = []
+            for atom in head:
+                predicate = atom.predicate
+                args = tuple([value.get(t, t) for t in atom.args])
+                made = atoms.get((predicate, args))
+                if made is None:
+                    made = atoms[predicate, args] = build_atom(predicate, args)
+                members.append(made)
+            found = frozenset(members)
+            found = built[key] = heads.setdefault(found, found)
+        return found
+
+    return ground
 
 
 def round_triggers(
     rules: RuleSet | list[Rule],
-    per_rule: Iterable[dict],
+    per_rule: Iterable[Sequence[tuple[Term, ...]]],
     *,
     prune_ground_heads: bool = False,
 ) -> list[Trigger]:
     """The triggers of one delta round, in canonical order.
 
-    ``per_rule`` holds one ``{image: hom}`` dict per rule, as
+    ``per_rule`` holds one collection of distinct images per rule, as
     :func:`~repro.engine.core.round_matches` returns them, inline or
     merged across the worker pool.  Triggers come per rule in rule-set
     order, each rule's sorted by image — the order every engine fires
-    in, whichever way the matches were found.
+    in, whichever way the matches were found.  Images sort on
+    ``(rank, name)`` keys per term, the order ``Term.__lt__`` defines.
 
-    ``prune_ground_heads`` is for the dicts of an
+    An existential-free rule's triggers share their ground heads: the
+    round builds one :class:`Atom` per distinct head atom and one
+    frozenset per distinct head, in tables local to this call, and
+    parks the head on every trigger that grounds it (``_shared_head``,
+    counted in :data:`~repro.rules.rule.INSTANTIATION_STATS` when
+    :meth:`Trigger.output` hands it out).
+
+    ``prune_ground_heads`` is for the images of an
     ``enumerate_unsatisfied`` round (the restricted chase): an
     existential-free rule keeps one trigger per distinct ground head,
     the smallest image (two pool workers may each keep one), and parks
-    the head on ``_ground_output`` for the claim gate and for firing.
-    Every dropped trigger is one the restricted chase would have found
-    satisfied at its turn, so firing the survivors in canonical order
-    yields the same result, provenance and budget stops as firing all
-    of the round's matches.
+    the head on ``_ground_output`` for the claim gate and for firing,
+    counting one instantiation per image.  Every dropped trigger is one
+    the restricted chase would have found satisfied at its turn, so
+    firing the survivors in canonical order yields the same result,
+    provenance and budget stops as firing all of the round's matches.
     """
     triggers: list[Trigger] = []
-    for rule, found in zip(rules, per_rule):
-        if not prune_ground_heads or rule.existential_order():
-            triggers.extend(
-                _trigger_with_image(rule, found[image], image)
-                for image in sorted(found)
-            )
+    append = triggers.append
+    from_image = Trigger.from_image
+    atoms: dict = {}
+    heads: dict = {}
+    for rule, images in zip(rules, per_rule):
+        if not images:
             continue
-        heads: set[frozenset[Atom]] = set()
-        for image in sorted(found):
-            hom = found[image]
-            head = frozenset(rule.instantiate_head(hom))
-            if head in heads:
+        ordered = sorted(images, key=_image_key)
+        if rule.existential_order():
+            for image in ordered:
+                append(from_image(rule, image))
+            continue
+        ground = _ground_heads(rule, atoms, heads)
+        if not prune_ground_heads:
+            for image in ordered:
+                append(from_image(rule, image, ground(image)))
+            continue
+        INSTANTIATION_STATS.heads += len(ordered)
+        seen: set[frozenset[Atom]] = set()
+        for image in ordered:
+            head = ground(image)
+            if head in seen:
                 continue
-            heads.add(head)
-            trigger = _trigger_with_image(rule, hom, image)
+            seen.add(head)
+            trigger = from_image(rule, image)
             trigger._ground_output = head
-            triggers.append(trigger)
+            append(trigger)
     return triggers
 
 

@@ -29,10 +29,14 @@ the integer rows of a :class:`~repro.engine.columnar.ColumnarInstance`
 through its id-level positional index.  Existential variables change
 only the head, so one body program serves every rule; ground heads
 (existential-free rules) are id tuples tested against the store's row
-sets.  ``Substitution`` and ``Atom`` objects are built only for the
-results.  :func:`delta_homomorphisms`, the object matcher's
-(:mod:`repro.logic.homomorphisms`) run of the decomposition, is the
-reference the kernel is tested against; no engine path calls it.
+sets.  The enumerate modes return images only: per rule, the distinct
+``h(x̄)`` along ``rule.body_variable_order()`` as ``Term`` tuples, in no
+particular order (callers sort), with no ``Substitution`` built — a
+trigger derives its mapping from its image
+(:class:`~repro.chase.trigger.Trigger`).  The derive mode builds one
+``Atom`` per distinct head.  :func:`delta_homomorphisms`, the object
+matcher's (:mod:`repro.logic.homomorphisms`) run of the decomposition,
+is the reference the kernel is tested against; no engine path calls it.
 
 An object :class:`~repro.logic.instances.Instance` is joined through its
 *id view* (:func:`id_view`): a ``ColumnarInstance`` over a private
@@ -105,18 +109,18 @@ def rule_delta_images(
     rule: Rule,
     instance: Instance | ColumnarInstance,
     delta_inst: Instance | ColumnarInstance,
-) -> dict[tuple, Substitution]:
-    """Deduplicated body matches of one rule, keyed by canonical image.
+) -> list[tuple[Term, ...]]:
+    """The distinct images of one rule's body matches that use a delta
+    atom.
 
-    The key is ``h(x̄)`` along ``rule.body_variable_order()`` — the same
-    identity :class:`~repro.chase.trigger.Trigger` uses — so merging the
-    dicts produced by different delta slices (or different pivots) is a
-    plain dict union: equal keys imply equal restricted homomorphisms.
-    The join kernel keeps one ``Substitution`` per distinct image; the
-    dict's order is unspecified (callers sort by image).
+    An image is ``h(x̄)`` along ``rule.body_variable_order()`` — the
+    identity of a :class:`~repro.chase.trigger.Trigger`, which derives
+    its mapping from it — so the images of different delta slices (or
+    different pivots) merge by set union.  The list holds each image
+    once, in no particular order (callers sort by image).
     """
     if _idle(rule, instance, delta_inst):
-        return {}
+        return []
     return _RuleJoin(rule, instance, delta_inst).images()
 
 
@@ -124,7 +128,7 @@ def rule_unsatisfied_images(
     rule: Rule,
     instance: Instance | ColumnarInstance,
     delta_inst: Instance | ColumnarInstance,
-) -> dict[tuple, Substitution]:
+) -> list[tuple[Term, ...]]:
     """:func:`rule_delta_images` minus the matches that cannot add an atom.
 
     The restricted chase's enumeration.  An existential-free rule's match
@@ -139,17 +143,16 @@ def rule_unsatisfied_images(
 
     Both are dropped inside the join kernel, on id tuples — one head
     instantiation per match (counted in
-    :data:`~repro.rules.rule.INSTANTIATION_STATS`), no
-    :class:`Substitution` built for a dropped match.  Per delta slice this
+    :data:`~repro.rules.rule.INSTANTIATION_STATS`).  Per delta slice this
     keeps the smallest image per head, compared in ``Term`` order; merging
-    slices must keep the smallest again.  The dict's order is
-    unspecified (callers sort by image).  Existential rules are returned
-    unpruned.
+    slices must keep the smallest again.  The list holds each image once,
+    in no particular order (callers sort by image).  Existential rules
+    are returned unpruned.
     """
     if rule.existential_order():
         return rule_delta_images(rule, instance, delta_inst)
     if _idle(rule, instance, delta_inst):
-        return {}
+        return []
     return _RuleJoin(rule, instance, delta_inst).unsatisfied()
 
 
@@ -209,9 +212,9 @@ def round_matches(
     """One delta round over ``rules``: the per-slice function every round
     runs, inline on the whole delta or in a pool worker on its slice.
 
-    ``mode`` is the pool's command name: per rule, a
-    :func:`rule_delta_images` dict (``"enumerate"``) or a
-    :func:`rule_unsatisfied_images` dict (``"enumerate_unsatisfied"``),
+    ``mode`` is the pool's command name: per rule, the
+    :func:`rule_delta_images` list (``"enumerate"``) or the
+    :func:`rule_unsatisfied_images` list (``"enumerate_unsatisfied"``),
     or the :func:`derive_delta_atoms` heads of all rules (``"derive"``).
     """
     if mode == "derive":
@@ -310,10 +313,16 @@ class _Ids:
             return self.predicates[pred_id]
         return self._placeholders[-1 - pred_id]
 
+    def images(self, kept: Iterable[tuple]) -> list[tuple[Term, ...]]:
+        """The ``Term`` tuples of id tuples.  While the join has made no
+        placeholder, none can occur and each id is a plain list index."""
+        term = self.term_of if self._placeholders else self.terms.__getitem__
+        return [tuple(map(term, ids)) for ids in kept]
 
-def _row_getter(slots: Sequence[int]) -> Callable[[list], tuple]:
-    """``slots`` picked out of a slot list as one tuple (C-level when
-    it can be)."""
+
+def row_getter(slots: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """The values at positions ``slots`` of a sequence (a slot list, an
+    image) as one tuple (C-level when it can be)."""
     if len(slots) > 1:
         return itemgetter(*slots)
     if slots:
@@ -370,7 +379,9 @@ class _OrderKeys(dict):
 
 
 # checks: hot
-def _precedes(candidate: list, kept: list, size: int, keys: _OrderKeys) -> bool:
+def _precedes(
+    candidate: list, kept: tuple, size: int, keys: _OrderKeys
+) -> bool:
     """Whether ``candidate[:size]`` is below ``kept[:size]`` in ``Term``
     order (ids only decide equality)."""
     for index in range(size):
@@ -455,7 +466,6 @@ class _RuleJoin:
             for term in atom.args:
                 if not term.is_constant and term not in slot_of:
                     slot_of[term] = len(slot_of)
-        self.variables = tuple(slot_of)
         self.image_size = len(order)
         self.slots: list = [None] * len(slot_of)
         self.slot_of = slot_of
@@ -493,7 +503,7 @@ class _RuleJoin:
         return [
             (
                 self.ids.predicate(atom.predicate),
-                _row_getter([slot_of[t] for t in atom.args]),
+                row_getter([slot_of[t] for t in atom.args]),
             )
             for atom in head
         ]
@@ -593,33 +603,15 @@ class _RuleJoin:
             MATCHER_STATS.candidates += tally[0]
         return started
 
-    def _substitutions(
-        self, kept: Iterable[list]
-    ) -> dict[tuple, Substitution]:
-        """``{image: Substitution}`` for kept slot values (body terms)."""
-        term_of = self.ids.term_of
-        variables = self.variables
-        image_size = self.image_size
-        found: dict[tuple, Substitution] = {}
-        for values in kept:
-            terms = [term_of(value) for value in values]
-            found[tuple(terms[:image_size])] = Substitution._from_clean(
-                {v: t for v, t in zip(variables, terms) if v != t}
-            )
-        return found
-
-    def images(self) -> dict[tuple, Substitution]:
-        image_of = _row_getter(range(self.image_size))
-        size = len(self.variables)
-        kept: dict = {}  # image ids -> slot values of its first match
+    def images(self) -> list[tuple[Term, ...]]:
+        kept: dict = {}  # the distinct image ids
+        image_of = row_getter(range(self.image_size))
 
         def emit(slots: list) -> None:
-            image = image_of(slots)
-            if image not in kept:
-                kept[image] = slots[:size]
+            kept[image_of(slots)] = None
 
         self._run(emit)
-        return self._substitutions(kept.values())
+        return self.ids.images(kept)
 
     def exists(self) -> tuple[bool, int]:
         """Stop at the first match: whether there is one, and how many
@@ -634,13 +626,13 @@ class _RuleJoin:
         started = self._run(emit)
         return found, started
 
-    def unsatisfied(self) -> dict[tuple, Substitution]:
+    def unsatisfied(self) -> list[tuple[Term, ...]]:
         heads = self._heads()
         view = self.view
         keys = _OrderKeys(self.ids.term_of)
         image_size = self.image_size
-        size = len(self.variables)
-        kept: dict = {}  # ground head (row or frozenset) -> slot values
+        image_of = row_getter(range(image_size))
+        kept: dict = {}  # ground head (row or frozenset) -> image ids
         matches = 0
         if len(heads) == 1:
             ((pred_id, head_row),) = heads
@@ -656,7 +648,7 @@ class _RuleJoin:
                 if previous is None or _precedes(
                     slots, previous, image_size, keys
                 ):
-                    kept[key] = slots[:size]
+                    kept[key] = image_of(slots)
 
         else:
             heads = [
@@ -681,11 +673,11 @@ class _RuleJoin:
                 if previous is None or _precedes(
                     slots, previous, image_size, keys
                 ):
-                    kept[key] = slots[:size]
+                    kept[key] = image_of(slots)
 
         self._run(emit)
         INSTANTIATION_STATS.heads += matches
-        return self._substitutions(kept.values())
+        return self.ids.images(kept.values())
 
     def derive(self) -> set[Atom]:
         heads = [

@@ -60,7 +60,11 @@ import time
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from repro.engine.config import EngineConfig, resolve_engine
-from repro.engine.core import as_delta_instance, round_matches
+from repro.engine.core import (
+    as_delta_instance,
+    round_matches,
+    rule_delta_match,
+)
 from repro.engine.workers import TRANSPORT_STATS, WorkerPool
 from repro.errors import ChaseBudgetExceeded, ChaseError
 from repro.logic.terms import FreshSupply
@@ -169,13 +173,16 @@ class VariantPolicy:
     ) -> bool:
         """Existence probe after the step budget, delta engines.
 
-        Existence-only, so the sequential enumeration serves every engine
-        (the worker pool is already closed when this runs).
+        Whether some rule has a body match that uses a delta atom, asked
+        of the join kernel's existence mode
+        (:func:`~repro.engine.core.rule_delta_match`), which stops at the
+        first match.  It runs inline on every engine (the worker pool is
+        already closed when this runs).
         """
-        from repro.chase.trigger import new_triggers_of
-
-        remaining = new_triggers_of(instance, rules, delta)
-        return any(True for _ in remaining)
+        delta_inst = as_delta_instance(delta)
+        return any(
+            rule_delta_match(rule, instance, delta_inst)[0] for rule in rules
+        )
 
     # -- firing --------------------------------------------------------
 

@@ -67,7 +67,6 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.errors import ChaseError
 from repro.logic.atoms import Atom, build_atom
-from repro.logic.substitutions import Substitution
 from repro.rules.rule import Rule
 
 if TYPE_CHECKING:  # annotation-only: columnar imports this module
@@ -248,16 +247,13 @@ def decode_derive_reply(vocabulary: "Vocabulary", reply: bytes) -> set[Atom]:
 
 
 def encode_enumerate_reply(
-    vocabulary: "Vocabulary", per_rule: Sequence[dict]
+    vocabulary: "Vocabulary", per_rule: Sequence[Iterable[tuple]]
 ) -> bytes:
-    """Pack per-rule image dicts: per rule a count, then flat images.
+    """Pack per-rule image lists: per rule a count, then flat images.
 
-    Only the images cross the wire — a trigger's homomorphism is exactly
-    reconstructible from its image along the rule's canonical
-    body-variable order (``Trigger`` restricts its mapping to the body
-    variables and ``Substitution`` drops identity pairs), so the parent
-    rebuilds the ``{image: hom}`` dicts without shipping
-    ``Substitution`` graphs.  A term missing from the worker's table
+    Only the images cross the wire — a trigger is its rule plus its
+    image along the rule's canonical body-variable order, and derives
+    its mapping from the image.  A term missing from the worker's table
     replica raises :class:`~repro.errors.ChaseError`.
     """
     term_ids = vocabulary.term_ids
@@ -276,40 +272,34 @@ def encode_enumerate_reply(
 
 def decode_enumerate_reply(
     vocabulary: "Vocabulary", rules: Sequence[Rule], reply: bytes
-) -> list[dict]:
-    """Rebuild the per-rule ``{image: hom}`` dicts of one reply.
+) -> list[list[tuple]]:
+    """Rebuild the per-rule image lists of one reply, in reply order.
 
-    A reply must hold exactly one count per rule and ``count`` images of
-    the rule's width after it, over ids in the term table; a missing
-    count, a short image, leftover ids or an id past the table raise
-    :class:`~repro.errors.ChaseError`.
+    Each image is a ``Term`` tuple along the rule's body-variable order,
+    the same result type an inline :func:`repro.engine.core.round_matches`
+    returns; no homomorphism is rebuilt (a trigger derives its mapping
+    from its image).  A reply must hold exactly one count per rule and
+    ``count`` images of the rule's width after it, over ids in the term
+    table; a missing count, a short image, leftover ids or an id past
+    the table raise :class:`~repro.errors.ChaseError`.
     """
     ids = unpack_ids(reply)
-    terms = vocabulary.terms
-    results: list[dict] = []
+    term = vocabulary.terms.__getitem__
+    results: list[list[tuple]] = []
     position, end = 0, len(ids)
     try:
         for rule in rules:
             if position == end:
                 raise ChaseError("enumerate reply is missing an image count")
-            order = rule.body_variable_order()
-            width = len(order)
+            width = len(rule.body_variable_order())
             count = ids[position]
             position += 1
             if position + count * width > end:
                 raise ChaseError("truncated enumerate reply: short image")
-            found: dict = {}
+            found: list[tuple] = []
             for _ in range(count):
-                image = tuple(
-                    [terms[i] for i in ids[position:position + width]]
-                )
+                found.append(tuple(map(term, ids[position:position + width])))
                 position += width
-                mapping = {
-                    variable: term
-                    for variable, term in zip(order, image)
-                    if variable != term
-                }
-                found[image] = Substitution._from_clean(mapping)
             results.append(found)
     except IndexError:
         raise _unknown_id() from None

@@ -14,10 +14,10 @@ Rounds
 the delta by ``hash(atom) % size``, one sorted slice per worker, runs
 :func:`repro.engine.core.round_matches` on every worker's slice against
 its replica, and merges the replies into what one inline call on the
-whole delta returns — per rule, a keyed union of the ``{image: hom}``
-dicts (equal images imply equal matches, so a body touching delta atoms
-routed to two workers merges to one), or the union of the derived atom
-sets.  A round whose delta lands on a single worker runs inline against
+whole delta returns — per rule, the set union of the workers' image
+lists (a body touching delta atoms routed to two workers is found by
+both and merges to one image), or the union of the derived atom sets.
+A round whose delta lands on a single worker runs inline against
 the parent's instance instead, with no message sent; the replicas catch
 up through the next pooled round's sync.
 
@@ -50,7 +50,7 @@ pickled — that is also how the pool accounts transport in
     ``pivot_buf`` rows (this worker's slice of the delta) as the pivot
     source against the full replica.  Replies with one packed buffer:
     per-rule image streams (the enumeration commands — the parent
-    rebuilds the ``{image: hom}`` dicts from the images alone) or a
+    decodes them into the image lists an inline round returns) or a
     derived atom stream (``derive``).  ``enumerate_unsatisfied`` is the
     restricted chase's: the replica mirrors the chase instance at round
     start, so each existential-free match's ground head is checked
@@ -89,6 +89,7 @@ import multiprocessing
 import pickle
 import time
 import traceback
+from itertools import chain
 from typing import Sequence
 
 from repro.engine import core, wire
@@ -611,8 +612,9 @@ class WorkerPool:
         """:func:`repro.engine.core.round_matches` of the whole ``delta``,
         computed across the pool: hash routing, the inline fallback for
         a single busy slice, and the merge of the replies (see the
-        module docstring).  The merged dicts are unordered;
-        :func:`~repro.chase.trigger.round_triggers` sorts them.
+        module docstring).  Per rule, the merged image list is the set
+        union of the workers' lists, each image once, in no particular
+        order; :func:`~repro.chase.trigger.round_triggers` sorts it.
         """
         rules = tuple(rules)
         size = self.size
@@ -640,7 +642,7 @@ class WorkerPool:
         if mode == "derive":
             return set().union(*results)
         return [
-            {image: hom for found in per_rule for image, hom in found.items()}
+            list(dict.fromkeys(chain.from_iterable(per_rule)))
             for per_rule in zip(*results)
         ]
 
@@ -659,7 +661,7 @@ class WorkerPool:
         computed here and shipped to *every* worker, so replicas always
         mirror the parent instance at round start.  Returns the workers'
         results in worker order, for the workers with pivots only
-        (per-rule image dicts for the enumeration modes, derived atom
+        (per-rule image lists for the enumeration modes, derived atom
         sets for ``derive``).
         """
         self._start()

@@ -13,7 +13,7 @@ from typing import Iterable
 from repro.logic.atoms import Atom
 from repro.logic.predicates import Predicate
 from repro.logic.substitutions import Substitution
-from repro.logic.terms import FreshSupply, Term, Variable
+from repro.logic.terms import FreshSupply, Null, Term, Variable
 
 
 class InstantiationStats:
@@ -25,8 +25,17 @@ class InstantiationStats:
     :meth:`Rule.instantiate_head` bumps it, so the engine tests can assert
     that a claim gate which already instantiated a trigger's head (parking
     it on ``Trigger._ground_output``) is not paying for a second
-    instantiation on the firing path.  Worker processes keep their own
-    copy; the parent-side count is the one the equivalence tests pin.
+    instantiation on the firing path.  A delta round builds each distinct
+    ground head of an existential-free rule once and shares it among the
+    triggers that ground it
+    (:func:`~repro.chase.trigger.round_triggers`); a shared head counts
+    once per trigger, when :meth:`~repro.chase.trigger.Trigger.output`
+    hands it out, so firing still counts one instantiation per trigger
+    fired.  The restricted chase's pruned rounds count one per image the
+    kernel kept, and the kernel one per match it grounds
+    (:func:`~repro.engine.core.rule_unsatisfied_images`).  Worker
+    processes keep their own copy; the parent-side count is the one the
+    equivalence tests pin.
     """
 
     __slots__ = ("heads",)
@@ -46,7 +55,14 @@ INSTANTIATION_STATS = InstantiationStats()
 
 
 class Rule:
-    """An existential rule with non-empty body and head."""
+    """An existential rule with non-empty body and head.
+
+    The head is over variables and constants (Section 2.1): a head that
+    mentions a labelled null raises :class:`ValueError` — an existential
+    variable is the way to name a fresh term.  Body nulls are allowed
+    and match like variables (the serving layer's goals are rules
+    ``body → ⊤`` over query bodies).
+    """
 
     __slots__ = (
         "body",
@@ -72,6 +88,13 @@ class Rule:
             raise ValueError("a rule must have a non-empty body")
         if not head_atoms:
             raise ValueError("a rule must have a non-empty head")
+        for atom in head_atoms:
+            for term in atom.args:
+                if isinstance(term, Null):
+                    raise ValueError(
+                        f"a rule head may not mention the labelled null "
+                        f"{term} (use an existential variable)"
+                    )
         self.body = body_atoms
         self.head = head_atoms
         self.label = label

@@ -1,9 +1,43 @@
 """Unit tests for the restricted chase and chase bounds helpers."""
 
+import pytest
+
 from repro.chase.bounds import growth_curve, suggested_level_budget
 from repro.chase.oblivious import oblivious_chase
 from repro.chase.restricted import restricted_chase
+from repro.chase.semi_oblivious import semi_oblivious_chase
+from repro.engine import EngineConfig
+from repro.logic.atoms import atom
+from repro.logic.terms import Constant, Null, Variable
 from repro.rules.parser import parse_instance, parse_rules
+from repro.rules.rule import Rule
+from repro.rules.ruleset import RuleSet
+
+
+class TestNullsInRules:
+    def test_null_in_head_is_rejected_before_engines_can_disagree(self):
+        # E(x, n0) -> F(x, n0) on {E(a,b)} once gave F(a, b) under the
+        # kernel engines (which bind a body null like a variable, also
+        # in the head) and F(a, n0) under ``naive``; such a rule is no
+        # longer constructible.
+        n0, x = Null("n0"), Variable("x")
+        with pytest.raises(ValueError, match="labelled null"):
+            Rule([atom("E", x, n0)], [atom("F", x, n0)])
+
+    @pytest.mark.parametrize("chase", [
+        oblivious_chase, semi_oblivious_chase, restricted_chase
+    ])
+    def test_body_null_matches_like_a_variable_on_every_engine(self, chase):
+        n0, x = Null("n0"), Variable("x")
+        rules = RuleSet([Rule([atom("E", x, n0)], [atom("F", x)])])
+        results = [
+            chase(parse_instance("E(a,b)"), rules, 3, engine=engine).instance
+            for engine in (
+                "naive", "delta", EngineConfig("persistent", workers=2)
+            )
+        ]
+        assert results[0] == results[1] == results[2]
+        assert atom("F", Constant("a")) in results[0]
 
 
 class TestRestrictedChase:

@@ -1,5 +1,7 @@
 """Unit tests for the corpus, generators, text rendering and serialization."""
 
+import pytest
+
 from repro.corpus.examples import bdd_corpus, full_corpus
 from repro.corpus.generators import (
     cycle_instance,
@@ -113,6 +115,24 @@ class TestSerialization:
     def test_rule_roundtrip(self):
         rule = parse_rules("E(x,y) -> exists z. E(y,z)").rules()[0]
         assert rule_from_dict(rule_to_dict(rule)) == rule
+
+    def test_rule_with_null_in_head_is_rejected(self):
+        data = {
+            "body": [{"predicate": "E", "args": [
+                {"kind": "variable", "name": "x"},
+                {"kind": "null", "name": "n0"},
+            ]}],
+            "head": [{"predicate": "F", "args": [
+                {"kind": "variable", "name": "x"},
+                {"kind": "null", "name": "n0"},
+            ]}],
+            "label": "",
+        }
+        with pytest.raises(ValueError, match="labelled null"):
+            rule_from_dict(data)
+        # The same null in the body alone is a rule.
+        data["head"][0]["args"].pop()
+        assert len(rule_from_dict(data).body) == 1
 
     def test_ruleset_roundtrip(self):
         rules = parse_rules(

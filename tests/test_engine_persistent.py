@@ -27,6 +27,7 @@ from repro.chase import (
     restricted_chase,
     semi_oblivious_chase,
 )
+from repro.chase.trigger import Trigger
 from repro.corpus.generators import path_instance, tournament_instance
 from repro.engine import (
     TRANSPORT_STATS,
@@ -328,8 +329,10 @@ class TestWorkerPool:
             )
         (rule,) = rules
         heads = {
-            image: rule.instantiate_head(hom)
-            for image, hom in full[0].items()
+            image: rule.instantiate_head(
+                Trigger.from_image(rule, image).mapping
+            )
+            for image in full[0]
         }
         # Four 2-paths: a-b-c grounds the present E(a,c); a-c-d and
         # a-e-d both ground E(a,d); b-c-d grounds E(b,d).
@@ -367,7 +370,7 @@ class TestWorkerPool:
             )
             assert TRANSPORT_STATS.seeds == 0
         # E(a,c), E(c,c) -> E(a,c) is present on the synced replica.
-        assert second[0] == {}
+        assert second[0] == []
 
 
 def _path(prefix: str, length: int) -> list:
@@ -437,6 +440,14 @@ class TestReplicaFreshness:
         ]
 
 
+def _assert_same_image_sets(found, expected):
+    """Per rule, the same images, each listed once."""
+    assert len(found) == len(expected)
+    for images, want in zip(found, expected):
+        assert len(set(images)) == len(images)
+        assert set(images) == set(want)
+
+
 class TestInlineFallback:
     """:meth:`WorkerPool.round_matches` runs a round whose delta routes
     to a single worker inline; the next pooled round's sync carries it."""
@@ -469,9 +480,9 @@ class TestInlineFallback:
                 "enumerate", self.RULES, instance, inline
             )
             assert TRANSPORT_STATS.messages == messages
-            assert found == round_matches(
+            _assert_same_image_sets(found, round_matches(
                 "enumerate", self.RULES, instance, as_delta_instance(inline)
-            )
+            ))
             instance.update(pooled)
             synced = TRANSPORT_STATS.command("sync")["atoms_sent"]
             found = pool.round_matches(
@@ -482,9 +493,9 @@ class TestInlineFallback:
                 synced + 2 * (len(inline) + len(pooled))
             )
             assert TRANSPORT_STATS.seeds == 1
-        assert found == round_matches(
+        _assert_same_image_sets(found, round_matches(
             "enumerate", self.RULES, instance, as_delta_instance(pooled)
-        )
+        ))
         # The matches through round 2's atoms: the replicas learned those
         # atoms only from round 3's sync.
         for start in inline:

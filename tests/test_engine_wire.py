@@ -19,6 +19,7 @@ import random
 
 import pytest
 
+from repro.chase.trigger import Trigger
 from repro.engine import wire
 from repro.engine.columnar import ColumnarInstance, Vocabulary
 from repro.engine.wire import atom_weight
@@ -214,7 +215,10 @@ class TestReplyCodec:
             wire.decode_derive_reply(tables, buf[:-1])
 
     def test_enumerate_reply_rebuilds_homs_from_images(self):
-        from repro.engine.core import rule_delta_images
+        # The reply carries the images only; the decoded lists hold the
+        # same images, each once, in reply order, and the triggers built
+        # from them derive the object matcher's homomorphisms.
+        from repro.engine.core import delta_homomorphisms, rule_delta_images
 
         rules = tuple(parse_rules("E(x,y), E(y,z) -> E(x,z)"))
         instance = Instance(
@@ -228,6 +232,15 @@ class TestReplyCodec:
         reply = wire.encode_enumerate_reply(vocabulary, per_rule)
         decoded = wire.decode_enumerate_reply(tables, rules, reply)
         assert decoded == per_rule
+        (images,) = decoded
+        assert len(set(images)) == len(images)
+        reference = {
+            Trigger(rules[0], hom)
+            for hom in delta_homomorphisms(rules[0], instance, instance)
+        }
+        rebuilt = {Trigger.from_image(rules[0], image) for image in images}
+        assert rebuilt == reference
+        assert {t.mapping for t in rebuilt} == {t.mapping for t in reference}
 
     def test_identity_images_rebuild_absent_bindings(self):
         # An image that sends a body variable to itself packs as the
@@ -236,14 +249,16 @@ class TestReplyCodec:
         rules = tuple(parse_rules("E(x,y) -> F(x,y)"))
         x, y = rules[0].body_variable_order()
         mapping = Substitution({x: x, y: Constant("B")})
-        per_rule = [{(x, Constant("B")): mapping}]
+        per_rule = [[(x, Constant("B"))]]
         tables = Vocabulary()
         wire.encode_atoms(tables, [Atom(Predicate("E", 2), (x, Constant("B")))])
         vocabulary = _synced_vocabulary(tables)
         reply = wire.encode_enumerate_reply(vocabulary, per_rule)
         decoded = wire.decode_enumerate_reply(tables, rules, reply)
         assert decoded == per_rule
-        (hom,) = decoded[0].values()
+        ((image,),) = decoded
+        hom = Trigger.from_image(rules[0], image).mapping
+        assert hom == mapping
         assert x not in hom
 
     @pytest.mark.parametrize(
@@ -261,15 +276,17 @@ class TestReplyCodec:
         rules = tuple(parse_rules("E(x,y), E(y,z) -> E(x,z)"))
         tables = Vocabulary()
         wire.encode_atoms(tables, [atom("E", "A", "B"), atom("E", "B", "C")])
-        assert wire.decode_enumerate_reply(
+        decoded = wire.decode_enumerate_reply(
             tables, rules, wire.pack_ids([1, 0, 1, 2])
-        ) == [{
-            (Constant("A"), Constant("B"), Constant("C")): Substitution({
+        )
+        assert decoded == [[(Constant("A"), Constant("B"), Constant("C"))]]
+        assert Trigger.from_image(rules[0], decoded[0][0]).mapping == (
+            Substitution({
                 Variable("x"): Constant("A"),
                 Variable("y"): Constant("B"),
                 Variable("z"): Constant("C"),
             })
-        }]
+        )
         with pytest.raises(ChaseError, match=message):
             wire.decode_enumerate_reply(tables, rules, wire.pack_ids(ids))
 

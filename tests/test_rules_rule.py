@@ -3,7 +3,7 @@
 import pytest
 
 from repro.logic.atoms import atom, edge
-from repro.logic.terms import FreshSupply, Variable
+from repro.logic.terms import FreshSupply, Null, Variable
 from repro.rules.rule import Rule
 from repro.rules.ruleset import RuleSet, ruleset
 
@@ -18,6 +18,22 @@ class TestConstruction:
     def test_empty_head_rejected(self):
         with pytest.raises(ValueError):
             Rule([edge("x", "y")], [])
+
+    def test_null_in_head_rejected(self):
+        # Heads are over variables and constants (Section 2.1); a fresh
+        # term is named by an existential variable.
+        n0 = Null("n0")
+        with pytest.raises(ValueError, match="labelled null n0"):
+            Rule([edge("x", n0)], [atom("F", "x", n0)])
+        with pytest.raises(ValueError, match="labelled null n0"):
+            Rule([edge("x", "y")], [atom("F", "x"), atom("G", n0)])
+
+    def test_null_in_body_allowed(self):
+        # Query bodies wrapped as goals ``body -> top`` may hold nulls;
+        # both matchers treat a body null like a variable.
+        n0 = Null("n0")
+        rule = Rule([edge("x", n0)], [atom("F", "x")])
+        assert rule.body_variables() == {V("x")}
 
     def test_label_not_part_of_identity(self):
         left = Rule([edge("x", "y")], [edge("y", "x")], label="a")

@@ -28,15 +28,23 @@ from repro.chase import (
     restricted_chase,
     semi_oblivious_chase,
 )
+from repro.chase.oblivious import ObliviousPolicy
+from repro.chase.restricted import RestrictedPolicy
 from repro.chase.semi_oblivious import SemiObliviousPolicy
-from repro.chase.trigger import restricted_new_triggers_of
+from repro.chase.trigger import new_triggers_of, restricted_new_triggers_of
+from repro.corpus import example_1
 from repro.corpus.generators import (
+    FUZZ_SIGNATURE,
+    growing_tournament_ruleset,
     path_instance,
+    random_chase_ruleset,
     random_digraph_instance,
+    random_instance,
     tournament_instance,
 )
 from repro.engine import ChaseRunner, EngineConfig, VariantPolicy
 from repro.errors import ChaseBudgetExceeded
+from repro.logic.instances import Instance
 from repro.logic.terms import FreshSupply
 from repro.obs import RunTrace
 from repro.rewriting.datalog import semi_naive_closure
@@ -140,6 +148,125 @@ class TestRunnerCrossProduct:
         for ename, engine in ENGINES:
             result = run(make(), rules, steps, engine, 25)
             assert_bit_identical(result, reference)
+
+
+#: The heavy rows of Theorem 1's Property (p) check: the growing
+#: tournaments, whose merge rules fire most of its triggers, and
+#: Example 1.
+PAPER_ROWS = [
+    (f"growing_tournament_{merge_rules}", Instance,
+     growing_tournament_ruleset(merge_rules), 5)
+    for merge_rules in (1, 2, 3)
+] + [("example_1", lambda: example_1().instance, example_1().rules, 6)]
+PAPER_ROW_IDS = [row[0] for row in PAPER_ROWS]
+
+PAPER_ENGINES = [
+    ("naive", "naive"),
+    ("delta", "delta"),
+    ("parallel_w1", EngineConfig("parallel", workers=1)),
+    ("persistent_w2", EngineConfig("persistent", workers=2)),
+]
+
+
+@pytest.mark.parametrize(
+    "wname,make,rules,steps", PAPER_ROWS, ids=PAPER_ROW_IDS
+)
+@pytest.mark.parametrize("vname,run", VARIANTS, ids=VARIANT_IDS)
+def test_paper_rows_are_bit_identical(vname, run, wname, make, rules, steps):
+    reference = run(make(), rules, steps, "naive", 100_000)
+    assert reference.records()
+    for ename, engine in PAPER_ENGINES[1:]:
+        result = run(make(), rules, steps, engine, 100_000)
+        assert_bit_identical(result, reference)
+
+
+@pytest.mark.parametrize("vname,run", VARIANTS, ids=VARIANT_IDS)
+def test_growing_tournament_mid_round_budget_stop(vname, run):
+    # 12 atoms stop growing_tournament_3 part-way through a round: every
+    # engine records the same applications and draws the same nulls, and
+    # the oblivious variants instantiate one head per recorded
+    # application (the restricted chase's claims instantiate heads of
+    # triggers they skip, too).
+    rules = growing_tournament_ruleset(3)
+
+    def stopped(engine):
+        supply = FreshSupply("_g")
+        result = ChaseRunner(
+            {
+                "oblivious": ObliviousPolicy,
+                "semi_oblivious": SemiObliviousPolicy,
+                "restricted": RestrictedPolicy,
+            }[vname](),
+            engine,
+            max_steps=5,
+            max_atoms=12,
+            supply=supply,
+        ).run(Instance(), rules)
+        return result, supply.position
+
+    reference, position = stopped("naive")
+    assert len(reference.instance) == 13
+    assert not reference.terminated and reference.levels_completed < 5
+    nulls = sum(len(r.created_nulls) for r in reference.records())
+    assert position == nulls
+    for ename, engine in PAPER_ENGINES:
+        result, at = stopped(engine)
+        assert_bit_identical(result, reference)
+        assert at == position, ename
+        if vname != "restricted":
+            heads = result.telemetry["registry"]["instantiation"]["heads"]
+            assert heads == len(result.records()), ename
+
+
+class _RecordingProbe(ObliviousPolicy):
+    """The oblivious policy, noting each post-budget probe's answer next
+    to whether :func:`new_triggers_of` finds a trigger on its delta."""
+
+    def __init__(self):
+        super().__init__()
+        self.answers = []
+
+    def delta_has_remaining(self, instance, rules, delta):
+        answer = super().delta_has_remaining(instance, rules, delta)
+        found = any(True for _ in new_triggers_of(instance, rules, delta))
+        self.answers.append((answer, found))
+        return answer
+
+
+def test_fixpoint_probe_answers_whether_a_trigger_remains():
+    # Budget-stopped runs: the growing tournaments, Example 1, the
+    # transitive closure of a path (which reaches its fixpoint at some
+    # budgets) and fuzz draws, each at several level budgets.
+    tc = parse_rules("E(x,y), E(y,z) -> E(x,z)", name="tc")
+    runs = [
+        (growing_tournament_ruleset(n), Instance) for n in (1, 2, 3)
+    ] + [
+        (example_1().rules, lambda: example_1().instance),
+        (tc, lambda: path_instance(6)),
+    ] + [
+        (
+            random_chase_ruleset(
+                constant_probability=0.25 if seed % 2 else 0.0, seed=seed
+            ),
+            lambda seed=seed: random_instance(
+                FUZZ_SIGNATURE, 4, 16, seed=seed
+            ),
+        )
+        for seed in range(8)
+    ]
+    answers = []
+    for rules, make in runs:
+        for steps in range(1, 5):
+            policy = _RecordingProbe()
+            result = ChaseRunner(
+                policy, "delta", max_steps=steps, max_atoms=20_000
+            ).run(make(), rules)
+            if result.levels_completed == steps:
+                assert len(policy.answers) == 1
+                assert result.terminated == (not policy.answers[0][0])
+            answers.extend(policy.answers)
+    assert all(probe == found for probe, found in answers)
+    assert {probe for probe, _ in answers} == {True, False}
 
 
 class TestClosureCrossProduct:
