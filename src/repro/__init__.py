@@ -63,7 +63,6 @@ from repro.logic import (
 from repro.queries import (
     UCQ,
     ConjunctiveQuery,
-    certain_answer,
     entails_cq,
     entails_ucq,
     injective_closure,
@@ -114,7 +113,6 @@ __all__ = [
     "answer",
     "atom",
     "body_rewrite",
-    "certain_answer",
     "chase",
     "chase_from_top",
     "check_property_p",

@@ -11,7 +11,8 @@ path (the runner's lazy claim/output stream into
 :meth:`~repro.chase.result.ChaseResult.record_round`, which always runs
 in the parent).  The variant modules under ``repro.chase``
 (and the closure in ``repro.rewriting.datalog``) are thin policy
-declarations over the runner.
+declarations over the runner.  The UCQ rewriter grows no instance and
+runs its own breadth loop (:func:`repro.rewriting.rewriter.rewrite`).
 
 Engine selection
 ----------------

@@ -21,6 +21,11 @@ Datalog closure (:mod:`repro.rewriting.datalog`) are thin policy
 declarations over this runner; engine features — the worker pool, the
 firing stream — land here once instead of once per variant.
 
+Both of the runner's modes grow an instance: :meth:`~ChaseRunner.run`
+(the chases) and :meth:`~ChaseRunner.saturate` (the closure).  The UCQ
+rewriter grows none, so its breadth loop runs in
+:func:`repro.rewriting.rewriter.rewrite` itself.
+
 One round path
 --------------
 Every delta round of every engine but ``naive`` — trigger enumeration
@@ -57,7 +62,7 @@ direction without cycles.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.engine.config import EngineConfig, resolve_engine
 from repro.engine.core import (
@@ -232,50 +237,6 @@ class VariantPolicy:
             f"{self.variant} did not terminate within "
             f"{max_steps} {self.step_noun}"
         )
-
-
-class FixpointOutcome(NamedTuple):
-    """What a :meth:`ChaseRunner.fixpoint` run reports back.
-
-    ``complete`` is True only when the frontier genuinely emptied — a set
-    fixpoint, not a budget stop.  ``rounds`` counts the expansion rounds
-    that ran to completion; ``telemetry`` is the PR-7-style registry
-    snapshot of the run (``None`` only when collection was impossible).
-    """
-
-    complete: bool
-    rounds: int
-    telemetry: dict | None = None
-
-
-class FixpointPolicy(VariantPolicy):
-    """A saturation policy over arbitrary items instead of instance atoms.
-
-    The breadth-first loops that do not grow an :class:`Instance` — the
-    UCQ piece-rewriter being the canonical case — still share the
-    runner's shape: expand a frontier, fold the new items in, stop on an
-    empty frontier or a budget.  A :class:`FixpointPolicy` owns the item
-    universe (the accumulated set, subsumption/dedup, per-item budgets)
-    and the runner owns the loop: round tracing (``plan="expand"``),
-    strict/partial budget semantics, and the telemetry scope.
-
-    ``expand`` returns the items that are *new* this round (the next
-    frontier); the policy registers them against its accumulated state
-    itself.  ``exhausted`` is consulted after each expansion: True means
-    a per-round budget (e.g. a disjunct cap) truncated the expansion, so
-    the run must stop *incomplete* even if the frontier looks empty.
-    """
-
-    variant = "fixpoint"
-    step_noun = "rounds"
-
-    def expand(self, frontier: list) -> list:
-        """One breadth round: the new items reachable from ``frontier``."""
-        raise NotImplementedError
-
-    def exhausted(self) -> bool:
-        """True when a mid-round budget truncated the last expansion."""
-        return False
 
 
 class ChaseRunner:
@@ -609,88 +570,6 @@ class ChaseRunner:
                 self.trace.finish_run(
                     terminated=terminated, atoms=len(total), rounds=rounds
                 )
-
-    # ------------------------------------------------------------------
-    # Fixpoint-mode runs (non-instance breadth loops)
-    # ------------------------------------------------------------------
-
-    def fixpoint(self, frontier: Iterable) -> FixpointOutcome:
-        """Run a :class:`FixpointPolicy` breadth loop to its fixpoint.
-
-        The frontier items are opaque to the runner (CQs for the
-        rewriter); each round hands the current frontier to
-        ``policy.expand`` and adopts the returned new items as the next
-        one.  An empty expansion is the fixpoint; ``policy.exhausted()``
-        turning True is a mid-round budget stop; running out of
-        ``max_steps`` rounds is a depth stop.  Budget stops return an
-        incomplete :class:`FixpointOutcome` — or raise
-        :class:`~repro.errors.ChaseBudgetExceeded` under ``strict=True``
-        (unless the policy already raised a more specific error inside
-        ``expand``, which wins).
-
-        No pool round runs: expansion is pure frontier computation, so
-        the engine backends have nothing to fan out.  Round tracing and
-        the telemetry collect scope work exactly as in the other modes;
-        the expansion sweep lands on the ``enumerate`` phase with
-        ``plan="expand"`` and ``delta_atoms`` carrying the frontier size.
-        """
-        self._claim_run()
-        self._begin_trace("fixpoint")
-        with default_registry().collect() as scope:
-            outcome = self._fixpoint_rounds(list(frontier))
-        return outcome._replace(
-            telemetry={
-                "schema_version": TRACE_SCHEMA_VERSION,
-                "registry": scope.delta,
-            }
-        )
-
-    def _fixpoint_rounds(self, current: list) -> FixpointOutcome:
-        policy = self.policy
-        trace = self.trace
-        # Rounds that ran, and whether the last one reached the fixpoint:
-        # the trace summary written on every stop path below.
-        rounds = 0
-        terminated = False
-        try:
-            for step in range(self.max_steps):
-                rounds = step + 1
-                recorder = None
-                if trace is not None:
-                    recorder = trace.begin_round(rounds)
-                    recorder.plan = "expand"
-                    recorder.delta_atoms = len(current)
-                new = ()
-                try:
-                    with timed(recorder, "enumerate"):
-                        new = policy.expand(current)
-                finally:
-                    if recorder is not None:
-                        trace.end_round(
-                            recorder,
-                            triggers=len(current),
-                            applied=len(new),
-                            new_atoms=len(new),
-                        )
-                if policy.exhausted():
-                    if self.strict:
-                        raise ChaseBudgetExceeded(
-                            policy.atom_budget_message(self.max_atoms, rounds)
-                        )
-                    return FixpointOutcome(False, rounds)
-                if not new:
-                    # The empty round only confirmed the fixpoint.
-                    rounds, terminated = step, True
-                    return FixpointOutcome(True, step)
-                current = new
-            if self.strict:
-                raise ChaseBudgetExceeded(
-                    policy.step_budget_message(self.max_steps)
-                )
-            return FixpointOutcome(False, self.max_steps)
-        finally:
-            if trace is not None:
-                trace.finish_run(terminated=terminated, rounds=rounds)
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -1,13 +1,13 @@
 """Instances: finite sets of atoms with indexing and the operations of §2.1.
 
-An :class:`Instance` wraps a set of atoms and maintains three indexes the
+An :class:`Instance` wraps a set of atoms and maintains two indexes the
 homomorphism searcher and the chase rely on:
 
 * a per-predicate index (all atoms over ``P``),
-* a per-term occurrence index (all atoms mentioning ``t``),
 * a *positional* index ``(predicate, position, term) -> atoms`` so that a
   matcher with one bound argument can seed its candidates from the most
-  selective position instead of scanning every atom over the predicate.
+  selective position instead of scanning every atom over the predicate;
+  its keys also give the active domain.
 
 Instances are mutable (the chase extends them) but expose value semantics
 for equality.  Mutations bump a monotone *revision counter*;
@@ -40,7 +40,7 @@ _EMPTY: frozenset[Atom] = frozenset()
 
 
 class Instance:
-    """A set of atoms with predicate, term and positional indexes.
+    """A set of atoms with predicate and positional indexes.
 
     Parameters
     ----------
@@ -54,13 +54,11 @@ class Instance:
     __slots__ = (
         "_atoms",
         "_by_predicate",
-        "_by_term",
         "_by_position",
         "_revision",
         "_log_revisions",
         "_log_atoms",
         "_frozen_predicate",
-        "_frozen_term",
         "_sorted_predicate",
         "_sorted_position",
         "_discarded",
@@ -73,7 +71,6 @@ class Instance:
     def __init__(self, atoms: Iterable[Atom] = (), add_top: bool = True):
         self._atoms: set[Atom] = set()
         self._by_predicate: dict[Predicate, set[Atom]] = {}
-        self._by_term: dict[Term, set[Atom]] = {}
         # (predicate, position, term) -> atoms with `term` at `position`.
         self._by_position: dict[tuple[Predicate, int, Term], set[Atom]] = {}
         # Monotone revision counter: bumped once per successful mutation;
@@ -88,7 +85,6 @@ class Instance:
         self._discarded: bool = False
         # Lazily-built caches, invalidated per key on mutation.
         self._frozen_predicate: dict[Predicate, frozenset[Atom]] = {}
-        self._frozen_term: dict[Term, frozenset[Atom]] = {}
         self._sorted_predicate: dict[Predicate, tuple[Atom, ...]] = {}
         self._sorted_position: dict[
             tuple[Predicate, int, Term], tuple[Atom, ...]
@@ -154,17 +150,9 @@ class Instance:
             bucket.add(atom)
         self._frozen_predicate.pop(predicate, None)
         self._sorted_predicate.pop(predicate, None)
-        by_term = self._by_term
         by_position = self._by_position
-        frozen_term = self._frozen_term
         sorted_position = self._sorted_position
         for position, term in enumerate(atom.args):
-            bucket = by_term.get(term)
-            if bucket is None:
-                by_term[term] = {atom}
-            else:
-                bucket.add(atom)
-            frozen_term.pop(term, None)
             key = (predicate, position, term)
             bucket = by_position.get(key)
             if bucket is None:
@@ -192,11 +180,6 @@ class Instance:
         self._sorted_predicate.pop(predicate, None)
         if not self._by_predicate[predicate]:
             del self._by_predicate[predicate]
-        for term in set(atom.args):
-            self._by_term[term].discard(atom)
-            self._frozen_term.pop(term, None)
-            if not self._by_term[term]:
-                del self._by_term[term]
         for position, term in enumerate(atom.args):
             key = (predicate, position, term)
             bucket = self._by_position.get(key)
@@ -289,15 +272,6 @@ class Instance:
             self._frozen_predicate[predicate] = cached
         return cached
 
-    def with_term(self, term: Term) -> frozenset[Atom]:
-        """Return the atoms in which ``term`` occurs (cached immutable view)."""
-        cached = self._frozen_term.get(term)
-        if cached is None:
-            bucket = self._by_term.get(term)
-            cached = frozenset(bucket) if bucket else _EMPTY
-            self._frozen_term[term] = cached
-        return cached
-
     def sorted_with_predicate(self, predicate: Predicate) -> tuple[Atom, ...]:
         """The atoms over ``predicate`` in deterministic order, cached.
 
@@ -342,8 +316,12 @@ class Instance:
         return self._by_predicate.keys()
 
     def active_domain(self) -> set[Term]:
-        """Return ``adom``: all terms occurring in some atom."""
-        return set(self._by_term)
+        """Return ``adom``: all terms occurring in some atom.
+
+        Read off the positional index's keys; ``discard`` drops a key
+        with its last atom, so no term of a removed atom lingers.
+        """
+        return {term for _, _, term in self._by_position}
 
     def count(self, predicate: Predicate) -> int:
         """Return the number of atoms over ``predicate``."""

@@ -5,7 +5,9 @@ run as a header (``meta``), one structured record per round, and a final
 summary.  The runner owns the lifecycle — it opens a
 :class:`RoundRecorder` per round, the engine layers feed it through the
 module-level *active-recorder stack* (:func:`active_round`), and the
-runner closes the round with its counts and byte deltas.  Each
+runner closes the round with its counts and byte deltas.  A rewriting
+traces the same way: :func:`repro.rewriting.rewriter.rewrite` opens and
+closes one round per breadth level itself.  Each
 instrumented loop has one body for traced and untraced rounds: it times
 only while a recorder is active (:func:`timed` for whole blocks), so
 with no trace attached every instrumentation site reduces to an
@@ -113,7 +115,8 @@ class RoundRecorder:
         self.number = number
         self.phases: dict[str, float] = dict.fromkeys(PHASES, 0.0)
         #: "batched" (a fired chase round) | "derive" (a closure round) |
-        #: "expand" (a rewriting round); set by the runner.
+        #: "expand" (a rewriting level); set by the loop that opened the
+        #: round (the runner, or the rewriter's breadth loop).
         self.plan: str | None = None
         #: Size of the round's enumeration delta (None on the naive engine).
         self.delta_atoms: int | None = None
@@ -157,11 +160,11 @@ class RunTrace:
         self.summary: dict | None = None
 
     # ------------------------------------------------------------------
-    # Recording (driven by ChaseRunner)
+    # Recording (driven by ChaseRunner and the rewriter's breadth loop)
     # ------------------------------------------------------------------
 
     def begin_run(self, **meta) -> None:
-        """Merge the runner's engine/budget facts into the header."""
+        """Merge the run's engine/budget facts into the header."""
         self.meta.update(meta)
 
     def begin_round(self, number: int) -> RoundRecorder:

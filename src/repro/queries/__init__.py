@@ -4,8 +4,7 @@ These are the *instance-level* evaluation primitives.  Certain-answer
 requests against a rule set (``⟨R, I⟩ ⊨ Q(t̄)``) go through the serving
 front door, :func:`repro.serving.answer`, which picks a strategy
 (goal-directed chase, complete UCQ rewriting, or their hybrid) and
-reports an explicit soundness/completeness verdict; the
-:func:`certain_answer` re-exported here is its deprecated alias.
+reports an explicit soundness/completeness verdict.
 """
 
 from repro.queries.cq import ConjunctiveQuery, cq
@@ -17,7 +16,6 @@ from repro.queries.freezing import (
 from repro.queries.entailment import (
     answer_homomorphisms,
     answers,
-    certain_answer,
     entails_cq,
     entails_ucq,
 )
@@ -41,7 +39,6 @@ __all__ = [
     "UnionOfConjunctiveQueries",
     "answer_homomorphisms",
     "answers",
-    "certain_answer",
     "cq",
     "cq_core",
     "cq_specializations",

@@ -1,4 +1,4 @@
-"""Breadth-first UCQ rewriting with subsumption pruning, on the runner.
+"""Breadth-first UCQ rewriting with subsumption pruning.
 
 ``rewrite(q, R)`` iterates one-step piece-unifications (backward chaining)
 from the input CQ, minimizing the growing disjunct set by subsumption.
@@ -6,13 +6,13 @@ When a breadth level adds nothing new the rewriting is *complete*: the
 resulting UCQ ``Q`` satisfies ``⟨I,R⟩ ⊨ q(t̄) ⇔ I ⊨ Q(t̄)`` — i.e. ``R``
 is UCQ-rewritable for ``q`` (Definition 2), with fixpoint depth reported.
 
-The breadth loop itself is no longer local: :class:`RewritePolicy` is a
-:class:`~repro.engine.runner.FixpointPolicy` and the loop runs through
-:meth:`ChaseRunner.fixpoint <repro.engine.runner.ChaseRunner.fixpoint>`,
-so rewriting inherits the engine stack's budgets, strict/partial
-semantics, round tracing (``plan="expand"``) and metrics-registry
-telemetry — the same machinery the chase variants run on.  Query serving
-(:func:`repro.serving.answer`) consumes rewriting through this module.
+The breadth loop lives in :func:`rewrite`: it grows no instance, so it
+runs on none of the chase runner's machinery.  :class:`RewritePolicy`
+holds one rewriting's state (the accepted disjuncts, the counters and
+the budgets) and expands one level at a time; the loop records each
+level as one ``plan="expand"`` trace round and collects the run's
+metrics-registry telemetry.  Query serving (:func:`repro.serving.answer`)
+consumes rewriting through this module.
 
 For rule sets that are not bdd (e.g. transitivity, Example 1) the loop
 would not terminate; budgets turn that into an explicit
@@ -28,11 +28,10 @@ from repro.chase.bounds import (
     DEFAULT_MAX_DISJUNCTS,
     DEFAULT_MAX_REWRITE_DEPTH,
 )
-from repro.engine.runner import ChaseRunner, FixpointPolicy
-from repro.errors import ChaseBudgetExceeded, RewritingBudgetExceeded
+from repro.errors import RewritingBudgetExceeded
 from repro.logic.terms import FreshSupply
 from repro.obs import default_registry
-from repro.obs.trace import TRACE_SCHEMA_VERSION, RunTrace
+from repro.obs.trace import TRACE_SCHEMA_VERSION, RunTrace, timed
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.minimization import is_subsumed_by_any, subsumes
 from repro.queries.ucq import UCQ
@@ -73,8 +72,8 @@ class RewritingResult:
     generated:
         Total number of candidate CQs generated before minimization.
     telemetry:
-        The runner's metrics-registry delta for the run (schema version
-        plus ``{group: counters}``), mirroring
+        The metrics-registry delta of the run (schema version plus
+        ``{group: counters}``), mirroring
         :attr:`repro.chase.result.ChaseResult.telemetry`.
     """
 
@@ -91,24 +90,20 @@ class RewritingResult:
         return len(self.ucq)
 
 
-class RewritePolicy(FixpointPolicy):
-    """The piece-rewriter as a frontier-expansion policy.
+class RewritePolicy:
+    """One rewriting's state: its disjuncts, counters and budgets.
 
-    Owns the accumulated disjunct set (with cross-round subsumption
-    minimization), the per-candidate budgets and the ``generated``
-    counter; the breadth loop, depth budget, tracing and telemetry all
-    live in
-    :meth:`ChaseRunner.fixpoint <repro.engine.runner.ChaseRunner.fixpoint>`.
+    :func:`rewrite` runs the breadth loop and hands each level's frontier
+    to :meth:`expand`, which returns the level's new disjuncts (the next
+    frontier) and folds them into :attr:`accepted`, minimized by
+    subsumption across levels.
 
-    ``max_disjuncts`` truncates the round and marks the run exhausted.
+    ``max_disjuncts`` truncates the level and sets :attr:`exhausted`.
     ``max_cq_size`` strict-raises, or skips the oversized candidate and
     sets :attr:`dropped`: the breadth loop runs on without the candidate,
     but an empty level reached after a drop is no fixpoint, and
     :func:`rewrite` reports the rewriting incomplete.
     """
-
-    variant = "rewriting"
-    supply_prefix = "_rw"
 
     def __init__(
         self,
@@ -118,27 +113,29 @@ class RewritePolicy(FixpointPolicy):
         max_disjuncts: int,
         max_cq_size: int,
         strict: bool,
-        supply: FreshSupply,
     ):
         self.query = query
         self.rules = rules
         self.max_disjuncts = max_disjuncts
         self.max_cq_size = max_cq_size
-        self.strict_budgets = strict
-        self.supply = supply
+        self.strict = strict
+        self.supply = FreshSupply(prefix="_rw")
         self.accepted: list[ConjunctiveQuery] = [query]
         self.generated = 0
         #: True once a candidate was skipped for exceeding ``max_cq_size``.
         self.dropped = False
-        self._round = 0
-        self._exhausted = False
+        #: True once ``max_disjuncts`` truncated a level.
+        self.exhausted = False
 
     def partial(self) -> UCQ:
         """The sound UCQ accumulated so far."""
         return UCQ(self.accepted, self.query.answers)
 
-    def expand(self, frontier: list) -> list:
-        self._round += 1
+    def expand(
+        self, frontier: list[ConjunctiveQuery], level: int
+    ) -> list[ConjunctiveQuery]:
+        """Breadth level ``level``: the new disjuncts one step from
+        ``frontier``."""
         new_frontier: list[ConjunctiveQuery] = []
         for current in frontier:
             for candidate in one_step_rewritings(
@@ -146,12 +143,12 @@ class RewritePolicy(FixpointPolicy):
             ):
                 self.generated += 1
                 if len(candidate.atoms) > self.max_cq_size:
-                    if self.strict_budgets:
+                    if self.strict:
                         raise RewritingBudgetExceeded(
                             f"rewriting produced a CQ of size "
                             f"{len(candidate.atoms)} > {self.max_cq_size}",
                             partial_rewriting=self.partial(),
-                            depth=self._round,
+                            depth=level,
                         )
                     self.dropped = True
                     continue
@@ -166,22 +163,16 @@ class RewritePolicy(FixpointPolicy):
                 self.accepted.append(candidate)
                 new_frontier.append(candidate)
                 if len(self.accepted) > self.max_disjuncts:
-                    if self.strict_budgets:
+                    if self.strict:
                         raise RewritingBudgetExceeded(
                             f"rewriting exceeded "
                             f"{self.max_disjuncts} disjuncts",
                             partial_rewriting=self.partial(),
-                            depth=self._round,
+                            depth=level,
                         )
-                    self._exhausted = True
+                    self.exhausted = True
                     return new_frontier
         return new_frontier
-
-    def exhausted(self) -> bool:
-        return self._exhausted
-
-    def step_budget_message(self, max_steps: int) -> str:
-        return f"rewriting did not reach a fixpoint within depth {max_steps}"
 
 
 def rewrite(
@@ -196,11 +187,17 @@ def rewrite(
 ) -> RewritingResult:
     """Compute ``rew(q, R)`` breadth-first with subsumption pruning.
 
+    Level ``d`` rewrites the disjuncts that level ``d - 1`` added.  A
+    level that adds nothing is the fixpoint, and ``depth`` is the level
+    before it; a disjunct budget stop or ``max_depth`` levels without a
+    fixpoint leave the rewriting incomplete at the level that ran last.
+
     Parameters
     ----------
     max_depth, max_disjuncts, max_cq_size:
-        Budgets; exceeding any of them either raises (``strict=True``) or
-        returns an incomplete result.  Defaults come from
+        Budgets; exceeding any of them either raises
+        :class:`~repro.errors.RewritingBudgetExceeded` (``strict=True``)
+        or returns an incomplete result.  Defaults come from
         :mod:`repro.chase.bounds`.  A candidate CQ with more than
         ``max_cq_size`` atoms is dropped, and the breadth loop goes on
         without it; ``complete`` is then False even when a level adds
@@ -209,43 +206,78 @@ def rewrite(
     trace:
         An optional :class:`~repro.obs.trace.RunTrace`; each breadth
         level lands as one ``plan="expand"`` round record with the
-        frontier size on ``delta_atoms``.
+        frontier size on ``delta_atoms`` (and as ``triggers``) and the
+        new disjuncts as ``applied`` and ``new_atoms``.  The summary's
+        ``terminated`` is ``complete`` and its ``rounds`` is ``depth``.
     """
-    supply = FreshSupply(prefix="_rw")
     policy = RewritePolicy(
         query,
         rules,
         max_disjuncts=max_disjuncts,
         max_cq_size=max_cq_size,
         strict=strict,
-        supply=supply,
     )
-    runner = ChaseRunner(
-        policy,
-        max_steps=max_depth,
-        max_atoms=max_disjuncts,
-        strict=strict,
-        supply=supply,
-        trace=trace,
-    )
-    try:
-        outcome = runner.fixpoint([query])
-    except RewritingBudgetExceeded:
-        raise
-    except ChaseBudgetExceeded as exc:
-        # The runner's depth-budget stop, reworded to the rewriting API's
-        # exception type with the partial UCQ attached.
-        raise RewritingBudgetExceeded(
-            str(exc),
-            partial_rewriting=policy.partial(),
-            depth=max_depth,
-        ) from None
+    if trace is not None:
+        trace.begin_run(
+            variant="rewriting",
+            mode="fixpoint",
+            max_steps=max_depth,
+            max_atoms=max_disjuncts,
+        )
+    # The level that ran last (the one before the empty level at the
+    # fixpoint) and whether the rewriting is complete: the result, and
+    # the trace summary written on every stop path below.
+    depth = 0
+    complete = False
+    frontier = [query]
+    with default_registry().collect() as scope:
+        try:
+            for level in range(1, max_depth + 1):
+                depth = level
+                recorder = None
+                if trace is not None:
+                    recorder = trace.begin_round(level)
+                    recorder.plan = "expand"
+                    recorder.delta_atoms = len(frontier)
+                new = ()
+                try:
+                    with timed(recorder, "enumerate"):
+                        new = policy.expand(frontier, level)
+                finally:
+                    if recorder is not None:
+                        trace.end_round(
+                            recorder,
+                            triggers=len(frontier),
+                            applied=len(new),
+                            new_atoms=len(new),
+                        )
+                if policy.exhausted:
+                    break
+                if not new:
+                    # The empty level only confirmed the fixpoint.
+                    depth, complete = level - 1, not policy.dropped
+                    break
+                frontier = new
+            else:
+                if strict:
+                    raise RewritingBudgetExceeded(
+                        f"rewriting did not reach a fixpoint within "
+                        f"depth {max_depth}",
+                        partial_rewriting=policy.partial(),
+                        depth=max_depth,
+                    )
+        finally:
+            if trace is not None:
+                trace.finish_run(terminated=complete, rounds=depth)
     return RewritingResult(
         ucq=policy.partial(),
-        complete=outcome.complete and not policy.dropped,
-        depth=outcome.rounds,
+        complete=complete,
+        depth=depth,
         generated=policy.generated,
-        telemetry=outcome.telemetry,
+        telemetry={
+            "schema_version": TRACE_SCHEMA_VERSION,
+            "registry": scope.delta,
+        },
     )
 
 
@@ -264,7 +296,9 @@ def rewrite_ucq(
     The merged disjunct set is minimized across disjuncts; completeness
     requires every per-disjunct rewriting to be complete.  With a
     ``trace``, the per-disjunct runs append their rounds to the same
-    trace; the telemetry block spans the whole merge.
+    trace (each run numbers its levels from 1), and the trace ends with
+    one summary of the merged result; the telemetry block spans the
+    whole merge.
     """
     all_disjuncts: list[ConjunctiveQuery] = []
     complete = True
@@ -292,6 +326,8 @@ def rewrite_ucq(
                         if not subsumes(candidate, q)
                     ]
                     all_disjuncts.append(candidate)
+    if trace is not None:
+        trace.finish_run(terminated=complete, rounds=depth)
     return RewritingResult(
         ucq=UCQ(all_disjuncts, query.answers),
         complete=complete,

@@ -2,8 +2,8 @@
 
 One API, :func:`answer`, serves certain-answer requests on the unified
 engine stack: goal-directed chase with incremental per-round probes and
-query-relevance rule pruning, UCQ rewriting on the runner's fixpoint
-mode, or the hybrid of both — each returning an :class:`AnswerResult`
+query-relevance rule pruning, UCQ piece-rewriting, or the hybrid of
+both — each returning an :class:`AnswerResult`
 whose verdict says exactly how much to trust the answer.  See
 ``src/repro/serving/README.md`` for the strategy decision table.
 """

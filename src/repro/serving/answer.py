@@ -16,8 +16,8 @@ Strategies
     :class:`~repro.serving.goal.GoalDirectedPolicy` and stop the moment
     a per-round incremental delta probe witnesses the query.
 ``"rewrite"``
-    Run the UCQ piece-rewriter (:mod:`repro.rewriting.rewriter`, itself
-    on the runner's fixpoint mode) and evaluate the rewriting on the
+    Run the UCQ piece-rewriter (:mod:`repro.rewriting.rewriter`, whose
+    breadth loop runs no chase engine) and evaluate the rewriting on the
     *base* instance — no chase at all; exact when the rewriting reached
     its fixpoint (the rule set is bdd for the query, Definition 2).
 ``"hybrid"``
@@ -76,8 +76,7 @@ class AnswerResult:
     entailed:
         ``⟨R, I⟩ ⊨ Q(t̄)`` as far as the run could tell.  In
         answer-enumeration mode this is the Boolean reading of the query
-        with its answer variables left free (matching the deprecated
-        ``certain_answer`` behavior).
+        with its answer variables left free.
     tuples:
         The certain answer tuples found (constants only), or ``None`` in
         decision mode (Boolean query or explicit bindings).
@@ -207,8 +206,9 @@ def answer(
         Rewriting budgets, same home.
     trace:
         Optional :class:`~repro.obs.trace.RunTrace`, attached to the
-        strategy's main run (the chase for ``chase``/``hybrid``/
-        ``auto``, the rewriting for ``rewrite``).
+        strategy's main run only: the chase for ``chase``/``hybrid``/
+        ``auto``, the rewriting of the query for ``rewrite`` (not the
+        Boolean reading's rewriting that enumeration mode adds).
     """
     if strategy not in STRATEGIES:
         raise ValueError(
@@ -278,26 +278,27 @@ def _serve(
     boolean_rewriting: RewritingResult | None = None
     if strategy in ("rewrite", "hybrid", "auto"):
         SERVING_STATS.rewrite_runs += 1
-        rewrite_trace = trace if strategy == "rewrite" else None
 
-        def _run_rewrite(q):
+        def _run_rewrite(q, traced=False):
             kwargs = dict(
                 max_depth=max_rewrite_depth,
                 max_disjuncts=max_disjuncts,
                 max_cq_size=max_cq_size,
-                trace=rewrite_trace,
+                trace=trace if traced else None,
             )
             if isinstance(q, UCQ):
                 return rewrite_ucq(q, rules, **kwargs)
             return rewrite(q, rules, **kwargs)
 
-        rewriting = _run_rewrite(query)
+        # The rewriting is the main run only under ``rewrite``; the other
+        # strategies trace their chase leg.
+        rewriting = _run_rewrite(query, traced=strategy == "rewrite")
         if enumerating:
             # The Boolean reading (answer variables freed) rewrites
             # differently — an answer variable may not absorb a rule's
             # existential, an existential variable may — and it is what
             # ``entailed`` reports in enumeration mode, so it gets its
-            # own rewriting on the rewrite path.
+            # own rewriting on the rewrite path, untraced.
             boolean_rewriting = _run_rewrite(
                 UCQ([d.boolean() for d in disjuncts], ())
             )

@@ -86,12 +86,14 @@ class TestCountermodels:
     def test_finite_and_unrestricted_agree_for_fc_fragment(self):
         """Linear rules are finitely controllable [27]: the finite and
         chase answers agree on the loop query."""
-        from repro.queries.entailment import certain_answer
+        from repro.serving import answer
 
         rules = parse_rules("E(x,y) -> exists z. E(y,z)")
         instance = parse_instance("E(a,b)")
         query = parse_query("E(x,x)")
-        unrestricted = certain_answer(instance, rules, query, max_levels=4)
+        unrestricted = answer(
+            instance, rules, query, strategy="chase", max_levels=4
+        ).entailed
         finite = not bool(
             find_finite_countermodel(instance, rules, query, max_domain=1)
         )
@@ -100,13 +102,13 @@ class TestCountermodels:
     def test_example1_witnesses_non_fc(self):
         """Example 1's divergence: chase says no loop, finite says loop —
         so the (non-bdd) rule set is not finitely controllable."""
-        from repro.queries.entailment import certain_answer
+        from repro.serving import answer
 
         entry = example_1()
         query = parse_query("E(x,x)")
-        unrestricted = certain_answer(
-            entry.instance, entry.rules, query, max_levels=4
-        )
+        unrestricted = answer(
+            entry.instance, entry.rules, query, strategy="chase", max_levels=4
+        ).entailed
         finite = finite_entails(
             entry.instance, entry.rules, query, max_domain=1
         )

@@ -43,16 +43,13 @@ class TestIndexes:
         inst = instance_of(edge("a", "b"), atom("P", "a"))
         assert inst.with_predicate(EDGE) == {edge("a", "b")}
 
-    def test_with_term(self):
-        inst = instance_of(edge("a", "b"), edge("b", "c"))
-        assert inst.with_term(Variable("b")) == {
-            edge("a", "b"), edge("b", "c")
-        }
-
     def test_discard_cleans_indexes(self):
-        inst = instance_of(edge("a", "b"))
+        inst = instance_of(edge("a", "b"), edge("b", "c"))
         inst.discard(edge("a", "b"))
-        assert inst.with_term(Constant("a")) == frozenset()
+        # b stays: it still occurs in E(b,c), at the other position.
+        assert inst.active_domain() == {Variable("b"), Variable("c")}
+        inst.discard(edge("b", "c"))
+        assert inst.active_domain() == set()
         assert inst.count(EDGE) == 0
 
     def test_signature_and_adom(self):

@@ -29,7 +29,8 @@ from repro.obs import (
 )
 from repro.obs.trace import timed
 from repro.rewriting.datalog import semi_naive_closure
-from repro.rewriting.rewriter import rewrite
+from repro.queries.ucq import UCQ
+from repro.rewriting.rewriter import rewrite, rewrite_ucq
 from repro.rules.parser import parse_instance, parse_query, parse_rules
 from repro.rules.rule import INSTANTIATION_STATS
 
@@ -621,6 +622,64 @@ class TestTraceSummaries:
             "type": "summary",
             "terminated": False,
             "rounds": 2,
+        }
+
+    def test_rewrite_size_drop_is_not_terminated(self):
+        # Level 3's 4-atom candidates are dropped, so the empty level 3
+        # is no fixpoint: the summary says what the result says.
+        trace = RunTrace()
+        result = rewrite(
+            parse_query("E(x,y)", answers=("x", "y")),
+            parse_rules(self.TC),
+            max_cq_size=3,
+            trace=trace,
+        )
+        assert (result.complete, result.depth) == (False, 2)
+        assert len(trace.rounds) == 3
+        assert trace.summary == {
+            "type": "summary",
+            "terminated": False,
+            "rounds": 2,
+        }
+
+    def test_rewrite_ucq_summarizes_the_merged_result(self):
+        # E(u,u) is complete at once; E(u,v) stops at depth 3.  The two
+        # runs append their rounds, and the summary is the merge's.
+        trace = RunTrace()
+        result = rewrite_ucq(
+            UCQ([parse_query("E(u,v)"), parse_query("E(u,u)")], ()),
+            parse_rules(self.TC),
+            max_depth=3,
+            trace=trace,
+        )
+        assert (result.complete, result.depth) == (False, 3)
+        assert [r["round"] for r in trace.rounds] == [1, 2, 3, 1]
+        assert trace.summary == {
+            "type": "summary",
+            "terminated": False,
+            "rounds": 3,
+        }
+
+    def test_answer_traces_only_the_main_rewriting(self):
+        # Enumeration mode also rewrites the Boolean reading; its run
+        # must not append rounds or overwrite the main run's summary.
+        from repro.serving import answer
+
+        trace = RunTrace()
+        result = answer(
+            parse_instance("E(a,b), E(b,c)"),
+            parse_rules(self.TC),
+            parse_query("E(x,y)", answers=("x", "y")),
+            strategy="rewrite",
+            max_rewrite_depth=3,
+            trace=trace,
+        )
+        assert result.evidence["depth"] == 3
+        assert [r["round"] for r in trace.rounds] == [1, 2, 3]
+        assert trace.summary == {
+            "type": "summary",
+            "terminated": False,
+            "rounds": 3,
         }
 
 

@@ -1,14 +1,10 @@
 """Unit tests for entailment, injective entailment and certain answers."""
 
 from repro.logic.terms import Constant
-from repro.queries.entailment import (
-    answers,
-    certain_answer,
-    entails_cq,
-    entails_ucq,
-)
+from repro.queries.entailment import answers, entails_cq, entails_ucq
 from repro.queries.ucq import UCQ
 from repro.rules.parser import parse_instance, parse_query, parse_rules
+from repro.serving import answer
 
 C = Constant
 
@@ -73,14 +69,16 @@ class TestCertainAnswer:
         inst = parse_instance("E(a,b)")
         # b has an outgoing edge only after the chase.
         q = parse_query("E(x,y), E(y,z)")
-        assert certain_answer(inst, rules, q, max_levels=2)
+        assert answer(
+            inst, rules, q, strategy="chase", max_levels=2
+        ).entailed
 
     def test_non_entailed_fact(self):
         rules = parse_rules("E(x,y) -> exists z. E(y,z)")
         inst = parse_instance("E(a,b)")
-        assert not certain_answer(
-            inst, rules, parse_query("E(x,x)"), max_levels=3
-        )
+        assert not answer(
+            inst, rules, parse_query("E(x,x)"), strategy="chase", max_levels=3
+        ).entailed
 
     def test_example1_loop_not_entailed(self):
         # Example 1: the chase never produces a loop.
@@ -90,12 +88,13 @@ class TestCertainAnswer:
             E(x,y), E(y,z) -> E(x,z)
             """
         )
-        assert not certain_answer(
+        assert not answer(
             parse_instance("E(a,b)"),
             rules,
             parse_query("E(x,x)"),
+            strategy="chase",
             max_levels=4,
-        )
+        ).entailed
 
     def test_bdd_variant_loop_entailed(self):
         # The bdd-ified Example 1 entails the loop (Property p in action).
@@ -105,9 +104,10 @@ class TestCertainAnswer:
             E(x,xp), E(y,yp) -> E(x,yp)
             """
         )
-        assert certain_answer(
+        assert answer(
             parse_instance("E(a,b)"),
             rules,
             parse_query("E(x,x)"),
+            strategy="chase",
             max_levels=3,
-        )
+        ).entailed

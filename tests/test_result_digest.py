@@ -1,4 +1,5 @@
-"""``tools/result_digest.py``: the cross-commit chase-result digest."""
+"""``tools/result_digest.py``: the cross-commit chase and rewriting
+digest."""
 
 from __future__ import annotations
 
@@ -23,6 +24,8 @@ SMALL = [
     for name, _, _, steps, _ in result_digest.cases()
     if steps == 5 or name in ("growing_tournament_1", "example1")
 ]
+#: Every rewriting case: about 0.6 s per run.
+REWRITINGS = [name for name, *_ in result_digest.rewriting_cases()]
 
 
 def _digest(seed: int) -> str:
@@ -32,7 +35,7 @@ def _digest(seed: int) -> str:
         PYTHONPATH=str(REPO / "src"),
     )
     return subprocess.run(
-        [sys.executable, str(TOOL), *SMALL],
+        [sys.executable, str(TOOL), *SMALL, *REWRITINGS],
         env=env,
         capture_output=True,
         text=True,
@@ -45,8 +48,40 @@ def test_digest_does_not_depend_on_the_hash_seed():
     first = _digest(1)
     assert first == _digest(2)
     lines = [line.split() for line in first.splitlines()]
-    assert [variant for variant, _ in lines] == list(result_digest.VARIANTS)
+    assert [name for name, _ in lines] == [*result_digest.VARIANTS, "rewriting"]
     assert all(len(sha) == 64 for _, sha in lines)
+
+
+def test_named_cases_select_the_lines_of_their_table(capsys):
+    assert result_digest.main(["rewrite_tc_size_drop"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["rewriting"]
+    assert result_digest.main(["datalog_chain_3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == list(result_digest.VARIANTS)
+
+
+def test_rewriting_lines_cover_disjuncts_rounds_and_counts():
+    from repro.obs.trace import RunTrace
+    from repro.rewriting.rewriter import rewrite
+    from repro.rules.parser import parse_query, parse_rules
+
+    trace = RunTrace()
+    result = rewrite(
+        parse_query("E(x,y)", answers=("x", "y")),
+        parse_rules(result_digest.TC_RULE),
+        max_depth=2,
+        trace=trace,
+    )
+    lines = list(result_digest.rewriting_lines(result, trace, (3, 4)))
+    assert [line.split()[0] for line in lines] == (
+        ["disjunct"] * 3 + ["complete"] + ["round"] * 2 + ["counts"]
+    )
+    assert lines[0] == "disjunct " + str(next(iter(result.ucq)))
+    assert lines[3] == "complete False depth 2 generated 4"
+    # Round records without their wall-clock phases.
+    assert '"plan": "expand"' in lines[4] and "phases" not in lines[4]
+    assert lines[-1] == "counts 3 4"
 
 
 def test_lines_cover_records_timestamps_levels_and_counts():
@@ -73,3 +108,4 @@ def test_unknown_case_is_an_error(capsys):
     err = capsys.readouterr().err
     assert "unknown case(s): no_such_case" in err
     assert "tc_path_80" in err
+    assert "rewrite_ucq_tc" in err

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import RewritingBudgetExceeded
+from repro.obs.trace import RunTrace
 from repro.queries.entailment import entails_ucq
 from repro.rewriting.bdd import (
     cross_validate_rewriting,
@@ -92,6 +93,121 @@ class TestFixpoints:
         )
         result = rewrite_ucq(query, rules, max_depth=4)
         assert result.complete
+
+
+def _levels(*added):
+    """The round records of levels whose frontier is one disjunct, level
+    ``k`` adding ``added[k - 1]`` disjuncts: (round, plan, delta_atoms,
+    triggers, applied, new_atoms)."""
+    return [(k, "expand", 1, 1, n, n) for k, n in enumerate(added, 1)]
+
+
+def _rounds(trace):
+    return [
+        (
+            r["round"],
+            r["plan"],
+            r["delta_atoms"],
+            r["triggers"],
+            r["applied"],
+            r["new_atoms"],
+        )
+        for r in trace.rounds
+    ]
+
+
+class TestStopPaths:
+    """Every way the breadth loop stops, on transitivity ``E(x,y)`` (level
+    ``k`` adds the one ``(k+1)``-atom path), with and without ``strict``:
+    the result or the error, and the round records of the levels that
+    ran."""
+
+    TC = "E(x,y), E(y,z) -> E(x,z)"
+
+    #: budgets -> ((complete, depth, disjuncts, generated), rounds,
+    #: (strict message, depth, partial disjuncts), strict rounds)
+    CASES = {
+        "depth_0": (
+            dict(max_depth=0),
+            (False, 0, 1, 0),
+            [],
+            ("rewriting did not reach a fixpoint within depth 0", 0, 1),
+            [],
+        ),
+        "depth_3": (
+            dict(max_depth=3),
+            (False, 3, 4, 11),
+            _levels(1, 1, 1),
+            ("rewriting did not reach a fixpoint within depth 3", 3, 4),
+            _levels(1, 1, 1),
+        ),
+        "disjuncts_3": (
+            dict(max_disjuncts=3),
+            (False, 3, 4, 5),
+            _levels(1, 1, 1),
+            ("rewriting exceeded 3 disjuncts", 3, 4),
+            _levels(1, 1, 0),
+        ),
+        "cq_size_3": (
+            dict(max_cq_size=3),
+            (False, 2, 3, 11),
+            _levels(1, 1, 0),
+            ("rewriting produced a CQ of size 4 > 3", 3, 3),
+            _levels(1, 1, 0),
+        ),
+    }
+
+    def _query(self):
+        return parse_query("E(x,y)", answers=("x", "y"))
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_budget_stop(self, case):
+        budgets, outcome, rounds, _, _ = self.CASES[case]
+        trace = RunTrace()
+        result = rewrite(
+            self._query(), parse_rules(self.TC), trace=trace, **budgets
+        )
+        assert (
+            result.complete,
+            result.depth,
+            len(result.ucq),
+            result.generated,
+        ) == outcome
+        assert _rounds(trace) == rounds
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_strict_budget_stop(self, case):
+        budgets, _, _, error, rounds = self.CASES[case]
+        trace = RunTrace()
+        with pytest.raises(RewritingBudgetExceeded) as excinfo:
+            rewrite(
+                self._query(),
+                parse_rules(self.TC),
+                strict=True,
+                trace=trace,
+                **budgets,
+            )
+        exc = excinfo.value
+        assert (str(exc), exc.depth, len(exc.partial_rewriting)) == error
+        assert _rounds(trace) == rounds
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_fixpoint(self, strict):
+        # Level 1 adds one disjunct, which subsumes the query (E(y,z)
+        # rewritten away); level 2 adds nothing.
+        trace = RunTrace()
+        result = rewrite(
+            parse_query("E(x,y), E(y,z)"),
+            parse_rules("E(x,y) -> exists z. E(y,z)"),
+            strict=strict,
+            trace=trace,
+        )
+        assert (result.complete, result.depth, len(result.ucq)) == (
+            True,
+            1,
+            1,
+        )
+        assert _rounds(trace) == _levels(1, 0)
 
 
 class TestBddCertificates:

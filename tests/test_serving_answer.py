@@ -9,8 +9,6 @@ budget-stopped runs where only a ``sound`` verdict is available.
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 from repro.chase.oblivious import oblivious_chase
@@ -19,7 +17,7 @@ from repro.engine.config import EngineConfig
 from repro.errors import ChaseError
 from repro.logic.instances import Instance
 from repro.logic.terms import Constant
-from repro.queries.entailment import certain_answer, entails_cq
+from repro.queries.entailment import entails_cq
 from repro.rules.parser import parse_instance, parse_query, parse_rules
 from repro.serving import (
     SERVING_STATS,
@@ -390,18 +388,7 @@ class TestEnumerationMode:
 
 
 class TestUniformSurface:
-    """Satellite plumbing: deprecation alias, validation, relevance."""
-
-    def test_certain_answer_is_a_deprecated_alias(self):
-        entry = ENTRIES["datalog_chain_3"]
-        query = parse_query("P3(x,y)")
-        with pytest.warns(DeprecationWarning, match="repro.serving.answer"):
-            legacy = certain_answer(entry.instance, entry.rules, query)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert legacy == answer(
-                entry.instance, entry.rules, query, strategy="chase"
-            ).entailed
+    """Request validation and relevance pruning."""
 
     def test_unknown_strategy_is_rejected(self):
         entry = ENTRIES["infinite_path"]

@@ -1,14 +1,17 @@
 #!/usr/bin/env python
-"""Digest a checkout's chase results: one sha256 per chase variant.
+"""Digest a checkout's chase and rewriting results: one sha256 per line.
 
 Usage::
 
     PYTHONPATH=<checkout>/src python tools/result_digest.py [CASE ...]
 
 Runs the oblivious, semi-oblivious and restricted chases on the default
-engine over the cases of :func:`cases` (or only the named ones) and
-prints one ``<variant> <sha256>`` line per variant.  A digest covers,
-per case and in case order:
+engine over the cases of :func:`cases` and prints one
+``<variant> <sha256>`` line per variant; then runs ``rewrite()`` (and
+``rewrite_ucq()`` on a UCQ) over the cases of :func:`rewriting_cases`
+and prints one ``rewriting <sha256>`` line.  Named cases restrict both
+tables, and a table none of whose cases is named prints no line.  A
+chase digest covers, per case and in case order:
 
 * the sorted instance;
 * every creation record in firing order: rule, image, sorted mapping,
@@ -18,18 +21,25 @@ per case and in case order:
 * the run's matcher searches and candidates and its head
   instantiations.
 
-Every part is written in a canonical order, so the digest does not
+The rewriting digest covers, per case and in case order, the disjuncts
+as strings in the UCQ's order, ``complete``, ``depth``, ``generated``,
+every trace round record without its phase timings, and the run's
+matcher searches and candidates; it leaves out the trace header and
+summary.
+
+Every part is written in a canonical order, so the digests do not
 depend on ``PYTHONHASHSEED``.  Two commits that print the same digests
-produce the same chase results, provenance and counts on these cases:
-run the tool once with each checkout's ``src`` on ``PYTHONPATH`` and
-compare the lines.  An unknown case name is an error that lists the
-known ones.
+produce the same chase results, provenance, rewritings and counts on
+these cases: run the tool once with each checkout's ``src`` on
+``PYTHONPATH`` and compare the lines.  An unknown case name is an error
+that lists the known ones.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import sys
 
 from repro.chase import oblivious_chase, restricted_chase, semi_oblivious_chase
@@ -41,7 +51,10 @@ from repro.corpus import (
 )
 from repro.logic import MATCHER_STATS
 from repro.logic.instances import Instance
-from repro.rules.parser import parse_rules
+from repro.obs.trace import RunTrace
+from repro.queries.ucq import UCQ
+from repro.rewriting.rewriter import rewrite, rewrite_ucq
+from repro.rules.parser import parse_query, parse_rules
 from repro.rules.rule import INSTANTIATION_STATS
 
 #: variant name -> the chase, called as ``chase(instance, rules, steps,
@@ -56,6 +69,35 @@ VARIANTS = {
 #: The atom budget of every case but the budget-stop one
 #: (``check_property_p``'s default).
 MAX_ATOMS = 100_000
+
+TC_RULE = "E(x,y), E(y,z) -> E(x,z)"
+
+#: The bdd-corpus decision queries of the ``serve_mix`` benchmark, whose
+#: rewriting leg decides each of them: (corpus entry, query).
+REWRITE_DECISIONS = [
+    ("example1_bdd", "E(u,v), E(v,u)"),
+    ("example1_bdd", "Z(u)"),
+    ("tournament_builder", "E(x,y)"),
+    ("tournament_builder", "Z(u)"),
+    ("infinite_path", "E(x1,x2), E(x2,x3), E(x3,x4)"),
+    ("infinite_path", "E(x,x)"),
+    ("two_relation_linear", "P(x,y), Q(y,z)"),
+    ("two_relation_linear", "Q(x,x)"),
+    ("dense_overlay", "F(x,y), F(y,z)"),
+    ("dense_overlay", "F(x,x)"),
+    ("wide_signature", "E(x,y), E(y,z)"),
+    ("wide_signature", "E(x,x)"),
+    ("datalog_chain_3", "P3(x,y)"),
+    ("datalog_chain_3", "P3(x,x)"),
+    ("sticky_pair", "T(y), R(y,w)"),
+    ("sticky_pair", "S(x,x)"),
+    ("bowtie_merge", "D(x,z), E(y,z)"),
+    ("bowtie_merge", "D(x,x)"),
+    ("guarded_triangle", "E(c,w)"),
+    ("guarded_triangle", "E(x,y), E(y,z)"),
+    ("backward_growth", "E(u,v), E(v,w)"),
+    ("backward_growth", "E(x,x)"),
+]
 
 
 def cases() -> list[tuple[str, object, Instance, int, int]]:
@@ -77,8 +119,37 @@ def cases() -> list[tuple[str, object, Instance, int, int]]:
     )
     entry = example_1()
     found.append((entry.name, entry.rules, entry.instance, 10, MAX_ATOMS))
-    tc = parse_rules("E(x,y), E(y,z) -> E(x,z)", name="transitivity")
+    tc = parse_rules(TC_RULE, name="transitivity")
     found.append(("tc_path_80", tc, path_instance(80), 12, MAX_ATOMS))
+    return found
+
+
+def rewriting_cases() -> list[tuple[str, object, object, dict]]:
+    """``(name, rules, query, budgets)`` per rewriting case: the decision
+    queries of :data:`REWRITE_DECISIONS` on the default budgets, as
+    ``answer()`` rewrites them, and on transitivity the edge query at
+    depths 2, 4 and 6, the two-hop query at depth 6, a ``max_cq_size``
+    drop, a ``max_disjuncts`` stop and one ``rewrite_ucq`` over two
+    disjuncts."""
+    corpus = {entry.name: entry for entry in bdd_corpus()}
+    found = [
+        (f"rewrite_{name}_{k}", corpus[name].rules, parse_query(text), {})
+        for k, (name, text) in enumerate(REWRITE_DECISIONS)
+    ]
+    tc = parse_rules(TC_RULE, name="transitivity")
+    edge = parse_query("E(x,y)", answers=("x", "y"))
+    found += [
+        (f"rewrite_tc_depth_{depth}", tc, edge, {"max_depth": depth})
+        for depth in (2, 4, 6)
+    ]
+    two_hop = parse_query("E(x,y), E(y,z)", answers=("x", "z"))
+    both = UCQ([parse_query("E(u,v)"), parse_query("E(u,u)")], ())
+    found += [
+        ("rewrite_tc_two_hop", tc, two_hop, {"max_depth": 6}),
+        ("rewrite_tc_size_drop", tc, edge, {"max_cq_size": 3}),
+        ("rewrite_tc_disjunct_budget", tc, edge, {"max_disjuncts": 3}),
+        ("rewrite_ucq_tc", tc, both, {"max_depth": 3}),
+    ]
     return found
 
 
@@ -119,6 +190,21 @@ def result_lines(result, counts: tuple[int, int, int]):
     yield "counts {} {} {}".format(*counts)
 
 
+def rewriting_lines(result, trace: RunTrace, counts: tuple[int, int]):
+    """The canonical text of one rewriting, line by line."""
+    for disjunct in result.ucq:
+        yield f"disjunct {disjunct}"
+    yield (
+        f"complete {result.complete} depth {result.depth} "
+        f"generated {result.generated}"
+    )
+    for record in trace.rounds:
+        fields = dict(record)
+        del fields["phases"]
+        yield "round " + json.dumps(fields, sort_keys=True)
+    yield "counts {} {}".format(*counts)
+
+
 def digest(variant: str, selected) -> str:
     """The sha256 of ``variant``'s runs over ``selected`` cases."""
     chase = VARIANTS[variant]
@@ -138,21 +224,40 @@ def digest(variant: str, selected) -> str:
     return sha.hexdigest()
 
 
+def rewriting_digest(selected) -> str:
+    """The sha256 of the rewritings of ``selected`` cases."""
+    sha = hashlib.sha256()
+    for name, rules, query, budgets in selected:
+        MATCHER_STATS.reset()
+        trace = RunTrace()
+        run = rewrite_ucq if isinstance(query, UCQ) else rewrite
+        result = run(query, rules, trace=trace, **budgets)
+        counts = (MATCHER_STATS.searches, MATCHER_STATS.candidates)
+        sha.update(f"case {name}\n".encode())
+        for line in rewriting_lines(result, trace, counts):
+            sha.update(line.encode() + b"\n")
+    return sha.hexdigest()
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("cases", nargs="*", help="case names (default: all)")
     args = parser.parse_args(argv)
-    table = cases()
-    known = [name for name, *_ in table]
+    chases, rewritings = cases(), rewriting_cases()
+    known = [name for name, *_ in chases + rewritings]
     unknown = [name for name in args.cases if name not in known]
     if unknown:
         parser.error(
             f"unknown case(s): {', '.join(unknown)}; "
             f"known: {', '.join(known)}"
         )
-    selected = [c for c in table if not args.cases or c[0] in args.cases]
-    for variant in VARIANTS:
-        print(f"{variant} {digest(variant, selected)}")
+    selected = [c for c in chases if not args.cases or c[0] in args.cases]
+    rewrites = [c for c in rewritings if not args.cases or c[0] in args.cases]
+    if selected:
+        for variant in VARIANTS:
+            print(f"{variant} {digest(variant, selected)}")
+    if rewrites:
+        print(f"rewriting {rewriting_digest(rewrites)}")
     return 0
 
 
