@@ -52,7 +52,6 @@ UNORDERED_CALLS = {
     "active_domain",
     "atoms",
     "with_predicate",
-    "with_term",
     "frontier_terms",
     "union",
     "intersection",

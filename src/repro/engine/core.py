@@ -58,6 +58,7 @@ from repro.logic.homomorphisms import (
     _order_atoms,
     homomorphisms,
     homomorphisms_with_pivot,
+    position_pairs,
 )
 from repro.logic.instances import Instance
 from repro.logic.predicates import Predicate
@@ -553,18 +554,7 @@ class _RuleJoin:
         }
 
     def _program(self, atom: Atom, bound_terms: set) -> tuple:
-        bound, binds, repeats = [], [], []
-        new: set[Term] = set()
-        for position, term in enumerate(atom.args):
-            pair = (position, self.slot_of[term])
-            if term.is_constant or term in bound_terms:
-                bound.append(pair)
-            elif term in new:
-                repeats.append(pair)
-            else:
-                new.add(term)
-                binds.append(pair)
-        bound_terms |= new
+        bound, binds, repeats = position_pairs(atom, self.slot_of, bound_terms)
         return (self.ids.predicate(atom.predicate), bound, binds, repeats)
 
     def _run(self, emit: Callable[[list], None]) -> int:

@@ -49,7 +49,18 @@ class ChaseBudgetExceeded(ChaseError):
 
 
 class RewritingBudgetExceeded(ReproError):
-    """The UCQ-rewriting engine exceeded its depth or size budget."""
+    """The UCQ-rewriting engine exceeded its depth or size budget.
+
+    ``partial_rewriting`` is the sound UCQ accumulated so far.  ``depth``
+    is the breadth level the budget was exceeded in, which a non-strict
+    run does not always report: on transitivity's ``E(x,y)``,
+    ``max_cq_size=3`` raises with depth 3, the level whose candidate had
+    four atoms, where the non-strict run drops that level's candidates
+    and reports depth 2 (the deepest level that added a disjunct).  A
+    ``max_disjuncts`` error reports the level it cut short (3 with
+    ``max_disjuncts=3``, as the non-strict result does) and a missed
+    fixpoint ``max_depth``; -1 when not given.
+    """
 
     def __init__(self, message: str, partial_rewriting=None, depth: int = -1):
         super().__init__(message)

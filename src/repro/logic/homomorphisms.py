@@ -14,6 +14,18 @@ searcher is a backtracking matcher with three standard optimizations:
   search itself runs on an explicit stack rather than nested generator
   frames.
 
+CQ subsumption runs the same search on integers.  A CQ on the specific
+side is compiled once into :class:`IdRows` (its terms numbered, its atoms
+as id rows per predicate and per position bucket, in ``Atom`` order); a
+CQ on the general side into :class:`JoinPlans`, which keeps one plan per
+*count signature* (the target's row counts over its predicates).  A plan
+is the atom order :func:`_order_atoms` returns for those counts, the one
+atom-order policy of the object matcher, the id search and the engine's
+join kernel alike, with each atom's bound, bind and repeat positions;
+:func:`_search_rows` walks it with :func:`_candidates`' bucket choice and
+counts the searches and candidates :func:`_search` would.  The object
+matcher remains the reference the id search is tested against.
+
 The module also provides injective homomorphisms (for ``⊨inj``),
 isomorphism checking, and homomorphic equivalence ``↔`` (used pervasively in
 Section 4 to compare chases before and after surgeries).
@@ -25,6 +37,7 @@ from typing import Iterable, Iterator, Sequence
 
 from repro.logic.atoms import Atom
 from repro.logic.instances import Instance
+from repro.logic.predicates import Predicate
 from repro.logic.substitutions import Substitution
 from repro.logic.terms import Term
 
@@ -202,7 +215,8 @@ def _search(
     solution is yielded as a cleaned :class:`Substitution` copy of the
     binding.  Delta rounds and the goal probe's per-round checks do not
     come through here: the engine's join kernel (:mod:`repro.engine.core`)
-    runs the same search order on integer ids.
+    runs the same search order on integer ids, and CQ subsumption runs it
+    on id rows (:func:`_search_rows`).
     """
     MATCHER_STATS.searches += 1
     n = len(ordered)
@@ -256,6 +270,212 @@ def _search(
             break
         if not descended:
             frames.pop()
+
+
+def position_pairs(
+    atom: Atom, slot_of: dict[Term, int], bound_terms: set[Term]
+) -> tuple[list, list, list]:
+    """``atom``'s ``(position, slot)`` pairs for an id search that
+    reaches it with ``bound_terms`` bound: positions holding a constant
+    or a bound term, first occurrences of a new term, and repeats of
+    one.  The new terms join ``bound_terms``."""
+    bound, binds, repeats = [], [], []
+    new: set[Term] = set()
+    for position, term in enumerate(atom.args):
+        pair = (position, slot_of[term])
+        if term.is_constant or term in bound_terms:
+            bound.append(pair)
+        elif term in new:
+            repeats.append(pair)
+        else:
+            new.add(term)
+            binds.append(pair)
+    bound_terms |= new
+    return bound, binds, repeats
+
+
+# checks: hot
+def _search_rows(
+    steps: tuple[tuple, ...], tables: list, slots: list[int]
+) -> bool:
+    """Whether the atoms of ``steps`` match into id rows: :func:`_search`
+    on ints, stopping at the first match.
+
+    ``steps`` is a :class:`JoinPlans` plan: per atom in
+    :func:`_order_atoms` order, the index of its predicate's table in
+    ``tables`` (``(rows, positional index)`` or None when the target
+    lacks the predicate) and its ``(position, slot)`` pairs — bound by a
+    pin, a constant or an earlier atom, first bound here, repeated here.
+    ``slots`` holds the pinned and constant ids (-1 for a constant the
+    target lacks).  Candidates are :func:`_candidates`' rows in ``Atom``
+    order: the smallest bucket of a bound position (the first on a tie),
+    none when one is empty, every row over the predicate when nothing is
+    bound.  Counts one search and every candidate tested, as
+    :func:`_search` does up to its first solution.
+    """
+    stats = MATCHER_STATS
+    stats.searches += 1
+    last = len(steps) - 1
+    pending: list = [None] * len(steps)
+    tested = 0
+    depth = 0
+    entering = True
+    while depth >= 0:
+        table_at, bound, binds, repeats = steps[depth]
+        if entering:
+            table = tables[table_at]
+            candidates = ()
+            if table is not None:
+                candidates, index = table
+                for position, slot in bound:
+                    bucket = index[position].get(slots[slot])
+                    if bucket is None:
+                        candidates = ()
+                        break
+                    if len(bucket) < len(candidates):
+                        candidates = bucket
+            pending[depth] = iter(candidates)
+        matched = False
+        for row in pending[depth]:
+            tested += 1
+            matched = True
+            for position, slot in bound:
+                if row[position] != slots[slot]:
+                    matched = False
+                    break
+            if not matched:
+                continue
+            for position, slot in binds:
+                slots[slot] = row[position]
+            for position, slot in repeats:
+                if row[position] != slots[slot]:
+                    matched = False
+                    break
+            if matched:
+                break
+        if not matched:
+            depth -= 1
+            entering = False
+        elif depth == last:
+            stats.candidates += tested
+            return True
+        else:
+            depth += 1
+            entering = True
+    stats.candidates += tested
+    return False
+
+
+class IdRows:
+    """An atom set compiled as the target of :meth:`JoinPlans.maps_into`.
+
+    The terms are numbered in order of first occurrence over the sorted
+    atoms, and each atom becomes a row of term ids, appended in ``Atom``
+    order to its predicate's rows and to one bucket per argument
+    position and term id: the id form of an :class:`Instance`'s sorted
+    predicate and positional indexes.  ``anchors`` holds the ids of the
+    terms a source's pinned terms map to (a CQ's answer tuple).
+    """
+
+    __slots__ = ("ids", "tables", "anchors")
+
+    def __init__(self, atoms: Iterable[Atom], anchors: Sequence[Term] = ()):
+        ids: dict[Term, int] = {}
+        tables: dict[Predicate, tuple[list, tuple[dict, ...]]] = {}
+        for atom in sorted(atoms, key=Atom.sort_key):
+            row = tuple([ids.setdefault(t, len(ids)) for t in atom.args])
+            table = tables.get(atom.predicate)
+            if table is None:
+                table = tables[atom.predicate] = (
+                    [],
+                    tuple([{} for _ in row]),
+                )
+            rows, index = table
+            rows.append(row)
+            for buckets, term_id in zip(index, row):
+                bucket = buckets.get(term_id)
+                if bucket is None:
+                    buckets[term_id] = [row]
+                else:
+                    bucket.append(row)
+        self.ids = ids
+        self.tables = tables
+        self.anchors = tuple([ids[t] for t in anchors])
+
+    def count(self, predicate: Predicate) -> int:
+        """The number of rows over ``predicate`` (what
+        :func:`_order_atoms` reads from a target)."""
+        table = self.tables.get(predicate)
+        return len(table[0]) if table is not None else 0
+
+
+class JoinPlans:
+    """An atom set compiled as the source of :meth:`maps_into`.
+
+    Every term has a slot: a variable or null one the search binds, a
+    constant one holding its id in the target.  ``pinned`` terms map to
+    the target's anchors, position by position.  The atom order depends
+    on the target only through its row counts over the source's
+    predicates (:func:`_order_atoms` reads nothing else), so one plan
+    per such *count signature* is compiled on first use and kept.
+    """
+
+    __slots__ = (
+        "atoms", "slot_of", "predicates", "constants", "pinned",
+        "pinned_slots", "plans",
+    )
+
+    def __init__(self, atoms: Iterable[Atom], pinned: Sequence[Term] = ()):
+        self.atoms = sorted(atoms, key=Atom.sort_key)
+        slot_of: dict[Term, int] = {}
+        for atom in self.atoms:
+            for term in atom.args:
+                slot_of.setdefault(term, len(slot_of))
+        self.slot_of = slot_of
+        self.predicates = tuple(dict.fromkeys(a.predicate for a in self.atoms))
+        self.constants = tuple(
+            [(slot, term) for term, slot in slot_of.items() if term.is_constant]
+        )
+        self.pinned = tuple(pinned)
+        self.pinned_slots = tuple([slot_of[t] for t in self.pinned])
+        self.plans: dict[tuple[int, ...], tuple[tuple, ...]] = {}
+
+    def maps_into(self, target: IdRows) -> bool:
+        """Whether a homomorphism maps the atoms into ``target``'s rows,
+        the pinned terms onto its anchors; False without a search when
+        a pinned term would need two images."""
+        slots = [-1] * len(self.slot_of)
+        ids = target.ids
+        for slot, constant in self.constants:
+            slots[slot] = ids.get(constant, -1)
+        for slot, anchor in zip(self.pinned_slots, target.anchors):
+            if slots[slot] >= 0 and slots[slot] != anchor:
+                return False
+            slots[slot] = anchor
+        found = target.tables
+        tables = [found.get(p) for p in self.predicates]
+        signature = tuple([0 if t is None else len(t[0]) for t in tables])
+        plan = self.plans.get(signature)
+        if plan is None:
+            plan = self.plans[signature] = self._plan(target)
+        return _search_rows(plan, tables, slots)
+
+    def _plan(self, target: IdRows) -> tuple[tuple, ...]:
+        """The :func:`_search_rows` steps for ``target``'s row counts."""
+        table_at = {p: i for i, p in enumerate(self.predicates)}
+        bound_terms = set(self.pinned)
+        steps = []
+        for atom in _order_atoms(self.atoms, target, bound=bound_terms):
+            bound, binds, repeats = position_pairs(
+                atom, self.slot_of, bound_terms
+            )
+            steps.append((
+                table_at[atom.predicate],
+                tuple(bound),
+                tuple(binds),
+                tuple(repeats),
+            ))
+        return tuple(steps)
 
 
 def homomorphisms(

@@ -15,7 +15,7 @@ import networkx as nx
 
 from repro.datastructures.orders import ReachabilityOrder
 from repro.logic.atoms import Atom
-from repro.logic.instances import Instance
+from repro.logic.homomorphisms import IdRows, JoinPlans
 from repro.logic.substitutions import Substitution
 from repro.logic.terms import FreshSupply, Term, Variable
 
@@ -23,15 +23,17 @@ from repro.logic.terms import FreshSupply, Term, Variable
 class ConjunctiveQuery:
     """A conjunctive query ``∃z̄ B(x̄, z̄)`` with answer tuple ``x̄``.
 
-    A CQ indexes its body once, on first use, as an :class:`Instance`
-    without ``⊤`` (:meth:`_body_index`): the target every
-    :func:`~repro.queries.minimization.subsumes` call with this CQ on the
-    specific side matches into.  The index is private and never mutated,
-    takes no part in equality or hashing, and never reaches a pickle
-    (:meth:`__reduce__` rebuilds the CQ through ``__init__``).
+    A CQ compiles its body at most once per role of
+    :func:`~repro.queries.minimization.subsumes`, on first use: as the
+    specific side into id rows (:class:`~repro.logic.homomorphisms.IdRows`,
+    :meth:`_as_specific`), as the general side into join plans
+    (:class:`~repro.logic.homomorphisms.JoinPlans`, :meth:`_as_general`).
+    The compiled forms are private caches: they take no part in equality
+    or hashing, and never reach a pickle (:meth:`__reduce__` rebuilds the
+    CQ through ``__init__``, so a restored CQ starts without them).
     """
 
-    __slots__ = ("atoms", "answers", "_hash", "_index")
+    __slots__ = ("atoms", "answers", "_hash", "_rows", "_plans")
 
     def __init__(
         self, atoms: Iterable[Atom], answers: Sequence[Variable] = ()
@@ -49,7 +51,8 @@ class ConjunctiveQuery:
         self.atoms = atom_set
         self.answers = answer_tuple
         self._hash = hash((atom_set, answer_tuple))
-        self._index: Instance | None = None
+        self._rows: IdRows | None = None
+        self._plans: JoinPlans | None = None
 
     # ------------------------------------------------------------------
     # Value semantics
@@ -68,16 +71,22 @@ class ConjunctiveQuery:
     def __reduce__(self):
         # Rebuild through __init__ so the cached hash is recomputed with
         # the unpickling interpreter's seed (see Term.__reduce__), and the
-        # body index stays out of the pickle.
+        # compiled forms stay out of the pickle.
         return (type(self), (self.atoms, self.answers))
 
-    def _body_index(self) -> Instance:
-        """The body as an indexed :class:`Instance`, built once; never
-        mutate it."""
-        index = self._index
-        if index is None:
-            index = self._index = Instance(self.atoms, add_top=False)
-        return index
+    def _as_specific(self) -> IdRows:
+        """The body as id rows anchored at the answers, built once."""
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = IdRows(self.atoms, self.answers)
+        return rows
+
+    def _as_general(self) -> JoinPlans:
+        """The body as join plans pinned at the answers, built once."""
+        plans = self._plans
+        if plans is None:
+            plans = self._plans = JoinPlans(self.atoms, self.answers)
+        return plans
 
     def __lt__(self, other: "ConjunctiveQuery") -> bool:
         if not isinstance(other, ConjunctiveQuery):

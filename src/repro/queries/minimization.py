@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.logic.homomorphisms import find_homomorphism
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.ucq import UCQ
 
@@ -24,21 +23,17 @@ def subsumes(
 
     ``specific`` is then logically stronger: any match of ``specific``
     yields a match of ``general``, so ``specific`` is redundant in a UCQ
-    already containing ``general``.  The match runs into ``specific``'s
-    body index, built on its first use as the specific side and kept on
-    the CQ, so a candidate checked against many disjuncts is indexed once.
+    already containing ``general``.  Each CQ is compiled once per role
+    and keeps the result: ``specific`` into id rows, ``general`` into
+    join plans (:class:`~repro.logic.homomorphisms.JoinPlans`), so a
+    candidate checked against many disjuncts is compiled once on each
+    side.  The search counts the searches and candidates of
+    ``find_homomorphism(general.atoms, Instance(specific.atoms,
+    add_top=False), seed=<answers>)`` and gives its verdict.
     """
     if len(general.answers) != len(specific.answers):
         return False
-    seed: dict = {}
-    for g_var, s_var in zip(general.answers, specific.answers):
-        if g_var in seed and seed[g_var] != s_var:
-            return False
-        seed[g_var] = s_var
-    return (
-        find_homomorphism(general.atoms, specific._body_index(), seed=seed)
-        is not None
-    )
+    return general._as_general().maps_into(specific._as_specific())
 
 
 def equivalent(left: ConjunctiveQuery, right: ConjunctiveQuery) -> bool:

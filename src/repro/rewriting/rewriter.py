@@ -67,8 +67,16 @@ class RewritingResult:
         exceeding ``max_cq_size`` — the UCQ is then a rewriting in the
         sense of Definition 2.
     depth:
-        Number of completed breadth levels (the fixpoint depth when
-        ``complete``).
+        The deepest breadth level that added a disjunct.  When
+        ``complete`` it is the fixpoint depth (the empty level after it
+        does not count); after ``max_depth`` levels it is ``max_depth``;
+        a ``max_disjuncts`` stop reports the level it cut short, which
+        added the disjunct over the budget (transitivity's ``E(x,y)``
+        with ``max_disjuncts=3``: depth 3, four disjuncts).  A
+        ``max_cq_size`` drop does not count as adding: with
+        ``max_cq_size=3`` the same rewriting drops every candidate of
+        level 3 and reports depth 2, while the strict run raises with
+        :attr:`~repro.errors.RewritingBudgetExceeded.depth` 3.
     generated:
         Total number of candidate CQs generated before minimization.
     telemetry:
@@ -191,6 +199,13 @@ def rewrite(
     level that adds nothing is the fixpoint, and ``depth`` is the level
     before it; a disjunct budget stop or ``max_depth`` levels without a
     fixpoint leave the rewriting incomplete at the level that ran last.
+    Either way ``depth`` is the deepest level that added a disjunct
+    (:attr:`RewritingResult.depth`): on transitivity's ``E(x,y)``,
+    ``max_disjuncts=3`` stops in level 3 and reports 3, and
+    ``max_cq_size=3`` drops all of level 3 and reports 2.  A strict
+    budget error carries the level it was raised in instead: 3 for that
+    ``max_cq_size=3`` run, the level cut short for ``max_disjuncts``,
+    and ``max_depth`` for a missed fixpoint.
 
     Parameters
     ----------

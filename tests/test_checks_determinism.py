@@ -7,10 +7,12 @@ that must stay clean (sorted() wrapping, collect-then-sort, allow
 markers with justifications).
 """
 
+import ast
+import pathlib
 import textwrap
 
 from repro.checks.base import SourceModule
-from repro.checks.determinism import DeterminismPass
+from repro.checks.determinism import UNORDERED_CALLS, DeterminismPass
 
 PASS = DeterminismPass()
 
@@ -130,3 +132,19 @@ def test_seeded_random_and_perf_counter_are_clean():
         """
     )
     assert live == []
+
+
+def test_every_unordered_call_names_a_set_method_or_a_library_function():
+    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+    defined = {
+        node.name
+        for path in package.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    stale = sorted(
+        name
+        for name in UNORDERED_CALLS
+        if not hasattr(set, name) and name not in defined
+    )
+    assert stale == []

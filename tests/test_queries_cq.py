@@ -9,7 +9,7 @@ import tempfile
 
 import pytest
 
-from repro.logic.atoms import edge
+from repro.logic.atoms import Atom, edge
 from repro.logic.substitutions import Substitution
 from repro.logic.terms import FreshSupply, Variable
 from repro.queries.cq import ConjunctiveQuery
@@ -174,21 +174,34 @@ class TestPickling:
                     cwd=pathlib.Path(__file__).parent.parent,
                 )
 
-    def test_pickle_is_unchanged_by_the_body_index(self):
-        specific = parse_query("E(x,y), E(y,z), E(z,x)", answers=("x",))
-        before = pickle.dumps(specific)
-        assert subsumes(parse_query("E(u,v)", answers=("u",)), specific)
-        assert specific._index is not None
-        after = pickle.dumps(specific)
+    def test_pickle_is_unchanged_by_the_compiled_forms(self):
+        query = parse_query("E(x,y), E(y,z), E(z,x)", answers=("x",))
+        edge_query = parse_query("E(u,v)", answers=("u",))
+        before = pickle.dumps(query)
+        assert subsumes(edge_query, query)
+        assert not subsumes(query, edge_query)
+        assert query._rows is not None and query._plans is not None
+        after = pickle.dumps(query)
         assert after == before
         restored = pickle.loads(after)
-        assert restored == specific and hash(restored) == hash(specific)
-        assert restored._index is None
+        assert restored == query and hash(restored) == hash(query)
+        assert restored._rows is None and restored._plans is None
 
-    def test_body_index_is_invisible_to_value_semantics(self):
-        indexed = parse_query("E(x,y), E(y,z)", answers=("x",))
+    def test_compiled_forms_are_invisible_to_value_semantics(self):
+        compiled = parse_query("E(x,y), E(y,z)", answers=("x",))
         plain = parse_query("E(x,y), E(y,z)", answers=("x",))
-        subsumes(plain, indexed)
-        assert indexed._index is not None and plain._index is None
-        assert indexed == plain and hash(indexed) == hash(plain)
-        assert set(indexed._index) == set(indexed.atoms)
+        other = parse_query("E(x,y)", answers=("x",))
+        assert subsumes(other, compiled)
+        assert not subsumes(compiled, other)
+        assert compiled._rows is not None and compiled._plans is not None
+        assert plain._rows is None and plain._plans is None
+        assert compiled == plain and hash(compiled) == hash(plain)
+        # Both forms hold exactly the body.
+        terms = list(compiled._rows.ids)
+        decoded = {
+            Atom(predicate, [terms[i] for i in row])
+            for predicate, (rows, _) in compiled._rows.tables.items()
+            for row in rows
+        }
+        assert decoded == set(compiled.atoms)
+        assert set(compiled._plans.atoms) == set(compiled.atoms)

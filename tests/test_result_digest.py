@@ -84,6 +84,42 @@ def test_rewriting_lines_cover_disjuncts_rounds_and_counts():
     assert lines[-1] == "counts 3 4"
 
 
+def test_subsumption_lines_cover_minimization_cores_and_verdicts():
+    from repro.queries.ucq import UCQ
+    from repro.rules.parser import parse_query
+
+    ucq = UCQ([
+        parse_query("E(x,y)"),
+        parse_query("E(x,y), E(y,z)"),
+        parse_query("E(x,y), E(u,v)"),
+    ])
+    lines = list(result_digest.subsumption_lines(ucq))
+    assert [line.split()[0] for line in lines] == (
+        ["minimized", "counts"]
+        + ["core"] * 3
+        + ["counts", "subsumes", "counts"]
+    )
+    # Disjunct order E(u,v), E(x,y) | E(x,y) | the path: the first two
+    # map into everything, the path only into itself.
+    assert lines[0] == "minimized ? :- E(x, y)"
+    assert lines[2] == "core ? :- E(u, v), E(x, y) | ? :- E(x, y)"
+    assert lines[6] == "subsumes 111111001"
+    assert all(
+        int(count) > 0 for line in lines[1::4] for count in line.split()[1:]
+    )
+
+
+def test_minimize_cases_are_rewriting_cases():
+    minimize = [
+        name for name, *_, flag in result_digest.rewriting_cases() if flag
+    ]
+    assert minimize == [
+        "rewrite_minimize_tc_depth_6",
+        "rewrite_minimize_tc_two_hop",
+        "rewrite_minimize_guarded_triangle",
+    ]
+
+
 def test_lines_cover_records_timestamps_levels_and_counts():
     from repro.chase import oblivious_chase
     from repro.rules.parser import parse_instance, parse_rules

@@ -25,7 +25,10 @@ The rewriting digest covers, per case and in case order, the disjuncts
 as strings in the UCQ's order, ``complete``, ``depth``, ``generated``,
 every trace round record without its phase timings, and the run's
 matcher searches and candidates; it leaves out the trace header and
-summary.
+summary.  Its ``rewrite_minimize_`` cases hash the other subsumption
+callers instead, over a finished rewriting: ``minimize_ucq`` (cores on)
+and ``cq_core`` of each disjunct as strings, every ``subsumes`` verdict
+between two disjuncts, and the matcher counts of each.
 
 Every part is written in a canonical order, so the digests do not
 depend on ``PYTHONHASHSEED``.  Two commits that print the same digests
@@ -52,6 +55,7 @@ from repro.corpus import (
 from repro.logic import MATCHER_STATS
 from repro.logic.instances import Instance
 from repro.obs.trace import RunTrace
+from repro.queries.minimization import cq_core, minimize_ucq, subsumes
 from repro.queries.ucq import UCQ
 from repro.rewriting.rewriter import rewrite, rewrite_ucq
 from repro.rules.parser import parse_query, parse_rules
@@ -124,31 +128,51 @@ def cases() -> list[tuple[str, object, Instance, int, int]]:
     return found
 
 
-def rewriting_cases() -> list[tuple[str, object, object, dict]]:
-    """``(name, rules, query, budgets)`` per rewriting case: the decision
-    queries of :data:`REWRITE_DECISIONS` on the default budgets, as
-    ``answer()`` rewrites them, and on transitivity the edge query at
+def rewriting_cases() -> list[tuple[str, object, object, dict, bool]]:
+    """``(name, rules, query, budgets, minimize)`` per rewriting case: the
+    decision queries of :data:`REWRITE_DECISIONS` on the default budgets,
+    as ``answer()`` rewrites them, and on transitivity the edge query at
     depths 2, 4 and 6, the two-hop query at depth 6, a ``max_cq_size``
     drop, a ``max_disjuncts`` stop and one ``rewrite_ucq`` over two
-    disjuncts."""
+    disjuncts.  The three ``minimize`` cases digest the subsumption
+    callers over the rewritings of transitivity at depth 6, the two-hop
+    query and one bdd-corpus query (:func:`subsumption_lines`)."""
     corpus = {entry.name: entry for entry in bdd_corpus()}
     found = [
-        (f"rewrite_{name}_{k}", corpus[name].rules, parse_query(text), {})
+        (
+            f"rewrite_{name}_{k}",
+            corpus[name].rules,
+            parse_query(text),
+            {},
+            False,
+        )
         for k, (name, text) in enumerate(REWRITE_DECISIONS)
     ]
     tc = parse_rules(TC_RULE, name="transitivity")
     edge = parse_query("E(x,y)", answers=("x", "y"))
     found += [
-        (f"rewrite_tc_depth_{depth}", tc, edge, {"max_depth": depth})
+        (f"rewrite_tc_depth_{depth}", tc, edge, {"max_depth": depth}, False)
         for depth in (2, 4, 6)
     ]
     two_hop = parse_query("E(x,y), E(y,z)", answers=("x", "z"))
     both = UCQ([parse_query("E(u,v)"), parse_query("E(u,u)")], ())
     found += [
-        ("rewrite_tc_two_hop", tc, two_hop, {"max_depth": 6}),
-        ("rewrite_tc_size_drop", tc, edge, {"max_cq_size": 3}),
-        ("rewrite_tc_disjunct_budget", tc, edge, {"max_disjuncts": 3}),
-        ("rewrite_ucq_tc", tc, both, {"max_depth": 3}),
+        ("rewrite_tc_two_hop", tc, two_hop, {"max_depth": 6}, False),
+        ("rewrite_tc_size_drop", tc, edge, {"max_cq_size": 3}, False),
+        ("rewrite_tc_disjunct_budget", tc, edge, {"max_disjuncts": 3}, False),
+        ("rewrite_ucq_tc", tc, both, {"max_depth": 3}, False),
+    ]
+    triangle = corpus["guarded_triangle"].rules
+    found += [
+        ("rewrite_minimize_tc_depth_6", tc, edge, {"max_depth": 6}, True),
+        ("rewrite_minimize_tc_two_hop", tc, two_hop, {"max_depth": 6}, True),
+        (
+            "rewrite_minimize_guarded_triangle",
+            triangle,
+            parse_query("E(x,y), E(y,z)"),
+            {},
+            True,
+        ),
     ]
     return found
 
@@ -205,6 +229,30 @@ def rewriting_lines(result, trace: RunTrace, counts: tuple[int, int]):
     yield "counts {} {}".format(*counts)
 
 
+def subsumption_lines(ucq: UCQ):
+    """The canonical text of the subsumption callers over one rewriting's
+    disjuncts, line by line: ``minimize_ucq`` with cores, ``cq_core`` of
+    each disjunct and ``subsumes`` between every two, each followed by
+    its matcher counts."""
+    disjuncts = list(ucq)
+    MATCHER_STATS.reset()
+    for disjunct in minimize_ucq(ucq, compute_cores=True):
+        yield f"minimized {disjunct}"
+    yield f"counts {MATCHER_STATS.searches} {MATCHER_STATS.candidates}"
+    MATCHER_STATS.reset()
+    for disjunct in disjuncts:
+        yield f"core {disjunct} | {cq_core(disjunct)}"
+    yield f"counts {MATCHER_STATS.searches} {MATCHER_STATS.candidates}"
+    MATCHER_STATS.reset()
+    verdicts = "".join(
+        "1" if subsumes(general, specific) else "0"
+        for general in disjuncts
+        for specific in disjuncts
+    )
+    yield f"subsumes {verdicts}"
+    yield f"counts {MATCHER_STATS.searches} {MATCHER_STATS.candidates}"
+
+
 def digest(variant: str, selected) -> str:
     """The sha256 of ``variant``'s runs over ``selected`` cases."""
     chase = VARIANTS[variant]
@@ -227,14 +275,19 @@ def digest(variant: str, selected) -> str:
 def rewriting_digest(selected) -> str:
     """The sha256 of the rewritings of ``selected`` cases."""
     sha = hashlib.sha256()
-    for name, rules, query, budgets in selected:
+    for name, rules, query, budgets, minimize in selected:
         MATCHER_STATS.reset()
         trace = RunTrace()
         run = rewrite_ucq if isinstance(query, UCQ) else rewrite
         result = run(query, rules, trace=trace, **budgets)
         counts = (MATCHER_STATS.searches, MATCHER_STATS.candidates)
+        lines = (
+            subsumption_lines(result.ucq)
+            if minimize
+            else rewriting_lines(result, trace, counts)
+        )
         sha.update(f"case {name}\n".encode())
-        for line in rewriting_lines(result, trace, counts):
+        for line in lines:
             sha.update(line.encode() + b"\n")
     return sha.hexdigest()
 
