@@ -12,9 +12,11 @@ Acceptance:
 
 * every engine produces the identical closure/chase (pinned here and in
   ``tests/test_engine_persistent.py``), and
-* the pool's pipe payload (``bytes_sent``, the pickled envelopes) stays
-  within its checked-in budget — ``tools/check_transport_budget.py``
-  gates the ``payload_bytes`` this file writes to ``BENCH_exp14.json``.
+* the pool's pipe payload (``bytes_sent``, the pickled envelopes) and
+  its replies (``bytes_received``: a derive reply carries only the new
+  heads, as id rows) stay within their checked-in budgets —
+  ``tools/check_transport_budget.py`` gates the ``payload_bytes`` and
+  ``reply_bytes`` this file writes to ``BENCH_exp14.json``.
 
 Wall-clock columns are report-only: the pool only wins on multicore
 machines where spreading the matching outweighs the per-round sync.
@@ -129,6 +131,7 @@ def test_exp14_persistent_closure(benchmark):
                     "atoms": len(results[label]),
                     "median_s": times[label],
                     "payload_bytes": payloads[label],
+                    "reply_bytes": transports[label]["bytes_received"],
                     "transport": transports[label],
                 }
                 for label, engine in ENGINES

@@ -82,9 +82,9 @@ ORDERED_CALLS = {"list", "tuple", "enumerate", "zip", "join", "extend"}
 SINK_CALLS = {
     "record_round",
     "encode_atoms",
-    "encode_derive_reply",
     "encode_enumerate_reply",
     "pack_ids",
+    "pack_rows",
 }
 
 #: Mutations that give a ``for`` loop body an ordered effect.

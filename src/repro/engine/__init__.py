@@ -66,12 +66,14 @@ Performance model
 Every delta round joins on integer rows (the join kernel in
 :mod:`repro.engine.core`), inline and on the pool's columnar replicas,
 on every engine but ``naive``, and every round records its provenance
-in one :meth:`~repro.chase.result.ChaseResult.record_round` pass.  The
-pool has won nothing it was measured on: on a 2-CPU host it is slower
-than inline ``delta`` on closures of 60- to 200-edge paths and on
-restricted chases of 80- and 140-edge paths (EXP-13..16 in
-``benchmarks/``), because encoding, decoding and merging in the parent
-cost more than the matching it moves to the workers.
+in one :meth:`~repro.chase.result.ChaseResult.record_round` pass.  A
+pooled round stays on ids from routing to reply and builds one ``Atom``
+per new atom, in the parent.  The pool has won nothing it was measured
+on: on a 2-CPU host a pooled closure of a 120- or 200-edge path about
+ties inline ``delta``, and restricted chases of 80- and 140-edge paths are
+slower on it (EXP-13..16 in ``benchmarks/``), because encoding,
+decoding, merging and recording in the parent still cost about what
+the pool saves on matching.
 """
 
 from repro.engine.columnar import ColumnarInstance, Vocabulary

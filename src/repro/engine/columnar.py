@@ -40,11 +40,11 @@ Columnar instances are append-only (the chase never retracts);
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.engine import wire
 from repro.errors import ChaseError
-from repro.logic.atoms import Atom
+from repro.logic.atoms import Atom, build_atom
 from repro.logic.predicates import Predicate
 from repro.logic.terms import Term, term_from_wire
 
@@ -62,6 +62,7 @@ class Vocabulary:
     :meth:`intern_atom` (:func:`repro.engine.wire.encode_atoms`) and ship
     as :meth:`segment` cuts; a worker's vocabulary grows only through
     :meth:`apply_segment`; an id view's through :meth:`intern_atom`.
+    :meth:`atoms` is the way back, for the new heads of a derive round.
     """
 
     __slots__ = ("terms", "term_ids", "predicates", "predicate_ids")
@@ -152,6 +153,17 @@ class Vocabulary:
                 terms.append(term)
             ids.append(term_id)
         return pred_id, tuple(ids)
+
+    def atoms(self, rows: Iterable[tuple[int, tuple[int, ...]]]) -> set[Atom]:
+        """One ``Atom`` per id row ``(pred_id, term_ids)`` — the inverse
+        of :meth:`intern_atom` — built through the cached-hash fast path
+        :func:`~repro.logic.atoms.build_atom`."""
+        predicates = self.predicates
+        term = self.terms.__getitem__
+        return {
+            build_atom(predicates[pred_id], tuple(map(term, term_ids)))
+            for pred_id, term_ids in rows
+        }
 
 
 class ColumnarInstance:

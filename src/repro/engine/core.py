@@ -12,7 +12,7 @@ each body atom in turn (the *pivot*), that atom is matched against the
 delta only while the remaining atoms match the full instance through the
 positional index.  A homomorphism whose body image touches ``k`` delta
 atoms is found by ``k`` pivots; callers deduplicate on their own identity
-(trigger image for the chase, the derived atom set for the closure).
+(trigger image for the chase, the derived head rows for the closure).
 
 Every delta round runs it on one matcher, the *join kernel*, inline and
 on the worker replicas alike: :func:`rule_delta_images` (every oblivious
@@ -33,8 +33,10 @@ sets.  The enumerate modes return images only: per rule, the distinct
 ``h(x̄)`` along ``rule.body_variable_order()`` as ``Term`` tuples, in no
 particular order (callers sort), with no ``Substitution`` built — a
 trigger derives its mapping from its image
-(:class:`~repro.chase.trigger.Trigger`).  The derive mode builds one
-``Atom`` per distinct head.  :func:`delta_homomorphisms`, the object
+(:class:`~repro.chase.trigger.Trigger`).  The derive mode returns only
+the ground heads the store lacks, as id rows: a worker replies with
+them as they are, and the parent builds one ``Atom`` per new head.
+:func:`delta_homomorphisms`, the object
 matcher's (:mod:`repro.logic.homomorphisms`) run of the decomposition,
 is the reference the kernel is tested against; no engine path calls it.
 
@@ -51,8 +53,9 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
+from repro.engine import wire
 from repro.engine.columnar import ColumnarInstance, Vocabulary
-from repro.logic.atoms import Atom, build_atom
+from repro.logic.atoms import Atom
 from repro.logic.homomorphisms import (
     MATCHER_STATS,
     _order_atoms,
@@ -179,19 +182,49 @@ def rule_delta_match(
     return _RuleJoin(rule, instance, delta_inst, seed).exists()
 
 
+def derive_delta_rows(
+    rules: Sequence[Rule],
+    instance: Instance | ColumnarInstance,
+    delta_inst: Instance | ColumnarInstance,
+) -> set[tuple[int, tuple[int, ...]]]:
+    """The ground heads of the Datalog ``rules`` whose body uses ≥ 1
+    delta atom and that ``instance`` lacks, as id rows ``(pred_id,
+    term_ids)`` over its id view.
+
+    Derivation mode of the core, used by the Datalog closure: no trigger
+    identity, no canonical ordering — duplicate matches collapse in the
+    returned set, which is all a saturation needs.  The join kernel
+    drops the heads in the store's row sets, so a head present at round
+    start never leaves it.  Every head symbol gets an id first, so all
+    rules' rows share one id space: an object instance's id view interns
+    them; a columnar store (a worker's replica, whose tables grow only
+    by segments) must hold them already, as the pool's seed interned
+    them (:func:`~repro.engine.wire.intern_rules`).
+    """
+    view = id_view(instance)
+    if view is instance:
+        wire.require_rule_symbols(view.vocabulary, rules)
+    else:
+        wire.intern_rules(view.vocabulary, rules)
+    rows: set[tuple[int, tuple[int, ...]]] = set()
+    for rule in rules:
+        if not _idle(rule, instance, delta_inst):
+            rows |= _RuleJoin(rule, instance, delta_inst).derive()
+    return rows
+
+
 def derive_delta_atoms(
     rule: Rule,
     instance: Instance | ColumnarInstance,
     delta_inst: Instance | ColumnarInstance,
 ) -> set[Atom]:
-    """Head instantiations of ``rule`` whose body uses ≥ 1 delta atom.
+    """Head instantiations of ``rule`` whose body uses ≥ 1 delta atom and
+    that ``instance`` lacks: :func:`derive_delta_rows` of ``rule``, one
+    :class:`Atom` per row.
 
-    Derivation mode of the core, used by the Datalog closure: no trigger
-    identity, no canonical ordering — duplicate matches collapse in the
-    returned set, which is all a saturation needs.  The join kernel
-    collects the heads as id tuples and builds one :class:`Atom` per
-    distinct head.  ``delta_inst is instance`` (the ``naive`` engine's
-    full re-derivation) stays on the object matcher, the reference.
+    ``delta_inst is instance`` (the ``naive`` engine's full
+    re-derivation) stays on the object matcher, the reference, and
+    returns every head instantiation, present or not.
     """
     if delta_inst is instance:
         derived: set[Atom] = set()
@@ -199,9 +232,8 @@ def derive_delta_atoms(
         for hom in homomorphisms(rule.body, instance):
             derived.update(hom.apply_atoms(head))
         return derived
-    if _idle(rule, instance, delta_inst):
-        return set()
-    return _RuleJoin(rule, instance, delta_inst).derive()
+    rows = derive_delta_rows((rule,), instance, delta_inst)
+    return id_view(instance).vocabulary.atoms(rows)
 
 
 def round_matches(
@@ -216,12 +248,17 @@ def round_matches(
     ``mode`` is the pool's command name: per rule, the
     :func:`rule_delta_images` list (``"enumerate"``) or the
     :func:`rule_unsatisfied_images` list (``"enumerate_unsatisfied"``),
-    or the :func:`derive_delta_atoms` heads of all rules (``"derive"``).
+    or the new heads of all rules (``"derive"``): their
+    :func:`derive_delta_rows` on a columnar store (a worker's replica,
+    whose reply packs them as they are), their
+    :func:`derive_delta_atoms` on an object instance.
     """
     if mode == "derive":
+        if isinstance(instance, ColumnarInstance):
+            return derive_delta_rows(rules, instance, delta_inst)
         derived: set[Atom] = set()
         for rule in rules:
-            derived.update(derive_delta_atoms(rule, instance, delta_inst))
+            derived |= derive_delta_atoms(rule, instance, delta_inst)
         return derived
     images = (
         rule_unsatisfied_images
@@ -277,12 +314,11 @@ class _Ids:
     round that interns the symbol resolves it afresh.
     """
 
-    __slots__ = ("terms", "predicates", "_term_ids", "_predicate_ids",
+    __slots__ = ("terms", "_term_ids", "_predicate_ids",
                  "_placeholder_ids", "_placeholders")
 
     def __init__(self, vocabulary: Vocabulary):
         self.terms = vocabulary.terms
-        self.predicates = vocabulary.predicates
         self._term_ids = vocabulary.term_ids
         self._predicate_ids = vocabulary.predicate_ids
         # Symbol -> placeholder id, and the symbols by ``-1 - id``.
@@ -308,11 +344,6 @@ class _Ids:
         if term_id >= 0:
             return self.terms[term_id]
         return self._placeholders[-1 - term_id]
-
-    def predicate_of(self, pred_id: int) -> Predicate:
-        if pred_id >= 0:
-            return self.predicates[pred_id]
-        return self._placeholders[-1 - pred_id]
 
     def images(self, kept: Iterable[tuple]) -> list[tuple[Term, ...]]:
         """The ``Term`` tuples of id tuples.  While the join has made no
@@ -669,7 +700,9 @@ class _RuleJoin:
         INSTANTIATION_STATS.heads += matches
         return self.ids.images(kept.values())
 
-    def derive(self) -> set[Atom]:
+    def derive(self) -> set[tuple[int, tuple[int, ...]]]:
+        """The ground heads the view lacks, as id rows ``(pred_id,
+        term_ids)``; the caller made sure every head symbol has an id."""
         heads = [
             (pred_id, head_row, set()) for pred_id, head_row in self._heads()
         ]
@@ -688,13 +721,9 @@ class _RuleJoin:
                     rows.add(head_row(slots))
 
         self._run(emit)
-        ids = self.ids
-        term_of = ids.term_of
-        derived: set[Atom] = set()
-        for pred_id, _, rows in heads:
-            predicate = ids.predicate_of(pred_id)
-            for row in rows:
-                derived.add(
-                    build_atom(predicate, tuple([term_of(i) for i in row]))
-                )
-        return derived
+        row_set = self.view.row_set
+        return {
+            (pred_id, row)
+            for pred_id, _, rows in heads
+            for row in rows.difference(row_set(pred_id))
+        }

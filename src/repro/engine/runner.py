@@ -523,6 +523,11 @@ class ChaseRunner:
         With a :class:`~repro.obs.trace.RunTrace` attached each round is
         recorded with ``plan="derive"``: the derivation sweep lands on
         the ``enumerate`` phase, the fold-in of new atoms on ``record``.
+        A round's ``triggers`` counts the distinct heads it derived.  A
+        delta round derives only heads the instance lacks at round start
+        (:func:`~repro.engine.core.derive_delta_rows`), so on every engine
+        but ``naive`` ``triggers == applied == new_atoms``; ``naive``
+        re-derives every head of the whole instance, present or not.
         """
         self._claim_run()
         policy = self.policy

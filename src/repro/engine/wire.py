@@ -25,34 +25,39 @@ Symbol tables
 Flat buffers
     Every payload is one flat id stream, packed as LEB128 varints
     (:func:`pack_ids`/:func:`unpack_ids` — table ids are dense and
-    small, so most ids cost one byte instead of a fixed four): atoms are
-    ``(pred_id, term_ids...)`` streams (self-delimiting — the
+    small, so most ids cost one byte instead of a fixed four).  Atoms
+    travel as id rows ``(pred_id, term_ids)`` (what
+    :meth:`~repro.engine.columnar.Vocabulary.intern_atom` returns),
+    packed back to back by :func:`pack_rows` (self-delimiting: the
     predicate's arity says how many term ids follow).  Workers fold them
-    straight into id rows; the parent's decoded reply atoms rebuild
-    through the cached-hash fast path :func:`repro.logic.atoms.build_atom`.
+    straight into their replicas' rows.
 
 Replies
     Workers answer with one packed buffer per message (one reply per
-    worker slice): derived atoms in the same ``(pred_id, term_ids...)``
-    layout, or per-rule match images as term ids.  Every symbol a reply
-    mentions is already in the shared table — :func:`intern_rules`
-    pre-interns every head symbol at seed, and body images come from the
-    replica — so replies carry table ids only; a symbol missing from the
-    worker's table raises :class:`~repro.errors.ChaseError`, and so does
-    a malformed reply on the parent's side (a truncated atom stream, a
-    missing image count, a short image, leftover ids or an id past the
-    end of a table).
+    worker slice): a ``derive`` reply is the heads the replica lacks, as
+    id rows straight from the join kernel (the parent reads them back as
+    rows, :func:`decode_derive_reply`), an enumeration reply per-rule
+    match images as term ids.  Every symbol a reply mentions is already
+    in the shared table — :func:`intern_rules` pre-interns every head
+    symbol at seed, and body images come from the replica — so replies
+    carry table ids only; a symbol missing from the worker's table
+    raises :class:`~repro.errors.ChaseError`, and so does a malformed
+    reply on the parent's side (a truncated atom stream, a missing image
+    count, a short image, leftover ids or an id past the end of a
+    table).
 
 Reply envelope
-    Every worker reply is ``(status, value, timings)`` built by
-    :func:`pack_reply` and read by :func:`unpack_reply`: ``timings`` is
-    the worker's ``(decode_s, execute_s, encode_s)`` wall-clock triple
-    packed as one fixed-size 24-byte struct (:data:`REPLY_TIMINGS`), or
-    ``None`` on error replies.  Fixed-size means the reply byte counters
-    stay deterministic — a float's value never changes the envelope
-    length.  The parent aggregates the triples per command into
-    ``TRANSPORT_STATS.worker_seconds``, which is what finally separates
-    parent-blocked-on-pipe time from worker compute.
+    Every worker reply is ``(status, value, telemetry)`` built by
+    :func:`pack_reply` and read by :func:`unpack_reply`: ``telemetry``
+    is the worker's ``(decode_s, execute_s, encode_s)`` wall-clock
+    triple and the ``(searches, candidates, heads)`` its command added
+    to ``MATCHER_STATS`` and ``INSTANTIATION_STATS``, packed as one
+    fixed-size 48-byte struct (:data:`REPLY_TELEMETRY`), or ``None`` on
+    error replies.  Fixed-size means the reply byte counters stay
+    deterministic.  The parent aggregates the timings per command into
+    ``TRANSPORT_STATS.worker_seconds``, which separates
+    parent-blocked-on-pipe time from worker compute, and adds the counts
+    to its own counters.
 
 What still pickles: the message envelope itself (a small tuple of
 command name, segment, and buffer bytes), the round's ``Rule`` objects
@@ -66,37 +71,44 @@ import struct
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.errors import ChaseError
-from repro.logic.atoms import Atom, build_atom
+from repro.logic.atoms import Atom
 from repro.rules.rule import Rule
 
 if TYPE_CHECKING:  # annotation-only: columnar imports this module
     from repro.engine.columnar import Vocabulary
 
 
-#: The reply envelope's fixed-size worker-timing triple:
-#: ``(decode_s, execute_s, encode_s)`` as three little-endian doubles.
-REPLY_TIMINGS = struct.Struct("<ddd")
+#: The reply envelope's fixed-size worker telemetry: the wall-clock triple
+#: ``(decode_s, execute_s, encode_s)`` as three little-endian doubles,
+#: then the counter deltas ``(searches, candidates, heads)`` as three
+#: unsigned 64-bit integers.
+REPLY_TELEMETRY = struct.Struct("<dddQQQ")
 
 
-def pack_reply(
-    status: str, value, timings: tuple[float, float, float] | None = None
-) -> tuple:
-    """Build one worker reply envelope ``(status, value, timings)``.
+def pack_reply(status: str, value, telemetry: tuple | None = None) -> tuple:
+    """Build one worker reply envelope ``(status, value, telemetry)``.
 
-    ``timings`` is the worker-side ``(decode_s, execute_s, encode_s)``
-    wall-clock split, packed into :data:`REPLY_TIMINGS`'s 24 fixed bytes
-    so the envelope's pickled size never depends on the float values —
-    byte counters stay deterministic.  Error replies ship ``None``.
+    ``telemetry`` is the worker-side ``(decode_s, execute_s, encode_s)``
+    wall-clock split followed by the command's matcher searches, matcher
+    candidates and head instantiations, packed into
+    :data:`REPLY_TELEMETRY`'s 48 fixed bytes so the envelope's pickled
+    size never depends on the values — byte counters stay
+    deterministic.  Error replies ship ``None``.
     """
-    packed = REPLY_TIMINGS.pack(*timings) if timings is not None else None
+    packed = REPLY_TELEMETRY.pack(*telemetry) if telemetry else None
     return (status, value, packed)
 
 
-def unpack_reply(message: tuple) -> tuple[str, object, tuple | None]:
-    """Open a reply envelope; returns ``(status, value, timings)``."""
+def unpack_reply(
+    message: tuple,
+) -> tuple[str, object, tuple | None, tuple | None]:
+    """Open a reply envelope; returns ``(status, value, timings, counts)``
+    (the last two ``None`` on an error reply)."""
     status, value, packed = message
-    timings = REPLY_TIMINGS.unpack(packed) if packed else None
-    return status, value, timings
+    if not packed:
+        return status, value, None, None
+    telemetry = REPLY_TELEMETRY.unpack(packed)
+    return status, value, telemetry[:3], telemetry[3:]
 
 
 # checks: hot
@@ -154,7 +166,7 @@ def atom_weight(atom: Atom) -> int:
 def intern_rules(vocabulary: "Vocabulary", rules: Iterable[Rule]) -> None:
     """Pre-intern every non-variable head symbol of ``rules``.
 
-    A worker reply over these rules (derived atoms, match images)
+    A worker reply over these rules (derived heads, match images)
     mentions head predicates, body-image terms (which seed, sync and
     pivot encoding interns) and head constants — after this, all of
     them resolve as table ids and replies need no literals.
@@ -169,18 +181,37 @@ def intern_rules(vocabulary: "Vocabulary", rules: Iterable[Rule]) -> None:
                     intern_term(term)
 
 
-def encode_atoms(vocabulary: "Vocabulary", atoms: Iterable[Atom]) -> bytes:
-    """Pack atoms as one flat ``(pred_id, term_ids...)`` stream,
-    interning new symbols into the pool's ``vocabulary``."""
-    intern = vocabulary.intern_atom
+def require_rule_symbols(vocabulary: "Vocabulary", rules: Iterable[Rule]):
+    """Check that :func:`intern_rules` ran: every non-variable head
+    symbol of ``rules`` is in ``vocabulary``, a worker's table replica
+    (which grows only by segments).  One that is not raises
+    :class:`~repro.errors.ChaseError`."""
+    for rule in rules:
+        for atom in rule.head:
+            if atom.predicate not in vocabulary.predicate_ids:
+                raise _missing_symbol(atom.predicate)
+            for term in atom.args:
+                if not term.is_variable and term not in vocabulary.term_ids:
+                    raise _missing_symbol(term)
+
+
+# checks: hot
+def pack_rows(rows: Iterable[tuple[int, tuple[int, ...]]]) -> bytes:
+    """Pack id rows ``(pred_id, term_ids)`` as one flat
+    ``(pred_id, term_ids...)`` stream."""
     ids: list[int] = []
     append = ids.append
     extend = ids.extend
-    for atom in atoms:
-        pred_id, term_ids = intern(atom)
+    for pred_id, term_ids in rows:
         append(pred_id)
         extend(term_ids)
     return pack_ids(ids)
+
+
+def encode_atoms(vocabulary: "Vocabulary", atoms: Iterable[Atom]) -> bytes:
+    """Pack atoms as one flat ``(pred_id, term_ids...)`` stream,
+    interning new symbols into the pool's ``vocabulary``."""
+    return pack_rows(map(vocabulary.intern_atom, atoms))
 
 
 # ----------------------------------------------------------------------
@@ -188,10 +219,9 @@ def encode_atoms(vocabulary: "Vocabulary", atoms: Iterable[Atom]) -> bytes:
 # ----------------------------------------------------------------------
 
 
-def _missing_symbol(error: KeyError) -> ChaseError:
+def _missing_symbol(symbol) -> ChaseError:
     return ChaseError(
-        f"worker reply mentions {error.args[0]!r}, which is not in the "
-        f"wire table"
+        f"worker reply mentions {symbol!r}, which is not in the wire table"
     )
 
 
@@ -199,51 +229,37 @@ def _unknown_id() -> ChaseError:
     return ChaseError("worker reply mentions an id past the wire table")
 
 
-def encode_derive_reply(
-    vocabulary: "Vocabulary", atoms: Iterable[Atom]
-) -> bytes:
-    """Pack derived atoms in :func:`encode_atoms`' layout.
+# checks: hot
+def decode_derive_reply(
+    vocabulary: "Vocabulary", reply: bytes
+) -> set[tuple[int, tuple[int, ...]]]:
+    """The id rows ``(pred_id, term_ids)`` of one derive reply (a
+    :func:`pack_rows` stream), checked against the pool's tables.
 
-    Ids come from the worker's table replica; a symbol it does not hold
-    raises :class:`~repro.errors.ChaseError`.
-    """
-    predicate_ids = vocabulary.predicate_ids
-    term_ids = vocabulary.term_ids
-    ids: list[int] = []
-    append = ids.append
-    try:
-        for atom in atoms:
-            append(predicate_ids[atom.predicate])
-            for term in atom.args:
-                append(term_ids[term])
-    except KeyError as error:
-        raise _missing_symbol(error) from None
-    return pack_ids(ids)
-
-
-def decode_derive_reply(vocabulary: "Vocabulary", reply: bytes) -> set[Atom]:
-    """Rebuild the derived atoms of one reply over the pool's tables.
-
-    A truncated atom stream, or an id past the end of the predicate or
+    No ``Atom`` is built: the parent merges the workers' rows first.  A
+    truncated atom stream, or an id past the end of the predicate or
     term table, raises :class:`~repro.errors.ChaseError`.
     """
-    ids = unpack_ids(reply)
-    terms = vocabulary.terms
+    ids = tuple(unpack_ids(reply))
     predicates = vocabulary.predicates
-    derived: set[Atom] = set()
+    term_count = len(vocabulary.terms)
+    rows: set[tuple[int, tuple[int, ...]]] = set()
     position, end = 0, len(ids)
     try:
         while position < end:
-            predicate = predicates[ids[position]]
-            stop = position + 1 + predicate.arity
+            pred_id = ids[position]
+            start = position + 1
+            stop = start + predicates[pred_id].arity
             if stop > end:
                 raise ChaseError("truncated packed atom stream")
-            args = tuple([terms[i] for i in ids[position + 1:stop]])
-            derived.add(build_atom(predicate, args))
+            term_ids = ids[start:stop]
+            if term_ids and max(term_ids) >= term_count:
+                raise _unknown_id()
+            rows.add((pred_id, term_ids))
             position = stop
     except IndexError:
         raise _unknown_id() from None
-    return derived
+    return rows
 
 
 def encode_enumerate_reply(
@@ -266,7 +282,7 @@ def encode_enumerate_reply(
                 for term in image:
                     append(term_ids[term])
     except KeyError as error:
-        raise _missing_symbol(error) from None
+        raise _missing_symbol(error.args[0]) from None
     return pack_ids(ids)
 
 

@@ -11,15 +11,20 @@ is proportional to what changed, not to what exists.
 Rounds
 ------
 :meth:`WorkerPool.round_matches` is the pool's whole round: it routes
-the delta by ``hash(atom) % size``, one sorted slice per worker, runs
-:func:`repro.engine.core.round_matches` on every worker's slice against
-its replica, and merges the replies into what one inline call on the
-whole delta returns — per rule, the set union of the workers' image
-lists (a body touching delta atoms routed to two workers is found by
-both and merges to one image), or the union of the derived atom sets.
-A round whose delta lands on a single worker runs inline against
+the delta by ``hash(atom) % size``, one slice per worker in delta
+order, runs :func:`repro.engine.core.round_matches` on every worker's
+slice against its replica, and merges the replies into what one inline
+call on the whole delta returns — per rule, the set union of the
+workers' image lists (a body touching delta atoms routed to two workers
+is found by both and merges to one image), or, for ``derive``, the
+union of the workers' new-head id rows, then one ``Atom`` per distinct
+row.  A round whose delta lands on a single worker runs inline against
 the parent's instance instead, with no message sent; the replicas catch
 up through the next pooled round's sync.
+
+A round stays on ids from routing to reply: the parent interns each
+delta atom once, the workers join on rows, and no worker builds an
+``Atom`` — only the parent does, once per new atom.
 
 Protocol
 --------
@@ -50,8 +55,10 @@ pickled — that is also how the pool accounts transport in
     ``pivot_buf`` rows (this worker's slice of the delta) as the pivot
     source against the full replica.  Replies with one packed buffer:
     per-rule image streams (the enumeration commands — the parent
-    decodes them into the image lists an inline round returns) or a
-    derived atom stream (``derive``).  ``enumerate_unsatisfied`` is the
+    decodes them into the image lists an inline round returns) or the
+    new heads as packed id rows (``derive``: the replica mirrors the
+    instance at round start, so a head it holds is dropped in the join
+    kernel and never sent).  ``enumerate_unsatisfied`` is the
     restricted chase's: the replica mirrors the chase instance at round
     start, so each existential-free match's ground head is checked
     against it right where the match is found, and only the images that
@@ -81,6 +88,12 @@ Decoded terms rebuild through their constructors on arrival
 (:func:`repro.logic.terms.term_from_wire`, and ``Term.__reduce__`` for
 the still-pickled rules), so cached hashes are recomputed under the
 worker's own ``PYTHONHASHSEED``.
+
+Counters: each reply envelope carries what its command added to the
+worker's ``MATCHER_STATS`` and ``INSTANTIATION_STATS``
+(:func:`repro.engine.wire.pack_reply`), and the parent adds it to its
+own, so a pooled run counts the candidates an inline run counts (and
+one search per pivot per busy worker slice).
 """
 
 from __future__ import annotations
@@ -97,8 +110,9 @@ from repro.obs.trace import active_round
 from repro.engine.columnar import ColumnarInstance, Vocabulary
 from repro.errors import ChaseError
 from repro.logic.atoms import Atom
+from repro.logic.homomorphisms import MATCHER_STATS
 from repro.logic.instances import Instance
-from repro.rules.rule import Rule
+from repro.rules.rule import INSTANTIATION_STATS, Rule
 
 _PROTOCOL = pickle.HIGHEST_PROTOCOL
 
@@ -123,7 +137,7 @@ class TransportStats:
     ``(decode_s, execute_s, encode_s)`` wall-clock triples stamped into
     every reply envelope (:func:`repro.engine.wire.pack_reply`), per
     command — the only non-deterministic counters in here, kept apart
-    from the byte counters the budget gate pins.  Registered as the
+    from the byte counters the budget gates pin.  Registered as the
     ``transport`` group of :func:`repro.obs.default_registry`.
     """
 
@@ -230,6 +244,15 @@ class TransportStats:
 TRANSPORT_STATS = TransportStats()
 
 
+def _counts() -> tuple[int, int, int]:
+    """This process's ``(searches, candidates, heads)`` counters."""
+    return (
+        MATCHER_STATS.searches,
+        MATCHER_STATS.candidates,
+        INSTANTIATION_STATS.heads,
+    )
+
+
 def _worker_main(conn) -> None:
     """The long-lived worker loop: one replica, one rule list, one wire
     table; per-round packed deltas in, one packed reply per round out.
@@ -240,11 +263,12 @@ def _worker_main(conn) -> None:
     :class:`~repro.engine.columnar.ColumnarInstance` over it.  Packed
     seed/sync buffers fold straight into id rows, the delta core's join
     kernel runs every rule on those rows, and the reply encoders look
-    ids up in the same vocabulary.  No row ever becomes an ``Atom``;
-    only derived heads do, until ``encode_derive_reply`` packs them.
+    ids up in the same vocabulary.  No row ever becomes an ``Atom``: a
+    ``derive`` reply packs the kernel's new-head rows as they are.
 
     Every reply envelope carries the worker's
-    ``(decode_s, execute_s, encode_s)`` wall-clock split
+    ``(decode_s, execute_s, encode_s)`` wall-clock split and the
+    command's matcher and instantiation counts
     (:func:`repro.engine.wire.pack_reply`): *decode* covers unpickling
     the envelope, replaying the table segment and unpacking the id
     buffers; *execute* the replica update and the actual enumeration
@@ -262,6 +286,7 @@ def _worker_main(conn) -> None:
         except (EOFError, OSError):
             break
         decode_start = perf()
+        before = _counts()
         message = pickle.loads(blob)
         command = message[0]
         if command == "stop":
@@ -269,7 +294,7 @@ def _worker_main(conn) -> None:
             conn.send_bytes(
                 pickle.dumps(
                     wire.pack_reply(
-                        "ok", None, (decoded - decode_start, 0.0, 0.0)
+                        "ok", None, (decoded - decode_start, 0.0, 0.0, 0, 0, 0)
                     ),
                     _PROTOCOL,
                 )
@@ -300,7 +325,7 @@ def _worker_main(conn) -> None:
                 result = core.round_matches(command, rules, replica, view)
                 executed = perf()
                 if command == "derive":
-                    value = wire.encode_derive_reply(vocabulary, result)
+                    value = wire.pack_rows(result)
                 else:
                     value = wire.encode_enumerate_reply(vocabulary, result)
             else:
@@ -312,6 +337,7 @@ def _worker_main(conn) -> None:
                     decoded - decode_start,
                     executed - decoded,
                     perf() - executed,
+                    *(now - then for now, then in zip(_counts(), before)),
                 ),
             )
         except Exception:
@@ -440,7 +466,9 @@ class WorkerPool:
                     if conn.poll(1.0):
                         ack = conn.recv_bytes()
                         TRANSPORT_STATS.record_receive("stop", len(ack))
-                        _, _, timings = wire.unpack_reply(pickle.loads(ack))
+                        _, _, timings, _ = wire.unpack_reply(
+                            pickle.loads(ack)
+                        )
                         if timings is not None:
                             TRANSPORT_STATS.record_worker_timings(
                                 "stop", timings
@@ -506,9 +534,13 @@ class WorkerPool:
                 f"persistent worker {worker} died mid-round: {exc!r}"
             ) from exc
         TRANSPORT_STATS.record_receive(command, len(blob))
-        status, value, timings = wire.unpack_reply(pickle.loads(blob))
+        status, value, timings, counts = wire.unpack_reply(pickle.loads(blob))
         if timings is not None:
             TRANSPORT_STATS.record_worker_timings(command, timings)
+            searches, candidates, heads = counts
+            MATCHER_STATS.searches += searches
+            MATCHER_STATS.candidates += candidates
+            INSTANTIATION_STATS.heads += heads
         if status != "ok":
             raise ChaseError(
                 f"persistent worker {worker} failed:\n{value}"
@@ -614,7 +646,9 @@ class WorkerPool:
         a single busy slice, and the merge of the replies (see the
         module docstring).  Per rule, the merged image list is the set
         union of the workers' lists, each image once, in no particular
-        order; :func:`~repro.chase.trigger.round_triggers` sorts it.
+        order; :func:`~repro.chase.trigger.round_triggers` sorts it.  A
+        ``derive`` round returns its new heads, one ``Atom`` per
+        distinct id row the workers sent.
         """
         rules = tuple(rules)
         size = self.size
@@ -633,14 +667,13 @@ class WorkerPool:
                 sum(wire.atom_weight(atom) for atom in atoms)
                 for atoms in routed
             )
-        pivots = [sorted(atoms) for atoms in routed]
-        busy = [atoms for atoms in pivots if atoms]
+        busy = [atoms for atoms in routed if atoms]
         if len(busy) < 2:
             slice_inst = core.as_delta_instance(busy[0] if busy else ())
             return core.round_matches(mode, rules, instance, slice_inst)
-        results = self.run_round(mode, rules, instance, pivots)
+        results = self.run_round(mode, rules, instance, routed)
         if mode == "derive":
-            return set().union(*results)
+            return self._vocabulary.atoms(set().union(*results))
         return [
             list(dict.fromkeys(chain.from_iterable(per_rule)))
             for per_rule in zip(*results)
@@ -659,10 +692,13 @@ class WorkerPool:
         delta as pivot source (:meth:`round_matches` routes it by hash);
         the sync payload — everything the replicas have not seen yet — is
         computed here and shipped to *every* worker, so replicas always
-        mirror the parent instance at round start.  Returns the workers'
-        results in worker order, for the workers with pivots only
-        (per-rule image lists for the enumeration modes, derived atom
-        sets for ``derive``).
+        mirror the parent instance at round start; it and the pivot
+        buffers are packed from one id row per atom.  Returns the
+        workers' results in worker order,
+        for the workers with pivots only (per-rule image lists for the
+        enumeration modes; for ``derive``, the id rows ``(pred_id,
+        term_ids)`` of the heads the replica lacked, over the pool's
+        wire tables).
         """
         self._start()
         rules = tuple(rules)
@@ -677,18 +713,20 @@ class WorkerPool:
         sync_atoms = instance.delta_since(self._replica_revision)
         self._replica_revision = instance.revision
         vocabulary = self._vocabulary
-        sync_buf = (
-            wire.encode_atoms(vocabulary, sync_atoms) if sync_atoms else b""
-        )
+        intern = vocabulary.intern_atom
+        rows = {atom: intern(atom) for atom in sync_atoms}
+        sync_buf = wire.pack_rows(rows.values())
         if recorder is not None:
             recorder.add_phase("sync", time.perf_counter() - sync_start)
         pivot_lists = list(pivots_per_worker)
         pivot_lists += [[]] * (self.size - len(pivot_lists))
         # Encode every payload of the broadcast *before* cutting any
         # worker's segment — a pivot atom for worker N may intern a
-        # symbol that worker 0's segment must already carry.
+        # symbol that worker 0's segment must already carry.  A round's
+        # pivots are sync atoms, except right after a reseed (the seed
+        # carried them) or when a caller pivots on atoms already synced.
         pivot_bufs = [
-            wire.encode_atoms(vocabulary, pivots) if pivots else b""
+            wire.pack_rows([rows.get(atom) or intern(atom) for atom in pivots])
             for pivots in pivot_lists
         ]
         # Workers with pivots get their own message; the others get a
@@ -711,11 +749,9 @@ class WorkerPool:
         results = []
         for worker in busy:
             if mode == "derive":
-                derived = wire.decode_derive_reply(
-                    vocabulary, replies[worker]
-                )
-                TRANSPORT_STATS.count_atoms_received("derive", len(derived))
-                results.append(derived)
+                heads = wire.decode_derive_reply(vocabulary, replies[worker])
+                TRANSPORT_STATS.count_atoms_received("derive", len(heads))
+                results.append(heads)
             else:
                 results.append(
                     wire.decode_enumerate_reply(

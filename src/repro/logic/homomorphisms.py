@@ -53,10 +53,12 @@ class MatcherStats:
     how run-scoped deltas (``ChaseResult.telemetry``, ``repro analyze
     --json``) read it.
 
-    The counters are exact for every round that runs in-process (which
-    is what the benchmarks measure).  Worker-pool processes count in
-    their own copies and don't report back — treat the numbers as
-    in-process diagnostics, not pool-run accounting.
+    The counters are exact for every round, inline or pooled: a
+    worker-pool process counts in its own copy and sends what each
+    command added back in the reply envelope, which the parent adds here
+    (:mod:`repro.engine.workers`).  A pooled round counts the candidates
+    an inline round counts, and one search per pivot per busy worker
+    slice.
     """
 
     __slots__ = ("searches", "candidates")

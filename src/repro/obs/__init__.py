@@ -14,9 +14,11 @@ Three pieces (see the "Observability" section of
   emitted by :class:`~repro.engine.runner.ChaseRunner` when a trace is
   attached, written as JSONL and summarized by
   ``tools/trace_summary.py``.
-* Worker-side decode/execute/encode timings shipped in the wire reply
-  envelope (:func:`repro.engine.wire.pack_reply`) and aggregated per
-  command into ``TRANSPORT_STATS.worker_seconds``.
+* Worker-side decode/execute/encode timings and matcher/instantiation
+  counts shipped in the wire reply envelope
+  (:func:`repro.engine.wire.pack_reply`): the timings are aggregated per
+  command into ``TRANSPORT_STATS.worker_seconds``, the counts added to
+  ``MATCHER_STATS`` and ``INSTANTIATION_STATS``.
 
 This package imports only the standard library at module level;
 :func:`default_registry` pulls the stats globals in lazily, so ``obs``

@@ -13,14 +13,16 @@ only needs the atom set) — and selects how rounds execute through the
 engine registry:
 
 * ``"delta"`` (the default): each round collects the heads whose body
-  uses a delta atom as id rows on the delta core's join kernel
-  (:func:`repro.engine.core.derive_delta_atoms`), one atom per distinct
-  head, with no trigger identity or canonical ordering.
-  ``"parallel"`` at one worker runs the same rounds.
+  uses a delta atom as id rows on the delta core's join kernel, drops
+  those the instance already holds, and builds one atom per distinct
+  new head (:func:`repro.engine.core.derive_delta_rows`), with no
+  trigger identity or canonical ordering.  ``"parallel"`` at one worker
+  runs the same rounds.
 * ``"persistent"`` (or ``"parallel"`` with ``workers > 1``): the same
   derivation sharded across persistent delta-fed process workers —
-  replicas seeded once, each round ships only the new atoms (for
-  closures whose per-round matching is heavy enough to beat the IPC on
+  replicas seeded once, each round ships only the new atoms, and each
+  worker replies with the new heads it found as id rows (for closures
+  whose per-round matching is heavy enough to beat the IPC on
   multicore machines).
 * ``"naive"``: classic naive Datalog evaluation on the object matcher —
   every round re-derives from the whole instance.  The reference the
@@ -76,7 +78,11 @@ def semi_naive_closure(
     variables and :class:`ChaseBudgetExceeded` when budgets are exceeded
     (Datalog closures are finite, so the round budget only guards against
     pathological inputs).  ``trace`` optionally receives one
-    ``plan="derive"`` record per round (see :mod:`repro.obs`).
+    ``plan="derive"`` record per round (see :mod:`repro.obs`), whose
+    ``triggers`` counts the distinct heads the round derived: on every
+    engine but ``naive`` only heads absent at round start, so it equals
+    ``applied`` and ``new_atoms`` (see :meth:`ChaseRunner.saturate
+    <repro.engine.runner.ChaseRunner.saturate>`).
     """
     non_datalog = [r for r in rules if not r.is_datalog]
     if non_datalog:

@@ -17,7 +17,8 @@ from repro.logic.terms import FreshSupply, Null, Term, Variable
 
 
 class InstantiationStats:
-    """Counter of head instantiations performed *in this process*.
+    """Counter of head instantiations: this process's, plus those its
+    pool workers report.
 
     Module-global (like ``MATCHER_STATS`` in the homomorphism matcher),
     registered as the ``instantiation`` group of
@@ -33,9 +34,11 @@ class InstantiationStats:
     hands it out, so firing still counts one instantiation per trigger
     fired.  The restricted chase's pruned rounds count one per image the
     kernel kept, and the kernel one per match it grounds
-    (:func:`~repro.engine.core.rule_unsatisfied_images`).  Worker
-    processes keep their own copy; the parent-side count is the one the
-    equivalence tests pin.
+    (:func:`~repro.engine.core.rule_unsatisfied_images`).  A worker
+    process counts in its own copy and sends what each command added
+    back in the reply envelope, which the parent adds here; on the pool
+    two workers may each keep an image for one head, so a pooled
+    restricted chase can count more than an inline one.
     """
 
     __slots__ = ("heads",)

@@ -42,6 +42,7 @@ from repro.engine.core import (
     rule_delta_images,
 )
 from repro.errors import ChaseError
+from repro.logic import MATCHER_STATS
 from repro.logic.atoms import atom
 from repro.logic.instances import Instance
 from repro.logic.terms import Constant, FreshSupply
@@ -180,6 +181,81 @@ class TestPoolMatchesParentFires:
                     "derive", rules, instance, [instance.sorted_atoms()]
                 )
             assert pool.broken
+
+
+class TestDeriveRepliesCarryNewHeadsOnly:
+    """A worker's replica mirrors the instance at round start, so its
+    derive reply holds only the heads the instance lacks."""
+
+    RULES = tuple(parse_rules("E(x,y), E(y,z) -> E(x,z)"))
+
+    def test_closed_instance_receives_no_atom(self):
+        instance = Instance(
+            [atom("E", "a", "b"), atom("E", "b", "c"), atom("E", "a", "c")]
+        )
+        with WorkerPool(2) as pool:
+            TRANSPORT_STATS.reset()
+            (heads,) = pool.run_round(
+                "derive", self.RULES, instance, [instance.sorted_atoms(), []]
+            )
+        assert heads == set()
+        assert TRANSPORT_STATS.commands["derive"]["messages"] == 1
+        assert TRANSPORT_STATS.commands["derive"]["atoms_received"] == 0
+
+    def test_one_new_and_one_present_head_receive_one_atom(self):
+        # Pivoting on E(b,c) derives E(a,c), which is present, and the
+        # new E(b,d).
+        instance = Instance(
+            [
+                atom("E", "a", "b"),
+                atom("E", "b", "c"),
+                atom("E", "a", "c"),
+                atom("E", "c", "d"),
+            ]
+        )
+        with WorkerPool(2) as pool:
+            TRANSPORT_STATS.reset()
+            (heads,) = pool.run_round(
+                "derive", self.RULES, instance, [[atom("E", "b", "c")], []]
+            )
+            assert pool._vocabulary.atoms(heads) == {atom("E", "b", "d")}
+        assert TRANSPORT_STATS.commands["derive"]["atoms_received"] == 1
+
+
+class TestPooledRunsCountWorkerMatching:
+    """Workers send their matcher counts back in every reply envelope:
+    a pooled run counts the candidates an inline run counts, and one
+    search per pivot per busy worker slice."""
+
+    TC = "E(x,y), E(y,z) -> E(x,z)"
+
+    def _run(self, name, engine):
+        if name == "closure":
+            semi_naive_closure(
+                path_instance(30), parse_rules(self.TC), engine=engine
+            )
+        elif name == "restricted":
+            restricted_chase(
+                path_instance(30), parse_rules(self.TC), engine=engine
+            )
+        else:
+            rules = parse_rules(self.TC + "\nE(x,y) -> exists z. F(y,z)")
+            oblivious_chase(
+                path_instance(30), rules, max_levels=4, engine=engine
+            )
+
+    @pytest.mark.parametrize("name", ["closure", "restricted", "oblivious"])
+    def test_pooled_candidates_equal_inline_candidates(self, name):
+        counts = []
+        for engine in ("delta", EngineConfig("persistent", workers=2)):
+            MATCHER_STATS.reset()
+            TRANSPORT_STATS.reset()
+            self._run(name, engine)
+            counts.append((MATCHER_STATS.searches, MATCHER_STATS.candidates))
+        (searches, candidates), (pooled_searches, pooled_candidates) = counts
+        assert TRANSPORT_STATS.commands  # the pool ran rounds
+        assert pooled_candidates == candidates > 0
+        assert searches < pooled_searches <= 2 * searches
 
 
 # ----------------------------------------------------------------------

@@ -196,12 +196,16 @@ class TestAtomCodec:
 
 class TestReplyCodec:
     def test_derive_reply_round_trip(self):
+        # A derive reply is id rows both ways: the worker packs the
+        # kernel's rows, the parent reads the same rows back and builds
+        # one atom per row only then.
         tables = Vocabulary()
-        atoms = {atom("F", "A", "B"), atom("F", "B", "C")}
-        wire.encode_atoms(tables, sorted(atoms))
-        vocabulary = _synced_vocabulary(tables)
-        reply = wire.encode_derive_reply(vocabulary, atoms)
-        assert wire.decode_derive_reply(tables, reply) == atoms
+        atoms = {atom("F", "A", "B"), atom("F", "B", "C"), atom("G", "B")}
+        rows = {tables.intern_atom(a) for a in atoms}
+        reply = wire.pack_rows(rows)
+        assert wire.decode_derive_reply(tables, reply) == rows
+        assert tables.atoms(rows) == atoms
+        assert wire.decode_derive_reply(tables, b"") == set()
 
     def test_derive_reply_is_the_atom_layout(self):
         # A derive reply is a plain table-id stream: byte for byte what
@@ -209,8 +213,8 @@ class TestReplyCodec:
         tables = Vocabulary()
         atoms = [atom("F", "A", "B"), atom("G", "B")]
         buf = wire.encode_atoms(tables, atoms)
-        vocabulary = _synced_vocabulary(tables)
-        assert wire.encode_derive_reply(vocabulary, atoms) == buf
+        rows = [tables.intern_atom(a) for a in atoms]
+        assert wire.pack_rows(rows) == buf
         with pytest.raises(ChaseError, match="truncated"):
             wire.decode_derive_reply(tables, buf[:-1])
 
@@ -316,14 +320,22 @@ class TestReplyCodec:
     def test_unknown_symbol_raises_chase_error(self, reply_kind):
         # Every symbol a reply mentions must already be in the worker's
         # table replica; one the parent never shipped is an error, not a
-        # message-local literal.
+        # message-local literal.  A derive round checks its rules' head
+        # symbols before the join, on the replica's own tables.
         tables = Vocabulary()
-        wire.encode_atoms(tables, [atom("F", "A", "B")])
+        buf = wire.encode_atoms(tables, [atom("F", "A", "B")])
         vocabulary = _synced_vocabulary(tables)
         stranger = Atom(Predicate("F", 2), (Constant("A"), Null("_n9")))
         with pytest.raises(ChaseError, match="not in the wire table"):
             if reply_kind == "derive":
-                wire.encode_derive_reply(vocabulary, [stranger])
+                from repro.engine.core import round_matches
+
+                replica = ColumnarInstance(vocabulary)
+                replica.ingest_packed(buf)
+                pivots = ColumnarInstance(vocabulary)
+                pivots.ingest_packed(buf)
+                rules = parse_rules("F(x,y) -> F(x,Stranger)")
+                round_matches("derive", rules, replica, pivots)
             else:
                 wire.encode_enumerate_reply(vocabulary, [{stranger.args: None}])
 

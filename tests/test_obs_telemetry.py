@@ -12,7 +12,7 @@ from repro.chase.restricted import restricted_chase
 from repro.chase.semi_oblivious import semi_oblivious_chase
 from repro.corpus.generators import path_instance, tournament_instance
 from repro.engine.config import EngineConfig
-from repro.engine.wire import REPLY_TIMINGS, pack_reply, unpack_reply
+from repro.engine.wire import REPLY_TELEMETRY, pack_reply, unpack_reply
 from repro.engine.workers import TRANSPORT_STATS
 from repro.errors import ChaseBudgetExceeded, RewritingBudgetExceeded
 from repro.logic.homomorphisms import MATCHER_STATS
@@ -685,19 +685,22 @@ class TestTraceSummaries:
 
 class TestWireReplyEnvelope:
     def test_timings_pack_to_a_fixed_size(self):
-        status, value, timings = unpack_reply(
-            pack_reply("ok", [1, 2], (0.25, 0.5, 0.125))
+        status, value, timings, counts = unpack_reply(
+            pack_reply("ok", [1, 2], (0.25, 0.5, 0.125, 3, 40_000, 5))
         )
         assert (status, value) == ("ok", [1, 2])
         assert timings == (0.25, 0.5, 0.125)
-        assert len(pack_reply("ok", None, (0.0, 0.0, 0.0))[2]) == (
-            REPLY_TIMINGS.size
-        )
+        assert counts == (3, 40_000, 5)
+        for timings in ((0.0, 0.0, 0.0), (1e9, 2.5, 3.0)):
+            for counts in ((0, 0, 0), (2**40, 7, 2**63)):
+                packed = pack_reply("ok", None, (*timings, *counts))[2]
+                assert len(packed) == REPLY_TELEMETRY.size == 48
 
     def test_untimed_replies_tolerated(self):
         assert unpack_reply(pack_reply("error", "boom")) == (
             "error",
             "boom",
+            None,
             None,
         )
 

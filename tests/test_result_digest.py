@@ -1,5 +1,5 @@
-"""``tools/result_digest.py``: the cross-commit chase and rewriting
-digest."""
+"""``tools/result_digest.py``: the cross-commit chase, rewriting and
+closure digest."""
 
 from __future__ import annotations
 
@@ -26,6 +26,8 @@ SMALL = [
 ]
 #: Every rewriting case: about 0.6 s per run.
 REWRITINGS = [name for name, *_ in result_digest.rewriting_cases()]
+#: Every closure case, inline and on the pool: about 0.5 s per run.
+CLOSURES = [name for name, *_ in result_digest.closure_cases()]
 
 
 def _digest(seed: int) -> str:
@@ -35,7 +37,7 @@ def _digest(seed: int) -> str:
         PYTHONPATH=str(REPO / "src"),
     )
     return subprocess.run(
-        [sys.executable, str(TOOL), *SMALL, *REWRITINGS],
+        [sys.executable, str(TOOL), *SMALL, *REWRITINGS, *CLOSURES],
         env=env,
         capture_output=True,
         text=True,
@@ -48,7 +50,9 @@ def test_digest_does_not_depend_on_the_hash_seed():
     first = _digest(1)
     assert first == _digest(2)
     lines = [line.split() for line in first.splitlines()]
-    assert [name for name, _ in lines] == [*result_digest.VARIANTS, "rewriting"]
+    assert [name for name, _ in lines] == [
+        *result_digest.VARIANTS, "rewriting", "closure"
+    ]
     assert all(len(sha) == 64 for _, sha in lines)
 
 
@@ -59,6 +63,36 @@ def test_named_cases_select_the_lines_of_their_table(capsys):
     assert result_digest.main(["datalog_chain_3"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == list(result_digest.VARIANTS)
+    assert result_digest.main(["closure_two_heads_path_12"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["closure"]
+
+
+def test_closure_lines_cover_the_closure_rounds_and_counts():
+    from repro.obs.trace import RunTrace
+    from repro.rewriting.datalog import semi_naive_closure
+    from repro.rules.parser import parse_instance, parse_rules
+
+    trace = RunTrace()
+    closure = semi_naive_closure(
+        parse_instance("E(a,b), E(b,c), E(c,d)"),
+        parse_rules(result_digest.TC_RULE),
+        trace=trace,
+    )
+    lines = list(result_digest.closure_lines(closure, trace, (3, 4)))
+    assert lines[0] == "closure " + result_digest._atoms(closure)
+    assert len(closure) == 7  # six E atoms and top
+    assert lines[1] == "terminated True"
+    # Two rounds add E(a,c), E(b,d), then E(a,d); a third finds nothing.
+    # ``triggers`` is left out.
+    assert lines[2:5] == [
+        "round 1 applied 2 new 2",
+        "round 2 applied 1 new 1",
+        "round 3 applied 0 new 0",
+    ]
+    assert lines[5:] == ["counts 3 4"]
+    without = list(result_digest.closure_lines(closure, trace, None))
+    assert without == lines[:-1]
 
 
 def test_rewriting_lines_cover_disjuncts_rounds_and_counts():
@@ -145,3 +179,4 @@ def test_unknown_case_is_an_error(capsys):
     assert "unknown case(s): no_such_case" in err
     assert "tc_path_80" in err
     assert "rewrite_ucq_tc" in err
+    assert "closure_tc_path_60" in err

@@ -13,7 +13,8 @@ change.
 
 Each gate names an artifact, an engine label inside it, and a byte
 *channel* of that engine's entry: ``payload_bytes`` is the pickled
-envelopes sent down the pool's pipes, which carry every payload.
+envelopes sent down the pool's pipes, which carry every payload, and
+``reply_bytes`` the reply envelopes the workers send back.
 
 Exit status: 0 when every gate holds, 1 on any over-budget channel or a
 missing/stale artifact (run ``make perf-smoke`` first).

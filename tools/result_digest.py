@@ -9,9 +9,12 @@ Runs the oblivious, semi-oblivious and restricted chases on the default
 engine over the cases of :func:`cases` and prints one
 ``<variant> <sha256>`` line per variant; then runs ``rewrite()`` (and
 ``rewrite_ucq()`` on a UCQ) over the cases of :func:`rewriting_cases`
-and prints one ``rewriting <sha256>`` line.  Named cases restrict both
-tables, and a table none of whose cases is named prints no line.  A
-chase digest covers, per case and in case order:
+and prints one ``rewriting <sha256>`` line; then runs
+``semi_naive_closure`` on the ``delta`` engine and on the persistent
+pool at two workers over the cases of :func:`closure_cases` and prints
+one ``closure <sha256>`` line.  Named cases restrict every table, and a
+table none of whose cases is named prints no line.  A chase digest
+covers, per case and in case order:
 
 * the sorted instance;
 * every creation record in firing order: rule, image, sorted mapping,
@@ -30,10 +33,15 @@ callers instead, over a finished rewriting: ``minimize_ucq`` (cores on)
 and ``cq_core`` of each disjunct as strings, every ``subsumes`` verdict
 between two disjuncts, and the matcher counts of each.
 
+The closure digest covers, per case and engine, the sorted closure,
+``terminated``, and every trace round's ``applied`` and ``new_atoms``
+(not ``triggers``), plus the run's matcher searches and candidates on
+``delta`` only: a pooled round runs one search per busy worker slice.
+
 Every part is written in a canonical order, so the digests do not
 depend on ``PYTHONHASHSEED``.  Two commits that print the same digests
-produce the same chase results, provenance, rewritings and counts on
-these cases: run the tool once with each checkout's ``src`` on
+produce the same chase results, provenance, rewritings, closures and
+counts on these cases: run the tool once with each checkout's ``src`` on
 ``PYTHONPATH`` and compare the lines.  An unknown case name is an error
 that lists the known ones.
 """
@@ -52,11 +60,13 @@ from repro.corpus import (
     growing_tournament_ruleset,
     path_instance,
 )
+from repro.engine import EngineConfig
 from repro.logic import MATCHER_STATS
 from repro.logic.instances import Instance
 from repro.obs.trace import RunTrace
 from repro.queries.minimization import cq_core, minimize_ucq, subsumes
 from repro.queries.ucq import UCQ
+from repro.rewriting.datalog import semi_naive_closure
 from repro.rewriting.rewriter import rewrite, rewrite_ucq
 from repro.rules.parser import parse_query, parse_rules
 from repro.rules.rule import INSTANTIATION_STATS
@@ -68,6 +78,12 @@ VARIANTS = {
     "oblivious": oblivious_chase,
     "semi_oblivious": semi_oblivious_chase,
     "restricted": restricted_chase,
+}
+
+#: engine name -> the engine every closure case runs on.
+CLOSURE_ENGINES = {
+    "delta": "delta",
+    "persistent_w2": EngineConfig("persistent", workers=2),
 }
 
 #: The atom budget of every case but the budget-stop one
@@ -177,6 +193,36 @@ def rewriting_cases() -> list[tuple[str, object, object, dict, bool]]:
     return found
 
 
+def closure_cases() -> list[tuple[str, object, Instance]]:
+    """``(name, rules, instance)`` per closure case: transitivity on the
+    60-edge path (EXP-14's closure), a two-atom head feeding a second
+    rule on the 12-edge path, and a rule with a head constant that no
+    input atom mentions."""
+    return [
+        (
+            "closure_tc_path_60",
+            parse_rules(TC_RULE, name="transitivity"),
+            path_instance(60),
+        ),
+        (
+            "closure_two_heads_path_12",
+            parse_rules(
+                "E(x,y), E(y,z) -> E(x,z), F(z,x)\nF(x,y) -> G(x)",
+                name="two_heads",
+            ),
+            path_instance(12),
+        ),
+        (
+            "closure_head_constant_path_12",
+            parse_rules(
+                f"{TC_RULE}\nE(x,y) -> R(y,Hub)\nR(x,Hub), E(x,y) -> S(y)",
+                name="head_constant",
+            ),
+            path_instance(12),
+        ),
+    ]
+
+
 def _term(term) -> str:
     return f"{type(term).__name__}:{term.name}"
 
@@ -253,6 +299,20 @@ def subsumption_lines(ucq: UCQ):
     yield f"counts {MATCHER_STATS.searches} {MATCHER_STATS.candidates}"
 
 
+def closure_lines(closure, trace: RunTrace, counts: tuple[int, int] | None):
+    """The canonical text of one closure, line by line; ``counts`` is
+    ``None`` where the matcher counts are left out."""
+    yield "closure " + _atoms(closure)
+    yield f"terminated {trace.summary['terminated']}"
+    for record in trace.rounds:
+        yield (
+            f"round {record['round']} applied {record['applied']} "
+            f"new {record['new_atoms']}"
+        )
+    if counts is not None:
+        yield "counts {} {}".format(*counts)
+
+
 def digest(variant: str, selected) -> str:
     """The sha256 of ``variant``'s runs over ``selected`` cases."""
     chase = VARIANTS[variant]
@@ -292,12 +352,34 @@ def rewriting_digest(selected) -> str:
     return sha.hexdigest()
 
 
+def closure_digest(selected) -> str:
+    """The sha256 of the closures of ``selected`` cases on every engine
+    of :data:`CLOSURE_ENGINES`."""
+    sha = hashlib.sha256()
+    for name, rules, instance in selected:
+        for engine_name, engine in CLOSURE_ENGINES.items():
+            MATCHER_STATS.reset()
+            trace = RunTrace()
+            closure = semi_naive_closure(
+                instance, rules, engine=engine, trace=trace
+            )
+            counts = (
+                (MATCHER_STATS.searches, MATCHER_STATS.candidates)
+                if engine_name == "delta"
+                else None
+            )
+            sha.update(f"case {name} {engine_name}\n".encode())
+            for line in closure_lines(closure, trace, counts):
+                sha.update(line.encode() + b"\n")
+    return sha.hexdigest()
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("cases", nargs="*", help="case names (default: all)")
     args = parser.parse_args(argv)
-    chases, rewritings = cases(), rewriting_cases()
-    known = [name for name, *_ in chases + rewritings]
+    chases, rewritings, closures = cases(), rewriting_cases(), closure_cases()
+    known = [name for name, *_ in chases + rewritings + closures]
     unknown = [name for name in args.cases if name not in known]
     if unknown:
         parser.error(
@@ -306,11 +388,14 @@ def main(argv: list[str] | None = None) -> int:
         )
     selected = [c for c in chases if not args.cases or c[0] in args.cases]
     rewrites = [c for c in rewritings if not args.cases or c[0] in args.cases]
+    closing = [c for c in closures if not args.cases or c[0] in args.cases]
     if selected:
         for variant in VARIANTS:
             print(f"{variant} {digest(variant, selected)}")
     if rewrites:
         print(f"rewriting {rewriting_digest(rewrites)}")
+    if closing:
+        print(f"closure {closure_digest(closing)}")
     return 0
 
 
