@@ -1,5 +1,5 @@
-"""``tools/result_digest.py``: the cross-commit chase, rewriting and
-closure digest."""
+"""``tools/result_digest.py``: the cross-commit chase, rewriting,
+closure and ``answer()`` digest."""
 
 from __future__ import annotations
 
@@ -28,6 +28,8 @@ SMALL = [
 REWRITINGS = [name for name, *_ in result_digest.rewriting_cases()]
 #: Every closure case, inline and on the pool: about 0.5 s per run.
 CLOSURES = [name for name, *_ in result_digest.closure_cases()]
+#: Every ``answer()`` request: about 0.4 s per run.
+ANSWERS = [name for name, *_ in result_digest.answer_cases()]
 
 
 def _digest(seed: int) -> str:
@@ -37,7 +39,7 @@ def _digest(seed: int) -> str:
         PYTHONPATH=str(REPO / "src"),
     )
     return subprocess.run(
-        [sys.executable, str(TOOL), *SMALL, *REWRITINGS, *CLOSURES],
+        [sys.executable, str(TOOL), *SMALL, *REWRITINGS, *CLOSURES, *ANSWERS],
         env=env,
         capture_output=True,
         text=True,
@@ -51,7 +53,7 @@ def test_digest_does_not_depend_on_the_hash_seed():
     assert first == _digest(2)
     lines = [line.split() for line in first.splitlines()]
     assert [name for name, _ in lines] == [
-        *result_digest.VARIANTS, "rewriting", "closure"
+        *result_digest.VARIANTS, "rewriting", "closure", "answer"
     ]
     assert all(len(sha) == 64 for _, sha in lines)
 
@@ -66,6 +68,9 @@ def test_named_cases_select_the_lines_of_their_table(capsys):
     assert result_digest.main(["closure_two_heads_path_12"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == ["closure"]
+    assert result_digest.main(["answer_tc_c5_c2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["answer"]
 
 
 def test_closure_lines_cover_the_closure_rounds_and_counts():
@@ -116,6 +121,52 @@ def test_rewriting_lines_cover_disjuncts_rounds_and_counts():
     # Round records without their wall-clock phases.
     assert '"plan": "expand"' in lines[4] and "phases" not in lines[4]
     assert lines[-1] == "counts 3 4"
+
+
+def test_answer_cases_cover_the_request_kinds():
+    found = result_digest.answer_cases()
+    assert len(found) == len(result_digest.REWRITE_DECISIONS) + 7
+    strategies = [options.get("strategy", "auto") for *_, options in found]
+    assert strategies.count("chase") == 1
+    assert "answer_tc_c16_c16" in [name for name, *_ in found]
+    enumerations = [name for name, *_, bindings, _ in found if not bindings]
+    assert "answer_tc_edges" in enumerations
+    assert "answer_tc_two_hop" in enumerations
+
+
+def test_answer_lines_cover_fields_legs_and_counters():
+    from repro.rules.parser import parse_instance, parse_query, parse_rules
+    from repro.serving import answer
+
+    rules = parse_rules(result_digest.TC_RULE)
+    path = parse_instance("E(a,b), E(b,c), E(c,d)")
+    edge = parse_query("E(x,y)", answers=("x", "y"))
+    kinds = [
+        "entailed", "tuples", "evidence", "provenance", "chase",
+        "rewriting", "serving", "searches",
+    ]
+    # Enumeration on the chase leg: tuples, a chase and a rewriting.
+    result = answer(path, rules, edge, max_rewrite_depth=2)
+    lines = list(result_digest.answer_lines(result))
+    assert [line.split()[0] for line in lines] == kinds
+    assert lines[0] == "entailed True verdict exact strategy chase"
+    assert lines[1].startswith("tuples Constant:a Constant:b | ")
+    assert lines[1].count("|") == 5  # six E pairs of the closure
+    assert lines[4].startswith("chase levels ")
+    assert lines[5] == "rewriting complete False depth 2 disjuncts 3"
+    assert '"requests": 1' in lines[6]
+    assert lines[7] == "searches " + str(
+        result.telemetry["registry"]["matcher"]["searches"]
+    )
+    # A decision on the rewriting alone runs no chase.
+    decided = answer(
+        path, rules, parse_query("E(x,x)"), strategy="rewrite",
+        max_rewrite_depth=2,
+    )
+    lines = list(result_digest.answer_lines(decided))
+    assert [line.split()[0] for line in lines] == kinds
+    assert lines[1] == "tuples none"
+    assert lines[4] == "chase none"
 
 
 def test_subsumption_lines_cover_minimization_cores_and_verdicts():
@@ -180,3 +231,4 @@ def test_unknown_case_is_an_error(capsys):
     assert "tc_path_80" in err
     assert "rewrite_ucq_tc" in err
     assert "closure_tc_path_60" in err
+    assert "answer_tc_c16_c16" in err

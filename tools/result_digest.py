@@ -12,8 +12,10 @@ engine over the cases of :func:`cases` and prints one
 and prints one ``rewriting <sha256>`` line; then runs
 ``semi_naive_closure`` on the ``delta`` engine and on the persistent
 pool at two workers over the cases of :func:`closure_cases` and prints
-one ``closure <sha256>`` line.  Named cases restrict every table, and a
-table none of whose cases is named prints no line.  A chase digest
+one ``closure <sha256>`` line; then serves the ``answer()`` requests of
+:func:`answer_cases` and prints one ``answer <sha256>`` line.  Named
+cases restrict every table, and a table none of whose cases is named
+prints no line.  A chase digest
 covers, per case and in case order:
 
 * the sorted instance;
@@ -37,6 +39,15 @@ The closure digest covers, per case and engine, the sorted closure,
 ``terminated``, and every trace round's ``applied`` and ``new_atoms``
 (not ``triggers``), plus the run's matcher searches and candidates on
 ``delta`` only: a pooled round runs one search per busy worker slice.
+
+The answer digest covers, per request, every ``AnswerResult`` field but
+the ``chase``, ``rewriting`` and ``telemetry`` objects (the tuples
+sorted), the chase's ``levels_completed``, ``terminated`` and
+``stopped_on_goal``, the rewriting's ``complete``, ``depth`` and
+disjunct count, and the request's ``serving`` counters and matcher
+searches.  It leaves out the candidates: a goal probe that finds a
+witness stops at its first match, and the candidates it tested by then
+depend on the order of the instance's id view.
 
 Every part is written in a canonical order, so the digests do not
 depend on ``PYTHONHASHSEED``.  Two commits that print the same digests
@@ -63,13 +74,15 @@ from repro.corpus import (
 from repro.engine import EngineConfig
 from repro.logic import MATCHER_STATS
 from repro.logic.instances import Instance
+from repro.logic.terms import Constant
 from repro.obs.trace import RunTrace
 from repro.queries.minimization import cq_core, minimize_ucq, subsumes
 from repro.queries.ucq import UCQ
 from repro.rewriting.datalog import semi_naive_closure
 from repro.rewriting.rewriter import rewrite, rewrite_ucq
-from repro.rules.parser import parse_query, parse_rules
+from repro.rules.parser import parse_instance, parse_query, parse_rules
 from repro.rules.rule import INSTANTIATION_STATS
+from repro.serving import answer
 
 #: variant name -> the chase, called as ``chase(instance, rules, steps,
 #: max_atoms)`` (levels for the oblivious variants, rounds for the
@@ -223,6 +236,59 @@ def closure_cases() -> list[tuple[str, object, Instance]]:
     ]
 
 
+#: The edges of the transitivity path the ``answer`` requests run on
+#: (``serve_mix``'s closure requests), and their rewriting budget.
+ANSWER_PATH = 16
+ANSWER_BUDGETS = {"max_rewrite_depth": 6}
+
+
+def answer_cases() -> list[tuple[str, object, Instance, object, tuple, dict]]:
+    """``(name, rules, instance, query, bindings, options)`` per
+    ``answer()`` request: the decision queries of
+    :data:`REWRITE_DECISIONS` under ``auto`` on the default budgets, and
+    on transitivity over the :data:`ANSWER_PATH`-edge path, at
+    :data:`ANSWER_BUDGETS`, ``E(ci,cj)`` decisions entailed and refuted
+    (``E(c16,c16)`` probes the rewriting's disjuncts after every chase
+    round up to the fixpoint), the enumeration of the edge and two-hop
+    queries and one decision under ``strategy="chase"``."""
+    corpus = {entry.name: entry for entry in bdd_corpus()}
+    found = [
+        (
+            f"answer_{name}_{k}",
+            corpus[name].rules,
+            corpus[name].instance,
+            parse_query(text),
+            (),
+            {},
+        )
+        for k, (name, text) in enumerate(REWRITE_DECISIONS)
+    ]
+    tc = parse_rules(TC_RULE, name="transitivity")
+    path = parse_instance(
+        ", ".join(f"E(c{i},c{i + 1})" for i in range(ANSWER_PATH))
+    )
+    edge = parse_query("E(x,y)", answers=("x", "y"))
+    two_hop = parse_query("E(x,y), E(y,z)", answers=("x", "z"))
+    for i, j in ((0, 1), (0, 16), (5, 2), (16, 16)):
+        bindings = (Constant(f"c{i}"), Constant(f"c{j}"))
+        found.append(
+            (f"answer_tc_c{i}_c{j}", tc, path, edge, bindings, ANSWER_BUDGETS)
+        )
+    found += [
+        ("answer_tc_edges", tc, path, edge, (), ANSWER_BUDGETS),
+        ("answer_tc_two_hop", tc, path, two_hop, (), ANSWER_BUDGETS),
+        (
+            "answer_tc_chase_c2_c9",
+            tc,
+            path,
+            edge,
+            (Constant("c2"), Constant("c9")),
+            {**ANSWER_BUDGETS, "strategy": "chase"},
+        ),
+    ]
+    return found
+
+
 def _term(term) -> str:
     return f"{type(term).__name__}:{term.name}"
 
@@ -313,6 +379,39 @@ def closure_lines(closure, trace: RunTrace, counts: tuple[int, int] | None):
         yield "counts {} {}".format(*counts)
 
 
+def answer_lines(result):
+    """The canonical text of one ``answer()`` result, line by line."""
+    yield (
+        f"entailed {result.entailed} verdict {result.verdict} "
+        f"strategy {result.strategy}"
+    )
+    if result.tuples is None:
+        yield "tuples none"
+    else:
+        yield "tuples " + " | ".join(sorted(
+            " ".join(_term(t) for t in image) for image in result.tuples
+        ))
+    yield "evidence " + json.dumps(result.evidence, sort_keys=True)
+    yield "provenance " + json.dumps(result.provenance, sort_keys=True)
+    chase = result.chase
+    yield (
+        "chase none"
+        if chase is None
+        else f"chase levels {chase.levels_completed} "
+        f"terminated {chase.terminated} goal {chase.stopped_on_goal}"
+    )
+    rewriting = result.rewriting
+    yield (
+        "rewriting none"
+        if rewriting is None
+        else f"rewriting complete {rewriting.complete} "
+        f"depth {rewriting.depth} disjuncts {len(rewriting.ucq)}"
+    )
+    registry = result.telemetry["registry"]
+    yield "serving " + json.dumps(registry["serving"], sort_keys=True)
+    yield f"searches {registry['matcher']['searches']}"
+
+
 def digest(variant: str, selected) -> str:
     """The sha256 of ``variant``'s runs over ``selected`` cases."""
     chase = VARIANTS[variant]
@@ -374,12 +473,24 @@ def closure_digest(selected) -> str:
     return sha.hexdigest()
 
 
+def answer_digest(selected) -> str:
+    """The sha256 of the ``answer()`` results of ``selected`` cases."""
+    sha = hashlib.sha256()
+    for name, rules, instance, query, bindings, options in selected:
+        result = answer(instance, rules, query, bindings, **options)
+        sha.update(f"case {name}\n".encode())
+        for line in answer_lines(result):
+            sha.update(line.encode() + b"\n")
+    return sha.hexdigest()
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("cases", nargs="*", help="case names (default: all)")
     args = parser.parse_args(argv)
     chases, rewritings, closures = cases(), rewriting_cases(), closure_cases()
-    known = [name for name, *_ in chases + rewritings + closures]
+    answers = answer_cases()
+    known = [name for name, *_ in chases + rewritings + closures + answers]
     unknown = [name for name in args.cases if name not in known]
     if unknown:
         parser.error(
@@ -389,6 +500,7 @@ def main(argv: list[str] | None = None) -> int:
     selected = [c for c in chases if not args.cases or c[0] in args.cases]
     rewrites = [c for c in rewritings if not args.cases or c[0] in args.cases]
     closing = [c for c in closures if not args.cases or c[0] in args.cases]
+    serving = [c for c in answers if not args.cases or c[0] in args.cases]
     if selected:
         for variant in VARIANTS:
             print(f"{variant} {digest(variant, selected)}")
@@ -396,6 +508,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"rewriting {rewriting_digest(rewrites)}")
     if closing:
         print(f"closure {closure_digest(closing)}")
+    if serving:
+        print(f"answer {answer_digest(serving)}")
     return 0
 
 
