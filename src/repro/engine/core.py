@@ -50,7 +50,7 @@ ids for equality only and orders images by their ``Term`` values.
 
 from __future__ import annotations
 
-from operator import itemgetter
+from operator import itemgetter, length_hint
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from repro.engine import wire
@@ -430,7 +430,9 @@ def _level(view: ColumnarInstance, program, inner, tally: list, fixed):
     ``program`` is ``(pred_id, bound, binds, repeats)`` of ``(position,
     slot)`` pairs: positions holding a constant or an earlier atom's
     variable, first occurrences of new variables, and their repeats.
-    ``fixed`` (the pivot's delta rows) replaces the bucket choice.
+    ``fixed`` (the pivot's delta rows) replaces the bucket choice.  The
+    candidates count in ``tally`` on entry; a :class:`_Stop` takes back
+    the ones not yet tested, so a stopped join counts what it tested.
     """
     pred_id, bound, binds, repeats = program
     index_get = view.positional_index.get
@@ -450,14 +452,19 @@ def _level(view: ColumnarInstance, program, inner, tally: list, fixed):
         else:
             candidates, checks = all_rows, ()
         tally[0] += len(candidates)
-        for row in candidates:
-            if checks and not _agrees(row, checks, slots):
-                continue
-            for position, slot in binds:
-                slots[slot] = row[position]
-            if repeats and not _agrees(row, repeats, slots):
-                continue
-            inner(slots)
+        rows = iter(candidates)
+        try:
+            for row in rows:
+                if checks and not _agrees(row, checks, slots):
+                    continue
+                for position, slot in binds:
+                    slots[slot] = row[position]
+                if repeats and not _agrees(row, repeats, slots):
+                    continue
+                inner(slots)
+        except _Stop:
+            tally[0] -= length_hint(rows)
+            raise
 
     return run
 

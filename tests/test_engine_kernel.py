@@ -49,15 +49,17 @@ from repro.engine.core import (
     derive_delta_atoms,
     id_view,
     rule_delta_images,
+    rule_delta_match,
     rule_unsatisfied_images,
 )
 from repro.logic import MATCHER_STATS
 from repro.logic.atoms import TOP_ATOM, Atom
+from repro.logic.homomorphisms import homomorphisms_with_pivot
 from repro.logic.instances import Instance
 from repro.logic.terms import Constant
 from repro.rewriting.datalog import semi_naive_closure
-from repro.rules.parser import parse_instance, parse_rules
-from repro.rules.rule import INSTANTIATION_STATS
+from repro.rules.parser import parse_instance, parse_query, parse_rules
+from repro.rules.rule import INSTANTIATION_STATS, Rule
 
 # ----------------------------------------------------------------------
 # The object-matcher oracle
@@ -99,6 +101,26 @@ def _oracle_derive(rule, instance, delta):
         for atom in hom.apply_atoms(rule.head)
         if atom not in instance
     }
+
+
+def _oracle_match(rule, instance, delta, seed=None):
+    """The goal probe's object-matcher loop: each body atom in
+    ``sorted_body()`` order pivots on the delta's atoms over its
+    predicate, until one search finds a match.  Returns whether one did
+    and how many searches ran."""
+    atoms = rule.sorted_body()
+    searches = 0
+    for pivot in atoms:
+        candidates = delta.sorted_with_predicate(pivot.predicate)
+        if not candidates:
+            continue
+        searches += 1
+        match = homomorphisms_with_pivot(
+            atoms, instance, pivot, candidates, seed=seed
+        )
+        if next(match, None) is not None:
+            return True, searches
+    return False, searches
 
 
 def _counted(run):
@@ -537,6 +559,21 @@ def test_derive_round_counts_are_pinned():
             break
         total.update(new)
     assert rounds == DERIVE_ROUNDS
+
+
+def test_a_stopped_join_counts_only_the_candidates_it_tested():
+    # The pivot E(a,b) binds y=b; the first row of the bucket E(b,_)
+    # completes the goal, and the two rows after it are never tested.
+    atoms = _atoms("E(a,b), E(b,c), E(b,d), E(b,e)")
+    instance = Instance(add_top=False)
+    for atom in atoms:
+        instance.add(atom)
+    delta = as_delta_instance(atoms[:1])
+    goal = Rule(parse_query("E(x,y), E(y,z)").atoms, (TOP_ATOM,))
+    want = _counted(lambda: _oracle_match(goal, instance, delta))
+    got = _counted(lambda: rule_delta_match(goal, instance, delta))
+    assert want == ((True, 1), (1, 2, 0))
+    assert got == want
 
 
 # ----------------------------------------------------------------------
