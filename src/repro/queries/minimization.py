@@ -46,6 +46,9 @@ def cq_core(query: ConjunctiveQuery) -> ConjunctiveQuery:
 
     Answer variables are frozen (temporarily treated as constants is the
     classical trick; here we retract only with endomorphisms fixing them).
+    Dropping an atom leaves a sub-query that the identity maps back into
+    the query, so one subsumption test per atom decides whether the
+    query maps into what is left.
     """
     current = query
     changed = True
@@ -57,9 +60,7 @@ def cq_core(query: ConjunctiveQuery) -> ConjunctiveQuery:
             remaining = ConjunctiveQuery(
                 current.atoms - {atom}, current.answers
             ) if _answers_survive(current, atom) else None
-            if remaining is not None and subsumes(remaining, current) and subsumes(
-                current, remaining
-            ):
+            if remaining is not None and subsumes(current, remaining):
                 current = remaining
                 changed = True
                 break

@@ -55,6 +55,18 @@ class TestCore:
         q = parse_query("E(x,y), E(y,z)")
         assert cq_core(q) == q
 
+    def test_one_search_per_atom_tried(self):
+        # Each sub-query the identity maps back into the query: only the
+        # query into the sub-query is searched.  The path keeps both
+        # atoms after two searches; the fork drops one on the first.
+        for text, searches, size in (
+            ("E(x,y), E(y,z)", 2, 2),
+            ("E(x,y), E(x,z)", 1, 1),
+        ):
+            MATCHER_STATS.reset()
+            assert len(cq_core(parse_query(text)).atoms) == size
+            assert MATCHER_STATS.searches == searches, text
+
     def test_answers_protected(self):
         q = parse_query("E(x,y), E(u,v)", answers=("x", "u"))
         reduced = cq_core(q)
