@@ -3,13 +3,15 @@
 :func:`~repro.engine.core.rule_delta_images`,
 :func:`~repro.engine.core.rule_unsatisfied_images` and
 :func:`~repro.engine.core.derive_delta_atoms` join rules on integer
-rows.  Here they are checked against an oracle built from
-:func:`~repro.engine.core.delta_homomorphisms` (the object matcher): the
-same images (each once, with the trigger mapping derived from an image
-equal to the one a trigger restricts from the oracle's homomorphism),
-the same survivors (the ``Term``-smallest image per missing ground
-head) and derived atoms (the head instantiations the store lacks), and
-the same ``MATCHER_STATS`` and
+rows, and :func:`~repro.engine.core.rule_delta_match` stops at the
+first match.  Here they are checked against an oracle built from
+:func:`~repro.engine.core.delta_homomorphisms` and
+:func:`~repro.logic.homomorphisms.homomorphisms_with_pivot` (the object
+matcher): the same images (each once, with the trigger mapping derived
+from an image equal to the one a trigger restricts from the oracle's
+homomorphism), the same survivors (the ``Term``-smallest image per
+missing ground head), derived atoms (the head instantiations the store
+lacks) and match verdicts, and the same ``MATCHER_STATS`` and
 ``INSTANTIATION_STATS`` counts, round after round, on three stores — a
 plain :class:`Instance`, a worker-style :class:`ColumnarInstance`
 replica, and an :class:`Instance` that has discarded an atom after its
@@ -310,6 +312,20 @@ def _assert_same_images(rule, got, want, context):
     assert counts == want_counts, context
 
 
+#: A constant no case's atoms mention: a seed pinned to it matches nothing.
+MISSING = Constant("Missing")
+
+
+def _seeds(rule, atoms):
+    """The seeds a round's match calls try: none, the first body variable
+    pinned to the round's first term, and pinned to :data:`MISSING`."""
+    order = rule.body_variable_order()
+    terms = [t for atom in atoms for t in atom.args]
+    if not order or not terms:
+        return [None]
+    return [None, {order[0]: terms[0]}, {order[0]: MISSING}]
+
+
 def _oracle_rounds(rules, rounds, oracle):
     """The oracle's per-rule, per-round results on plain instances."""
     store = PlainStore()
@@ -361,6 +377,30 @@ class TestKernelMatchesObjectMatcher:
             for rule, want in zip(datalog, per_rule):
                 got = _counted(lambda: derive_delta_atoms(rule, instance, delta))
                 assert got == want, (name, str(rule))
+
+    def test_delta_match(self, name, rules, rounds, kind):
+        # Existence mode against the goal probe's object-matcher loop:
+        # the same verdict and searches on every call, and the same
+        # candidates on every call that finds no match (a witnessing
+        # search stops at the first match it reaches, in row order).
+        reference = PlainStore()
+        store = _store(kind, rules, rounds)
+        for atoms in rounds:
+            oracle_instance, oracle_delta = reference.advance(atoms)
+            instance, delta = store.advance(atoms)
+            for rule in rules:
+                for seed in _seeds(rule, atoms):
+                    want = _counted(lambda: _oracle_match(
+                        rule, oracle_instance, oracle_delta, seed
+                    ))
+                    got = _counted(
+                        lambda: rule_delta_match(rule, instance, delta, seed)
+                    )
+                    context = (name, str(rule), seed)
+                    assert got[0] == want[0], context
+                    assert got[1][0] == want[1][0], context
+                    if not want[0][0]:
+                        assert got[1] == want[1], context
 
     def test_whole_instance_as_delta(self, name, rules, rounds, kind):
         # The unpivoted search: one per rule, over every match.

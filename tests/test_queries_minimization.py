@@ -108,6 +108,7 @@ PREDICATES = [
     Predicate("E", 2),
     Predicate("F", 2),
     Predicate("T", 3),
+    Predicate("Z", 0),
 ]
 GENERAL_VARIABLES = [Variable(f"x{i}") for i in range(4)]
 SPECIFIC_VARIABLES = [Variable(f"y{i}") for i in range(5)]
@@ -211,8 +212,9 @@ class TestCompiledSubsumption:
         rng = random.Random(20251018)
         seen = dict.fromkeys(
             (
-                "true", "ternary", "lacked constant", "repeat in atom",
-                "repeated answers", "unequal arity", "lacked predicate",
+                "true", "ternary", "nullary", "lacked constant",
+                "repeat in atom", "repeated answers", "unequal arity",
+                "lacked predicate",
             ),
             0,
         )
@@ -230,6 +232,12 @@ class TestCompiledSubsumption:
             # The other direction compiles each CQ in its other role.
             _checked_subsumes(specific, general)
             seen["ternary"] += any(a.predicate.arity == 3 for a in general.atoms)
+            # As ``top`` rides along in rewritings through ``top``-bodied
+            # rules: nullary atoms on both sides.
+            seen["nullary"] += all(
+                any(a.predicate.arity == 0 for a in cq.atoms)
+                for cq in (general, specific)
+            )
             seen["lacked constant"] += LACKED in general.terms()
             seen["repeat in atom"] += any(
                 len(set(a.args)) < len(a.args) for a in general.atoms
