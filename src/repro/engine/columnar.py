@@ -17,20 +17,23 @@ worker's replica of them (grown only through the segments the parent
 ships, :meth:`Vocabulary.apply_segment`), and an id view's own tables.
 Per predicate id the store keeps
 
-* its *rows* — term-id tuples, in append order,
-* a row set of the same tuples for O(1) membership,
-* an id-level positional index ``(pred_id, position, term_id) -> rows``
-  mirroring the object instance's most-selective candidate seeding.
+* its *table*, in the one layout of the id join
+  (:func:`~repro.logic.homomorphisms.append_row`, which builds it): the
+  rows — term-id tuples — in append order, and per argument position a
+  bucket dict ``term_id -> rows``, mirroring the object instance's
+  most-selective candidate seeding;
+* a row set of the same tuples for O(1) membership.
 
-The three share one tuple object per row.
+Both share one tuple object per row.
 
 Id joins only
 -------------
 The store has no ``Atom``-facing API: every delta round's matcher, the
-delta core's join kernel (:mod:`repro.engine.core`), walks the rows
-through :meth:`ColumnarInstance.rows`, the positional index and
-:meth:`ColumnarInstance.row_set` directly, comparing integers.  The
-object matcher's atom ordering (``_order_atoms``) reads only
+delta core's join kernel (:mod:`repro.engine.core`), runs the id join
+(:func:`~repro.logic.homomorphisms.run_plan`) on
+:attr:`ColumnarInstance.tables` and tests heads against
+:meth:`ColumnarInstance.row_set`, comparing integers.  The object
+matcher's atom ordering (``_order_atoms``) reads only
 :meth:`ColumnarInstance.count`.  Row order is interning order and
 carries no meaning: nothing may be sorted or tie-broken on ids.
 
@@ -45,6 +48,7 @@ from typing import Iterable, Sequence
 from repro.engine import wire
 from repro.errors import ChaseError
 from repro.logic.atoms import Atom, build_atom
+from repro.logic.homomorphisms import append_row
 from repro.logic.predicates import Predicate
 from repro.logic.terms import Term, term_from_wire
 
@@ -170,23 +174,20 @@ class ColumnarInstance:
     """An append-only id-native atom store over a shared vocabulary.
 
     See the module docstring for the layout.  ``add_row`` and
-    ``ingest_packed`` are how rows arrive; ``rows`` / ``row_set`` /
-    ``positional_index`` are what the join kernel reads, and ``count``
-    what the kernel's atom ordering reads.
+    ``ingest_packed`` are how rows arrive; ``tables`` / ``rows`` /
+    ``row_set`` are what the join kernel reads, and ``count`` what the
+    kernel's atom ordering reads.
     """
 
-    __slots__ = ("_vocabulary", "_rows", "_row_sets", "_by_position")
+    __slots__ = ("_vocabulary", "_tables", "_row_sets")
 
     def __init__(self, vocabulary: Vocabulary):
         self._vocabulary = vocabulary
-        # pred_id -> term-id row tuples in append order.
-        self._rows: dict[int, list[tuple[int, ...]]] = {}
+        # pred_id -> its table: term-id row tuples in append order, and
+        # per position term_id -> the rows with term_id there.
+        self._tables: dict[int, tuple[list, tuple[dict, ...]]] = {}
         # pred_id -> the same rows as a set (membership + dedup).
         self._row_sets: dict[int, set[tuple[int, ...]]] = {}
-        # (pred_id, position, term_id) -> the rows with term_id there.
-        self._by_position: dict[
-            tuple[int, int, int], list[tuple[int, ...]]
-        ] = {}
 
     # ------------------------------------------------------------------
     # Id-native access and mutation
@@ -202,37 +203,28 @@ class ColumnarInstance:
 
     def rows(self, pred_id: int) -> Sequence[tuple[int, ...]]:
         """The rows over ``pred_id`` in append order (live; read-only)."""
-        return self._rows.get(pred_id, ())
+        table = self._tables.get(pred_id)
+        return table[0] if table is not None else ()
 
     def row_set(self, pred_id: int) -> "set[tuple[int, ...]] | frozenset":
         """The rows over ``pred_id`` as a set (live; read-only)."""
         return self._row_sets.get(pred_id, _EMPTY_ROWS)
 
     @property
-    def positional_index(
-        self,
-    ) -> dict[tuple[int, int, int], list[tuple[int, ...]]]:
-        """``(pred_id, position, term_id) -> rows`` (live; read-only)."""
-        return self._by_position
+    def tables(self) -> dict[int, tuple[list, tuple[dict, ...]]]:
+        """``pred_id -> table`` in the layout of
+        :func:`~repro.logic.homomorphisms.append_row` (live; read-only)."""
+        return self._tables
 
     def add_row(self, pred_id: int, term_ids: tuple[int, ...]) -> bool:
         """Append one row; return True when it was new."""
         rows = self._row_sets.get(pred_id)
         if rows is None:
             rows = self._row_sets[pred_id] = set()
-            self._rows[pred_id] = []
         if term_ids in rows:
             return False
         rows.add(term_ids)
-        self._rows[pred_id].append(term_ids)
-        by_position = self._by_position
-        for position, term_id in enumerate(term_ids):
-            key = (pred_id, position, term_id)
-            bucket = by_position.get(key)
-            if bucket is None:
-                by_position[key] = [term_ids]
-            else:
-                bucket.append(term_ids)
+        append_row(self._tables, pred_id, term_ids)
         return True
 
     # checks: hot

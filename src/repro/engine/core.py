@@ -9,8 +9,8 @@ delta, or on each worker of the pool on its slice of it.
 The decomposition: a homomorphism of a rule body into the instance uses at
 least one delta atom exactly when some body atom maps into the delta.  For
 each body atom in turn (the *pivot*), that atom is matched against the
-delta only while the remaining atoms match the full instance through the
-positional index.  A homomorphism whose body image touches ``k`` delta
+delta only while the remaining atoms match the full instance through its
+position buckets.  A homomorphism whose body image touches ``k`` delta
 atoms is found by ``k`` pivots; callers deduplicate on their own identity
 (trigger image for the chase, the derived head rows for the closure).
 
@@ -21,15 +21,21 @@ and semi-oblivious round, and every existential rule),
 :func:`derive_delta_atoms` (the closure).  So does the serving layer's
 goal probe, through :func:`rule_delta_match`, which stops at the first
 match and may pin body variables to terms (a *seed*).  The kernel
-compiles a rule's body into one slot program per pivot — the same
-pivots, the same ``_order_atoms`` atom order and the same
-most-selective positional bucket as the object matcher, so
-``MATCHER_STATS`` counts the same searches and candidates — and walks
-the integer rows of a :class:`~repro.engine.columnar.ColumnarInstance`
-through its id-level positional index.  Existential variables change
-only the head, so one body program serves every rule; ground heads
-(existential-free rules) are id tuples tested against the store's row
-sets.  The enumerate modes return images only: per rule, the distinct
+compiles a rule's body into one plan per pivot
+(:func:`~repro.logic.homomorphisms.compile_plan`) and runs it on the one
+id join loop, :func:`~repro.logic.homomorphisms.run_plan`, over the
+tables of a :class:`~repro.engine.columnar.ColumnarInstance` — the loop
+and the table layout CQ subsumption runs on too.  Each mode is the
+loop's ``emit``: it collects images or heads, or stops at the first
+match.  The plans take the same pivots, the same ``_order_atoms`` atom
+order and the same most-selective bucket as the object matcher, so
+``MATCHER_STATS`` counts the same searches, and the same candidates on
+every search that runs to its end (a search stopped at its first match
+counts the candidates it tested, and which those are depends on row
+order).  Existential variables change only the head, so one body plan
+serves every rule; ground heads (existential-free rules) are id tuples
+tested against the store's row sets.  The enumerate modes return images
+only: per rule, the distinct
 ``h(x̄)`` along ``rule.body_variable_order()`` as ``Term`` tuples, in no
 particular order (callers sort), with no ``Substitution`` built — a
 trigger derives its mapping from its image
@@ -50,18 +56,19 @@ ids for equality only and orders images by their ``Term`` values.
 
 from __future__ import annotations
 
-from operator import itemgetter, length_hint
+from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from repro.engine import wire
 from repro.engine.columnar import ColumnarInstance, Vocabulary
 from repro.logic.atoms import Atom
 from repro.logic.homomorphisms import (
-    MATCHER_STATS,
     _order_atoms,
+    compile_plan,
+    first_match,
     homomorphisms,
     homomorphisms_with_pivot,
-    position_pairs,
+    run_plan,
 )
 from repro.logic.instances import Instance
 from repro.logic.predicates import Predicate
@@ -363,33 +370,6 @@ def row_getter(slots: Sequence[int]) -> Callable[[Sequence], tuple]:
     return lambda values: ()
 
 
-# checks: hot
-def _agrees(row: tuple, pairs: Sequence[tuple[int, int]], slots: list) -> bool:
-    """Whether ``row[position] == slots[slot]`` for every pair."""
-    for position, slot in pairs:
-        if row[position] != slots[slot]:
-            return False
-    return True
-
-
-# checks: hot
-def _select(index_get, pred_id: int, bound, slots: list):
-    """The object matcher's ``_candidates`` on ids: the smallest
-    positional bucket over the bound positions (first in position order
-    on ties, empty as soon as one is), plus the bound pairs left to
-    check on each of its rows."""
-    best = None
-    chosen = -1
-    for position, slot in bound:
-        bucket = index_get((pred_id, position, slots[slot]))
-        if bucket is None:
-            return (), ()
-        if best is None or len(bucket) < len(best):
-            best = bucket
-            chosen = position
-    return best, [pair for pair in bound if pair[0] != chosen]
-
-
 class _OrderKeys(dict):
     """id -> the ``Term`` order key of its term, filled on first use.
 
@@ -424,59 +404,10 @@ def _precedes(
     return False
 
 
-def _level(view: ColumnarInstance, program, inner, tally: list, fixed):
-    """The loop of one body atom: candidates, filters, then ``inner``.
-
-    ``program`` is ``(pred_id, bound, binds, repeats)`` of ``(position,
-    slot)`` pairs: positions holding a constant or an earlier atom's
-    variable, first occurrences of new variables, and their repeats.
-    ``fixed`` (the pivot's delta rows) replaces the bucket choice.  The
-    candidates count in ``tally`` on entry; a :class:`_Stop` takes back
-    the ones not yet tested, so a stopped join counts what it tested.
-    """
-    pred_id, bound, binds, repeats = program
-    index_get = view.positional_index.get
-    all_rows = view.rows(pred_id)
-    single = bound[0] if len(bound) == 1 else None
-
-    # checks: hot
-    def run(slots: list) -> None:
-        if fixed is not None:
-            candidates, checks = fixed, bound
-        elif single is not None:
-            position, slot = single
-            candidates = index_get((pred_id, position, slots[slot]), ())
-            checks = ()
-        elif bound:
-            candidates, checks = _select(index_get, pred_id, bound, slots)
-        else:
-            candidates, checks = all_rows, ()
-        tally[0] += len(candidates)
-        rows = iter(candidates)
-        try:
-            for row in rows:
-                if checks and not _agrees(row, checks, slots):
-                    continue
-                for position, slot in binds:
-                    slots[slot] = row[position]
-                if repeats and not _agrees(row, repeats, slots):
-                    continue
-                inner(slots)
-        except _Stop:
-            tally[0] -= length_hint(rows)
-            raise
-
-    return run
-
-
-class _Stop(Exception):
-    """Raised by an ``emit`` to end the join at the current match."""
-
-
 class _RuleJoin:
     """One rule's body joined once against an id view.
 
-    Slot layout, shared by every pivot's program: the body variables in
+    Slot layout, shared by every search's plan: the body variables in
     canonical order (so a match's image is a slot prefix), then the
     body's other non-constant terms, then one slot per constant (and,
     once :meth:`_heads` compiled them, per head term the body does not
@@ -484,7 +415,7 @@ class _RuleJoin:
     from the start.
     """
 
-    #: The seeded body variables: bound in every program, and pinned for
+    #: The seeded body variables: bound in every plan, and pinned for
     #: ``_order_atoms`` as ``homomorphisms_with_pivot`` pins its seed.
     pinned: frozenset[Term] = frozenset()
 
@@ -511,6 +442,10 @@ class _RuleJoin:
         self._bind(body)
         if seed:
             self._seed(seed)
+        self.predicates = tuple(dict.fromkeys(a.predicate for a in body))
+        predicate_id = self.ids.predicate
+        tables = view.tables
+        self.tables = [tables.get(predicate_id(p)) for p in self.predicates]
         self.searches = self._searches(rule, instance, delta_inst)
 
     def _seed(self, seed: dict[Term, Term]) -> None:
@@ -591,45 +526,24 @@ class _RuleJoin:
             for atom in delta.with_predicate(predicate)
         }
 
-    def _program(self, atom: Atom, bound_terms: set) -> tuple:
-        bound, binds, repeats = position_pairs(atom, self.slot_of, bound_terms)
-        return (self.ids.predicate(atom.predicate), bound, binds, repeats)
-
-    def _run(self, emit: Callable[[list], None]) -> int:
+    def _run(self, emit: Callable[[list], object]) -> tuple[bool, int]:
         """Hand every match of every search to ``emit`` as the live slot
-        list (use it before returning); return how many searches ran.
+        list (use it before returning), until ``emit`` returns true;
+        return whether it did and how many searches ran.
 
-        ``emit`` may raise :class:`_Stop` to end the join at a match.
-        Each search counts in ``MATCHER_STATS.searches`` as it starts, so
-        a stopped join has counted the searches the object matcher would
-        have run by then.
+        Each search compiles its plan (:func:`compile_plan`) and runs it
+        (:func:`run_plan`), which counts it in ``MATCHER_STATS.searches``
+        as it starts, so a stopped join has counted the searches the
+        object matcher would have run by then.
         """
-        tally = [0]
         slots = list(self.slots)
-        started = 0
-        try:
-            for ordered, pivot_rows in self.searches:
-                started += 1
-                MATCHER_STATS.searches += 1
-                bound_terms: set[Term] = set(self.pinned)
-                programs = [
-                    self._program(atom, bound_terms) for atom in ordered
-                ]
-                inner = emit
-                for depth in range(len(programs) - 1, -1, -1):
-                    inner = _level(
-                        self.view,
-                        programs[depth],
-                        inner,
-                        tally,
-                        pivot_rows if depth == 0 else None,
-                    )
-                inner(slots)
-        except _Stop:
-            pass
-        finally:
-            MATCHER_STATS.candidates += tally[0]
-        return started
+        for started, (ordered, pivot_rows) in enumerate(self.searches, 1):
+            steps = compile_plan(
+                ordered, self.slot_of, self.pinned, self.predicates
+            )
+            if run_plan(steps, self.tables, slots, emit, pivot_rows):
+                return True, started
+        return False, len(self.searches)
 
     def images(self) -> list[tuple[Term, ...]]:
         kept: dict = {}  # the distinct image ids
@@ -644,15 +558,7 @@ class _RuleJoin:
     def exists(self) -> tuple[bool, int]:
         """Stop at the first match: whether there is one, and how many
         searches ran."""
-        found = False
-
-        def emit(slots: list) -> None:
-            nonlocal found
-            found = True
-            raise _Stop
-
-        started = self._run(emit)
-        return found, started
+        return self._run(first_match)
 
     def unsatisfied(self) -> list[tuple[Term, ...]]:
         heads = self._heads()

@@ -14,17 +14,22 @@ searcher is a backtracking matcher with three standard optimizations:
   search itself runs on an explicit stack rather than nested generator
   frames.
 
-CQ subsumption runs the same search on integers.  A CQ on the specific
-side is compiled once into :class:`IdRows` (its terms numbered, its atoms
-as id rows per predicate and per position bucket, in ``Atom`` order); a
-CQ on the general side into :class:`JoinPlans`, which keeps one plan per
-*count signature* (the target's row counts over its predicates).  A plan
-is the atom order :func:`_order_atoms` returns for those counts, the one
-atom-order policy of the object matcher, the id search and the engine's
-join kernel alike, with each atom's bound, bind and repeat positions;
-:func:`_search_rows` walks it with :func:`_candidates`' bucket choice and
-counts the searches and candidates :func:`_search` would.  The object
-matcher remains the reference the id search is tested against.
+One id join runs the same search on integers, for CQ subsumption and
+for the engine's join kernel (:mod:`repro.engine.core`) alike.  Its
+target is a *table* per predicate (:func:`append_row`): the rows of term
+ids in append order and one bucket dict per argument position.  Its
+source is a *plan* (:func:`compile_plan`): the atoms in the order
+:func:`_order_atoms` returns, the one atom-order policy of the object
+matcher and the id join, each with its table and its bound, bind and
+repeat positions.  :func:`run_plan` walks a plan with
+:func:`_candidates`' bucket choice, hands each match to the caller's
+``emit`` and stops when ``emit`` returns true; it counts the searches
+and candidates :func:`_search` would.  For subsumption, a CQ on the
+specific side is compiled once into :class:`IdRows` (its terms
+numbered, its atoms as rows in ``Atom`` order); a CQ on the general
+side into :class:`JoinPlans`, which keeps one plan per *count
+signature* (the target's row counts over its predicates).  The object
+matcher remains the reference the id join is tested against.
 
 The module also provides injective homomorphisms (for ``⊨inj``),
 isomorphism checking, and homomorphic equivalence ``↔`` (used pervasively in
@@ -33,7 +38,8 @@ Section 4 to compare chases before and after surgeries).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from operator import length_hint
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from repro.logic.atoms import Atom
 from repro.logic.instances import Instance
@@ -47,6 +53,13 @@ class MatcherStats:
 
     ``searches`` counts matcher invocations (one per homomorphism
     enumeration started) and ``candidates`` counts candidate atoms tested.
+    Every matcher counts by one rule: a candidate counts when the search
+    pulls it from the atom's candidate list (the object matcher's
+    :func:`_search`) or would have (the id join's :func:`run_plan`
+    counts a list whole when it starts it, and a search that stops early
+    takes back the rest), whether or not it matches.  So a search that
+    runs to its end counts the same on every matcher, and one stopped at
+    its first match counts the candidates tested up to that match.
     The incremental-chase benchmarks read these to check that trigger
     enumeration scales with the delta, not the instance.  Registered as
     the ``matcher`` group of :func:`repro.obs.default_registry`, which is
@@ -215,10 +228,9 @@ def _search(
     ``first_candidates`` is given it replaces the index lookup for the
     first atom (the pivot of delta-driven trigger enumeration).  Each
     solution is yielded as a cleaned :class:`Substitution` copy of the
-    binding.  Delta rounds and the goal probe's per-round checks do not
-    come through here: the engine's join kernel (:mod:`repro.engine.core`)
-    runs the same search order on integer ids, and CQ subsumption runs it
-    on id rows (:func:`_search_rows`).
+    binding.  Delta rounds, the goal probe's per-round checks and CQ
+    subsumption do not come through here: they run the same search order
+    on integer ids, in :func:`run_plan`.
     """
     MATCHER_STATS.searches += 1
     n = len(ordered)
@@ -274,98 +286,169 @@ def _search(
             frames.pop()
 
 
-def position_pairs(
-    atom: Atom, slot_of: dict[Term, int], bound_terms: set[Term]
-) -> tuple[list, list, list]:
-    """``atom``'s ``(position, slot)`` pairs for an id search that
-    reaches it with ``bound_terms`` bound: positions holding a constant
-    or a bound term, first occurrences of a new term, and repeats of
-    one.  The new terms join ``bound_terms``."""
-    bound, binds, repeats = [], [], []
-    new: set[Term] = set()
-    for position, term in enumerate(atom.args):
-        pair = (position, slot_of[term])
-        if term.is_constant or term in bound_terms:
-            bound.append(pair)
-        elif term in new:
-            repeats.append(pair)
+def append_row(tables: dict, key, row: tuple) -> None:
+    """Append ``row`` to the table ``tables[key]``, made on first use.
+
+    A *table* is the one layout every id join reads: ``(rows,
+    buckets)``, the rows in append order and, per argument position, a
+    dict from term id to the rows holding it there, in append order too.
+    :class:`IdRows` and the engine's columnar store
+    (:class:`~repro.engine.columnar.ColumnarInstance`) build theirs
+    here.
+    """
+    table = tables.get(key)
+    if table is None:
+        table = tables[key] = ([], tuple([{} for _ in row]))
+    table[0].append(row)
+    for buckets, term_id in zip(table[1], row):
+        bucket = buckets.get(term_id)
+        if bucket is None:
+            buckets[term_id] = [row]
         else:
-            new.add(term)
-            binds.append(pair)
-    bound_terms |= new
-    return bound, binds, repeats
+            bucket.append(row)
+
+
+def compile_plan(
+    ordered: Sequence[Atom],
+    slot_of: dict[Term, int],
+    pinned: Iterable[Term],
+    predicates: Sequence[Predicate],
+) -> list[tuple]:
+    """The :func:`run_plan` steps that match ``ordered``, in that order,
+    with the ``pinned`` terms bound from the start.
+
+    One step per atom: ``(table_at, bound, choices, binds, repeats)``.
+    ``table_at`` indexes the atom's predicate in ``predicates`` (the
+    caller's tables line up with them); the rest are ``(position,
+    slot)`` pairs — positions holding a constant or a term bound
+    before the atom, first occurrences of a new term, repeats of one.
+    ``choices`` gives each bound position with what is left to check on
+    the rows of its bucket: the other bound pairs, then the repeats.
+    """
+    table_at = {predicate: i for i, predicate in enumerate(predicates)}
+    bound_terms = set(pinned)
+    steps = []
+    for atom in ordered:
+        bound, binds, repeats = [], [], []
+        new: set[Term] = set()
+        for position, term in enumerate(atom.args):
+            pair = (position, slot_of[term])
+            if term.is_constant or term in bound_terms:
+                bound.append(pair)
+            elif term in new:
+                repeats.append(pair)
+            else:
+                new.add(term)
+                binds.append(pair)
+        bound_terms |= new
+        if len(bound) > 1:
+            choices = [
+                (pos, slot, [p for p in bound if p[0] != pos] + repeats)
+                for pos, slot in bound
+            ]
+        else:
+            choices = [bound[0] + (repeats,)] if bound else []
+        steps.append(
+            (table_at[atom.predicate], bound, choices, binds, repeats)
+        )
+    return steps
+
+
+def first_match(slots: list) -> bool:
+    """An ``emit`` that stops :func:`run_plan` at its first match."""
+    return True
 
 
 # checks: hot
-def _search_rows(
-    steps: tuple[tuple, ...], tables: list, slots: list[int]
+def run_plan(
+    steps: Sequence[tuple],
+    tables: Sequence,
+    slots: list,
+    emit: Callable[[list], object],
+    first_rows: Collection[tuple] | None = None,
 ) -> bool:
-    """Whether the atoms of ``steps`` match into id rows: :func:`_search`
-    on ints, stopping at the first match.
+    """:func:`_search` on ints: hand every match of a compiled plan to
+    ``emit``, until ``emit`` returns true.  Returns whether it did.
 
-    ``steps`` is a :class:`JoinPlans` plan: per atom in
-    :func:`_order_atoms` order, the index of its predicate's table in
-    ``tables`` (``(rows, positional index)`` or None when the target
-    lacks the predicate) and its ``(position, slot)`` pairs — bound by a
-    pin, a constant or an earlier atom, first bound here, repeated here.
-    ``slots`` holds the pinned and constant ids (-1 for a constant the
-    target lacks).  Candidates are :func:`_candidates`' rows in ``Atom``
-    order: the smallest bucket of a bound position (the first on a tie),
-    none when one is empty, every row over the predicate when nothing is
-    bound.  Counts one search and every candidate tested, as
-    :func:`_search` does up to its first solution.
+    ``steps`` come from :func:`compile_plan`; ``tables[table_at]`` is a
+    step's table (see :func:`append_row`), or None when the target has
+    no row over its predicate.  ``slots`` holds the ids of the constants
+    and pinned terms (an id no row holds when the target lacks the
+    term); each match is the live slot list, which ``emit`` must use
+    before it returns.  A step's candidates are :func:`_candidates`'
+    choice: the smallest bucket of a bound position (the first on a
+    tie), none as soon as one is missing, every row when nothing is
+    bound; at depth 0, ``first_rows`` (a pivot's delta rows) replace the
+    choice.  Each candidate binds the step's new terms, then is checked
+    on the bound pairs outside the chosen bucket and on the repeats.
+
+    Counts one search, and the candidates tested, as :func:`_search`
+    does: a step's candidates count when it starts them, and a stop
+    takes back the ones each open step had not yet tested.
     """
     stats = MATCHER_STATS
     stats.searches += 1
     last = len(steps) - 1
+    iterators: list = [None] * len(steps)
     pending: list = [None] * len(steps)
-    tested = 0
+    counted = 0
     depth = 0
-    entering = True
-    while depth >= 0:
-        table_at, bound, binds, repeats = steps[depth]
-        if entering:
-            table = tables[table_at]
-            candidates = ()
-            if table is not None:
-                candidates, index = table
-                for position, slot in bound:
-                    bucket = index[position].get(slots[slot])
-                    if bucket is None:
-                        candidates = ()
-                        break
-                    if len(bucket) < len(candidates):
-                        candidates = bucket
-            pending[depth] = iter(candidates)
-        matched = False
-        for row in pending[depth]:
-            tested += 1
-            matched = True
-            for position, slot in bound:
-                if row[position] != slots[slot]:
-                    matched = False
-                    break
-            if not matched:
-                continue
+    while True:
+        table_at, bound, choices, binds, repeats = steps[depth]
+        rows = iterators[depth]
+        if rows is None:
+            if first_rows is not None and depth == 0:
+                candidates, checks = first_rows, bound + repeats
+            else:
+                table = tables[table_at]
+                checks = repeats
+                if table is None:
+                    candidates = ()
+                elif not choices:
+                    candidates = table[0]
+                elif len(choices) == 1:
+                    position, slot, checks = choices[0]
+                    candidates = table[1][position].get(slots[slot], ())
+                else:
+                    index = table[1]
+                    candidates = None
+                    for position, slot, others in choices:
+                        bucket = index[position].get(slots[slot])
+                        if bucket is None:
+                            candidates = ()
+                            break
+                        if candidates is None or len(bucket) < len(candidates):
+                            candidates, checks = bucket, others
+            counted += len(candidates)
+            rows = iterators[depth] = iter(candidates)
+            pending[depth] = checks
+        else:
+            checks = pending[depth]
+        for row in rows:
             for position, slot in binds:
                 slots[slot] = row[position]
-            for position, slot in repeats:
-                if row[position] != slots[slot]:
-                    matched = False
-                    break
-            if matched:
+            if checks:
+                agrees = True
+                for position, slot in checks:
+                    if row[position] != slots[slot]:
+                        agrees = False
+                        break
+                if not agrees:
+                    continue
+            if depth < last:
+                depth += 1
                 break
-        if not matched:
-            depth -= 1
-            entering = False
-        elif depth == last:
-            stats.candidates += tested
-            return True
+            if emit(slots):
+                for untested in iterators:
+                    counted -= length_hint(untested)
+                stats.candidates += counted
+                return True
         else:
-            depth += 1
-            entering = True
-    stats.candidates += tested
-    return False
+            iterators[depth] = None
+            depth -= 1
+            if depth < 0:
+                stats.candidates += counted
+                return False
 
 
 class IdRows:
@@ -373,10 +456,10 @@ class IdRows:
 
     The terms are numbered in order of first occurrence over the sorted
     atoms, and each atom becomes a row of term ids, appended in ``Atom``
-    order to its predicate's rows and to one bucket per argument
-    position and term id: the id form of an :class:`Instance`'s sorted
-    predicate and positional indexes.  ``anchors`` holds the ids of the
-    terms a source's pinned terms map to (a CQ's answer tuple).
+    order to its predicate's table (:func:`append_row`): the id form of
+    an :class:`Instance`'s sorted predicate and positional indexes.
+    ``anchors`` holds the ids of the terms a source's pinned terms map
+    to (a CQ's answer tuple).
     """
 
     __slots__ = ("ids", "tables", "anchors")
@@ -386,20 +469,7 @@ class IdRows:
         tables: dict[Predicate, tuple[list, tuple[dict, ...]]] = {}
         for atom in sorted(atoms, key=Atom.sort_key):
             row = tuple([ids.setdefault(t, len(ids)) for t in atom.args])
-            table = tables.get(atom.predicate)
-            if table is None:
-                table = tables[atom.predicate] = (
-                    [],
-                    tuple([{} for _ in row]),
-                )
-            rows, index = table
-            rows.append(row)
-            for buckets, term_id in zip(index, row):
-                bucket = buckets.get(term_id)
-                if bucket is None:
-                    buckets[term_id] = [row]
-                else:
-                    bucket.append(row)
+            append_row(tables, atom.predicate, row)
         self.ids = ids
         self.tables = tables
         self.anchors = tuple([ids[t] for t in anchors])
@@ -440,7 +510,7 @@ class JoinPlans:
         )
         self.pinned = tuple(pinned)
         self.pinned_slots = tuple([slot_of[t] for t in self.pinned])
-        self.plans: dict[tuple[int, ...], tuple[tuple, ...]] = {}
+        self.plans: dict[tuple[int, ...], list[tuple]] = {}
 
     def maps_into(self, target: IdRows) -> bool:
         """Whether a homomorphism maps the atoms into ``target``'s rows,
@@ -459,25 +529,11 @@ class JoinPlans:
         signature = tuple([0 if t is None else len(t[0]) for t in tables])
         plan = self.plans.get(signature)
         if plan is None:
-            plan = self.plans[signature] = self._plan(target)
-        return _search_rows(plan, tables, slots)
-
-    def _plan(self, target: IdRows) -> tuple[tuple, ...]:
-        """The :func:`_search_rows` steps for ``target``'s row counts."""
-        table_at = {p: i for i, p in enumerate(self.predicates)}
-        bound_terms = set(self.pinned)
-        steps = []
-        for atom in _order_atoms(self.atoms, target, bound=bound_terms):
-            bound, binds, repeats = position_pairs(
-                atom, self.slot_of, bound_terms
+            ordered = _order_atoms(self.atoms, target, bound=set(self.pinned))
+            plan = self.plans[signature] = compile_plan(
+                ordered, self.slot_of, self.pinned, self.predicates
             )
-            steps.append((
-                table_at[atom.predicate],
-                tuple(bound),
-                tuple(binds),
-                tuple(repeats),
-            ))
-        return tuple(steps)
+        return run_plan(plan, tables, slots, first_match)
 
 
 def homomorphisms(
