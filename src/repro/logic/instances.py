@@ -336,13 +336,14 @@ class Instance:
         """Return ``I|_S``: the atoms over predicates in ``signature``.
 
         Used by Lemma 24 to compare chases of streamlined rule sets on the
-        original signature.  ``⊤`` is preserved.
+        original signature.  ``⊤`` is kept exactly when the instance has
+        it.
         """
         allowed = set(signature)
         kept = (
             a for a in self._atoms if a.predicate in allowed or a == TOP_ATOM
         )
-        return Instance(kept, add_top=True)
+        return Instance(kept, add_top=False)
 
     def disjoint_union(
         self, other: "Instance", supply: FreshSupply | None = None

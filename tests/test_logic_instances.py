@@ -66,6 +66,12 @@ class TestPaperOperations:
         assert atom("P", "a") not in restricted
         assert TOP_ATOM in restricted
 
+    def test_restrict_to_adds_no_top(self):
+        inst = instance_of(edge("a", "b"), atom("P", "a"), add_top=False)
+        restricted = inst.restrict_to([EDGE])
+        assert restricted == instance_of(edge("a", "b"), add_top=False)
+        assert TOP_ATOM not in restricted
+
     def test_disjoint_union_renames_second(self):
         left = instance_of(edge("x", "y").apply({}), add_top=True)
         right = Instance([edge(Variable("x"), Variable("y"))])

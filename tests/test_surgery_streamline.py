@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.logic.atoms import edge
+from repro.logic.instances import Instance
+from repro.logic.terms import Constant
 from repro.rules.classes import (
     is_forward_existential,
     is_predicate_unique,
@@ -96,6 +99,13 @@ class TestStreamlineRuleset:
         assert streamline_chase_equivalent(
             rules, parse_instance("E(a,b)"), max_levels=2
         )
+
+    def test_lemma24_chase_preserved_without_top(self):
+        rules = parse_rules("E(x,y) -> exists z. E(y,z)")
+        instance = Instance(
+            [edge(Constant("a"), Constant("b"))], add_top=False
+        )
+        assert streamline_chase_equivalent(rules, instance)
 
     def test_lemma24_chase_preserved_terminating(self):
         rules = parse_rules("P(x,y) -> exists z. Q(y,z)")
