@@ -80,9 +80,6 @@ class ChaseResult:
         }
         self._creation: dict[Null, CreationRecord] = {}
         self._records: list[CreationRecord] = []
-        self._initial_domain: frozenset[Term] = frozenset(
-            initial.active_domain()
-        )
 
     # ------------------------------------------------------------------
     # Recording (used by the chase engines)
@@ -102,10 +99,11 @@ class ChaseResult:
         :class:`~repro.engine.runner.ChaseRunner` round fires through.
         Each pair is recorded, and the atom budget checked, before the
         next one is pulled, so a claim evaluated by the stream sees every
-        earlier application of the round.  Returns
-        ``(applications_recorded, budget_exceeded)``; on a budget hit the
-        iterable is not pulled further, so no later trigger is claimed or
-        instantiated and no further null is drawn.
+        earlier application of the round.  ``level`` is the round's
+        number, at least 1: the initial terms alone have timestamp 0.
+        Returns ``(applications_recorded, budget_exceeded)``; on a budget
+        hit the iterable is not pulled further, so no later trigger is
+        claimed or instantiated and no further null is drawn.
 
         While a round is traced (:func:`repro.obs.trace.active_round`),
         the recording body of each pair is timed into the round's
@@ -183,8 +181,9 @@ class ChaseResult:
     # ------------------------------------------------------------------
 
     def is_chase_term(self, term: Term) -> bool:
-        """True for terms created by the chase (not in the initial adom)."""
-        return term in self._term_timestamp and term not in self._initial_domain
+        """True for terms created by the chase (not in the initial adom):
+        exactly the terms with a timestamp above 0."""
+        return self._term_timestamp.get(term, 0) > 0
 
     def creation_of(self, term: Term) -> CreationRecord:
         """The trigger application that created ``term``."""
@@ -217,11 +216,7 @@ class ChaseResult:
 
     def chase_terms(self) -> set[Term]:
         """All terms created by the chase (Definition: adom(Ch) \\ adom(I))."""
-        return {
-            t
-            for t in self._term_timestamp
-            if t not in self._initial_domain
-        }
+        return {t for t, ts in self._term_timestamp.items() if ts > 0}
 
     def statistics(self) -> dict[str, int]:
         """Summary counters for reporting."""
