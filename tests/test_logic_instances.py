@@ -1,5 +1,7 @@
 """Unit tests for instances: indexing, paper operations, invariants."""
 
+import pickle
+
 from repro.logic.atoms import TOP_ATOM, atom, edge
 from repro.logic.instances import Instance, constants_to_nulls, instance_of
 from repro.logic.predicates import EDGE, Predicate
@@ -105,3 +107,48 @@ class TestPaperOperations:
         clone = inst.copy()
         clone.add(edge("b", "c"))
         assert edge("b", "c") not in inst
+
+
+def _assert_log(inst, added):
+    """The add-log contract: the revision is the number of atoms, and
+    ``delta_since(r)`` is what was added after the first ``r`` atoms."""
+    assert inst.revision == len(inst) == len(added)
+    for r in range(len(added) + 1):
+        assert inst.delta_since(r) == added[r:]
+
+
+class TestAddLog:
+    """Instances only grow: every atom enters the add log once."""
+
+    AB, BC, CD, DE = (
+        edge("a", "b"), edge("b", "c"), edge("c", "d"), edge("d", "e")
+    )
+
+    def _built(self):
+        inst = Instance([self.AB, self.BC, self.AB, self.BC])
+        assert inst.update([self.BC, self.CD, self.CD, self.AB]) == 1
+        return inst, [self.AB, self.BC, TOP_ATOM, self.CD]
+
+    def test_repeats_in_the_constructor_and_update(self):
+        inst, added = self._built()
+        _assert_log(inst, added)
+        assert not inst.add(self.AB)
+        _assert_log(inst, added)
+
+    def test_a_copy_holds_the_same_atoms_and_grows_after_them(self):
+        inst, added = self._built()
+        clone = inst.copy()
+        base = clone.delta_since(0)
+        assert sorted(base) == sorted(added)
+        _assert_log(clone, base)
+        assert clone.revision == inst.revision
+        clone.update([self.AB, self.DE, self.DE])
+        _assert_log(clone, base + [self.DE])
+        assert clone.delta_since(inst.revision) == [self.DE]
+
+    def test_a_pickle_round_trip_keeps_the_log(self):
+        inst, added = self._built()
+        restored = pickle.loads(pickle.dumps(inst))
+        _assert_log(restored, added)
+        restored.add(self.DE)
+        _assert_log(restored, added + [self.DE])

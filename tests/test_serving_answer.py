@@ -311,6 +311,49 @@ class TestBudgetStops:
             assert result.strategy == ("hybrid" if strategy == "auto" else "chase")
 
 
+class TestWatermarkOnTheChaseCopy:
+    """``check_full`` anchors the goal probe on the caller's instance,
+    and the chase runs on a copy of it.  A revision counts the atoms
+    added, so the watermark marks the copy's base too, whatever repeats
+    the caller's instance was built with."""
+
+    RULES = parse_rules("E(x,y), E(y,z) -> E(x,z)")
+    QUERY = parse_query("E(x,y)", answers=("x", "y"))
+
+    def _instance(self):
+        # Repeated atoms in the constructor and in two updates.
+        instance = parse_instance(
+            "E(a,b), E(b,c), E(a,b), E(b,c), E(c,d)"
+        )
+        more = parse_instance("E(c,d), E(d,e), E(a,b)").sorted_atoms()
+        assert instance.update(more + more) == 1
+        assert instance.update(more) == 0
+        assert instance.revision == len(instance) == 5
+        return instance
+
+    @pytest.mark.parametrize(
+        "pair,kind,level",
+        [
+            (("a", "b"), "instance_witness", 0),
+            (("a", "c"), "chase_witness", 1),
+            (("b", "d"), "chase_witness", 1),
+            (("a", "e"), "chase_witness", 2),
+        ],
+    )
+    def test_witness_level(self, pair, kind, level):
+        result = answer(
+            self._instance(),
+            self.RULES,
+            self.QUERY,
+            tuple(Constant(name) for name in pair),
+            strategy="chase",
+        )
+        assert result.entailed
+        assert result.verdict == "exact"
+        assert result.evidence["kind"] == kind
+        assert result.evidence["level"] == level
+
+
 class TestGoalDirectedSavings:
     """The acceptance pin: same verdict, measurably fewer atoms."""
 
