@@ -37,8 +37,8 @@ matcher's atom ordering (``_order_atoms``) reads only
 :meth:`ColumnarInstance.count`.  Row order is interning order and
 carries no meaning: nothing may be sorted or tie-broken on ids.
 
-Columnar instances are append-only (the chase never retracts);
-``discard`` has no columnar counterpart by design.
+Columnar instances are append-only, as every instance is: the chase
+never retracts an atom.
 """
 
 from __future__ import annotations

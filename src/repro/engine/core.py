@@ -286,10 +286,10 @@ def id_view(instance: Instance | ColumnarInstance) -> ColumnarInstance:
     A columnar store is its own view.  An object instance's view is a
     :class:`ColumnarInstance` over a private vocabulary, created on first
     use and brought up to date from ``instance.delta_since`` whenever the
-    instance's revision moved — so at most once per round.  The view
-    is per process: it lives in the instance's ``_id_view`` slot, is
-    never pickled (worker replicas are columnar stores already) and
-    ``discard`` drops it.
+    instance's revision moved — so at most once per round.  Instances
+    only grow, so the view only grows too.  It is per process: it lives
+    in the instance's ``_id_view`` slot and is never pickled (worker
+    replicas are columnar stores already).
     """
     if isinstance(instance, ColumnarInstance):
         return instance

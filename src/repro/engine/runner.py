@@ -205,15 +205,6 @@ class VariantPolicy:
 
     # -- goal-directed stopping ----------------------------------------
 
-    def begin_run(self, result: "ChaseResult") -> None:
-        """Observe the run's result object before the first round.
-
-        Called once per trigger-mode run, after the initial instance copy
-        is made but before any round executes — a policy that probes the
-        growing instance (e.g. the serving layer's goal-directed
-        entailment) anchors its ``delta_since`` watermark here.
-        """
-
     def round_complete(self, result: "ChaseResult") -> bool:
         """Post-round hook; return True to stop the run at this round.
 
@@ -373,7 +364,6 @@ class ChaseRunner:
 
         self._claim_run()
         result = ChaseResult(instance)
-        self.policy.begin_run(result)
         self._begin_trace("trigger")
         try:
             with default_registry().collect() as scope:

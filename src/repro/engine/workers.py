@@ -42,9 +42,8 @@ pickled — that is also how the pool accounts transport in
 ``("seed", segment, rules, atoms_buf)``
     Replace the worker's rule list and rebuild its replica from the
     packed atom buffer.  Sent at pool start, and again whenever the
-    replicas cannot be synced by a delta: the rules changed, the round
-    runs on another instance, or the instance discarded an atom since
-    the last sync (replicas are append-only).
+    replicas cannot be synced by a delta: the rules changed or the round
+    runs on another instance.
 ``("sync", segment, sync_buf)``
     Fold the packed per-round delta into the replica and acknowledge.
     Sent to workers that have no pivots in a round where others do —
@@ -357,8 +356,8 @@ class WorkerPool:
     replicas are synced to and computes each round's sync payload with
     ``instance.delta_since`` — so rounds :meth:`round_matches` ran
     inline are transparently caught up on the next pooled round.  A
-    round on another instance, or on one that discarded an atom since
-    the last sync, reseeds the replicas instead.
+    round under other rules, or on another instance, reseeds the
+    replicas instead.
 
     Wire tables: the pool owns a :class:`Vocabulary` and a per-worker
     ``(term, predicate)`` high-water mark into it.  Segments are cut per
@@ -702,11 +701,7 @@ class WorkerPool:
         """
         self._start()
         rules = tuple(rules)
-        if (
-            rules != self._rules
-            or instance is not self._instance
-            or instance.discarded_since(self._replica_revision)
-        ):
+        if rules != self._rules or instance is not self._instance:
             self._seed(rules, instance)
         recorder = active_round()
         sync_start = time.perf_counter() if recorder is not None else 0.0

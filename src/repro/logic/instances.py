@@ -9,11 +9,13 @@ homomorphism searcher and the chase rely on:
   selective position instead of scanning every atom over the predicate;
   its keys also give the active domain.
 
-Instances are mutable (the chase extends them) but expose value semantics
-for equality.  Mutations bump a monotone *revision counter*;
-:meth:`Instance.delta_since` returns the atoms added after a given
-revision, which is what the semi-naive chase engines use to enumerate only
-the triggers that became possible at the latest level.
+Instances only grow: the chase extends them (``Ch_{n+1}`` contains
+``Ch_n``, §2.2) and nothing removes an atom, yet they expose value
+semantics for equality.  Every new atom is appended to an add log, so
+the *revision* — the log's length, which is always ``len(instance)`` —
+marks a prefix of the instance, and :meth:`Instance.delta_since` returns
+the atoms added after it: what the semi-naive chase engines use to
+enumerate only the triggers that became possible at the latest level.
 
 Following the paper, every instance is assumed to contain the nullary fact
 ``⊤``; the constructor adds it unless ``add_top=False``.
@@ -22,13 +24,11 @@ The engine's join kernel (:mod:`repro.engine.core`) matches an instance
 through an *id view* it attaches to the ``_id_view`` slot and brings up
 to date from :meth:`Instance.delta_since`.  The view belongs to the
 engine and to this process: it is never pickled (an instance pickles to
-exactly the bytes it would without it), ``discard`` drops it, and
-``add`` never touches it.
+exactly the bytes it would without it) and ``add`` never touches it.
 """
 
 from __future__ import annotations
 
-import bisect
 from typing import Iterable, Iterator, KeysView
 
 from repro.logic.atoms import TOP_ATOM, Atom
@@ -55,13 +55,10 @@ class Instance:
         "_atoms",
         "_by_predicate",
         "_by_position",
-        "_revision",
-        "_log_revisions",
         "_log_atoms",
         "_frozen_predicate",
         "_sorted_predicate",
         "_sorted_position",
-        "_discarded",
         "_id_view",
     )
 
@@ -73,16 +70,9 @@ class Instance:
         self._by_predicate: dict[Predicate, set[Atom]] = {}
         # (predicate, position, term) -> atoms with `term` at `position`.
         self._by_position: dict[tuple[Predicate, int, Term], set[Atom]] = {}
-        # Monotone revision counter: bumped once per successful mutation;
-        # the append-only parallel logs (revision at add time / atom added)
-        # allow delta_since() in O(log n + |delta|).
-        self._revision: int = 0
-        self._log_revisions: list[int] = []
+        # The add log: every atom once, in insertion order.  Its length
+        # is the revision, and delta_since() is a slice of it.
         self._log_atoms: list[Atom] = []
-        # False until the first discard(): while it stays False the add
-        # log *is* the live delta (chase instances never retract), and
-        # delta_since skips its per-call membership filter entirely.
-        self._discarded: bool = False
         # Lazily-built caches, invalidated per key on mutation.
         self._frozen_predicate: dict[Predicate, frozenset[Atom]] = {}
         self._sorted_predicate: dict[Predicate, tuple[Atom, ...]] = {}
@@ -160,8 +150,6 @@ class Instance:
             else:
                 bucket.add(atom)
             sorted_position.pop(key, None)
-        self._revision += 1
-        self._log_revisions.append(self._revision)
         self._log_atoms.append(atom)
         return True
 
@@ -169,87 +157,25 @@ class Instance:
         """Add several atoms; return how many were new."""
         return sum(1 for a in atoms if self.add(a))
 
-    def discard(self, atom: Atom) -> bool:
-        """Remove ``atom`` if present; return True when it was present."""
-        if atom not in self._atoms:
-            return False
-        self._atoms.discard(atom)
-        predicate = atom.predicate
-        self._by_predicate[predicate].discard(atom)
-        self._frozen_predicate.pop(predicate, None)
-        self._sorted_predicate.pop(predicate, None)
-        if not self._by_predicate[predicate]:
-            del self._by_predicate[predicate]
-        for position, term in enumerate(atom.args):
-            key = (predicate, position, term)
-            bucket = self._by_position.get(key)
-            if bucket is not None:
-                bucket.discard(atom)
-                self._sorted_position.pop(key, None)
-                if not bucket:
-                    del self._by_position[key]
-        # Removals count as revisions too: delta_since() filters the log
-        # through membership, so a removed atom simply drops out.
-        self._revision += 1
-        self._discarded = True
-        # Id views are append-only; the next join rebuilds one.
-        self._id_view = None
-        return True
-
     # ------------------------------------------------------------------
     # Revisions and deltas (semi-naive evaluation support)
     # ------------------------------------------------------------------
 
     @property
     def revision(self) -> int:
-        """Monotone counter incremented by every successful mutation."""
-        return self._revision
+        """The number of atoms added so far: always ``len(instance)``."""
+        return len(self._log_atoms)
 
     # checks: hot
     def delta_since(self, revision: int) -> list[Atom]:
-        """Atoms added after ``revision`` that are still present.
+        """The atoms added after the first ``revision``, in insertion order.
 
-        Insertion order; the semi-naive chase engines snapshot
-        ``instance.revision`` before firing a level and feed the resulting
-        delta to ``new_triggers_of`` at the next level.
-
-        The chase calls this every round, and chase instances are
-        append-only: until the first :meth:`discard` the add log has no
-        dead or duplicate entries, so the delta is a plain slice of it —
-        no ``seen`` set, no per-atom membership check.  The filtering
-        path only runs on instances that have actually retracted.
+        The semi-naive chase engines snapshot ``instance.revision``
+        before firing a level and feed the resulting delta to
+        ``new_triggers_of`` at the next level.  The add log holds every
+        atom once, so the delta is a plain slice of it.
         """
-        start = (
-            bisect.bisect_right(self._log_revisions, revision)
-            if revision > 0
-            else 0
-        )
-        if not self._discarded:
-            return self._log_atoms[start:]
-        atoms = self._atoms
-        delta: list[Atom] = []
-        seen: set[Atom] = set()
-        # An atom discarded and re-added appears twice in the log; keep
-        # the first surviving occurrence so the delta stays a set.
-        for a in self._log_atoms[start:]:
-            if a in atoms and a not in seen:
-                seen.add(a)
-                delta.append(a)
-        return delta
-
-    def discarded_since(self, revision: int) -> bool:
-        """Whether an atom was discarded after ``revision``.
-
-        Every mutation bumps the revision and only adds are logged, so
-        the revisions since ``revision`` that the add log does not
-        account for are discards.  An append-only copy of the instance
-        taken at ``revision`` (a worker replica) is stale exactly then.
-        """
-        if not self._discarded:
-            return False
-        log = self._log_revisions
-        adds = len(log) - bisect.bisect_right(log, revision)
-        return self._revision - revision > adds
+        return self._log_atoms[revision:]
 
     # ------------------------------------------------------------------
     # Queries on the structure
@@ -318,8 +244,7 @@ class Instance:
     def active_domain(self) -> set[Term]:
         """Return ``adom``: all terms occurring in some atom.
 
-        Read off the positional index's keys; ``discard`` drops a key
-        with its last atom, so no term of a removed atom lingers.
+        Read off the positional index's keys.
         """
         return {term for _, _, term in self._by_position}
 
@@ -371,7 +296,10 @@ class Instance:
         )
 
     def copy(self) -> "Instance":
-        """Return a shallow copy (atoms are immutable so this is safe)."""
+        """Return a shallow copy (atoms are immutable so this is safe).
+
+        The copy holds the same atoms, so it starts at the same revision.
+        """
         return Instance(self._atoms, add_top=False)
 
     def is_binary(self) -> bool:

@@ -58,7 +58,9 @@ class GoalProbe:
         """Probe every goal against the whole instance; anchor the watermark.
 
         The round-0 check: later :meth:`check_delta` calls only search
-        matches using atoms added after this point.
+        matches using atoms added after this point.  The watermark is a
+        revision, which counts the atoms added (``len(instance)``), so
+        it marks the same base in the chase's copy of ``instance``.
         """
         self._watermark = instance.revision
         for goal, seed in self._goals:
@@ -67,16 +69,6 @@ class GoalProbe:
                 self.witnessed = True
                 return True
         return False
-
-    def rebase(self, instance: Instance) -> None:
-        """Re-anchor the watermark on another instance *copy*.
-
-        The runner chases a copy of the caller's instance whose revision
-        counter starts fresh; the copy's pre-round-1 revision covers
-        exactly the atoms :meth:`check_full` already searched on the
-        original, so anchoring here keeps the increment sound.
-        """
-        self._watermark = instance.revision
 
     def check_delta(self, instance: Instance) -> bool:
         """Probe only for matches using an atom added since the watermark.
@@ -115,9 +107,6 @@ class GoalDirectedPolicy(ObliviousPolicy):
     def __init__(self, probe: GoalProbe):
         super().__init__()
         self.probe = probe
-
-    def begin_run(self, result) -> None:
-        self.probe.rebase(result.instance)
 
     def round_complete(self, result) -> bool:
         return self.probe.check_delta(result.instance)

@@ -246,7 +246,3 @@ class TestMatcherScalesWithDelta:
         assert inst.delta_since(inst.revision) == []
         mid = base + 1
         assert inst.delta_since(mid) == [b]
-        # Discards bump the revision and drop atoms out of deltas.
-        inst.discard(b)
-        assert inst.revision == base + 3
-        assert inst.delta_since(base) == [a]

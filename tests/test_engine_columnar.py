@@ -167,7 +167,7 @@ class TestMatcherParity:
 
 
 class TestDeltaSinceFastPath:
-    """`Instance.delta_since` skips the seen-set filter until a discard."""
+    """`Instance.delta_since` is a plain slice of the add log."""
 
     def test_append_only_delta_is_a_log_slice(self):
         a, b, c = _constants(3)
@@ -184,37 +184,3 @@ class TestDeltaSinceFastPath:
             Atom(E, (b, c)),
             Atom(TAG, (a,)),
         ]
-
-    def test_discard_switches_to_filtering(self):
-        a, b, c = _constants(3)
-        inst = Instance(add_top=False)
-        inst.add(Atom(E, (a, b)))
-        inst.add(Atom(E, (b, c)))
-        inst.discard(Atom(E, (a, b)))
-        # The discarded atom must not reappear in any delta.
-        assert inst.delta_since(0) == [Atom(E, (b, c))]
-        # Re-adding after a discard logs a second occurrence; the delta
-        # stays a set, keeping the first surviving log position.
-        inst.add(Atom(E, (a, b)))
-        assert inst.delta_since(0) == [Atom(E, (a, b)), Atom(E, (b, c))]
-
-    def test_failed_discard_keeps_fast_path_semantics(self):
-        a, b = _constants(2)
-        inst = Instance(add_top=False)
-        inst.add(Atom(E, (a, b)))
-        revision = inst.revision
-        assert not inst.discard(Atom(F, (a, b)))
-        # A no-op discard bumps nothing and the delta stays exact.
-        assert inst.revision == revision
-        assert inst.delta_since(0) == [Atom(E, (a, b))]
-
-    def test_copy_preserves_filtering_state(self):
-        a, b = _constants(2)
-        inst = Instance(add_top=False)
-        inst.add(Atom(E, (a, b)))
-        inst.discard(Atom(E, (a, b)))
-        inst.add(Atom(E, (a, b)))
-        clone = inst.copy()
-        # The clone rebuilds from live atoms only — its log is clean, so
-        # either path must produce the same delta.
-        assert clone.delta_since(0) == inst.delta_since(0)

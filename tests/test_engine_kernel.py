@@ -12,14 +12,13 @@ from an image equal to the one a trigger restricts from the oracle's
 homomorphism), the same survivors (the ``Term``-smallest image per
 missing ground head), derived atoms (the head instantiations the store
 lacks) and match verdicts, and the same ``MATCHER_STATS`` and
-``INSTANTIATION_STATS`` counts, round after round, on three stores — a
-plain :class:`Instance`, a worker-style :class:`ColumnarInstance`
-replica, and an :class:`Instance` that has discarded an atom after its
-id view was built.  The cases include draws of
+``INSTANTIATION_STATS`` counts, round after round, on two stores — a
+plain :class:`Instance` and a worker-style :class:`ColumnarInstance`
+replica.  The cases include draws of
 :func:`~repro.corpus.generators.random_chase_ruleset` (existential
 rules, rule constants, repeated variables, multi-atom heads).  The
-remaining tests pin the id view's lifecycle (never pickled, dropped by
-``discard``), that delta rounds never reach the object matcher, the
+remaining tests pin the id view's lifecycle (synced per revision,
+never pickled), that delta rounds never reach the object matcher, the
 per-round counts of transitivity over ``path_instance(12)``, and the
 kernel-backed closures — inline and on the worker pool — against
 ``naive``.
@@ -152,26 +151,6 @@ class PlainStore:
         return self.instance, as_delta_instance(atoms)
 
 
-class DiscardedStore(PlainStore):
-    """An instance whose id view was built before one atom was discarded."""
-
-    def __init__(self, rules, first_round):
-        super().__init__()
-        junk = Constant("junk")
-        stray = [
-            Atom(atom.predicate, (junk,) * atom.predicate.arity)
-            for atom in first_round
-        ]
-        self.instance.update(stray)
-        for rule in rules:
-            rule_unsatisfied_images(rule, self.instance, self.instance)
-        assert self.instance._id_view is not None
-        for atom in stray:
-            if atom not in first_round:
-                self.instance.discard(atom)
-        assert self.instance._id_view is None
-
-
 class ReplicaStore:
     """A worker-style replica: a columnar store over a vocabulary grown
     by table segments, fed packed buffers, with the delta in the same
@@ -199,15 +178,13 @@ class ReplicaStore:
         return self.instance, delta
 
 
-STORES = ["plain", "replica", "discarded"]
+STORES = ["plain", "replica"]
 
 
-def _store(kind, rules, rounds):
+def _store(kind, rules):
     if kind == "plain":
         return PlainStore()
-    if kind == "replica":
-        return ReplicaStore(rules)
-    return DiscardedStore(rules, rounds[0])
+    return ReplicaStore(rules)
 
 
 # ----------------------------------------------------------------------
@@ -345,7 +322,7 @@ class TestKernelMatchesObjectMatcher:
         # Pivoted on each round's delta, then unpivoted on the whole
         # instance: one search per rule, over every match.
         expected = _oracle_rounds(rules, rounds, _oracle_images)
-        store = _store(kind, rules, rounds)
+        store = _store(kind, rules)
         for atoms, per_rule in zip(rounds, expected):
             instance, delta = store.advance(atoms)
             for rule, want in zip(rules, per_rule):
@@ -359,7 +336,7 @@ class TestKernelMatchesObjectMatcher:
 
     def test_unsatisfied_images(self, name, rules, rounds, kind):
         expected = _oracle_rounds(rules, rounds, _oracle_unsatisfied)
-        store = _store(kind, rules, rounds)
+        store = _store(kind, rules)
         for atoms, per_rule in zip(rounds, expected):
             instance, delta = store.advance(atoms)
             for rule, want in zip(rules, per_rule):
@@ -371,7 +348,7 @@ class TestKernelMatchesObjectMatcher:
     def test_derived_atoms(self, name, rules, rounds, kind):
         datalog = [rule for rule in rules if rule.is_datalog]
         expected = _oracle_rounds(datalog, rounds, _oracle_derive)
-        store = _store(kind, datalog, rounds)
+        store = _store(kind, datalog)
         for atoms, per_rule in zip(rounds, expected):
             instance, delta = store.advance(atoms)
             for rule, want in zip(datalog, per_rule):
@@ -384,7 +361,7 @@ class TestKernelMatchesObjectMatcher:
         # candidates on every call that finds no match (a witnessing
         # search stops at the first match it reaches, in row order).
         reference = PlainStore()
-        store = _store(kind, rules, rounds)
+        store = _store(kind, rules)
         for atoms in rounds:
             oracle_instance, oracle_delta = reference.advance(atoms)
             instance, delta = store.advance(atoms)
@@ -404,7 +381,7 @@ class TestKernelMatchesObjectMatcher:
 
     def test_whole_instance_as_delta(self, name, rules, rounds, kind):
         # The unpivoted search: one per rule, over every match.
-        store = _store(kind, rules, rounds)
+        store = _store(kind, rules)
         for atoms in rounds:
             instance, _ = store.advance(atoms)
         reference = Instance([a for r in rounds for a in r], add_top=False)
@@ -426,7 +403,7 @@ def test_term_smallest_image_survives_against_interning_order():
     )]
     (rule,) = rules
     for kind in STORES:
-        instance, delta = _store(kind, rules, rounds).advance(rounds[0])
+        instance, delta = _store(kind, rules).advance(rounds[0])
         found = rule_unsatisfied_images(rule, instance, delta)
         assert [[t.name for t in image] for image in found] == [
             ["a", "m1", "b"]
@@ -456,18 +433,6 @@ class TestIdView:
         store = ReplicaStore()
         instance, _ = store.advance(sorted(path_instance(3)))
         assert id_view(instance) is instance
-
-    def test_discard_drops_the_view(self):
-        instance = path_instance(4)
-        id_view(instance)
-        atom = instance.sorted_atoms()[0]
-        instance.discard(atom)
-        assert instance._id_view is None
-        view = id_view(instance)
-        vocabulary = view.vocabulary
-        rows = view.row_set(vocabulary.predicate_ids[atom.predicate])
-        assert tuple(vocabulary.term_ids.get(t) for t in atom.args) not in rows
-        assert len(view) == len(instance)
 
     def test_pickle_is_unchanged_by_the_kernel(self):
         instance = path_instance(12)

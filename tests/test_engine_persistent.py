@@ -36,11 +36,7 @@ from repro.engine import (
     resolve_engine,
     wire,
 )
-from repro.engine.core import (
-    as_delta_instance,
-    round_matches,
-    rule_delta_images,
-)
+from repro.engine.core import as_delta_instance, round_matches
 from repro.errors import ChaseError
 from repro.logic import MATCHER_STATS
 from repro.logic.atoms import atom
@@ -462,7 +458,7 @@ def _terms(*names: str) -> tuple:
 
 class TestReplicaFreshness:
     """Replicas are append-only copies of one instance: a round on
-    another instance, or after a discard, must reseed them."""
+    another instance must reseed them."""
 
     RULES = tuple(parse_rules("E(x,y), E(y,z) -> F(x,z)"))
 
@@ -481,39 +477,6 @@ class TestReplicaFreshness:
             found = self._pooled(pool, second, second.sorted_atoms())
             assert TRANSPORT_STATS.seeds == 2
         assert sorted(found) == [_terms("B0", "B1", "B2")]
-
-    def test_discard_reseeds_and_later_adds_only_sync(self):
-        instance = Instance(_path("A", 7))
-        added = [
-            atom("E", "X0", "A3"),
-            atom("E", "A4", "X1"),
-            atom("E", "X1", "X2"),
-            atom("E", "X2", "A0"),
-        ]
-        with WorkerPool(2) as pool:
-            TRANSPORT_STATS.reset()
-            self._pooled(pool, instance, instance.sorted_atoms())
-            assert instance.discard(atom("E", "A3", "A4"))
-            instance.update(added)
-            found = self._pooled(pool, instance, added)
-            assert TRANSPORT_STATS.seeds == 2
-            # The replicas lost E(A3,A4) too: no image runs through it,
-            # exactly as on the parent's instance.
-            expected = rule_delta_images(
-                self.RULES[0], instance, as_delta_instance(added)
-            )
-            assert sorted(found) == sorted(expected)
-            assert _terms("X0", "A3", "A4") not in found
-            assert _terms("A3", "A4", "X1") not in found
-            # A later round that only adds syncs its delta, no reseed.
-            late = atom("E", "A7", "X0")
-            instance.add(late)
-            found = self._pooled(pool, instance, [late])
-            assert TRANSPORT_STATS.seeds == 2
-        assert sorted(found) == [
-            _terms("A6", "A7", "X0"),
-            _terms("A7", "X0", "A3"),
-        ]
 
 
 def _assert_same_image_sets(found, expected):

@@ -26,12 +26,6 @@ class TestContainer:
         added = inst.update([edge("a", "b"), edge("a", "b"), edge("b", "c")])
         assert added == 2
 
-    def test_discard(self):
-        inst = instance_of(edge("a", "b"))
-        assert inst.discard(edge("a", "b"))
-        assert not inst.discard(edge("a", "b"))
-        assert edge("a", "b") not in inst
-
     def test_equality_is_by_atom_set(self):
         assert instance_of(edge("a", "b")) == instance_of(edge("a", "b"))
 
@@ -44,15 +38,6 @@ class TestIndexes:
     def test_with_predicate(self):
         inst = instance_of(edge("a", "b"), atom("P", "a"))
         assert inst.with_predicate(EDGE) == {edge("a", "b")}
-
-    def test_discard_cleans_indexes(self):
-        inst = instance_of(edge("a", "b"), edge("b", "c"))
-        inst.discard(edge("a", "b"))
-        # b stays: it still occurs in E(b,c), at the other position.
-        assert inst.active_domain() == {Variable("b"), Variable("c")}
-        inst.discard(edge("b", "c"))
-        assert inst.active_domain() == set()
-        assert inst.count(EDGE) == 0
 
     def test_signature_and_adom(self):
         inst = instance_of(edge("a", "b"), atom("P", "c"))

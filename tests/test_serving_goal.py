@@ -166,8 +166,6 @@ def _replay(goals, slices):
     """Both probes' calls, slice by slice, on one growing instance."""
     instance = Instance(add_top=False)
     kernel, reference = GoalProbe(goals), ObjectMatcherProbe(goals)
-    kernel.rebase(instance)
-    reference.rebase(instance)
     calls = []
     for atoms in slices:
         instance.update(atoms)
@@ -223,7 +221,6 @@ def test_check_delta_never_reaches_the_object_matcher(monkeypatch):
     for goals in _goal_sets(rules, final):
         instance = Instance(add_top=False)
         probe = GoalProbe(goals)
-        probe.rebase(instance)
         for atoms in slices:
             instance.update(atoms)
             probe.check_delta(instance)
