@@ -12,9 +12,11 @@ from an image equal to the one a trigger restricts from the oracle's
 homomorphism), the same survivors (the ``Term``-smallest image per
 missing ground head), derived atoms (the head instantiations the store
 lacks) and match verdicts, and the same ``MATCHER_STATS`` and
-``INSTANTIATION_STATS`` counts, round after round, on two stores — a
-plain :class:`Instance` and a worker-style :class:`ColumnarInstance`
-replica.  The cases include draws of
+``INSTANTIATION_STATS`` counts, round after round, on three stores — a
+plain :class:`Instance`, a worker-style :class:`ColumnarInstance`
+replica, and an :class:`Instance` grown in two ``update`` calls per
+round, with repeated atoms and its id view synced in between.  The
+cases include draws of
 :func:`~repro.corpus.generators.random_chase_ruleset` (existential
 rules, rule constants, repeated variables, multi-atom heads).  The
 remaining tests pin the id view's lifecycle (synced per revision,
@@ -151,6 +153,22 @@ class PlainStore:
         return self.instance, as_delta_instance(atoms)
 
 
+class GrownStore(PlainStore):
+    """An object instance fed each round in two ``update`` calls that
+    repeat atoms it already holds, with its id view synced in between:
+    the view grows from ``delta_since`` at a mid-round revision, and the
+    repeats never reach the add log, so the rows keep the plain store's
+    order."""
+
+    def advance(self, atoms):
+        held = self.instance.sorted_atoms()
+        half = len(atoms) // 2
+        self.instance.update(held + atoms[:half] + atoms[:half])
+        assert len(id_view(self.instance)) == self.instance.revision
+        self.instance.update(atoms[half:] + held + atoms)
+        return self.instance, as_delta_instance(atoms)
+
+
 class ReplicaStore:
     """A worker-style replica: a columnar store over a vocabulary grown
     by table segments, fed packed buffers, with the delta in the same
@@ -178,13 +196,15 @@ class ReplicaStore:
         return self.instance, delta
 
 
-STORES = ["plain", "replica"]
+STORES = ["plain", "replica", "grown"]
 
 
 def _store(kind, rules):
     if kind == "plain":
         return PlainStore()
-    return ReplicaStore(rules)
+    if kind == "replica":
+        return ReplicaStore(rules)
+    return GrownStore()
 
 
 # ----------------------------------------------------------------------
