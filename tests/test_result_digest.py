@@ -214,13 +214,33 @@ def test_lines_cover_records_timestamps_levels_and_counts():
     lines = list(result_digest.result_lines(result, (3, 4, 5)))
     kinds = {line.split()[0] for line in lines}
     assert kinds == {
-        "instance", "record", "timestamp", "level", "levels", "counts"
+        "instance", "record", "timestamp", "level", "levels",
+        "applications", "counts",
     }
     records = [line for line in lines if line.startswith("record")]
     assert len(records) == len(result.records())
     assert "Null:_n0" in records[0]  # the created null
     assert lines[-1] == "counts 3 4 5"
-    assert lines[-2] == "levels 2 terminated False"
+    assert lines[-2] == "applications 3"
+    assert lines[-3] == "levels 2 terminated False"
+
+
+def test_repeated_head_prints_no_record_but_is_counted():
+    from repro.chase import oblivious_chase
+    from repro.rules.parser import parse_instance, parse_rules
+
+    # Both triggers of E(x,y) -> F(x) on E(a,b), E(a,c) ground F(a): the
+    # first application adds it, the second adds nothing.
+    result = oblivious_chase(
+        parse_instance("E(a,b), E(a,c)"),
+        parse_rules("E(x,y) -> F(x)"),
+        max_levels=2,
+    )
+    lines = list(result_digest.result_lines(result, (0, 0, 0)))
+    records = [line for line in lines if line.startswith("record")]
+    assert len(records) == 1
+    assert records[0].endswith("| F/1(Constant:a)")
+    assert "applications 2" in lines
 
 
 def test_unknown_case_is_an_error(capsys):

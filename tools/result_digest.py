@@ -19,10 +19,14 @@ prints no line.  A chase digest
 covers, per case and in case order:
 
 * the sorted instance;
-* every creation record in firing order: rule, image, sorted mapping,
-  level, created nulls and sorted output atoms;
+* every creation record that adds an atom, in firing order: rule,
+  image, sorted mapping, level, created nulls and sorted output atoms (a
+  record whose output atoms all lie in ``Ch_0`` or in an earlier
+  record's output adds none, and is left out);
 * every term's timestamp and every atom's level;
 * ``levels_completed`` and ``terminated``;
+* the number of trigger applications
+  (``statistics()["trigger_applications"]``);
 * the run's matcher searches and candidates and its head
   instantiations.
 
@@ -306,7 +310,11 @@ def result_lines(result, counts: tuple[int, int, int]):
     """The canonical text of one run, line by line."""
     instance = result.instance
     yield "instance " + _atoms(instance)
+    present = {atom for atom in instance if result.atom_level(atom) == 0}
     for record in result.records():
+        if record.output_atoms <= present:
+            continue
+        present |= record.output_atoms
         trigger = record.trigger
         yield " | ".join([
             "record " + str(trigger.rule),
@@ -323,6 +331,7 @@ def result_lines(result, counts: tuple[int, int, int]):
     for atom in sorted(instance):
         yield f"level {_atom(atom)} {result.atom_level(atom)}"
     yield f"levels {result.levels_completed} terminated {result.terminated}"
+    yield f"applications {result.statistics()['trigger_applications']}"
     yield "counts {} {} {}".format(*counts)
 
 
