@@ -277,7 +277,8 @@ class Instance:
 
         Section 2.1: the disjoint union renames the variables of the second
         operand so that the two active domains do not overlap (constants are
-        shared, as usual for databases).
+        shared, as usual for databases).  ``⊤`` is in the result exactly
+        when an operand has it.
         """
         supply = supply or FreshSupply(prefix="_u")
         renaming: dict[Term, Term] = {}
@@ -285,7 +286,7 @@ class Instance:
             if not term.is_constant:
                 renaming[term] = supply.variable()
         sigma = Substitution(renaming)
-        result = Instance(self._atoms, add_top=True)
+        result = Instance(self._atoms, add_top=False)
         result.update(sigma.apply_atoms(other._atoms))
         return result
 

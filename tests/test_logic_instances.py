@@ -59,6 +59,20 @@ class TestPaperOperations:
         assert restricted == instance_of(edge("a", "b"), add_top=False)
         assert TOP_ATOM not in restricted
 
+    def test_disjoint_union_adds_no_top(self):
+        left = instance_of(edge("a", "b"), add_top=False)
+        right = instance_of(edge("c", "d"), add_top=False)
+        union = left.disjoint_union(right)
+        assert TOP_ATOM not in union
+        assert len(union) == 2
+
+    def test_disjoint_union_keeps_top_of_either_operand(self):
+        plain = instance_of(edge("a", "b"), add_top=False)
+        topped = instance_of(edge("c", "d"))
+        assert TOP_ATOM in topped
+        assert TOP_ATOM in plain.disjoint_union(topped)
+        assert TOP_ATOM in topped.disjoint_union(plain)
+
     def test_disjoint_union_renames_second(self):
         left = instance_of(edge("x", "y").apply({}), add_top=True)
         right = Instance([edge(Variable("x"), Variable("y"))])
