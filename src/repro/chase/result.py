@@ -9,8 +9,11 @@ The Section 5 machinery needs more than the final atom set:
 * the creating trigger itself (used by the executable peak-removing
   argument, Lemma 40).
 
-:class:`ChaseResult` records all of this, exposes the level-indexed
-prefixes ``Ch_k`` and timestamp multisets ``TS_m``.
+All three read only *creating* applications: those that add an atom.
+:class:`ChaseResult` keeps a :class:`CreationRecord` for exactly those
+(every application that draws a null is one) and counts the rest; it
+exposes the level-indexed prefixes ``Ch_k`` and timestamp multisets
+``TS_m``.
 """
 
 from __future__ import annotations
@@ -30,7 +33,9 @@ from repro.chase.trigger import Trigger
 
 @dataclass(frozen=True)
 class CreationRecord:
-    """Provenance of one trigger application."""
+    """Provenance of one creating trigger application: one that added at
+    least one atom.  ``output_atoms`` is its whole output, atoms that
+    were already present included."""
 
     trigger: Trigger
     level: int
@@ -80,6 +85,7 @@ class ChaseResult:
         }
         self._creation: dict[Null, CreationRecord] = {}
         self._records: list[CreationRecord] = []
+        self._applications: int = 0
 
     # ------------------------------------------------------------------
     # Recording (used by the chase engines)
@@ -97,13 +103,18 @@ class ChaseResult:
         ``(trigger, (output_atoms, existential_map))`` pairs in canonical
         firing order — the lazy claim/output stream every
         :class:`~repro.engine.runner.ChaseRunner` round fires through.
-        Each pair is recorded, and the atom budget checked, before the
+        Each pair is applied, and the atom budget checked, before the
         next one is pulled, so a claim evaluated by the stream sees every
         earlier application of the round.  ``level`` is the round's
         number, at least 1: the initial terms alone have timestamp 0.
-        Returns ``(applications_recorded, budget_exceeded)``; on a budget
-        hit the iterable is not pulled further, so no later trigger is
-        claimed or instantiated and no further null is drawn.
+        Every application is counted; a :class:`CreationRecord` is kept
+        only for one that adds an atom.  An existential-free output is
+        folded into the instance once per round: the round's triggers
+        share their ground heads (:func:`~repro.chase.trigger.round_triggers`),
+        and a head already folded adds nothing.  Returns
+        ``(applications, budget_exceeded)``; on a budget hit the iterable
+        is not pulled further, so no later trigger is claimed or
+        instantiated and no further null is drawn.
 
         While a round is traced (:func:`repro.obs.trace.active_round`),
         the recording body of each pair is timed into the round's
@@ -119,33 +130,46 @@ class ChaseResult:
         atom_level = self._atom_level
         instance = self.instance
         add = instance.add
+        size = len(instance)
+        folded: set[frozenset[Atom]] = set()
         applied = 0
-        for trigger, (output_atoms, existential_map) in applications:
-            if recorder is not None:
-                start = perf()
-            atoms = frozenset(output_atoms)
-            record = CreationRecord(
-                trigger=trigger,
-                level=level,
-                created_nulls=tuple(sorted(existential_map.values())),
-                output_atoms=atoms,
-            )
-            records.append(record)
-            for null in record.created_nulls:
-                creation[null] = record
-                timestamps.setdefault(null, level)
-            for atom in atoms:
-                if add(atom):
-                    atom_level[atom] = level
-                    for term in atom.args:
-                        timestamps.setdefault(term, level)
-            applied += 1
-            exceeded = len(instance) > max_atoms
-            if recorder is not None:
-                recorder.add_phase("record", perf() - start)
-            if exceeded:
-                return applied, True
-        return applied, False
+        try:
+            for trigger, (output_atoms, existential_map) in applications:
+                if recorder is not None:
+                    start = perf()
+                applied += 1
+                atoms = frozenset(output_atoms)
+                if existential_map or atoms not in folded:
+                    if not existential_map:
+                        folded.add(atoms)
+                    before = size
+                    for atom in atoms:
+                        if add(atom):
+                            size += 1
+                            atom_level[atom] = level
+                            for term in atom.args:
+                                timestamps.setdefault(term, level)
+                    if size > before:
+                        # Every created null lies in an added atom, which
+                        # gave it its timestamp.
+                        record = CreationRecord(
+                            trigger=trigger,
+                            level=level,
+                            created_nulls=tuple(
+                                sorted(existential_map.values())
+                            ),
+                            output_atoms=atoms,
+                        )
+                        records.append(record)
+                        for null in record.created_nulls:
+                            creation[null] = record
+                if recorder is not None:
+                    recorder.add_phase("record", perf() - start)
+                if size > max_atoms:
+                    return applied, True
+            return applied, False
+        finally:
+            self._applications += applied
 
     # ------------------------------------------------------------------
     # Timestamps (Definition 34)
@@ -196,7 +220,12 @@ class ChaseResult:
         return self.creation_of(term).frontier_terms()
 
     def records(self) -> tuple[CreationRecord, ...]:
-        """All trigger applications in order."""
+        """The creating trigger applications, in firing order.
+
+        Each added at least one atom, and every atom above level 0 was
+        added by exactly one of them.  Applications that added nothing
+        are only counted (``statistics()["trigger_applications"]``).
+        """
         return tuple(self._records)
 
     # ------------------------------------------------------------------
@@ -219,11 +248,12 @@ class ChaseResult:
         return {t for t, ts in self._term_timestamp.items() if ts > 0}
 
     def statistics(self) -> dict[str, int]:
-        """Summary counters for reporting."""
+        """Summary counters for reporting; ``trigger_applications``
+        counts every application, creating or not."""
         return {
             "atoms": len(self.instance),
             "terms": len(self._term_timestamp),
             "chase_terms": len(self.chase_terms()),
             "levels": self.levels_completed,
-            "trigger_applications": len(self._records),
+            "trigger_applications": self._applications,
         }

@@ -26,7 +26,7 @@ from repro.queries.cq import ConjunctiveQuery
 from repro.queries.entailment import answer_homomorphisms, entails_cq
 from repro.rules.ruleset import RuleSet
 from repro.core.egraph import egraph
-from repro.core.tournament import entails_loop, is_growing, max_tournament_size
+from repro.core.tournament import is_growing, max_tournament_size
 from repro.core.valley import is_valley_query
 
 
@@ -308,7 +308,16 @@ def check_property_p(
     max_atoms: int = 100_000,
     predicate: Predicate = EDGE,
 ) -> PropertyPReport:
-    """Run the chase and measure Property (p)'s two sides per level."""
+    """Run the chase and measure Property (p)'s two sides per level.
+
+    Property (p) reads only the ``predicate``-edges of each prefix
+    ``Ch_k``, so the chase's edges are read once, grouped by the level at
+    which each first appeared, and one E-graph grows level by level:
+    after level ``k`` it is ``egraph(result.prefix(k), predicate)``.
+    ``tournament_sizes[k]`` is its maximum tournament, and ``loop_level``
+    the first level that adds an edge ``v -> v`` (``Loop_E`` holds on
+    ``Ch_k`` from there on).
+    """
     start = instance if instance is not None else Instance()
     result = oblivious_chase(
         start, rules, max_levels=max_levels, max_atoms=max_atoms
@@ -316,11 +325,19 @@ def check_property_p(
     report = PropertyPReport(
         levels=result.levels_completed, terminated=result.terminated
     )
-    for level in range(result.levels_completed + 1):
-        prefix = result.prefix(level)
-        report.tournament_sizes.append(
-            max_tournament_size(egraph(prefix, predicate))
-        )
-        if report.loop_level is None and entails_loop(prefix, predicate):
+    edges_at: list[set[tuple[Term, ...]]] = [
+        set() for _ in range(result.levels_completed + 1)
+    ]
+    for atom in result.instance.with_predicate(predicate):
+        level = result.atom_level(atom)
+        # A mid-round budget stop leaves its partial level in the
+        # instance, above every completed prefix.
+        if level <= result.levels_completed:
+            edges_at[level].add(atom.args)
+    graph = egraph((), predicate)
+    for level, edges in enumerate(edges_at):
+        graph.add_edges_from(edges)
+        report.tournament_sizes.append(max_tournament_size(graph))
+        if report.loop_level is None and any(s == t for s, t in edges):
             report.loop_level = level
     return report

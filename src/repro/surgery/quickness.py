@@ -36,7 +36,13 @@ class QuicknessViolation:
 
 
 def _atom_creators(result: ChaseResult) -> dict[Atom, "object"]:
-    """Map each chase atom to the first record that produced it."""
+    """Map each atom above level 0 to the record that added it.
+
+    Every record is a creating application, so the first record whose
+    output holds such an atom is the one that added it.  A level-0 atom
+    may map to a record that re-derived it; :func:`quickness_violations`
+    reads only atoms above level 1.
+    """
     creators: dict[Atom, object] = {}
     for record in result.records():
         for atom in record.output_atoms:

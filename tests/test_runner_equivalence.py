@@ -45,7 +45,7 @@ from repro.corpus.generators import (
 from repro.engine import ChaseRunner, EngineConfig, VariantPolicy
 from repro.errors import ChaseBudgetExceeded
 from repro.logic.instances import Instance
-from repro.logic.terms import FreshSupply
+from repro.logic.terms import FreshSupply, Null
 from repro.obs import RunTrace
 from repro.rewriting.datalog import semi_naive_closure
 from repro.rules.parser import parse_rules
@@ -180,23 +180,119 @@ def test_paper_rows_are_bit_identical(vname, run, wname, make, rules, steps):
         assert_bit_identical(result, reference)
 
 
+POLICIES = {
+    "oblivious": ObliviousPolicy,
+    "semi_oblivious": SemiObliviousPolicy,
+    "restricted": RestrictedPolicy,
+}
+
+
+def _traced_run(vname, engine, instance, rules, steps, max_atoms):
+    """One traced run of ``vname`` and its supply position after it."""
+    trace = RunTrace()
+    supply = FreshSupply("_g")
+    result = ChaseRunner(
+        POLICIES[vname](),
+        engine,
+        max_steps=steps,
+        max_atoms=max_atoms,
+        supply=supply,
+        trace=trace,
+    ).run(instance, rules)
+    return result, trace, supply.position
+
+
+def assert_records_are_creating(result):
+    """Every record adds an atom at its level, and every atom above level
+    0 is added by exactly one record; every chase null has its creator.
+
+    A record adds the atoms of its output that lie neither in ``Ch_0``
+    nor in an earlier record's output.
+    """
+    present = {a for a in result.instance if result.atom_level(a) == 0}
+    added = []
+    for record in result.records():
+        new = record.output_atoms - present
+        assert new, record
+        assert {result.atom_level(a) for a in new} == {record.level}
+        added.append(new)
+        present |= record.output_atoms
+    above = {a for a in result.instance if result.atom_level(a) > 0}
+    assert sum(len(new) for new in added) == len(above)
+    assert set().union(*added) == above
+    for term in result.instance.active_domain():
+        if isinstance(term, Null) and result.is_chase_term(term):
+            record = result.creation_of(term)
+            assert term in record.created_nulls
+            assert record.level == result.timestamp(term)
+
+
+@pytest.mark.parametrize(
+    "wname,make,rules,steps", PAPER_ROWS, ids=PAPER_ROW_IDS
+)
+@pytest.mark.parametrize("vname", list(POLICIES))
+def test_paper_rows_record_only_creating_applications(
+    vname, wname, make, rules, steps
+):
+    # Applications that add nothing are counted, not recorded: the count
+    # is the trace's ``applied`` summed over rounds, on every engine.
+    counts = {}
+    for ename, engine in PAPER_ENGINES:
+        result, trace, _ = _traced_run(
+            vname, engine, make(), rules, steps, 100_000
+        )
+        assert_records_are_creating(result)
+        counts[ename] = result.statistics()["trigger_applications"]
+        assert counts[ename] == sum(r["applied"] for r in trace.rounds)
+    assert set(counts.values()) == {counts["naive"]}
+
+
+#: Mid-round atom-budget stops: ``(row, variant, steps, max_atoms,
+#: applied per round, supply position after the stop)``.  Recording only
+#: creating applications must not move which applications run before a
+#: stop.
+BUDGET_STOPS = [
+    ("growing_tournament_3", "oblivious", 5, 12, [1, 4, 10, 21], 7),
+    ("growing_tournament_3", "semi_oblivious", 5, 12, [1, 4, 10, 16, 2], 6),
+    ("growing_tournament_3", "restricted", 5, 12, [1, 1, 3, 5, 2], 6),
+    ("example_1", "oblivious", 10, 200, [1, 2, 4, 10, 26, 72, 153], 96),
+]
+
+
+@pytest.mark.parametrize(
+    "wname,vname,steps,max_atoms,applied,position",
+    BUDGET_STOPS,
+    ids=[f"{row[0]}-{row[1]}" for row in BUDGET_STOPS],
+)
+def test_budget_stop_applies_and_draws_the_same(
+    wname, vname, steps, max_atoms, applied, position
+):
+    _, make, rules, _ = PAPER_ROWS[PAPER_ROW_IDS.index(wname)]
+    for ename, engine in PAPER_ENGINES:
+        result, trace, at = _traced_run(
+            vname, engine, make(), rules, steps, max_atoms
+        )
+        assert [r["applied"] for r in trace.rounds] == applied, ename
+        assert at == position, ename
+        assert result.statistics()["trigger_applications"] == sum(applied)
+        assert result.levels_completed == len(applied) - 1, ename
+        assert len(result.instance) > max_atoms, ename
+        assert_records_are_creating(result)
+
+
 @pytest.mark.parametrize("vname,run", VARIANTS, ids=VARIANT_IDS)
 def test_growing_tournament_mid_round_budget_stop(vname, run):
     # 12 atoms stop growing_tournament_3 part-way through a round: every
     # engine records the same applications and draws the same nulls, and
-    # the oblivious variants instantiate one head per recorded
-    # application (the restricted chase's claims instantiate heads of
-    # triggers they skip, too).
+    # the oblivious variants instantiate one head per application (the
+    # restricted chase's claims instantiate heads of triggers they skip,
+    # too).
     rules = growing_tournament_ruleset(3)
 
     def stopped(engine):
         supply = FreshSupply("_g")
         result = ChaseRunner(
-            {
-                "oblivious": ObliviousPolicy,
-                "semi_oblivious": SemiObliviousPolicy,
-                "restricted": RestrictedPolicy,
-            }[vname](),
+            POLICIES[vname](),
             engine,
             max_steps=5,
             max_atoms=12,
@@ -215,7 +311,8 @@ def test_growing_tournament_mid_round_budget_stop(vname, run):
         assert at == position, ename
         if vname != "restricted":
             heads = result.telemetry["registry"]["instantiation"]["heads"]
-            assert heads == len(result.records()), ename
+            applied = result.statistics()["trigger_applications"]
+            assert heads == applied, ename
 
 
 class _RecordingProbe(ObliviousPolicy):
@@ -640,7 +737,7 @@ class TestParkedGroundOutputReuse:
         assert_bit_identical(result, reference)
         # One instantiation per claimed trigger — the claim's own.
         heads = result.telemetry["registry"]["instantiation"]["heads"]
-        assert heads == len(result.records())
+        assert heads == result.statistics()["trigger_applications"]
 
 
 # ----------------------------------------------------------------------
