@@ -334,7 +334,7 @@ def check_property_p(
         # instance, above every completed prefix.
         if level <= result.levels_completed:
             edges_at[level].add(atom.args)
-    graph = egraph((), predicate)
+    graph = egraph((), predicate)  # empty; rejects a non-binary predicate
     for level, edges in enumerate(edges_at):
         graph.add_edges_from(edges)
         report.tournament_sizes.append(max_tournament_size(graph))
