@@ -17,8 +17,9 @@ _SPEC = importlib.util.spec_from_file_location("result_digest", TOOL)
 result_digest = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(result_digest)
 
-#: The bdd corpus, one growing tournament and Example 1: about 1.5 s of
-#: chases per run, budget stops and fixpoints alike.
+#: The bdd corpus, one growing tournament, the tournament's atom-budget
+#: stop and Example 1: about 1.5 s of chases per run, level-budget stops,
+#: an atom-budget stop and fixpoints alike.
 SMALL = [
     name
     for name, _, _, steps, _ in result_digest.cases()
@@ -241,6 +242,21 @@ def test_repeated_head_prints_no_record_but_is_counted():
     assert len(records) == 1
     assert records[0].endswith("| F/1(Constant:a)")
     assert "applications 2" in lines
+
+
+def test_budget_cases_stop_over_their_atom_budget():
+    # A ``_budget`` case must stop mid-round in every variant, or the
+    # digest pins no budget-stop accounting.
+    budget = [case for case in result_digest.cases() if "_budget" in case[0]]
+    assert [name for name, *_ in budget] == [
+        "growing_tournament_3_budget", "tc_path_30_budget",
+    ]
+    for name, rules, instance, steps, max_atoms in budget:
+        for variant, chase in result_digest.VARIANTS.items():
+            result = chase(instance, rules, steps, max_atoms)
+            assert len(result.instance) > max_atoms, (name, variant)
+            assert not result.terminated, (name, variant)
+            assert result.levels_completed < steps, (name, variant)
 
 
 def test_unknown_case_is_an_error(capsys):

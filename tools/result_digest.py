@@ -103,7 +103,7 @@ CLOSURE_ENGINES = {
     "persistent_w2": EngineConfig("persistent", workers=2),
 }
 
-#: The atom budget of every case but the budget-stop one
+#: The atom budget of every case but the ``_budget`` ones
 #: (``check_property_p``'s default).
 MAX_ATOMS = 100_000
 
@@ -142,7 +142,11 @@ def cases() -> list[tuple[str, object, Instance, int, int]]:
     corpus at 5 steps, the growing tournaments at 7, Example 1 at 10 and
     transitivity on the 80-edge path to its fixpoint — the chases of
     ``check_property_p`` and of the restricted transitive-closure
-    benchmark — plus a mid-round atom-budget stop."""
+    benchmark — plus two mid-round atom-budget stops (the cases named
+    ``_budget``; every variant ends over their budget): the third
+    growing tournament at 5 levels and 12 atoms, and transitivity on the
+    30-edge path at 12 levels and 300 atoms, whose oblivious chase stops
+    inside its fourth, existential-free level."""
     found = [
         (entry.name, entry.rules, entry.instance, 5, MAX_ATOMS)
         for entry in bdd_corpus()
@@ -152,12 +156,13 @@ def cases() -> list[tuple[str, object, Instance, int, int]]:
         found.append((rules.name, rules, Instance(), 7, MAX_ATOMS))
     tournament = growing_tournament_ruleset(3)
     found.append(
-        (f"{tournament.name}_budget", tournament, Instance(), 7, 2_000)
+        (f"{tournament.name}_budget", tournament, Instance(), 5, 12)
     )
     entry = example_1()
     found.append((entry.name, entry.rules, entry.instance, 10, MAX_ATOMS))
     tc = parse_rules(TC_RULE, name="transitivity")
     found.append(("tc_path_80", tc, path_instance(80), 12, MAX_ATOMS))
+    found.append(("tc_path_30_budget", tc, path_instance(30), 12, 300))
     return found
 
 
