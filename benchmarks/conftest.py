@@ -16,7 +16,20 @@ import json
 import pathlib
 import platform
 
+import pytest
+
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+
+
+@pytest.fixture(autouse=True)
+def _reset_stats_registry():
+    """Zero the metrics registry before each benchmark, so the snapshot
+    :func:`emit_json` stamps counts the emitting test's own work, not
+    whatever earlier tests of the session (EXP-8's calibrated rounds,
+    whose number follows wall-clock) happened to spend."""
+    from repro.obs import reset_all
+
+    reset_all()
 
 
 def emit(name: str, table: str) -> None:
@@ -34,11 +47,16 @@ def emit_json(name: str, payload: dict) -> None:
     a checked-in artifact says where its numbers came from; byte counters
     are deterministic, wall-clocks are not.  Every artifact also carries a
     ``telemetry`` block — the schema version plus a snapshot of the
-    default metrics registry (matcher / instantiation / transport
-    groups) taken at emit time, i.e. the cumulative work of the whole
-    benchmark process up to this artifact (``tools/check_bench_telemetry.py``
-    gates its presence); benchmarks that scope their counters per phase
-    can pass their own ``telemetry`` to override the default.
+    default metrics registry (matcher / instantiation / transport /
+    serving groups) taken at emit time, i.e. the work of the emitting
+    test since it started (:func:`_reset_stats_registry`; a benchmark
+    that resets a group itself, as EXP-14 and EXP-16 reset the transport
+    counters per configuration, stamps what that group counted since);
+    ``tools/check_bench_telemetry.py`` gates its presence.  The pool's
+    worker wall-clocks (``transport.worker_seconds``) are left out, so
+    two runs of one commit stamp the same block.  Benchmarks that scope
+    their counters per phase can pass their own ``telemetry`` to
+    override the default.
     """
     from repro.obs import TRACE_SCHEMA_VERSION, default_registry
 
@@ -51,12 +69,11 @@ def emit_json(name: str, payload: dict) -> None:
             "platform": platform.platform(),
         },
     )
+    registry = default_registry().snapshot()
+    registry.get("transport", {}).pop("worker_seconds", None)
     payload.setdefault(
         "telemetry",
-        {
-            "schema_version": TRACE_SCHEMA_VERSION,
-            "registry": default_registry().snapshot(),
-        },
+        {"schema_version": TRACE_SCHEMA_VERSION, "registry": registry},
     )
     (RESULTS_DIR / f"BENCH_{name}.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n"

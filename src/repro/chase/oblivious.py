@@ -12,6 +12,13 @@ provenance, check budgets and the fixpoint — lives in
 oblivious strategy: delta enumeration with no claim gate (every new
 trigger fires), level accounting with a post-budget fixpoint probe.
 
+A trigger of an existential-free rule whose ground head is already in
+``Ch_n``, or whose head a smaller image of the same rule grounds too,
+adds nothing to ``Ch_{n+1}``.  The delta-family engines find those
+inside the join kernel (``round_mode = "enumerate_counted"``) and count
+each as an application without building it as a :class:`Trigger`, so
+results, counts and budget stops are those of firing them all.
+
 Engines
 -------
 The ``engine`` argument selects an execution engine from the registry in
@@ -61,11 +68,15 @@ class ObliviousPolicy(VariantPolicy):
 
     No claim gate, level accounting.  The naive
     engine's seen set is full trigger identity; registered before firing
-    so each trigger fires at the first level its body matches.
+    so each trigger fires at the first level its body matches.  The
+    delta-family engines count, instead of building, the
+    existential-free triggers that cannot add an atom
+    (``enumerate_counted``).
     """
 
     variant = "chase"
     supply_prefix = "_n"
+    round_mode = "enumerate_counted"
 
     def __init__(self):
         self._fired: set[Trigger] = set()

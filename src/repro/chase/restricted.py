@@ -15,7 +15,8 @@ nothing is a fixpoint) and no post-budget probe.
 
 Satisfaction gating starts inside the enumeration.  An existential-free
 trigger's output is fully determined by its body homomorphism, so the
-delta-family engines (``prune_ground_heads``) never build the triggers
+delta-family engines (``round_mode = "enumerate_unsatisfied"``) never
+build the triggers
 that could not add an atom: a match whose ground head is already in the
 round-start instance, or whose head a smaller image of the same rule
 grounds too, is dropped where it is found — inline, or on the worker
@@ -58,7 +59,7 @@ class RestrictedPolicy(VariantPolicy):
     produced mid-round feed the *next* round's delta), there is no
     post-budget probe, and the naive engine's seen set is full trigger
     identity.  Enumeration prunes existential-free triggers that cannot
-    add an atom (``prune_ground_heads``).
+    add an atom (``enumerate_unsatisfied``).
     """
 
     variant = "restricted chase"
@@ -67,7 +68,7 @@ class RestrictedPolicy(VariantPolicy):
     stop_on_idle_round = True
     probe_fixpoint = False
     step_noun = "rounds"
-    prune_ground_heads = True
+    round_mode = "enumerate_unsatisfied"
 
     def __init__(self):
         self._seen: set[Trigger] = set()

@@ -28,7 +28,8 @@ from repro.errors import ProvenanceError
 from repro.logic.atoms import Atom
 from repro.logic.instances import Instance
 from repro.logic.terms import Null, Term
-from repro.chase.trigger import Trigger
+from repro.rules.rule import INSTANTIATION_STATS
+from repro.chase.trigger import CountedImages, Trigger
 
 
 @dataclass(frozen=True)
@@ -96,6 +97,7 @@ class ChaseResult:
         applications: Iterable[tuple],
         level: int,
         max_atoms: int,
+        counted: CountedImages | None = None,
     ) -> tuple[int, bool]:
         """Record a round's applications, pulling them one at a time.
 
@@ -108,13 +110,18 @@ class ChaseResult:
         earlier application of the round.  ``level`` is the round's
         number, at least 1: the initial terms alone have timestamp 0.
         Every application is counted; a :class:`CreationRecord` is kept
-        only for one that adds an atom.  An existential-free output is
-        folded into the instance once per round: the round's triggers
-        share their ground heads (:func:`~repro.chase.trigger.round_triggers`),
-        and a head already folded adds nothing.  Returns
+        only for one that adds an atom.  Returns
         ``(applications, budget_exceeded)``; on a budget hit the iterable
         is not pulled further, so no later trigger is claimed or
         instantiated and no further null is drawn.
+
+        ``counted`` holds the round's applications that add no atom and
+        never enter the stream (an oblivious round's pruned images,
+        :class:`~repro.chase.trigger.CountedImages`).  Each counts as one
+        application and one head instantiation, the ones that precede
+        the budget stop in canonical order only: a stop at a trigger
+        counts those before it, and a round that starts over the budget
+        stops at its first application, which may be one of them.
 
         While a round is traced (:func:`repro.obs.trace.active_round`),
         the recording body of each pair is timed into the round's
@@ -131,45 +138,47 @@ class ChaseResult:
         instance = self.instance
         add = instance.add
         size = len(instance)
-        folded: set[frozenset[Atom]] = set()
         applied = 0
+        unfired = 0  # the counted applications the round reached
         try:
+            if counted and size > max_atoms and counted.leads():
+                unfired = 1
+                return unfired, True
             for trigger, (output_atoms, existential_map) in applications:
                 if recorder is not None:
                     start = perf()
                 applied += 1
                 atoms = frozenset(output_atoms)
-                if existential_map or atoms not in folded:
-                    if not existential_map:
-                        folded.add(atoms)
-                    before = size
-                    for atom in atoms:
-                        if add(atom):
-                            size += 1
-                            atom_level[atom] = level
-                            for term in atom.args:
-                                timestamps.setdefault(term, level)
-                    if size > before:
-                        # Every created null lies in an added atom, which
-                        # gave it its timestamp.
-                        record = CreationRecord(
-                            trigger=trigger,
-                            level=level,
-                            created_nulls=tuple(
-                                sorted(existential_map.values())
-                            ),
-                            output_atoms=atoms,
-                        )
-                        records.append(record)
-                        for null in record.created_nulls:
-                            creation[null] = record
+                before = size
+                for atom in atoms:
+                    if add(atom):
+                        size += 1
+                        atom_level[atom] = level
+                        for term in atom.args:
+                            timestamps.setdefault(term, level)
+                if size > before:
+                    # Every created null lies in an added atom, which
+                    # gave it its timestamp.
+                    record = CreationRecord(
+                        trigger=trigger,
+                        level=level,
+                        created_nulls=tuple(sorted(existential_map.values())),
+                        output_atoms=atoms,
+                    )
+                    records.append(record)
+                    for null in record.created_nulls:
+                        creation[null] = record
                 if recorder is not None:
                     recorder.add_phase("record", perf() - start)
                 if size > max_atoms:
-                    return applied, True
-            return applied, False
+                    if counted:
+                        unfired = counted.preceding(trigger)
+                    return applied + unfired, True
+            unfired = len(counted) if counted is not None else 0
+            return applied + unfired, False
         finally:
-            self._applications += applied
+            self._applications += applied + unfired
+            INSTANTIATION_STATS.heads += unfired
 
     # ------------------------------------------------------------------
     # Timestamps (Definition 34)
@@ -249,7 +258,9 @@ class ChaseResult:
 
     def statistics(self) -> dict[str, int]:
         """Summary counters for reporting; ``trigger_applications``
-        counts every application, creating or not."""
+        counts every application, creating or not, the oblivious chase's
+        pruned images included (counted without passing through the
+        firing stream, :meth:`record_round`)."""
         return {
             "atoms": len(self.instance),
             "terms": len(self._term_timestamp),

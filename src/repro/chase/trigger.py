@@ -16,7 +16,9 @@ Every delta enumeration — oblivious, semi-oblivious and restricted,
 inline or on the worker pool — joins on the delta core's id kernel
 (:func:`repro.engine.core.round_matches`), which returns each rule's
 distinct body images, and :func:`round_triggers` turns any round's
-per-rule images into its triggers in canonical order.  The object
+per-rule images into its triggers in canonical order; an oblivious
+round's images that cannot add an atom become no trigger and are
+counted instead (:class:`CountedImages`).  The object
 matcher keeps the full enumerations (:func:`triggers_of`,
 :func:`naive_new_triggers_of`, the ``naive`` engine's reference) and
 the satisfaction checks.
@@ -24,7 +26,8 @@ the satisfaction checks.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import chain
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from repro.engine.core import (
     as_delta_instance,
@@ -281,20 +284,77 @@ def _ground_heads(
     return ground
 
 
+class CountedImages:
+    """The images of an ``enumerate_counted`` round that build no
+    :class:`Trigger`: existential-free images whose ground head was in
+    the instance at round start, or repeats a smaller image's head.
+
+    Each is one application that adds no atom, so the round counts it
+    (:meth:`~repro.chase.result.ChaseResult.record_round`) instead of
+    firing it.  ``groups`` holds ``(rule position, images)`` per rule
+    with such images, in rule-set order (:meth:`add`); ``first`` is the
+    round's first trigger.  Only a mid-round atom-budget stop needs to
+    know where the images fall in canonical order (:meth:`preceding`,
+    :meth:`leads`); a round that does not stop never sorts them.
+    """
+
+    __slots__ = ("rules", "groups", "first", "_count")
+
+    def __init__(self, rules: Sequence[Rule] = ()):
+        self.rules = rules
+        self.groups: list[tuple[int, Collection[tuple[Term, ...]]]] = []
+        self.first: Trigger | None = None
+        self._count = 0
+
+    def add(self, position: int, images: Collection[tuple[Term, ...]]):
+        """Count the images of the rule at ``position`` in ``rules``."""
+        self.groups.append((position, images))
+        self._count += len(images)
+
+    def __len__(self) -> int:
+        return self._count
+
+    def preceding(self, trigger: Trigger) -> int:
+        """How many of the images come before ``trigger`` in canonical
+        order: all those of earlier rules, and those of its own rule
+        whose image sorts below its image."""
+        rule = trigger.rule
+        position = next(
+            at for at, other in enumerate(self.rules) if other is rule
+        )
+        key = _image_key(trigger.image())
+        count = 0
+        for at, images in self.groups:
+            if at < position:
+                count += len(images)
+            elif at == position:
+                count += sum(1 for image in images if _image_key(image) < key)
+        return count
+
+    def leads(self) -> bool:
+        """Whether the round's first application in canonical order is
+        one of the images."""
+        return bool(self.groups) and (
+            self.first is None or self.preceding(self.first) > 0
+        )
+
+
 def round_triggers(
     rules: RuleSet | list[Rule],
-    per_rule: Iterable[Sequence[tuple[Term, ...]]],
-    *,
-    prune_ground_heads: bool = False,
-) -> list[Trigger]:
-    """The triggers of one delta round, in canonical order.
+    per_rule: Iterable,
+    mode: str = "enumerate",
+) -> tuple[list[Trigger], CountedImages]:
+    """The triggers of one delta round, in canonical order, and the
+    round's :class:`CountedImages`.
 
-    ``per_rule`` holds one collection of distinct images per rule, as
-    :func:`~repro.engine.core.round_matches` returns them, inline or
-    merged across the worker pool.  Triggers come per rule in rule-set
-    order, each rule's sorted by image — the order every engine fires
-    in, whichever way the matches were found.  Images sort on
-    ``(rank, name)`` keys per term, the order ``Term.__lt__`` defines.
+    ``per_rule`` holds, per rule, what
+    :func:`~repro.engine.core.round_matches` returns in ``mode``, inline
+    or merged across the worker pool: a collection of distinct images,
+    or a ``(survivors, pruned)`` pair in ``"enumerate_counted"``.
+    Triggers come per rule in rule-set order, each rule's sorted by
+    image — the order every engine fires in, whichever way the matches
+    were found.  Images sort on ``(rank, name)`` keys per term, the
+    order ``Term.__lt__`` defines.
 
     An existential-free rule's triggers share their ground heads: the
     round builds one :class:`Atom` per distinct head atom and one
@@ -303,45 +363,61 @@ def round_triggers(
     counted in :data:`~repro.rules.rule.INSTANTIATION_STATS` when
     :meth:`Trigger.output` hands it out).
 
-    ``prune_ground_heads`` is for the images of an
-    ``enumerate_unsatisfied`` round (the restricted chase): an
-    existential-free rule keeps one trigger per distinct ground head,
-    the smallest image (two pool workers may each keep one), and parks
-    the head on ``_ground_output`` for the claim gate and for firing,
-    counting one instantiation per image.  Every dropped trigger is one
-    the restricted chase would have found satisfied at its turn, so
-    firing the survivors in canonical order yields the same result,
-    provenance and budget stops as firing all of the round's matches.
+    The two pruned modes keep, per existential-free rule, one trigger
+    per distinct ground head, the smallest image (two pool workers may
+    each keep one for a head).  ``"enumerate_unsatisfied"`` (the
+    restricted chase) parks the head on ``_ground_output`` for the
+    claim gate and for firing and counts one instantiation per image:
+    every dropped trigger is one the restricted chase would have found
+    satisfied at its turn, so firing the survivors in canonical order
+    yields the same result, provenance and budget stops as firing all
+    of the round's matches.  ``"enumerate_counted"`` (the oblivious
+    chase) shares the survivors' heads as above and returns every other
+    distinct image — the pruned ones and the survivors a smaller
+    image's head displaced — as :class:`CountedImages`: each adds no
+    atom, so counting it is applying it.  The other modes count none.
     """
     triggers: list[Trigger] = []
     append = triggers.append
     from_image = Trigger.from_image
     atoms: dict = {}
     heads: dict = {}
-    for rule, images in zip(rules, per_rule):
-        if not images:
-            continue
-        ordered = sorted(images, key=_image_key)
-        if rule.existential_order():
+    counted = CountedImages(rules)
+    counting = mode == "enumerate_counted"
+    for position, (rule, found) in enumerate(zip(rules, per_rule)):
+        images, pruned = found if counting else (found, ())
+        ordered = sorted(images, key=_image_key) if images else ()
+        if ordered and rule.existential_order():
             for image in ordered:
                 append(from_image(rule, image))
-            continue
-        ground = _ground_heads(rule, atoms, heads)
-        if not prune_ground_heads:
+        elif ordered and mode == "enumerate":
+            ground = _ground_heads(rule, atoms, heads)
             for image in ordered:
                 append(from_image(rule, image, ground(image)))
-            continue
-        INSTANTIATION_STATS.heads += len(ordered)
-        seen: set[frozenset[Atom]] = set()
-        for image in ordered:
-            head = ground(image)
-            if head in seen:
-                continue
-            seen.add(head)
-            trigger = from_image(rule, image)
-            trigger._ground_output = head
-            append(trigger)
-    return triggers
+        elif ordered:
+            ground = _ground_heads(rule, atoms, heads)
+            if not counting:
+                INSTANTIATION_STATS.heads += len(ordered)
+            seen: set[frozenset[Atom]] = set()
+            displaced = []
+            for image in ordered:
+                head = ground(image)
+                if head in seen:
+                    displaced.append(image)
+                    continue
+                seen.add(head)
+                if counting:
+                    append(from_image(rule, image, head))
+                else:
+                    trigger = from_image(rule, image)
+                    trigger._ground_output = head
+                    append(trigger)
+            if counting and displaced:
+                pruned = list(dict.fromkeys(chain(pruned, displaced)))
+        if pruned:
+            counted.add(position, pruned)
+    counted.first = triggers[0] if triggers else None
+    return triggers, counted
 
 
 def new_triggers_of(
@@ -369,7 +445,7 @@ def new_triggers_of(
         return
     for rule in rules:
         found = rule_delta_images(rule, instance, delta_inst)
-        yield from round_triggers((rule,), (found,))
+        yield from round_triggers((rule,), (found,))[0]
 
 
 def restricted_new_triggers_of(
@@ -382,16 +458,15 @@ def restricted_new_triggers_of(
 
     One inline ``enumerate_unsatisfied`` round
     (:func:`~repro.engine.core.rule_unsatisfied_images` per rule) through
-    :func:`round_triggers` with ``prune_ground_heads``: a match of an
-    existential-free rule whose ground head is already present, or whose
-    head a smaller image of the same rule grounds too, never becomes a
-    :class:`Trigger`.  Existential rules enumerate unpruned.
+    :func:`round_triggers`: a match of an existential-free rule whose
+    ground head is already present, or whose head a smaller image of the
+    same rule grounds too, never becomes a :class:`Trigger`.  Existential
+    rules enumerate unpruned.
     """
     rules = list(rules)
-    per_rule = round_matches(
-        "enumerate_unsatisfied", rules, instance, as_delta_instance(delta)
-    )
-    return round_triggers(rules, per_rule, prune_ground_heads=True)
+    mode = "enumerate_unsatisfied"
+    per_rule = round_matches(mode, rules, instance, as_delta_instance(delta))
+    return round_triggers(rules, per_rule, mode)[0]
 
 
 def naive_new_triggers_of(

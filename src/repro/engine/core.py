@@ -15,8 +15,9 @@ atoms is found by ``k`` pivots; callers deduplicate on their own identity
 (trigger image for the chase, the derived head rows for the closure).
 
 Every delta round runs it on one matcher, the *join kernel*, inline and
-on the worker replicas alike: :func:`rule_delta_images` (every oblivious
-and semi-oblivious round, and every existential rule),
+on the worker replicas alike: :func:`rule_delta_images` (every
+semi-oblivious round, and every existential rule),
+:func:`rule_counted_images` (the oblivious chase),
 :func:`rule_unsatisfied_images` (the restricted chase) and
 :func:`derive_delta_atoms` (the closure).  So does the serving layer's
 goal probe, through :func:`rule_delta_match`, which stops at the first
@@ -37,7 +38,8 @@ serves every rule; ground heads (existential-free rules) are id tuples
 tested against the store's row sets.  The enumerate modes return images
 only: per rule, the distinct
 ``h(x̄)`` along ``rule.body_variable_order()`` as ``Term`` tuples, in no
-particular order (callers sort), with no ``Substitution`` built — a
+particular order (callers sort; the counted mode splits them into a
+``(survivors, pruned)`` pair), with no ``Substitution`` built — a
 trigger derives its mapping from its image
 (:class:`~repro.chase.trigger.Trigger`).  The derive mode returns only
 the ground heads the store lacks, as id rows: a worker replies with
@@ -167,6 +169,35 @@ def rule_unsatisfied_images(
     return _RuleJoin(rule, instance, delta_inst).unsatisfied()
 
 
+def rule_counted_images(
+    rule: Rule,
+    instance: Instance | ColumnarInstance,
+    delta_inst: Instance | ColumnarInstance,
+) -> tuple[list[tuple[Term, ...]], Collection[tuple[Term, ...]]]:
+    """:func:`rule_delta_images` split into the images that can add an
+    atom and the rest: ``(survivors, pruned)``.
+
+    The oblivious chase's enumeration.  It prunes exactly what
+    :func:`rule_unsatisfied_images` drops — an existential-free image
+    whose whole ground head is in ``instance`` at round start, and an
+    image whose head a smaller image of the same rule grounds too — but
+    the oblivious chase applies every trigger, so the pruned images are
+    returned as well, to be counted as applications that add nothing.
+    Heads are tested once per distinct image, on id tuples, and none is
+    instantiated.  ``survivors`` keeps the smallest image per head,
+    compared in ``Term`` order (merging slices must keep the smallest
+    again), in no particular order; ``pruned`` is every other distinct
+    image, its ``Term`` tuples built only when it is iterated (``()``
+    when there is none).  An existential rule's images all survive.
+    """
+    if _idle(rule, instance, delta_inst):
+        return [], ()
+    join = _RuleJoin(rule, instance, delta_inst)
+    if rule.existential_order():
+        return join.images(), ()
+    return join.counted()
+
+
 def rule_delta_match(
     rule: Rule,
     instance: Instance | ColumnarInstance,
@@ -253,7 +284,8 @@ def round_matches(
     runs, inline on the whole delta or in a pool worker on its slice.
 
     ``mode`` is the pool's command name: per rule, the
-    :func:`rule_delta_images` list (``"enumerate"``) or the
+    :func:`rule_delta_images` list (``"enumerate"``), the
+    :func:`rule_counted_images` pair (``"enumerate_counted"``) or the
     :func:`rule_unsatisfied_images` list (``"enumerate_unsatisfied"``),
     or the new heads of all rules (``"derive"``): their
     :func:`derive_delta_rows` on a columnar store (a worker's replica,
@@ -267,12 +299,16 @@ def round_matches(
         for rule in rules:
             derived |= derive_delta_atoms(rule, instance, delta_inst)
         return derived
-    images = (
-        rule_unsatisfied_images
-        if mode == "enumerate_unsatisfied"
-        else rule_delta_images
-    )
+    images = ENUMERATE_MODES[mode]
     return [images(rule, instance, delta_inst) for rule in rules]
+
+
+#: The per-rule function of each enumerate mode of :func:`round_matches`.
+ENUMERATE_MODES = {
+    "enumerate": rule_delta_images,
+    "enumerate_counted": rule_counted_images,
+    "enumerate_unsatisfied": rule_unsatisfied_images,
+}
 
 
 # ----------------------------------------------------------------------
@@ -359,6 +395,29 @@ class _Ids:
         return [tuple(map(term, ids)) for ids in kept]
 
 
+class _PrunedImages:
+    """The distinct images of a counted join that did not survive: a
+    collection of ``Term`` tuples whose size is known at once and whose
+    tuples are built only when it is iterated (a round that stops on its
+    atom budget orders them; a pool worker sends them)."""
+
+    __slots__ = ("_ids", "_seen", "_kept")
+
+    def __init__(self, ids: _Ids, seen: dict, kept: Collection[tuple]):
+        self._ids = ids
+        self._seen = seen  # every distinct image, as id tuples (its keys)
+        self._kept = kept  # the survivors among them
+
+    def __len__(self) -> int:
+        return len(self._seen) - len(self._kept)
+
+    def __iter__(self) -> Iterator[tuple[Term, ...]]:
+        kept = set(self._kept)
+        return iter(
+            self._ids.images(ids for ids in self._seen if ids not in kept)
+        )
+
+
 def row_getter(slots: Sequence[int]) -> Callable[[Sequence], tuple]:
     """The values at positions ``slots`` of a sequence (a slot list, an
     image) as one tuple (C-level when it can be)."""
@@ -392,7 +451,7 @@ class _OrderKeys(dict):
 
 # checks: hot
 def _precedes(
-    candidate: list, kept: tuple, size: int, keys: _OrderKeys
+    candidate: Sequence, kept: tuple, size: int, keys: _OrderKeys
 ) -> bool:
     """Whether ``candidate[:size]`` is below ``kept[:size]`` in ``Term``
     order (ids only decide equality)."""
@@ -545,15 +604,20 @@ class _RuleJoin:
                 return True, started
         return False, len(self.searches)
 
-    def images(self) -> list[tuple[Term, ...]]:
-        kept: dict = {}  # the distinct image ids
+    def _distinct(self) -> dict:
+        """The distinct images of the join's matches, as id tuples (the
+        keys of the returned dict)."""
+        kept: dict = {}
         image_of = row_getter(range(self.image_size))
 
         def emit(slots: list) -> None:
             kept[image_of(slots)] = None
 
         self._run(emit)
-        return self.ids.images(kept)
+        return kept
+
+    def images(self) -> list[tuple[Term, ...]]:
+        return self.ids.images(self._distinct())
 
     def exists(self) -> tuple[bool, int]:
         """Stop at the first match: whether there is one, and how many
@@ -612,6 +676,59 @@ class _RuleJoin:
         self._run(emit)
         INSTANTIATION_STATS.heads += matches
         return self.ids.images(kept.values())
+
+    def counted(self) -> tuple[list[tuple[Term, ...]], _PrunedImages | tuple]:
+        """Every distinct image, split: the smallest image per ground head
+        the view lacks, and the rest.  The join only collects the
+        distinct images; each one's head is then tested once, on its id
+        tuple."""
+        seen = self._distinct()
+        if not seen:
+            return [], ()
+        heads = self._heads()
+        size = self.image_size
+        # A constant's id lies past the image: the head getters read the
+        # slot layout, so extend each image by the slots after it.
+        tail = tuple(self.slots[size:])
+        view = self.view
+        keys = _OrderKeys(self.ids.term_of)
+        kept: dict = {}  # ground head the view lacks -> smallest image ids
+        if len(heads) == 1:
+            ((pred_id, head_row),) = heads
+            present = view.row_set(pred_id)
+            for image in seen:
+                key = head_row(image + tail if tail else image)
+                if key in present:
+                    continue
+                previous = kept.get(key)
+                if previous is None or _precedes(image, previous, size, keys):
+                    kept[key] = image
+        else:
+            heads = [
+                (pred_id, head_row, view.row_set(pred_id))
+                for pred_id, head_row in heads
+            ]
+            for image in seen:
+                slots = image + tail if tail else image
+                ground = []
+                present = True
+                for pred_id, head_row, rows in heads:
+                    row = head_row(slots)
+                    ground.append((pred_id, row))
+                    present = present and row in rows
+                if present:
+                    continue
+                key = frozenset(ground)
+                previous = kept.get(key)
+                if previous is None or _precedes(image, previous, size, keys):
+                    kept[key] = image
+        survivors = kept.values()
+        pruned = (
+            _PrunedImages(self.ids, seen, survivors)
+            if len(seen) > len(kept)
+            else ()
+        )
+        return self.ids.images(survivors), pruned
 
     def derive(self) -> set[tuple[int, tuple[int, ...]]]:
         """The ground heads the view lacks, as id rows ``(pred_id,

@@ -45,11 +45,19 @@ the stream one application at a time and records it before it pulls the
 next, so each claim runs exactly once per trigger, in canonical order,
 and sees every atom the round has added so far — which is what the
 restricted chase's satisfaction check needs — and a mid-round budget
-stop claims, instantiates and draws nothing further.  The restricted
-chase's enumeration (``prune_ground_heads``) already drops the
-existential-free triggers that could not add an atom and parks the
-survivors' heads, so most of its claims are a membership test of a
-parked head.
+stop claims, instantiates and draws nothing further.  Two round modes
+(:attr:`VariantPolicy.round_mode`) prune inside the join kernel the
+existential-free images that cannot add an atom — a ground head present
+at round start, or one a smaller image of the same rule grounds too —
+so the stream carries only the survivors.  The restricted chase's
+enumeration (``enumerate_unsatisfied``) drops them, since its claim
+would skip them, and parks the survivors' heads, so most of its claims
+are a membership test of a parked head.  The oblivious chase's
+(``enumerate_counted``) applies every trigger, so its pruned images
+reach the recorder as :class:`~repro.chase.trigger.CountedImages`:
+each is one application that adds nothing, counted without a
+``Trigger`` being built, and ordered against the stream only when the
+atom budget stops the round.
 
 Import layering
 ---------------
@@ -84,7 +92,7 @@ from repro.obs.trace import (
 
 if TYPE_CHECKING:  # annotation-only: keeps engine importable below chase
     from repro.chase.result import ChaseResult
-    from repro.chase.trigger import Trigger
+    from repro.chase.trigger import CountedImages, Trigger
     from repro.logic.atoms import Atom
     from repro.logic.instances import Instance
     from repro.rules.ruleset import RuleSet
@@ -138,14 +146,18 @@ class VariantPolicy:
     probe_fixpoint = True
     #: What a step is called in budget messages (``levels`` or ``rounds``).
     step_noun = "levels"
-    #: Enumerate in ``enumerate_unsatisfied`` mode on the delta-family
-    #: engines (:func:`~repro.engine.core.rule_unsatisfied_images`, then
-    #: :func:`~repro.chase.trigger.round_triggers`' head dedup):
-    #: existential-free triggers whose ground head is present at round
-    #: start, or repeats a smaller image's head, are never built.  Only
-    #: sound for a claim gate that skips satisfied triggers (the
-    #: restricted chase); ``naive`` stays unpruned.
-    prune_ground_heads = False
+    #: The :func:`~repro.engine.core.round_matches` mode of a round on
+    #: the delta-family engines (``naive`` stays unpruned).
+    #: ``"enumerate"`` builds a trigger per distinct image.  The pruned
+    #: modes build none for an existential-free image whose ground head
+    #: is present at round start, or repeats a smaller image's head:
+    #: ``"enumerate_unsatisfied"`` drops them, sound only for a claim
+    #: gate that skips satisfied triggers (the restricted chase);
+    #: ``"enumerate_counted"`` counts each as an application that adds
+    #: nothing, sound only for a policy that applies every trigger it
+    #: enumerates, with no claim gate that skips one and no
+    #: :meth:`filter_new` that drops one (the oblivious chase).
+    round_mode = "enumerate"
 
     # -- enumeration ---------------------------------------------------
 
@@ -395,9 +407,11 @@ class ChaseRunner:
                 applied = 0
                 try:
                     with timed(recorder, "enumerate"):
-                        triggers = self._new_triggers(result.instance, rules)
-                    triggers_count = len(triggers)
-                    if policy.stop_on_empty_round and not triggers:
+                        triggers, counted = self._new_triggers(
+                            result.instance, rules
+                        )
+                    triggers_count = len(triggers) + len(counted)
+                    if policy.stop_on_empty_round and not triggers_count:
                         result.terminated = True
                         result.levels_completed = step
                         return
@@ -416,6 +430,7 @@ class ChaseRunner:
                             ),
                             level=step + 1,
                             max_atoms=self.max_atoms,
+                            counted=counted,
                         )
                     if exceeded:
                         result.levels_completed = step
@@ -458,19 +473,19 @@ class ChaseRunner:
 
     def _new_triggers(
         self, instance: "Instance", rules: "RuleSet"
-    ) -> list["Trigger"]:
-        """Enumerate one round's candidate triggers on the run's engine."""
-        from repro.chase.trigger import round_triggers
+    ) -> tuple[list["Trigger"], "CountedImages"]:
+        """Enumerate one round's candidate triggers on the run's engine,
+        with the applications it counts instead of building a trigger
+        (none on ``naive`` or outside ``enumerate_counted``)."""
+        from repro.chase.trigger import CountedImages, round_triggers
 
         policy = self.policy
         if self.config.is_naive:
-            return policy.naive_new_triggers(instance, rules)
-        prune = policy.prune_ground_heads
-        mode = "enumerate_unsatisfied" if prune else "enumerate"
+            return policy.naive_new_triggers(instance, rules), CountedImages()
+        mode = policy.round_mode
         per_rule = self._round_matches(mode, instance, rules)
-        return policy.filter_new(
-            round_triggers(rules, per_rule, prune_ground_heads=prune)
-        )
+        triggers, counted = round_triggers(rules, per_rule, mode)
+        return policy.filter_new(triggers), counted
 
     def _round_matches(
         self, mode: str, instance: "Instance", rules: "RuleSet"

@@ -37,14 +37,16 @@ Replies
     worker slice): a ``derive`` reply is the heads the replica lacks, as
     id rows straight from the join kernel (the parent reads them back as
     rows, :func:`decode_derive_reply`), an enumeration reply per-rule
-    match images as term ids.  Every symbol a reply mentions is already
-    in the shared table — :func:`intern_rules` pre-interns every head
-    symbol at seed, and body images come from the replica — so replies
-    carry table ids only; a symbol missing from the worker's table
-    raises :class:`~repro.errors.ChaseError`, and so does a malformed
-    reply on the parent's side (a truncated atom stream, a missing image
-    count, a short image, leftover ids or an id past the end of a
-    table).
+    match images as term ids (an ``enumerate_counted`` reply holds two
+    image lists per rule, its survivors and its pruned images, and the
+    parent decodes it against each rule twice).  Every symbol a reply
+    mentions is already in the shared table — :func:`intern_rules`
+    pre-interns every head symbol at seed, and body images come from the
+    replica — so replies carry table ids only; a symbol missing from the
+    worker's table raises :class:`~repro.errors.ChaseError`, and so does
+    a malformed reply on the parent's side (a truncated atom stream, a
+    missing image count, a short image, leftover ids or an id past the
+    end of a table).
 
 Reply envelope
     Every worker reply is ``(status, value, telemetry)`` built by

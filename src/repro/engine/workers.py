@@ -16,11 +16,13 @@ order, runs :func:`repro.engine.core.round_matches` on every worker's
 slice against its replica, and merges the replies into what one inline
 call on the whole delta returns — per rule, the set union of the
 workers' image lists (a body touching delta atoms routed to two workers
-is found by both and merges to one image), or, for ``derive``, the
-union of the workers' new-head id rows, then one ``Atom`` per distinct
-row.  A round whose delta lands on a single worker runs inline against
-the parent's instance instead, with no message sent; the replicas catch
-up through the next pooled round's sync.
+is found by both and merges to one image; an ``enumerate_counted``
+round merges its survivor lists and its pruned lists apart), or, for
+``derive``, the union of the workers' new-head id rows, then one
+``Atom`` per distinct row.  A round whose delta lands on a single
+worker runs inline against the parent's instance instead, with no
+message sent; the replicas catch up through the next pooled round's
+sync.
 
 A round stays on ids from routing to reply: the parent interns each
 delta atom once, the workers join on rows, and no worker builds an
@@ -48,7 +50,10 @@ pickled — that is also how the pool accounts transport in
     Fold the packed per-round delta into the replica and acknowledge.
     Sent to workers that have no pivots in a round where others do —
     replicas always mirror the parent instance at round start.
-``("enumerate"|"enumerate_unsatisfied"|"derive", segment, sync_buf, pivot_buf)``
+``(command, segment, sync_buf, pivot_buf)``
+    ``command`` is ``"enumerate"``, ``"enumerate_counted"``,
+    ``"enumerate_unsatisfied"`` or ``"derive"``, the
+    :func:`~repro.engine.core.round_matches` mode.
     One round: fold the packed ``sync_buf`` delta into the replica,
     then run :func:`~repro.engine.core.round_matches` with the
     ``pivot_buf`` rows (this worker's slice of the delta) as the pivot
@@ -63,6 +68,14 @@ pickled — that is also how the pool accounts transport in
     against it right where the match is found, and only the images that
     can still add an atom — the smallest per distinct head — are sent
     back (:func:`~repro.engine.core.rule_unsatisfied_images`).
+    ``enumerate_counted`` is the oblivious chase's: it prunes the same
+    images, but the oblivious chase applies every trigger, so the reply
+    carries two image lists per rule, the worker's survivors and its
+    pruned images (:func:`~repro.engine.core.rule_counted_images`).  The
+    parent takes the union of both;
+    :func:`~repro.chase.trigger.round_triggers` keeps the smallest
+    survivor per head across all workers and counts every other distinct
+    image of that union as an application that adds nothing.
 ``("stop",)``
     Acknowledge and exit.
 
@@ -126,7 +139,7 @@ class TransportStats:
     way — every payload byte rides the pipe.  Beyond the totals,
     :attr:`commands` keys per-command counters — ``{"messages",
     "bytes_sent", "bytes_received", "atoms_sent", "atoms_received"}``
-    for each of ``seed``/``sync``/``enumerate``/
+    for each of ``seed``/``sync``/``enumerate``/``enumerate_counted``/
     ``enumerate_unsatisfied``/``derive``/``stop`` — so tests and
     benchmarks can pin exactly where transport goes.  Sync deltas riding
     an enumeration or derive message are counted under ``sync`` (atoms)
@@ -314,7 +327,7 @@ def _worker_main(conn) -> None:
                 decoded = perf()
                 value = replica.ingest_packed(sync_buf)
                 executed = perf()
-            elif command in ("enumerate", "enumerate_unsatisfied", "derive"):
+            elif command == "derive" or command in core.ENUMERATE_MODES:
                 _, segment, sync_buf, pivot_buf = message
                 vocabulary.apply_segment(segment)
                 decoded = perf()
@@ -326,6 +339,8 @@ def _worker_main(conn) -> None:
                 if command == "derive":
                     value = wire.pack_rows(result)
                 else:
+                    if command == "enumerate_counted":
+                        result = list(chain.from_iterable(result))
                     value = wire.encode_enumerate_reply(vocabulary, result)
             else:
                 raise ChaseError(f"unknown worker command {command!r}")
@@ -343,6 +358,11 @@ def _worker_main(conn) -> None:
             reply = wire.pack_reply("error", traceback.format_exc())
         conn.send_bytes(pickle.dumps(reply, _PROTOCOL))
     conn.close()
+
+
+def _union(lists) -> list:
+    """The distinct items of ``lists``, each once, in first-seen order."""
+    return list(dict.fromkeys(chain.from_iterable(lists)))
 
 
 class WorkerPool:
@@ -645,7 +665,9 @@ class WorkerPool:
         a single busy slice, and the merge of the replies (see the
         module docstring).  Per rule, the merged image list is the set
         union of the workers' lists, each image once, in no particular
-        order; :func:`~repro.chase.trigger.round_triggers` sorts it.  A
+        order; :func:`~repro.chase.trigger.round_triggers` sorts it.  An
+        ``enumerate_counted`` round merges each rule's survivors and its
+        pruned images apart, into one ``(survivors, pruned)`` pair.  A
         ``derive`` round returns its new heads, one ``Atom`` per
         distinct id row the workers sent.
         """
@@ -673,10 +695,12 @@ class WorkerPool:
         results = self.run_round(mode, rules, instance, routed)
         if mode == "derive":
             return self._vocabulary.atoms(set().union(*results))
-        return [
-            list(dict.fromkeys(chain.from_iterable(per_rule)))
-            for per_rule in zip(*results)
-        ]
+        if mode == "enumerate_counted":
+            return [
+                (_union(s for s, _ in pairs), _union(p for _, p in pairs))
+                for pairs in zip(*results)
+            ]
+        return [_union(per_rule) for per_rule in zip(*results)]
 
     def run_round(
         self,
@@ -695,7 +719,8 @@ class WorkerPool:
         buffers are packed from one id row per atom.  Returns the
         workers' results in worker order,
         for the workers with pivots only (per-rule image lists for the
-        enumeration modes; for ``derive``, the id rows ``(pred_id,
+        enumeration modes, ``(survivors, pruned)`` pairs of them for
+        ``enumerate_counted``; for ``derive``, the id rows ``(pred_id,
         term_ids)`` of the heads the replica lacked, over the pool's
         wire tables).
         """
@@ -740,7 +765,10 @@ class WorkerPool:
             )
             TRANSPORT_STATS.count_atoms_sent(mode, len(pivot_lists[worker]))
         replies = dict(self._broadcast_and_gather(messages))
-        # Sync-only workers just acknowledge.
+        # Sync-only workers just acknowledge.  A counted reply holds two
+        # image lists per rule.
+        counted = mode == "enumerate_counted"
+        listed = tuple(chain(*zip(rules, rules))) if counted else rules
         results = []
         for worker in busy:
             if mode == "derive":
@@ -748,10 +776,11 @@ class WorkerPool:
                 TRANSPORT_STATS.count_atoms_received("derive", len(heads))
                 results.append(heads)
             else:
+                found = wire.decode_enumerate_reply(
+                    vocabulary, listed, replies[worker]
+                )
                 results.append(
-                    wire.decode_enumerate_reply(
-                        vocabulary, rules, replies[worker]
-                    )
+                    list(zip(found[::2], found[1::2])) if counted else found
                 )
         return results
 

@@ -49,7 +49,10 @@ ground-head pruning (existential-free triggers whose head was present at
 round start, or repeated a smaller image's head, are never built — see
 :func:`repro.chase.trigger.round_triggers`), so on a pure
 Datalog round ``triggers == applied``; the unpruned ``naive`` engine
-counts every new trigger.
+counts every new trigger.  The oblivious chase prunes the same triggers
+but counts each as an application that adds nothing
+(:class:`repro.chase.trigger.CountedImages`), so its ``triggers`` and
+``applied`` count them too, as firing them would.
 
 Trace records deliberately separate deterministic fields (counts, plan,
 routing weights, byte deltas — bit-stable for a given engine

@@ -34,7 +34,10 @@ class InstantiationStats:
     hands it out, so firing still counts one instantiation per trigger
     fired.  The restricted chase's pruned rounds count one per image the
     kernel kept, and the kernel one per match it grounds
-    (:func:`~repro.engine.core.rule_unsatisfied_images`).  A worker
+    (:func:`~repro.engine.core.rule_unsatisfied_images`).  The oblivious
+    chase's pruned images count one each as the round counts them as
+    applications (:meth:`~repro.chase.result.ChaseResult.record_round`),
+    and the kernel that pruned them counts none.  A worker
     process counts in its own copy and sends what each command added
     back in the reply envelope, which the parent adds here; on the pool
     two workers may each keep an image for one head, so a pooled

@@ -184,9 +184,10 @@ def _atoms(text):
 def _round(rules, instance):
     """The triggers of one ``enumerate`` round over the whole instance."""
     rules = list(rules)
-    return round_triggers(
+    triggers, _ = round_triggers(
         rules, round_matches("enumerate", rules, instance, instance)
     )
+    return triggers
 
 
 def test_triggers_grounding_one_head_share_one_frozenset():
@@ -244,8 +245,8 @@ def test_pruned_round_counts_one_head_per_image():
         "enumerate_unsatisfied", list(rules), instance, instance
     )
     INSTANTIATION_STATS.reset()
-    triggers = round_triggers(
-        list(rules), [images + images[:1]], prune_ground_heads=True
+    triggers, _ = round_triggers(
+        list(rules), [images + images[:1]], "enumerate_unsatisfied"
     )
     assert INSTANTIATION_STATS.heads == len(images) + 1
     assert len(triggers) == len(images)

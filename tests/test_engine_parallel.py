@@ -356,7 +356,8 @@ class TestSchedulerDeterminism:
                 "enumerate", rules, inst, list(inst)
             )
             assert len(per_rule) == 1
-            images = [t.image() for t in round_triggers(rules, per_rule)]
+            triggers, _ = round_triggers(rules, per_rule)
+            images = [t.image() for t in triggers]
             assert images == sorted(images)
         assert not pool._started
         assert pool._connections == [] and pool._processes == []

@@ -145,10 +145,11 @@ class TestPoolMatchesParentFires:
     @pytest.mark.parametrize(
         "chase,command",
         [
-            (oblivious_chase, "enumerate"),
+            (oblivious_chase, "enumerate_counted"),
+            (semi_oblivious_chase, "enumerate"),
             (restricted_chase, "enumerate_unsatisfied"),
         ],
-        ids=["oblivious", "restricted"],
+        ids=["oblivious", "semi_oblivious", "restricted"],
     )
     def test_chase_rounds_enumerate_on_the_pool(self, chase, command):
         # A 25-atom first delta reaches both workers, so the first round

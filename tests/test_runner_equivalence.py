@@ -31,7 +31,11 @@ from repro.chase import (
 from repro.chase.oblivious import ObliviousPolicy
 from repro.chase.restricted import RestrictedPolicy
 from repro.chase.semi_oblivious import SemiObliviousPolicy
-from repro.chase.trigger import new_triggers_of, restricted_new_triggers_of
+from repro.chase.trigger import (
+    Trigger,
+    new_triggers_of,
+    restricted_new_triggers_of,
+)
 from repro.corpus import example_1
 from repro.corpus.generators import (
     FUZZ_SIGNATURE,
@@ -48,7 +52,7 @@ from repro.logic.instances import Instance
 from repro.logic.terms import FreshSupply, Null
 from repro.obs import RunTrace
 from repro.rewriting.datalog import semi_naive_closure
-from repro.rules.parser import parse_rules
+from repro.rules.parser import parse_instance, parse_rules
 
 
 def assert_bit_identical(a, b):
@@ -247,15 +251,29 @@ def test_paper_rows_record_only_creating_applications(
     assert set(counts.values()) == {counts["naive"]}
 
 
+TC = parse_rules("E(x,y), E(y,z) -> E(x,z)", name="tc")
+
+#: The rows of :data:`BUDGET_STOPS`: the paper rows, and transitivity
+#: on two paths, whose oblivious levels are existential-free, so a stop
+#: falls among the applications the join kernel counts instead of
+#: building their triggers.
+BUDGET_ROWS = {row[0]: row for row in PAPER_ROWS} | {
+    f"tc_path_{n}": (f"tc_path_{n}", lambda n=n: path_instance(n), TC, 12)
+    for n in (16, 30)
+}
+
 #: Mid-round atom-budget stops: ``(row, variant, steps, max_atoms,
 #: applied per round, supply position after the stop)``.  Recording only
-#: creating applications must not move which applications run before a
-#: stop.
+#: creating applications, and counting the oblivious chase's pruned
+#: images instead of firing them, must not move which applications run
+#: before a stop.
 BUDGET_STOPS = [
     ("growing_tournament_3", "oblivious", 5, 12, [1, 4, 10, 21], 7),
     ("growing_tournament_3", "semi_oblivious", 5, 12, [1, 4, 10, 16, 2], 6),
     ("growing_tournament_3", "restricted", 5, 12, [1, 1, 3, 5, 2], 6),
     ("example_1", "oblivious", 10, 200, [1, 2, 4, 10, 26, 72, 153], 96),
+    ("tc_path_16", "oblivious", 12, 100, [15, 41, 133], 0),
+    ("tc_path_30", "oblivious", 12, 300, [29, 83, 304, 548], 0),
 ]
 
 
@@ -267,7 +285,7 @@ BUDGET_STOPS = [
 def test_budget_stop_applies_and_draws_the_same(
     wname, vname, steps, max_atoms, applied, position
 ):
-    _, make, rules, _ = PAPER_ROWS[PAPER_ROW_IDS.index(wname)]
+    _, make, rules, _ = BUDGET_ROWS[wname]
     for ename, engine in PAPER_ENGINES:
         result, trace, at = _traced_run(
             vname, engine, make(), rules, steps, max_atoms
@@ -313,6 +331,88 @@ def test_growing_tournament_mid_round_budget_stop(vname, run):
             heads = result.telemetry["registry"]["instantiation"]["heads"]
             applied = result.statistics()["trigger_applications"]
             assert heads == applied, ename
+
+
+# ----------------------------------------------------------------------
+# Oblivious rounds count the applications that cannot add an atom
+# ----------------------------------------------------------------------
+
+
+def test_oblivious_rounds_build_only_the_triggers_that_can_add_an_atom(
+    monkeypatch,
+):
+    # Transitivity over the 16-edge path: 680 applications, 120 of them
+    # add an atom.  The others ground a head present at round start or
+    # repeat a smaller image's head; they are counted, not built.
+    built = []
+    from_image = Trigger.from_image.__func__
+
+    def counting(cls, rule, image, shared_head=None):
+        built.append(image)
+        return from_image(cls, rule, image, shared_head)
+
+    monkeypatch.setattr(Trigger, "from_image", classmethod(counting))
+    trace = RunTrace()
+    result = oblivious_chase(path_instance(16), TC, max_levels=12, trace=trace)
+    assert result.terminated
+    assert len(built) == 120
+    assert result.statistics()["trigger_applications"] == 680
+    assert sum(r["triggers"] for r in trace.rounds) == 680
+    assert len(result.records()) == 120
+    heads = result.telemetry["registry"]["instantiation"]["heads"]
+    assert heads == 680
+
+
+def test_a_level_of_pruned_images_is_a_level_not_the_fixpoint():
+    # The only trigger re-derives E(a,c), present from the start: the
+    # level builds no trigger, applies one and adds nothing; the next
+    # level is the empty one.
+    for ename, engine in ENGINES:
+        trace = RunTrace()
+        result = oblivious_chase(
+            parse_instance("E(a,b), E(b,c), E(a,c)"), TC, engine=engine,
+            trace=trace,
+        )
+        rounds = [
+            (r["triggers"], r["applied"], r["new_atoms"]) for r in trace.rounds
+        ]
+        assert rounds == [(1, 1, 0), (0, 0, 0)], ename
+        assert result.levels_completed == 1, ename
+        assert result.terminated, ename
+        assert result.statistics()["trigger_applications"] == 1, ename
+        assert result.records() == (), ename
+
+
+@pytest.mark.parametrize(
+    "facts,records",
+    [("E(a,b), E(b,c), F(a)", 0), ("E(a,b), E(b,c), F(b)", 1)],
+    ids=["pruned_first", "survivor_first"],
+)
+def test_a_level_over_budget_from_the_start_stops_at_its_first_application(
+    facts, records
+):
+    # Four atoms (with top) exceed the budget before level 1 fires, so
+    # the level stops after its first application in canonical order:
+    # the image (a,b), pruned when its head F(a) is present, fired when
+    # it is not.
+    rules = parse_rules("E(x,y) -> F(x)")
+    reference = oblivious_chase(
+        parse_instance(facts), rules, max_atoms=1, engine="naive"
+    )
+    assert reference.statistics()["trigger_applications"] == 1
+    assert len(reference.records()) == records
+    assert reference.levels_completed == 0
+    for ename, engine in ENGINES:
+        trace = RunTrace()
+        result = oblivious_chase(
+            parse_instance(facts), rules, max_atoms=1, engine=engine,
+            trace=trace,
+        )
+        assert_bit_identical(result, reference)
+        assert [r["applied"] for r in trace.rounds] == [1], ename
+        assert result.statistics()["trigger_applications"] == 1, ename
+        heads = result.telemetry["registry"]["instantiation"]["heads"]
+        assert heads == 1, ename
 
 
 class _RecordingProbe(ObliviousPolicy):
@@ -782,6 +882,9 @@ class TestVariantPolicySurface:
         from repro.chase.oblivious import ObliviousPolicy
 
         class NoFPolicy(ObliviousPolicy):
+            # A claim that skips triggers needs every trigger built.
+            round_mode = "enumerate"
+
             def round_claim(self, result, triggers):
                 return lambda t: all(
                     a.predicate.name != "F" for a in t.rule.head
