@@ -70,6 +70,7 @@ from repro.logic.homomorphisms import (
     first_match,
     homomorphisms,
     homomorphisms_with_pivot,
+    rank_pattern,
     run_plan,
 )
 from repro.logic.instances import Instance
@@ -474,8 +475,8 @@ class _RuleJoin:
     from the start.
     """
 
-    #: The seeded body variables: bound in every plan, and pinned for
-    #: ``_order_atoms`` as ``homomorphisms_with_pivot`` pins its seed.
+    #: The seeded body variables: bound in every plan, and ``_order_atoms``'
+    #: seeded terms, as ``homomorphisms_with_pivot`` passes its seed.
     pinned: frozenset[Term] = frozenset()
 
     def __init__(
@@ -505,6 +506,9 @@ class _RuleJoin:
         predicate_id = self.ids.predicate
         tables = view.tables
         self.tables = [tables.get(predicate_id(p)) for p in self.predicates]
+        self.instance = instance
+        count = instance.count
+        self.pattern = rank_pattern([count(p) for p in self.predicates])
         self.searches = self._searches(rule, instance, delta_inst)
 
     def _seed(self, seed: dict[Term, Term]) -> None:
@@ -542,13 +546,11 @@ class _RuleJoin:
         ]
 
     def _searches(self, rule, instance, delta_inst) -> list[tuple]:
-        """``(atom order, pivot rows or None)`` per search the object
-        matcher would run: one per pivot with delta rows, or a single
-        unpivoted search when the delta is the instance."""
+        """``(pivot, pivot rows)`` per search the object matcher would
+        run: one per pivot with delta rows, or a single unpivoted search,
+        ``(None, None)``, when the delta is the instance."""
         if delta_inst is instance:
-            return [
-                (_order_atoms(list(rule.body), instance, self.pinned), None)
-            ]
+            return [(None, None)]
         searches = []
         pivot_rows: dict[Predicate, Collection[tuple]] = {}
         for pivot in rule.sorted_body():
@@ -557,16 +559,41 @@ class _RuleJoin:
                 rows = pivot_rows[pivot.predicate] = self._pivot_rows(
                     delta_inst, pivot.predicate
                 )
-            if not rows:
-                continue
-            rest = list(rule.body)
-            rest.remove(pivot)
-            pinned = {t for t in pivot.args if not t.is_constant}
-            pinned |= self.pinned
-            searches.append(
-                ([pivot] + _order_atoms(rest, instance, bound=pinned), rows)
-            )
+            if rows:
+                searches.append((pivot, rows))
         return searches
+
+    def _plan(self, pivot: Atom | None) -> list[tuple]:
+        """The compiled plan of the search pivoted on ``pivot`` (None for
+        the unpivoted search), from the rule's cache
+        (:meth:`~repro.rules.rule.Rule.join_plans`).
+
+        The plan's atom order is the pivot, then :func:`_order_atoms` of
+        the rest with the seeded variables seeded and the pivot's terms
+        bound; it reads the instance only through the rank pattern of
+        the body predicates' counts.  So the cache keys on the seeded
+        variables, the pivot and that pattern, and the slot layout,
+        which depends on the rule alone, is the same in every join.
+        """
+        plans = self.rule.join_plans()
+        key = (self.pinned, pivot, self.pattern)
+        plan = plans.get(key)
+        if plan is None:
+            rest = list(self.rule.body)
+            if pivot is None:
+                ordered = _order_atoms(rest, self.instance, seeded=self.pinned)
+            else:
+                rest.remove(pivot)
+                ordered = [pivot] + _order_atoms(
+                    rest,
+                    self.instance,
+                    seeded=self.pinned,
+                    bound=[t for t in pivot.args if not t.is_constant],
+                )
+            plan = plans[key] = compile_plan(
+                ordered, self.slot_of, self.pinned, self.predicates
+            )
+        return plan
 
     def _pivot_rows(self, delta, predicate: Predicate) -> Collection[tuple]:
         """The delta's rows over ``predicate``, in the view's ids (in no
@@ -590,16 +617,14 @@ class _RuleJoin:
         list (use it before returning), until ``emit`` returns true;
         return whether it did and how many searches ran.
 
-        Each search compiles its plan (:func:`compile_plan`) and runs it
+        Each search takes its plan (:meth:`_plan`) and runs it
         (:func:`run_plan`), which counts it in ``MATCHER_STATS.searches``
         as it starts, so a stopped join has counted the searches the
         object matcher would have run by then.
         """
         slots = list(self.slots)
-        for started, (ordered, pivot_rows) in enumerate(self.searches, 1):
-            steps = compile_plan(
-                ordered, self.slot_of, self.pinned, self.predicates
-            )
+        for started, (pivot, pivot_rows) in enumerate(self.searches, 1):
+            steps = self._plan(pivot)
             if run_plan(steps, self.tables, slots, emit, pivot_rows):
                 return True, started
         return False, len(self.searches)

@@ -4,8 +4,11 @@ A homomorphism from atom set ``A`` to atom set ``B`` is a substitution
 ``π`` with ``π(A) ⊆ B`` (constants fixed, variables and nulls free).  The
 searcher is a backtracking matcher with three standard optimizations:
 
-* atoms of ``A`` are processed most-constrained-first (fewest candidate
-  atoms in ``B``, then most already-bound terms),
+* atoms of ``A`` are processed most-constrained-first: most anchored
+  terms (constants, seeded terms and terms bound by the atoms placed
+  before), then most bound terms, so an atom that joins the partial
+  match goes before one held only by a seed or a constant, then fewest
+  candidate atoms in ``B`` (:func:`_order_atoms`),
 * candidates are seeded from the *positional* index of ``B`` — the most
   selective ``(predicate, position, term)`` bucket among the bound
   argument positions — instead of scanning every atom over the predicate,
@@ -27,9 +30,10 @@ repeat positions.  :func:`run_plan` walks a plan with
 and candidates :func:`_search` would.  For subsumption, a CQ on the
 specific side is compiled once into :class:`IdRows` (its terms
 numbered, its atoms as rows in ``Atom`` order); a CQ on the general
-side into :class:`JoinPlans`, which keeps one plan per *count
-signature* (the target's row counts over its predicates).  The object
-matcher remains the reference the id join is tested against.
+side into :class:`JoinPlans`, which keeps one plan per *rank pattern*
+of the target's row counts over its predicates (:func:`rank_pattern`).
+The engine's kernel keeps its plans on the rule the same way.  The
+object matcher remains the reference the id join is tested against.
 
 The module also provides injective homomorphisms (for ``⊨inj``),
 isomorphism checking, and homomorphic equivalence ``↔`` (used pervasively in
@@ -144,34 +148,43 @@ def _match_atom(
 def _order_atoms(
     source_atoms: Sequence[Atom],
     target: Instance,
-    bound: set[Term] | None = None,
+    seeded: Collection[Term] = (),
+    bound: Iterable[Term] = (),
 ) -> list[Atom]:
     """Order atoms most-constrained-first for the backtracking search.
 
-    One greedy pass: candidate counts and sort keys are computed once per
-    atom, and each round scans the remaining atoms for the best
-    ``(-anchored, candidates, key)`` score — no up-front sort, no closure
-    re-created per round.  ``bound`` pre-anchors terms already pinned by a
-    pivot or seed.
+    One greedy pass: candidate counts (``target.count`` of each atom's
+    predicate) and sort keys are computed once per atom, and each round
+    scans the remaining atoms for the best ``(-anchored, -linked, count,
+    key)`` score.  *Anchored* counts an atom's constants, ``seeded``
+    terms (pinned from the start: a seed, a CQ's pinned answers) and
+    bound terms; *linked* counts its bound terms only.  Bound terms are
+    those of the atoms placed before it: ``bound`` (a pivot's terms),
+    then every chosen atom's.  So among equally anchored atoms, one that
+    joins the partial match goes before one held only by a seed or a
+    constant.  Counts are only compared with each other: the order
+    depends on ``target`` through their :func:`rank_pattern` alone.
     """
     n = len(source_atoms)
     if n <= 1:
         return list(source_atoms)
     counts = [target.count(a.predicate) for a in source_atoms]
     keys = [a.sort_key() for a in source_atoms]
-    bound = set(bound) if bound else set()
+    bound = set(bound)
     remaining = list(range(n))
     ordered: list[Atom] = []
     while remaining:
         best = -1
         best_score = None
         for i in remaining:
-            atom = source_atoms[i]
-            anchored = 0
-            for t in atom.args:
-                if t.is_constant or t in bound:
+            anchored = linked = 0
+            for t in source_atoms[i].args:
+                if t in bound:
                     anchored += 1
-            score = (-anchored, counts[i], keys[i])
+                    linked += 1
+                elif t.is_constant or t in seeded:
+                    anchored += 1
+            score = (-anchored, -linked, counts[i], keys[i])
             if best_score is None or score < best_score:
                 best_score = score
                 best = i
@@ -180,6 +193,13 @@ def _order_atoms(
         ordered.append(chosen)
         bound.update(t for t in chosen.args if not t.is_constant)
     return ordered
+
+
+def rank_pattern(counts: Sequence[int]) -> tuple[int, ...]:
+    """Each count's dense rank among ``counts``: all of the counts that
+    :func:`_order_atoms` reads, so a plan cache keys on it."""
+    distinct = sorted(set(counts))
+    return tuple(map(distinct.index, counts))
 
 
 # checks: hot
@@ -486,10 +506,11 @@ class JoinPlans:
 
     Every term has a slot: a variable or null one the search binds, a
     constant one holding its id in the target.  ``pinned`` terms map to
-    the target's anchors, position by position.  The atom order depends
-    on the target only through its row counts over the source's
-    predicates (:func:`_order_atoms` reads nothing else), so one plan
-    per such *count signature* is compiled on first use and kept.
+    the target's anchors, position by position, and are seeded for
+    :func:`_order_atoms`.  The atom order depends on the target only
+    through the :func:`rank_pattern` of its row counts over the source's
+    predicates, so one plan per pattern is compiled on first use and
+    kept: a one-predicate source keeps one plan for every target.
     """
 
     __slots__ = (
@@ -526,11 +547,15 @@ class JoinPlans:
             slots[slot] = anchor
         found = target.tables
         tables = [found.get(p) for p in self.predicates]
-        signature = tuple([0 if t is None else len(t[0]) for t in tables])
-        plan = self.plans.get(signature)
+        pattern = rank_pattern(
+            [0 if t is None else len(t[0]) for t in tables]
+        )
+        plan = self.plans.get(pattern)
         if plan is None:
-            ordered = _order_atoms(self.atoms, target, bound=set(self.pinned))
-            plan = self.plans[signature] = compile_plan(
+            ordered = _order_atoms(
+                self.atoms, target, seeded=frozenset(self.pinned)
+            )
+            plan = self.plans[pattern] = compile_plan(
                 ordered, self.slot_of, self.pinned, self.predicates
             )
         return run_plan(plan, tables, slots, first_match)
@@ -564,7 +589,7 @@ def homomorphisms(
         if len(used_targets) != len(binding):
             return  # seed itself is not injective
 
-    ordered = _order_atoms(source_atoms, target_inst, bound=set(binding))
+    ordered = _order_atoms(source_atoms, target_inst, seeded=set(binding))
     yield from _search(ordered, target_inst, binding, used_targets)
 
 
@@ -581,20 +606,24 @@ def homomorphisms_with_pivot(
     The pivot atom (which must occur in ``source``) is matched first,
     against the supplied candidates only — typically the delta of a chase
     level; the remaining atoms are matched against the full target via the
-    positional index, in :func:`_order_atoms` order, with the pivot's
-    and the seed's variables pinned.  No engine or serving path calls it:
-    it is the building block of the references the engine's id join
-    kernel is tested against — :func:`repro.engine.core.delta_homomorphisms`
-    and the goal probe's reference in ``tests/test_serving_goal.py`` — and
-    the kernel mirrors its pivots, atom order and bucket choice.
+    positional index, in :func:`_order_atoms` order, with the seed's
+    variables seeded and the pivot's bound.  No engine or serving path
+    calls it: it is the building block of the references the engine's id
+    join kernel is tested against —
+    :func:`repro.engine.core.delta_homomorphisms` and the goal probe's
+    reference in ``tests/test_serving_goal.py`` — and the kernel mirrors
+    its pivots, atom order and bucket choice.
     """
     source_atoms = list(source)
     rest = list(source_atoms)
     rest.remove(pivot)
     binding: dict[Term, Term] = dict(seed or {})
-    pinned = set(binding)
-    pinned.update(t for t in pivot.args if not t.is_constant)
-    ordered = [pivot] + _order_atoms(rest, target, bound=pinned)
+    ordered = [pivot] + _order_atoms(
+        rest,
+        target,
+        seeded=set(binding),
+        bound=[t for t in pivot.args if not t.is_constant],
+    )
     yield from _search(
         ordered, target, binding, None, first_candidates=pivot_candidates
     )

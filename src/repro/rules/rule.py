@@ -68,6 +68,12 @@ class Rule:
     variable is the way to name a fresh term.  Body nulls are allowed
     and match like variables (the serving layer's goals are rules
     ``body → ⊤`` over query bodies).
+
+    The engine's join kernel keeps the body plans it compiles on the
+    rule (:meth:`join_plans`), as a CQ keeps its join plans: a private
+    cache that takes no part in equality or hashing and never reaches a
+    pickle (:meth:`__reduce__` rebuilds the rule, so a restored rule
+    starts without plans).
     """
 
     __slots__ = (
@@ -80,6 +86,7 @@ class Rule:
         "_frontier_order",
         "_existential_order",
         "_sorted_body",
+        "_plans",
     )
 
     def __init__(
@@ -113,6 +120,7 @@ class Rule:
         self._frontier_order: tuple[Variable, ...] | None = None
         self._existential_order: tuple[Variable, ...] | None = None
         self._sorted_body: tuple[Atom, ...] | None = None
+        self._plans: dict | None = None
 
     # ------------------------------------------------------------------
     # Value semantics (label is presentation-only)
@@ -210,6 +218,18 @@ class Rule:
             cached = tuple(sorted(self.body))
             self._sorted_body = cached
         return cached
+
+    def join_plans(self) -> dict:
+        """The join kernel's compiled body plans, made empty on first use.
+
+        Keyed by ``(seeded variables, pivot, rank pattern)``: what a
+        plan's atom order depends on
+        (:meth:`repro.engine.core._RuleJoin._plan`).
+        """
+        plans = self._plans
+        if plans is None:
+            plans = self._plans = {}
+        return plans
 
     def head_variables(self) -> set[Variable]:
         """All variables of the head (``ȳ ∪ z̄``)."""

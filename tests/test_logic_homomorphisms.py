@@ -1,7 +1,11 @@
 """Unit tests for homomorphism search, equivalence, isomorphism, cores."""
 
-from repro.logic.atoms import edge
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.logic.atoms import Atom, edge
 from repro.logic.homomorphisms import (
+    _order_atoms,
     core,
     find_homomorphism,
     find_isomorphism,
@@ -9,8 +13,10 @@ from repro.logic.homomorphisms import (
     homomorphically_equivalent,
     homomorphisms,
     is_isomorphic,
+    rank_pattern,
 )
 from repro.logic.instances import Instance, instance_of
+from repro.logic.predicates import Predicate
 from repro.logic.terms import Constant, Variable
 
 
@@ -157,3 +163,98 @@ class TestCore:
             edge(C("a"), C("b")), edge(C("c"), C("d")), add_top=False
         )
         assert core(inst) == inst
+
+
+class _Counts:
+    """A stub target: ``count`` reads a predicate -> row count dict (all
+    that :func:`_order_atoms` reads of a target)."""
+
+    def __init__(self, counts):
+        self.counts = counts
+
+    def count(self, predicate):
+        return self.counts.get(predicate, 0)
+
+
+_PREDICATES = [Predicate("E", 2), Predicate("F", 2), Predicate("P", 1)]
+_VARIABLES = [V(name) for name in ("x", "y", "z", "u", "v")]
+_terms = st.one_of(
+    st.sampled_from(_VARIABLES), st.sampled_from([C("a"), C("b")])
+)
+_atoms = st.builds(
+    lambda predicate, args: Atom(predicate, args[: predicate.arity]),
+    st.sampled_from(_PREDICATES),
+    st.lists(_terms, min_size=2, max_size=2),
+)
+
+
+class TestAtomOrder:
+    def test_a_seeded_path_goal_joins_the_pivot_before_its_seed(self):
+        # The 6-atom disjunct of transitivity's rewriting of E(x,y), as a
+        # decision goal seeds it, pivoted on E(_rw10,_rw7) in its middle.
+        # E(_rw13,_rw10) and E(_rw1,y) have one anchored term each; the
+        # first joins the pivot, the second only the seed, so the chain
+        # is walked outward from the pivot before the seed is checked.
+        chain = ["x", "_rw13", "_rw10", "_rw7", "_rw4", "_rw1", "y"]
+        atoms = path(*[V(name) for name in chain])
+        pivot = edge(V("_rw10"), V("_rw7"))
+        rest = [atom for atom in atoms if atom != pivot]
+        ordered = _order_atoms(
+            rest,
+            instance_of(*path(*[C(f"c{i}") for i in range(17)])),
+            seeded={V("x"), V("y")},
+            bound={V("_rw10"), V("_rw7")},
+        )
+        assert ordered == [
+            edge(V("_rw13"), V("_rw10")),
+            edge(V("x"), V("_rw13")),
+            edge(V("_rw7"), V("_rw4")),
+            edge(V("_rw4"), V("_rw1")),
+            edge(V("_rw1"), V("y")),
+        ]
+
+    def test_anchored_terms_still_rank_first(self):
+        # A seeded atom with two anchored terms beats a linked atom with
+        # one: linking only breaks ties of anchored terms.
+        seeded_edge = edge(V("x"), V("y"))
+        linked = edge(V("z"), V("u"))
+        ordered = _order_atoms(
+            [linked, seeded_edge],
+            _Counts({}),
+            seeded={V("x"), V("y")},
+            bound={V("z")},
+        )
+        assert ordered == [seeded_edge, linked]
+
+    def test_rank_pattern_is_the_dense_rank_of_each_count(self):
+        assert rank_pattern([7]) == (0,)
+        assert rank_pattern([5, 0, 5, 3]) == (2, 0, 2, 1)
+        assert rank_pattern([]) == ()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        atoms=st.lists(_atoms, min_size=1, max_size=6, unique=True),
+        counts=st.lists(
+            st.integers(0, 4), min_size=len(_PREDICATES),
+            max_size=len(_PREDICATES),
+        ),
+        steps=st.lists(st.integers(1, 40), min_size=5, max_size=5),
+        seeded=st.sets(st.sampled_from(_VARIABLES), max_size=3),
+        bound=st.sets(st.sampled_from(_VARIABLES), max_size=3),
+    )
+    def test_order_reads_counts_only_through_their_ranks(
+        self, atoms, counts, steps, seeded, bound
+    ):
+        # A strictly increasing remapping of the counts (ties stay ties)
+        # keeps the order, and so does the rank pattern itself: a plan
+        # cache keyed on the pattern is never stale.
+        remap = [sum(steps[: count + 1]) for count in range(5)]
+        original = dict(zip(_PREDICATES, counts))
+        remapped = {p: remap[c] for p, c in original.items()}
+        ranked = dict(zip(_PREDICATES, rank_pattern(counts)))
+        assert rank_pattern(list(remapped.values())) == rank_pattern(counts)
+        expected = _order_atoms(atoms, _Counts(original), seeded, bound)
+        for target in (remapped, ranked):
+            assert _order_atoms(atoms, _Counts(target), seeded, bound) == (
+                expected
+            )

@@ -15,7 +15,8 @@ from repro.logic.terms import FreshSupply, Variable
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.minimization import subsumes
 from repro.queries.ucq import UCQ
-from repro.rules.parser import parse_query
+from repro.rewriting.datalog import semi_naive_closure
+from repro.rules.parser import parse_instance, parse_query, parse_rule
 
 V = Variable
 
@@ -186,6 +187,19 @@ class TestPickling:
         restored = pickle.loads(after)
         assert restored == query and hash(restored) == hash(query)
         assert restored._rows is None and restored._plans is None
+
+    def test_pickled_rule_drops_its_plans(self):
+        # The join kernel keeps a rule's compiled body plans on the rule,
+        # as subsumption keeps a CQ's; neither reaches a pickle.
+        rule = parse_rule("E(x,y), E(y,z) -> E(x,z)")
+        before = pickle.dumps(rule)
+        semi_naive_closure(parse_instance("E(a,b), E(b,c), E(c,d)"), [rule])
+        assert rule._plans
+        after = pickle.dumps(rule)
+        assert after == before
+        restored = pickle.loads(after)
+        assert restored == rule and hash(restored) == hash(rule)
+        assert restored._plans is None
 
     def test_compiled_forms_are_invisible_to_value_semantics(self):
         compiled = parse_query("E(x,y), E(y,z)", answers=("x",))

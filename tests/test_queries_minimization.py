@@ -208,6 +208,27 @@ def _checked_subsumes(general, specific):
 
 
 class TestCompiledSubsumption:
+    def test_a_one_predicate_general_keeps_one_plan(self):
+        # The atom order reads the specific's row counts only through
+        # their rank pattern, and one count has one pattern: E(x,y)
+        # compiles once against the transitivity disjuncts of 2 to 7
+        # atoms (one plan per row count would be six).
+        from repro.rewriting.rewriter import rewrite
+        from repro.rules.parser import parse_rules
+
+        edge_query = parse_query("E(x,y)", answers=("x", "y"))
+        rewriting = rewrite(
+            edge_query,
+            parse_rules("E(x,y), E(y,z) -> E(x,z)"),
+            max_depth=6,
+        )
+        longer = [q for q in rewriting.ucq if len(q) > 1]
+        assert sorted(len(q) for q in longer) == [2, 3, 4, 5, 6, 7]
+        general = parse_query("E(x,y)", answers=("x", "y"))
+        for specific in longer:
+            assert not _checked_subsumes(general, specific)
+        assert len(general._plans.plans) == 1
+
     def test_verdicts_and_counts_equal_the_object_matcher(self):
         rng = random.Random(20251018)
         seen = dict.fromkeys(
@@ -221,7 +242,7 @@ class TestCompiledSubsumption:
         recent: list[ConjunctiveQuery] = []
         pairs = 3000
         for _ in range(pairs):
-            # Reused generals meet specifics of new count signatures.
+            # Reused generals meet specifics of new rank patterns.
             if recent and rng.random() < 0.3:
                 general = rng.choice(recent)
             else:

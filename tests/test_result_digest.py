@@ -3,6 +3,7 @@ closure and ``answer()`` digest."""
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import os
 import pathlib
@@ -72,6 +73,38 @@ def test_named_cases_select_the_lines_of_their_table(capsys):
     assert result_digest.main(["answer_tc_c5_c2"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == ["answer"]
+
+
+def test_printed_lines_hash_to_their_table_digest(capsys):
+    # ``--lines`` prints what each table hashes, one line per hashed line
+    # after the table's name and a tab, then the table's digest line.
+    named = [
+        "datalog_chain_3", "rewrite_tc_size_drop",
+        "closure_two_heads_path_12", "answer_tc_c5_c2",
+    ]
+    assert result_digest.main(["--lines", *named]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    hashed: dict[str, list[str]] = {}
+    digests: dict[str, str] = {}
+    for line in printed:
+        table, tab, text = line.partition("\t")
+        if tab:
+            assert table not in digests  # a table's lines precede its digest
+            hashed.setdefault(table, []).append(text)
+        else:
+            table, sha = line.split()
+            digests[table] = sha
+    assert list(digests) == [
+        *result_digest.VARIANTS, "rewriting", "closure", "answer"
+    ]
+    for table, sha in digests.items():
+        assert hashed[table][0].startswith("case ")
+        text = "".join(line + "\n" for line in hashed[table])
+        assert hashlib.sha256(text.encode()).hexdigest() == sha, table
+    # The flag moves no digest.
+    assert result_digest.main(named) == 0
+    plain = capsys.readouterr().out.splitlines()
+    assert plain == [f"{table} {sha}" for table, sha in digests.items()]
 
 
 def test_closure_lines_cover_the_closure_rounds_and_counts():

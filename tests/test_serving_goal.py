@@ -242,3 +242,37 @@ def test_the_callers_instance_gets_no_id_view():
     assert SERVING_STATS.delta_probes > 0
     assert instance._id_view is None
     assert result.chase.instance._id_view is not None
+
+
+def test_a_request_compiles_each_goal_and_rule_pivot_once(monkeypatch):
+    # The kernel keeps each compiled plan on its rule, keyed by the
+    # seeded variables, the pivot and the rank pattern of the body
+    # predicates' counts.  The hybrid decision E(c14,c14) probes the 7
+    # disjuncts of transitivity's rewriting (1 to 7 atoms, one predicate)
+    # after every chase round: each goal pivot compiles once for the
+    # request, and so does each pivot of the chase rule.
+    core = importlib.import_module("repro.engine.core")
+    compile_plan = core.compile_plan
+    compiled = []
+
+    def counting(ordered, slot_of, pinned, predicates):
+        compiled.append((frozenset(ordered), ordered[0], frozenset(pinned)))
+        return compile_plan(ordered, slot_of, pinned, predicates)
+
+    monkeypatch.setattr(core, "compile_plan", counting)
+    rules = parse_rules("E(x,y), E(y,z) -> E(x,z)")
+    path = parse_instance(", ".join(f"E(c{i},c{i + 1})" for i in range(16)))
+    result = answer(
+        path,
+        rules,
+        parse_query("E(x,y)", answers=("x", "y")),
+        (Constant("c14"), Constant("c14")),
+        max_rewrite_depth=6,
+    )
+    assert result.strategy == "hybrid" and not result.entailed
+    assert result.chase.levels_completed > 2
+    goal_pivots = sum(len(goal) for goal in result.rewriting.ucq)
+    rule_pivots = sum(len(rule.body) for rule in rules)
+    assert goal_pivots == 28
+    assert len(compiled) == len(set(compiled))
+    assert len(compiled) <= goal_pivots + rule_pivots

@@ -3,7 +3,7 @@
 
 Usage::
 
-    PYTHONPATH=<checkout>/src python tools/result_digest.py [CASE ...]
+    PYTHONPATH=<checkout>/src python tools/result_digest.py [--lines] [CASE ...]
 
 Runs the oblivious, semi-oblivious and restricted chases on the default
 engine over the cases of :func:`cases` and prints one
@@ -57,8 +57,11 @@ Every part is written in a canonical order, so the digests do not
 depend on ``PYTHONHASHSEED``.  Two commits that print the same digests
 produce the same chase results, provenance, rewritings, closures and
 counts on these cases: run the tool once with each checkout's ``src`` on
-``PYTHONPATH`` and compare the lines.  An unknown case name is an error
-that lists the known ones.
+``PYTHONPATH`` and compare the lines.  ``--lines`` also prints every
+line a table hashes (its ``case`` lines included), each after the
+table's name and a tab, before the table's digest line, so a digest
+that moved can be traced to its lines with ``diff``.  An unknown case
+name is an error that lists the known ones.
 """
 
 from __future__ import annotations
@@ -67,6 +70,7 @@ import argparse
 import hashlib
 import json
 import sys
+from typing import Iterable, Iterator
 
 from repro.chase import oblivious_chase, restricted_chase, semi_oblivious_chase
 from repro.corpus import (
@@ -426,10 +430,10 @@ def answer_lines(result):
     yield f"searches {registry['matcher']['searches']}"
 
 
-def digest(variant: str, selected) -> str:
-    """The sha256 of ``variant``'s runs over ``selected`` cases."""
+def chase_table(variant: str, selected) -> Iterator[str]:
+    """The lines ``variant``'s digest hashes: per ``selected`` case, a
+    ``case`` line, then :func:`result_lines` of its run."""
     chase = VARIANTS[variant]
-    sha = hashlib.sha256()
     for name, rules, instance, steps, max_atoms in selected:
         MATCHER_STATS.reset()
         INSTANTIATION_STATS.reset()
@@ -439,36 +443,31 @@ def digest(variant: str, selected) -> str:
             MATCHER_STATS.candidates,
             INSTANTIATION_STATS.heads,
         )
-        sha.update(f"case {name}\n".encode())
-        for line in result_lines(result, counts):
-            sha.update(line.encode() + b"\n")
-    return sha.hexdigest()
+        yield f"case {name}"
+        yield from result_lines(result, counts)
 
 
-def rewriting_digest(selected) -> str:
-    """The sha256 of the rewritings of ``selected`` cases."""
-    sha = hashlib.sha256()
+def rewriting_table(selected) -> Iterator[str]:
+    """The lines the ``rewriting`` digest hashes: per ``selected``
+    case, a ``case`` line, then :func:`rewriting_lines` of its
+    rewriting (:func:`subsumption_lines` for a ``minimize`` case)."""
     for name, rules, query, budgets, minimize in selected:
         MATCHER_STATS.reset()
         trace = RunTrace()
         run = rewrite_ucq if isinstance(query, UCQ) else rewrite
         result = run(query, rules, trace=trace, **budgets)
         counts = (MATCHER_STATS.searches, MATCHER_STATS.candidates)
-        lines = (
-            subsumption_lines(result.ucq)
-            if minimize
-            else rewriting_lines(result, trace, counts)
-        )
-        sha.update(f"case {name}\n".encode())
-        for line in lines:
-            sha.update(line.encode() + b"\n")
-    return sha.hexdigest()
+        yield f"case {name}"
+        if minimize:
+            yield from subsumption_lines(result.ucq)
+        else:
+            yield from rewriting_lines(result, trace, counts)
 
 
-def closure_digest(selected) -> str:
-    """The sha256 of the closures of ``selected`` cases on every engine
-    of :data:`CLOSURE_ENGINES`."""
-    sha = hashlib.sha256()
+def closure_table(selected) -> Iterator[str]:
+    """The lines the ``closure`` digest hashes: per ``selected`` case
+    and engine of :data:`CLOSURE_ENGINES`, a ``case`` line, then
+    :func:`closure_lines` of its closure."""
     for name, rules, instance in selected:
         for engine_name, engine in CLOSURE_ENGINES.items():
             MATCHER_STATS.reset()
@@ -481,26 +480,36 @@ def closure_digest(selected) -> str:
                 if engine_name == "delta"
                 else None
             )
-            sha.update(f"case {name} {engine_name}\n".encode())
-            for line in closure_lines(closure, trace, counts):
-                sha.update(line.encode() + b"\n")
-    return sha.hexdigest()
+            yield f"case {name} {engine_name}"
+            yield from closure_lines(closure, trace, counts)
 
 
-def answer_digest(selected) -> str:
-    """The sha256 of the ``answer()`` results of ``selected`` cases."""
-    sha = hashlib.sha256()
+def answer_table(selected) -> Iterator[str]:
+    """The lines the ``answer`` digest hashes: per ``selected`` case, a
+    ``case`` line, then :func:`answer_lines` of its result."""
     for name, rules, instance, query, bindings, options in selected:
         result = answer(instance, rules, query, bindings, **options)
-        sha.update(f"case {name}\n".encode())
-        for line in answer_lines(result):
-            sha.update(line.encode() + b"\n")
+        yield f"case {name}"
+        yield from answer_lines(result)
+
+
+def digest(lines: Iterable[str]) -> str:
+    """The sha256 of ``lines``, each ended by a newline."""
+    sha = hashlib.sha256()
+    for line in lines:
+        sha.update(line.encode() + b"\n")
     return sha.hexdigest()
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("cases", nargs="*", help="case names (default: all)")
+    parser.add_argument(
+        "--lines",
+        action="store_true",
+        help="print every hashed line, after its table's name and a tab, "
+        "before the table's digest line",
+    )
     args = parser.parse_args(argv)
     chases, rewritings, closures = cases(), rewriting_cases(), closure_cases()
     answers = answer_cases()
@@ -515,15 +524,21 @@ def main(argv: list[str] | None = None) -> int:
     rewrites = [c for c in rewritings if not args.cases or c[0] in args.cases]
     closing = [c for c in closures if not args.cases or c[0] in args.cases]
     serving = [c for c in answers if not args.cases or c[0] in args.cases]
+    tables = []
     if selected:
-        for variant in VARIANTS:
-            print(f"{variant} {digest(variant, selected)}")
+        tables += [(v, chase_table(v, selected)) for v in VARIANTS]
     if rewrites:
-        print(f"rewriting {rewriting_digest(rewrites)}")
+        tables.append(("rewriting", rewriting_table(rewrites)))
     if closing:
-        print(f"closure {closure_digest(closing)}")
+        tables.append(("closure", closure_table(closing)))
     if serving:
-        print(f"answer {answer_digest(serving)}")
+        tables.append(("answer", answer_table(serving)))
+    for table, lines in tables:
+        if args.lines:
+            lines = list(lines)
+            for line in lines:
+                print(f"{table}\t{line}")
+        print(f"{table} {digest(lines)}")
     return 0
 
 
