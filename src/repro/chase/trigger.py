@@ -30,7 +30,7 @@ from itertools import chain
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from repro.engine.core import (
-    as_delta_instance,
+    delta_rows,
     round_matches,
     row_getter,
     rule_delta_images,
@@ -423,9 +423,10 @@ def round_triggers(
 def new_triggers_of(
     instance: Instance,
     rules: RuleSet | list[Rule],
-    delta: Iterable[Atom] | Instance,
+    delta: Iterable[Atom],
 ) -> Iterator[Trigger]:
-    """Enumerate the triggers using at least one atom of ``delta``.
+    """Enumerate the triggers using at least one atom of ``delta`` (atoms
+    of ``instance``: an atom iterable or an instance).
 
     Pivot-atom decomposition on the delta core's join kernel
     (:func:`repro.engine.core.rule_delta_images`): for each rule and each
@@ -440,18 +441,18 @@ def new_triggers_of(
     the triggers were found*, so the delta, naive and parallel engines
     fire in the same order and produce bit-identical results.
     """
-    delta_inst = as_delta_instance(delta)
-    if not len(delta_inst):
+    rows = delta_rows(instance, delta)
+    if not rows:
         return
     for rule in rules:
-        found = rule_delta_images(rule, instance, delta_inst)
+        found = rule_delta_images(rule, instance, rows)
         yield from round_triggers((rule,), (found,))[0]
 
 
 def restricted_new_triggers_of(
     instance: Instance,
     rules: RuleSet | list[Rule],
-    delta: Iterable[Atom] | Instance,
+    delta: Iterable[Atom],
 ) -> list[Trigger]:
     """The restricted chase's :func:`new_triggers_of`: only triggers that
     can still add an atom, in the same canonical order.
@@ -465,7 +466,7 @@ def restricted_new_triggers_of(
     """
     rules = list(rules)
     mode = "enumerate_unsatisfied"
-    per_rule = round_matches(mode, rules, instance, as_delta_instance(delta))
+    per_rule = round_matches(mode, rules, instance, delta_rows(instance, delta))
     return round_triggers(rules, per_rule, mode)[0]
 
 

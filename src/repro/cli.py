@@ -33,6 +33,7 @@ import argparse
 import json
 import pathlib
 import sys
+from contextlib import contextmanager
 
 from repro.analysis.report import analyze
 from repro.chase.oblivious import oblivious_chase
@@ -43,7 +44,7 @@ from repro.engine.config import (
     resolve_engine,
 )
 from repro.core.theorem import check_property_p
-from repro.errors import ChaseError
+from repro.errors import ReproError
 from repro.io.text import format_instance, format_table
 from repro.logic.instances import Instance
 from repro.logic.terms import Constant
@@ -64,16 +65,20 @@ def _load_instance(text: str) -> Instance:
     return parse_instance(text) if text else Instance()
 
 
-def _engine(command: str, args) -> EngineConfig:
-    """The ``--engine`` preset with ``--workers`` applied; a pair the
-    configuration rejects exits with its error."""
-    engine = resolve_engine(args.engine)
-    if args.workers is None:
-        return engine
+@contextmanager
+def _input_errors(args):
+    """Exit with ``repro <command>: <message>`` on input the command cannot
+    read or parse; errors of the run itself pass through."""
     try:
-        return engine.with_workers(args.workers)
-    except ChaseError as exc:
-        sys.exit(f"repro {command}: {exc}")
+        yield
+    except (OSError, ReproError) as exc:
+        sys.exit(f"repro {args.command}: {exc}")
+
+
+def _engine(args) -> EngineConfig:
+    """The ``--engine`` preset with ``--workers`` applied."""
+    engine = resolve_engine(args.engine)
+    return engine if args.workers is None else engine.with_workers(args.workers)
 
 
 def _format_engine_listing() -> str:
@@ -118,9 +123,10 @@ def cmd_chase(args) -> int:
         return 0
     if args.rules is None:
         sys.exit("repro chase: a rule file is required (or --list-engines)")
-    rules = _load_rules(args.rules)
-    instance = _load_instance(args.instance)
-    engine = _engine("chase", args)
+    with _input_errors(args):
+        rules = _load_rules(args.rules)
+        instance = _load_instance(args.instance)
+        engine = _engine(args)
     trace = RunTrace() if (args.trace or args.stats) else None
     result = oblivious_chase(
         instance, rules, max_levels=args.levels, max_atoms=args.max_atoms,
@@ -154,16 +160,17 @@ def cmd_chase(args) -> int:
 
 
 def cmd_answer(args) -> int:
-    rules = _load_rules(args.rules)
-    instance = _load_instance(args.instance)
     answers = tuple(args.answers.split(",")) if args.answers else ()
-    query = parse_query(args.query, answers=answers)
     bindings = (
         tuple(Constant(name) for name in args.bindings.split(","))
         if args.bindings
         else ()
     )
-    engine = _engine("answer", args)
+    with _input_errors(args):
+        rules = _load_rules(args.rules)
+        instance = _load_instance(args.instance)
+        query = parse_query(args.query, answers=answers)
+        engine = _engine(args)
     trace = RunTrace() if args.trace else None
     result = answer(
         instance,
@@ -213,9 +220,10 @@ def cmd_answer(args) -> int:
 
 
 def cmd_rewrite(args) -> int:
-    rules = _load_rules(args.rules)
     answers = tuple(args.answers.split(",")) if args.answers else ()
-    query = parse_query(args.query, answers=answers)
+    with _input_errors(args):
+        rules = _load_rules(args.rules)
+        query = parse_query(args.query, answers=answers)
     result = rewrite(query, rules, max_depth=args.depth)
     if args.json:
         payload = {
@@ -237,7 +245,8 @@ def cmd_rewrite(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    rules = _load_rules(args.rules)
+    with _input_errors(args):
+        rules = _load_rules(args.rules)
     report = classify(rules)
     report["termination_certificate"] = chase_terminates_certificate(rules)
     rows = sorted(report.items())
@@ -246,8 +255,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_property_p(args) -> int:
-    rules = _load_rules(args.rules)
-    instance = _load_instance(args.instance)
+    with _input_errors(args):
+        rules = _load_rules(args.rules)
+        instance = _load_instance(args.instance)
     report = check_property_p(
         rules, instance, max_levels=args.levels, max_atoms=args.max_atoms
     )
@@ -259,8 +269,9 @@ def cmd_property_p(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    rules = _load_rules(args.rules)
-    instance = _load_instance(args.instance)
+    with _input_errors(args):
+        rules = _load_rules(args.rules)
+        instance = _load_instance(args.instance)
     if args.json:
         # Scope the registry around the battery so the JSON report also
         # carries the matcher/instantiation (and, on persistent engines,

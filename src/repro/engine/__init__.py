@@ -68,12 +68,13 @@ Every delta round joins on integer rows (the join kernel in
 on every engine but ``naive``, and every round records its provenance
 in one :meth:`~repro.chase.result.ChaseResult.record_round` pass.  A
 pooled round stays on ids from routing to reply and builds one ``Atom``
-per new atom, in the parent.  The pool has won nothing it was measured
-on: on a 2-CPU host a pooled closure of a 120- or 200-edge path about
-ties inline ``delta``, and restricted chases of 80- and 140-edge paths are
-slower on it (EXP-13..16 in ``benchmarks/``), because encoding,
-decoding, merging and recording in the parent still cost about what
-the pool saves on matching.
+per new atom, in the parent.  Against inline ``delta`` (2-CPU host,
+CPython 3.11 with the GIL, transitivity on a path, pool start-up in the
+call, GC off, medians of 10 alternating pairs) two workers ran
+``semi_naive_closure`` of 200 and 300 edges 10-20% faster and of 120
+edges 2-7% faster, ``restricted_chase`` of 120 edges 12% faster and of
+80 edges even, and ``oblivious_chase`` of 120 edges 2.3x slower, for a
+cause not measured; ``engine/README.md`` has the rows.
 """
 
 from repro.engine.columnar import ColumnarInstance, Vocabulary
@@ -86,8 +87,8 @@ from repro.engine.config import (
     resolve_engine,
 )
 from repro.engine.core import (
-    as_delta_instance,
     delta_homomorphisms,
+    delta_rows,
     derive_delta_atoms,
     rule_delta_images,
 )
@@ -103,9 +104,9 @@ __all__ = [
     "TRANSPORT_STATS",
     "Vocabulary",
     "WorkerPool",
-    "as_delta_instance",
     "available_engines",
     "delta_homomorphisms",
+    "delta_rows",
     "derive_delta_atoms",
     "register_engine",
     "registered_engines",

@@ -43,7 +43,7 @@ never retracts an atom.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.engine import wire
 from repro.errors import ChaseError
@@ -174,9 +174,9 @@ class ColumnarInstance:
     """An append-only id-native atom store over a shared vocabulary.
 
     See the module docstring for the layout.  ``add_row`` and
-    ``ingest_packed`` are how rows arrive; ``tables`` / ``rows`` /
-    ``row_set`` are what the join kernel reads, and ``count`` what the
-    kernel's atom ordering reads.
+    ``ingest_packed`` are how rows arrive; ``tables`` and ``row_set`` are
+    what the join kernel reads, and ``count`` what the kernel's atom
+    ordering reads.
     """
 
     __slots__ = ("_vocabulary", "_tables", "_row_sets")
@@ -196,15 +196,6 @@ class ColumnarInstance:
     @property
     def vocabulary(self) -> Vocabulary:
         return self._vocabulary
-
-    def row_count(self, pred_id: int) -> int:
-        rows = self._row_sets.get(pred_id)
-        return len(rows) if rows else 0
-
-    def rows(self, pred_id: int) -> Sequence[tuple[int, ...]]:
-        """The rows over ``pred_id`` in append order (live; read-only)."""
-        table = self._tables.get(pred_id)
-        return table[0] if table is not None else ()
 
     def row_set(self, pred_id: int) -> "set[tuple[int, ...]] | frozenset":
         """The rows over ``pred_id`` as a set (live; read-only)."""
@@ -227,33 +218,24 @@ class ColumnarInstance:
         append_row(self._tables, pred_id, term_ids)
         return True
 
-    # checks: hot
     def ingest_packed(self, data: bytes) -> int:
         """Fold one wire-format atom buffer in; return the new-row count.
 
-        The buffer is ``(pred_id, term_ids...)`` per atom, delimited by
-        each predicate's arity; every row is a slice of the unpacked id
-        tuple, so no ``Atom`` is built.  Duplicate rows are dropped.
+        The buffer is ``(pred_id, term_ids...)`` per atom, parsed into id
+        rows by :func:`~repro.engine.wire.unpack_rows` (no ``Atom`` is
+        built).  Duplicate rows are dropped.
         """
-        ids = tuple(wire.unpack_ids(data))
-        predicates = self._vocabulary.predicates
         add_row = self.add_row
-        added = 0
-        position = 0
-        end = len(ids)
-        while position < end:
-            pred_id = ids[position]
-            stop = position + 1 + predicates[pred_id].arity
-            if stop > end:
-                raise ChaseError("truncated packed atom stream")
-            if add_row(pred_id, ids[position + 1:stop]):
-                added += 1
-            position = stop
-        return added
+        grouped = wire.unpack_rows(data, self._vocabulary.predicates)
+        return sum(
+            add_row(pred_id, row)
+            for pred_id, rows in grouped.items()
+            for row in rows
+        )
 
     def __len__(self) -> int:
         return sum(len(rows) for rows in self._row_sets.values())
 
     def count(self, predicate: Predicate) -> int:
         pred_id = self._vocabulary.predicate_ids.get(predicate)
-        return self.row_count(pred_id) if pred_id is not None else 0
+        return len(self._row_sets.get(pred_id, _EMPTY_ROWS))

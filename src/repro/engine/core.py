@@ -4,7 +4,9 @@ One pivot-atom decomposition serves every delta-driven round in the
 library: trigger enumeration for the chase variants and head derivation
 for the Datalog closure (:func:`repro.rewriting.datalog.semi_naive_closure`).
 Every such round runs :func:`round_matches` — in the parent on the whole
-delta, or on each worker of the pool on its slice of it.
+delta, or on each worker of the pool on its slice of it.  The delta
+has one form, :data:`DeltaRows` (:func:`delta_rows` in the parent, the
+parsed pivot buffer on a worker), or is ``None`` for the whole instance.
 
 The decomposition: a homomorphism of a rule body into the instance uses at
 least one delta atom exactly when some body atom maps into the delta.  For
@@ -59,10 +61,11 @@ ids for equality only and orders images by their ``Term`` values.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from repro.engine import wire
 from repro.engine.columnar import ColumnarInstance, Vocabulary
+from repro.errors import ChaseError
 from repro.logic.atoms import Atom
 from repro.logic.homomorphisms import (
     _order_atoms,
@@ -79,53 +82,77 @@ from repro.logic.substitutions import Substitution
 from repro.logic.terms import Term
 from repro.rules.rule import INSTANTIATION_STATS, Rule
 
+#: A round's delta as every kernel entry point takes it: ``pred_id ->``
+#: term-id rows, in delta order, over the id view the join reads.
+#: ``None`` in its place is the unpivoted join over the whole instance.
+DeltaRows = Mapping[int, Sequence[tuple[int, ...]]]
 
-def as_delta_instance(delta: Iterable[Atom] | Instance) -> Instance:
-    """Wrap a delta (atom iterable or instance) as a positional-indexed
-    instance, so pivot candidates come from an index lookup."""
-    if isinstance(delta, Instance):
-        return delta
-    return Instance(delta, add_top=False)
+
+def delta_rows(instance: Instance, delta: Iterable[Atom]) -> DeltaRows:
+    """``delta``, atoms of ``instance``, as :data:`DeltaRows` over its id
+    view (:func:`id_view`): built once per round, shared by every rule
+    and goal joined on it.
+
+    An atom the instance lacks raises :class:`~repro.errors.ChaseError`
+    (a pivot on it would match outside the instance).  A repeated atom
+    repeats its row, and the pivot work, not the results.
+    """
+    intern = id_view(instance).vocabulary.intern_atom
+    grouped: dict[int, list[tuple[int, ...]]] = {}
+    for atom in delta:
+        if atom not in instance:
+            raise ChaseError(f"delta atom {atom} is not in the instance")
+        pred_id, row = intern(atom)
+        grouped.setdefault(pred_id, []).append(row)
+    return grouped
 
 
 def delta_homomorphisms(
-    rule: Rule, instance: Instance, delta_inst: Instance
+    rule: Rule, instance: Instance, delta: Instance | None
 ) -> Iterator[Substitution]:
-    """Homomorphisms of ``rule.body`` into ``instance`` using ≥ 1 delta atom.
+    """Homomorphisms of ``rule.body`` into ``instance`` using ≥ 1 atom of
+    the object instance ``delta``.
 
     The object matcher's enumeration, kept as the reference the join
     kernel is tested against.  A homomorphism touching ``k`` delta atoms
-    is yielded up to ``k`` times (once per pivot).  When ``delta_inst``
-    *is* the instance every homomorphism qualifies, so the plain
-    per-rule enumeration runs instead and yields each one once.
+    is yielded up to ``k`` times (once per pivot).  ``delta=None`` stands
+    for the whole instance: the plain per-rule enumeration runs instead
+    and yields each homomorphism once.
     """
-    if delta_inst is instance:
+    if delta is None:
         yield from homomorphisms(rule.body, instance)
         return
     body = rule.body
     for pivot in rule.sorted_body():
-        candidates = delta_inst.sorted_with_predicate(pivot.predicate)
+        candidates = delta.sorted_with_predicate(pivot.predicate)
         if not candidates:
             continue
         yield from homomorphisms_with_pivot(body, instance, pivot, candidates)
 
 
-def _idle(rule: Rule, instance, delta_inst) -> bool:
-    """Whether the delta has no row over any body predicate: no pivot
-    search would run, so the rule is not worth compiling."""
-    if delta_inst is instance:
-        return False
-    count = delta_inst.count
-    return not any(count(atom.predicate) for atom in rule.body)
+def _join(rule: Rule, instance, delta: DeltaRows | None, seed=None):
+    """One rule's :class:`_RuleJoin` with a ``(pivot, pivot rows)`` pair
+    per search the object matcher would run: one per pivot with delta
+    rows, or a single unpivoted search, ``(None, None)``, when ``delta``
+    is None.  None when no search would run: the rule is not compiled."""
+    searches = [(None, None)]
+    if delta is not None:
+        predicate_ids = id_view(instance).vocabulary.predicate_ids
+        pivots = rule.sorted_body()
+        found = [(p, delta.get(predicate_ids.get(p.predicate))) for p in pivots]
+        searches = [(pivot, rows) for pivot, rows in found if rows]
+        if not searches:
+            return None
+    return _RuleJoin(rule, instance, searches, seed)
 
 
 def rule_delta_images(
     rule: Rule,
     instance: Instance | ColumnarInstance,
-    delta_inst: Instance | ColumnarInstance,
+    delta: DeltaRows | None,
 ) -> list[tuple[Term, ...]]:
-    """The distinct images of one rule's body matches that use a delta
-    atom.
+    """The distinct images of one rule's body matches that use a row of
+    ``delta`` (the round's :data:`DeltaRows`; ``None``: every match).
 
     An image is ``h(x̄)`` along ``rule.body_variable_order()`` — the
     identity of a :class:`~repro.chase.trigger.Trigger`, which derives
@@ -133,15 +160,14 @@ def rule_delta_images(
     different pivots) merge by set union.  The list holds each image
     once, in no particular order (callers sort by image).
     """
-    if _idle(rule, instance, delta_inst):
-        return []
-    return _RuleJoin(rule, instance, delta_inst).images()
+    join = _join(rule, instance, delta)
+    return join.images() if join else []
 
 
 def rule_unsatisfied_images(
     rule: Rule,
     instance: Instance | ColumnarInstance,
-    delta_inst: Instance | ColumnarInstance,
+    delta: DeltaRows | None,
 ) -> list[tuple[Term, ...]]:
     """:func:`rule_delta_images` minus the matches that cannot add an atom.
 
@@ -164,16 +190,15 @@ def rule_unsatisfied_images(
     are returned unpruned.
     """
     if rule.existential_order():
-        return rule_delta_images(rule, instance, delta_inst)
-    if _idle(rule, instance, delta_inst):
-        return []
-    return _RuleJoin(rule, instance, delta_inst).unsatisfied()
+        return rule_delta_images(rule, instance, delta)
+    join = _join(rule, instance, delta)
+    return join.unsatisfied() if join else []
 
 
 def rule_counted_images(
     rule: Rule,
     instance: Instance | ColumnarInstance,
-    delta_inst: Instance | ColumnarInstance,
+    delta: DeltaRows | None,
 ) -> tuple[list[tuple[Term, ...]], Collection[tuple[Term, ...]]]:
     """:func:`rule_delta_images` split into the images that can add an
     atom and the rest: ``(survivors, pruned)``.
@@ -191,9 +216,9 @@ def rule_counted_images(
     image, its ``Term`` tuples built only when it is iterated (``()``
     when there is none).  An existential rule's images all survive.
     """
-    if _idle(rule, instance, delta_inst):
+    join = _join(rule, instance, delta)
+    if join is None:
         return [], ()
-    join = _RuleJoin(rule, instance, delta_inst)
     if rule.existential_order():
         return join.images(), ()
     return join.counted()
@@ -202,11 +227,11 @@ def rule_counted_images(
 def rule_delta_match(
     rule: Rule,
     instance: Instance | ColumnarInstance,
-    delta_inst: Instance | ColumnarInstance,
+    delta: DeltaRows | None,
     seed: dict[Term, Term] | None = None,
 ) -> tuple[bool, int]:
     """Whether some match of ``rule.body`` that extends ``seed`` uses a
-    delta atom, and how many pivot searches ran to decide it.
+    row of ``delta`` (``None``: any), and how many searches decided it.
 
     Existence mode of the core, used by the serving layer's goal probe
     (each goal is the rule ``body → ⊤``).  The join stops at its first
@@ -216,19 +241,18 @@ def rule_delta_match(
     ``MATCHER_STATS`` as each starts.  ``seed`` pins body variables to
     terms; a term the instance lacks matches nothing.
     """
-    if _idle(rule, instance, delta_inst):
-        return False, 0
-    return _RuleJoin(rule, instance, delta_inst, seed).exists()
+    join = _join(rule, instance, delta, seed)
+    return join.exists() if join else (False, 0)
 
 
 def derive_delta_rows(
     rules: Sequence[Rule],
     instance: Instance | ColumnarInstance,
-    delta_inst: Instance | ColumnarInstance,
+    delta: DeltaRows | None,
 ) -> set[tuple[int, tuple[int, ...]]]:
-    """The ground heads of the Datalog ``rules`` whose body uses ≥ 1
-    delta atom and that ``instance`` lacks, as id rows ``(pred_id,
-    term_ids)`` over its id view.
+    """The ground heads of the Datalog ``rules`` whose body uses a row of
+    ``delta`` (``None``: any) and that ``instance`` lacks, as id rows
+    ``(pred_id, term_ids)`` over its id view.
 
     Derivation mode of the core, used by the Datalog closure: no trigger
     identity, no canonical ordering — duplicate matches collapse in the
@@ -247,31 +271,32 @@ def derive_delta_rows(
         wire.intern_rules(view.vocabulary, rules)
     rows: set[tuple[int, tuple[int, ...]]] = set()
     for rule in rules:
-        if not _idle(rule, instance, delta_inst):
-            rows |= _RuleJoin(rule, instance, delta_inst).derive()
+        join = _join(rule, instance, delta)
+        if join is not None:
+            rows |= join.derive()
     return rows
 
 
 def derive_delta_atoms(
     rule: Rule,
     instance: Instance | ColumnarInstance,
-    delta_inst: Instance | ColumnarInstance,
+    delta: DeltaRows | None,
 ) -> set[Atom]:
-    """Head instantiations of ``rule`` whose body uses ≥ 1 delta atom and
-    that ``instance`` lacks: :func:`derive_delta_rows` of ``rule``, one
-    :class:`Atom` per row.
+    """Head instantiations of ``rule`` whose body uses a row of ``delta``
+    (the :data:`DeltaRows`) and that ``instance`` lacks:
+    :func:`derive_delta_rows` of ``rule``, one :class:`Atom` per row.
 
-    ``delta_inst is instance`` (the ``naive`` engine's full
-    re-derivation) stays on the object matcher, the reference, and
-    returns every head instantiation, present or not.
+    ``delta=None`` (the ``naive`` engine's full re-derivation) stays on
+    the object matcher, the reference, and returns every head
+    instantiation, present or not.
     """
-    if delta_inst is instance:
+    if delta is None:
         derived: set[Atom] = set()
         head = rule.head
         for hom in homomorphisms(rule.body, instance):
             derived.update(hom.apply_atoms(head))
         return derived
-    rows = derive_delta_rows((rule,), instance, delta_inst)
+    rows = derive_delta_rows((rule,), instance, delta)
     return id_view(instance).vocabulary.atoms(rows)
 
 
@@ -279,10 +304,11 @@ def round_matches(
     mode: str,
     rules: Sequence[Rule],
     instance: Instance | ColumnarInstance,
-    delta_inst: Instance | ColumnarInstance,
+    delta: DeltaRows | None,
 ):
     """One delta round over ``rules``: the per-slice function every round
-    runs, inline on the whole delta or in a pool worker on its slice.
+    runs, inline on the whole delta or in a pool worker on its slice
+    (``delta=None``: the ``naive`` engine's whole-instance re-match).
 
     ``mode`` is the pool's command name: per rule, the
     :func:`rule_delta_images` list (``"enumerate"``), the
@@ -295,13 +321,13 @@ def round_matches(
     """
     if mode == "derive":
         if isinstance(instance, ColumnarInstance):
-            return derive_delta_rows(rules, instance, delta_inst)
+            return derive_delta_rows(rules, instance, delta)
         derived: set[Atom] = set()
         for rule in rules:
-            derived |= derive_delta_atoms(rule, instance, delta_inst)
+            derived |= derive_delta_atoms(rule, instance, delta)
         return derived
     images = ENUMERATE_MODES[mode]
-    return [images(rule, instance, delta_inst) for rule in rules]
+    return [images(rule, instance, delta) for rule in rules]
 
 
 #: The per-rule function of each enumerate mode of :func:`round_matches`.
@@ -351,7 +377,7 @@ class _Ids:
     """Symbol ↔ id for one join over one vocabulary.
 
     A symbol the vocabulary has never seen (a rule constant or head
-    predicate no row mentions yet, a delta term outside the instance)
+    predicate no row mentions yet, a seed term outside the instance)
     gets a distinct negative placeholder id.  It occurs in no row, so it
     matches nothing, and it is never written into the vocabulary — a
     worker's wire tables grow only through table segments — so a later
@@ -483,7 +509,7 @@ class _RuleJoin:
         self,
         rule: Rule,
         instance: Instance | ColumnarInstance,
-        delta_inst: Instance | ColumnarInstance,
+        searches: list[tuple],
         seed: dict[Term, Term] | None = None,
     ):
         self.rule = rule
@@ -509,7 +535,7 @@ class _RuleJoin:
         self.instance = instance
         count = instance.count
         self.pattern = rank_pattern([count(p) for p in self.predicates])
-        self.searches = self._searches(rule, instance, delta_inst)
+        self.searches = searches
 
     def _seed(self, seed: dict[Term, Term]) -> None:
         """Pre-bind the seeded body variables to their terms' ids (a
@@ -545,24 +571,6 @@ class _RuleJoin:
             for atom in head
         ]
 
-    def _searches(self, rule, instance, delta_inst) -> list[tuple]:
-        """``(pivot, pivot rows)`` per search the object matcher would
-        run: one per pivot with delta rows, or a single unpivoted search,
-        ``(None, None)``, when the delta is the instance."""
-        if delta_inst is instance:
-            return [(None, None)]
-        searches = []
-        pivot_rows: dict[Predicate, Collection[tuple]] = {}
-        for pivot in rule.sorted_body():
-            rows = pivot_rows.get(pivot.predicate)
-            if rows is None:
-                rows = pivot_rows[pivot.predicate] = self._pivot_rows(
-                    delta_inst, pivot.predicate
-                )
-            if rows:
-                searches.append((pivot, rows))
-        return searches
-
     def _plan(self, pivot: Atom | None) -> list[tuple]:
         """The compiled plan of the search pivoted on ``pivot`` (None for
         the unpivoted search), from the rule's cache
@@ -594,23 +602,6 @@ class _RuleJoin:
                 ordered, self.slot_of, self.pinned, self.predicates
             )
         return plan
-
-    def _pivot_rows(self, delta, predicate: Predicate) -> Collection[tuple]:
-        """The delta's rows over ``predicate``, in the view's ids (in no
-        particular order: the join's results do not depend on it).  A
-        columnar delta is a worker's pivot slice, over its replica's
-        vocabulary."""
-        if isinstance(delta, ColumnarInstance):
-            if delta.vocabulary is not self.view.vocabulary:
-                raise ValueError(
-                    "a columnar delta must share its instance's vocabulary"
-                )
-            return delta.rows(self.ids.predicate(predicate))
-        term = self.ids.term
-        return {
-            tuple([term(t) for t in atom.args])
-            for atom in delta.with_predicate(predicate)
-        }
 
     def _run(self, emit: Callable[[list], object]) -> tuple[bool, int]:
         """Hand every match of every search to ``emit`` as the live slot

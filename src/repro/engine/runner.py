@@ -73,11 +73,7 @@ import time
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.engine.config import EngineConfig, resolve_engine
-from repro.engine.core import (
-    as_delta_instance,
-    round_matches,
-    rule_delta_match,
-)
+from repro.engine.core import delta_rows, round_matches, rule_delta_match
 from repro.engine.workers import TRANSPORT_STATS, WorkerPool
 from repro.errors import ChaseBudgetExceeded, ChaseError
 from repro.logic.terms import FreshSupply
@@ -196,10 +192,8 @@ class VariantPolicy:
         first match.  It runs inline on every engine (the worker pool is
         already closed when this runs).
         """
-        delta_inst = as_delta_instance(delta)
-        return any(
-            rule_delta_match(rule, instance, delta_inst)[0] for rule in rules
-        )
+        rows = delta_rows(instance, delta)
+        return any(rule_delta_match(rule, instance, rows)[0] for rule in rules)
 
     # -- firing --------------------------------------------------------
 
@@ -494,7 +488,7 @@ class ChaseRunner:
         gained since the last round, on the run's pool if it has one;
         ``naive`` (only derivation rounds reach it) re-matches it all."""
         if self.config.is_naive:
-            return round_matches(mode, rules, instance, instance)
+            return round_matches(mode, rules, instance, None)
         delta = instance.delta_since(self._seen_revision)
         self._seen_revision = instance.revision
         recorder = active_round()
@@ -502,7 +496,7 @@ class ChaseRunner:
             recorder.delta_atoms = len(delta)
         if self._pool is not None:
             return self._pool.round_matches(mode, rules, instance, delta)
-        return round_matches(mode, rules, instance, as_delta_instance(delta))
+        return round_matches(mode, rules, instance, delta_rows(instance, delta))
 
     def _has_remaining(self, instance: "Instance", rules: "RuleSet") -> bool:
         """The post-budget fixpoint probe."""

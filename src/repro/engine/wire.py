@@ -78,6 +78,7 @@ from repro.rules.rule import Rule
 
 if TYPE_CHECKING:  # annotation-only: columnar imports this module
     from repro.engine.columnar import Vocabulary
+    from repro.logic.predicates import Predicate
 
 
 #: The reply envelope's fixed-size worker telemetry: the wall-clock triple
@@ -228,10 +229,41 @@ def _missing_symbol(symbol) -> ChaseError:
 
 
 def _unknown_id() -> ChaseError:
-    return ChaseError("worker reply mentions an id past the wire table")
+    return ChaseError("packed ids mention an id past the wire table")
 
 
 # checks: hot
+def unpack_rows(
+    data: bytes, predicates: Sequence["Predicate"]
+) -> dict[int, list[tuple[int, ...]]]:
+    """The id rows of one :func:`pack_rows` stream, ``pred_id ->
+    term-id tuples`` in stream order (the join kernel's delta form),
+    delimited by the arities of the wire table ``predicates``.
+
+    The one parser of packed rows: replica ingest, worker pivots, derive
+    replies.  A truncated stream, or a predicate id past the table,
+    raises :class:`~repro.errors.ChaseError`.
+    """
+    ids = tuple(unpack_ids(data))
+    grouped: dict[int, list[tuple[int, ...]]] = {}
+    position, end = 0, len(ids)
+    try:
+        while position < end:
+            pred_id = ids[position]
+            stop = position + 1 + predicates[pred_id].arity
+            if stop > end:
+                raise ChaseError("truncated packed atom stream")
+            rows = grouped.get(pred_id)
+            if rows is None:
+                grouped[pred_id] = [ids[position + 1:stop]]
+            else:
+                rows.append(ids[position + 1:stop])
+            position = stop
+    except IndexError:
+        raise _unknown_id() from None
+    return grouped
+
+
 def decode_derive_reply(
     vocabulary: "Vocabulary", reply: bytes
 ) -> set[tuple[int, tuple[int, ...]]]:
@@ -242,25 +274,10 @@ def decode_derive_reply(
     truncated atom stream, or an id past the end of the predicate or
     term table, raises :class:`~repro.errors.ChaseError`.
     """
-    ids = tuple(unpack_ids(reply))
-    predicates = vocabulary.predicates
-    term_count = len(vocabulary.terms)
-    rows: set[tuple[int, tuple[int, ...]]] = set()
-    position, end = 0, len(ids)
-    try:
-        while position < end:
-            pred_id = ids[position]
-            start = position + 1
-            stop = start + predicates[pred_id].arity
-            if stop > end:
-                raise ChaseError("truncated packed atom stream")
-            term_ids = ids[start:stop]
-            if term_ids and max(term_ids) >= term_count:
-                raise _unknown_id()
-            rows.add((pred_id, term_ids))
-            position = stop
-    except IndexError:
-        raise _unknown_id() from None
+    grouped = unpack_rows(reply, vocabulary.predicates)
+    rows = {(pred, ids) for pred, found in grouped.items() for ids in found}
+    if any(ids and max(ids) >= len(vocabulary.terms) for _, ids in rows):
+        raise _unknown_id()
     return rows
 
 

@@ -56,8 +56,9 @@ pickled — that is also how the pool accounts transport in
     :func:`~repro.engine.core.round_matches` mode.
     One round: fold the packed ``sync_buf`` delta into the replica,
     then run :func:`~repro.engine.core.round_matches` with the
-    ``pivot_buf`` rows (this worker's slice of the delta) as the pivot
-    source against the full replica.  Replies with one packed buffer:
+    ``pivot_buf`` rows (this worker's slice of the delta, parsed by
+    :func:`~repro.engine.wire.unpack_rows`) as the pivot source against
+    the full replica.  Replies with one packed buffer:
     per-rule image streams (the enumeration commands — the parent
     decodes them into the image lists an inline round returns) or the
     new heads as packed id rows (``derive``: the replica mirrors the
@@ -330,11 +331,10 @@ def _worker_main(conn) -> None:
             elif command == "derive" or command in core.ENUMERATE_MODES:
                 _, segment, sync_buf, pivot_buf = message
                 vocabulary.apply_segment(segment)
+                pivots = wire.unpack_rows(pivot_buf, vocabulary.predicates)
                 decoded = perf()
                 replica.ingest_packed(sync_buf)
-                view = ColumnarInstance(vocabulary)
-                view.ingest_packed(pivot_buf)
-                result = core.round_matches(command, rules, replica, view)
+                result = core.round_matches(command, rules, replica, pivots)
                 executed = perf()
                 if command == "derive":
                     value = wire.pack_rows(result)
@@ -690,8 +690,8 @@ class WorkerPool:
             )
         busy = [atoms for atoms in routed if atoms]
         if len(busy) < 2:
-            slice_inst = core.as_delta_instance(busy[0] if busy else ())
-            return core.round_matches(mode, rules, instance, slice_inst)
+            pivots = core.delta_rows(instance, busy[0] if busy else ())
+            return core.round_matches(mode, rules, instance, pivots)
         results = self.run_round(mode, rules, instance, routed)
         if mode == "derive":
             return self._vocabulary.atoms(set().union(*results))

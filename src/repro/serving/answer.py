@@ -208,7 +208,10 @@ def answer(
         Optional :class:`~repro.obs.trace.RunTrace`, attached to the
         strategy's main run only: the chase for ``chase``/``hybrid``/
         ``auto``, the rewriting of the query for ``rewrite`` (not the
-        Boolean reading's rewriting that enumeration mode adds).
+        Boolean reading's rewriting that enumeration mode adds).  Under
+        ``auto`` or ``hybrid`` a request the rewriting decides leaves the
+        trace empty (no header, rounds or summary); tracing that leg
+        waits for a benchmark-only change (see ``ROADMAP.md``).
     """
     if strategy not in STRATEGIES:
         raise ValueError(

@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.chase.oblivious import ObliviousPolicy
-from repro.engine.core import as_delta_instance, rule_delta_match
+from repro.engine.core import delta_rows, rule_delta_match
 from repro.logic.atoms import TOP_ATOM, Atom
 from repro.logic.homomorphisms import find_homomorphism
 from repro.logic.instances import Instance
@@ -73,6 +73,8 @@ class GoalProbe:
     def check_delta(self, instance: Instance) -> bool:
         """Probe only for matches using an atom added since the watermark.
 
+        The delta becomes the join kernel's id rows once
+        (:func:`~repro.engine.core.delta_rows`), shared by every goal.
         Goals are tried in order; the first witness ends the check.
         ``SERVING_STATS.delta_probes`` counts the pivot searches run.
         """
@@ -82,11 +84,9 @@ class GoalProbe:
         self._watermark = instance.revision
         if not delta:
             return False
-        delta_inst = as_delta_instance(delta)
+        rows = delta_rows(instance, delta)
         for goal, seed in self._goals:
-            found, searches = rule_delta_match(
-                goal, instance, delta_inst, seed
-            )
+            found, searches = rule_delta_match(goal, instance, rows, seed)
             SERVING_STATS.delta_probes += searches
             if found:
                 self.witnessed = True

@@ -127,6 +127,39 @@ class TestCLI:
         assert message.startswith("repro chase: ")
         assert "runs sequentially" in message
 
+    @pytest.mark.parametrize(
+        "argv,error",
+        [
+            (["chase", "{missing}"], "No such file"),
+            (["chase", "{rules}", "--instance", "E(a,"], "position"),
+            (["answer", "{rules}", "E(x"], "position"),
+            (["answer", "{broken}", "E(x,y)"], "position"),
+            (["rewrite", "{rules}", "E(x,)"], "position"),
+            (["classify", "{missing}"], "No such file"),
+            (["property-p", "{broken}"], "position"),
+            (["analyze", "{rules}", "--instance", "E(a"], "position"),
+        ],
+        ids=["chase_missing_rules", "chase_instance", "answer_query",
+             "answer_rules", "rewrite_query", "classify_missing_rules",
+             "property_p_rules", "analyze_instance"],
+    )
+    def test_input_errors_exit_in_one_line(self, rule_file, tmp_path, argv,
+                                           error):
+        # An unreadable rule file and a malformed rule, instance or query
+        # end the command with one line, not a traceback.
+        broken = tmp_path / "broken.txt"
+        broken.write_text("E(x,y) -> E(y,\n")
+        paths = {
+            "missing": str(tmp_path / "missing.txt"),
+            "rules": rule_file,
+            "broken": str(broken),
+        }
+        with pytest.raises(SystemExit) as excinfo:
+            main([arg.format(**paths) for arg in argv])
+        message = str(excinfo.value.code)
+        assert message.startswith(f"repro {argv[0]}: ")
+        assert error in message and "\n" not in message
+
     def test_chase_help_lists_registry_engines(self, capsys):
         import pytest
 

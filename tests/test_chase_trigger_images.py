@@ -185,7 +185,7 @@ def _round(rules, instance):
     """The triggers of one ``enumerate`` round over the whole instance."""
     rules = list(rules)
     triggers, _ = round_triggers(
-        rules, round_matches("enumerate", rules, instance, instance)
+        rules, round_matches("enumerate", rules, instance, None)
     )
     return triggers
 
@@ -242,7 +242,7 @@ def test_pruned_round_counts_one_head_per_image():
         "E(a,b), E(b,c), E(c,d), E(a,c), E(a,e), E(e,d)"
     )
     (images,) = round_matches(
-        "enumerate_unsatisfied", list(rules), instance, instance
+        "enumerate_unsatisfied", list(rules), instance, None
     )
     INSTANTIATION_STATS.reset()
     triggers, _ = round_triggers(

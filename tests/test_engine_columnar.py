@@ -68,9 +68,9 @@ def _atoms_of(store):
     """Every row of ``store`` as an atom, read through its vocabulary."""
     vocabulary = store.vocabulary
     return sorted(
-        Atom(predicate, tuple(vocabulary.terms[i] for i in row))
-        for pred_id, predicate in enumerate(vocabulary.predicates)
-        for row in store.rows(pred_id)
+        Atom(vocabulary.predicates[pred_id], tuple(vocabulary.terms[i] for i in row))
+        for pred_id, (rows, _) in store.tables.items()
+        for row in rows
     )
 
 
@@ -103,7 +103,7 @@ class TestStoreSemantics:
         store = replica.store
         assert replica.feed([Atom(E, (a, b))]) == 0
         e_id = store.vocabulary.predicate_ids[E]
-        (row,) = store.rows(e_id)
+        ((row,), _) = store.tables[e_id]
         assert not store.add_row(e_id, row)
         assert len(store) == 2
         assert _has(store, Atom(E, (a, b)))
@@ -147,6 +147,38 @@ class TestStoreSemantics:
         buf = replica.packed([Atom(E, (a, b))])
         with pytest.raises(ChaseError):
             replica.store.ingest_packed(buf[:-1])
+
+
+class TestOnePackedRowParser:
+    """A worker's pivot rows (:func:`~repro.engine.wire.unpack_rows`, the
+    join kernel's delta form) and a replica's ingest read a packed
+    buffer through one parser."""
+
+    def test_worker_pivots_are_the_rows_ingest_stores(self):
+        rng = random.Random(5)
+        distinct = list(dict.fromkeys(_random_atoms(rng, 40)))
+        replica = _Replica()
+        buf = replica.packed(distinct)
+        replica.store.ingest_packed(buf)
+        pivots = wire.unpack_rows(buf, replica.vocabulary.predicates)
+        assert len(pivots) == 4
+        assert pivots == {
+            pred_id: rows for pred_id, (rows, _) in replica.store.tables.items()
+        }
+
+    @pytest.mark.parametrize(
+        "cut", [lambda buf: buf[:-1], lambda buf: wire.pack_ids([99])],
+        ids=["truncated", "predicate_past_the_table"],
+    )
+    def test_a_malformed_buffer_raises_in_both(self, cut):
+        a, b = _constants(2)
+        replica = _Replica()
+        buf = cut(replica.packed([Atom(MARK, ()), Atom(E, (a, b))]))
+        with pytest.raises(ChaseError):
+            wire.unpack_rows(buf, replica.vocabulary.predicates)
+        with pytest.raises(ChaseError):
+            replica.store.ingest_packed(buf)
+        assert len(replica.store) == 0
 
 
 class TestMatcherParity:

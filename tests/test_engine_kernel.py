@@ -7,7 +7,8 @@ rows, and :func:`~repro.engine.core.rule_delta_match` stops at the
 first match.  Here they are checked against an oracle built from
 :func:`~repro.engine.core.delta_homomorphisms` and
 :func:`~repro.logic.homomorphisms.homomorphisms_with_pivot` (the object
-matcher): the same images (each once, with the trigger mapping derived
+matcher, on object deltas built from each round's atoms): the same
+images (each once, with the trigger mapping derived
 from an image equal to the one a trigger restricts from the oracle's
 homomorphism), the same survivors (the ``Term``-smallest image per
 missing ground head), derived atoms (the head instantiations the store
@@ -15,13 +16,18 @@ lacks) and match verdicts, and the same ``MATCHER_STATS`` and
 ``INSTANTIATION_STATS`` counts, round after round, on three stores — a
 plain :class:`Instance`, a worker-style :class:`ColumnarInstance`
 replica, and an :class:`Instance` grown in two ``update`` calls per
-round, with repeated atoms and its id view synced in between.  The
+round, with repeated atoms and its id view synced in between — each
+handing the kernel the round's delta as grouped id rows
+(:func:`~repro.engine.core.delta_rows`, or a worker's
+:func:`~repro.engine.wire.unpack_rows`).  The
 cases include draws of
 :func:`~repro.corpus.generators.random_chase_ruleset` (existential
 rules, rule constants, repeated variables, multi-atom heads).  The
 remaining tests pin the id view's lifecycle (synced per revision,
 never pickled), that delta rounds never reach the object matcher, the
-per-round counts of transitivity over ``path_instance(12)``, and the
+per-round counts of transitivity over ``path_instance(12)``, the delta
+form (results independent of pivot-row order, a delta atom the instance
+lacks refused, no round constructing a delta ``Instance``), and the
 kernel-backed closures — inline and on the worker pool — against
 ``naive``.
 """
@@ -32,10 +38,12 @@ import importlib
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.chase import oblivious_chase, restricted_chase, semi_oblivious_chase
 from repro.chase.restricted import RestrictedPolicy
-from repro.chase.trigger import Trigger
+from repro.chase.trigger import Trigger, new_triggers_of
 from repro.corpus.generators import (
     FUZZ_SIGNATURE,
     path_instance,
@@ -47,18 +55,22 @@ from repro.corpus.generators import (
 from repro.engine import ChaseRunner, EngineConfig, wire
 from repro.engine.columnar import ColumnarInstance, Vocabulary
 from repro.engine.core import (
-    as_delta_instance,
+    ENUMERATE_MODES,
     delta_homomorphisms,
+    delta_rows,
     derive_delta_atoms,
+    derive_delta_rows,
     id_view,
     rule_delta_images,
     rule_delta_match,
     rule_unsatisfied_images,
 )
+from repro.errors import ChaseError
 from repro.logic import MATCHER_STATS
 from repro.logic.atoms import TOP_ATOM, Atom
 from repro.logic.homomorphisms import homomorphisms_with_pivot
 from repro.logic.instances import Instance
+from repro.logic.predicates import Predicate
 from repro.logic.terms import Constant
 from repro.rewriting.datalog import semi_naive_closure
 from repro.rules.parser import parse_instance, parse_query, parse_rules
@@ -126,6 +138,15 @@ def _oracle_match(rule, instance, delta, seed=None):
     return False, searches
 
 
+def _object_rounds(rounds):
+    """The oracle's side of each round: the object instance so far and
+    the round's atoms as an object delta."""
+    instance = Instance(add_top=False)
+    for atoms in rounds:
+        instance.update(atoms)
+        yield instance, Instance(atoms, add_top=False)
+
+
 def _counted(run):
     MATCHER_STATS.reset()
     INSTANTIATION_STATS.reset()
@@ -143,14 +164,14 @@ def _counted(run):
 
 
 class PlainStore:
-    """An object instance; the delta is an object instance too."""
+    """An object instance; the delta is its :func:`delta_rows`."""
 
     def __init__(self):
         self.instance = Instance(add_top=False)
 
     def advance(self, atoms):
         self.instance.update(atoms)
-        return self.instance, as_delta_instance(atoms)
+        return self.instance, delta_rows(self.instance, atoms)
 
 
 class GrownStore(PlainStore):
@@ -166,14 +187,14 @@ class GrownStore(PlainStore):
         self.instance.update(held + atoms[:half] + atoms[:half])
         assert len(id_view(self.instance)) == self.instance.revision
         self.instance.update(atoms[half:] + held + atoms)
-        return self.instance, as_delta_instance(atoms)
+        return self.instance, delta_rows(self.instance, atoms)
 
 
 class ReplicaStore:
     """A worker-style replica: a columnar store over a vocabulary grown
-    by table segments, fed packed buffers, with the delta in the same
-    vocabulary.  Its tables hold the rules' head symbols from the start,
-    as a pool's seed interns them."""
+    by table segments, fed packed buffers; the delta is the rows a
+    worker parses from the same buffer.  Its tables hold the rules' head
+    symbols from the start, as a pool's seed interns them."""
 
     def __init__(self, rules=()):
         self.tables = Vocabulary()
@@ -191,9 +212,7 @@ class ReplicaStore:
     def advance(self, atoms):
         buf = self._packed(atoms)
         self.instance.ingest_packed(buf)
-        delta = ColumnarInstance(self.instance.vocabulary)
-        delta.ingest_packed(buf)
-        return self.instance, delta
+        return self.instance, wire.unpack_rows(buf, self.vocabulary.predicates)
 
 
 STORES = ["plain", "replica", "grown"]
@@ -324,15 +343,11 @@ def _seeds(rule, atoms):
 
 
 def _oracle_rounds(rules, rounds, oracle):
-    """The oracle's per-rule, per-round results on plain instances."""
-    store = PlainStore()
-    expected = []
-    for atoms in rounds:
-        instance, delta = store.advance(atoms)
-        expected.append(
-            [_counted(lambda: oracle(r, instance, delta)) for r in rules]
-        )
-    return expected
+    """The oracle's per-rule, per-round results on object instances."""
+    return [
+        [_counted(lambda: oracle(r, instance, delta)) for r in rules]
+        for instance, delta in _object_rounds(rounds)
+    ]
 
 
 @pytest.mark.parametrize("kind", STORES)
@@ -350,8 +365,8 @@ class TestKernelMatchesObjectMatcher:
                 _assert_same_images(rule, got, want, (name, str(rule)))
         reference = Instance([a for r in rounds for a in r], add_top=False)
         for rule in rules:
-            want = _counted(lambda: _oracle_images(rule, reference, reference))
-            got = _counted(lambda: rule_delta_images(rule, instance, instance))
+            want = _counted(lambda: _oracle_images(rule, reference, None))
+            got = _counted(lambda: rule_delta_images(rule, instance, None))
             _assert_same_images(rule, got, want, (name, str(rule)))
 
     def test_unsatisfied_images(self, name, rules, rounds, kind):
@@ -380,10 +395,9 @@ class TestKernelMatchesObjectMatcher:
         # the same verdict and searches on every call, and the same
         # candidates on every call that finds no match (a witnessing
         # search stops at the first match it reaches, in row order).
-        reference = PlainStore()
         store = _store(kind, rules)
-        for atoms in rounds:
-            oracle_instance, oracle_delta = reference.advance(atoms)
+        oracle = _object_rounds(rounds)
+        for atoms, (oracle_instance, oracle_delta) in zip(rounds, oracle):
             instance, delta = store.advance(atoms)
             for rule in rules:
                 for seed in _seeds(rule, atoms):
@@ -406,12 +420,8 @@ class TestKernelMatchesObjectMatcher:
             instance, _ = store.advance(atoms)
         reference = Instance([a for r in rounds for a in r], add_top=False)
         for rule in rules:
-            want = _counted(
-                lambda: _oracle_unsatisfied(rule, reference, reference)
-            )
-            got = _counted(
-                lambda: rule_unsatisfied_images(rule, instance, instance)
-            )
+            want = _counted(lambda: _oracle_unsatisfied(rule, reference, None))
+            got = _counted(lambda: rule_unsatisfied_images(rule, instance, None))
             _assert_same_images(rule, got, want, (name, str(rule)))
 
 
@@ -458,7 +468,7 @@ class TestIdView:
         instance = path_instance(12)
         before = pickle.dumps(instance)
         rule = next(iter(self.TC))
-        rule_unsatisfied_images(rule, instance, as_delta_instance(instance))
+        rule_unsatisfied_images(rule, instance, None)
         assert instance._id_view is not None
         after = pickle.dumps(instance)
         assert len(after) == len(before)
@@ -480,12 +490,12 @@ def test_existential_free_joins_never_reach_the_object_matcher(monkeypatch):
         "E(x,y), E(y,z) -> E(x,z), F(z,x)\nF(x,y) -> G(x)", name="datalog"
     )
     instance = path_instance(6)
-    delta = as_delta_instance(instance.sorted_atoms()[2:])
+    delta = delta_rows(instance, instance.sorted_atoms()[2:])
     matcher = importlib.import_module("repro.logic.homomorphisms")
     monkeypatch.setattr(matcher, "_search", forbidden)
     for rule in rules:
         rule_unsatisfied_images(rule, instance, delta)
-        rule_unsatisfied_images(rule, instance, instance)
+        rule_unsatisfied_images(rule, instance, None)
         derive_delta_atoms(rule, instance, delta)
     restricted_chase(path_instance(6), rules)
     semi_naive_closure(path_instance(6), rules, engine="delta")
@@ -576,7 +586,7 @@ def test_derive_round_counts_are_pinned():
         delta = total.delta_since(revision)
         revision = total.revision
         MATCHER_STATS.reset()
-        derived = derive_delta_atoms(rule, total, as_delta_instance(delta))
+        derived = derive_delta_atoms(rule, total, delta_rows(total, delta))
         new = {a for a in derived if a not in total}
         rounds.append((MATCHER_STATS.searches, MATCHER_STATS.candidates,
                        len(derived), len(new)))
@@ -593,12 +603,134 @@ def test_a_stopped_join_counts_only_the_candidates_it_tested():
     instance = Instance(add_top=False)
     for atom in atoms:
         instance.add(atom)
-    delta = as_delta_instance(atoms[:1])
     goal = Rule(parse_query("E(x,y), E(y,z)").atoms, (TOP_ATOM,))
-    want = _counted(lambda: _oracle_match(goal, instance, delta))
-    got = _counted(lambda: rule_delta_match(goal, instance, delta))
+    want = _counted(lambda: _oracle_match(
+        goal, instance, Instance(atoms[:1], add_top=False)
+    ))
+    got = _counted(
+        lambda: rule_delta_match(goal, instance, delta_rows(instance, atoms[:1]))
+    )
     assert want == ((True, 1), (1, 2, 0))
     assert got == want
+
+
+# ----------------------------------------------------------------------
+# The delta form: grouped id rows, built once per round
+# ----------------------------------------------------------------------
+
+
+def _kernel_results(rules, instance, delta, atoms):
+    """What the kernel returns for one delta, minus what depends on row
+    order: per rule, every enumerate mode's image sets and the counts of
+    its searches (each runs to its end), and each match call's verdict
+    and searches; the Datalog rules' derived rows and their counts."""
+    results = []
+    for rule in rules:
+        for mode, images in ENUMERATE_MODES.items():
+            found, counts = _counted(lambda: images(rule, instance, delta))
+            if mode == "enumerate_counted":
+                found = tuple(frozenset(part) for part in found)
+            else:
+                found = frozenset(found)
+            results.append((mode, found, counts))
+        for seed in _seeds(rule, atoms):
+            (found, searches), _ = _counted(
+                lambda: rule_delta_match(rule, instance, delta, seed)
+            )
+            results.append(("match", found, searches))
+    datalog = [rule for rule in rules if rule.is_datalog]
+    results.append(
+        _counted(lambda: derive_delta_rows(datalog, instance, delta))
+    )
+    return results
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 500), order=st.randoms(use_true_random=False))
+def test_kernel_results_do_not_depend_on_pivot_row_order(seed, order):
+    # Pivot rows are a list in delta order: reversing or shuffling each
+    # predicate's rows moves no image, derived row, verdict or count.
+    _, rules, rounds = _fuzz_case(seed)
+    instance = Instance(add_top=False)
+    for atoms in rounds:
+        instance.update(atoms)
+        delta = delta_rows(instance, atoms)
+        want = _kernel_results(rules, instance, delta, atoms)
+        backwards = {pred: rows[::-1] for pred, rows in delta.items()}
+        shuffled = {
+            pred: order.sample(rows, len(rows)) for pred, rows in delta.items()
+        }
+        for variant in (backwards, shuffled):
+            assert _kernel_results(rules, instance, variant, atoms) == want
+
+
+def test_a_delta_atom_the_instance_lacks_raises_chase_error():
+    # A pivot on it would match outside the instance, so the delta form
+    # refuses it before interning anything: an absent atom over known
+    # terms, one with a new term, one with a new predicate.
+    instance = parse_instance("E(a,b), E(b,c)")
+    (e,) = {atom.predicate for atom in instance if atom.args}
+    a, b, c = (Constant(name) for name in "abc")
+    absent = [
+        Atom(e, (c, a)),
+        Atom(e, (c, Constant("Z"))),
+        Atom(Predicate("F", 1), (a,)),
+    ]
+    vocabulary = id_view(instance).vocabulary
+    marks = vocabulary.marks()
+    for atom in absent:
+        with pytest.raises(ChaseError, match="not in the instance"):
+            delta_rows(instance, [Atom(e, (a, b)), atom])
+        with pytest.raises(ChaseError, match="not in the instance"):
+            list(new_triggers_of(instance, TC, [atom]))
+        assert vocabulary.marks() == marks
+
+
+@pytest.fixture()
+def instance_constructions(monkeypatch):
+    """Every :class:`Instance` constructed from here on."""
+    made = []
+    init = Instance.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Instance, "__init__", counted)
+    return made
+
+
+SUCC_TC = parse_rules(
+    "E(x,y) -> exists z. E(y,z)\nE(x,y), E(y,z) -> F(x,z)", name="succ_tc"
+)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        pytest.param(
+            lambda i: oblivious_chase(i, SUCC_TC, max_levels=4), id="oblivious"
+        ),
+        pytest.param(
+            lambda i: semi_oblivious_chase(i, SUCC_TC, max_levels=4),
+            id="semi_oblivious",
+        ),
+        pytest.param(
+            lambda i: restricted_chase(i, SUCC_TC, max_rounds=4),
+            id="restricted",
+        ),
+        pytest.param(lambda i: semi_naive_closure(i, TC), id="closure"),
+    ],
+)
+def test_delta_rounds_build_no_delta_instance(run, instance_constructions):
+    # Every round hands the kernel grouped id rows, and so does the
+    # post-budget probe of the oblivious and semi-oblivious runs, which
+    # stop on their level budget: the run constructs no Instance but its
+    # initial copy.
+    instance = path_instance(6)
+    instance_constructions.clear()
+    run(instance)
+    assert len(instance_constructions) == 1
 
 
 # ----------------------------------------------------------------------

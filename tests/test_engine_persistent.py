@@ -36,7 +36,7 @@ from repro.engine import (
     resolve_engine,
     wire,
 )
-from repro.engine.core import as_delta_instance, round_matches
+from repro.engine.core import delta_rows, round_matches
 from repro.errors import ChaseError
 from repro.logic import MATCHER_STATS
 from repro.logic.atoms import atom
@@ -521,7 +521,7 @@ class TestInlineFallback:
             )
             assert TRANSPORT_STATS.messages == messages
             _assert_same_image_sets(found, round_matches(
-                "enumerate", self.RULES, instance, as_delta_instance(inline)
+                "enumerate", self.RULES, instance, delta_rows(instance, inline)
             ))
             instance.update(pooled)
             synced = TRANSPORT_STATS.command("sync")["atoms_sent"]
@@ -534,7 +534,7 @@ class TestInlineFallback:
             )
             assert TRANSPORT_STATS.seeds == 1
         _assert_same_image_sets(found, round_matches(
-            "enumerate", self.RULES, instance, as_delta_instance(pooled)
+            "enumerate", self.RULES, instance, delta_rows(instance, pooled)
         ))
         # The matches through round 2's atoms: the replicas learned those
         # atoms only from round 3's sync.

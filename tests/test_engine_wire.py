@@ -54,9 +54,9 @@ def _ingest(vocabulary: Vocabulary, buf: bytes) -> list[Atom]:
     replica.ingest_packed(buf)
     terms = vocabulary.terms
     return sorted(
-        build_atom(predicate, tuple([terms[i] for i in row]))
-        for pred_id, predicate in enumerate(vocabulary.predicates)
-        for row in replica.rows(pred_id)
+        build_atom(vocabulary.predicates[pred_id], tuple([terms[i] for i in row]))
+        for pred_id, (rows, _) in replica.tables.items()
+        for row in rows
     )
 
 
@@ -228,7 +228,7 @@ class TestReplyCodec:
         instance = Instance(
             [atom("E", "A", "B"), atom("E", "B", "C"), atom("E", "C", "A")]
         )
-        per_rule = [rule_delta_images(rules[0], instance, instance)]
+        per_rule = [rule_delta_images(rules[0], instance, None)]
         assert per_rule[0]  # non-trivial
         tables = Vocabulary()
         wire.encode_atoms(tables, instance.sorted_atoms())
@@ -240,7 +240,7 @@ class TestReplyCodec:
         assert len(set(images)) == len(images)
         reference = {
             Trigger(rules[0], hom)
-            for hom in delta_homomorphisms(rules[0], instance, instance)
+            for hom in delta_homomorphisms(rules[0], instance, None)
         }
         rebuilt = {Trigger.from_image(rules[0], image) for image in images}
         assert rebuilt == reference
@@ -332,8 +332,7 @@ class TestReplyCodec:
 
                 replica = ColumnarInstance(vocabulary)
                 replica.ingest_packed(buf)
-                pivots = ColumnarInstance(vocabulary)
-                pivots.ingest_packed(buf)
+                pivots = wire.unpack_rows(buf, vocabulary.predicates)
                 rules = parse_rules("F(x,y) -> F(x,Stranger)")
                 round_matches("derive", rules, replica, pivots)
             else:

@@ -276,3 +276,41 @@ def test_a_request_compiles_each_goal_and_rule_pivot_once(monkeypatch):
     assert goal_pivots == 28
     assert len(compiled) == len(set(compiled))
     assert len(compiled) <= goal_pivots + rule_pivots
+
+
+def test_check_delta_converts_the_delta_once_for_every_goal(monkeypatch):
+    # Three goals, none witnessed on the first call, share one grouped
+    # id-row form of the delta per call; no Instance is constructed.
+    goal_module = importlib.import_module("repro.serving.goal")
+    delta_rows = goal_module.delta_rows
+    converted = []
+
+    def converting(instance, delta):
+        converted.append(len(delta))
+        return delta_rows(instance, delta)
+
+    instance = parse_instance("E(a,b), E(b,c)")
+    edges = sorted(parse_instance("E(c,d), E(d,e)").atoms())[:2]
+    goals = [
+        (parse_query(text).atoms, {})
+        for text in ("E(x,x)", "E(x,y), E(y,x)", "E(x,y), E(y,z), E(z,w), E(w,v)")
+    ]
+    probe = GoalProbe(goals)
+    assert not probe.check_full(instance)
+    made = []
+    init = Instance.__init__
+
+    def constructing(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(goal_module, "delta_rows", converting)
+    monkeypatch.setattr(Instance, "__init__", constructing)
+    SERVING_STATS.reset()
+    instance.add(edges[0])
+    assert not probe.check_delta(instance)
+    assert SERVING_STATS.delta_probes == 1 + 2 + 4  # every goal pivot
+    instance.add(edges[1])
+    assert probe.check_delta(instance)  # the 4-edge path a-b-c-d-e
+    assert converted == [1, 1]
+    assert made == []
